@@ -26,39 +26,6 @@ use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Extracts the `"current": { ... }` object from a bench JSON emission
-/// (`BENCH_hotpath.json` / `BENCH_shard.json`), without a JSON parser: the
-/// emitters control the format, so the section is always a single-level
-/// object starting at `"current": {` and ending at the first `}`. Shared by
-/// `bench_hotpath`, `bench_shard` (baseline embedding) and `bench_compare`.
-pub fn extract_current_section(contents: &str) -> Option<String> {
-    let start = contents.find("\"current\":")?;
-    let open = contents[start..].find('{')? + start;
-    let close = contents[open..].find('}')? + open;
-    Some(contents[open..=close].to_string())
-}
-
-/// Parses the numeric `"key": value` fields of a bench emission's
-/// `"current"` section (non-numeric fields are skipped).
-pub fn parse_current_numbers(contents: &str) -> Vec<(String, f64)> {
-    let Some(section) = extract_current_section(contents) else {
-        return Vec::new();
-    };
-    let inner = section.trim_start_matches('{').trim_end_matches('}');
-    let mut out = Vec::new();
-    for field in inner.split(',') {
-        let mut parts = field.splitn(2, ':');
-        let (Some(key), Some(value)) = (parts.next(), parts.next()) else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        if let Ok(value) = value.trim().parse::<f64>() {
-            out.push((key, value));
-        }
-    }
-    out
-}
-
 /// Writes a CSV table under `target/repro/<name>.csv` and echoes it to stdout.
 pub fn emit_table(name: &str, header: &str, rows: &[String]) {
     println!("# {name}");

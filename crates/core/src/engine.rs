@@ -33,61 +33,28 @@
 //! synchronization boundary, no flit is buffered anywhere (including boundary
 //! mailboxes) and no injector has pending work, all tile clocks jump to the
 //! next injection event.
+//!
+//! The engine owns no cycle loop. It holds a [`Network`]: with one thread
+//! (or a one-shard partition) a run *is* [`Network::run`] /
+//! [`Network::run_to_completion`], the reference loop every backend is
+//! checked against, and the compiled kernel survives across `run()` calls.
+//! With more shards the tiles are lent to `hornet_shard`'s runtime, whose
+//! `CycleDriver` is the production loop, and put back afterwards (dropping
+//! the network's kernel: the tiles were rewired in between).
 
-use hornet_net::geometry::Topology;
+use crate::report::ShardSummary;
+use hornet_net::geometry::{Geometry, Topology};
 use hornet_net::ids::Cycle;
-use hornet_net::kernel::{KernelMode, MeshKernel};
-use hornet_net::network::{Network, NetworkNode};
-use hornet_net::payload::PayloadStore;
+use hornet_net::kernel::KernelMode;
+use hornet_net::network::Network;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::TelemetrySample;
-use hornet_obs::profile::StallProfile;
 use hornet_obs::serve::ObsHub;
 use hornet_obs::trace::TraceDump;
-use hornet_shard::{Partitioner, RunParams, ShardConfig, ShardRuntime};
+pub use hornet_shard::SyncMode;
+use hornet_shard::{Partition, Partitioner, RunParams, ShardConfig, ShardRuntime};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-
-/// How simulation shards synchronize.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum SyncMode {
-    /// Lock-step neighbor synchronization with strict cycle-stamped mailbox
-    /// consumption; parallel results are bit-identical to sequential
-    /// simulation.
-    CycleAccurate,
-    /// Drift check once every `n` cycles; faster, slightly lossy timing.
-    Periodic(u64),
-    /// Neighboring shards may drift up to `k` cycles apart; timing skew is
-    /// bounded by `k`, functional behaviour is exact. `Slack(0)` ≡
-    /// [`SyncMode::CycleAccurate`].
-    Slack(u64),
-}
-
-impl SyncMode {
-    /// A short label for reports.
-    pub fn label(self) -> String {
-        match self {
-            SyncMode::CycleAccurate => "cycle-accurate".to_string(),
-            SyncMode::Periodic(n) => format!("sync-every-{n}"),
-            SyncMode::Slack(k) => format!("slack-{k}"),
-        }
-    }
-
-    /// The shard-runtime parameters this mode maps onto:
-    /// `(slack, quantum, strict, barrier_batches)`.
-    fn shard_params(self) -> (u64, u64, bool, bool) {
-        match self {
-            SyncMode::CycleAccurate => (0, 1, true, false),
-            SyncMode::Slack(k) => (k, 1, k == 0, false),
-            SyncMode::Periodic(n) => {
-                let n = n.max(1);
-                // Periodic keeps its classic rendezvous-per-batch profile;
-                // Periodic(1) degenerates to the bit-exact lock-step mode.
-                (0, n, n == 1, n > 1)
-            }
-        }
-    }
-}
 
 /// Configuration of the parallel engine.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -124,42 +91,17 @@ impl Default for EngineConfig {
     }
 }
 
-/// Summary of the shard layout and per-shard results of the last parallel
-/// run.
-#[derive(Clone, Debug)]
-pub struct ShardRunInfo {
-    /// Number of shards the tiles were partitioned into.
-    pub shards: usize,
-    /// Tiles per shard, in shard order.
-    pub tiles_per_shard: Vec<usize>,
-    /// Physical links cut by the partition (each rewired onto boundary
-    /// mailboxes for the duration of the run).
-    pub cut_links: usize,
-    /// Statistics merged per shard by its worker (no cross-thread atomics).
-    pub per_shard_stats: Vec<NetworkStats>,
-    /// Per-shard wall-time attribution (all zeros unless profiling was
-    /// enabled with [`ParallelEngine::set_profiling`]).
-    pub per_shard_profiles: Vec<StallProfile>,
-}
-
 /// The parallel cycle-level simulation engine.
 pub struct ParallelEngine {
-    nodes: Vec<NetworkNode>,
-    /// The process-wide payload store (the DMA side channel every bridge
-    /// deposits into). All shards of the thread backend share it, so the
-    /// unified cycle driver's payload channel is the same-process fast path;
-    /// `None` when the engine was built from bare tiles.
-    payload_store: Option<Arc<PayloadStore>>,
+    /// The simulated system. Runs itself when one thread (or one shard) is
+    /// asked for; lends its tiles to the sharded runtime otherwise.
+    network: Network,
     config: EngineConfig,
-    cycle: Cycle,
-    /// `(width, height)` of the row-major mesh the tiles came from, when
-    /// known; drives the topology-aware partitioner.
-    mesh_dims: Option<(usize, usize)>,
     /// The persistent worker pool, created on the first parallel run and
     /// reused (threads and all) across subsequent `run()` calls.
     runtime: Option<ShardRuntime>,
     /// Shard layout and per-shard statistics of the last parallel run.
-    shard_info: Option<ShardRunInfo>,
+    shard_info: Option<ShardSummary>,
     /// Attribute worker wall time to compute/wait/ingest/flush phases.
     profile: bool,
     /// Telemetry sampling period in cycles (`None` = off).
@@ -180,47 +122,40 @@ pub struct ParallelEngine {
 impl std::fmt::Debug for ParallelEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ParallelEngine")
-            .field("tiles", &self.nodes.len())
+            .field("network", &self.network)
             .field("config", &self.config)
-            .field("cycle", &self.cycle)
             .finish()
     }
 }
 
-impl ParallelEngine {
-    /// Creates an engine over an assembled network, inheriting the network's
-    /// geometry so the partitioner can align shard boundaries to mesh rows.
-    pub fn from_network(network: Network, config: EngineConfig) -> Self {
-        let mesh_dims = match *network.geometry().topology() {
-            Topology::Mesh2D { width, height } | Topology::Torus2D { width, height } => {
-                Some((width, height))
-            }
-            // Row-major 3-D meshes stack layers of rows; partitioning the
-            // flattened `height × layers` rows keeps blocks contiguous.
-            Topology::Mesh3D {
-                width,
-                height,
-                layers,
-                ..
-            } => Some((width, height * layers)),
-            Topology::Line { .. } | Topology::Ring { .. } | Topology::Custom { .. } => None,
-        };
-        let (nodes, store) = network.into_nodes();
-        let mut engine = Self::new(nodes, config);
-        engine.payload_store = Some(store);
-        engine.mesh_dims = mesh_dims;
-        engine
+/// The partition of `geometry`'s tiles over `threads` shards: band-aligned
+/// on row-major meshes, balanced contiguous index ranges otherwise.
+fn partition_for(geometry: &Geometry, threads: usize) -> Partition {
+    let partitioner = Partitioner::new(threads);
+    match *geometry.topology() {
+        Topology::Mesh2D { width, height } | Topology::Torus2D { width, height } => {
+            partitioner.mesh(width, height)
+        }
+        // Row-major 3-D meshes stack layers of rows; partitioning the
+        // flattened `height × layers` rows keeps blocks contiguous.
+        Topology::Mesh3D {
+            width,
+            height,
+            layers,
+            ..
+        } => partitioner.mesh(width, height * layers),
+        Topology::Line { .. } | Topology::Ring { .. } | Topology::Custom { .. } => {
+            partitioner.linear(geometry.node_count())
+        }
     }
+}
 
-    /// Creates an engine over a set of tiles (no topology hint: the
-    /// partitioner falls back to balanced contiguous index ranges).
-    pub fn new(nodes: Vec<NetworkNode>, config: EngineConfig) -> Self {
+impl ParallelEngine {
+    /// Creates an engine over an assembled network.
+    pub fn from_network(network: Network, config: EngineConfig) -> Self {
         Self {
-            nodes,
-            payload_store: None,
+            network,
             config,
-            cycle: 0,
-            mesh_dims: None,
             runtime: None,
             shard_info: None,
             profile: false,
@@ -232,26 +167,31 @@ impl ParallelEngine {
         }
     }
 
+    /// The simulated system (tiles, payload store, geometry, clock).
+    pub fn network(&self) -> &Network {
+        &self.network
+    }
+
+    /// Mutable access to the simulated system, e.g. to attach agents or
+    /// inspect a tile through [`Network::node_mut`] between runs.
+    pub fn network_mut(&mut self) -> &mut Network {
+        &mut self.network
+    }
+
     /// Enables flit-lifecycle event tracing on every tile (ring of
     /// `capacity` events per tile) plus, on parallel runs, a per-shard
     /// runtime event ring of the same capacity. Tracing never perturbs the
     /// simulation: traced runs are bit-identical to untraced ones.
     pub fn enable_tracing(&mut self, capacity: usize) {
         self.trace_capacity = capacity;
-        for n in &mut self.nodes {
-            n.enable_tracing(capacity);
-        }
+        self.network.enable_tracing(capacity);
     }
 
     /// Collects every tile's flit-lifecycle events into one dump, in
     /// node-index order (use [`TraceDump::canonicalize`] before comparing
     /// dumps across backends).
     pub fn drain_trace(&mut self) -> TraceDump {
-        let mut dump = TraceDump::default();
-        for n in &mut self.nodes {
-            n.drain_trace(&mut dump);
-        }
-        dump
+        self.network.drain_trace()
     }
 
     /// Takes the runtime events (slack waits, checkpoint captures)
@@ -261,7 +201,7 @@ impl ParallelEngine {
     }
 
     /// Enables per-shard wall-time phase attribution (reported in
-    /// [`ShardRunInfo::per_shard_profiles`]).
+    /// [`ShardSummary::stalls`]; all zeros otherwise).
     pub fn set_profiling(&mut self, enabled: bool) {
         self.profile = enabled;
     }
@@ -285,16 +225,9 @@ impl ParallelEngine {
         self.live_hub = hub;
     }
 
-    /// The shared payload store (the DMA side channel), when the engine was
-    /// assembled from a [`Network`]. Agents attached after construction can
-    /// deposit payloads here; within one process every shard shares it.
-    pub fn payload_store(&self) -> Option<&Arc<PayloadStore>> {
-        self.payload_store.as_ref()
-    }
-
     /// Shard layout and per-shard statistics of the most recent parallel
     /// run, if any.
-    pub fn shard_info(&self) -> Option<&ShardRunInfo> {
+    pub fn shard_info(&self) -> Option<&ShardSummary> {
         self.shard_info.as_ref()
     }
 
@@ -310,48 +243,32 @@ impl ParallelEngine {
 
     /// The current simulated cycle.
     pub fn cycle(&self) -> Cycle {
-        self.cycle
-    }
-
-    /// The simulated tiles.
-    pub fn nodes(&self) -> &[NetworkNode] {
-        &self.nodes
-    }
-
-    /// Mutable access to the simulated tiles (e.g. to attach agents).
-    pub fn nodes_mut(&mut self) -> &mut [NetworkNode] {
-        &mut self.nodes
+        self.network.cycle()
     }
 
     /// Merged statistics across all tiles.
     pub fn stats(&self) -> NetworkStats {
-        let mut merged = NetworkStats::new();
-        for n in &self.nodes {
-            merged.merge(n.stats());
-        }
-        merged
+        self.network.stats()
     }
 
     /// Per-tile statistics (for thermal maps and per-tile power).
     pub fn per_node_stats(&self) -> Vec<NetworkStats> {
-        self.nodes.iter().map(|n| n.stats().clone()).collect()
+        self.network.per_node_stats()
     }
 
     /// Clears every tile's statistics (used to discard the warm-up window).
     pub fn reset_stats(&mut self) {
-        for n in &mut self.nodes {
-            n.reset_stats();
-        }
+        self.network.reset_stats();
     }
 
     /// True if no flit is buffered anywhere and no injector has pending work.
     pub fn is_idle(&self) -> bool {
-        self.nodes.iter().all(NetworkNode::is_idle)
+        self.network.is_idle()
     }
 
     /// True once every agent has reported completion.
     pub fn finished(&self) -> bool {
-        self.nodes.iter().all(NetworkNode::finished)
+        self.network.finished()
     }
 
     /// Runs for `cycles` simulated cycles.
@@ -370,94 +287,32 @@ impl ParallelEngine {
         if cycles == 0 {
             return;
         }
-        let threads = self.config.threads.clamp(1, self.nodes.len().max(1));
-        if threads == 1 {
-            self.run_sequential(cycles, detect_completion);
-        } else {
-            self.run_sharded(cycles, detect_completion, threads);
+        // Idempotent: an unchanged kernel mode keeps the network's compiled
+        // kernel across runs.
+        self.network.set_kernel_mode(self.config.kernel);
+        self.network.set_fast_forward(self.config.fast_forward);
+        // One thread — or a partition the tiles clamp to one shard — means no
+        // cross-thread communication: the reference loop is the whole run.
+        let partition = (self.config.threads > 1)
+            .then(|| partition_for(self.network.geometry(), self.config.threads))
+            .filter(|p| p.shard_count() > 1);
+        match partition {
+            Some(partition) => self.run_sharded(cycles, detect_completion, &partition),
+            None if detect_completion => {
+                self.network.run_to_completion(cycles);
+            }
+            None => self.network.run(cycles),
         }
     }
 
-    fn run_sequential(&mut self, cycles: Cycle, detect_completion: bool) {
-        let end = self.cycle + cycles;
-        // Compiled per run: the kernel holds no authoritative state, only
-        // derived acceleration structures, so dropping it at the end keeps
-        // snapshots and node access between runs unconstrained.
-        let mut kernel = if self.config.kernel.enabled() {
-            MeshKernel::compile(&self.nodes, false)
-        } else {
-            None
-        };
-        while self.cycle < end {
-            if detect_completion && self.finished() && self.is_idle() {
-                return;
-            }
-            if self.config.fast_forward && self.is_idle() {
-                let next = self
-                    .nodes
-                    .iter()
-                    .filter_map(|n| n.next_event(self.cycle))
-                    .min();
-                match next {
-                    Some(next) if next > self.cycle + 1 => {
-                        let target = next.min(end) - 1;
-                        let skipped = target - self.cycle;
-                        for n in &mut self.nodes {
-                            n.set_cycle(target);
-                            n.router_mut().stats_mut().fast_forwarded_cycles += skipped;
-                        }
-                        self.cycle = target;
-                    }
-                    Some(_) => {}
-                    None => {
-                        for n in &mut self.nodes {
-                            n.set_cycle(end);
-                            n.router_mut().stats_mut().fast_forwarded_cycles += end - self.cycle;
-                        }
-                        self.cycle = end;
-                        return;
-                    }
-                }
-            }
-            let now = self.cycle + 1;
-            if let Some(k) = kernel.as_mut() {
-                k.posedge(&mut self.nodes, now);
-                k.negedge(&mut self.nodes, now);
-            } else {
-                for n in &mut self.nodes {
-                    n.posedge(now);
-                }
-                for n in &mut self.nodes {
-                    n.negedge(now);
-                }
-            }
-            self.cycle = now;
-        }
-    }
-
-    /// Runs the tiles on the sharded runtime: topology-aware partition,
-    /// boundary mailboxes on cut links, slack-based neighbor synchronization.
-    fn run_sharded(&mut self, cycles: Cycle, detect_completion: bool, threads: usize) {
-        let partition = {
-            let partitioner = Partitioner::new(threads);
-            match self.mesh_dims {
-                Some((w, h)) => partitioner.mesh(w, h),
-                None => partitioner.linear(self.nodes.len()),
-            }
-        };
-        if partition.shard_count() == 1 {
-            // One shard means no cross-thread communication at all; the
-            // sequential path is strictly faster.
-            return self.run_sequential(cycles, detect_completion);
-        }
-        let (slack, quantum, strict, barrier_batches) = self.config.sync.shard_params();
+    /// Lends the tiles to the sharded runtime — topology-aware partition,
+    /// boundary mailboxes on cut links, slack-based neighbor synchronization
+    /// — and puts them back at the cycle the shards reached.
+    fn run_sharded(&mut self, cycles: Cycle, detect_completion: bool, partition: &Partition) {
         let params = RunParams {
-            start: self.cycle,
+            start: self.network.cycle(),
             cycles,
-            slack,
-            quantum,
-            strict,
-            barrier_batches,
+            sync: self.config.sync,
             fast_forward: self.config.fast_forward,
             detect_completion,
             profile: self.profile,
@@ -470,20 +325,18 @@ impl ParallelEngine {
         let runtime = self.runtime.get_or_insert_with(|| {
             ShardRuntime::with_config(partition.shard_count(), ShardConfig { pin_to_cores: pin })
         });
-        let nodes = std::mem::take(&mut self.nodes);
-        let outcome = runtime.run(nodes, &partition, params);
-        self.nodes = outcome.nodes;
-        self.cycle = outcome.final_cycle;
+        let outcome = runtime.run(self.network.take_tiles(), partition, params);
+        self.network.put_tiles(outcome.nodes, outcome.final_cycle);
         self.samples.extend(outcome.samples);
         self.runtime_trace.merge(outcome.runtime_trace);
-        self.shard_info = Some(ShardRunInfo {
+        self.shard_info = Some(ShardSummary {
             shards: partition.shard_count(),
             tiles_per_shard: (0..partition.shard_count())
                 .map(|s| partition.tiles(s))
                 .collect(),
             cut_links: outcome.cut_links,
-            per_shard_stats: outcome.per_shard_stats,
-            per_shard_profiles: outcome.per_shard_profiles,
+            per_shard: outcome.per_shard_stats,
+            stalls: outcome.per_shard_profiles,
         });
     }
 }
@@ -634,11 +487,7 @@ mod tests {
         assert_eq!(info.shards, 4, "4×4 mesh, 4 threads: one row per shard");
         assert_eq!(info.tiles_per_shard, vec![4, 4, 4, 4]);
         assert_eq!(info.cut_links, 12, "three row boundaries × four links");
-        let merged: u64 = info
-            .per_shard_stats
-            .iter()
-            .map(|s| s.delivered_packets)
-            .sum();
+        let merged: u64 = info.per_shard.iter().map(|s| s.delivered_packets).sum();
         assert_eq!(merged, par.stats().delivered_packets);
     }
 
@@ -698,6 +547,37 @@ mod tests {
         assert!(with.simulated_cycles < without.simulated_cycles);
     }
 
+    /// A 4×4 transpose network with sparse periodic traffic (long idle gaps,
+    /// eight packets per tile): runs fast-forward heavily and complete.
+    fn sparse_network() -> Network {
+        let geometry = Arc::new(Geometry::mesh2d(4, 4));
+        let pattern = SyntheticPattern::Transpose;
+        let flows = flows_for_pattern(&pattern, &geometry);
+        let cfg = NetworkConfig::new((*geometry).clone())
+            .with_routing(RoutingKind::Xy)
+            .with_flows(flows);
+        let mut network = Network::new(&cfg, 23).unwrap();
+        for node in geometry.nodes() {
+            network.attach_agent(
+                node,
+                Box::new(SyntheticInjector::new(
+                    Arc::clone(&geometry),
+                    SyntheticConfig {
+                        pattern: pattern.clone(),
+                        process: InjectionProcess::Periodic {
+                            period: 300,
+                            offset: (node.index() as u64 % 4) * 25,
+                        },
+                        packet_len: 4,
+                        stop_after: None,
+                        max_packets: Some(8),
+                    },
+                )),
+            );
+        }
+        network
+    }
+
     #[test]
     fn fast_forward_with_loose_sync_preserves_functional_results() {
         // fast_forward + SyncMode::Periodic ride the same boundary checks:
@@ -705,35 +585,8 @@ mod tests {
         // decides when all clocks jump. Functional results must match the
         // sequential run exactly; only timings may skew.
         let build = |threads: usize, sync: SyncMode| {
-            let geometry = Arc::new(Geometry::mesh2d(4, 4));
-            let pattern = SyntheticPattern::Transpose;
-            let flows = flows_for_pattern(&pattern, &geometry);
-            let cfg = NetworkConfig::new((*geometry).clone())
-                .with_routing(RoutingKind::Xy)
-                .with_flows(flows);
-            let mut network = Network::new(&cfg, 23).unwrap();
-            // Sparse periodic traffic: long idle gaps between bursts, so the
-            // run exercises the fast-forward path heavily.
-            for node in geometry.nodes() {
-                network.attach_agent(
-                    node,
-                    Box::new(SyntheticInjector::new(
-                        Arc::clone(&geometry),
-                        SyntheticConfig {
-                            pattern: pattern.clone(),
-                            process: InjectionProcess::Periodic {
-                                period: 300,
-                                offset: (node.index() as u64 % 4) * 25,
-                            },
-                            packet_len: 4,
-                            stop_after: None,
-                            max_packets: Some(8),
-                        },
-                    )),
-                );
-            }
             let mut engine = ParallelEngine::from_network(
-                network,
+                sparse_network(),
                 EngineConfig {
                     threads,
                     sync,
@@ -759,6 +612,35 @@ mod tests {
             "sequential run never skipped"
         );
         assert!(par.fast_forwarded_cycles > 0, "parallel run never skipped");
+    }
+
+    #[test]
+    fn network_run_to_completion_honours_fast_forward() {
+        let reference = |fast_forward: bool| {
+            let mut network = sparse_network();
+            network.set_fast_forward(fast_forward);
+            assert!(network.run_to_completion(1_000_000), "must complete");
+            (network.stats(), network.cycle())
+        };
+        let (fast, slow) = (reference(true), reference(false));
+        let mut engine = ParallelEngine::from_network(
+            sparse_network(),
+            EngineConfig {
+                fast_forward: true,
+                ..EngineConfig::default()
+            },
+        );
+        assert!(engine.run_to_completion(1_000_000), "must complete");
+
+        assert!(
+            fast.0.fast_forwarded_cycles > 0,
+            "idle gaps must be skipped"
+        );
+        for (stats, cycle) in [slow, (engine.stats(), engine.cycle())] {
+            assert_eq!(fast.0.delivered_packets, stats.delivered_packets);
+            assert_eq!(fast.0.total_packet_latency, stats.total_packet_latency);
+            assert_eq!(fast.1, cycle);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Simulation`] whose [`run`](Simulation::run) yields a [`SimReport`].
 
 use crate::engine::{EngineConfig, ParallelEngine, SyncMode};
-use crate::report::{PowerReport, ShardSummary, SimReport, ThermalReport};
+use crate::report::{PowerReport, SimReport, ThermalReport};
 use hornet_net::agent::NodeAgent;
 use hornet_net::config::{ConfigError, NetworkConfig};
 use hornet_net::geometry::Geometry;
@@ -493,7 +493,6 @@ impl SimulationBuilder {
         };
         Ok(Simulation {
             engine,
-            geometry: (*geometry).clone(),
             warmup: self.warmup,
             measured: self.measured,
             power: self.power,
@@ -503,21 +502,9 @@ impl SimulationBuilder {
     }
 }
 
-/// The shard layout of the engine's last parallel run, for the report.
-fn shard_summary(engine: &ParallelEngine) -> Option<ShardSummary> {
-    engine.shard_info().map(|info| ShardSummary {
-        shards: info.shards,
-        tiles_per_shard: info.tiles_per_shard.clone(),
-        cut_links: info.cut_links,
-        per_shard: info.per_shard_stats.clone(),
-        stalls: info.per_shard_profiles.clone(),
-    })
-}
-
 /// A fully assembled simulation, ready to run.
 pub struct Simulation {
     engine: ParallelEngine,
-    geometry: Geometry,
     warmup: Cycle,
     measured: Cycle,
     power: Option<PowerOptions>,
@@ -526,7 +513,8 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// The underlying engine (e.g. to inspect per-tile state between runs).
+    /// The underlying engine (e.g. to inspect per-tile state between runs
+    /// through [`ParallelEngine::network`]).
     pub fn engine(&self) -> &ParallelEngine {
         &self.engine
     }
@@ -575,7 +563,7 @@ impl Simulation {
         let wall_time = start.elapsed();
         let network = self.engine.stats();
         let per_node = self.engine.per_node_stats();
-        let shard = shard_summary(&self.engine);
+        let shard = self.engine.shard_info().cloned();
         let trace = (self.trace_events > 0).then(|| {
             let mut dump = self.engine.drain_trace();
             dump.merge(self.engine.take_runtime_trace());
@@ -617,7 +605,7 @@ impl Simulation {
             )));
         }
         let wall_time = start.elapsed();
-        let shard = shard_summary(&self.engine);
+        let shard = self.engine.shard_info().cloned();
         let trace = (self.trace_events > 0).then(|| {
             let mut dump = self.engine.drain_trace();
             dump.merge(self.engine.take_runtime_trace());
@@ -647,10 +635,11 @@ impl Simulation {
         &mut self,
         opts: &PowerOptions,
     ) -> (Option<PowerReport>, Option<ThermalReport>) {
-        let tiles = self.geometry.node_count();
+        let geometry = self.engine.network().geometry();
+        let tiles = geometry.node_count();
         let model = RouterPowerModel::new(opts.power);
-        let width = self.geometry.width().unwrap_or(tiles);
-        let height = self.geometry.height().unwrap_or(1);
+        let width = geometry.width().unwrap_or(tiles);
+        let height = geometry.height().unwrap_or(1);
         let mut grid = opts.thermal.map(|cfg| ThermalGrid::new(width, height, cfg));
         let mut prev_activity: Vec<RouterActivity> = self
             .engine

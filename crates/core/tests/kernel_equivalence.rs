@@ -13,7 +13,9 @@
 //!   resumed must still match an uninterrupted interpreter run;
 //! * fallback: configurations the kernel cannot specialize (adaptive
 //!   routing, bidirectional links) silently select the interpreter, even
-//!   under [`KernelMode::Force`], and still produce identical results.
+//!   under [`KernelMode::Force`], and still produce identical results;
+//! * one engine switched between thread counts mid-run: the network's
+//!   persistent kernel is rebuilt whenever its tiles were lent out.
 //!
 //! All comparisons pin the mode programmatically ([`KernelMode::Force`] /
 //! [`KernelMode::Off`]), which is immune to the `HORNET_KERNEL` environment
@@ -204,6 +206,28 @@ fn kernel_snapshot_roundtrip_matches_uninterrupted_interpreter() {
             reference.stats(),
             "cut {cut}: kernel snapshot/resume must match uninterrupted interpreter"
         );
+    }
+}
+
+/// One engine taken from the network's own loop to the sharded runtime and
+/// back. The network keeps its compiled kernel across `run()` calls, so it
+/// must drop it while the tiles are lent out (the shards rewire cut links and
+/// advance router state) — the third leg would otherwise step stale masks.
+#[test]
+fn switching_thread_counts_mid_run_matches_straight_sequential() {
+    let case = Case::mesh(4, 4, 57, 0.06);
+    for kernel in [KernelMode::Force, KernelMode::Off] {
+        let (stats, trace) = case.run(1, SyncMode::CycleAccurate, kernel, 3_000);
+        let mut engine = case.engine(1, SyncMode::CycleAccurate, kernel);
+        for threads in [1, 2, 1] {
+            engine.set_config(EngineConfig {
+                threads,
+                ..*engine.config()
+            });
+            engine.run(1_000);
+        }
+        assert_eq!(engine.stats(), stats, "{kernel:?}");
+        assert_eq!(engine.drain_trace().flit_events(), trace, "{kernel:?}");
     }
 }
 

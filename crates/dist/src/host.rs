@@ -17,6 +17,7 @@ use crate::transport::{InProcTransport, Stream};
 use crate::wire::{read_frame, write_frame};
 use crate::wiring::{build_shards, cut_channels, cut_pairs, partition_for};
 use crate::worker::{ShardWorker, WorkerControl};
+use hornet_net::network::skip_target;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::log::{set_max_level, Level};
 use hornet_obs::metrics::TelemetrySample;
@@ -1082,12 +1083,7 @@ fn supervise(
                                     let _ = conn.send(&CtrlMsg::Stop);
                                 }
                             } else if spec.fast_forward {
-                                let end = spec.cycle_budget();
-                                let target = if next_event == u64::MAX {
-                                    end
-                                } else {
-                                    next_event.saturating_sub(1).min(end)
-                                };
+                                let target = skip_target(next_event, spec.cycle_budget());
                                 if target > cycle && target > last_skip {
                                     last_skip = target;
                                     for conn in conns.iter_mut() {
@@ -1275,11 +1271,7 @@ pub fn run_threaded(spec: &DistSpec, workers: usize) -> io::Result<DistOutcome> 
                         stop.store(true, Ordering::Release);
                     }
                 } else if spec.fast_forward {
-                    let target = if next_event == u64::MAX {
-                        budget
-                    } else {
-                        next_event.saturating_sub(1).min(budget)
-                    };
+                    let target = skip_target(next_event, budget);
                     if target > cycle && target > last_skip {
                         last_skip = target;
                         for skip in &skip_all {

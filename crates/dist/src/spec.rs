@@ -25,43 +25,10 @@ use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use std::io;
 use std::sync::Arc;
 
-/// Synchronization mode of a distributed run (mirrors the engine's
-/// `SyncMode` without depending on `hornet-core`).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DistSync {
-    /// Lock-step neighbor synchronization with strict cycle-stamped
-    /// transport consumption: bit-identical to sequential simulation.
-    CycleAccurate,
-    /// Neighbors may drift up to `k` cycles apart.
-    Slack(u64),
-    /// Drift checks batched every `n` cycles.
-    Periodic(u64),
-}
-
-impl DistSync {
-    /// `(slack, quantum, strict)` for the worker loop. (The thread backend's
-    /// `barrier_batches` re-zeroing has no distributed equivalent — periodic
-    /// batches stay neighbor-synchronized.)
-    pub fn params(self) -> (u64, u64, bool) {
-        match self {
-            DistSync::CycleAccurate => (0, 1, true),
-            DistSync::Slack(k) => (k, 1, k == 0),
-            DistSync::Periodic(n) => {
-                let n = n.max(1);
-                (0, n, n == 1)
-            }
-        }
-    }
-
-    /// Short label for reports.
-    pub fn label(self) -> String {
-        match self {
-            DistSync::CycleAccurate => "cycle-accurate".into(),
-            DistSync::Slack(k) => format!("slack-{k}"),
-            DistSync::Periodic(n) => format!("sync-every-{n}"),
-        }
-    }
-}
+/// Synchronization mode of a distributed run: the engine's `SyncMode`. (The
+/// thread backend's per-batch rendezvous under `Periodic(n)` has no
+/// distributed equivalent — periodic batches stay neighbor-synchronized.)
+pub use hornet_shard::SyncMode as DistSync;
 
 /// What runs on the tiles.
 ///

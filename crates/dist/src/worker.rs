@@ -12,7 +12,7 @@
 
 use crate::protocol::{hello, CtrlMsg, TransportKind};
 use crate::shm::{ShmSegment, ShmTransport};
-use crate::spec::{DistSpec, RunKind};
+use crate::spec::{DistSpec, DistSync, RunKind};
 use crate::transport::{BoundaryTransport, SocketTransport, Stream, TransportSet};
 use crate::wire::{read_frame, write_frame};
 use crate::wiring::{build_shards, partition_for, ShardParts};
@@ -102,12 +102,8 @@ pub struct ShardWorker {
     neighbors_meta: Vec<crate::wiring::NeighborWiring>,
     /// How payloads follow tail flits across this shard's boundaries.
     pub payloads: Arc<dyn PayloadChannel>,
-    /// Maximum cycles to run ahead of neighbors.
-    pub slack: u64,
-    /// Cycles between drift checks.
-    pub quantum: u64,
-    /// Strict cycle-stamped mailbox consumption (bit-exact mode).
-    pub strict: bool,
+    /// Synchronization mode.
+    pub sync: DistSync,
     /// Publish ledgers / honor skip directives.
     pub track_ledger: bool,
     /// Compute next-event info for fast-forward.
@@ -134,7 +130,6 @@ impl ShardWorker {
         control: WorkerControl,
         payloads: Arc<dyn PayloadChannel>,
     ) -> Self {
-        let (slack, quantum, strict) = spec.sync.params();
         Self {
             shard: parts.shard,
             tiles: parts.tiles,
@@ -143,9 +138,7 @@ impl ShardWorker {
             transports: Vec::new(),
             neighbors_meta: parts.neighbors,
             payloads,
-            slack,
-            quantum,
-            strict,
+            sync: spec.sync,
             track_ledger: spec.needs_detector(),
             fast_forward: spec.fast_forward,
             checkpoint_every: spec.checkpoint_every,
@@ -193,9 +186,7 @@ impl ShardWorker {
             mut transports,
             neighbors_meta: _,
             payloads,
-            slack,
-            quantum,
-            strict,
+            sync,
             track_ledger,
             fast_forward,
             checkpoint_every,
@@ -230,9 +221,7 @@ impl ShardWorker {
         let outcome = driver.run(&DriverParams {
             start,
             cycles,
-            slack,
-            quantum,
-            strict,
+            sync,
             track_ledger,
             fast_forward,
             checkpoint_every,

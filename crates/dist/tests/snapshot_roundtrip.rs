@@ -178,10 +178,7 @@ fn sharded_resume_from_sequential_snapshot_is_bit_identical() {
             RunParams {
                 start: cut,
                 cycles: total - cut,
-                slack: 0,
-                quantum: 1,
-                strict: true,
-                barrier_batches: false,
+                sync: DistSync::CycleAccurate,
                 fast_forward: false,
                 detect_completion: false,
                 profile: false,

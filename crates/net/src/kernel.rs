@@ -40,8 +40,9 @@
 //! (extra RNG draws keyed to cross-tile free space), bandwidth-adaptive
 //! bidirectional links (negative-edge demand publication), more than 64 VCs
 //! on one tile, or egress channels pointing outside the compiled tile set —
-//! make [`MeshKernel::compile`] return `None` and the caller falls back to
-//! the interpreter.
+//! make [`MeshKernel::compile`] return `None`, and [`Stepper`] — the only
+//! product caller of `compile` and the only place that chooses between the
+//! two execution paths — interprets instead.
 
 use crate::boundary::EgressChannel;
 use crate::ids::{Cycle, VcId};
@@ -111,6 +112,61 @@ impl std::str::FromStr for KernelMode {
             other => Err(format!(
                 "unknown kernel mode {other:?} (expected auto|off|force)"
             )),
+        }
+    }
+}
+
+/// Executes clock edges on one fixed set of tiles — through the compiled
+/// [`MeshKernel`] when the mode allows it and the configuration is eligible,
+/// through the per-router interpreter otherwise. The only place that makes
+/// that choice, so every cycle loop steps tiles the same way.
+///
+/// A stepper is derived state: rebuild it whenever the tile set it was built
+/// from is rewired, reordered, restored from a snapshot or otherwise mutated
+/// behind its back.
+#[derive(Debug)]
+pub struct Stepper {
+    kernel: Option<Box<MeshKernel>>,
+}
+
+impl Stepper {
+    /// Compiles `tiles` when `mode` enables the kernel and the configuration
+    /// is eligible; interprets otherwise.
+    pub fn new(tiles: &[NetworkNode], mode: KernelMode) -> Self {
+        let kernel = if mode.enabled() {
+            MeshKernel::compile(tiles, false).map(Box::new)
+        } else {
+            None
+        };
+        Self { kernel }
+    }
+
+    /// True if the compiled kernel (not the interpreter) steps the tiles.
+    pub fn kernel_active(&self) -> bool {
+        self.kernel.is_some()
+    }
+
+    /// Positive clock edge of cycle `now` on every tile.
+    pub fn posedge(&mut self, tiles: &mut [NetworkNode], now: Cycle) {
+        match &mut self.kernel {
+            Some(k) => k.posedge(tiles, now),
+            None => tiles.iter_mut().for_each(|t| t.posedge(now)),
+        }
+    }
+
+    /// Negative clock edge of cycle `now` on every tile.
+    pub fn negedge(&mut self, tiles: &mut [NetworkNode], now: Cycle) {
+        match &mut self.kernel {
+            Some(k) => k.negedge(tiles, now),
+            None => tiles.iter_mut().for_each(|t| t.negedge(now)),
+        }
+    }
+
+    /// Tells the kernel about a push it did not make itself (a boundary
+    /// delivery from another shard); the interpreter needs no such hint.
+    pub fn note_external_push(&mut self, buf: &Arc<VcBuffer>) {
+        if let Some(k) = &mut self.kernel {
+            k.note_external_push(buf);
         }
     }
 }

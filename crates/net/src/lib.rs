@@ -66,7 +66,7 @@ pub use config::NetworkConfig;
 pub use flit::{DeliveredPacket, Flit, Packet};
 pub use geometry::Geometry;
 pub use ids::{Cycle, FlowId, NodeId, PacketId, PortId, VcId};
-pub use kernel::{KernelMode, MeshKernel, StageTimes};
+pub use kernel::{KernelMode, MeshKernel, StageTimes, Stepper};
 pub use network::{Network, NetworkNode};
 pub use routing::{FlowSpec, RoutingKind};
 pub use stats::NetworkStats;

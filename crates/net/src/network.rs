@@ -1,11 +1,16 @@
 //! Network assembly and the single-threaded reference simulator.
 //!
 //! [`Network::new`] builds one router + bridge per node from a
-//! [`NetworkConfig`], wires all inter-router buffers (and bandwidth-adaptive
-//! links when enabled), and exposes a simple sequential `step`/`run` loop.
-//! The parallel engine in `hornet-core` consumes the same [`NetworkNode`]s via
-//! [`Network::into_nodes`] and drives them from multiple threads; by
-//! construction both produce bit-identical results in cycle-accurate mode.
+//! [`NetworkConfig`] and wires all inter-router buffers (and
+//! bandwidth-adaptive links when enabled). [`Network::run`] and
+//! [`Network::run_to_completion`] are the *reference* cycle loop: posedge,
+//! negedge, idle skipping, completion detection and deliberately nothing
+//! else (no telemetry, profiling or checkpoints), because every other backend
+//! is judged by bit-identity against it. The production loop is
+//! `hornet_shard::driver::CycleDriver`, to which the `hornet-core` engine
+//! lends the tiles ([`Network::take_tiles`]) for multi-threaded runs. Both
+//! loops step tiles through one [`Stepper`] and move clocks with one
+//! [`jump`] / [`skip_target`] pair.
 
 use crate::agent::{NodeAgent, NodeIo};
 use crate::bridge::Bridge;
@@ -14,7 +19,7 @@ use crate::config::{ConfigError, NetworkConfig};
 use crate::flit::{DeliveredPacket, Packet};
 use crate::geometry::Geometry;
 use crate::ids::{Cycle, NodeId, PacketId};
-use crate::kernel::{KernelMode, MeshKernel, StageTimes};
+use crate::kernel::{KernelMode, Stepper};
 use crate::link::BidirLink;
 use crate::payload::PayloadStore;
 use crate::router::{Router, RouterConfig};
@@ -294,14 +299,27 @@ impl NetworkNode {
     }
 }
 
-/// Compiled-kernel slot: lazily built, invalidated on structural mutation.
-enum KernelSlot {
-    /// Needs a (re)compile attempt before the next cycle.
-    Stale,
-    /// Kernel compiled and driving the cycle loop.
-    Active(Box<MeshKernel>),
-    /// Kernel disabled or config ineligible; interpreter drives the loop.
-    Fallback,
+/// Moves every tile clock from `from` forward to `to` without simulating the
+/// cycles in between, and counts them as fast-forwarded. Only sound while
+/// nothing is buffered anywhere and no agent wants to act before `to + 1`.
+pub fn jump(tiles: &mut [NetworkNode], from: Cycle, to: Cycle) {
+    let skipped = to - from;
+    for tile in tiles {
+        tile.set_cycle(to);
+        tile.router_mut().stats_mut().fast_forwarded_cycles += skipped;
+    }
+}
+
+/// The cycle an idle system may [`jump`] to in a run that ends at `end`: one
+/// before the earliest agent event, so that the event cycle itself is
+/// simulated, or `end` when no agent will ever act again (`next_event ==
+/// Cycle::MAX`). A result not beyond the current cycle means "do not skip".
+pub fn skip_target(next_event: Cycle, end: Cycle) -> Cycle {
+    if next_event == Cycle::MAX {
+        end
+    } else {
+        next_event.min(end).saturating_sub(1)
+    }
 }
 
 /// The assembled network plus the sequential reference simulator.
@@ -312,8 +330,9 @@ pub struct Network {
     cycle: Cycle,
     fast_forward: bool,
     kernel_mode: KernelMode,
-    kernel_timing: bool,
-    kernel: KernelSlot,
+    /// Built on the first cycle after construction or invalidation; `None`
+    /// whenever the tiles may have changed behind it (see [`Stepper`]).
+    stepper: Option<Stepper>,
 }
 
 impl std::fmt::Debug for Network {
@@ -419,58 +438,27 @@ impl Network {
             cycle: 0,
             fast_forward: false,
             kernel_mode: KernelMode::default(),
-            kernel_timing: false,
-            kernel: KernelSlot::Stale,
+            stepper: None,
         })
     }
 
     /// Selects how the sequential simulator executes cycles: interpreter,
     /// compiled kernel, or auto-detection (the default). Takes effect on the
-    /// next [`step`](Self::step).
+    /// next cycle; setting the mode already in force keeps the compiled
+    /// kernel.
     pub fn set_kernel_mode(&mut self, mode: KernelMode) {
-        self.kernel_mode = mode;
-        self.kernel = KernelSlot::Stale;
-    }
-
-    /// The configured kernel mode (before auto-detection).
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel_mode
-    }
-
-    /// Enables per-stage wall-clock timing inside the compiled kernel (for
-    /// benchmarking; adds a few `Instant` reads per cycle).
-    pub fn set_kernel_timing(&mut self, enabled: bool) {
-        self.kernel_timing = enabled;
-        self.kernel = KernelSlot::Stale;
+        if mode != self.kernel_mode {
+            self.kernel_mode = mode;
+            self.stepper = None;
+        }
     }
 
     /// True if the compiled kernel will drive the next cycle (compiling it
     /// now if the decision is still pending).
     pub fn kernel_active(&mut self) -> bool {
-        self.ensure_kernel();
-        matches!(self.kernel, KernelSlot::Active(_))
-    }
-
-    /// Accumulated per-stage kernel timings (zero unless
-    /// [`set_kernel_timing`](Self::set_kernel_timing) was enabled).
-    pub fn kernel_stage_times(&self) -> Option<StageTimes> {
-        match &self.kernel {
-            KernelSlot::Active(k) => Some(k.stage_times()),
-            _ => None,
-        }
-    }
-
-    fn ensure_kernel(&mut self) {
-        if matches!(self.kernel, KernelSlot::Stale) {
-            self.kernel = if self.kernel_mode.enabled() {
-                match MeshKernel::compile(&self.nodes, self.kernel_timing) {
-                    Some(k) => KernelSlot::Active(Box::new(k)),
-                    None => KernelSlot::Fallback,
-                }
-            } else {
-                KernelSlot::Fallback
-            };
-        }
+        self.stepper
+            .get_or_insert_with(|| Stepper::new(&self.nodes, self.kernel_mode))
+            .kernel_active()
     }
 
     /// The geometry this network was assembled from (used by the sharded
@@ -502,8 +490,24 @@ impl Network {
     /// Mutable access to one tile. Invalidates the compiled kernel's derived
     /// state (it is rebuilt — cheaply — before the next cycle).
     pub fn node_mut(&mut self, id: NodeId) -> &mut NetworkNode {
-        self.kernel = KernelSlot::Stale;
+        self.stepper = None;
         &mut self.nodes[id.index()]
+    }
+
+    /// Lends the tiles out, e.g. to the sharded runtime, which rewires cut
+    /// links and moves tiles across threads. The network has no tiles until
+    /// [`put_tiles`](Self::put_tiles) returns them.
+    pub fn take_tiles(&mut self) -> Vec<NetworkNode> {
+        self.stepper = None;
+        std::mem::take(&mut self.nodes)
+    }
+
+    /// Takes back the tiles lent by [`take_tiles`](Self::take_tiles), in
+    /// their original order and all at `cycle`.
+    pub fn put_tiles(&mut self, tiles: Vec<NetworkNode>, cycle: Cycle) {
+        self.stepper = None;
+        self.nodes = tiles;
+        self.cycle = cycle;
     }
 
     /// Attaches an agent to a tile.
@@ -535,8 +539,9 @@ impl Network {
         dump
     }
 
-    /// Consumes the network and returns its tiles (plus the payload store) so
-    /// a parallel engine can distribute them across threads.
+    /// Consumes the network and returns its tiles (plus the payload store),
+    /// for hosts that own their tiles outright (the distributed wiring keeps
+    /// one shard's worth per process).
     pub fn into_nodes(self) -> (Vec<NetworkNode>, Arc<PayloadStore>) {
         (self.nodes, self.payload_store)
     }
@@ -556,69 +561,58 @@ impl Network {
         self.nodes.iter().filter_map(|n| n.next_event(now)).min()
     }
 
+    /// True once every agent on every tile reports completion.
+    pub fn finished(&self) -> bool {
+        self.nodes.iter().all(NetworkNode::finished)
+    }
+
     /// Advances the simulation by exactly one cycle.
     pub fn step(&mut self) {
-        let now = self.cycle + 1;
-        self.ensure_kernel();
-        if let KernelSlot::Active(kernel) = &mut self.kernel {
-            kernel.posedge(&mut self.nodes, now);
-            kernel.negedge(&mut self.nodes, now);
-        } else {
-            for node in &mut self.nodes {
-                node.posedge(now);
-            }
-            for node in &mut self.nodes {
-                node.negedge(now);
-            }
-        }
-        self.cycle = now;
+        self.advance(self.cycle + 1, false);
     }
 
     /// Runs for `cycles` simulated cycles (honouring fast-forwarding when
     /// enabled).
     pub fn run(&mut self, cycles: Cycle) {
-        let end = self.cycle + cycles;
-        while self.cycle < end {
-            if self.fast_forward && self.is_idle() {
-                match self.next_event(self.cycle) {
-                    Some(next) if next > self.cycle + 1 => {
-                        let target = next.min(end);
-                        let skipped = target.saturating_sub(self.cycle + 1);
-                        for node in &mut self.nodes {
-                            node.set_cycle(target - 1);
-                            node.router_mut().stats_mut().fast_forwarded_cycles += skipped;
-                        }
-                        self.cycle = target - 1;
-                    }
-                    Some(_) => {}
-                    None => {
-                        // Nothing will ever happen again; jump to the end.
-                        for node in &mut self.nodes {
-                            node.set_cycle(end);
-                            node.router_mut().stats_mut().fast_forwarded_cycles += end - self.cycle;
-                        }
-                        self.cycle = end;
-                        break;
-                    }
-                }
-            }
-            self.step();
-        }
+        self.advance(self.cycle + cycles, false);
     }
 
     /// Runs until every agent reports completion and the network has drained,
-    /// or until `max_cycles` have elapsed. Returns `true` if the simulation
-    /// completed (did not hit the cycle limit).
+    /// or until `max_cycles` have elapsed (honouring fast-forwarding when
+    /// enabled). Returns `true` if the simulation completed (did not hit the
+    /// cycle limit).
     pub fn run_to_completion(&mut self, max_cycles: Cycle) -> bool {
-        let end = self.cycle + max_cycles;
+        self.advance(self.cycle + max_cycles, true);
+        self.finished() && self.is_idle()
+    }
+
+    /// The reference cycle loop: simulates up to cycle `end`, stopping early
+    /// — with `until_complete` — once every agent has finished and the
+    /// network has drained.
+    fn advance(&mut self, end: Cycle, until_complete: bool) {
+        let mut stepper = self
+            .stepper
+            .take()
+            .unwrap_or_else(|| Stepper::new(&self.nodes, self.kernel_mode));
         while self.cycle < end {
-            let finished = self.nodes.iter().all(NetworkNode::finished) && self.is_idle();
-            if finished {
-                return true;
+            if until_complete && self.finished() && self.is_idle() {
+                break;
             }
-            self.step();
+            if self.fast_forward && self.is_idle() {
+                let next = self.next_event(self.cycle).unwrap_or(Cycle::MAX);
+                let target = skip_target(next, end);
+                if target > self.cycle {
+                    jump(&mut self.nodes, self.cycle, target);
+                    self.cycle = target;
+                    continue;
+                }
+            }
+            let now = self.cycle + 1;
+            stepper.posedge(&mut self.nodes, now);
+            stepper.negedge(&mut self.nodes, now);
+            self.cycle = now;
         }
-        self.nodes.iter().all(NetworkNode::finished) && self.is_idle()
+        self.stepper = Some(stepper);
     }
 
     /// Clears every tile's statistics (used to discard the warm-up window
@@ -673,7 +667,7 @@ impl Network {
     /// Fails with `InvalidData` if the checkpoint does not match this
     /// network's shape or is corrupt.
     pub fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        self.kernel = KernelSlot::Stale;
+        self.stepper = None;
         let mut d = Dec::new(bytes);
         self.cycle = d.u64()?;
         if d.u32()? as usize != self.nodes.len() {

@@ -10,8 +10,8 @@
 
 use crate::flit::Packet;
 use crate::ids::PacketId;
-use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard};
 
 const SHARDS: usize = 64;
 
@@ -35,24 +35,24 @@ impl PayloadStore {
         }
     }
 
-    fn shard(&self, id: PacketId) -> &Mutex<HashMap<PacketId, Packet>> {
-        &self.shards[(id.raw() as usize) % SHARDS]
+    fn shard(&self, id: PacketId) -> MutexGuard<'_, HashMap<PacketId, Packet>> {
+        lock(&self.shards[(id.raw() as usize) % SHARDS])
     }
 
     /// Deposits a packet (with its payload) for later pickup at the
     /// destination.
     pub fn deposit(&self, packet: Packet) {
-        self.shard(packet.id).lock().insert(packet.id, packet);
+        self.shard(packet.id).insert(packet.id, packet);
     }
 
     /// Claims (removes and returns) the packet with the given id, if present.
     pub fn claim(&self, id: PacketId) -> Option<Packet> {
-        self.shard(id).lock().remove(&id)
+        self.shard(id).remove(&id)
     }
 
     /// Number of packets currently parked in the store.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
     /// True if no packet is parked in the store.
@@ -67,11 +67,17 @@ impl PayloadStore {
         let mut all: Vec<Packet> = self
             .shards
             .iter()
-            .flat_map(|s| s.lock().values().cloned().collect::<Vec<_>>())
+            .flat_map(|s| lock(s).values().cloned().collect::<Vec<_>>())
             .collect();
         all.sort_by_key(|p| p.id.raw());
         all
     }
+}
+
+fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
+    shard
+        .lock()
+        .expect("a thread panicked while holding a payload-store shard lock")
 }
 
 #[cfg(test)]

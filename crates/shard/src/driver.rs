@@ -25,13 +25,19 @@
 //!
 //! Both backends are now thin hosts: they wire boundaries, build their pump,
 //! and call [`CycleDriver::run`].
+//!
+//! This is the *production* cycle loop: telemetry, tracing, checkpoints and
+//! stall profiling attach here and nowhere else. Its reference is the plain
+//! sequential loop behind `hornet_net::network::Network::run`; the two share
+//! how tiles are stepped ([`Stepper`]) and how clocks jump ([`jump`]), so
+//! they can differ only in protocol, never in what a cycle does.
 
 use crate::termination::{LedgerState, ShardLedger};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx};
 use hornet_net::flit::Packet;
 use hornet_net::ids::{Cycle, PacketId};
-use hornet_net::kernel::{KernelMode, MeshKernel};
-use hornet_net::network::NetworkNode;
+use hornet_net::kernel::{KernelMode, Stepper};
+use hornet_net::network::{jump, NetworkNode};
 use hornet_net::payload::PayloadStore;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::{MetricsRegistry, TelemetrySample};
@@ -216,6 +222,50 @@ impl TelemetrySink for Vec<TelemetrySample> {
     }
 }
 
+/// How simulation shards synchronize — the one definition shared by the
+/// thread engine (`hornet_core::engine::SyncMode`) and the distributed
+/// backend (`hornet_dist::DistSync`).
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
+pub enum SyncMode {
+    /// Lock-step neighbor synchronization with strict cycle-stamped mailbox
+    /// consumption; parallel results are bit-identical to sequential
+    /// simulation.
+    CycleAccurate,
+    /// Drift check once every `n` cycles; faster, slightly lossy timing.
+    /// `Periodic(1)` degenerates to the bit-exact lock-step mode.
+    Periodic(u64),
+    /// Neighboring shards may drift up to `k` cycles apart; timing skew is
+    /// bounded by `k`, functional behaviour is exact. `Slack(0)` ≡
+    /// [`SyncMode::CycleAccurate`].
+    Slack(u64),
+}
+
+impl SyncMode {
+    /// A short label for reports.
+    pub fn label(self) -> String {
+        match self {
+            SyncMode::CycleAccurate => "cycle-accurate".to_string(),
+            SyncMode::Periodic(n) => format!("sync-every-{n}"),
+            SyncMode::Slack(k) => format!("slack-{k}"),
+        }
+    }
+
+    /// The driver parameters this mode maps onto, as `(slack, quantum,
+    /// strict)`: the maximum cycles a shard may run ahead of its neighbors,
+    /// the cycles between drift checks, and whether mailbox flits/credits are
+    /// consumed strictly by cycle stamp (the bit-exact schedule).
+    pub fn params(self) -> (u64, u64, bool) {
+        match self {
+            SyncMode::CycleAccurate => (0, 1, true),
+            SyncMode::Slack(k) => (k, 1, k == 0),
+            SyncMode::Periodic(n) => {
+                let n = n.max(1);
+                (0, n, n == 1)
+            }
+        }
+    }
+}
+
 /// How the driver's wait loop backs off while a neighbor lags.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum WaitProfile {
@@ -235,13 +285,8 @@ pub struct DriverParams {
     pub start: Cycle,
     /// Number of cycles to simulate.
     pub cycles: Cycle,
-    /// Maximum cycles this shard may run ahead of its neighbors.
-    pub slack: u64,
-    /// Cycles between drift checks (batch size; 1 = check every cycle).
-    pub quantum: u64,
-    /// Consume mailbox flits/credits strictly by cycle stamp (bit-exact
-    /// reproduction of the sequential schedule).
-    pub strict: bool,
+    /// Synchronization mode (see [`SyncMode::params`]).
+    pub sync: SyncMode,
     /// Publish termination ledgers and honor skip directives (a detector is
     /// watching: fast-forward or completion detection is on).
     pub track_ledger: bool,
@@ -250,7 +295,7 @@ pub struct DriverParams {
     /// Wait-loop backoff profile.
     pub wait: WaitProfile,
     /// Capture a checkpoint at every rendezvous cycle that is a multiple of
-    /// this period (requires `strict` and a [`CycleDriver::checkpoint`]
+    /// this period (requires a strict `sync` and a [`CycleDriver::checkpoint`]
     /// sink; ignored otherwise). `None` disables checkpointing.
     pub checkpoint_every: Option<u64>,
     /// Initial value of the cumulative mailbox-delivery counter: 0 for a
@@ -266,9 +311,9 @@ pub struct DriverParams {
     /// actual period is rounded up to the quantum). `None` disables sampling.
     pub telemetry_every: Option<u64>,
     /// Cycle-execution strategy: interpreter, compiled kernel, or
-    /// auto-detection. The kernel is compiled per run (after boundary wiring,
-    /// so cut links are seen as boundary channels) and is bit-identical to
-    /// the interpreter; ineligible configurations silently interpret.
+    /// auto-detection. The [`Stepper`] is built per run, after boundary
+    /// wiring (so cut links are seen as boundary channels); both paths are
+    /// bit-identical and ineligible configurations silently interpret.
     pub kernel: KernelMode,
 }
 
@@ -366,7 +411,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
     /// parked, periodically ingests inbound wire traffic and — in loose
     /// modes — folds returned credits, so a peer blocked on a full ring can
     /// always make progress (no transport-level deadlock).
-    fn wait_peers(&mut self, floor: Cycle, p: &DriverParams) -> bool {
+    fn wait_peers(&mut self, floor: Cycle, wait: WaitProfile, strict: bool) -> bool {
         let mut spins: u64 = 0;
         let mut reported = false;
         while !self.transport.peers_reached(floor) {
@@ -374,7 +419,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 return false;
             }
             spins = spins.wrapping_add(1);
-            match p.wait {
+            match wait {
                 WaitProfile::Spin => {
                     if spins.is_multiple_of(128) {
                         std::thread::yield_now();
@@ -394,13 +439,13 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             }
             if spins.is_multiple_of(512) {
                 self.transport.ingest(self.payloads);
-                if !p.strict {
+                if !strict {
                     for link in self.outbound {
                         link.apply_credits(None);
                     }
                 }
             }
-            if spins > 40_000 && !reported && p.wait == WaitProfile::Sleep {
+            if spins > 40_000 && !reported && wait == WaitProfile::Sleep {
                 // Several seconds without peer progress: likely a stall;
                 // report once (diagnostics only, normal runs never hit it).
                 reported = true;
@@ -421,15 +466,11 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
     /// mailbox flits and merges statistics afterwards.
     pub fn run(mut self, p: &DriverParams) -> io::Result<DriveOutcome> {
         let end = p.start + p.cycles;
-        // Compiled per run: boundary wiring is done by now, and dropping the
-        // kernel at the end keeps it strictly derived state (the next run —
-        // possibly after a restore — recompiles from the tiles, all-dirty).
-        let mut kernel = if p.kernel.enabled() {
-            MeshKernel::compile(self.tiles, false)
-        } else {
-            None
-        };
-        let quantum = p.quantum.max(1);
+        // Built per run: boundary wiring is done by now, and dropping the
+        // stepper at the end keeps it strictly derived state (the next run —
+        // possibly after a restore — rebuilds it from the tiles, all-dirty).
+        let mut stepper = Stepper::new(self.tiles, p.kernel);
+        let (slack, quantum, strict) = p.sync.params();
         let mut now = p.start;
         let mut recv_total = p.received_start;
         let mut last_published = LedgerState::default();
@@ -446,7 +487,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 break;
             }
             let batch_end = (now + quantum).min(end);
-            let floor = now.saturating_sub(p.slack);
+            let floor = now.saturating_sub(slack);
             if p.profile {
                 profile.compute_ns += lap(&mut mark);
             }
@@ -465,7 +506,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             }
             // Drift gate at the batch boundary: neighbors must have finished
             // the negative edge of `now - slack` before we simulate `now+1`.
-            if !self.wait_peers(floor, p) {
+            if !self.wait_peers(floor, p.wait, strict) {
                 break;
             }
             let waited_ns = wait_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
@@ -499,7 +540,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             // cannot promise an identical resumed run.
             if let (Some(every), Some(sink)) = (p.checkpoint_every, self.checkpoint.as_deref_mut())
             {
-                if p.strict && now > p.start && every > 0 && now.is_multiple_of(every) {
+                if strict && now > p.start && every > 0 && now.is_multiple_of(every) {
                     let bytes = crate::snapshot::snapshot_shard(
                         now,
                         recv_total,
@@ -536,11 +577,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     let skip = self.skip_to.load(Ordering::Acquire);
                     if skip > now {
                         let target = skip.min(end);
-                        let skipped = target - now;
-                        for tile in self.tiles.iter_mut() {
-                            tile.set_cycle(target);
-                            tile.router_mut().stats_mut().fast_forwarded_cycles += skipped;
-                        }
+                        jump(self.tiles, now, target);
                         now = target;
                         self.transport.publish_jump(now, self.payloads)?;
                         continue 'run;
@@ -550,7 +587,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 // Drain boundary mailboxes. Strict mode consumes exactly the
                 // prefix the sequential schedule would have made visible by
                 // this cycle; loose modes take everything available.
-                let (flit_limit, credit_limit) = if p.strict {
+                let (flit_limit, credit_limit) = if strict {
                     (Some(next), Some(next - 1))
                 } else {
                     (None, None)
@@ -562,18 +599,10 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     let delivered = rx.deliver(flit_limit);
                     recv_total += delivered as u64;
                     if delivered > 0 {
-                        if let Some(k) = kernel.as_mut() {
-                            k.note_external_push(rx.target());
-                        }
+                        stepper.note_external_push(rx.target());
                     }
                 }
-                if let Some(k) = kernel.as_mut() {
-                    k.posedge(self.tiles, next);
-                } else {
-                    for tile in self.tiles.iter_mut() {
-                        tile.posedge(next);
-                    }
-                }
+                stepper.posedge(self.tiles, next);
                 // Bandwidth-adaptive links publish demand at the negative
                 // edge into a single shared slot; backends whose cut links
                 // carry them hold the negedge until the neighbors' posedges
@@ -587,13 +616,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 if p.profile {
                     profile.wait_ns += lap(&mut mark);
                 }
-                if let Some(k) = kernel.as_mut() {
-                    k.negedge(self.tiles, next);
-                } else {
-                    for tile in self.tiles.iter_mut() {
-                        tile.negedge(next);
-                    }
-                }
+                stepper.negedge(self.tiles, next);
                 for rx in self.inbound.iter_mut() {
                     rx.emit_credits(next);
                 }
@@ -693,10 +716,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
         if let Some(m) = self.metrics {
             m.gauge("cycle").set(cycle);
         }
-        let mut stats = NetworkStats::new();
-        for tile in self.tiles.iter() {
-            stats.merge(tile.stats());
-        }
+        let stats = merge_tile_stats(self.tiles);
         let mut metrics = self
             .metrics
             .map(MetricsRegistry::sample)

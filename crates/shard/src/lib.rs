@@ -39,9 +39,10 @@
 //!   accuracy/speed knob of the paper's loose synchronization, but pairwise
 //!   instead of global.
 //!
-//! The `hornet-core` engine maps its `SyncMode` onto [`runtime::RunParams`]:
-//! `CycleAccurate` → `{slack: 0, quantum: 1, strict}`, `Slack(k)` →
-//! `{slack: k, quantum: 1}`, `Periodic(n)` → `{slack: 0, quantum: n}`.
+//! Every backend names its synchronization with the one [`SyncMode`], which
+//! the driver maps onto `(slack, quantum, strict)`: `CycleAccurate` →
+//! `(0, 1, strict)`, `Slack(k)` → `(k, 1, k == 0)`, `Periodic(n)` →
+//! `(0, n, n == 1)`.
 
 pub mod driver;
 pub mod partition;
@@ -52,7 +53,7 @@ pub mod termination;
 
 pub use driver::{
     CheckpointSink, CycleDriver, DriveOutcome, DriverParams, NoPayloads, PayloadChannel,
-    PayloadEndpoint, TransportPump, WaitProfile,
+    PayloadEndpoint, SyncMode, TransportPump, WaitProfile,
 };
 pub use partition::{CutOrientation, Partition, Partitioner};
 pub use runtime::{RunOutcome, RunParams, ShardConfig, ShardRuntime};

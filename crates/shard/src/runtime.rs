@@ -29,11 +29,11 @@
 //!   their stamps, so functional behaviour (delivery, ordering, credit
 //!   safety) is unaffected and only timing skews by at most `k` cycles.
 //! * `quantum = n` — the worker checks the drift condition only at `n`-cycle
-//!   batch boundaries; with `barrier_batches` every shard additionally waits
-//!   for all shards' progress counters to reach each boundary, so drift
-//!   re-zeroes per batch (the reimplementation of `SyncMode::Periodic(n)`
-//!   with its classic fidelity profile — a counter rendezvous, not a
-//!   `Barrier` primitive).
+//!   batch boundaries; under `SyncMode::Periodic(n > 1)` every shard
+//!   additionally waits for all shards' progress counters to reach each
+//!   boundary (the pump's `barrier_batches`), so drift re-zeroes per batch —
+//!   the classic periodic fidelity profile, as a counter rendezvous, not a
+//!   `Barrier` primitive.
 //!
 //! # Termination and fast-forward without a barrier
 //!
@@ -51,8 +51,8 @@
 //! usual neighbor drift gates.
 
 use crate::driver::{
-    merge_tile_stats, CycleDriver, DriverParams, NoPayloads, PayloadChannel, TelemetrySink,
-    TransportPump, WaitProfile,
+    merge_tile_stats, CycleDriver, DriverParams, NoPayloads, PayloadChannel, SyncMode,
+    TelemetrySink, TransportPump, WaitProfile,
 };
 use crate::partition::Partition;
 use crate::sys;
@@ -60,7 +60,7 @@ use crate::termination::{scan_ledgers, Quiescence, ShardLedger};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx, EgressChannel};
 use hornet_net::ids::Cycle;
 use hornet_net::kernel::KernelMode;
-use hornet_net::network::NetworkNode;
+use hornet_net::network::{skip_target, NetworkNode};
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::{MetricsRegistry, TelemetrySample};
 use hornet_obs::profile::StallProfile;
@@ -78,18 +78,9 @@ pub struct RunParams {
     pub start: Cycle,
     /// Number of cycles to simulate.
     pub cycles: Cycle,
-    /// Maximum cycles a shard may run ahead of its neighbors.
-    pub slack: u64,
-    /// Cycles between drift checks (batch size; 1 = check every cycle).
-    pub quantum: u64,
-    /// Consume mailbox flits/credits strictly by cycle stamp (bit-exact
-    /// reproduction of the sequential schedule). Only meaningful with
-    /// `slack == 0` and `quantum == 1`.
-    pub strict: bool,
-    /// Rendezvous all shards (via progress counters) at every `quantum`-cycle
-    /// batch boundary (classic periodic synchronization: drift re-zeroes each
-    /// batch). `false` leaves batches purely neighbor-synchronized.
-    pub barrier_batches: bool,
+    /// Synchronization mode. Under `Periodic(n > 1)` all shards additionally
+    /// rendezvous at every batch boundary, so drift re-zeroes each batch.
+    pub sync: SyncMode,
     /// Skip idle periods by jumping all clocks to the next event.
     pub fast_forward: bool,
     /// Stop early once every agent reports completion and the network drains.
@@ -348,7 +339,7 @@ fn run_shard(job: Job) -> JobResult {
         sync: &sync,
         neighbors: &neighbors,
         phase_wait,
-        barrier_batches: p.barrier_batches,
+        barrier_batches: matches!(p.sync, SyncMode::Periodic(n) if n > 1),
     };
     let mut samples: Vec<TelemetrySample> = Vec::new();
     let metrics = p.telemetry_every.map(|_| MetricsRegistry::default());
@@ -379,9 +370,7 @@ fn run_shard(job: Job) -> JobResult {
         .run(&DriverParams {
             start: p.start,
             cycles: p.cycles,
-            slack: p.slack,
-            quantum: p.quantum,
-            strict: p.strict,
+            sync: p.sync,
             track_ledger: p.fast_forward || p.detect_completion,
             fast_forward: p.fast_forward,
             wait: WaitProfile::Spin,
@@ -696,14 +685,7 @@ fn detector_pass(sync: &SyncShared, p: &RunParams, end: Cycle) {
                 return;
             }
             if p.fast_forward {
-                // Jump to one cycle before the earliest agent event so the
-                // event cycle itself is simulated (to the run end if nothing
-                // will ever happen again).
-                let target = if next_event == u64::MAX {
-                    end
-                } else {
-                    next_event.saturating_sub(1).min(end)
-                };
+                let target = skip_target(next_event, end);
                 // Only publish a target strictly ahead of every shard's
                 // clock — otherwise some shard has already simulated past it
                 // and the jump would be a no-op (or worse, re-published
