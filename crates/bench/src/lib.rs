@@ -1,5 +1,4 @@
-//! Shared experiment harness for the `repro_*` binaries and the Criterion
-//! benches.
+//! Shared experiment harness for the `repro_*` binaries.
 //!
 //! Each function here corresponds to one measurement the paper reports; the
 //! `repro_*` binaries wire them to the paper's parameters and print the same

@@ -53,11 +53,10 @@ use hornet_obs::serve::ObsHub;
 use hornet_obs::trace::TraceDump;
 pub use hornet_shard::SyncMode;
 use hornet_shard::{Partition, Partitioner, RunParams, ShardConfig, ShardRuntime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the parallel engine.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Number of worker threads (tiles are divided equally among them).
     /// `1` selects the purely sequential path.

@@ -5,12 +5,11 @@ use hornet_net::ids::Cycle;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::profile::StallProfile;
 use hornet_power::energy::PowerSample;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Power results of a simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PowerReport {
     /// Average total (dynamic + leakage) power per tile over the measured
     /// window, in watts.
@@ -32,7 +31,7 @@ impl PowerReport {
 }
 
 /// Thermal results of a simulation run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ThermalReport {
     /// Per-interval (cycle, per-tile temperature) trace, in °C.
     pub time_series: Vec<(Cycle, Vec<f64>)>,
@@ -70,7 +69,7 @@ impl ThermalReport {
 
 /// Shard layout of a parallel run: how the tiles were partitioned and how
 /// much of the topology the partition cut.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ShardSummary {
     /// Number of shards (worker threads actually used).
     pub shards: usize,

@@ -15,7 +15,10 @@
 //!   routing, bidirectional links) silently select the interpreter, even
 //!   under [`KernelMode::Force`], and still produce identical results;
 //! * one engine switched between thread counts mid-run: the network's
-//!   persistent kernel is rebuilt whenever its tiles were lent out.
+//!   persistent kernel is rebuilt whenever its tiles were lent out;
+//! * unroutable packets: the `Dropping` path, which ordinary traffic never
+//!   takes, drains identically through the kernel's masks;
+//! * `offered_packets` is counted, and counted identically, on every path.
 //!
 //! All comparisons pin the mode programmatically ([`KernelMode::Force`] /
 //! [`KernelMode::Off`]), which is immune to the `HORNET_KERNEL` environment
@@ -44,6 +47,9 @@ struct Case {
     height: usize,
     routing: RoutingKind,
     bidirectional: bool,
+    /// Leave every third source's flow out of the routing tables, so its
+    /// packets fail route computation and are discarded.
+    unroutable: bool,
     seed: u64,
     rate: f64,
     max_packets: Option<u64>,
@@ -56,6 +62,7 @@ impl Case {
             height,
             routing: RoutingKind::Xy,
             bidirectional: false,
+            unroutable: false,
             seed,
             rate,
             max_packets: None,
@@ -65,7 +72,10 @@ impl Case {
     fn network(&self) -> Network {
         let geometry = Arc::new(Geometry::mesh2d(self.width, self.height));
         let pattern = SyntheticPattern::Transpose;
-        let flows = flows_for_pattern(&pattern, &geometry);
+        let mut flows = flows_for_pattern(&pattern, &geometry);
+        if self.unroutable {
+            flows.retain(|f| f.src.index() % 3 != 0);
+        }
         let cfg = NetworkConfig::new((*geometry).clone())
             .with_routing(self.routing)
             .with_vca(VcAllocKind::Dynamic)
@@ -266,4 +276,43 @@ fn exotic_configs_fall_back_to_the_interpreter() {
     let mut plain = Case::mesh(4, 4, 33, 0.06).network();
     plain.set_kernel_mode(KernelMode::Force);
     assert!(plain.kernel_active(), "plain DOR mesh must compile");
+}
+
+/// Packets without a route are discarded flit by flit — the `Dropping` state,
+/// which routable traffic never enters. The kernel reaches it only through
+/// its `dropping` mask, so this fails if that mask is not maintained.
+#[test]
+fn unroutable_packets_drain_identically_through_the_kernel() {
+    let case = Case {
+        unroutable: true,
+        ..Case::mesh(4, 4, 41, 0.08)
+    };
+    let mut plain = case.network();
+    plain.set_kernel_mode(KernelMode::Force);
+    assert!(plain.kernel_active(), "missing routes must not disqualify");
+    for threads in [1, 2] {
+        let sync = SyncMode::CycleAccurate;
+        let (ks, kt) = case.run(threads, sync, KernelMode::Force, 1_500);
+        let (is, it) = case.run(threads, sync, KernelMode::Off, 1_500);
+        assert!(is.routing_failures > 0, "case dropped nothing");
+        assert!(is.delivered_packets > 0, "case delivered nothing");
+        assert_eq!(ks, is, "stats diverge ({threads} threads)");
+        assert_eq!(kt, it, "canonical flit traces diverge ({threads} threads)");
+    }
+}
+
+/// Every packet an agent hands to its tile is counted once, whichever path
+/// steps the tiles, and bounds what was injected and delivered.
+#[test]
+fn offered_packets_are_counted_identically_on_every_path() {
+    let case = Case::mesh(4, 4, 5, 0.06);
+    let sync = SyncMode::CycleAccurate;
+    let (seq, _) = case.run(1, sync, KernelMode::Force, 2_000);
+    assert!(seq.offered_packets > 0, "case offered no traffic");
+    assert!(seq.delivered_packets <= seq.injected_packets);
+    assert!(seq.injected_packets <= seq.offered_packets);
+    let (threaded, _) = case.run(2, sync, KernelMode::Force, 2_000);
+    let (interp, _) = case.run(1, sync, KernelMode::Off, 2_000);
+    assert_eq!(threaded.offered_packets, seq.offered_packets);
+    assert_eq!(interp.offered_packets, seq.offered_packets);
 }

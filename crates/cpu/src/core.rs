@@ -10,7 +10,6 @@
 use crate::isa::{regs, Inst, Program, Syscall};
 use hornet_mem::l1::CoreMemOp;
 use hornet_net::ids::NodeId;
-use serde::{Deserialize, Serialize};
 
 /// Services the core needs from its tile (memory hierarchy + network
 /// interface). Implemented by the tile agent.
@@ -37,7 +36,7 @@ pub trait CoreContext {
 }
 
 /// Execution statistics of one core.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CoreStats {
     /// Instructions retired.
     pub instructions: u64,

@@ -9,7 +9,6 @@
 //! syscalls follows MIPS o32: arguments in `a0..a3` (r4–r7), the syscall
 //! number in `v0` (r2), results in `v0`/`v1` (r2/r3).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A register index (0–31). Register 0 is hard-wired to zero.
@@ -58,7 +57,7 @@ pub mod regs {
 /// (paper §II-D2: send packets on specific flows, poll the processor ingress,
 /// receive packets from specific queues; sends and receives are DMA-like and
 /// do not stall the core).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Syscall {
     /// `a0` = destination node, `a1` = payload word, `a2` = payload length in
     /// words (the remaining words are zero-filled). Non-blocking.
@@ -94,7 +93,7 @@ impl Syscall {
 }
 
 /// One instruction of the MIPS-like ISA.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Inst {
     /// `rd ← rs + rt`
     Add(Reg, Reg, Reg),
@@ -137,7 +136,7 @@ pub enum Inst {
 }
 
 /// A fully assembled program.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Program {
     /// The instruction stream.
     pub instructions: Vec<Inst>,

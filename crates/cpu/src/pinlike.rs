@@ -23,13 +23,12 @@ use hornet_net::flit::{Packet, Payload};
 use hornet_net::ids::{Cycle, FlowId, NodeId};
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 use crate::agent::USER_TAG;
 
 /// One event produced by an instrumented native thread.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum NativeOp {
     /// Execute `cycles` of non-memory work (the table-driven instruction cost).
     Compute(u32),
@@ -70,7 +69,7 @@ pub trait NativeThread: Send {
 }
 
 /// Execution statistics of a native frontend tile.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct NativeStats {
     /// Events executed (excluding per-cycle compute ticks).
     pub ops: u64,
@@ -292,7 +291,7 @@ impl NodeAgent for NativeFrontendAgent {
 
 /// Parameters of a synthetic instrumented thread (the `blackscholes`-like
 /// workload).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct SyntheticThreadConfig {
     /// Total instructions to execute.
     pub instructions: u64,

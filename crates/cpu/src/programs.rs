@@ -14,10 +14,9 @@ use crate::isa::{regs::*, Inst, Program, ProgramBuilder, Syscall};
 use crate::pinlike::{NativeOp, NativeThread};
 use hornet_net::ids::{Cycle, NodeId};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the Cannon matrix-multiplication workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CannonConfig {
     /// Matrix dimension (the paper uses 128×128).
     pub matrix_n: usize,

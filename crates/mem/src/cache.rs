@@ -6,10 +6,9 @@
 //! enough to verify coherence end-to-end while keeping the model light.
 
 use hornet_net::codec::{Dec, Enc};
-use serde::{Deserialize, Serialize};
 
 /// MSI coherence state of a cache line.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum LineState {
     /// Invalid: not present.
     Invalid,
@@ -20,7 +19,7 @@ pub enum LineState {
 }
 
 /// Geometry of a cache.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of sets (must be a power of two).
     pub sets: usize,
@@ -58,7 +57,7 @@ impl CacheConfig {
 }
 
 /// One cache way.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Way {
     line: u64,
     state: LineState,
@@ -67,7 +66,7 @@ struct Way {
 }
 
 /// Hit/miss/eviction counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that hit.
     pub hits: u64,

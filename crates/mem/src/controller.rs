@@ -10,11 +10,10 @@ use crate::msg::{MemMessage, MsgClass};
 use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::ids::{Cycle, NodeId};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Memory-controller timing parameters.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct MemoryControllerConfig {
     /// DRAM access latency, in network cycles.
     pub dram_latency: Cycle,
@@ -38,7 +37,7 @@ impl Default for MemoryControllerConfig {
 }
 
 /// Counters kept by a memory controller.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemoryControllerStats {
     /// Read requests served.
     pub reads: u64,

@@ -14,11 +14,10 @@
 
 use crate::msg::{LineAddr, MemMessage};
 use hornet_net::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// Sharing state of one line, as known by the directory.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DirState {
     /// No cache holds the line.
     Uncached,
@@ -64,7 +63,7 @@ impl Default for Entry {
 }
 
 /// Counters kept by a directory slice.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct DirectoryStats {
     /// GetS requests processed.
     pub get_s: u64,

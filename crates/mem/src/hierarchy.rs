@@ -14,11 +14,10 @@ use crate::l1::{AccessOutcome, CoreMemOp, L1Controller, L1Out, L1Stats};
 use crate::msg::{LineAddr, MemMessage, MsgClass};
 use hornet_net::agent::NodeIo;
 use hornet_net::ids::{Cycle, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// How memory coherence is maintained.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoherenceMode {
     /// Directory-based MSI protocol over private L1 caches.
     MsiDirectory,
@@ -28,7 +27,7 @@ pub enum CoherenceMode {
 }
 
 /// Where directory slices (and their backing memory) live.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DirectoryPlacement {
     /// Every tile owns the slice for `line % node_count == tile`.
     Interleaved,
@@ -62,7 +61,7 @@ impl DirectoryPlacement {
 }
 
 /// Configuration of the per-tile memory system.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemoryConfig {
     /// Coherence mechanism.
     pub mode: CoherenceMode,
@@ -98,7 +97,7 @@ impl Default for MemoryConfig {
 }
 
 /// Aggregate statistics of a tile's memory system.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemNodeStats {
     /// Protocol messages sent over the network.
     pub messages_sent: u64,

@@ -9,10 +9,9 @@
 use crate::cache::{Cache, CacheConfig, LineState};
 use crate::msg::{LineAddr, MemMessage};
 use hornet_net::ids::{Cycle, NodeId};
-use serde::{Deserialize, Serialize};
 
 /// A memory operation issued by the core.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum CoreMemOp {
     /// Load a word.
     Load {
@@ -76,7 +75,7 @@ pub enum L1Out {
 }
 
 /// Counters kept by the L1 controller.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct L1Stats {
     /// Core loads presented.
     pub loads: u64,

@@ -8,13 +8,12 @@
 
 use hornet_net::flit::{Packet, Payload};
 use hornet_net::ids::{Cycle, FlowId, NodeId, PacketId};
-use serde::{Deserialize, Serialize};
 
 /// Address of one cache line.
 pub type LineAddr = u64;
 
 /// Which component of a tile a packet is destined for.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MsgClass {
     /// L1 cache controller (data responses, invalidations, fetches).
     L1 = 1,
@@ -39,7 +38,7 @@ impl MsgClass {
 }
 
 /// A memory-system protocol message.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MemMessage {
     /// L1 → directory: read (shared) request.
     GetS { line: LineAddr, requester: NodeId },

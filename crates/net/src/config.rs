@@ -8,7 +8,6 @@
 use crate::geometry::Geometry;
 use crate::routing::{FlowSpec, RoutingKind};
 use crate::vca::VcAllocKind;
-use serde::{Deserialize, Serialize};
 
 /// Errors produced when validating a [`NetworkConfig`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -34,7 +33,7 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Complete configuration of the simulated network.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NetworkConfig {
     /// Interconnect geometry.
     pub geometry: Geometry,

@@ -10,10 +10,9 @@
 //! simulation never compares clock values from two different tiles.
 
 use crate::ids::{Cycle, FlowId, NodeId, PacketId};
-use serde::{Deserialize, Serialize};
 
 /// Position of a flit within its packet.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit; carries routing information.
     Head,
@@ -42,7 +41,7 @@ impl FlitKind {
 /// Latency is accumulated *incrementally at each node* so that the reported
 /// number never depends on the relative clock skew between two tiles — this is
 /// what lets loose synchronization keep near-100 % timing fidelity.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct FlitStats {
     /// Cycle (source-tile clock) at which the flit entered the source router's
     /// ingress port.
@@ -57,7 +56,7 @@ pub struct FlitStats {
 }
 
 /// A flow-control digit: the unit of buffering and link transmission.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// Packet this flit belongs to.
     pub packet: PacketId,
@@ -99,7 +98,7 @@ impl Flit {
 ///
 /// Synthetic traffic carries no payload; the memory hierarchy and the core
 /// model encode their protocol messages as a short sequence of words.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Payload(pub Vec<u64>);
 
 impl Payload {
@@ -137,7 +136,7 @@ impl From<Vec<u64>> for Payload {
 
 /// A packet: the unit of end-to-end communication offered to the network by a
 /// traffic generator, core, or memory controller.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// Unique identifier.
     pub id: PacketId,
@@ -234,7 +233,7 @@ impl Packet {
 
 /// A packet that has been fully reassembled at its destination, together with
 /// the measurement data accumulated by its flits.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DeliveredPacket {
     /// The original packet (payload preserved by the bridge).
     pub packet: Packet,

@@ -6,14 +6,13 @@
 //! (`x1`, `x1y1`, `xcube`) and fully custom connection lists.
 
 use crate::ids::NodeId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// A bidirectional connection between two nodes (one physical link, modeled as
 /// a pair of unidirectional channels unless bandwidth-adaptive links are
 /// enabled).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Connection {
     /// First endpoint.
     pub a: NodeId,
@@ -50,7 +49,7 @@ impl Connection {
 
 /// The topology family a geometry was built from; retained because routing
 /// table generators need coordinates for mesh-like topologies.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Topology {
     /// Linear array of `n` nodes.
     Line { n: usize },
@@ -77,7 +76,7 @@ pub enum Topology {
 }
 
 /// Inter-layer connectivity for multi-layer meshes (paper Figure 4).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum VerticalLinks {
     /// `x1`: one vertical pillar per layer pair (at x = 0, y = 0).
     X1,
@@ -96,7 +95,7 @@ pub enum VerticalLinks {
 /// // An interior node of a 3x3 mesh has four neighbours.
 /// assert_eq!(g.neighbors(hornet_net::ids::NodeId::new(4)).len(), 4);
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Geometry {
     topology: Topology,
     node_count: usize,

@@ -4,7 +4,6 @@
 //! packet identifiers from being confused with one another (and with plain
 //! integers) at compile time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a network node (router + attached agent).
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(n.index(), 5);
 /// assert_eq!(format!("{n}"), "n5");
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -80,7 +79,7 @@ impl From<usize> for NodeId {
 /// assert_eq!(g.phase(), 1);
 /// assert_eq!(g.base(), f.base());
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlowId(u64);
 
 impl FlowId {
@@ -160,7 +159,7 @@ impl fmt::Display for FlowId {
 /// use hornet_net::ids::VcId;
 /// assert_eq!(VcId::new(3).index(), 3);
 /// ```
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(u16);
 
 impl VcId {
@@ -194,7 +193,7 @@ impl From<u16> for VcId {
 }
 
 /// Globally unique packet identifier (unique within one simulation run).
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(u64);
 
 impl PacketId {
@@ -226,7 +225,7 @@ impl fmt::Display for PacketId {
 /// Port `0..k` face neighbouring routers (in the order the geometry lists the
 /// connections); ports `k..` face locally attached agents (CPU cores, packet
 /// injectors, memory controllers).
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(u16);
 
 impl PortId {

@@ -1,27 +1,30 @@
 //! The compiled shard-local cycle kernel.
 //!
-//! The reference simulator interprets one [`Router`] object at a time,
-//! walking every ingress VC of every tile through absorb → SA → VA → RC each
-//! cycle. That per-object, per-VC dispatch is exactly the overhead the BEE
-//! and Parendi lines of work remove by *compiling* the simulated fabric into
-//! flat batched execution streams. [`MeshKernel`] is that move for a shard of
-//! tiles: at build time it lowers the shard's routers into contiguous
-//! structure-of-arrays acceleration state — a flat, tile-major array of VC
-//! buffer handles, per-tile occupancy bitmasks for every pipeline predicate
-//! (cached head present, Routed, Active, Dropping, touched-since-last-edge) —
-//! and then sweeps each pipeline stage across *all* tiles in tight
-//! bit-iteration loops that only ever visit VCs the stage can act on.
+//! The router pipeline exists once, in [`router`](crate::router), as stages
+//! that are functions of one ingress VC. The interpreter calls every stage on
+//! every VC of every tile each cycle; that per-object, per-VC walk is the
+//! overhead the BEE and Parendi lines of work remove by *compiling* the
+//! simulated fabric into flat batched execution streams. [`MeshKernel`] is
+//! that move for a shard of tiles, and it changes only the *enumeration*: at
+//! build time it lowers the shard's routers into per-tile 64-bit masks, one
+//! per pipeline predicate (cached head present, Routed, Active, Dropping,
+//! pushed-since-last-edge), and each cycle it sweeps one stage at a time
+//! across all tiles, calling the router's own stage on the set bits only and
+//! folding the transition the stage reports back into the masks.
 //!
-//! Two properties make the kernel fast without forking the model:
+//! What lives here is therefore what the interpreter does not need:
+//! [`compile`](MeshKernel::compile), the absorb pass with its quiet-tile
+//! triage, the stage-major sweep order, per-stage timing and the mask
+//! bookkeeping. Two properties make that fast:
 //!
 //! * **Quiet tiles cost O(1).** A tile with no buffered flit skips absorb,
 //!   SA, VA and RC entirely (one aggregate atomic load + clearing any stale
 //!   cached heads, found by bitmask). Per-cycle cost scales with *activity*,
 //!   not with fabric size.
-//! * **Untouched VCs cost nothing.** A VC is re-absorbed (one lock) only when
-//!   something touched it since the previous positive edge: a local pop, a
-//!   downstream push from a neighbour tile (tracked through a pointer→bit
-//!   map), a bridge injection, or a boundary delivery
+//! * **Untouched VCs cost nothing.** A VC is re-absorbed only when something
+//!   pushed into it since the previous positive edge: a neighbour tile's
+//!   staged move (resolved through a frozen egress→VC table), a bridge
+//!   injection, or a boundary delivery
 //!   ([`note_external_push`](MeshKernel::note_external_push)). For an
 //!   untouched VC the interpreter's absorb is a provable no-op, so skipping
 //!   it is invisible.
@@ -29,31 +32,28 @@
 //! The kernel holds **no authoritative state**: VC state machines, head
 //! caches, staged moves, statistics and the clock all stay on the routers, so
 //! snapshot/restore, telemetry and the ledger read the tiles exactly as they
-//! do under the interpreter, with no flush step. Every stage replicates the
-//! interpreter's code path — including its per-tile RNG draw sequence and
-//! stat-counting order — so kernel and interpreter runs are bit-identical in
-//! statistics *and* canonical flit traces. Stage-major execution across tiles
-//! is safe because positive-edge cross-tile reads (occupancy, free space) are
-//! phase-stable: buffers change only at the negative edge.
+//! do under the interpreter, with no flush step. Since both sides run the
+//! same stage bodies — same per-tile RNG draws, same stat counting — the only
+//! thing that can make a kernel run differ from an interpreter run is a mask
+//! that disagrees with the state it summarises; the unit test below and
+//! `kernel_equivalence.rs` check exactly that. Stage-major execution across
+//! tiles is safe because positive-edge cross-tile reads (occupancy, free
+//! space) are phase-stable: buffers change only at the negative edge.
 //!
-//! Configurations the flat specialization cannot represent — adaptive routing
-//! (extra RNG draws keyed to cross-tile free space), bandwidth-adaptive
-//! bidirectional links (negative-edge demand publication), more than 64 VCs
-//! on one tile, or egress channels pointing outside the compiled tile set —
-//! make [`MeshKernel::compile`] return `None`, and [`Stepper`] — the only
-//! product caller of `compile` and the only place that chooses between the
-//! two execution paths — interprets instead.
+//! [`MeshKernel::compile`] returns `None` for adaptive routing (the shared RC
+//! stage handles it, but admitting it is a performance change that wants its
+//! own measurement), bandwidth-adaptive bidirectional links (negative-edge
+//! demand publication), more than 64 VCs on one tile (one mask word), and
+//! egress channels pointing outside the compiled tile set (their pushes
+//! would escape the dirty tracking). [`Stepper`] — the only product caller of
+//! `compile` and the only place that chooses between the two enumerations —
+//! interprets instead.
 
 use crate::boundary::EgressChannel;
-use crate::ids::{Cycle, VcId};
+use crate::ids::Cycle;
 use crate::network::NetworkNode;
-use crate::router::{pick_weighted, SaCandidate, StagedMove, VcState};
-use crate::routing::NextHop;
-use crate::vca::{DownstreamVc, VcaRequest};
+use crate::router::{Applied, StageScratch, VcState};
 use crate::vcbuf::VcBuffer;
-use hornet_obs::trace::{TraceEvent, TraceKind};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,7 +67,7 @@ use std::time::{Duration, Instant};
 /// the environment, so programmatic selections are immune to it. `Force`
 /// still falls back to the interpreter when the configuration is ineligible —
 /// both paths are bit-identical, so the choice is purely about speed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Use the kernel when eligible; consult `HORNET_KERNEL`.
     #[default]
@@ -189,27 +189,29 @@ pub struct StageTimes {
     pub bridge: Duration,
 }
 
-/// Per-flat-VC location: which tile and which bit within the tile's masks.
+/// Packs a VC's location — its tile and its bit in the tile's masks, which is
+/// also its flat VC index on the tile's router.
 #[inline]
 fn pack_loc(tile: usize, bit: usize) -> u64 {
     ((tile as u64) << 6) | bit as u64
 }
 
+/// The set bits of `m`, ascending.
+#[inline]
+fn bits(mut m: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (m != 0).then(|| {
+            let b = m.trailing_zeros() as usize;
+            m &= m - 1;
+            b
+        })
+    })
+}
+
 /// The compiled cycle kernel for one shard's tiles (see the module docs).
 pub struct MeshKernel {
-    /// Flat, tile-major clones of every ingress VC buffer; tile `t` owns
-    /// `vcs[tile_off[t]..tile_off[t + 1]]`, inner order `(port, vc)`
-    /// ascending — identical to the router's own `head_cache` layout, so a
-    /// tile-local bit index doubles as the router's head-cache index.
-    vcs: Vec<Arc<VcBuffer>>,
-    /// Ingress port of each flat VC.
-    vc_port: Vec<u32>,
-    /// VC index within its ingress port of each flat VC.
-    vc_sub: Vec<u32>,
-    /// Start of each tile's slice in `vcs` (length `tiles + 1`).
-    tile_off: Vec<u32>,
     /// `Arc::as_ptr` of every ingress VC buffer → packed (tile, bit), for
-    /// marking the downstream VC dirty when a negative-edge push lands in it.
+    /// marking the VC dirty when a push the kernel did not make lands in it.
     by_ptr: HashMap<usize, u64>,
     /// Bits covering each tile's injection-port VCs (bridge injections).
     inj_mask: Vec<u64>,
@@ -226,22 +228,14 @@ pub struct MeshKernel {
     dropping: Vec<u64>,
     /// VC received a push since the last positive edge and needs its absorb
     /// cursor advanced (and, if it had no cached head, a fresh head peek).
-    /// Pops need no mask: the negative edge refreshes the head cache in
-    /// place, since the successor flit is already absorbed (pops never move
-    /// the absorb boundary).
+    /// Pops need no mask: the negative-edge stages refresh the head cache in
+    /// place.
     dirty: Vec<u64>,
-    // --- shared per-cycle scratch (one set for all tiles) ---
     /// Tiles with at least one buffered flit this positive edge.
     busy: Vec<u32>,
-    sa_cand: Vec<SaCandidate>,
-    ingress_granted: Vec<u32>,
-    egress_granted: Vec<u32>,
-    /// Generation-stamped flat map `(egress, out_vc) → flits staged this
-    /// cycle for the tile currently in switch arbitration`.
-    staged_count: Vec<u32>,
-    staged_stamp: Vec<u64>,
-    staged_gen: u64,
-    /// Stride of the staged tables (widest egress port across all tiles).
+    /// The stages' working memory, one set for all tiles.
+    scratch: StageScratch,
+    /// Widest egress port across all tiles (in downstream VCs).
     stride: usize,
     /// Packed (tile, bit) of the ingress VC each local egress channel feeds,
     /// indexed `tile * egress_stride + egress * stride + out_vc`
@@ -251,9 +245,6 @@ pub struct MeshKernel {
     egress_target: Vec<u64>,
     /// Row length of `egress_target` per tile (`max_egress * stride`).
     egress_stride: usize,
-    route_scratch: Vec<NextHop>,
-    downstream_scratch: Vec<DownstreamVc>,
-    vca_scratch: Vec<(VcId, f64)>,
     timing: bool,
     times: StageTimes,
 }
@@ -261,18 +252,18 @@ pub struct MeshKernel {
 impl std::fmt::Debug for MeshKernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MeshKernel")
-            .field("tiles", &(self.tile_off.len().saturating_sub(1)))
-            .field("vcs", &self.vcs.len())
+            .field("tiles", &self.valid.len())
+            .field("vcs", &self.by_ptr.len())
             .finish()
     }
 }
 
 impl MeshKernel {
-    /// Lowers `nodes` into the kernel's flat acceleration state, or returns
-    /// `None` if the configuration is ineligible (adaptive routing,
-    /// bandwidth-adaptive links, more than 64 VCs on one tile, or a local
-    /// egress channel pointing outside `nodes` — e.g. a direct router-level
-    /// wiring the network builder did not produce).
+    /// Lowers `nodes` into the kernel's masks, or returns `None` if the
+    /// configuration is ineligible (adaptive routing, bandwidth-adaptive
+    /// links, more than 64 VCs on one tile, or a local egress channel
+    /// pointing outside `nodes` — e.g. a direct router-level wiring the
+    /// network builder did not produce).
     ///
     /// Compiling is cheap — O(total VCs) — and may be repeated freely, e.g.
     /// after a snapshot restore; all masks are derived from the routers'
@@ -280,10 +271,6 @@ impl MeshKernel {
     pub fn compile(nodes: &[NetworkNode], timing: bool) -> Option<Self> {
         let tiles = nodes.len();
         let mut k = MeshKernel {
-            vcs: Vec::new(),
-            vc_port: Vec::new(),
-            vc_sub: Vec::new(),
-            tile_off: Vec::with_capacity(tiles + 1),
             by_ptr: HashMap::new(),
             inj_mask: vec![0; tiles],
             valid: vec![0; tiles],
@@ -293,34 +280,23 @@ impl MeshKernel {
             dropping: vec![0; tiles],
             dirty: vec![0; tiles],
             busy: Vec::with_capacity(tiles),
-            sa_cand: Vec::new(),
-            ingress_granted: Vec::new(),
-            egress_granted: Vec::new(),
-            staged_count: Vec::new(),
-            staged_stamp: Vec::new(),
-            staged_gen: 0,
+            scratch: StageScratch::default(),
+            stride: 1,
             egress_target: Vec::new(),
             egress_stride: 0,
-            stride: 1,
-            route_scratch: Vec::new(),
-            downstream_scratch: Vec::new(),
-            vca_scratch: Vec::new(),
             timing,
             times: StageTimes::default(),
         };
 
-        let mut max_ingress = 0usize;
         let mut max_egress = 0usize;
         for (t, node) in nodes.iter().enumerate() {
             let r = &node.router;
             if r.routing.is_adaptive() {
-                return None; // extra RNG draws keyed to cross-tile free space
+                return None; // eligibility is widened only with a measurement
             }
-            let total_vcs: usize = r.ingress.iter().map(|p| p.vcs.len()).sum();
-            if total_vcs > 64 {
+            if r.vcs.len() > 64 {
                 return None; // one mask word per tile
             }
-            max_ingress = max_ingress.max(r.ingress.len());
             max_egress = max_egress.max(r.egress.len());
             for e in &r.egress {
                 if e.bidir.is_some() {
@@ -328,36 +304,23 @@ impl MeshKernel {
                 }
                 k.stride = k.stride.max(e.buffers.len());
             }
+            k.scratch.fit(r);
 
-            k.tile_off.push(k.vcs.len() as u32);
-            let mut bit = 0usize;
-            for (p, port) in r.ingress.iter().enumerate() {
-                for (v, vc) in port.vcs.iter().enumerate() {
-                    k.by_ptr.insert(Arc::as_ptr(vc) as usize, pack_loc(t, bit));
-                    k.vc_port.push(p as u32);
-                    k.vc_sub.push(v as u32);
-                    k.vcs.push(Arc::clone(vc));
-                    if p == r.injection_port {
-                        k.inj_mask[t] |= 1 << bit;
-                    }
-                    k.valid[t] |= 1 << bit;
-                    if r.head_cache[bit].is_some() {
-                        k.head_mask[t] |= 1 << bit;
-                    }
-                    match port.state[v] {
-                        VcState::Idle => {}
-                        VcState::Routed { .. } => k.routed[t] |= 1 << bit,
-                        VcState::Active { .. } => k.active[t] |= 1 << bit,
-                        VcState::Dropping => k.dropping[t] |= 1 << bit,
-                    }
-                    bit += 1;
+            for (bit, vc) in r.vcs.iter().enumerate() {
+                k.by_ptr.insert(Arc::as_ptr(vc) as usize, pack_loc(t, bit));
+                if r.is_injection_vc(bit) {
+                    k.inj_mask[t] |= 1 << bit;
                 }
+                k.valid[t] |= 1 << bit;
+                if r.head_cache[bit].is_some() {
+                    k.head_mask[t] |= 1 << bit;
+                }
+                k.note(t, bit, r.vc_state[bit]);
             }
             // Everything starts dirty: the first positive edge re-absorbs
             // every VC, exactly like the interpreter does every cycle.
             k.dirty[t] = k.valid[t];
         }
-        k.tile_off.push(k.vcs.len() as u32);
 
         // Every local egress channel must land in a compiled tile's ingress,
         // otherwise its pushes would escape the dirty tracking. The resolved
@@ -376,11 +339,6 @@ impl MeshKernel {
                 }
             }
         }
-
-        k.ingress_granted = vec![0; max_ingress];
-        k.egress_granted = vec![0; max_egress];
-        k.staged_count = vec![0; max_egress * k.stride];
-        k.staged_stamp = vec![0; max_egress * k.stride];
         Some(k)
     }
 
@@ -398,6 +356,42 @@ impl MeshKernel {
         }
     }
 
+    /// Folds a stage's report — VC `b` of tile `t` is now in `state` — into
+    /// the state masks.
+    #[inline]
+    fn note(&mut self, t: usize, b: usize, state: VcState) {
+        let bit = 1u64 << b;
+        self.routed[t] &= !bit;
+        self.active[t] &= !bit;
+        self.dropping[t] &= !bit;
+        match state {
+            VcState::Idle => {}
+            VcState::Routed { .. } => self.routed[t] |= bit,
+            VcState::Active { .. } => self.active[t] |= bit,
+            VcState::Dropping => self.dropping[t] |= bit,
+        }
+    }
+
+    /// Folds a negative-edge report for VC `b` of tile `t` into the masks: a
+    /// drained head, a VC back to Idle, a downstream VC to re-absorb.
+    #[inline]
+    fn note_applied(&mut self, t: usize, b: usize, applied: Applied) {
+        if applied.head_empty {
+            self.head_mask[t] &= !(1 << b);
+        }
+        if applied.idle {
+            self.note(t, b, VcState::Idle);
+        }
+        if let Some((egress, out_vc)) = applied.pushed {
+            // Compile froze every local target into `egress_target`;
+            // non-local channels carry the MAX sentinel.
+            let packed = self.egress_target[t * self.egress_stride + egress * self.stride + out_vc];
+            if packed != u64::MAX {
+                self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
+            }
+        }
+    }
+
     /// Positive clock edge for every tile: absorb (dirty VCs only), then the
     /// SA, VA and RC sweeps over the busy tiles, then the agent ticks.
     /// Bit-identical to calling [`NetworkNode::posedge`] on every tile in
@@ -408,54 +402,33 @@ impl MeshKernel {
     /// Panics (in debug builds) if `nodes` is not the slice this kernel was
     /// compiled from.
     pub fn posedge(&mut self, nodes: &mut [NetworkNode], now: Cycle) {
-        debug_assert_eq!(nodes.len() + 1, self.tile_off.len(), "tile set changed");
+        debug_assert_eq!(nodes.len(), self.valid.len(), "tile set changed");
         let mut lap = self.timing.then(Instant::now);
 
         // --- absorb + quiet-tile triage -------------------------------
         self.busy.clear();
         for (t, node) in nodes.iter_mut().enumerate() {
             let r = &mut node.router;
-            r.cycle = now;
-            r.staged.clear();
-            r.staged_drops.clear();
-            r.stats.simulated_cycles += 1;
-            r.stats.last_cycle = now;
-
-            if r.buffered_flits() == 0 {
+            let pushed = std::mem::take(&mut self.dirty[t]);
+            if !r.begin_posedge(now) {
                 // Quiet tile: every stage would be a no-op; just invalidate
                 // stale cached heads (the interpreter nulls them during its
                 // absorb scan).
-                let mut m = self.head_mask[t];
-                while m != 0 {
-                    let b = m.trailing_zeros() as usize;
-                    m &= m - 1;
+                for b in bits(std::mem::take(&mut self.head_mask[t])) {
                     r.head_cache[b] = None;
                 }
-                self.head_mask[t] = 0;
-                self.dirty[t] = 0;
                 continue;
             }
-            r.stats.busy_cycles += 1;
-
-            let lo = self.tile_off[t] as usize;
-            let pushed = self.dirty[t];
             let mut hm = self.head_mask[t];
+            let mut absorbed = 0u64;
             // Pushed VCs that already have a cached head only need the absorb
             // cursor advanced — a push can never change the head flit of a
             // non-empty buffer, so the (88-byte) head re-copy is skipped.
-            let mut cursor_only = pushed & hm;
-            let mut m = pushed & !hm;
-            let mut absorbed = 0u64;
-            while cursor_only != 0 {
-                let b = cursor_only.trailing_zeros() as usize;
-                cursor_only &= cursor_only - 1;
-                absorbed += self.vcs[lo + b].absorb_tail() as u64;
+            for b in bits(pushed & hm) {
+                absorbed += r.vcs[b].absorb_tail() as u64;
             }
-            while m != 0 {
-                let b = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let vc = &self.vcs[lo + b];
-                let (n, head) = vc.absorb_and_peek();
+            for b in bits(pushed & !hm) {
+                let (n, head) = r.vcs[b].absorb_and_peek();
                 absorbed += n as u64;
                 if head.is_some() {
                     hm |= 1 << b;
@@ -463,27 +436,46 @@ impl MeshKernel {
                 r.head_cache[b] = head;
             }
             self.head_mask[t] = hm;
-            self.dirty[t] = 0;
             r.stats.activity.buffer_writes += absorbed;
             self.busy.push(t as u32);
         }
         lap = self.lap(lap, |s| &mut s.times.absorb);
 
-        // Stage-major sweeps. Safe to reorder across tiles: RNGs are
-        // per-tile, the within-tile SA → VA → RC order is preserved, and all
-        // cross-tile reads (occupancy / free space) are stable for the whole
-        // positive edge (buffers change only at the negative edge).
+        // Stage-major sweeps, each calling the router's own stage on the VCs
+        // the masks select. Safe to reorder across tiles: RNGs are per-tile,
+        // the within-tile SA → VA → RC order is preserved, and all cross-tile
+        // reads (occupancy / free space) are stable for the whole positive
+        // edge (buffers change only at the negative edge).
         let busy = std::mem::take(&mut self.busy);
         for &t in &busy {
-            self.sa_tile(&mut nodes[t as usize], t as usize, now);
+            let (t, node) = (t as usize, &mut nodes[t as usize]);
+            for b in bits((self.active[t] | self.dropping[t]) & self.head_mask[t]) {
+                node.router.sa_gather(&mut self.scratch, b, now);
+            }
+            node.router.sa_grant(&mut self.scratch, &mut node.rng);
         }
         lap = self.lap(lap, |s| &mut s.times.sa);
         for &t in &busy {
-            self.va_tile(&mut nodes[t as usize], t as usize, now);
+            let (t, node) = (t as usize, &mut nodes[t as usize]);
+            let mut built = 0;
+            for b in bits(self.routed[t]) {
+                let r = &mut node.router;
+                if let Some(state) = r.va(&mut self.scratch, &mut built, b, now, &mut node.rng) {
+                    self.note(t, b, state);
+                }
+            }
         }
         lap = self.lap(lap, |s| &mut s.times.va);
         for &t in &busy {
-            self.rc_tile(&mut nodes[t as usize], t as usize, now);
+            let (t, node) = (t as usize, &mut nodes[t as usize]);
+            let idle = self.valid[t] & !(self.routed[t] | self.active[t] | self.dropping[t]);
+            for b in bits(idle & self.head_mask[t]) {
+                let tracer = node.tracer.as_deref_mut();
+                let r = &mut node.router;
+                if let Some(state) = r.rc(&mut self.scratch, b, now, &mut node.rng, tracer) {
+                    self.note(t, b, state);
+                }
+            }
         }
         self.busy = busy;
         self.lap(lap, |s| &mut s.times.rc);
@@ -504,7 +496,19 @@ impl MeshKernel {
     pub fn negedge(&mut self, nodes: &mut [NetworkNode], now: Cycle) {
         let mut lap = self.timing.then(Instant::now);
         for (t, node) in nodes.iter_mut().enumerate() {
-            self.negedge_router(node, t, now);
+            let r = &mut node.router;
+            for i in 0..r.staged.len() {
+                let m = r.staged[i];
+                let applied = r.apply_move(m, now);
+                self.note_applied(t, m.vc, applied);
+            }
+            r.staged.clear();
+            for i in 0..r.staged_drops.len() {
+                let b = r.staged_drops[i];
+                let applied = r.apply_drop(b, now);
+                self.note_applied(t, b, applied);
+            }
+            r.staged_drops.clear();
         }
         lap = self.lap(lap, |s| &mut s.times.negedge);
         for (t, node) in nodes.iter_mut().enumerate() {
@@ -528,343 +532,103 @@ impl MeshKernel {
         *slot(self) += s.elapsed();
         Some(Instant::now())
     }
+}
 
-    /// Switch arbitration for one tile; replicates
-    /// `Router::switch_arbitration` (candidate gather order, RNG shuffle,
-    /// grant bookkeeping) with the candidates found by bitmask instead of a
-    /// full VC scan. Staged moves land in the router's own `staged` /
-    /// `staged_drops`, so snapshots and a later interpreter hand-off see
-    /// exactly the interpreter's state.
-    fn sa_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let r = &mut node.router;
-        let lo = self.tile_off[t] as usize;
-        let mut cand = std::mem::take(&mut self.sa_cand);
-        cand.clear();
-        let mut m = (self.active[t] | self.dropping[t]) & self.head_mask[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => {}
-                _ => continue,
-            }
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            match r.ingress[p].state[v] {
-                VcState::Active {
-                    egress,
-                    out_vc,
-                    next_flow,
-                } => cand.push(SaCandidate {
-                    ingress: p,
-                    vc: v,
-                    egress,
-                    out_vc,
-                    next_flow,
-                }),
-                VcState::Dropping => r.staged_drops.push((p, v)),
-                _ => unreachable!("mask out of sync with VC state"),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agent::{NodeAgent, NodeIo};
+    use crate::config::NetworkConfig;
+    use crate::flit::Packet;
+    use crate::geometry::Geometry;
+    use crate::ids::{FlowId, NodeId};
+    use crate::network::Network;
+    use crate::routing::{FlowSpec, RoutingKind};
+    use rand_chacha::ChaCha12Rng;
+
+    const NODES: usize = 16;
+
+    /// Offers a 4-flit packet to the mirrored tile every other cycle — far
+    /// more than a 4×4 mesh carries, so VCs back up in every pipeline state.
+    struct Flood;
+
+    impl NodeAgent for Flood {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+            while io.try_recv().is_some() {}
+            if io.cycle().is_multiple_of(2) && io.injection_backlog() < 8 {
+                let (src, id) = (io.node(), io.alloc_packet_id());
+                let dst = NodeId::new((NODES - 1 - src.index()) as u32);
+                let flow = FlowId::for_pair(src, dst, NODES);
+                io.send(Packet::new(id, flow, src, dst, 4, io.cycle()));
             }
         }
-        if cand.is_empty() {
-            self.sa_cand = cand;
-            return;
+        fn next_event(&self, now: Cycle) -> Option<Cycle> {
+            Some(now + 1)
         }
-        r.stats.activity.arbitrations += cand.len() as u64;
-
-        // Randomize consideration order to break ties fairly (identical
-        // Fisher–Yates draw sequence to the interpreter).
-        for i in (1..cand.len()).rev() {
-            let j = node.rng.gen_range(0..=i);
-            cand.swap(i, j);
+        fn finished(&self) -> bool {
+            false
         }
-
-        let ingress_bw = r.cfg.link_bandwidth.max(1);
-        self.ingress_granted[..r.ingress.len()]
-            .iter_mut()
-            .for_each(|g| *g = 0);
-        self.egress_granted[..r.egress.len()]
-            .iter_mut()
-            .for_each(|g| *g = 0);
-        self.staged_gen += 1;
-
-        for c in &cand {
-            if self.ingress_granted[c.ingress] >= ingress_bw {
-                continue;
-            }
-            let egress_bw = r.egress_bandwidth(c.egress);
-            if self.egress_granted[c.egress] >= egress_bw {
-                continue;
-            }
-            let key = c.egress * self.stride + c.out_vc;
-            if c.egress != r.ejection_port {
-                let already = if self.staged_stamp[key] == self.staged_gen {
-                    self.staged_count[key] as usize
-                } else {
-                    0
-                };
-                if r.egress[c.egress].buffers[c.out_vc].free_space() <= already {
-                    continue; // no downstream credit
-                }
-            }
-            self.ingress_granted[c.ingress] += 1;
-            self.egress_granted[c.egress] += 1;
-            if self.staged_stamp[key] == self.staged_gen {
-                self.staged_count[key] += 1;
-            } else {
-                self.staged_stamp[key] = self.staged_gen;
-                self.staged_count[key] = 1;
-            }
-            r.staged.push(StagedMove {
-                ingress: c.ingress,
-                vc: c.vc,
-                egress: c.egress,
-                out_vc: c.out_vc,
-                next_flow: c.next_flow,
-            });
-        }
-        self.sa_cand = cand;
     }
 
-    /// VC allocation for one tile; replicates `Router::vc_allocation` with
-    /// the Routed VCs found by bitmask.
-    fn va_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let r = &mut node.router;
-        let lo = self.tile_off[t] as usize;
-        let mut downstream = std::mem::take(&mut self.downstream_scratch);
-        let mut cand = std::mem::take(&mut self.vca_scratch);
-        // Downstream snapshots are stable for the whole positive edge
-        // (buffers move only at the negative edge) except for the `out_state`
-        // assignments this very loop makes — so build each egress port's
-        // snapshot at most once per tile per cycle and invalidate it only
-        // when a VC on that port is granted. Under congestion many Routed
-        // heads retry the same port every cycle; they all share one build.
-        let mut built: u64 = 0;
-        let mut m = self.routed[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let (flow, packet) = match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => (f.flow, f.packet),
-                _ => continue,
-            };
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            let VcState::Routed { egress, next_flow } = r.ingress[p].state[v] else {
-                unreachable!("mask out of sync with VC state");
-            };
-            r.stats.activity.arbitrations += 1;
-            if egress == r.ejection_port {
-                r.ingress[p].state[v] = VcState::Active {
-                    egress,
-                    out_vc: 0,
-                    next_flow,
-                };
-                self.routed[t] &= !(1 << b);
-                self.active[t] |= 1 << b;
-                continue;
+    /// `[head, routed, active, dropping]` of one tile, from the router's own
+    /// state — what the kernel's masks claim to summarise.
+    fn masks_of(node: &NetworkNode) -> [u64; 4] {
+        let r = &node.router;
+        let mut m = [0u64; 4];
+        for (b, state) in r.vc_state.iter().enumerate() {
+            m[0] |= u64::from(r.head_cache[b].is_some()) << b;
+            match state {
+                VcState::Idle => {}
+                VcState::Routed { .. } => m[1] |= 1 << b,
+                VcState::Active { .. } => m[2] |= 1 << b,
+                VcState::Dropping => m[3] |= 1 << b,
             }
-            let lo_ds = egress * self.stride;
-            if built & (1 << egress) == 0 {
-                built |= 1 << egress;
-                let e = &r.egress[egress];
-                downstream.resize(
-                    downstream.len().max(lo_ds + e.buffers.len()),
-                    DownstreamVc {
-                        vc: VcId::new(0),
-                        free_for_allocation: false,
-                        occupancy: 0,
-                        capacity: 0,
-                        resident_flow: None,
-                    },
+        }
+        m
+    }
+
+    #[test]
+    fn masks_track_router_state_every_cycle_of_a_congested_run() {
+        // Every tile floods its mirror image; tile 5's flow has no route, so
+        // its packets fail RC and are discarded (the Dropping mask).
+        let node = |i: usize| NodeId::new(i as u32);
+        let flows = (0..NODES)
+            .filter(|&src| src != 5)
+            .map(|src| FlowSpec::pair(node(src), node(NODES - 1 - src), NODES))
+            .collect();
+        let cfg = NetworkConfig::new(Geometry::mesh2d(4, 4))
+            .with_routing(RoutingKind::Xy)
+            .with_flows(flows);
+        let mut network = Network::new(&cfg, 9).expect("valid config");
+        for i in 0..NODES {
+            network.attach_agent(node(i), Box::new(Flood));
+        }
+        let (mut nodes, _payloads) = network.into_nodes();
+        let mut kernel = MeshKernel::compile(&nodes, false).expect("plain XY mesh compiles");
+
+        let mut seen = [0u64; 4];
+        for now in 1..=600 {
+            kernel.posedge(&mut nodes, now);
+            kernel.negedge(&mut nodes, now);
+            for (t, node) in nodes.iter().enumerate() {
+                let want = masks_of(node);
+                let have = [
+                    kernel.head_mask[t],
+                    kernel.routed[t],
+                    kernel.active[t],
+                    kernel.dropping[t],
+                ];
+                assert_eq!(
+                    have, want,
+                    "cycle {now}, tile {t}: [head, routed, active, dropping]"
                 );
-                for (i, buf) in e.buffers.iter().enumerate() {
-                    let occupancy = buf.occupancy();
-                    downstream[lo_ds + i] = DownstreamVc {
-                        vc: VcId::new(i as u16),
-                        free_for_allocation: e.out_state[i].owner.is_none(),
-                        occupancy,
-                        capacity: buf.capacity(),
-                        resident_flow: if occupancy > 0 || e.out_state[i].owner.is_some() {
-                            e.out_state[i].resident_flow
-                        } else {
-                            None
-                        },
-                    };
-                }
-            }
-            let req = VcaRequest {
-                prev: r.ingress[p].upstream,
-                flow,
-                next: r.egress[egress].downstream,
-                next_flow,
-            };
-            let port_vcs = r.egress[egress].buffers.len();
-            r.vca
-                .candidates_into(&req, &downstream[lo_ds..lo_ds + port_vcs], &mut cand);
-            if cand.is_empty() {
-                continue; // wait in the VA stage
-            }
-            let (vc_id, _) = pick_weighted(&mut node.rng, &cand, |c| c.1);
-            let out_vc = vc_id.index();
-            r.egress[egress].out_state[out_vc].owner = Some(packet);
-            r.egress[egress].out_state[out_vc].resident_flow = Some(next_flow);
-            built &= !(1 << egress);
-            r.ingress[p].state[v] = VcState::Active {
-                egress,
-                out_vc,
-                next_flow,
-            };
-            self.routed[t] &= !(1 << b);
-            self.active[t] |= 1 << b;
-        }
-        self.downstream_scratch = downstream;
-        self.vca_scratch = cand;
-    }
-
-    /// Route computation for one tile; replicates `Router::route_computation`
-    /// for the non-adaptive policies the kernel specializes (the adaptive
-    /// branch — and its extra RNG draws — is excluded at compile time).
-    fn rc_tile(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let NetworkNode {
-            router: r,
-            rng,
-            tracer,
-            ..
-        } = node;
-        let lo = self.tile_off[t] as usize;
-        let mut cand = std::mem::take(&mut self.route_scratch);
-        let idle = self.valid[t] & !(self.routed[t] | self.active[t] | self.dropping[t]);
-        let mut m = idle & self.head_mask[t];
-        while m != 0 {
-            let b = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let (is_head, flow, dst, packet) = match &r.head_cache[b] {
-                Some(f) if f.visible_at <= now => (f.is_head(), f.flow, f.dst, f.packet),
-                _ => continue,
-            };
-            let p = self.vc_port[lo + b] as usize;
-            let v = self.vc_sub[lo + b] as usize;
-            if !is_head {
-                // A body flit at the head of an idle VC can only happen if
-                // the packet was dropped upstream; discard it.
-                r.ingress[p].state[v] = VcState::Dropping;
-                self.dropping[t] |= 1 << b;
-                continue;
-            }
-            let prev = r.ingress[p].upstream;
-            r.routing
-                .candidates_into(r.node, prev, flow, dst, &mut cand);
-            if cand.is_empty() {
-                r.stats.routing_failures += 1;
-                r.ingress[p].state[v] = VcState::Dropping;
-                self.dropping[t] |= 1 << b;
-                continue;
-            }
-            let choice = pick_weighted(rng, &cand, |c| c.weight);
-            let egress = if choice.next_node == r.node {
-                r.ejection_port
-            } else {
-                r.egress_of(choice.next_node)
-            };
-            r.ingress[p].state[v] = VcState::Routed {
-                egress,
-                next_flow: choice.next_flow,
-            };
-            self.routed[t] |= 1 << b;
-            if let Some(tr) = tracer.as_deref_mut() {
-                tr.record(TraceEvent {
-                    cycle: now,
-                    node: r.node.raw(),
-                    kind: TraceKind::FlitRoute,
-                    a: packet.raw(),
-                    b: egress as u64,
-                });
-            }
-        }
-        self.route_scratch = cand;
-    }
-
-    /// The router half of one tile's negative edge; replicates
-    /// `Router::negedge` (bandwidth-adaptive demand publication excluded at
-    /// compile time) with dirty/state-mask bookkeeping on every pop and push.
-    fn negedge_router(&mut self, node: &mut NetworkNode, t: usize, now: Cycle) {
-        let r = &mut node.router;
-        for i in 0..r.staged.len() {
-            let m = r.staged[i];
-            let Some(mut flit) = r.ingress[m.ingress].vcs[m.vc].pop_if(now, |_| true) else {
-                continue;
-            };
-            let bit = r.ingress_offsets[m.ingress] + m.vc;
-            // Refresh the cached head in place: the successor flit (if any)
-            // is already absorbed, so no positive-edge re-peek is needed.
-            let head = r.ingress[m.ingress].vcs[m.vc].head_snapshot();
-            if head.is_none() {
-                self.head_mask[t] &= !(1 << bit);
-            }
-            r.head_cache[bit] = head;
-            r.stats.activity.buffer_reads += 1;
-            r.stats.activity.crossbar_transits += 1;
-
-            // Accumulate the residence time at this node into the flit itself.
-            let departure = now + 1;
-            flit.stats.accumulated_latency +=
-                departure.saturating_sub(flit.stats.arrived_at_current);
-            flit.stats.arrived_at_current = departure;
-            flit.flow = m.next_flow;
-            flit.visible_at = departure;
-
-            let is_tail = flit.is_tail();
-            if m.egress == r.ejection_port {
-                r.stats.total_flit_latency += flit.stats.accumulated_latency;
-                r.stats.delivered_flits += 1;
-                r.delivered.push(flit);
-            } else {
-                flit.stats.hops += 1;
-                r.stats.activity.link_flits += 1;
-                let ch = &r.egress[m.egress].buffers[m.out_vc];
-                if ch.push(flit) {
-                    // Compile froze every local target into `egress_target`;
-                    // non-local channels carry the MAX sentinel.
-                    let packed = self.egress_target
-                        [t * self.egress_stride + m.egress * self.stride + m.out_vc];
-                    if packed != u64::MAX {
-                        self.dirty[(packed >> 6) as usize] |= 1 << (packed & 63);
-                    }
-                } else {
-                    // Credit checking should make this impossible; record it
-                    // as a routing failure so tests can detect flow-control
-                    // bugs rather than silently losing flits.
-                    r.stats.routing_failures += 1;
-                }
-                if is_tail {
-                    r.egress[m.egress].out_state[m.out_vc].owner = None;
-                }
-            }
-            if is_tail {
-                r.ingress[m.ingress].state[m.vc] = VcState::Idle;
-                self.active[t] &= !(1 << bit);
-            }
-        }
-        r.staged.clear();
-
-        // Discard flits of packets that could not be routed.
-        for i in 0..r.staged_drops.len() {
-            let (p, v) = r.staged_drops[i];
-            if let Some(flit) = r.ingress[p].vcs[v].pop_if(now, |_| true) {
-                let bit = r.ingress_offsets[p] + v;
-                let head = r.ingress[p].vcs[v].head_snapshot();
-                if head.is_none() {
-                    self.head_mask[t] &= !(1 << bit);
-                }
-                r.head_cache[bit] = head;
-                r.stats.activity.buffer_reads += 1;
-                if flit.is_tail() {
-                    r.ingress[p].state[v] = VcState::Idle;
-                    self.dropping[t] &= !(1 << bit);
+                for (s, m) in seen.iter_mut().zip(want) {
+                    *s |= m;
                 }
             }
         }
-        r.staged_drops.clear();
+        assert!(seen.iter().all(|&m| m != 0), "a mask never set: {seen:?}");
+        let failures: u64 = nodes.iter().map(|n| n.stats().routing_failures).sum();
+        assert!(failures > 0, "tile 5's packets must fail RC");
     }
 }

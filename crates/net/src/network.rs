@@ -34,6 +34,7 @@ use std::sync::Arc;
 /// Adapter giving agents packet-level access to the tile's bridge.
 struct TileIo<'a> {
     bridge: &'a mut Bridge,
+    stats: &'a mut NetworkStats,
     now: Cycle,
 }
 
@@ -48,6 +49,7 @@ impl NodeIo for TileIo<'_> {
         self.bridge.alloc_packet_id()
     }
     fn send(&mut self, packet: Packet) {
+        self.stats.offered_packets += 1;
         self.bridge.send(packet);
     }
     fn try_recv(&mut self) -> Option<DeliveredPacket> {
@@ -158,6 +160,7 @@ impl NetworkNode {
         for agent in &mut self.agents {
             let mut io = TileIo {
                 bridge: &mut self.bridge,
+                stats: &mut self.router.stats,
                 now,
             };
             agent.tick(&mut io, &mut self.rng);

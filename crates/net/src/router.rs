@@ -10,12 +10,28 @@
 //! the pathological interactions between regular traffic and deterministic
 //! arbiters described in the paper (§II-A5).
 //!
-//! Every cycle is split into a positive edge ([`Router::posedge`]), when all
-//! decisions are computed from the state made visible at the previous negative
-//! edge, and a negative edge ([`Router::negedge`]), when the staged flit
-//! movements are applied. This faithfully models the parallelism of
-//! synchronous hardware and is what makes cycle-accurate parallel simulation
-//! bit-identical to sequential simulation.
+//! Every cycle is split into a positive edge, when all decisions are computed
+//! from the state made visible at the previous negative edge, and a negative
+//! edge, when the staged flit movements are applied. This faithfully models
+//! the parallelism of synchronous hardware and is what makes cycle-accurate
+//! parallel simulation bit-identical to sequential simulation.
+//!
+//! # One stage body, two enumerations
+//!
+//! Every pipeline stage exists once, in this file, as a function of **one
+//! ingress VC** named by its flat index `ingress_offsets[port] + vc`:
+//! `Router::sa_gather` and the per-tile `Router::sa_grant`, `Router::va`,
+//! `Router::rc`, and the negative edge's `Router::apply_move` /
+//! `Router::apply_drop`. Each reports the state transition it made. Who calls them decides only *which VCs are visited*:
+//!
+//! * the interpreter ([`Router::posedge`] / [`Router::negedge`]) calls each
+//!   stage on every VC and ignores what it reports;
+//! * the compiled [`MeshKernel`](crate::kernel::MeshKernel) calls the same
+//!   stage on the VCs its bitmasks select and folds the report back into
+//!   those masks.
+//!
+//! A stage called on a VC it cannot act on does nothing, draws nothing from
+//! the PRNG and counts nothing, so the two enumerations are bit-identical.
 //!
 //! # Hot-path discipline
 //!
@@ -24,17 +40,18 @@
 //! single-consumer ring ([`VcBuffer`]), so absorbing, peeking and popping
 //! are a handful of atomic loads and stores:
 //!
-//! * the head flit of every VC is snapshotted once per positive edge via
-//!   [`VcBuffer::absorb_and_peek`]; the RC/VA/SA stages read the snapshot
-//!   instead of re-running `peek` once per stage;
+//! * the head flit of every VC is snapshotted into `head_cache` (by
+//!   [`VcBuffer::absorb_and_peek`] at the positive edge, refreshed in place
+//!   after each pop); the stages read the snapshot instead of the buffer;
 //! * empty VCs are skipped with a single lock-free occupancy load, and the
 //!   router-wide idle check reads one aggregate atomic ([`buffered_flits`] is
 //!   O(1), feeding the engine's idle / fast-forward boundary checks);
-//! * all arbitration working memory (candidate list, per-port grant tables,
-//!   the per-downstream-buffer staging counts, routing / VC-allocation
-//!   candidate vectors) lives in reusable scratch buffers on the router; the
-//!   per-buffer staging map is a generation-stamped flat table indexed by
-//!   `egress × max_vcs + vc`, so it is never cleared, only re-stamped.
+//! * all arbitration working memory lives in one reusable `StageScratch`,
+//!   held by whichever side is stepping (each router owns one for the
+//!   interpreter; the kernel owns one for all its tiles); its per-buffer
+//!   staging map is a generation-stamped flat table indexed by
+//!   `egress × stride + vc`, so it is never cleared, only re-stamped, and VA
+//!   snapshots each egress port's downstream VCs at most once per cycle.
 //!
 //! [`buffered_flits`]: Router::buffered_flits
 
@@ -99,15 +116,6 @@ pub(crate) enum VcState {
     Dropping,
 }
 
-/// One ingress port: the VC buffers (shared with the upstream router) plus the
-/// receiver-side VC state.
-#[derive(Debug)]
-pub(crate) struct IngressPort {
-    pub(crate) upstream: NodeId,
-    pub(crate) vcs: Vec<Arc<VcBuffer>>,
-    pub(crate) state: Vec<VcState>,
-}
-
 /// Sender-side record of one downstream virtual channel.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct OutVcState {
@@ -130,25 +138,67 @@ pub(crate) struct EgressPort {
     pub(crate) bidir: Option<(Arc<BidirLink>, usize)>,
 }
 
-/// A flit movement decided at the positive edge and applied at the negative
-/// edge.
+/// One flit movement: a candidate while switch arbitration considers it, a
+/// staged move once granted, applied at the negative edge.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct StagedMove {
-    pub(crate) ingress: usize,
+    /// Flat index of the ingress VC the flit leaves.
     pub(crate) vc: usize,
     pub(crate) egress: usize,
     pub(crate) out_vc: usize,
     pub(crate) next_flow: FlowId,
 }
 
-/// A VC ready to move a flit this cycle (switch-arbitration scratch entry).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct SaCandidate {
-    pub(crate) ingress: usize,
-    pub(crate) vc: usize,
-    pub(crate) egress: usize,
-    pub(crate) out_vc: usize,
-    pub(crate) next_flow: FlowId,
+/// What applying one staged move or drop did at the negative edge.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Applied {
+    /// A flit left the VC and none is absorbed behind it.
+    pub(crate) head_empty: bool,
+    /// The tail flit left: the VC went back to [`VcState::Idle`].
+    pub(crate) idle: bool,
+    /// The flit landed in downstream channel `(egress, out_vc)`.
+    pub(crate) pushed: Option<(usize, usize)>,
+}
+
+/// Working memory of the positive-edge stages, reused every cycle so the
+/// steady state never allocates. Held by whichever side is stepping: every
+/// router owns one for the interpreter, the compiled kernel owns one for all
+/// of its tiles.
+#[derive(Debug, Default)]
+pub(crate) struct StageScratch {
+    /// SA candidates gathered for the tile in arbitration.
+    sa: Vec<StagedMove>,
+    ingress_granted: Vec<u32>,
+    egress_granted: Vec<u32>,
+    /// Generation-stamped flat map `(egress, out_vc) → flits staged this
+    /// cycle`; `staged_stamp[i] == staged_gen` marks a live entry.
+    staged_count: Vec<u32>,
+    staged_stamp: Vec<u64>,
+    staged_gen: u64,
+    /// Widest egress port seen (in downstream VCs): row length of the
+    /// `egress × stride + vc` tables.
+    stride: usize,
+    routes: Vec<NextHop>,
+    /// VA's per-egress downstream snapshots, `egress × stride + vc`.
+    downstream: Vec<DownstreamVc>,
+    vca: Vec<(VcId, f64)>,
+}
+
+impl StageScratch {
+    /// Grows the tables to cover `r`'s ports (two compares once they do; the
+    /// port topology only changes while the network is being wired).
+    pub(crate) fn fit(&mut self, r: &Router) {
+        let ports = r.port_nodes.len().max(self.egress_granted.len());
+        if ports > self.egress_granted.len() || r.max_out_vcs > self.stride {
+            self.stride = self.stride.max(r.max_out_vcs);
+            self.ingress_granted.resize(ports, 0);
+            self.egress_granted.resize(ports, 0);
+            self.staged_count = vec![0; ports * self.stride];
+            self.staged_stamp = vec![0; ports * self.stride];
+            self.staged_gen = 0;
+            self.downstream = vec![DownstreamVc::default(); ports * self.stride];
+        }
+    }
 }
 
 /// The cycle-level router model for one node.
@@ -158,13 +208,27 @@ pub struct Router {
     pub(crate) cfg: RouterConfig,
     pub(crate) routing: RoutingPolicy,
     pub(crate) vca: VcaPolicy,
-    pub(crate) ingress: Vec<IngressPort>,
+    /// The node on the far side of each ingress/egress port pair: the
+    /// neighbours in port order, then this node for the CPU-facing pair.
+    /// Packed flat for the egress lookup: routers have at most a handful of
+    /// ports, so a linear scan of this compact array beats both a HashMap
+    /// (hashing, allocation) and a node-indexed dense table (O(network size)
+    /// memory per router).
+    port_nodes: Vec<NodeId>,
+    /// Start of each ingress port's VCs in the flat per-VC arrays below, plus
+    /// one past-the-end entry. `ingress_offsets[port] + vc` is the *flat VC
+    /// index* every pipeline stage is a function of.
+    ingress_offsets: Vec<usize>,
+    /// Every ingress VC buffer (each shared with its upstream router).
+    pub(crate) vcs: Vec<Arc<VcBuffer>>,
+    /// Receiver-side state of every ingress VC.
+    pub(crate) vc_state: Vec<VcState>,
+    /// Ingress port of every ingress VC.
+    vc_port: Vec<usize>,
+    /// Snapshot of every ingress VC's head flit (ignoring its visibility
+    /// stamp), so the stages never touch the buffer.
+    pub(crate) head_cache: Vec<Option<Flit>>,
     pub(crate) egress: Vec<EgressPort>,
-    /// Downstream node of each egress port, packed flat for the egress
-    /// lookup: routers have at most a handful of ports, so a linear scan of
-    /// this compact array beats both a HashMap (hashing, allocation) and a
-    /// node-indexed dense table (O(network size) memory per router).
-    egress_nodes: Vec<NodeId>,
     /// Index of the local injection ingress port.
     pub(crate) injection_port: usize,
     /// Index of the local ejection egress port.
@@ -173,29 +237,14 @@ pub struct Router {
     /// `VcBuffer` reports into it, making [`buffered_flits`](Self::buffered_flits)
     /// and the engine's idle checks O(1).
     buffered: Arc<AtomicUsize>,
-    /// Per-posedge snapshot of each ingress VC's head flit, indexed by
-    /// `ingress_offsets[port] + vc`; refreshed once per cycle so RC/VA/SA
-    /// never re-lock the buffer.
-    pub(crate) head_cache: Vec<Option<Flit>>,
-    /// Start of each ingress port's slice in `head_cache`.
-    pub(crate) ingress_offsets: Vec<usize>,
     pub(crate) staged: Vec<StagedMove>,
-    pub(crate) staged_drops: Vec<(usize, usize)>,
+    /// Flat indices of the VCs discarding a flit this cycle.
+    pub(crate) staged_drops: Vec<usize>,
     pub(crate) delivered: Vec<Flit>,
-    // --- reusable arbitration scratch (see module docs) ---
-    sa_candidates: Vec<SaCandidate>,
-    ingress_granted: Vec<u32>,
-    egress_granted: Vec<u32>,
-    /// Generation-stamped flat map `(egress, out_vc) → flits staged this
-    /// cycle`; `staged_stamp[i] == staged_gen` marks a live entry.
-    staged_count: Vec<u32>,
-    staged_stamp: Vec<u64>,
-    staged_gen: u64,
-    /// Widest egress port (in downstream VCs); stride of the staged tables.
+    /// The interpreter's stage working memory.
+    scratch: StageScratch,
+    /// Widest egress port (in downstream VCs).
     max_out_vcs: usize,
-    route_scratch: Vec<NextHop>,
-    downstream_scratch: Vec<DownstreamVc>,
-    vca_scratch: Vec<(VcId, f64)>,
     pub(crate) stats: NetworkStats,
     pub(crate) cycle: Cycle,
 }
@@ -217,45 +266,35 @@ impl Router {
         vca: VcaPolicy,
     ) -> Self {
         let buffered = Arc::new(AtomicUsize::new(0));
-        let mut ingress = Vec::with_capacity(neighbors.len() + 1);
-        for &nb in neighbors {
-            ingress.push(IngressPort {
-                upstream: nb,
-                vcs: (0..cfg.vcs_per_port)
-                    .map(|_| {
-                        Arc::new(VcBuffer::with_aggregate(
-                            cfg.vc_capacity,
-                            Arc::clone(&buffered),
-                        ))
-                    })
-                    .collect(),
-                state: vec![VcState::Idle; cfg.vcs_per_port],
-            });
+        let mut port_nodes: Vec<NodeId> = neighbors.to_vec();
+        port_nodes.push(node);
+        let injection_port = neighbors.len();
+        let mut ingress_offsets = vec![0];
+        let mut vcs = Vec::new();
+        let mut vc_port = Vec::new();
+        for port in 0..=injection_port {
+            let (count, capacity) = if port == injection_port {
+                (cfg.injection_vcs, cfg.injection_vc_capacity)
+            } else {
+                (cfg.vcs_per_port, cfg.vc_capacity)
+            };
+            for _ in 0..count {
+                let buffer = VcBuffer::with_aggregate(capacity, Arc::clone(&buffered));
+                vcs.push(Arc::new(buffer));
+                vc_port.push(port);
+            }
+            ingress_offsets.push(vcs.len());
         }
-        ingress.push(IngressPort {
-            upstream: node,
-            vcs: (0..cfg.injection_vcs)
-                .map(|_| {
-                    Arc::new(VcBuffer::with_aggregate(
-                        cfg.injection_vc_capacity,
-                        Arc::clone(&buffered),
-                    ))
-                })
-                .collect(),
-            state: vec![VcState::Idle; cfg.injection_vcs],
-        });
-        let injection_port = ingress.len() - 1;
 
-        let mut egress = Vec::with_capacity(neighbors.len() + 1);
-        let egress_nodes: Vec<NodeId> = neighbors.to_vec();
-        for &nb in neighbors {
-            egress.push(EgressPort {
+        let mut egress: Vec<EgressPort> = neighbors
+            .iter()
+            .map(|&nb| EgressPort {
                 downstream: nb,
                 buffers: Vec::new(),
                 out_state: Vec::new(),
                 bidir: None,
-            });
-        }
+            })
+            .collect();
         // Ejection port: flits leaving the network toward the local agent.
         egress.push(EgressPort {
             downstream: node,
@@ -263,43 +302,27 @@ impl Router {
             out_state: vec![OutVcState::default()],
             bidir: None,
         });
-        let ejection_port = egress.len() - 1;
 
-        let mut ingress_offsets = Vec::with_capacity(ingress.len());
-        let mut total_vcs = 0usize;
-        for port in &ingress {
-            ingress_offsets.push(total_vcs);
-            total_vcs += port.vcs.len();
-        }
-
-        let ingress_count = ingress.len();
-        let egress_count = egress.len();
         Self {
             node,
             cfg,
             routing,
             vca,
-            ingress,
-            egress,
-            egress_nodes,
-            injection_port,
-            ejection_port,
-            buffered,
-            head_cache: vec![None; total_vcs],
+            port_nodes,
             ingress_offsets,
+            vc_state: vec![VcState::Idle; vcs.len()],
+            vc_port,
+            head_cache: vec![None; vcs.len()],
+            vcs,
+            egress,
+            injection_port,
+            ejection_port: neighbors.len(),
+            buffered,
             staged: Vec::new(),
             staged_drops: Vec::new(),
             delivered: Vec::new(),
-            sa_candidates: Vec::new(),
-            ingress_granted: vec![0; ingress_count],
-            egress_granted: vec![0; egress_count],
-            staged_count: Vec::new(),
-            staged_stamp: Vec::new(),
-            staged_gen: 0,
+            scratch: StageScratch::default(),
             max_out_vcs: 1,
-            route_scratch: Vec::new(),
-            downstream_scratch: Vec::new(),
-            vca_scratch: Vec::new(),
             stats: NetworkStats::new(),
             cycle: 0,
         }
@@ -319,10 +342,15 @@ impl Router {
     /// Panics if `to` is not a neighbour of this router.
     #[inline]
     pub(crate) fn egress_of(&self, to: NodeId) -> usize {
-        self.egress_nodes
+        self.neighbors()
             .iter()
             .position(|&n| n == to)
             .unwrap_or_else(|| panic!("{to} is not downstream of {}", self.node))
+    }
+
+    /// The ingress VC buffers of one ingress port.
+    fn port_buffers(&self, port: usize) -> &[Arc<VcBuffer>] {
+        &self.vcs[self.ingress_offsets[port]..self.ingress_offsets[port + 1]]
     }
 
     /// The ingress VC buffers facing upstream node `from`; the network builder
@@ -337,17 +365,22 @@ impl Router {
     /// Panics if `from` is not a neighbour of this router.
     pub fn ingress_buffers_from(&self, from: NodeId) -> &[Arc<VcBuffer>] {
         let port = self
-            .ingress
+            .neighbors()
             .iter()
-            .find(|p| p.upstream == from && p.upstream != self.node)
+            .position(|&n| n == from)
             .unwrap_or_else(|| panic!("{from} is not upstream of {}", self.node));
-        &port.vcs
+        self.port_buffers(port)
     }
 
     /// The local injection VC buffers (used by the bridge to inject flits).
     /// Borrowed; clone the `Arc`s for owned handles.
     pub fn injection_buffers(&self) -> &[Arc<VcBuffer>] {
-        &self.ingress[self.injection_port].vcs
+        self.port_buffers(self.injection_port)
+    }
+
+    /// True if flat VC `vc` belongs to the local injection port.
+    pub(crate) fn is_injection_vc(&self, vc: usize) -> bool {
+        self.vc_port[vc] == self.injection_port
     }
 
     /// Wires the egress port toward `to` with the downstream ingress buffers
@@ -388,7 +421,7 @@ impl Router {
 
     /// The router-facing neighbours of this router, in egress-port order.
     pub fn neighbors(&self) -> &[NodeId] {
-        &self.egress_nodes
+        &self.port_nodes[..self.ejection_port]
     }
 
     /// True if a bandwidth-adaptive bidirectional link is attached toward
@@ -461,7 +494,7 @@ impl Router {
         (&mut self.delivered, &mut self.stats)
     }
 
-    pub(crate) fn egress_bandwidth(&self, egress: usize) -> u32 {
+    fn egress_bandwidth(&self, egress: usize) -> u32 {
         if egress == self.ejection_port {
             return self.cfg.ejection_bandwidth;
         }
@@ -471,22 +504,10 @@ impl Router {
         }
     }
 
-    /// Grows the generation-stamped staging tables if the port topology
-    /// changed since the last cycle (only ever fires on the first cycle after
-    /// wiring; steady state never reallocates).
-    fn ensure_staging_tables(&mut self) {
-        let needed = self.egress.len() * self.max_out_vcs;
-        if self.staged_count.len() != needed {
-            self.staged_count = vec![0; needed];
-            self.staged_stamp = vec![0; needed];
-            self.staged_gen = 0;
-        }
-    }
-
     /// Positive clock edge: absorb newly arrived flits, snapshot every VC's
-    /// head flit, run the RC, VA and SA stages, and stage the resulting flit
-    /// movements. No shared state is mutated except the tail→head absorption
-    /// of this router's own buffers.
+    /// head flit, run the SA, VA and RC stages on every VC, and stage the
+    /// resulting flit movements. No shared state is mutated except the
+    /// tail→head absorption of this router's own buffers.
     pub fn posedge<R: Rng>(&mut self, now: Cycle, rng: &mut R) {
         self.posedge_traced(now, rng, None);
     }
@@ -500,279 +521,282 @@ impl Router {
         &mut self,
         now: Cycle,
         rng: &mut R,
-        tracer: Option<&mut TraceRing>,
+        mut tracer: Option<&mut TraceRing>,
     ) {
-        self.cycle = now;
-        self.staged.clear();
-        self.staged_drops.clear();
-        self.ensure_staging_tables();
+        self.begin_posedge(now);
 
         // Absorb flits deposited by upstream routers / the local bridge and
         // snapshot each VC's head flit: a few atomic ops per non-empty VC,
         // none for empty VCs (a lock-free occupancy load skips them).
         let mut absorbed = 0u64;
-        for (p, port) in self.ingress.iter().enumerate() {
-            let off = self.ingress_offsets[p];
-            for (v, vc) in port.vcs.iter().enumerate() {
-                if vc.occupancy() == 0 {
-                    self.head_cache[off + v] = None;
-                } else {
-                    let (n, head) = vc.absorb_and_peek();
-                    absorbed += n as u64;
-                    self.head_cache[off + v] = head;
-                }
+        for (vc, head) in self.vcs.iter().zip(&mut self.head_cache) {
+            *head = None;
+            if vc.occupancy() > 0 {
+                let (n, flit) = vc.absorb_and_peek();
+                absorbed += n as u64;
+                *head = flit;
             }
         }
         self.stats.activity.buffer_writes += absorbed;
 
-        if self.buffered_flits() > 0 {
-            self.stats.busy_cycles += 1;
+        // SA (per flit) runs before VA and RC (per packet) so that state
+        // transitions made this cycle take effect next cycle: a 3-stage
+        // pipeline for the head flit of each packet.
+        let mut s = std::mem::take(&mut self.scratch);
+        s.fit(self);
+        let vcs = self.vcs.len();
+        for b in 0..vcs {
+            self.sa_gather(&mut s, b, now);
         }
+        self.sa_grant(&mut s, rng);
+        let mut built = 0;
+        for b in 0..vcs {
+            self.va(&mut s, &mut built, b, now, rng);
+        }
+        for b in 0..vcs {
+            self.rc(&mut s, b, now, rng, tracer.as_deref_mut());
+        }
+        self.scratch = s;
+    }
 
-        // --- SA stage (per flit), computed before VA/RC so that state
-        // transitions made this cycle take effect next cycle (3-stage
-        // pipeline for the head flit of each packet).
-        self.switch_arbitration(now, rng);
-
-        // --- VA stage (per packet).
-        self.vc_allocation(now, rng);
-
-        // --- RC stage (per packet).
-        self.route_computation(now, rng, tracer);
-
+    /// Opens cycle `now`: stamps the clock and the per-cycle counters and
+    /// forgets last cycle's staged work. Returns true if any flit is buffered
+    /// here (absorbing never changes that).
+    pub(crate) fn begin_posedge(&mut self, now: Cycle) -> bool {
+        self.cycle = now;
+        self.staged.clear();
+        self.staged_drops.clear();
         self.stats.simulated_cycles += 1;
         self.stats.last_cycle = now;
+        let busy = self.buffered_flits() > 0;
+        self.stats.busy_cycles += busy as u64;
+        busy
     }
 
-    /// The cached head-flit snapshot for `(ingress port, vc)`, filtered by the
-    /// visibility timestamp exactly like `VcBuffer::peek(now)`.
+    /// The cached head flit of VC `b`, if it is visible by `now` (the same
+    /// filter as `VcBuffer::peek(now)`).
     #[inline]
-    pub(crate) fn cached_head(&self, port: usize, vc: usize, now: Cycle) -> Option<Flit> {
-        self.head_cache[self.ingress_offsets[port] + vc].filter(|f| f.visible_at <= now)
+    fn head(&self, b: usize, now: Cycle) -> Option<&Flit> {
+        self.head_cache[b].as_ref().filter(|f| f.visible_at <= now)
     }
 
-    fn route_computation<R: Rng>(
-        &mut self,
-        now: Cycle,
-        rng: &mut R,
-        mut tracer: Option<&mut TraceRing>,
-    ) {
-        let mut candidates = std::mem::take(&mut self.route_scratch);
-        for p in 0..self.ingress.len() {
-            for v in 0..self.ingress[p].vcs.len() {
-                if self.ingress[p].state[v] != VcState::Idle {
-                    continue;
-                }
-                let Some(flit) = self.cached_head(p, v, now) else {
-                    continue;
-                };
-                if !flit.is_head() {
-                    // A body flit at the head of an idle VC can only happen if
-                    // the packet was dropped upstream; discard it.
-                    self.ingress[p].state[v] = VcState::Dropping;
-                    continue;
-                }
-                let prev = self.ingress[p].upstream;
-                self.routing
-                    .candidates_into(self.node, prev, flit.flow, flit.dst, &mut candidates);
-                if candidates.is_empty() {
-                    self.stats.routing_failures += 1;
-                    self.ingress[p].state[v] = VcState::Dropping;
-                    continue;
-                }
-                let choice = if self.routing.is_adaptive() && candidates.len() > 1 {
-                    // Adaptive: pick the candidate with the most free space in
-                    // its downstream buffers; break ties randomly.
-                    let mut best_idx = 0usize;
-                    let mut best_key = (u64::MIN, 0u64);
-                    for (i, c) in candidates.iter().enumerate() {
-                        let free: u64 = if c.next_node == self.node {
-                            u64::MAX
-                        } else {
-                            let e = self.egress_of(c.next_node);
-                            self.egress[e]
-                                .buffers
-                                .iter()
-                                .map(|b| b.free_space() as u64)
-                                .sum()
-                        };
-                        let tiebreak = rng.gen::<u64>();
-                        if (free, tiebreak) > best_key || i == 0 {
-                            best_key = (free, tiebreak);
-                            best_idx = i;
-                        }
-                    }
-                    candidates[best_idx]
-                } else {
-                    pick_weighted(rng, &candidates, |c| c.weight)
-                };
-                let egress = if choice.next_node == self.node {
-                    self.ejection_port
-                } else {
-                    self.egress_of(choice.next_node)
-                };
-                self.ingress[p].state[v] = VcState::Routed {
-                    egress,
-                    next_flow: choice.next_flow,
-                };
-                if let Some(t) = tracer.as_deref_mut() {
-                    t.record(TraceEvent {
-                        cycle: now,
-                        node: self.node.raw(),
-                        kind: TraceKind::FlitRoute,
-                        a: flit.packet.raw(),
-                        b: egress as u64,
-                    });
-                }
-            }
+    /// SA, first half, for VC `b`: if it has a visible flit to move, queues
+    /// it in `s` for [`sa_grant`](Self::sa_grant) (Active) or stages its
+    /// discard (Dropping). Changes no VC state.
+    #[inline]
+    pub(crate) fn sa_gather(&mut self, s: &mut StageScratch, b: usize, now: Cycle) {
+        match self.vc_state[b] {
+            VcState::Active {
+                egress,
+                out_vc,
+                next_flow,
+            } if self.head(b, now).is_some() => s.sa.push(StagedMove {
+                vc: b,
+                egress,
+                out_vc,
+                next_flow,
+            }),
+            VcState::Dropping if self.head(b, now).is_some() => self.staged_drops.push(b),
+            _ => {}
         }
-        self.route_scratch = candidates;
     }
 
-    fn vc_allocation<R: Rng>(&mut self, now: Cycle, rng: &mut R) {
-        let mut downstream = std::mem::take(&mut self.downstream_scratch);
-        let mut candidates = std::mem::take(&mut self.vca_scratch);
-        for p in 0..self.ingress.len() {
-            for v in 0..self.ingress[p].vcs.len() {
-                let VcState::Routed { egress, next_flow } = self.ingress[p].state[v] else {
-                    continue;
-                };
-                let Some(flit) = self.cached_head(p, v, now) else {
-                    continue;
-                };
-                self.stats.activity.arbitrations += 1;
-                if egress == self.ejection_port {
-                    self.ingress[p].state[v] = VcState::Active {
-                        egress,
-                        out_vc: 0,
-                        next_flow,
-                    };
-                    continue;
-                }
-                downstream.clear();
-                {
-                    let e = &self.egress[egress];
-                    for (i, b) in e.buffers.iter().enumerate() {
-                        let occupancy = b.occupancy();
-                        downstream.push(DownstreamVc {
-                            vc: VcId::new(i as u16),
-                            free_for_allocation: e.out_state[i].owner.is_none(),
-                            occupancy,
-                            capacity: b.capacity(),
-                            resident_flow: if occupancy > 0 || e.out_state[i].owner.is_some() {
-                                e.out_state[i].resident_flow
-                            } else {
-                                None
-                            },
-                        });
-                    }
-                }
-                let req = VcaRequest {
-                    prev: self.ingress[p].upstream,
-                    flow: flit.flow,
-                    next: self.egress[egress].downstream,
-                    next_flow,
-                };
-                self.vca.candidates_into(&req, &downstream, &mut candidates);
-                if candidates.is_empty() {
-                    continue; // wait in the VA stage
-                }
-                let (vc_id, _) = pick_weighted(rng, &candidates, |c| c.1);
-                let out_vc = vc_id.index();
-                self.egress[egress].out_state[out_vc].owner = Some(flit.packet);
-                self.egress[egress].out_state[out_vc].resident_flow = Some(next_flow);
-                self.ingress[p].state[v] = VcState::Active {
-                    egress,
-                    out_vc,
-                    next_flow,
-                };
-            }
-        }
-        self.downstream_scratch = downstream;
-        self.vca_scratch = candidates;
-    }
-
-    fn switch_arbitration<R: Rng>(&mut self, now: Cycle, rng: &mut R) {
-        // Gather the VCs that are ready to move a flit this cycle.
-        let mut candidates = std::mem::take(&mut self.sa_candidates);
-        candidates.clear();
-        for p in 0..self.ingress.len() {
-            for v in 0..self.ingress[p].vcs.len() {
-                match self.ingress[p].state[v] {
-                    VcState::Active {
-                        egress,
-                        out_vc,
-                        next_flow,
-                    } if self.cached_head(p, v, now).is_some() => {
-                        candidates.push(SaCandidate {
-                            ingress: p,
-                            vc: v,
-                            egress,
-                            out_vc,
-                            next_flow,
-                        });
-                    }
-                    VcState::Dropping if self.cached_head(p, v, now).is_some() => {
-                        self.staged_drops.push((p, v));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if candidates.is_empty() {
-            self.sa_candidates = candidates;
+    /// SA, second half, once per tile: considers the gathered candidates in
+    /// random order (to break ties fairly) and stages a move for each one
+    /// that finds ingress bandwidth, egress bandwidth and a downstream
+    /// credit. Leaves `s` empty for the next tile. Changes no VC state.
+    pub(crate) fn sa_grant<R: Rng>(&mut self, s: &mut StageScratch, rng: &mut R) {
+        if s.sa.is_empty() {
             return;
         }
-        self.stats.activity.arbitrations += candidates.len() as u64;
-
-        // Randomize consideration order to break ties fairly.
-        for i in (1..candidates.len()).rev() {
+        self.stats.activity.arbitrations += s.sa.len() as u64;
+        for i in (1..s.sa.len()).rev() {
             let j = rng.gen_range(0..=i);
-            candidates.swap(i, j);
+            s.sa.swap(i, j);
         }
 
         let ingress_bw = self.cfg.link_bandwidth.max(1);
-        self.ingress_granted.iter_mut().for_each(|g| *g = 0);
-        self.egress_granted.iter_mut().for_each(|g| *g = 0);
+        s.ingress_granted.fill(0);
+        s.egress_granted.fill(0);
         // New generation: every staged-per-buffer entry is logically zero.
-        self.staged_gen += 1;
+        s.staged_gen += 1;
+        for c in s.sa.drain(..) {
+            let ingress = self.vc_port[c.vc];
+            if s.ingress_granted[ingress] >= ingress_bw
+                || s.egress_granted[c.egress] >= self.egress_bandwidth(c.egress)
+            {
+                continue;
+            }
+            let key = c.egress * s.stride + c.out_vc;
+            let already = if s.staged_stamp[key] == s.staged_gen {
+                s.staged_count[key]
+            } else {
+                0
+            };
+            if c.egress != self.ejection_port
+                && self.egress[c.egress].buffers[c.out_vc].free_space() <= already as usize
+            {
+                continue; // no downstream credit
+            }
+            s.ingress_granted[ingress] += 1;
+            s.egress_granted[c.egress] += 1;
+            s.staged_stamp[key] = s.staged_gen;
+            s.staged_count[key] = already + 1;
+            self.staged.push(c);
+        }
+    }
 
-        for c in &candidates {
-            if self.ingress_granted[c.ingress] >= ingress_bw {
-                continue;
-            }
-            let egress_bw = self.egress_bandwidth(c.egress);
-            if self.egress_granted[c.egress] >= egress_bw {
-                continue;
-            }
-            let key = c.egress * self.max_out_vcs + c.out_vc;
-            if c.egress != self.ejection_port {
-                let already = if self.staged_stamp[key] == self.staged_gen {
-                    self.staged_count[key] as usize
-                } else {
-                    0
-                };
-                if self.egress[c.egress].buffers[c.out_vc].free_space() <= already {
-                    continue; // no downstream credit
+    /// VA for VC `b`: a Routed packet with a visible head flit asks the VCA
+    /// policy for a next-hop VC and, if one is free, becomes Active (returned).
+    /// Otherwise it waits in the VA stage.
+    ///
+    /// `built` has a bit per egress port whose downstream snapshot in `s` is
+    /// current; pass the same word, starting from 0, to every call of one
+    /// tile's sweep. Snapshots are stable for the whole positive edge (buffers
+    /// move only at the negative edge) except for the `out_state` grants made
+    /// here, which clear the port's bit — so the many Routed heads that retry
+    /// one congested port share a single build.
+    #[inline]
+    pub(crate) fn va<R: Rng>(
+        &mut self,
+        s: &mut StageScratch,
+        built: &mut u64,
+        b: usize,
+        now: Cycle,
+        rng: &mut R,
+    ) -> Option<VcState> {
+        let VcState::Routed { egress, next_flow } = self.vc_state[b] else {
+            return None;
+        };
+        let head = self.head(b, now)?;
+        let (flow, packet) = (head.flow, head.packet);
+        self.stats.activity.arbitrations += 1;
+        let mut out_vc = 0;
+        if egress != self.ejection_port {
+            let e = &self.egress[egress];
+            let lo = egress * s.stride;
+            // Ports past the 64th are simply rebuilt every time.
+            let memo = 1u64.checked_shl(egress as u32).unwrap_or(0);
+            if *built & memo == 0 {
+                *built |= memo;
+                for (i, buf) in e.buffers.iter().enumerate() {
+                    let occupancy = buf.occupancy();
+                    s.downstream[lo + i] = DownstreamVc {
+                        vc: VcId::new(i as u16),
+                        free_for_allocation: e.out_state[i].owner.is_none(),
+                        occupancy,
+                        capacity: buf.capacity(),
+                        resident_flow: if occupancy > 0 || e.out_state[i].owner.is_some() {
+                            e.out_state[i].resident_flow
+                        } else {
+                            None
+                        },
+                    };
                 }
             }
-            self.ingress_granted[c.ingress] += 1;
-            self.egress_granted[c.egress] += 1;
-            if self.staged_stamp[key] == self.staged_gen {
-                self.staged_count[key] += 1;
-            } else {
-                self.staged_stamp[key] = self.staged_gen;
-                self.staged_count[key] = 1;
+            let req = VcaRequest {
+                prev: self.port_nodes[self.vc_port[b]],
+                flow,
+                next: e.downstream,
+                next_flow,
+            };
+            let snapshot = &s.downstream[lo..lo + e.buffers.len()];
+            self.vca.candidates_into(&req, snapshot, &mut s.vca);
+            if s.vca.is_empty() {
+                return None;
             }
-            self.staged.push(StagedMove {
-                ingress: c.ingress,
-                vc: c.vc,
-                egress: c.egress,
-                out_vc: c.out_vc,
-                next_flow: c.next_flow,
-            });
+            out_vc = pick_weighted(rng, &s.vca, |c| c.1).0.index();
+            let out = &mut self.egress[egress].out_state[out_vc];
+            out.owner = Some(packet);
+            out.resident_flow = Some(next_flow);
+            *built &= !memo;
         }
-        self.sa_candidates = candidates;
+        let state = VcState::Active {
+            egress,
+            out_vc,
+            next_flow,
+        };
+        self.vc_state[b] = state;
+        Some(state)
+    }
+
+    /// RC for VC `b`: an Idle VC with a visible flit at its head binds the
+    /// packet to an egress port (Routed), or starts discarding it (Dropping)
+    /// when it cannot be routed. Returns the new state.
+    #[inline]
+    pub(crate) fn rc<R: Rng>(
+        &mut self,
+        s: &mut StageScratch,
+        b: usize,
+        now: Cycle,
+        rng: &mut R,
+        tracer: Option<&mut TraceRing>,
+    ) -> Option<VcState> {
+        if self.vc_state[b] != VcState::Idle {
+            return None;
+        }
+        let head = self.head(b, now)?;
+        let (is_head, flow, dst, packet) = (head.is_head(), head.flow, head.dst, head.packet);
+        let state = 'route: {
+            if !is_head {
+                // A body flit at the head of an idle VC can only happen if
+                // the packet was dropped upstream; discard it.
+                break 'route VcState::Dropping;
+            }
+            let prev = self.port_nodes[self.vc_port[b]];
+            self.routing
+                .candidates_into(self.node, prev, flow, dst, &mut s.routes);
+            if s.routes.is_empty() {
+                self.stats.routing_failures += 1;
+                break 'route VcState::Dropping;
+            }
+            let choice = if self.routing.is_adaptive() && s.routes.len() > 1 {
+                // Adaptive: pick the candidate with the most free space in
+                // its downstream buffers; break ties randomly.
+                let mut best_idx = 0usize;
+                let mut best_key = (u64::MIN, 0u64);
+                for (i, c) in s.routes.iter().enumerate() {
+                    let free: u64 = if c.next_node == self.node {
+                        u64::MAX
+                    } else {
+                        let e = self.egress_of(c.next_node);
+                        self.egress[e]
+                            .buffers
+                            .iter()
+                            .map(|b| b.free_space() as u64)
+                            .sum()
+                    };
+                    let tiebreak = rng.gen::<u64>();
+                    if (free, tiebreak) > best_key || i == 0 {
+                        best_key = (free, tiebreak);
+                        best_idx = i;
+                    }
+                }
+                s.routes[best_idx]
+            } else {
+                pick_weighted(rng, &s.routes, |c| c.weight)
+            };
+            let egress = if choice.next_node == self.node {
+                self.ejection_port
+            } else {
+                self.egress_of(choice.next_node)
+            };
+            if let Some(t) = tracer {
+                t.record(TraceEvent {
+                    cycle: now,
+                    node: self.node.raw(),
+                    kind: TraceKind::FlitRoute,
+                    a: packet.raw(),
+                    b: egress as u64,
+                });
+            }
+            VcState::Routed {
+                egress,
+                next_flow: choice.next_flow,
+            }
+        };
+        self.vc_state[b] = state;
+        Some(state)
     }
 
     /// Negative clock edge: apply the staged flit movements — pop the granted
@@ -781,72 +805,100 @@ impl Router {
     /// flits, and publish link demand for bandwidth-adaptive links.
     pub fn negedge(&mut self, now: Cycle) {
         for i in 0..self.staged.len() {
-            let m = self.staged[i];
-            let Some(mut flit) = self.ingress[m.ingress].vcs[m.vc].pop_if(now, |_| true) else {
-                continue;
-            };
-            self.stats.activity.buffer_reads += 1;
-            self.stats.activity.crossbar_transits += 1;
-
-            // Accumulate the residence time at this node into the flit itself.
-            let departure = now + 1;
-            flit.stats.accumulated_latency +=
-                departure.saturating_sub(flit.stats.arrived_at_current);
-            flit.stats.arrived_at_current = departure;
-            flit.flow = m.next_flow;
-            flit.visible_at = departure;
-
-            let is_tail = flit.is_tail();
-            if m.egress == self.ejection_port {
-                self.stats.total_flit_latency += flit.stats.accumulated_latency;
-                self.stats.delivered_flits += 1;
-                self.delivered.push(flit);
-            } else {
-                flit.stats.hops += 1;
-                self.stats.activity.link_flits += 1;
-                if !self.egress[m.egress].buffers[m.out_vc].push(flit) {
-                    // Credit checking should make this impossible; record it
-                    // as a routing failure so tests can detect flow-control
-                    // bugs rather than silently losing flits.
-                    self.stats.routing_failures += 1;
-                }
-                if is_tail {
-                    self.egress[m.egress].out_state[m.out_vc].owner = None;
-                }
-            }
-            if is_tail {
-                self.ingress[m.ingress].state[m.vc] = VcState::Idle;
-            }
+            self.apply_move(self.staged[i], now);
         }
         self.staged.clear();
-
-        // Discard flits of packets that could not be routed.
         for i in 0..self.staged_drops.len() {
-            let (p, v) = self.staged_drops[i];
-            if let Some(flit) = self.ingress[p].vcs[v].pop_if(now, |_| true) {
-                self.stats.activity.buffer_reads += 1;
-                if flit.is_tail() {
-                    self.ingress[p].state[v] = VcState::Idle;
-                }
-            }
+            self.apply_drop(self.staged_drops[i], now);
         }
         self.staged_drops.clear();
 
         // Publish demand on bandwidth-adaptive links for the next cycle.
-        for e in 0..self.egress.len() {
-            if let Some((link, dir)) = &self.egress[e].bidir {
-                let mut demand = 0u32;
-                for p in 0..self.ingress.len() {
-                    for v in 0..self.ingress[p].vcs.len() {
-                        if let VcState::Active { egress, .. } = self.ingress[p].state[v] {
-                            if egress == e && self.ingress[p].vcs[v].occupancy() > 0 {
-                                demand += 1;
-                            }
-                        }
-                    }
-                }
-                link.publish_demand(*dir, demand);
+        for (e, port) in self.egress.iter().enumerate() {
+            if let Some((link, dir)) = &port.bidir {
+                let demand = (self.vc_state.iter().zip(&self.vcs))
+                    .filter(|(state, vc)| {
+                        matches!(state, VcState::Active { egress, .. } if *egress == e)
+                            && vc.occupancy() > 0
+                    })
+                    .count();
+                link.publish_demand(*dir, demand as u32);
             }
+        }
+    }
+
+    /// Pops VC `b`'s head flit and refreshes the cached head in place: the
+    /// successor flit, if any, is already absorbed (pops never move the
+    /// absorb boundary), so the snapshot stays valid without a re-peek.
+    fn pop(&mut self, b: usize, now: Cycle) -> Option<Flit> {
+        let flit = self.vcs[b].pop_if(now, |_| true)?;
+        self.head_cache[b] = self.vcs[b].head_snapshot();
+        self.stats.activity.buffer_reads += 1;
+        Some(flit)
+    }
+
+    /// Negative edge, one staged move: the flit crosses the crossbar into its
+    /// downstream channel (or the local delivery queue); a tail flit releases
+    /// the downstream VC and returns the ingress VC to Idle.
+    pub(crate) fn apply_move(&mut self, m: StagedMove, now: Cycle) -> Applied {
+        let Some(mut flit) = self.pop(m.vc, now) else {
+            return Applied::default();
+        };
+        self.stats.activity.crossbar_transits += 1;
+
+        // Accumulate the residence time at this node into the flit itself.
+        let departure = now + 1;
+        flit.stats.accumulated_latency += departure.saturating_sub(flit.stats.arrived_at_current);
+        flit.stats.arrived_at_current = departure;
+        flit.flow = m.next_flow;
+        flit.visible_at = departure;
+
+        let idle = flit.is_tail();
+        let mut pushed = None;
+        if m.egress == self.ejection_port {
+            self.stats.total_flit_latency += flit.stats.accumulated_latency;
+            self.stats.delivered_flits += 1;
+            self.delivered.push(flit);
+        } else {
+            flit.stats.hops += 1;
+            self.stats.activity.link_flits += 1;
+            let port = &mut self.egress[m.egress];
+            if port.buffers[m.out_vc].push(flit) {
+                pushed = Some((m.egress, m.out_vc));
+            } else {
+                // Credit checking should make this impossible; record it
+                // as a routing failure so tests can detect flow-control
+                // bugs rather than silently losing flits.
+                self.stats.routing_failures += 1;
+            }
+            if idle {
+                port.out_state[m.out_vc].owner = None;
+            }
+        }
+        if idle {
+            self.vc_state[m.vc] = VcState::Idle;
+        }
+        Applied {
+            head_empty: self.head_cache[m.vc].is_none(),
+            idle,
+            pushed,
+        }
+    }
+
+    /// Negative edge, one staged drop: discards the head flit of an
+    /// unroutable packet; its tail returns the VC to Idle.
+    pub(crate) fn apply_drop(&mut self, b: usize, now: Cycle) -> Applied {
+        let Some(flit) = self.pop(b, now) else {
+            return Applied::default();
+        };
+        let idle = flit.is_tail();
+        if idle {
+            self.vc_state[b] = VcState::Idle;
+        }
+        Applied {
+            head_empty: self.head_cache[b].is_none(),
+            idle,
+            pushed: None,
         }
     }
 
@@ -856,11 +908,11 @@ impl Router {
     #[cfg(test)]
     fn scratch_fingerprint(&self) -> [usize; 7] {
         [
-            self.sa_candidates.as_ptr() as usize,
-            self.route_scratch.as_ptr() as usize,
-            self.downstream_scratch.as_ptr() as usize,
-            self.vca_scratch.as_ptr() as usize,
-            self.staged_count.as_ptr() as usize,
+            self.scratch.sa.as_ptr() as usize,
+            self.scratch.routes.as_ptr() as usize,
+            self.scratch.downstream.as_ptr() as usize,
+            self.scratch.vca.as_ptr() as usize,
+            self.scratch.staged_count.as_ptr() as usize,
             self.head_cache.as_ptr() as usize,
             self.staged.as_ptr() as usize,
         ]
@@ -930,12 +982,12 @@ impl Router {
         debug_assert!(self.staged.is_empty(), "snapshot mid-cycle");
         e.u64(self.cycle);
         codec::encode_stats(e, &self.stats);
-        e.u32(self.ingress.len() as u32);
-        for port in &self.ingress {
-            e.u32(port.vcs.len() as u32);
-            for (vc, state) in port.vcs.iter().zip(&port.state) {
-                vc_state_snapshot(e, state);
-                let (visible, pending) = vc.snapshot_split();
+        e.u32(self.port_nodes.len() as u32);
+        for port in self.ingress_offsets.windows(2) {
+            e.u32((port[1] - port[0]) as u32);
+            for b in port[0]..port[1] {
+                vc_state_snapshot(e, &self.vc_state[b]);
+                let (visible, pending) = self.vcs[b].snapshot_split();
                 e.u32(visible.len() as u32);
                 for f in &visible {
                     codec::encode_flit(e, f);
@@ -981,25 +1033,25 @@ impl Router {
     pub fn restore(&mut self, d: &mut Dec) -> std::io::Result<()> {
         self.cycle = d.u64()?;
         self.stats = codec::decode_stats(d)?;
-        if d.u32()? as usize != self.ingress.len() {
+        if d.u32()? as usize != self.port_nodes.len() {
             return Err(corrupt("ingress port count mismatch"));
         }
-        for port in &mut self.ingress {
-            if d.u32()? as usize != port.vcs.len() {
+        for port in self.ingress_offsets.windows(2) {
+            if d.u32()? as usize != port[1] - port[0] {
                 return Err(corrupt("ingress VC count mismatch"));
             }
-            for (vc, state) in port.vcs.iter().zip(port.state.iter_mut()) {
-                *state = vc_state_restore(d)?;
+            for b in port[0]..port[1] {
+                self.vc_state[b] = vc_state_restore(d)?;
                 let visible = (0..d.u32()?)
                     .map(|_| codec::decode_flit(d))
                     .collect::<std::io::Result<Vec<_>>>()?;
                 let pending = (0..d.u32()?)
                     .map(|_| codec::decode_flit(d))
                     .collect::<std::io::Result<Vec<_>>>()?;
-                if visible.len() + pending.len() > vc.capacity() {
+                if visible.len() + pending.len() > self.vcs[b].capacity() {
                     return Err(corrupt("VC snapshot exceeds buffer capacity"));
                 }
-                vc.restore_split(&visible, &pending);
+                self.vcs[b].restore_split(&visible, &pending);
             }
         }
         if d.u32()? as usize != self.egress.len() {
@@ -1029,11 +1081,7 @@ impl Router {
 
 /// Picks one item from a weighted list using the provided RNG. Falls back to
 /// the first item if all weights are zero or non-finite.
-pub(crate) fn pick_weighted<R: Rng, T: Copy>(
-    rng: &mut R,
-    items: &[T],
-    weight: impl Fn(&T) -> f64,
-) -> T {
+fn pick_weighted<R: Rng, T: Copy>(rng: &mut R, items: &[T], weight: impl Fn(&T) -> f64) -> T {
     assert!(!items.is_empty(), "cannot pick from an empty candidate set");
     if items.len() == 1 {
         return items[0];

@@ -21,12 +21,11 @@ pub use table::{NextHop, RoutingTable};
 
 use crate::geometry::Geometry;
 use crate::ids::{FlowId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// A flow that the routing tables must be able to carry: a (source,
 /// destination) pair plus its canonical flow identifier.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub struct FlowSpec {
     /// Canonical (phase-0) flow identifier.
     pub flow: FlowId,
@@ -62,7 +61,7 @@ impl FlowSpec {
 }
 
 /// The routing algorithm families available out of the box (paper §II-A2).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum RoutingKind {
     /// Dimension-ordered XY routing.
     Xy,

@@ -1,14 +1,13 @@
 //! The per-node routing table: `⟨prev node, flow⟩ → {⟨next node, next flow, weight⟩}`.
 
 use crate::ids::{FlowId, NodeId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One weighted next-hop option returned by a routing-table lookup.
 ///
 /// `next_node == <current node>` denotes delivery to the locally attached
 /// agent (the packet has reached its destination).
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct NextHop {
     /// Node to forward the packet to (or the current node, for delivery).
     pub next_node: NodeId,
@@ -23,7 +22,7 @@ pub struct NextHop {
 /// Lookups are addressed by `⟨previous node, flow⟩`; the previous node of a
 /// locally injected packet is the node itself, exactly as in the paper's
 /// example for XY routing.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct RoutingTable {
     entries: HashMap<(NodeId, FlowId), Vec<NextHop>>,
 }

@@ -7,12 +7,11 @@
 //! network-wide report.
 
 use crate::ids::{Cycle, FlowId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Event counters that also drive the dynamic power model (buffer accesses,
 /// crossbar transits, link traversals, arbitration operations).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RouterActivity {
     /// Flits written into a VC buffer.
     pub buffer_writes: u64,
@@ -38,7 +37,7 @@ impl RouterActivity {
 }
 
 /// Per-flow delivery record.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FlowRecord {
     /// Packets delivered for this flow.
     pub packets: u64,
@@ -49,9 +48,10 @@ pub struct FlowRecord {
 }
 
 /// Statistics kept by one tile (router + attached agents).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NetworkStats {
-    /// Packets offered by traffic generators.
+    /// Packets agents handed to the tile for sending (`NodeIo::send`), whether
+    /// or not they have entered the network yet.
     pub offered_packets: u64,
     /// Packets whose first flit entered a router ingress buffer.
     pub injected_packets: u64,

@@ -8,12 +8,11 @@
 //! policies evaluated against a snapshot of the downstream VC state.
 
 use crate::ids::{FlowId, NodeId, VcId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The VC-allocation schemes available out of the box (paper §II-A3).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum VcAllocKind {
     /// Dynamic VCA: any free VC, chosen uniformly at random.
     Dynamic,
@@ -57,7 +56,7 @@ impl std::fmt::Display for VcAllocKind {
 type VcaKey = (NodeId, FlowId, NodeId, FlowId);
 
 /// An explicit VCA table: `⟨prev, flow, next, next flow⟩ → {(vc, weight)}`.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct VcaTable {
     entries: HashMap<VcaKey, Vec<(VcId, f64)>>,
 }
@@ -110,7 +109,7 @@ impl VcaTable {
 }
 
 /// Snapshot of one downstream (next-hop) VC as seen by the allocating router.
-#[derive(Copy, Clone, Debug, PartialEq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct DownstreamVc {
     /// The VC index.
     pub vc: VcId,

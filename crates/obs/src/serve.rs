@@ -716,7 +716,7 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<(u16, String)> {
 }
 
 /// A parsed JSON value — just enough for `hornet-dist watch` and the tests
-/// to consume `/status` without a serde dependency.
+/// to consume `/status` without an external JSON crate.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.

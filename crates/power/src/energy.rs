@@ -13,10 +13,9 @@
 //! thermal model and power-aware experiments can consume.
 
 use hornet_net::stats::RouterActivity;
-use serde::{Deserialize, Serialize};
 
 /// Technology / configuration parameters of the power model.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct PowerConfig {
     /// Flit width in bits.
     pub flit_bits: u32,
@@ -93,7 +92,7 @@ impl PowerConfig {
 }
 
 /// A power sample for one router over one measurement interval.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq)]
 pub struct PowerSample {
     /// Dynamic power, in watts.
     pub dynamic_w: f64,
@@ -113,7 +112,7 @@ impl PowerSample {
 }
 
 /// The per-router energy model.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct RouterPowerModel {
     config: PowerConfig,
 }

@@ -7,10 +7,8 @@
 //! transient temperature response; running the transient model to convergence
 //! with constant power yields the steady-state map used in Figure 14.
 
-use serde::{Deserialize, Serialize};
-
 /// Thermal parameters of the floorplan.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient (heat-sink) temperature, in °C.
     pub ambient_c: f64,
@@ -42,7 +40,7 @@ impl Default for ThermalConfig {
 }
 
 /// The RC grid and its current temperatures.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThermalGrid {
     config: ThermalConfig,
     width: usize,
@@ -174,7 +172,7 @@ impl ThermalGrid {
 /// Sensors are expensive, so designers place only a few; the question the
 /// paper investigates (§IV-E) is where to put them so the reading tracks the
 /// true hotspot.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SensorPlacement {
     /// Tile indices carrying a sensor.
     pub positions: Vec<usize>,

@@ -8,10 +8,9 @@
 use hornet_net::geometry::Geometry;
 use hornet_net::ids::{Cycle, NodeId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic destination pattern.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SyntheticPattern {
     /// Destination = transpose of the source's (x, y) mesh coordinates.
     Transpose,
@@ -156,7 +155,7 @@ impl SyntheticPattern {
 }
 
 /// When packets are offered to the network.
-#[derive(Copy, Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq)]
 pub enum InjectionProcess {
     /// Each cycle, inject a packet with the given probability.
     Bernoulli {
@@ -279,7 +278,7 @@ impl InjectionProcess {
 /// Mutable state carried between calls to
 /// [`InjectionProcess::injections_at`]. Currently only needed by stateful
 /// processes added in the future; kept so the interface is stable.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProcessState {
     /// Packets injected so far.
     pub injected: u64,

@@ -29,11 +29,10 @@ use hornet_net::ids::{Cycle, FlowId, NodeId};
 use hornet_net::routing::FlowSpec;
 use rand::Rng;
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The synthesized benchmarks.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SplashBenchmark {
     /// Radix sort: heavy, bursty, memory-controller-hungry.
     Radix,
@@ -169,7 +168,7 @@ impl std::fmt::Display for SplashBenchmark {
 }
 
 /// The tunable traffic profile of a synthesized workload.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadProfile {
     /// Offered load (packets/node/cycle) during quiet phases.
     pub base_rate: f64,

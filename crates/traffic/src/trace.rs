@@ -11,11 +11,10 @@ use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::flit::Packet;
 use hornet_net::ids::{Cycle, FlowId, NodeId};
 use rand_chacha::ChaCha12Rng;
-use serde::{Deserialize, Serialize};
 use std::str::FromStr;
 
 /// One injection event of a trace.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Cycle at which the packet is offered to the network.
     pub timestamp: Cycle,
@@ -102,7 +101,7 @@ impl FromStr for TraceEvent {
 }
 
 /// A complete trace: a list of injection events, sorted by timestamp.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Trace {
     events: Vec<TraceEvent>,
 }
