@@ -73,8 +73,8 @@ pub struct EngineConfig {
     /// Whether to run tiles through the compiled SoA cycle kernel
     /// ([`hornet_net::kernel::MeshKernel`]). The kernel is bit-identical to
     /// the per-router interpreter; configurations it cannot specialize
-    /// (adaptive routing, bidirectional links, >64 VCs per tile) silently
-    /// fall back to the interpreter.
+    /// (bidirectional links, >64 VCs per tile) silently fall back to the
+    /// interpreter. Every routing algorithm, adaptive included, compiles.
     pub kernel: KernelMode,
 }
 

@@ -6,14 +6,18 @@
 //!
 //! Covered here:
 //! * property-tested equivalence over random mesh sizes, injection rates,
-//!   seeds, thread counts and (bit-exact) synchronization modes;
+//!   seeds, thread counts, (bit-exact) synchronization modes and routing
+//!   kinds — table-driven XY and congestion-aware `AdaptiveMinimal`, whose
+//!   RC stage probes downstream free space and draws tie-breaks from the
+//!   tile's RNG;
 //! * loose synchronization: same functional outcome (every offered packet
 //!   delivered once, same hop counts) with either execution path;
 //! * mid-run snapshot/restore: a kernel run cut at an arbitrary cycle and
 //!   resumed must still match an uninterrupted interpreter run;
-//! * fallback: configurations the kernel cannot specialize (adaptive
-//!   routing, bidirectional links) silently select the interpreter, even
-//!   under [`KernelMode::Force`], and still produce identical results;
+//! * fallback: the structural configurations the kernel cannot specialize
+//!   (bidirectional links, more than 64 VCs on one tile) silently select the
+//!   interpreter, even under [`KernelMode::Force`], and still produce
+//!   identical results — routing is never such a configuration;
 //! * one engine switched between thread counts mid-run: the network's
 //!   persistent kernel is rebuilt whenever its tiles were lent out;
 //! * unroutable packets: the `Dropping` path, which ordinary traffic never
@@ -47,6 +51,8 @@ struct Case {
     height: usize,
     routing: RoutingKind,
     bidirectional: bool,
+    /// VCs per ingress port, injection port included.
+    vcs_per_port: usize,
     /// Leave every third source's flow out of the routing tables, so its
     /// packets fail route computation and are discarded.
     unroutable: bool,
@@ -62,6 +68,7 @@ impl Case {
             height,
             routing: RoutingKind::Xy,
             bidirectional: false,
+            vcs_per_port: 4,
             unroutable: false,
             seed,
             rate,
@@ -79,6 +86,7 @@ impl Case {
         let cfg = NetworkConfig::new((*geometry).clone())
             .with_routing(self.routing)
             .with_vca(VcAllocKind::Dynamic)
+            .with_vcs(self.vcs_per_port, 4)
             .with_bidirectional_links(self.bidirectional)
             .with_flows(flows);
         let mut network = Network::new(&cfg, self.seed).expect("valid config");
@@ -132,10 +140,11 @@ impl Case {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// The headline property: over random mesh shapes, loads, seeds, thread
-    /// counts and bit-exact sync modes, forcing the kernel and forcing the
+    /// counts, bit-exact sync modes and routing kinds (table-driven XY or
+    /// congestion-aware adaptive), forcing the kernel and forcing the
     /// interpreter produce identical `NetworkStats` *and* identical
     /// canonical flit traces.
     #[test]
@@ -146,17 +155,22 @@ proptest! {
         rate_pct in 1u32..12,
         threads in 1usize..5,
         sync_sel in 0u8..3,
+        adaptive in any::<bool>(),
     ) {
         let sync = match sync_sel {
             0 => SyncMode::CycleAccurate,
             1 => SyncMode::Slack(0),
             _ => SyncMode::Periodic(1),
         };
-        let case = Case::mesh(width, height, seed, f64::from(rate_pct) / 100.0);
+        let routing = if adaptive { RoutingKind::AdaptiveMinimal } else { RoutingKind::Xy };
+        let case = Case {
+            routing,
+            ..Case::mesh(width, height, seed, f64::from(rate_pct) / 100.0)
+        };
         let cycles = 1_200;
         let (ks, kt) = case.run(threads, sync, KernelMode::Force, cycles);
         let (is, it) = case.run(threads, sync, KernelMode::Off, cycles);
-        prop_assert_eq!(&ks, &is, "stats diverge ({threads} threads, {sync:?})");
+        prop_assert_eq!(&ks, &is, "stats diverge ({threads} threads, {sync:?}, {routing:?})");
         prop_assert_eq!(kt.events.len(), it.events.len(), "trace length diverges");
         prop_assert_eq!(kt.dropped, 0, "trace ring overflowed; grow TRACE_CAPACITY");
         prop_assert_eq!(kt, it, "canonical flit traces diverge");
@@ -192,16 +206,26 @@ fn loose_sync_kernel_matches_interpreter_functionally() {
 /// is exactly the interpreter's snapshot.
 #[test]
 fn kernel_snapshot_roundtrip_matches_uninterrupted_interpreter() {
-    let case = Case::mesh(5, 4, 913, 0.06);
+    let cases = [
+        Case::mesh(5, 4, 913, 0.06),
+        Case {
+            routing: RoutingKind::AdaptiveMinimal,
+            ..Case::mesh(5, 4, 914, 0.06)
+        },
+    ];
     let total = 1_500;
-    for cut in [1, 239, 1_499] {
+    for (case, cut) in cases
+        .iter()
+        .flat_map(|c| [1, 239, 1_499].map(|cut| (c, cut)))
+    {
+        let routing = case.routing;
         let mut reference = case.network();
         reference.set_kernel_mode(KernelMode::Off);
         reference.run(total);
 
         let mut first = case.network();
         first.set_kernel_mode(KernelMode::Force);
-        assert!(first.kernel_active(), "eligible config must compile");
+        assert!(first.kernel_active(), "{routing:?} must compile");
         first.run(cut);
         let snap = first.snapshot();
 
@@ -214,7 +238,7 @@ fn kernel_snapshot_roundtrip_matches_uninterrupted_interpreter() {
         assert_eq!(
             resumed.stats(),
             reference.stats(),
-            "cut {cut}: kernel snapshot/resume must match uninterrupted interpreter"
+            "{routing:?}, cut {cut}: kernel snapshot/resume must match uninterrupted interpreter"
         );
     }
 }
@@ -225,8 +249,16 @@ fn kernel_snapshot_roundtrip_matches_uninterrupted_interpreter() {
 /// advance router state) — the third leg would otherwise step stale masks.
 #[test]
 fn switching_thread_counts_mid_run_matches_straight_sequential() {
-    let case = Case::mesh(4, 4, 57, 0.06);
-    for kernel in [KernelMode::Force, KernelMode::Off] {
+    let cases = [
+        Case::mesh(4, 4, 57, 0.06),
+        Case {
+            routing: RoutingKind::AdaptiveMinimal,
+            ..Case::mesh(4, 4, 58, 0.06)
+        },
+    ];
+    let modes = [KernelMode::Force, KernelMode::Off];
+    for (case, kernel) in cases.iter().flat_map(|c| modes.map(|k| (c, k))) {
+        let routing = case.routing;
         let (stats, trace) = case.run(1, SyncMode::CycleAccurate, kernel, 3_000);
         let mut engine = case.engine(1, SyncMode::CycleAccurate, kernel);
         for threads in [1, 2, 1] {
@@ -236,23 +268,31 @@ fn switching_thread_counts_mid_run_matches_straight_sequential() {
             });
             engine.run(1_000);
         }
-        assert_eq!(engine.stats(), stats, "{kernel:?}");
-        assert_eq!(engine.drain_trace().flit_events(), trace, "{kernel:?}");
+        assert_eq!(engine.stats(), stats, "{routing:?}, {kernel:?}");
+        assert_eq!(
+            engine.drain_trace().flit_events(),
+            trace,
+            "{routing:?}, {kernel:?}"
+        );
     }
 }
 
-/// Configurations the kernel cannot specialize fall back to the interpreter
-/// even under `Force` — silently, and with identical results.
+/// The structural configurations the kernel cannot specialize fall back to
+/// the interpreter even under `Force` — silently, and with identical results.
+/// Routing is not among them: an adaptive fabric compiles.
 #[test]
 fn exotic_configs_fall_back_to_the_interpreter() {
     let exotic = [
         Case {
-            routing: RoutingKind::AdaptiveMinimal,
-            ..Case::mesh(4, 4, 31, 0.06)
-        },
-        Case {
             bidirectional: true,
             ..Case::mesh(4, 4, 32, 0.06)
+        },
+        // 16 VCs/port: a mesh interior tile has four neighbour ports plus the
+        // injection port, 80 VCs — more than one mask word. Corner and edge
+        // tiles (48 and 64 VCs) would fit; one oversized tile disqualifies.
+        Case {
+            vcs_per_port: 16,
+            ..Case::mesh(4, 4, 34, 0.06)
         },
     ];
     for case in exotic {
@@ -271,11 +311,19 @@ fn exotic_configs_fall_back_to_the_interpreter() {
         assert_eq!(forced.stats(), interp.stats(), "fallback must be exact");
         assert!(forced.stats().injected_flits > 0, "case offered no traffic");
     }
-    // And the plain mesh really does compile, so the negative assertions
-    // above are meaningful.
-    let mut plain = Case::mesh(4, 4, 33, 0.06).network();
-    plain.set_kernel_mode(KernelMode::Force);
-    assert!(plain.kernel_active(), "plain DOR mesh must compile");
+    // And the plain meshes really do compile — whatever the routing — so the
+    // negative assertions above are meaningful.
+    for routing in [RoutingKind::Xy, RoutingKind::AdaptiveMinimal] {
+        let case = Case {
+            routing,
+            ..Case::mesh(4, 4, 33, 0.06)
+        };
+        let mut plain = case.network();
+        plain.set_kernel_mode(KernelMode::Force);
+        assert!(plain.kernel_active(), "plain {routing:?} mesh must compile");
+        plain.set_kernel_mode(KernelMode::Off);
+        assert!(!plain.kernel_active(), "Off must interpret {routing:?}");
+    }
 }
 
 /// Packets without a route are discarded flit by flit — the `Dropping` state,

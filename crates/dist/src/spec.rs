@@ -132,7 +132,8 @@ pub struct DistSpec {
     /// Per-tile event-trace ring capacity (tracing off when `None`).
     pub trace_capacity: Option<u32>,
     /// Compiled-kernel selection for the shard hot loop (bit-identical to
-    /// the interpreter either way; ineligible configurations fall back).
+    /// the interpreter either way; eligibility does not depend on
+    /// `routing` — only a tile with more than 64 VCs falls back).
     pub kernel: KernelMode,
 }
 

@@ -10,12 +10,17 @@
 //! * the same holds for the shared-memory transport and the in-process
 //!   transport (the thread-backed reference of the `BoundaryTransport`
 //!   trait);
+//! * and for adaptive routing, whose congestion probe reads a cut link's
+//!   free space through its boundary channel, with every shard on the
+//!   compiled kernel;
 //! * a distributed `ToCompletion` run stops early via coordinator-side
 //!   credit-counting termination — no barrier anywhere — and still delivers
 //!   every offered packet.
 
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
 use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
+use hornet_net::kernel::KernelMode;
+use hornet_net::routing::RoutingKind;
 use hornet_net::stats::NetworkStats;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use std::path::PathBuf;
@@ -174,6 +179,43 @@ fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
     // Functional exactness: every offered packet delivered exactly once.
     assert_eq!(slack.stats.delivered_packets, 256 * 40);
     assert_eq!(slack.stats.routing_failures, 0);
+}
+
+/// Adaptive routing across cut links: the RC probe of a tile on a shard edge
+/// reads downstream free space through the boundary channel's credit view,
+/// and every shard steps on the compiled kernel. Both the in-process shards
+/// and the worker processes must reproduce the sequential *interpreter*.
+#[cfg(unix)]
+#[test]
+fn adaptive_routing_across_cut_links_is_bit_identical() {
+    let spec = DistSpec {
+        routing: RoutingKind::AdaptiveMinimal,
+        kernel: KernelMode::Force,
+        ..spec_16x16(SyntheticPattern::Transpose, 37, 1_500)
+    };
+    let (seq, _, _) = spec.run_sequential().expect("sequential reference");
+    assert!(seq.delivered_packets > 0, "workload must deliver traffic");
+    let mut interp = spec.build_network().expect("valid spec");
+    interp.set_kernel_mode(KernelMode::Off);
+    interp.run(1_500);
+    assert_eq!(seq, interp.stats(), "sequential reference vs interpreter");
+
+    let threaded = run_threaded(&spec, 4).expect("threaded run");
+    assert_eq!(threaded.shards, 4);
+    assert_bit_identical(&seq, &threaded.stats, "adaptive, 4 in-proc shards");
+
+    let outcome = run_distributed(
+        &spec,
+        &HostOptions {
+            workers: 2,
+            transport: TransportKind::UnixSocket,
+            worker_cmd: Some(worker_bin()),
+            ..HostOptions::default()
+        },
+    )
+    .expect("distributed run");
+    assert_eq!(outcome.shards, 2);
+    assert_bit_identical(&seq, &outcome.stats, "adaptive, 2-process unix");
 }
 
 /// Checkpointing alone (no crash) must not perturb the simulation: the

@@ -40,12 +40,15 @@
 //! tiles is safe because positive-edge cross-tile reads (occupancy, free
 //! space) are phase-stable: buffers change only at the negative edge.
 //!
-//! [`MeshKernel::compile`] returns `None` for adaptive routing (the shared RC
-//! stage handles it, but admitting it is a performance change that wants its
-//! own measurement), bandwidth-adaptive bidirectional links (negative-edge
-//! demand publication), more than 64 VCs on one tile (one mask word), and
-//! egress channels pointing outside the compiled tile set (their pushes
-//! would escape the dirty tracking). [`Stepper`] — the only product caller of
+//! Eligibility is structural only — routing never enters into it: the
+//! adaptive RC branch (downstream free-space probe, one tie-break draw per
+//! candidate from the tile's own RNG) is reached through the same
+//! `idle & head_mask` sweep as table routing, and its probe is one of the
+//! phase-stable reads above. [`MeshKernel::compile`] returns `None` for
+//! bandwidth-adaptive bidirectional links (negative-edge demand
+//! publication), more than 64 VCs on one tile (one mask word), and egress
+//! channels pointing outside the compiled tile set (their pushes would
+//! escape the dirty tracking). [`Stepper`] — the only product caller of
 //! `compile` and the only place that chooses between the two enumerations —
 //! interprets instead.
 
@@ -64,9 +67,12 @@ use std::time::{Duration, Instant};
 /// `Auto` (the default) compiles the kernel whenever the configuration is
 /// eligible and honours the `HORNET_KERNEL` environment variable (`off`
 /// disables, `on`/`force` insists). Explicit `Off`/`Force` always win over
-/// the environment, so programmatic selections are immune to it. `Force`
-/// still falls back to the interpreter when the configuration is ineligible —
-/// both paths are bit-identical, so the choice is purely about speed.
+/// the environment, so programmatic selections are immune to it.
+/// Eligibility is structural (no bidirectional links, at most 64 VCs per
+/// tile) and independent of the routing and VC-allocation algorithms;
+/// `Force` still falls back to the interpreter when the configuration is
+/// ineligible — both paths are bit-identical, so the choice is purely about
+/// speed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Use the kernel when eligible; consult `HORNET_KERNEL`.
@@ -260,10 +266,10 @@ impl std::fmt::Debug for MeshKernel {
 
 impl MeshKernel {
     /// Lowers `nodes` into the kernel's masks, or returns `None` if the
-    /// configuration is ineligible (adaptive routing, bandwidth-adaptive
-    /// links, more than 64 VCs on one tile, or a local egress channel
-    /// pointing outside `nodes` — e.g. a direct router-level wiring the
-    /// network builder did not produce).
+    /// configuration is structurally ineligible (bandwidth-adaptive links,
+    /// more than 64 VCs on one tile, or a local egress channel pointing
+    /// outside `nodes` — e.g. a direct router-level wiring the network
+    /// builder did not produce). The routing policy is not consulted.
     ///
     /// Compiling is cheap — O(total VCs) — and may be repeated freely, e.g.
     /// after a snapshot restore; all masks are derived from the routers'
@@ -291,9 +297,6 @@ impl MeshKernel {
         let mut max_egress = 0usize;
         for (t, node) in nodes.iter().enumerate() {
             let r = &node.router;
-            if r.routing.is_adaptive() {
-                return None; // eligibility is widened only with a measurement
-            }
             if r.vcs.len() > 64 {
                 return None; // one mask word per tile
             }

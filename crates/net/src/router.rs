@@ -750,36 +750,40 @@ impl Router {
                 self.stats.routing_failures += 1;
                 break 'route VcState::Dropping;
             }
-            let choice = if self.routing.is_adaptive() && s.routes.len() > 1 {
+            let egress_toward = |next: NodeId| {
+                if next == self.node {
+                    self.ejection_port
+                } else {
+                    self.egress_of(next)
+                }
+            };
+            let (choice, egress) = if self.routing.is_adaptive() && s.routes.len() > 1 {
                 // Adaptive: pick the candidate with the most free space in
-                // its downstream buffers; break ties randomly.
-                let mut best_idx = 0usize;
+                // its downstream buffers; break ties randomly (one draw per
+                // candidate, in candidate order).
+                let mut best = (s.routes[0], 0usize);
                 let mut best_key = (u64::MIN, 0u64);
                 for (i, c) in s.routes.iter().enumerate() {
-                    let free: u64 = if c.next_node == self.node {
+                    let e = egress_toward(c.next_node);
+                    let free: u64 = if e == self.ejection_port {
                         u64::MAX
                     } else {
-                        let e = self.egress_of(c.next_node);
                         self.egress[e]
                             .buffers
                             .iter()
                             .map(|b| b.free_space() as u64)
                             .sum()
                     };
-                    let tiebreak = rng.gen::<u64>();
-                    if (free, tiebreak) > best_key || i == 0 {
-                        best_key = (free, tiebreak);
-                        best_idx = i;
+                    let key = (free, rng.gen::<u64>());
+                    if key > best_key || i == 0 {
+                        best_key = key;
+                        best = (*c, e);
                     }
                 }
-                s.routes[best_idx]
+                best
             } else {
-                pick_weighted(rng, &s.routes, |c| c.weight)
-            };
-            let egress = if choice.next_node == self.node {
-                self.ejection_port
-            } else {
-                self.egress_of(choice.next_node)
+                let c = pick_weighted(rng, &s.routes, |c| c.weight);
+                (c, egress_toward(c.next_node))
             };
             if let Some(t) = tracer {
                 t.record(TraceEvent {

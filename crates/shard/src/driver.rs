@@ -313,7 +313,8 @@ pub struct DriverParams {
     /// Cycle-execution strategy: interpreter, compiled kernel, or
     /// auto-detection. The [`Stepper`] is built per run, after boundary
     /// wiring (so cut links are seen as boundary channels); both paths are
-    /// bit-identical and ineligible configurations silently interpret.
+    /// bit-identical and structurally ineligible configurations
+    /// (bidirectional links, >64 VCs per tile) silently interpret.
     pub kernel: KernelMode,
 }
 
