@@ -647,7 +647,7 @@ fn run_distributed_inner(
                     Err(e) => return Err(e),
                 }
             };
-            set_stream_blocking(&stream)?;
+            stream.set_nonblocking(false)?;
             let mut reader = BufReader::new(stream.try_clone()?);
             let CtrlMsg::Hello {
                 version,
@@ -1158,14 +1158,6 @@ fn supervise(
         trace,
         samples: Vec::new(), // filled by `run_distributed` from the stream
     })
-}
-
-fn set_stream_blocking(s: &Stream) -> io::Result<()> {
-    match s {
-        #[cfg(unix)]
-        Stream::Unix(u) => u.set_nonblocking(false),
-        Stream::Tcp(t) => t.set_nonblocking(false),
-    }
 }
 
 // ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@
 //!   segment holding one SPSC ring per channel plus the progress words;
 //!   `pump`/`ingest` copy between the local staging rings and the segment.
 //! * [`SocketTransport`] — one length-prefixed frame per cycle per direction
-//!   over a Unix or TCP stream; a reader thread drains the socket into the
-//!   local staging rings and publishes the peer's progress mirror.
+//!   over a non-blocking Unix or TCP stream, written and read by the shard's
+//!   own driver thread: one `write` per flush, and a `read` wherever the
+//!   driver asks what the peer has sent (its progress wait and `ingest`).
 //!
 //! The contract every implementation upholds, which is what makes
 //! CycleAccurate bit-identity hold across processes: *all flits and credits a
@@ -23,20 +24,20 @@
 
 use crate::wire::{
     decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet,
-    read_frame, write_frame, Dec, Enc,
+    peek_frame, Dec, Enc, CREDIT_WIRE_BYTES, FLIT_WIRE_BYTES, MAX_FRAME_BYTES,
 };
 use crate::wiring::NeighborWiring;
 use hornet_net::boundary::{BoundaryLink, CreditMsg};
 use hornet_net::flit::Flit;
 use hornet_net::ids::Cycle;
 use hornet_shard::driver::{PayloadChannel, TransportPump};
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// One directed shard adjacency's channel: flits forward, credits backward,
 /// progress alongside. See the module docs for the visibility contract.
@@ -54,9 +55,16 @@ pub trait BoundaryTransport: Send {
     /// shared directly.
     fn ingest(&mut self, _payloads: &dyn PayloadChannel) {}
 
-    /// The peer's last published negedge progress (`u64::MAX` once the peer
-    /// has finished its run and closed the channel).
+    /// The peer's last published negedge progress as this side knows it
+    /// (`u64::MAX` once the peer has finished its run and closed the channel).
     fn peer_progress(&self) -> Cycle;
+
+    /// Non-blocking: has the peer's progress reached `floor`? Transports
+    /// whose progress arrives in band take in what the peer has sent first,
+    /// but only while the progress they know of still lags.
+    fn reached(&mut self, floor: Cycle) -> bool {
+        self.peer_progress() >= floor
+    }
 }
 
 /// Adapts one shard's per-adjacency [`BoundaryTransport`]s to the unified
@@ -64,8 +72,8 @@ pub trait BoundaryTransport: Send {
 pub struct TransportSet<'a>(pub &'a mut [Box<dyn BoundaryTransport>]);
 
 impl TransportPump for TransportSet<'_> {
-    fn peers_reached(&self, floor: Cycle) -> bool {
-        self.0.iter().all(|t| t.peer_progress() >= floor)
+    fn peers_reached(&mut self, floor: Cycle) -> bool {
+        self.0.iter_mut().all(|t| t.reached(floor))
     }
 
     fn ingest(&mut self, payloads: &dyn PayloadChannel) {
@@ -90,28 +98,6 @@ impl TransportPump for TransportSet<'_> {
             "mirrors={:?}",
             self.0.iter().map(|t| t.peer_progress()).collect::<Vec<_>>()
         )
-    }
-}
-
-/// Spin-pushes with backoff; panics after an implausible number of retries
-/// (end-to-end credits bound ring occupancy, so a persistently full ring is a
-/// protocol violation, not backpressure).
-fn push_or_die(mut push: impl FnMut() -> bool, what: &str) {
-    let mut spins = 0u64;
-    while !push() {
-        spins += 1;
-        if spins == 1_000_000 {
-            eprintln!("[transport] ring full for a while ({what})");
-        }
-        if spins.is_multiple_of(128) {
-            std::thread::yield_now();
-        } else {
-            std::hint::spin_loop();
-        }
-        assert!(
-            spins < 1 << 30,
-            "boundary transport ring stuck full ({what}): protocol violation"
-        );
     }
 }
 
@@ -163,6 +149,17 @@ pub enum Stream {
     Tcp(TcpStream),
 }
 
+/// Evaluates `$call` on whichever socket `$stream` holds.
+macro_rules! on_socket {
+    ($stream:expr, $s:ident => $call:expr) => {
+        match $stream {
+            #[cfg(unix)]
+            Stream::Unix($s) => $call,
+            Stream::Tcp($s) => $call,
+        }
+    };
+}
+
 impl Stream {
     /// Clones the underlying socket handle.
     pub fn try_clone(&self) -> io::Result<Stream> {
@@ -173,81 +170,98 @@ impl Stream {
         })
     }
 
-    /// Disables Nagle batching on TCP (cycle frames are latency-critical).
-    pub fn tune(&self) {
-        if let Stream::Tcp(s) = self {
-            let _ = s.set_nodelay(true);
-        }
+    /// Switches the socket between blocking and non-blocking I/O.
+    pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        on_socket!(self, s => s.set_nonblocking(nonblocking))
     }
 
     /// Shuts the socket down (both halves, affecting every cloned handle) —
     /// the only reliable way to signal EOF when reader threads hold clones.
     pub fn shutdown(&self) {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            Stream::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
+        on_socket!(self, s => s.read(buf))
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
+        on_socket!(self, s => s.write(buf))
     }
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
+        on_socket!(self, s => s.flush())
     }
 }
 
+/// How long a finished transport waits on a silent socket for the peer's EOF
+/// before it closes anyway (hazard (b) below).
+const CLOSE_GRACE: Duration = Duration::from_secs(2);
+
 /// The socket transport: one frame per simulated cycle per direction,
-/// carrying `(progress, payloads, flits, credits)`. A reader thread drains
-/// the peer's frames into the local staging rings — payloads, flits and
-/// credits strictly before the progress store, which is what keeps
-/// strict-mode consumption exact.
+/// carrying `(progress, payloads, flits, credits)`, over a non-blocking
+/// socket that only the shard's driver thread touches. `pump` encodes into a
+/// reused send buffer and hands it to one `write`; the progress wait
+/// ([`reached`](BoundaryTransport::reached)) and `ingest` read what has
+/// arrived into a reused receive buffer and decode whole frames out of it in
+/// place — payloads, flits and credits before the frame's progress is taken,
+/// which is the module's visibility contract by construction.
 ///
-/// Under loose synchronization (`batch > 1`) the per-cycle frames are still
-/// written, but the underlying socket is only flushed once `batch` cycles
-/// have accumulated since the last flush (or on `flush`), cutting syscall
-/// volume ~`batch`×. This is deadlock-free because a shard with slack `k`
-/// (or a `k`-cycle batch quantum) never needs a neighbor's progress more
-/// than `k` cycles stale, and the rolling window guarantees at most `k - 1`
-/// cycles are ever buffered — regardless of where fast-forward jumps land
-/// the clocks (an absolute `cycle % k` rule would skew against post-jump
-/// batch boundaries and wedge zero-slack Periodic runs).
+/// Nobody reads in the background, which leaves four hazards to this type:
+///
+/// * **(a) mutual back-pressure** — two drivers blocked in `write` on full
+///   socket buffers would never read again, so a write that would block takes
+///   in the peer's frames and retries. (A ring of three or more blocked
+///   writers would need each a socket buffer of frames ahead of the next, all
+///   the way round; the progress wait rules that out.)
+/// * **(b) orderly finish** — closing under a peer that still has cycles to
+///   pump gives it `EPIPE`. `Drop` flushes, closes the write half only (the
+///   peer reads that as `u64::MAX`) and keeps reading until the peer's own
+///   EOF or `CLOSE_GRACE` of silence. Every shard attaches its neighbors in
+///   ascending order, so these waits cannot form a cycle.
+/// * **(c) no spinning** — the end-to-end credit window guarantees the staging
+///   rings have room for every decoded flit and credit, and their consumer is
+///   the caller itself: a rejected push is a protocol violation, not a wait.
+/// * **(d) partial frames** — a frame split across reads stays buffered and
+///   publishes nothing until its last byte is in.
+///
+/// Only an EOF on a frame boundary reads as "peer finished". A frame that
+/// does not decode, an EOF inside a frame and a socket error release every
+/// wait (progress reads `u64::MAX`) and fail the next `pump`, naming the peer.
+///
+/// Under loose synchronization (`batch > 1`) the send buffer is only written
+/// once `batch` cycles have accumulated since the last write (or on `flush`),
+/// cutting syscall volume ~`batch`×. This is deadlock-free because a shard
+/// with slack `k` (or a `k`-cycle batch quantum) never needs a neighbor's
+/// progress more than `k` cycles stale, and the rolling window guarantees at
+/// most `k - 1` cycles are ever buffered — regardless of where fast-forward
+/// jumps land the clocks (an absolute `cycle % k` rule would skew against
+/// post-jump batch boundaries and wedge zero-slack Periodic runs).
 pub struct SocketTransport {
-    writer: BufWriter<Stream>,
+    stream: Stream,
+    /// The peer's shard id, for error messages.
+    peer: usize,
     /// Outbound halves (drained into frames).
     out_links: Vec<Arc<BoundaryLink>>,
     /// Inbound halves (their staged credits are drained into frames).
     in_links: Vec<Arc<BoundaryLink>>,
-    peer_progress: Arc<AtomicU64>,
-    reader: Option<JoinHandle<()>>,
-    /// Cycles coalesced per socket flush (1 = flush every cycle).
+    /// Kept because the progress wait reads too, and is not handed a channel.
+    payloads: Arc<dyn PayloadChannel>,
+    peer_progress: Cycle,
+    /// Why the channel failed, until the next `pump` reports it.
+    failed: Option<io::Error>,
+    /// `rx[..rx_len]` is received and not yet decoded: between reads, at most
+    /// one partial frame.
+    rx: Vec<u8>,
+    rx_len: usize,
+    /// Encoded frames not yet written.
+    tx: Enc,
+    /// Cycles coalesced per socket write (1 = write every cycle).
     batch: u64,
-    /// Cycle of the last actual socket flush (rolling batch window).
+    /// Cycle of the last actual socket write (rolling batch window).
     last_flush: Cycle,
     /// Reusable frame scratch.
     flits: Vec<(u32, Flit)>,
@@ -256,12 +270,11 @@ pub struct SocketTransport {
 }
 
 impl SocketTransport {
-    /// Wraps `stream` as the transport for one adjacency described by
-    /// `wiring`, flushing the socket every `batch` cycles (`CycleAccurate`
-    /// runs use 1: one syscall per cycle per direction is latency-optimal
-    /// there). `payloads` is handed to the reader thread so arriving packet
-    /// payloads are deposited before their tail flits become visible.
-    /// Spawns the reader thread immediately.
+    /// Wraps `stream`, made non-blocking, as the transport for the adjacency
+    /// described by `wiring`, writing the socket every `batch` cycles
+    /// (`CycleAccurate` runs use 1: one syscall per cycle per direction is
+    /// latency-optimal there). Arriving packet payloads are deposited into
+    /// `payloads` before their tail flits become visible.
     pub fn new(
         stream: Stream,
         wiring: &NeighborWiring,
@@ -269,40 +282,29 @@ impl SocketTransport {
         batch: u64,
         payloads: Arc<dyn PayloadChannel>,
     ) -> io::Result<Self> {
-        stream.tune();
-        let writer = BufWriter::with_capacity(64 << 10, stream.try_clone()?);
-        let peer_progress = Arc::new(AtomicU64::new(start));
-        let reader = {
-            let progress = Arc::clone(&peer_progress);
-            let in_links: Vec<Arc<BoundaryLink>> = wiring.in_links.clone();
-            let out_links: Vec<Arc<BoundaryLink>> = wiring.out_links.clone();
-            let mut reader = BufReader::new(stream);
-            std::thread::Builder::new()
-                .name("hornet-dist-rx".into())
-                .spawn(move || loop {
-                    let frame = match read_frame(&mut reader) {
-                        Ok(f) => f,
-                        Err(_) => {
-                            // Peer closed: it has finished its run; nothing
-                            // we could still wait on.
-                            progress.store(u64::MAX, Ordering::Release);
-                            return;
-                        }
-                    };
-                    if decode_cycle_frame(&frame, &in_links, &out_links, &*payloads, &progress)
-                        .is_err()
-                    {
-                        progress.store(u64::MAX, Ordering::Release);
-                        return;
-                    }
-                })?
-        };
+        if let Stream::Tcp(s) = &stream {
+            // Cycle frames are latency-critical: no Nagle batching.
+            let _ = s.set_nodelay(true);
+        }
+        stream.set_nonblocking(true)?;
+        // The largest frame the peer can send without payloads (those grow
+        // the buffer on demand): every ring full, credit rings hold one more.
+        let slots =
+            |links: &[Arc<BoundaryLink>]| -> usize { links.iter().map(|l| l.capacity() + 1).sum() };
+        let frame_bound = 24
+            + slots(&wiring.in_links) * (4 + FLIT_WIRE_BYTES)
+            + slots(&wiring.out_links) * (4 + CREDIT_WIRE_BYTES);
         Ok(Self {
-            writer,
+            stream,
+            peer: wiring.peer,
             out_links: wiring.out_links.clone(),
             in_links: wiring.in_links.clone(),
-            peer_progress,
-            reader: Some(reader),
+            payloads,
+            peer_progress: start,
+            failed: None,
+            rx: vec![0; frame_bound],
+            rx_len: 0,
+            tx: Enc::new(),
             batch: batch.max(1),
             last_flush: start,
             flits: Vec::new(),
@@ -310,47 +312,129 @@ impl SocketTransport {
             packets: Vec::new(),
         })
     }
+
+    fn named(&self, e: io::Error) -> io::Error {
+        let what = format!("boundary socket to shard {}: {e}", self.peer);
+        io::Error::new(e.kind(), what)
+    }
+
+    /// Records why the channel is unusable and releases every wait on it.
+    fn fail(&mut self, e: io::Error) {
+        self.failed = Some(self.named(e));
+        self.peer_progress = u64::MAX;
+    }
+
+    /// Reads what has arrived and decodes every whole frame of it. Never
+    /// blocks; a no-op once the peer has finished or the channel has failed.
+    fn poll(&mut self) {
+        while self.peer_progress != u64::MAX {
+            if self.rx_len == self.rx.len() {
+                // A frame larger than the buffer: it carries payloads.
+                let grown = (2 * self.rx.len()).min(4 + MAX_FRAME_BYTES);
+                self.rx.resize(grown, 0);
+            }
+            match self.stream.read(&mut self.rx[self.rx_len..]) {
+                Ok(0) if self.rx_len == 0 => self.peer_progress = u64::MAX,
+                Ok(0) => self.fail(ErrorKind::UnexpectedEof.into()),
+                Ok(n) => {
+                    self.rx_len += n;
+                    let drained = self.rx_len < self.rx.len();
+                    if let Err(e) = self.decode_received() {
+                        self.fail(e);
+                    }
+                    if drained {
+                        return;
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => self.fail(e),
+            }
+        }
+    }
+
+    /// Decodes every complete frame in the receive buffer into the staging
+    /// rings and moves what is left, a partial frame, to the front.
+    fn decode_received(&mut self) -> io::Result<()> {
+        let mut at = 0;
+        while let Some(frame) = peek_frame(&self.rx[at..self.rx_len])? {
+            self.peer_progress =
+                decode_cycle_frame(frame, &self.in_links, &self.out_links, &*self.payloads)?;
+            at += 4 + frame.len();
+        }
+        self.rx.copy_within(at..self.rx_len, 0);
+        self.rx_len -= at;
+        Ok(())
+    }
+
+    /// Writes the send buffer out, reading instead of waiting whenever the
+    /// socket would block (hazard (a)). The buffer is empty afterwards even
+    /// on error: a failed channel must not resend from `Drop`.
+    fn write_out(&mut self) -> io::Result<()> {
+        let mut sent = 0;
+        let result = loop {
+            if sent == self.tx.bytes().len() {
+                break Ok(());
+            }
+            match self.stream.write(&self.tx.bytes()[sent..]) {
+                Ok(0) => break Err(ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    self.poll();
+                    if let Some(e) = self.failed.take() {
+                        break Err(e);
+                    }
+                    std::thread::yield_now();
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break Err(self.named(e)),
+            }
+        };
+        self.tx.clear();
+        result
+    }
 }
 
-/// Decodes one cycle frame into the staging rings: payloads deposited first,
-/// then flits, then credits, progress last.
+/// Decodes one cycle frame into the staging rings — payloads deposited
+/// first, then flits, then credits — and returns the progress it carries.
 fn decode_cycle_frame(
     frame: &[u8],
     in_links: &[Arc<BoundaryLink>],
     out_links: &[Arc<BoundaryLink>],
     payloads: &dyn PayloadChannel,
-    progress: &AtomicU64,
-) -> io::Result<()> {
+) -> io::Result<Cycle> {
+    fn invalid(what: &str) -> io::Error {
+        io::Error::new(ErrorKind::InvalidData, what)
+    }
+    fn link(links: &[Arc<BoundaryLink>], ch: u32) -> io::Result<&Arc<BoundaryLink>> {
+        links.get(ch as usize).ok_or_else(|| invalid("bad channel"))
+    }
     let mut d = Dec::new(frame);
     let cycle = d.u64()?;
-    let n_payloads = d.u32()?;
-    for _ in 0..n_payloads {
+    for _ in 0..d.u32()? {
         payloads.deposit(decode_packet(&mut d)?);
     }
-    let n_flits = d.u32()?;
-    for _ in 0..n_flits {
-        let ch = d.u32()? as usize;
-        let flit = decode_flit(&mut d)?;
-        let link = in_links
-            .get(ch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad channel"))?;
-        push_or_die(|| link.inject_flit(flit), "socket rx flit");
+    for _ in 0..d.u32()? {
+        if !link(in_links, d.u32()?)?.inject_flit(decode_flit(&mut d)?) {
+            return Err(invalid("flit outside the credit window"));
+        }
     }
-    let n_credits = d.u32()?;
-    for _ in 0..n_credits {
-        let ch = d.u32()? as usize;
-        let credit = decode_credit(&mut d)?;
-        let link = out_links
-            .get(ch)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad channel"))?;
-        push_or_die(|| link.inject_credit(credit), "socket rx credit");
+    for _ in 0..d.u32()? {
+        if !link(out_links, d.u32()?)?.inject_credit(decode_credit(&mut d)?) {
+            return Err(invalid("credit outside the credit window"));
+        }
     }
-    progress.store(cycle, Ordering::Release);
-    Ok(())
+    if d.remaining() != 0 {
+        return Err(invalid("trailing bytes in cycle frame"));
+    }
+    Ok(cycle)
 }
 
 impl BoundaryTransport for SocketTransport {
     fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()> {
+        if let Some(e) = self.failed.take() {
+            return Err(e);
+        }
         self.flits.clear();
         self.credits.clear();
         self.packets.clear();
@@ -378,45 +462,65 @@ impl BoundaryTransport for SocketTransport {
                 self.credits.push((ch as u32, c));
             }
         }
-        let mut e = Enc::new();
+        let e = &mut self.tx;
+        let frame = e.begin_frame();
         e.u64(cycle);
         e.u32(self.packets.len() as u32);
         for p in &self.packets {
-            encode_packet(&mut e, p);
+            encode_packet(e, p);
         }
         e.u32(self.flits.len() as u32);
         for (ch, f) in &self.flits {
             e.u32(*ch);
-            encode_flit(&mut e, f);
+            encode_flit(e, f);
         }
         e.u32(self.credits.len() as u32);
         for (ch, c) in &self.credits {
             e.u32(*ch);
-            encode_credit(&mut e, c);
+            encode_credit(e, c);
         }
-        write_frame(&mut self.writer, e.bytes())?;
+        e.end_frame(frame);
         // Rolling window, not absolute multiples: fast-forward jumps land
         // clocks on arbitrary cycles, and the peer's batch-boundary wait
-        // must never outrun our flush cadence.
+        // must never outrun our write cadence.
         if flush || cycle >= self.last_flush.saturating_add(self.batch) {
-            self.writer.flush()?;
+            self.write_out()?;
             self.last_flush = cycle;
         }
         Ok(())
     }
 
+    fn ingest(&mut self, _payloads: &dyn PayloadChannel) {
+        self.poll();
+    }
+
     fn peer_progress(&self) -> Cycle {
-        self.peer_progress.load(Ordering::Acquire)
+        self.peer_progress
+    }
+
+    fn reached(&mut self, floor: Cycle) -> bool {
+        if self.peer_progress < floor {
+            self.poll();
+        }
+        self.peer_progress >= floor
     }
 }
 
 impl Drop for SocketTransport {
+    /// Hazard (b). Errors are moot here: the run's outcome is already decided.
     fn drop(&mut self) {
-        // Closing the writer half signals EOF to the peer's reader; the
-        // local reader thread exits on its own EOF. Detach rather than join:
-        // the peer may close later.
-        if let Some(handle) = self.reader.take() {
-            drop(handle);
+        let _ = self.write_out();
+        let _ = on_socket!(&self.stream, s => s.shutdown(Shutdown::Write));
+        if self.peer_progress != u64::MAX {
+            let _ = self.stream.set_nonblocking(false);
+            let _ = on_socket!(&self.stream, s => s.set_read_timeout(Some(CLOSE_GRACE)));
+            loop {
+                match self.stream.read(&mut self.rx) {
+                    Ok(0) => break,
+                    Err(e) if e.kind() != ErrorKind::Interrupted => break,
+                    _ => {}
+                }
+            }
         }
     }
 }
@@ -424,8 +528,10 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hornet_net::flit::{FlitKind, FlitStats};
+    use hornet_net::flit::{FlitKind, FlitStats, Packet, Payload};
     use hornet_net::ids::{FlowId, NodeId, PacketId};
+    use hornet_net::payload::PayloadStore;
+    use hornet_shard::driver::{NoPayloads, PayloadEndpoint};
 
     fn flit(seq: u32, visible_at: Cycle) -> Flit {
         Flit {
@@ -460,8 +566,6 @@ mod tests {
         )
     }
 
-    use hornet_shard::driver::NoPayloads;
-
     #[test]
     fn in_proc_transport_publishes_progress() {
         let (mut a, b) = InProcTransport::pair(0);
@@ -472,6 +576,33 @@ mod tests {
     }
 
     #[cfg(unix)]
+    fn socket(stream: UnixStream, wiring: &NeighborWiring, batch: u64) -> SocketTransport {
+        SocketTransport::new(Stream::Unix(stream), wiring, 0, batch, Arc::new(NoPayloads)).unwrap()
+    }
+
+    /// Polls the way the driver's wait loop does, with a bounded budget.
+    #[cfg(unix)]
+    fn await_progress(t: &mut SocketTransport, floor: Cycle) {
+        for _ in 0..20_000 {
+            if t.reached(floor) {
+                return;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        panic!("progress {floor} never arrived (at {})", t.peer_progress());
+    }
+
+    /// Two connected transports finish the way two workers do, each on its
+    /// own thread; one thread dropping both would sit out `CLOSE_GRACE`.
+    #[cfg(unix)]
+    fn close(a: SocketTransport, b: SocketTransport) {
+        std::thread::scope(|s| {
+            s.spawn(|| drop(a));
+            drop(b);
+        });
+    }
+
+    #[cfg(unix)]
     #[test]
     fn socket_transport_carries_flits_credits_and_progress() {
         let (sa, sb) = UnixStream::pair().unwrap();
@@ -479,62 +610,48 @@ mod tests {
         // objects; the wire connects them.
         let (wa, _) = adjacency(2, 4);
         let (_, wb) = adjacency(2, 4);
-        let mut ta =
-            SocketTransport::new(Stream::Unix(sa), &wa, 0, 1, Arc::new(NoPayloads)).unwrap();
-        let mut tb =
-            SocketTransport::new(Stream::Unix(sb), &wb, 0, 1, Arc::new(NoPayloads)).unwrap();
+        let (mut ta, mut tb) = (socket(sa, &wa, 1), socket(sb, &wb, 1));
 
         // A sends two flits on channel 1 (credit-checked push) and pumps.
         assert!(wa.out_links[1].push(flit(0, 5)));
         assert!(wa.out_links[1].push(flit(1, 5)));
         ta.pump(4, &NoPayloads, true).unwrap();
 
-        // B sees progress 4 and the flits in its inbound half of channel 1.
-        let mut spins = 0;
-        while tb.peer_progress() < 4 {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "progress never arrived");
-        }
-        tb.ingest(&NoPayloads); // no-op for sockets; reader already delivered
+        // Nothing is visible to B until B itself asks; then progress 4 and
+        // the flits in its inbound half of channel 1 arrive together.
+        assert_eq!(tb.peer_progress(), 0);
+        await_progress(&mut tb, 4);
         assert_eq!(wb.in_links[1].in_flight(), 2);
 
-        // B returns a credit; A folds it in after its reader delivers.
-        push_or_die(
-            || wb.in_links[1].inject_credit(CreditMsg { cycle: 5, count: 2 }),
-            "test credit",
-        );
-        // Move the staged credit onto the wire.
+        // B returns a credit, which rides B's next frame; A's per-cycle
+        // ingest (not a wait) is what takes it in.
+        assert!(wb.in_links[1].inject_credit(CreditMsg { cycle: 5, count: 2 }));
         tb.pump(5, &NoPayloads, true).unwrap();
-        let mut spins = 0;
-        while ta.peer_progress() < 5 {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "credit frame never arrived");
+        for _ in 0..20_000 {
+            ta.ingest(&NoPayloads);
+            if ta.peer_progress() == 5 {
+                break;
+            }
         }
+        assert_eq!(ta.peer_progress(), 5, "credit frame never arrived");
         // The two pushed flits held 2 units of the window; the credit frees
         // them once applied.
         wa.out_links[1].apply_credits(None);
         assert_eq!(wa.out_links[1].occupancy(), 0);
+        close(ta, tb);
     }
 
     #[cfg(unix)]
     #[test]
     fn socket_transport_forwards_payloads_with_tail_flits() {
-        use hornet_net::flit::{Packet, Payload};
-        use hornet_net::payload::PayloadStore;
-        use hornet_shard::driver::{PayloadChannel, PayloadEndpoint};
-
         let (sa, sb) = UnixStream::pair().unwrap();
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
         let store_a = Arc::new(PayloadStore::new());
-        let store_b = Arc::new(PayloadStore::new());
         let ep_a = PayloadEndpoint::remote(Arc::clone(&store_a));
-        let ep_b = PayloadEndpoint::remote(Arc::clone(&store_b));
-        let mut ta =
-            SocketTransport::new(Stream::Unix(sa), &wa, 0, 1, Arc::new(ep_a.clone())).unwrap();
-        let _tb =
+        let ep_b = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
+        let mut ta = socket(sa, &wa, 1);
+        let mut tb =
             SocketTransport::new(Stream::Unix(sb), &wb, 0, 1, Arc::new(ep_b.clone())).unwrap();
 
         // A parks a packet's payload (what the bridge does at injection) and
@@ -555,16 +672,12 @@ mod tests {
         assert!(wa.out_links[0].push(tail));
         ta.pump(4, &ep_a, true).unwrap();
 
-        // The claim emptied A's store; B's reader deposits the payload
-        // before publishing progress 4.
+        // The claim emptied A's store; B deposits the payload before it
+        // takes progress 4.
         assert!(store_a.is_empty(), "tail crossing must claim the payload");
-        let mut spins = 0;
-        while _tb.peer_progress() < 4 {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "frame never arrived");
-        }
+        await_progress(&mut tb, 4);
         assert_eq!(ep_b.claim(PacketId::new(1)), Some(packet));
+        close(ta, tb);
     }
 
     #[cfg(unix)]
@@ -573,36 +686,24 @@ mod tests {
         let (sa, sb) = UnixStream::pair().unwrap();
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
-        // Flush every 4 cycles.
-        let mut ta =
-            SocketTransport::new(Stream::Unix(sa), &wa, 0, 4, Arc::new(NoPayloads)).unwrap();
-        let tb = SocketTransport::new(Stream::Unix(sb), &wb, 0, 4, Arc::new(NoPayloads)).unwrap();
+        // Write every 4 cycles.
+        let (mut ta, mut tb) = (socket(sa, &wa, 4), socket(sb, &wb, 4));
 
         for c in 1..=3u64 {
             ta.pump(c, &NoPayloads, false).unwrap();
         }
-        // Nothing flushed yet (cycles 1..3, batch 4): give the wire a moment
-        // and check progress stayed put.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Cycles 1..3 of a 4-cycle batch: nothing has been written.
+        tb.ingest(&NoPayloads);
         assert_eq!(tb.peer_progress(), 0, "frames must still be buffered");
         // Cycle 4 is a batch boundary: everything lands.
         assert!(wa.out_links[0].push(flit(0, 4)));
         ta.pump(4, &NoPayloads, false).unwrap();
-        let mut spins = 0;
-        while tb.peer_progress() < 4 {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "batched frames never flushed");
-        }
+        await_progress(&mut tb, 4);
         assert_eq!(wb.in_links[0].in_flight(), 1);
         // An explicit flush forces mid-batch visibility.
         ta.pump(5, &NoPayloads, true).unwrap();
-        let mut spins = 0;
-        while tb.peer_progress() < 5 {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "forced flush never arrived");
-        }
+        await_progress(&mut tb, 5);
+        close(ta, tb);
     }
 
     #[cfg(unix)]
@@ -610,13 +711,224 @@ mod tests {
     fn socket_peer_close_reads_as_infinite_progress() {
         let (sa, sb) = UnixStream::pair().unwrap();
         let (wa, _) = adjacency(1, 2);
-        let ta = SocketTransport::new(Stream::Unix(sa), &wa, 0, 1, Arc::new(NoPayloads)).unwrap();
+        let mut ta = socket(sa, &wa, 1);
+        assert!(!ta.reached(1));
         drop(sb);
-        let mut spins = 0;
-        while ta.peer_progress() != u64::MAX {
-            std::thread::yield_now();
-            spins += 1;
-            assert!(spins < 1_000_000, "EOF never observed");
+        await_progress(&mut ta, u64::MAX);
+        assert!(ta.failed.is_none(), "EOF between frames is a clean finish");
+    }
+
+    /// What a `(2 VCs, capacity 4)` side A puts on the wire for `cycle`:
+    /// `n_flits` flits on channel 1 and one credit on channel 0.
+    #[cfg(unix)]
+    fn wire_bytes(cycle: Cycle, n_flits: u32) -> Vec<u8> {
+        let (sa, mut raw) = UnixStream::pair().unwrap();
+        let (wa, _) = adjacency(2, 4);
+        let mut ta = socket(sa, &wa, 1);
+        for seq in 0..n_flits {
+            assert!(wa.out_links[1].push(flit(seq, cycle + 1)));
+        }
+        assert!(wa.in_links[0].inject_credit(CreditMsg { cycle, count: 2 }));
+        ta.pump(cycle, &NoPayloads, true).unwrap();
+        let mut bytes = vec![0; 4096];
+        let n = raw.read(&mut bytes).unwrap();
+        bytes.truncate(n);
+        drop(raw);
+        bytes
+    }
+
+    /// Side B of [`wire_bytes`]' adjacency, facing a raw socket.
+    #[cfg(unix)]
+    fn raw_peer() -> (UnixStream, NeighborWiring, SocketTransport) {
+        let (raw, sb) = UnixStream::pair().unwrap();
+        let (_, wb) = adjacency(2, 4);
+        let tb = socket(sb, &wb, 1);
+        (raw, wb, tb)
+    }
+
+    /// Hazard (d): a frame split across reads publishes nothing until its
+    /// last byte is in, wherever the split falls.
+    #[cfg(unix)]
+    #[test]
+    fn a_frame_split_at_any_offset_lands_whole_and_once() {
+        let bytes = wire_bytes(7, 3);
+        for split in 1..bytes.len() {
+            let (mut raw, wb, mut tb) = raw_peer();
+            raw.write_all(&bytes[..split]).unwrap();
+            assert!(
+                !tb.reached(7),
+                "split {split}: progress before the last byte"
+            );
+            assert_eq!(wb.in_links[1].in_flight(), 0, "split {split}: early flits");
+            raw.write_all(&bytes[split..]).unwrap();
+            await_progress(&mut tb, 7);
+            tb.ingest(&NoPayloads);
+            assert_eq!(tb.peer_progress(), 7);
+            assert_eq!(wb.in_links[1].in_flight(), 3, "split {split}: flits");
+            assert_eq!(
+                wb.out_links[0].staged_credit_snapshot(),
+                [CreditMsg { cycle: 7, count: 2 }],
+                "split {split}: credits"
+            );
+            drop(raw);
+        }
+    }
+
+    /// Hazard (a): both sides write more than the socket buffers hold and
+    /// nobody reads in between. A blocking write deadlocks here.
+    #[cfg(unix)]
+    #[test]
+    fn mutual_back_pressure_does_not_deadlock() {
+        let (sa, sb) = UnixStream::pair().unwrap();
+        let (wa, wb) = adjacency(1, 4);
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let start = Arc::new(std::sync::Barrier::new(2));
+        for (id, stream, wiring) in [(1u64, sa, wa), (2, sb, wb)] {
+            let (done, start) = (done_tx.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                let ep = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
+                let mut t =
+                    SocketTransport::new(Stream::Unix(stream), &wiring, 0, 1, Arc::new(ep.clone()))
+                        .unwrap();
+                // A 4 MiB payload rides the tail flit: far beyond SO_SNDBUF.
+                let packet = Packet::new(
+                    PacketId::new(id),
+                    FlowId::new(1),
+                    NodeId::new(0),
+                    NodeId::new(1),
+                    1,
+                    0,
+                )
+                .with_payload(Payload(vec![id; 512 << 10]));
+                ep.deposit(packet);
+                let mut tail = flit(0, 2);
+                (tail.packet, tail.kind) = (PacketId::new(id), FlitKind::HeadTail);
+                assert!(wiring.out_links[0].push(tail));
+                start.wait();
+                t.pump(1, &ep, true).unwrap();
+                await_progress(&mut t, 1);
+                let got = ep.claim(PacketId::new(3 - id)).expect("peer's payload");
+                assert_eq!(got.payload.words(), vec![3 - id; 512 << 10]);
+                drop(t);
+                done.send(()).unwrap();
+            });
+        }
+        for _ in 0..2 {
+            done_rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("both pumps must complete: deadlocked on full socket buffers");
+        }
+    }
+
+    /// Hazard (b): A finishes and is dropped while B still has its last
+    /// cycle to pump. Closing A's socket outright gives B `EPIPE`.
+    #[cfg(unix)]
+    #[test]
+    fn finishing_first_does_not_break_the_peers_last_pump() {
+        let (sa, sb) = UnixStream::pair().unwrap();
+        let (wa, wb) = adjacency(1, 4);
+        let (mut ta, mut tb) = (socket(sa, &wa, 1), socket(sb, &wb, 1));
+        ta.pump(9, &NoPayloads, true).unwrap();
+        std::thread::scope(|s| {
+            s.spawn(|| drop(ta));
+            // B sees A's last cycle, then A's finish, and still pumps its own.
+            await_progress(&mut tb, u64::MAX);
+            assert!(tb.failed.is_none());
+            tb.pump(9, &NoPayloads, true)
+                .expect("the finished peer must still accept our last frame");
+            drop(tb);
+        });
+    }
+
+    /// Feeds `bytes` then EOF to a transport and returns it once it has seen
+    /// the end of the stream. The raw peer keeps reading, so a `pump` fails
+    /// only if the transport itself recorded a failure.
+    #[cfg(unix)]
+    fn fed(bytes: &[u8]) -> (UnixStream, SocketTransport) {
+        let (mut raw, _, mut tb) = raw_peer();
+        raw.write_all(bytes).unwrap();
+        raw.shutdown(Shutdown::Write).unwrap();
+        await_progress(&mut tb, u64::MAX);
+        (raw, tb)
+    }
+
+    /// Only a clean EOF on a frame boundary reads as "peer finished": every
+    /// other way a stream can end or go wrong fails the next `pump`, naming
+    /// the peer. Hazard (c) is the last row: a flit the ring cannot take is
+    /// an error, not a wait.
+    #[cfg(unix)]
+    #[test]
+    fn corrupt_frames_and_mid_frame_eof_fail_the_run() {
+        let good = wire_bytes(7, 3);
+        let (_raw, mut tb) = fed(&good);
+        tb.pump(8, &NoPayloads, true).expect("clean finish");
+
+        let mut bad_channel = good.clone();
+        bad_channel[20] = 9; // first flit's channel index
+        let mut short_body = good[..good.len() - 5].to_vec();
+        short_body[..4].copy_from_slice(&(good.len() as u32 - 9).to_le_bytes());
+        let mut trailing = good.clone();
+        trailing[..4].copy_from_slice(&(good.len() as u32 + 1).to_le_bytes());
+        trailing.extend_from_slice(&good[..5]);
+        for (what, bytes, kind) in [
+            ("bad channel", bad_channel, ErrorKind::InvalidData),
+            ("truncated body", short_body, ErrorKind::UnexpectedEof),
+            ("trailing bytes", trailing, ErrorKind::InvalidData),
+            ("oversized prefix", vec![0xff; 8], ErrorKind::InvalidData),
+            (
+                "mid-frame EOF",
+                good[..good.len() - 1].to_vec(),
+                ErrorKind::UnexpectedEof,
+            ),
+            (
+                "ring overflow",
+                [&good[..], &good[..]].concat(),
+                ErrorKind::InvalidData,
+            ),
+        ] {
+            let (_raw, mut tb) = fed(&bytes);
+            let err = tb.pump(8, &NoPayloads, true).expect_err(what);
+            assert_eq!(err.kind(), kind, "{what}: {err}");
+            assert!(err.to_string().contains("shard 0"), "{what}: {err}");
+            tb.pump(9, &NoPayloads, true)
+                .expect("the failure is reported once");
+        }
+    }
+
+    #[cfg(unix)]
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// Hostile bytes: a truncated, a bit-flipped and a length-inflated
+        /// frame never panic, never spin, never buffer more than twice what
+        /// arrived — and the first and last always fail the run.
+        #[test]
+        fn damaged_frames_are_rejected_without_panic_or_unbounded_buffering(
+            n_flits in 0u32..5,
+            damage in 0usize..3,
+            at in proptest::any::<usize>(),
+        ) {
+            let mut bytes = wire_bytes(7, n_flits);
+            let len = bytes.len();
+            let must_fail = match damage {
+                0 => {
+                    bytes.truncate(at % len);
+                    !bytes.is_empty()
+                }
+                1 => {
+                    bytes[at / 8 % len] ^= 1 << (at % 8);
+                    false
+                }
+                _ => {
+                    let inflated = len as u32 - 4 + 1 + (at % (1 << 27)) as u32;
+                    bytes[..4].copy_from_slice(&inflated.to_le_bytes());
+                    true
+                }
+            };
+            let (_raw, tb) = fed(&bytes);
+            proptest::prop_assert!(tb.failed.is_some() || !must_fail);
+            let unused = raw_peer().2.rx.len();
+            proptest::prop_assert!(tb.rx.len() <= unused.max(2 * bytes.len()));
         }
     }
 }

@@ -9,8 +9,8 @@
 
 pub use hornet_net::codec::{
     decode_credit, decode_flit, decode_packet, decode_stats, encode_credit, encode_flit,
-    encode_packet, encode_stats, read_frame, write_frame, Dec, Enc, CREDIT_WIRE_BYTES,
-    FLIT_WIRE_BYTES,
+    encode_packet, encode_stats, peek_frame, read_frame, write_frame, Dec, Enc, CREDIT_WIRE_BYTES,
+    FLIT_WIRE_BYTES, MAX_FRAME_BYTES,
 };
 
 /// Protocol version, checked in every hello exchange.

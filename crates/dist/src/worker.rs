@@ -218,7 +218,7 @@ impl ShardWorker {
             metrics: metrics.as_ref(),
             tracer: runtime_ring.as_mut(),
         };
-        let outcome = driver.run(&DriverParams {
+        let driven = driver.run(&DriverParams {
             start,
             cycles,
             sync,
@@ -227,14 +227,30 @@ impl ShardWorker {
             checkpoint_every,
             received_start,
             wait: WaitProfile::Sleep,
-            // Wall-time attribution is always on for distributed workers:
-            // the loop is already syscall-bound, so the handful of clock
-            // reads per cycle vanish in the noise, and the coordinator's
-            // imbalance summary needs every shard's breakdown.
+            // Wall-time attribution is always on for distributed workers: the
+            // coordinator's imbalance summary needs every shard's breakdown.
+            // Next to a socket cycle of one `write` and one or two `read`s it
+            // is not free: eight clock reads (31 ns each) and one more empty
+            // `read` (212 ns) are ≈0.5 µs of a ≈62 µs cycle, 0.8 %, by
+            // arithmetic — but 22 alternating on/off pairs of the 16×16
+            // two-worker Unix-socket run had "off" ahead in 17, medians
+            // 5–19 % apart at ±15 % run-to-run spread. Over the 2 % budget as
+            // measured: ROADMAP's observability item owns it.
             profile: true,
             telemetry_every,
             kernel,
-        })?;
+        });
+        let outcome = match driven {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // A socket transport's orderly close reads as "finished" to
+                // its peer and waits for the peer to finish too. A failed
+                // shard must do neither: leave the sockets to process exit,
+                // which the peers see as an error at once.
+                std::mem::forget(transports);
+                return Err(e);
+            }
+        };
 
         let mut trace = TraceDump::default();
         for tile in &mut tiles {
@@ -332,14 +348,6 @@ fn crash_token() -> Option<(usize, u64, std::path::PathBuf)> {
 
 fn proto_err(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {msg}"))
-}
-
-fn set_stream_blocking(s: &Stream) -> io::Result<()> {
-    match s {
-        #[cfg(unix)]
-        Stream::Unix(u) => u.set_nonblocking(false),
-        Stream::Tcp(t) => t.set_nonblocking(false),
-    }
 }
 
 /// Sends one control message over the shared writer.
@@ -552,7 +560,7 @@ pub fn worker_main(
                 .count();
             for _ in 0..expect_higher {
                 let mut s = listener.accept_deadline(deadline)?;
-                set_stream_blocking(&s)?;
+                s.set_nonblocking(false)?;
                 let CtrlMsg::PeerHello { from } = CtrlMsg::decode(&read_frame(&mut s)?)? else {
                     return Err(proto_err("expected PeerHello"));
                 };
@@ -705,6 +713,12 @@ pub fn worker_main(
         .telemetry_every
         .is_some()
         .then_some(&mut telemetry_sink as &mut dyn TelemetrySink);
+    // Start co-located drivers on different cores. A running driver polls and
+    // almost never blocks, so the scheduler's wake-up placement gets no second
+    // look at it: two drivers that the handshake's wake-ups left on one core
+    // take turns there, at half speed, until the periodic balancer parts them
+    // (≈1.3 s on a 2-core host — longer than many runs). Placed, not pinned.
+    hornet_shard::sys::place_current_thread(shard);
     let outcome = worker.run(
         start_cycle,
         budget.saturating_sub(start_cycle),
@@ -733,8 +747,9 @@ pub fn worker_main(
     )?;
     done_flag.store(true, Ordering::Release);
     olog_debug!("worker", { shard = shard }, "done sent");
-    // Hold every socket open until the coordinator closes the control
-    // channel: peers may still be draining our final frames.
+    // Hold the control socket open until the coordinator closes it. (The
+    // data-plane sockets closed when `run` dropped the transports, each
+    // only after its peer had finished too.)
     let _ = ctrl_thread.join();
     olog_debug!("worker", { shard = shard }, "ctrl closed, exiting");
     Ok(())

@@ -66,13 +66,26 @@ fn assert_bit_identical(seq: &NetworkStats, dist: &NetworkStats, what: &str) {
 }
 
 /// The acceptance test: 4 worker processes over Unix sockets, CycleAccurate,
-/// 16×16 mesh, uniform + transpose — bit-identical to sequential.
+/// 16×16 mesh, uniform + transpose — bit-identical to sequential. The same
+/// transpose spec over TCP loopback on 2 workers rides along: TCP shares the
+/// socket transport's one code path.
 #[cfg(unix)]
 #[test]
 fn four_process_unix_socket_cycle_accurate_is_bit_identical() {
-    for (pattern, seed) in [
-        (SyntheticPattern::UniformRandom, 11u64),
-        (SyntheticPattern::Transpose, 23u64),
+    for (pattern, seed, transport, workers) in [
+        (
+            SyntheticPattern::UniformRandom,
+            11u64,
+            TransportKind::UnixSocket,
+            4,
+        ),
+        (
+            SyntheticPattern::Transpose,
+            23u64,
+            TransportKind::UnixSocket,
+            4,
+        ),
+        (SyntheticPattern::Transpose, 23u64, TransportKind::Tcp, 2),
     ] {
         let spec = spec_16x16(pattern.clone(), seed, 1_500);
         let (seq, _, _) = spec.run_sequential().expect("sequential reference");
@@ -80,19 +93,19 @@ fn four_process_unix_socket_cycle_accurate_is_bit_identical() {
         let outcome = run_distributed(
             &spec,
             &HostOptions {
-                workers: 4,
-                transport: TransportKind::UnixSocket,
+                workers,
+                transport,
                 worker_cmd: Some(worker_bin()),
                 ..HostOptions::default()
             },
         )
         .expect("distributed run");
-        assert_eq!(outcome.shards, 4);
+        assert_eq!(outcome.shards, workers);
         assert_eq!(outcome.final_cycle, 1_500);
         assert_bit_identical(
             &seq,
             &outcome.stats,
-            &format!("4-process unix {}", pattern.label()),
+            &format!("{workers}-process {transport:?} {}", pattern.label()),
         );
         // Per-shard stats re-merge to the total.
         let mut merged = NetworkStats::new();

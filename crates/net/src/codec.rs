@@ -49,6 +49,25 @@ impl Enc {
         &self.buf
     }
 
+    /// Empties the buffer, keeping its allocation for the next message.
+    pub fn clear(&mut self) {
+        self.buf.clear();
+    }
+
+    /// Starts a length-prefixed frame in place (the layout [`write_frame`]
+    /// produces); everything encoded until [`end_frame`](Self::end_frame) is
+    /// its payload. Returns the token `end_frame` takes.
+    pub fn begin_frame(&mut self) -> usize {
+        self.u32(0);
+        self.buf.len()
+    }
+
+    /// Closes the frame opened at `start` by back-patching its length prefix.
+    pub fn end_frame(&mut self, start: usize) {
+        let len = (self.buf.len() - start) as u32;
+        self.buf[start - 4..start].copy_from_slice(&len.to_le_bytes());
+    }
+
     pub fn u8(&mut self, v: u8) -> &mut Self {
         self.buf.push(v);
         self
@@ -148,20 +167,38 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
-/// Reads one length-prefixed frame (up to a 64 MiB sanity bound).
-pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > 64 << 20 {
+/// Sanity bound on a frame's payload: a longer length prefix is corrupt.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME_BYTES {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "oversized frame",
         ));
     }
-    let mut buf = vec![0u8; len];
+    Ok(len)
+}
+
+/// Reads one length-prefixed frame (up to [`MAX_FRAME_BYTES`]).
+pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
+    let mut len = [0u8; 4];
+    r.read_exact(&mut len)?;
+    let mut buf = vec![0u8; frame_len(len)?];
     r.read_exact(&mut buf)?;
     Ok(buf)
+}
+
+/// Borrows the payload of the frame at the front of `buf` without copying it
+/// (the frame occupies `4 + payload.len()` bytes); `None` while its bytes are
+/// still arriving. An oversized length prefix is an error before a single
+/// payload byte has been buffered.
+pub fn peek_frame(buf: &[u8]) -> io::Result<Option<&[u8]>> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    Ok(buf.get(4..4 + frame_len(*prefix)?))
 }
 
 /// Encodes a flit into exactly [`FLIT_WIRE_BYTES`] bytes.
@@ -471,6 +508,20 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap(), b"hello");
         assert_eq!(read_frame(&mut r).unwrap(), b"");
         assert_eq!(read_frame(&mut r).unwrap(), vec![7u8; 300]);
+
+        // The in-place pair produces and consumes the same layout.
+        let mut e = Enc::new();
+        for payload in [&b"hello"[..], b"", &[7u8; 300]] {
+            let start = e.begin_frame();
+            e.buf.extend_from_slice(payload);
+            e.end_frame(start);
+        }
+        assert_eq!(e.bytes(), buf);
+        assert_eq!(peek_frame(&buf).unwrap(), Some(&b"hello"[..]));
+        assert_eq!(peek_frame(&buf[..8]).unwrap(), None);
+        assert_eq!(peek_frame(&buf[..3]).unwrap(), None);
+        assert_eq!(peek_frame(&buf[9..]).unwrap(), Some(&b""[..]));
+        assert!(peek_frame(&u32::MAX.to_le_bytes()).is_err());
     }
 
     #[test]

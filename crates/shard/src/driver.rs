@@ -151,8 +151,10 @@ impl PayloadChannel for PayloadEndpoint {
 pub trait TransportPump {
     /// Non-blocking check: `true` when every neighbor's published negedge
     /// progress has reached `floor`. The driver owns the wait loop (backoff,
-    /// stop polling, periodic ingestion) around this.
-    fn peers_reached(&self, floor: Cycle) -> bool;
+    /// stop polling, periodic ingestion) around this. `&mut` because a
+    /// transport whose progress arrives in band (socket frames) reads what
+    /// its lagging neighbors have sent right here, on the driver's thread.
+    fn peers_reached(&mut self, floor: Cycle) -> bool;
 
     /// Moves everything peers have made visible into the local staging rings
     /// (and deposits any arrived payloads). No-op for backends whose rings
@@ -272,8 +274,10 @@ pub enum WaitProfile {
     /// Spin-then-yield: shard workers share one process and one scheduler,
     /// and the wait is typically a cycle's worth of work (thread backend).
     Spin,
-    /// Escalate to sleeps: peers are whole processes that need the CPU this
-    /// loop would otherwise burn (multi-process backends).
+    /// Escalate to sleeps (multi-process backends). With a core per worker
+    /// the spin/yield budget covers a lock-step wait; the sleeps exist for
+    /// hosts with more workers than cores, where the lagging peer needs the
+    /// CPU this loop would otherwise burn.
     Sleep,
 }
 
@@ -408,10 +412,12 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
     }
 
     /// Spins until every neighbor reaches `floor` or the stop flag is
-    /// raised (returns `false` then, so the caller can unwind). While
-    /// parked, periodically ingests inbound wire traffic and — in loose
-    /// modes — folds returned credits, so a peer blocked on a full ring can
-    /// always make progress (no transport-level deadlock).
+    /// raised (returns `false` then, so the caller can unwind). Socket
+    /// transports read their lagging neighbors on every `peers_reached`
+    /// check; the every-512-spins `ingest` is the shared-memory copy, and —
+    /// in loose modes — returned credits are folded alongside it, so a peer
+    /// blocked on a full ring can always make progress (no transport-level
+    /// deadlock).
     fn wait_peers(&mut self, floor: Cycle, wait: WaitProfile, strict: bool) -> bool {
         let mut spins: u64 = 0;
         let mut reported = false;

@@ -246,7 +246,7 @@ struct ThreadPump<'a> {
 }
 
 impl TransportPump for ThreadPump<'_> {
-    fn peers_reached(&self, floor: Cycle) -> bool {
+    fn peers_reached(&mut self, floor: Cycle) -> bool {
         self.neighbors
             .iter()
             .all(|&n| self.sync.negedge_done[n].load(Ordering::Acquire) >= floor)

@@ -1,11 +1,12 @@
 //! Minimal raw Linux syscall shims.
 //!
 //! The build image has no `libc` crate, so the two OS facilities the
-//! execution runtimes need — pinning a worker thread to a core and mapping a
-//! file as shared memory for the co-located-process transport — are issued as
-//! raw syscalls via inline assembly on Linux x86_64/aarch64. Everywhere else
-//! they degrade gracefully: pinning becomes a no-op and shared mappings are
-//! reported as unavailable (callers fall back to the socket transport).
+//! execution runtimes need — pinning or placing a worker thread on a core and
+//! mapping a file as shared memory for the co-located-process transport — are
+//! issued as raw syscalls via inline assembly on Linux x86_64/aarch64.
+//! Everywhere else they degrade gracefully: pinning and placing become no-ops
+//! and shared mappings are reported as unavailable (callers fall back to the
+//! socket transport).
 
 #[cfg(all(
     target_os = "linux",
@@ -170,6 +171,15 @@ mod imp {
         ret == 0
     }
 
+    /// Moves the calling thread to the `idx`-th CPU of its allowed set (modulo
+    /// the set size) and leaves the set as it was: a placement, not a pin, so
+    /// the scheduler stays free to move the thread later. Returns `true` if
+    /// the thread was placed.
+    pub fn place_current_thread(idx: usize) -> bool {
+        let allowed = allowed_cpus();
+        allowed.len() > 1 && pin_current_thread(idx) && set_affinity(&allowed)
+    }
+
     /// Maps `len` bytes of the file behind `fd` as a shared read-write
     /// mapping. Returns a page-aligned pointer, or `None` on failure.
     ///
@@ -236,6 +246,11 @@ mod imp {
         false
     }
 
+    /// No-op fallback: the thread stays where the scheduler put it.
+    pub fn place_current_thread(_idx: usize) -> bool {
+        false
+    }
+
     /// Unavailable on this platform.
     ///
     /// # Safety
@@ -259,7 +274,8 @@ mod imp {
 }
 
 pub use imp::{
-    allowed_cpus, map_shared, pin_current_thread, set_affinity, shared_mappings_available, unmap,
+    allowed_cpus, map_shared, pin_current_thread, place_current_thread, set_affinity,
+    shared_mappings_available, unmap,
 };
 
 #[cfg(test)]
@@ -290,6 +306,35 @@ mod tests {
         } else {
             assert!(!ok);
             assert!(allowed_cpus().is_empty());
+        }
+    }
+
+    #[cfg(all(
+        target_os = "linux",
+        any(target_arch = "x86_64", target_arch = "aarch64")
+    ))]
+    #[test]
+    fn placing_moves_the_thread_and_keeps_its_affinity_mask() {
+        fn current_cpu() -> usize {
+            let stat = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
+            // Field 39, counted from after the parenthesised command name.
+            let after_comm = &stat[stat.rfind(')').unwrap() + 2..];
+            after_comm.split(' ').nth(36).unwrap().parse().unwrap()
+        }
+        let saved = allowed_cpus();
+        if saved.len() < 2 {
+            assert!(!place_current_thread(1), "nowhere to move to");
+            return;
+        }
+        for (idx, &cpu) in saved.iter().enumerate().take(4) {
+            // The thread is free to be moved again the moment it is placed,
+            // so a busy machine gets a few attempts.
+            let landed = (0..5).any(|_| {
+                assert!(place_current_thread(idx + saved.len()), "wraps round");
+                assert_eq!(allowed_cpus(), saved, "the mask is left as it was");
+                current_cpu() == cpu
+            });
+            assert!(landed, "never observed on allowed CPU #{idx} ({cpu})");
         }
     }
 
