@@ -347,7 +347,10 @@ mod tests {
     use hornet_net::geometry::Geometry;
     use hornet_net::routing::RoutingKind;
     use hornet_net::vca::VcAllocKind;
-    use hornet_traffic::injector::{flows_for_pattern, SyntheticConfig, SyntheticInjector};
+    use hornet_traffic::injector::{
+        attach_everywhere, flows_for_pattern, network_for_pattern, SyntheticConfig,
+        SyntheticInjector,
+    };
     use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
     use std::sync::Arc;
 
@@ -544,6 +547,75 @@ mod tests {
         assert_eq!(without.total_packet_latency, with.total_packet_latency);
         assert!(with.fast_forwarded_cycles > 0);
         assert!(with.simulated_cycles < without.simulated_cycles);
+    }
+
+    #[test]
+    fn a_stop_cycle_in_an_idle_gap_is_reached_with_fast_forward_on() {
+        // One 4-flit packet per tile every 50 cycles until cycle 240: the
+        // last injection is at 200, the network drains long before 240, and
+        // nothing else happens until the injectors see their stop cycle.
+        let run = |threads: usize, fast_forward: bool| {
+            let geometry = Arc::new(Geometry::mesh2d(4, 4));
+            let pattern = SyntheticPattern::Transpose;
+            let mut network = network_for_pattern(
+                (*geometry).clone(),
+                &pattern,
+                RoutingKind::Xy,
+                VcAllocKind::Dynamic,
+                11,
+            )
+            .unwrap();
+            let injector = SyntheticConfig {
+                pattern,
+                process: InjectionProcess::Periodic {
+                    period: 50,
+                    offset: 0,
+                },
+                packet_len: 4,
+                stop_after: Some(240),
+                max_packets: None,
+            };
+            attach_everywhere(&mut network, &geometry, &injector);
+            let mut engine = ParallelEngine::from_network(
+                network,
+                EngineConfig {
+                    threads,
+                    sync: SyncMode::CycleAccurate,
+                    fast_forward,
+                    pin_threads: false,
+                    kernel: KernelMode::Auto,
+                },
+            );
+            let completed = engine.run_to_completion(100_000);
+            // What the run simulated, without how many cycles it took to say so.
+            let stats = NetworkStats {
+                simulated_cycles: 0,
+                fast_forwarded_cycles: 0,
+                busy_cycles: 0,
+                last_cycle: 0,
+                ..engine.stats()
+            };
+            (completed, engine.cycle(), stats)
+        };
+        let (completed, cycle, reference) = run(1, false);
+        assert!(completed && cycle == 240, "sequential: stopped at {cycle}");
+        assert!(reference.delivered_packets > 0);
+        let (completed, cycle, stats) = run(1, true);
+        assert!(
+            completed && cycle == 240,
+            "fast-forward: stopped at {cycle}"
+        );
+        assert_eq!(stats, reference, "fast-forward");
+        // The thread backend's detector reads the same `finished()`; its
+        // workers notice the stop flag a few cycles apart.
+        for fast_forward in [false, true] {
+            let (completed, cycle, stats) = run(2, fast_forward);
+            assert!(
+                completed && (240..1_000).contains(&cycle),
+                "2 threads, fast-forward {fast_forward}: stopped at {cycle}"
+            );
+            assert_eq!(stats, reference, "2 threads, fast-forward {fast_forward}");
+        }
     }
 
     /// A 4×4 transpose network with sparse periodic traffic (long idle gaps,

@@ -22,7 +22,10 @@
 //!   persistent kernel is rebuilt whenever its tiles were lent out;
 //! * unroutable packets: the `Dropping` path, which ordinary traffic never
 //!   takes, drains identically through the kernel's masks;
-//! * `offered_packets` is counted, and counted identically, on every path.
+//! * `offered_packets` is counted, and counted identically, on every path;
+//! * pinned totals of one congested XY run and one adaptive run: kernel and
+//!   interpreter share their stage bodies, so a stage that refuses work it
+//!   may not refuse changes both alike — only a fixed expectation sees it.
 //!
 //! All comparisons pin the mode programmatically ([`KernelMode::Force`] /
 //! [`KernelMode::Off`]), which is immune to the `HORNET_KERNEL` environment
@@ -363,4 +366,56 @@ fn offered_packets_are_counted_identically_on_every_path() {
     let (interp, _) = case.run(1, sync, KernelMode::Off, 2_000);
     assert_eq!(threaded.offered_packets, seq.offered_packets);
     assert_eq!(interp.offered_packets, seq.offered_packets);
+}
+
+/// The two enumerations call the same stage bodies, so a stage that skips a
+/// step it may not skip (VA's "every out-VC of the port is owned" early
+/// return widened to "any", say) changes both alike and every comparison
+/// above still passes. These totals — 4×4 transpose at 0.10, seed 2024,
+/// 2 000 cycles — pin the simulation itself; a change that moves them has
+/// changed results or RNG streams, and must say so.
+#[test]
+fn stage_bodies_reproduce_the_pinned_totals() {
+    // (routing, [offered, injected, delivered packets, delivered flits,
+    //  packet latency, hops, arbitrations, crossbar transits, link flits])
+    let pinned = [
+        (
+            RoutingKind::Xy,
+            [
+                3204, 3046, 2957, 11860, 108_976, 8955, 131_610, 48_073, 36_213,
+            ],
+        ),
+        (
+            RoutingKind::AdaptiveMinimal,
+            [
+                3293, 3293, 3252, 13030, 71_880, 9759, 102_916, 52_318, 39_288,
+            ],
+        ),
+    ];
+    for (routing, want) in pinned {
+        let case = Case {
+            routing,
+            ..Case::mesh(4, 4, 2024, 0.10)
+        };
+        for (threads, kernel) in [
+            (1, KernelMode::Force),
+            (1, KernelMode::Off),
+            (2, KernelMode::Force),
+        ] {
+            let (s, _) = case.run(threads, SyncMode::CycleAccurate, kernel, 2_000);
+            let have = [
+                s.offered_packets,
+                s.injected_packets,
+                s.delivered_packets,
+                s.delivered_flits,
+                s.total_packet_latency,
+                s.total_hops,
+                s.activity.arbitrations,
+                s.activity.crossbar_transits,
+                s.activity.link_flits,
+            ];
+            assert_eq!(have, want, "{routing:?}, {threads} thread(s), {kernel:?}");
+            assert_eq!(s.routing_failures, 0);
+        }
+    }
 }

@@ -131,16 +131,6 @@ impl Bridge {
         self.pending.is_empty() && self.slots.iter().all(|s| s.is_none())
     }
 
-    /// Earliest cycle at which the bridge has injection work to do, for
-    /// fast-forwarding: `None` when idle.
-    pub fn next_injection_event(&self) -> Option<Cycle> {
-        if self.injection_idle() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
     /// Takes the next delivered packet, if any.
     pub fn try_recv(&mut self) -> Option<DeliveredPacket> {
         self.delivered.pop_front()
@@ -175,7 +165,7 @@ impl Bridge {
         mut tracer: Option<&mut TraceRing>,
     ) {
         // Fill idle slots with pending packets.
-        for (vc, slot) in self.slots.iter_mut().enumerate() {
+        for slot in &mut self.slots {
             if slot.is_none() {
                 if let Some(mut packet) = self.pending.pop_front() {
                     packet.injected_at = now;
@@ -193,7 +183,6 @@ impl Bridge {
                     break;
                 }
             }
-            let _ = vc;
         }
         // Push flits, round-robin over the slots, up to the injection bandwidth.
         let mut budget = self.injection_bandwidth;
@@ -204,32 +193,30 @@ impl Bridge {
             let Some(slot) = &mut self.slots[vc] else {
                 continue;
             };
-            while budget > 0 {
-                let Some(front) = slot.flits.front() else {
+            // Ask for space before touching the flit: under back-pressure
+            // every occupied slot is refused every cycle, and a refusal must
+            // cost one compare, not a flit copy.
+            let mut space = self.injection_vcs[vc].free_space();
+            while budget > 0 && space > 0 {
+                let Some(mut flit) = slot.flits.pop_front() else {
                     break;
                 };
-                let mut flit = *front;
                 flit.visible_at = now + 1;
                 flit.stats.injected_at = now;
                 flit.stats.arrived_at_current = now;
-                // `push` performs its own credit check (it reserves occupancy
-                // before enqueueing), so no separate free_space() pre-check is
-                // needed.
-                if self.injection_vcs[vc].push(flit) {
-                    slot.flits.pop_front();
-                    stats.injected_flits += 1;
-                    budget -= 1;
-                    if let Some(t) = tracer.as_deref_mut() {
-                        t.record(TraceEvent {
-                            cycle: now,
-                            node: self.node.raw(),
-                            kind: TraceKind::FlitInject,
-                            a: flit.packet.raw(),
-                            b: flit.seq as u64,
-                        });
-                    }
-                } else {
-                    break;
+                let pushed = self.injection_vcs[vc].push(flit);
+                assert!(pushed, "injection VC refused a flit it had space for");
+                stats.injected_flits += 1;
+                budget -= 1;
+                space -= 1;
+                if let Some(t) = tracer.as_deref_mut() {
+                    t.record(TraceEvent {
+                        cycle: now,
+                        node: self.node.raw(),
+                        kind: TraceKind::FlitInject,
+                        a: flit.packet.raw(),
+                        b: flit.seq as u64,
+                    });
                 }
             }
             if slot.flits.is_empty() {
@@ -453,6 +440,7 @@ mod tests {
     use super::*;
     use crate::flit::Payload;
     use crate::ids::FlowId;
+    use crate::vcbuf::Aggregate;
 
     fn bridge_with_vcs(n: usize, capacity: usize) -> Bridge {
         let vcs = (0..n).map(|_| Arc::new(VcBuffer::new(capacity))).collect();
@@ -500,6 +488,35 @@ mod tests {
     }
 
     #[test]
+    fn blocked_injection_touches_nothing_and_resumes_with_one_flit() {
+        let agg = Arc::new(Aggregate::default());
+        let vc = Arc::new(VcBuffer::with_aggregate(2, Arc::clone(&agg)));
+        let mut b = Bridge::new(NodeId::new(0), vec![Arc::clone(&vc)], 4);
+        let mut stats = NetworkStats::new();
+        b.send(packet(1, 5));
+        // Bandwidth 4 but capacity 2: two flits go in, then the VC is full.
+        b.inject(0, &mut stats);
+        let state = |stats: &NetworkStats| (vc.occupancy(), agg.get(), stats.injected_flits);
+        assert_eq!(state(&stats), (2, 2, 2));
+        for now in 1..4 {
+            b.inject(now, &mut stats);
+            assert_eq!(state(&stats), (2, 2, 2), "blocked at cycle {now}");
+            assert_eq!(b.pending_packets(), 1);
+        }
+        // The router takes one flit; exactly one follows, whatever the budget.
+        vc.absorb_tail();
+        assert_eq!(vc.pop_if(9, |_| true).map(|f| f.seq), Some(0));
+        b.inject(4, &mut stats);
+        assert_eq!(state(&stats), (2, 2, 3));
+        // It is the next flit in order, stamped by the cycle it went in.
+        vc.absorb_tail();
+        assert_eq!(vc.pop_if(9, |_| true).map(|f| f.seq), Some(1));
+        let resumed = vc.pop_if(9, |_| true).expect("the resumed flit");
+        assert_eq!((resumed.seq, resumed.visible_at), (2, 5));
+        assert_eq!(resumed.stats.injected_at, 4);
+    }
+
+    #[test]
     fn reassembly_delivers_complete_packets_only() {
         let mut b = bridge_with_vcs(1, 4);
         let mut stats = NetworkStats::new();
@@ -541,6 +558,5 @@ mod tests {
         // Both packets got a slot; with bandwidth 4 all four flits entered.
         assert_eq!(stats.injected_flits, 4);
         assert!(b.injection_idle());
-        assert_eq!(b.next_injection_event(), None);
     }
 }

@@ -7,7 +7,7 @@
 //! simulated fabric into flat batched execution streams. [`MeshKernel`] is
 //! that move for a shard of tiles, and it changes only the *enumeration*: at
 //! build time it lowers the shard's routers into per-tile 64-bit masks, one
-//! per pipeline predicate (cached head present, Routed, Active, Dropping,
+//! per pipeline predicate (absorbed head present, Routed, Active, Dropping,
 //! pushed-since-last-edge), and each cycle it sweeps one stage at a time
 //! across all tiles, calling the router's own stage on the set bits only and
 //! folding the transition the stage reports back into the masks.
@@ -18,9 +18,9 @@
 //! bookkeeping. Two properties make that fast:
 //!
 //! * **Quiet tiles cost O(1).** A tile with no buffered flit skips absorb,
-//!   SA, VA and RC entirely (one aggregate atomic load + clearing any stale
-//!   cached heads, found by bitmask). Per-cycle cost scales with *activity*,
-//!   not with fabric size.
+//!   SA, VA and RC entirely (one load of the router's aggregate counter +
+//!   clearing any stale head stamps, found by bitmask). Per-cycle cost scales
+//!   with *activity*, not with fabric size.
 //! * **Untouched VCs cost nothing.** A VC is re-absorbed only when something
 //!   pushed into it since the previous positive edge: a neighbour tile's
 //!   staged move (resolved through a frozen egress→VC table), a bridge
@@ -30,7 +30,7 @@
 //!   it is invisible.
 //!
 //! The kernel holds **no authoritative state**: VC state machines, head
-//! caches, staged moves, statistics and the clock all stay on the routers, so
+//! stamps, staged moves, statistics and the clock all stay on the routers, so
 //! snapshot/restore, telemetry and the ledger read the tiles exactly as they
 //! do under the interpreter, with no flush step. Since both sides run the
 //! same stage bodies — same per-tile RNG draws, same stat counting — the only
@@ -181,7 +181,7 @@ impl Stepper {
 /// timing was enabled at compile time).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StageTimes {
-    /// Absorb + head-snapshot + quiet-tile triage.
+    /// Absorb + head-stamp read + quiet-tile triage.
     pub absorb: Duration,
     /// Switch arbitration (per flit).
     pub sa: Duration,
@@ -224,7 +224,8 @@ pub struct MeshKernel {
     /// Bits covering each tile's full VC range.
     valid: Vec<u64>,
     // --- per-tile pipeline predicates (bit set ⇔ predicate holds) ---
-    /// The router's cached head snapshot is `Some` for this VC.
+    /// The router's cached head stamp is not `Cycle::MAX`: the VC has an
+    /// absorbed head flit.
     head_mask: Vec<u64>,
     /// VC state is `Routed`.
     routed: Vec<u64>,
@@ -233,9 +234,9 @@ pub struct MeshKernel {
     /// VC state is `Dropping`.
     dropping: Vec<u64>,
     /// VC received a push since the last positive edge and needs its absorb
-    /// cursor advanced (and, if it had no cached head, a fresh head peek).
-    /// Pops need no mask: the negative-edge stages refresh the head cache in
-    /// place.
+    /// boundary advanced (and, if it had no absorbed head, its head stamp
+    /// read). Pops need no mask: the negative-edge stages re-read the stamp
+    /// in place.
     dirty: Vec<u64>,
     /// Tiles with at least one buffered flit this positive edge.
     busy: Vec<u32>,
@@ -315,7 +316,7 @@ impl MeshKernel {
                     k.inj_mask[t] |= 1 << bit;
                 }
                 k.valid[t] |= 1 << bit;
-                if r.head_cache[bit].is_some() {
+                if r.head_visible[bit] != Cycle::MAX {
                     k.head_mask[t] |= 1 << bit;
                 }
                 k.note(t, bit, r.vc_state[bit]);
@@ -415,28 +416,24 @@ impl MeshKernel {
             let pushed = std::mem::take(&mut self.dirty[t]);
             if !r.begin_posedge(now) {
                 // Quiet tile: every stage would be a no-op; just invalidate
-                // stale cached heads (the interpreter nulls them during its
+                // stale head stamps (the interpreter resets them during its
                 // absorb scan).
                 for b in bits(std::mem::take(&mut self.head_mask[t])) {
-                    r.head_cache[b] = None;
+                    r.head_visible[b] = Cycle::MAX;
                 }
                 continue;
             }
             let mut hm = self.head_mask[t];
             let mut absorbed = 0u64;
-            // Pushed VCs that already have a cached head only need the absorb
-            // cursor advanced — a push can never change the head flit of a
-            // non-empty buffer, so the (88-byte) head re-copy is skipped.
-            for b in bits(pushed & hm) {
+            // A push can never change the head flit of a VC that already has
+            // an absorbed one, so only the others need their stamp read.
+            for b in bits(pushed) {
                 absorbed += r.vcs[b].absorb_tail() as u64;
-            }
-            for b in bits(pushed & !hm) {
-                let (n, head) = r.vcs[b].absorb_and_peek();
-                absorbed += n as u64;
-                if head.is_some() {
-                    hm |= 1 << b;
+                if hm & (1 << b) == 0 {
+                    let stamp = r.vcs[b].head_visible_at();
+                    r.head_visible[b] = stamp;
+                    hm |= u64::from(stamp != Cycle::MAX) << b;
                 }
-                r.head_cache[b] = head;
             }
             self.head_mask[t] = hm;
             r.stats.activity.buffer_writes += absorbed;
@@ -579,7 +576,7 @@ mod tests {
         let r = &node.router;
         let mut m = [0u64; 4];
         for (b, state) in r.vc_state.iter().enumerate() {
-            m[0] |= u64::from(r.head_cache[b].is_some()) << b;
+            m[0] |= u64::from(r.head_visible[b] != Cycle::MAX) << b;
             match state {
                 VcState::Idle => {}
                 VcState::Routed { .. } => m[1] |= 1 << b,
@@ -627,6 +624,12 @@ mod tests {
                 );
                 for (s, m) in seen.iter_mut().zip(want) {
                     *s |= m;
+                }
+                // The cached stamp is the absorbed head's, or MAX without one.
+                let r = &node.router;
+                for (b, vc) in r.vcs.iter().enumerate() {
+                    let head = vc.peek(Cycle::MAX).map_or(Cycle::MAX, |f| f.visible_at);
+                    assert_eq!(r.head_visible[b], head, "cycle {now}, tile {t}, VC {b}");
                 }
             }
         }

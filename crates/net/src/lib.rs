@@ -14,7 +14,8 @@
 //! * [`vca`] — virtual-channel allocation (dynamic, static-set,
 //!   phase-separated, EDVCA, FAA, explicit tables);
 //! * [`router`] — the RC/VA/SA/ST router pipeline with randomized arbitration;
-//! * [`vcbuf`] — the dual-lock ingress VC buffer shared between tiles;
+//! * [`vcbuf`] — the ingress VC buffer: a single-owner flit ring (one thread
+//!   drives both of its ends; see its ownership contract);
 //! * [`boundary`] — lock-free SPSC flit/credit mailboxes for links cut
 //!   between two shards of a partitioned parallel simulation;
 //! * [`link`] — bandwidth-adaptive bidirectional links;

@@ -35,17 +35,25 @@
 //!
 //! # Hot-path discipline
 //!
-//! A steady-state simulated cycle performs **no heap allocation** and **no
-//! lock acquisitions**: every VC buffer is a lock-free single-producer /
-//! single-consumer ring ([`VcBuffer`]), so absorbing, peeking and popping
-//! are a handful of atomic loads and stores:
+//! A steady-state simulated cycle performs **no heap allocation**, **no lock
+//! acquisition and no atomic read-modify-write**: every VC buffer is a
+//! single-owner ring ([`VcBuffer`] — both of its ends are driven by the
+//! thread that steps this router, see its ownership contract), so absorbing,
+//! peeking and popping are plain loads and stores, and a flit hop copies the
+//! flit twice (ring slot → local, local → downstream slot) and nothing else:
 //!
-//! * the head flit of every VC is snapshotted into `head_cache` (by
-//!   [`VcBuffer::absorb_and_peek`] at the positive edge, refreshed in place
-//!   after each pop); the stages read the snapshot instead of the buffer;
-//! * empty VCs are skipped with a single lock-free occupancy load, and the
-//!   router-wide idle check reads one aggregate atomic ([`buffered_flits`] is
-//!   O(1), feeding the engine's idle / fast-forward boundary checks);
+//! * per VC the router caches only `head_visible`, the `visible_at` stamp of
+//!   the absorbed head flit (`Cycle::MAX` when there is none; read at the
+//!   positive edge, re-read after each pop). SA, which runs per flit, decides
+//!   from the stamp alone; VA and RC, which run once per packet, read the
+//!   head's `flow` / `packet` / `dst` / `kind` from the ring slot;
+//! * work that will be refused is refused early: a `Routed` head whose egress
+//!   port has no unowned out-VC costs VA one scan of `out_state`, and the
+//!   bridge asks `free_space()` before it copies a flit toward a full
+//!   injection VC;
+//! * empty VCs are skipped with a single occupancy load, and the router-wide
+//!   idle check reads one aggregate counter ([`buffered_flits`] is O(1),
+//!   feeding the engine's idle / fast-forward boundary checks);
 //! * all arbitration working memory lives in one reusable `StageScratch`,
 //!   held by whichever side is stepping (each router owns one for the
 //!   interpreter; the kernel owns one for all its tiles); its per-buffer
@@ -63,10 +71,9 @@ use crate::link::BidirLink;
 use crate::routing::{NextHop, RoutingPolicy};
 use crate::stats::NetworkStats;
 use crate::vca::{DownstreamVc, VcaPolicy, VcaRequest};
-use crate::vcbuf::VcBuffer;
+use crate::vcbuf::{Aggregate, VcBuffer};
 use hornet_obs::trace::{TraceEvent, TraceKind, TraceRing};
 use rand::Rng;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Structural parameters of one router.
@@ -225,9 +232,10 @@ pub struct Router {
     pub(crate) vc_state: Vec<VcState>,
     /// Ingress port of every ingress VC.
     vc_port: Vec<usize>,
-    /// Snapshot of every ingress VC's head flit (ignoring its visibility
-    /// stamp), so the stages never touch the buffer.
-    pub(crate) head_cache: Vec<Option<Flit>>,
+    /// The `visible_at` stamp of every ingress VC's absorbed head flit,
+    /// `Cycle::MAX` when nothing is absorbed: all SA needs to know about a
+    /// head. Derived state (never snapshotted).
+    pub(crate) head_visible: Vec<Cycle>,
     pub(crate) egress: Vec<EgressPort>,
     /// Index of the local injection ingress port.
     pub(crate) injection_port: usize,
@@ -236,7 +244,7 @@ pub struct Router {
     /// Total flits resident in this router's ingress buffers; every ingress
     /// `VcBuffer` reports into it, making [`buffered_flits`](Self::buffered_flits)
     /// and the engine's idle checks O(1).
-    buffered: Arc<AtomicUsize>,
+    buffered: Arc<Aggregate>,
     pub(crate) staged: Vec<StagedMove>,
     /// Flat indices of the VCs discarding a flit this cycle.
     pub(crate) staged_drops: Vec<usize>,
@@ -265,7 +273,7 @@ impl Router {
         routing: RoutingPolicy,
         vca: VcaPolicy,
     ) -> Self {
-        let buffered = Arc::new(AtomicUsize::new(0));
+        let buffered = Arc::new(Aggregate::default());
         let mut port_nodes: Vec<NodeId> = neighbors.to_vec();
         port_nodes.push(node);
         let injection_port = neighbors.len();
@@ -312,7 +320,7 @@ impl Router {
             ingress_offsets,
             vc_state: vec![VcState::Idle; vcs.len()],
             vc_port,
-            head_cache: vec![None; vcs.len()],
+            head_visible: vec![Cycle::MAX; vcs.len()],
             vcs,
             egress,
             injection_port,
@@ -419,6 +427,17 @@ impl Router {
         std::mem::replace(&mut self.egress[idx].buffers, channels)
     }
 
+    /// The downstream channels of the egress port toward `to`, one per VC:
+    /// what [`connect_egress`](Self::connect_egress) or
+    /// [`swap_egress_channels`](Self::swap_egress_channels) last put there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` is not a neighbour of this router.
+    pub fn egress_channels(&self, to: NodeId) -> &[EgressChannel] {
+        &self.egress[self.egress_of(to)].buffers
+    }
+
     /// The router-facing neighbours of this router, in egress-port order.
     pub fn neighbors(&self) -> &[NodeId] {
         &self.port_nodes[..self.ejection_port]
@@ -460,7 +479,7 @@ impl Router {
     /// a single load of the aggregate counter every ingress buffer updates.
     #[inline]
     pub fn buffered_flits(&self) -> usize {
-        self.buffered.load(Ordering::Acquire)
+        self.buffered.get()
     }
 
     /// True if no flit is buffered here. O(1).
@@ -504,8 +523,8 @@ impl Router {
         }
     }
 
-    /// Positive clock edge: absorb newly arrived flits, snapshot every VC's
-    /// head flit, run the SA, VA and RC stages on every VC, and stage the
+    /// Positive clock edge: absorb newly arrived flits, read every VC's head
+    /// stamp, run the SA, VA and RC stages on every VC, and stage the
     /// resulting flit movements. No shared state is mutated except the
     /// tail→head absorption of this router's own buffers.
     pub fn posedge<R: Rng>(&mut self, now: Cycle, rng: &mut R) {
@@ -526,15 +545,13 @@ impl Router {
         self.begin_posedge(now);
 
         // Absorb flits deposited by upstream routers / the local bridge and
-        // snapshot each VC's head flit: a few atomic ops per non-empty VC,
-        // none for empty VCs (a lock-free occupancy load skips them).
+        // read each VC's head stamp; an occupancy load skips empty VCs.
         let mut absorbed = 0u64;
-        for (vc, head) in self.vcs.iter().zip(&mut self.head_cache) {
-            *head = None;
+        for (vc, stamp) in self.vcs.iter().zip(&mut self.head_visible) {
+            *stamp = Cycle::MAX;
             if vc.occupancy() > 0 {
-                let (n, flit) = vc.absorb_and_peek();
-                absorbed += n as u64;
-                *head = flit;
+                absorbed += vc.absorb_tail() as u64;
+                *stamp = vc.head_visible_at();
             }
         }
         self.stats.activity.buffer_writes += absorbed;
@@ -573,11 +590,11 @@ impl Router {
         busy
     }
 
-    /// The cached head flit of VC `b`, if it is visible by `now` (the same
-    /// filter as `VcBuffer::peek(now)`).
+    /// True if VC `b` has an absorbed head flit that is visible by `now`
+    /// (`VcBuffer::peek(now)` would return it).
     #[inline]
-    fn head(&self, b: usize, now: Cycle) -> Option<&Flit> {
-        self.head_cache[b].as_ref().filter(|f| f.visible_at <= now)
+    fn head_due(&self, b: usize, now: Cycle) -> bool {
+        self.head_visible[b] <= now
     }
 
     /// SA, first half, for VC `b`: if it has a visible flit to move, queues
@@ -590,13 +607,13 @@ impl Router {
                 egress,
                 out_vc,
                 next_flow,
-            } if self.head(b, now).is_some() => s.sa.push(StagedMove {
+            } if self.head_due(b, now) => s.sa.push(StagedMove {
                 vc: b,
                 egress,
                 out_vc,
                 next_flow,
             }),
-            VcState::Dropping if self.head(b, now).is_some() => self.staged_drops.push(b),
+            VcState::Dropping if self.head_due(b, now) => self.staged_drops.push(b),
             _ => {}
         }
     }
@@ -648,7 +665,8 @@ impl Router {
 
     /// VA for VC `b`: a Routed packet with a visible head flit asks the VCA
     /// policy for a next-hop VC and, if one is free, becomes Active (returned).
-    /// Otherwise it waits in the VA stage.
+    /// Otherwise it waits in the VA stage. Either way the attempt counts as
+    /// one arbitration.
     ///
     /// `built` has a bit per egress port whose downstream snapshot in `s` is
     /// current; pass the same word, starting from 0, to every call of one
@@ -668,12 +686,21 @@ impl Router {
         let VcState::Routed { egress, next_flow } = self.vc_state[b] else {
             return None;
         };
-        let head = self.head(b, now)?;
-        let (flow, packet) = (head.flow, head.packet);
+        if !self.head_due(b, now) {
+            return None;
+        }
         self.stats.activity.arbitrations += 1;
         let mut out_vc = 0;
         if egress != self.ejection_port {
             let e = &self.egress[egress];
+            // Every policy offers only unowned VCs (`free_for_allocation`),
+            // so a port whose out-VCs are all owned has no candidate: wait
+            // without building the snapshot, asking the policy or drawing.
+            if e.out_state.iter().all(|o| o.owner.is_some()) {
+                return None;
+            }
+            let head = self.vcs[b].peek(now)?;
+            let (flow, packet) = (head.flow, head.packet);
             let lo = egress * s.stride;
             // Ports past the 64th are simply rebuilt every time.
             let memo = 1u64.checked_shl(egress as u32).unwrap_or(0);
@@ -732,10 +759,10 @@ impl Router {
         rng: &mut R,
         tracer: Option<&mut TraceRing>,
     ) -> Option<VcState> {
-        if self.vc_state[b] != VcState::Idle {
+        if self.vc_state[b] != VcState::Idle || !self.head_due(b, now) {
             return None;
         }
-        let head = self.head(b, now)?;
+        let head = self.vcs[b].peek(now)?;
         let (is_head, flow, dst, packet) = (head.is_head(), head.flow, head.dst, head.packet);
         let state = 'route: {
             if !is_head {
@@ -831,23 +858,23 @@ impl Router {
         }
     }
 
-    /// Pops VC `b`'s head flit and refreshes the cached head in place: the
-    /// successor flit, if any, is already absorbed (pops never move the
-    /// absorb boundary), so the snapshot stays valid without a re-peek.
-    fn pop(&mut self, b: usize, now: Cycle) -> Option<Flit> {
-        let flit = self.vcs[b].pop_if(now, |_| true)?;
-        self.head_cache[b] = self.vcs[b].head_snapshot();
+    /// Bookkeeping after a flit was popped from VC `b`: re-reads the cached
+    /// head stamp (the successor, if any, is already absorbed — pops never
+    /// move the absorb boundary) and counts the read.
+    #[inline]
+    fn popped(&mut self, b: usize) {
+        self.head_visible[b] = self.vcs[b].head_visible_at();
         self.stats.activity.buffer_reads += 1;
-        Some(flit)
     }
 
     /// Negative edge, one staged move: the flit crosses the crossbar into its
     /// downstream channel (or the local delivery queue); a tail flit releases
     /// the downstream VC and returns the ingress VC to Idle.
     pub(crate) fn apply_move(&mut self, m: StagedMove, now: Cycle) -> Applied {
-        let Some(mut flit) = self.pop(m.vc, now) else {
+        let Some(mut flit) = self.vcs[m.vc].pop_if(now, |_| true) else {
             return Applied::default();
         };
+        self.popped(m.vc);
         self.stats.activity.crossbar_transits += 1;
 
         // Accumulate the residence time at this node into the flit itself.
@@ -883,7 +910,7 @@ impl Router {
             self.vc_state[m.vc] = VcState::Idle;
         }
         Applied {
-            head_empty: self.head_cache[m.vc].is_none(),
+            head_empty: self.head_visible[m.vc] == Cycle::MAX,
             idle,
             pushed,
         }
@@ -892,15 +919,16 @@ impl Router {
     /// Negative edge, one staged drop: discards the head flit of an
     /// unroutable packet; its tail returns the VC to Idle.
     pub(crate) fn apply_drop(&mut self, b: usize, now: Cycle) -> Applied {
-        let Some(flit) = self.pop(b, now) else {
+        let Some(flit) = self.vcs[b].pop_if(now, |_| true) else {
             return Applied::default();
         };
+        self.popped(b);
         let idle = flit.is_tail();
         if idle {
             self.vc_state[b] = VcState::Idle;
         }
         Applied {
-            head_empty: self.head_cache[b].is_none(),
+            head_empty: self.head_visible[b] == Cycle::MAX,
             idle,
             pushed: None,
         }
@@ -917,7 +945,7 @@ impl Router {
             self.scratch.downstream.as_ptr() as usize,
             self.scratch.vca.as_ptr() as usize,
             self.scratch.staged_count.as_ptr() as usize,
-            self.head_cache.as_ptr() as usize,
+            self.head_visible.as_ptr() as usize,
             self.staged.as_ptr() as usize,
         ]
     }
@@ -976,7 +1004,7 @@ fn corrupt(what: &str) -> std::io::Error {
 /// every ingress VC buffer (split at its absorb boundary so the restored
 /// cursors land exactly where the originals were), the per-VC receiver state
 /// machines, the sender-side downstream VC allocations and any flits parked
-/// in the local delivery queue. Derived and scratch state (head cache,
+/// in the local delivery queue. Derived and scratch state (head stamps,
 /// staged moves, arbitration tables) is rebuilt from scratch at the next
 /// positive edge and is deliberately excluded.
 impl Router {

@@ -227,7 +227,7 @@ impl VcaPolicy {
                 for d in downstream
                     .iter()
                     .skip(lo)
-                    .take(hi - lo)
+                    .take(hi.saturating_sub(lo))
                     .filter(|d| d.free_for_allocation)
                 {
                     out.push((d.vc, 1.0));
@@ -395,6 +395,68 @@ mod tests {
         // Unlisted tuples fall back to dynamic.
         let c2 = pol.candidates(&req(99), &ds);
         assert_eq!(c2.len(), 4);
+    }
+
+    /// One policy of every kind; the table is populated for flows 0..3 (so
+    /// both its lookup and its dynamic fallback are exercised).
+    fn every_policy() -> Vec<VcaPolicy> {
+        let mut table = VcaTable::new();
+        for flow in 0..3 {
+            let r = req(flow);
+            for v in 0..8 {
+                table.add(r.prev, r.flow, r.next, r.next_flow, vc(v), 1.0 + v as f64);
+            }
+        }
+        vec![
+            VcaPolicy::Dynamic,
+            VcaPolicy::StaticSet,
+            VcaPolicy::Phased { phases: 2 },
+            VcaPolicy::Edvca,
+            VcaPolicy::Faa,
+            VcaPolicy::Table(Arc::new(table)),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The premise of the early return in `Router::va`: whatever the
+        /// flows, residents and occupancies, no policy offers a candidate
+        /// when no downstream VC is free for allocation.
+        #[test]
+        fn no_policy_offers_a_candidate_when_every_vc_is_owned(
+            vcs in proptest::collection::vec((proptest::option::of(0u64..6), 0usize..5), 0..9),
+            flow in 0u64..6,
+            phase in 0u8..3,
+        ) {
+            let owned: Vec<DownstreamVc> = vcs
+                .iter()
+                .enumerate()
+                .map(|(i, &(resident, occupancy))| DownstreamVc {
+                    vc: vc(i as u16),
+                    free_for_allocation: false,
+                    occupancy,
+                    capacity: 4,
+                    resident_flow: resident.map(FlowId::new),
+                })
+                .collect();
+            let mut r = req(flow);
+            r.flow = r.flow.with_phase(phase);
+            for policy in every_policy() {
+                let offered = policy.candidates(&r, &owned);
+                proptest::prop_assert!(offered.is_empty(), "{policy:?} offered {offered:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_offers_something_when_every_vc_is_free() {
+        // The property above is not vacuous: the same requests find
+        // candidates once the VCs are free.
+        let ds = downstream(8);
+        for policy in every_policy() {
+            for flow in 0..6 {
+                assert!(!policy.candidates(&req(flow), &ds).is_empty(), "{policy:?}");
+            }
+        }
     }
 
     #[test]

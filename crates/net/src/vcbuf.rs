@@ -1,90 +1,137 @@
-//! The ingress virtual-channel buffer — the only data structure shared between
-//! two simulation threads.
+//! The ingress virtual-channel buffer: a bounded flit FIFO that one thread
+//! drives from both ends.
 //!
-//! As in the paper (§II-C), each VC buffer has a producer (tail) end written
-//! by the *upstream* router and a consumer (head) end owned by the
-//! *downstream* router. Because these are the only points of communication
-//! between two tiles, correct synchronization of the two ends guarantees that
-//! no flit is lost or reordered regardless of the relative progress of the
-//! two threads.
+//! As in the paper (§II-C), each VC buffer has a producer (tail) end fed from
+//! *upstream* and a consumer (head) end owned by the *downstream* router, and
+//! a cycle is split in two so that the ends never see each other's work of
+//! the same cycle: deposits land at the negative edge and become visible to
+//! the consumer's pipeline only when it absorbs them at its next positive
+//! edge ([`absorb_tail`]).
 //!
-//! # Storage and synchronization
+//! # Ownership contract
+//!
+//! **Between two wiring changes, exactly one thread calls every method of a
+//! given `VcBuffer` and of the [`Aggregate`] it reports into.** The buffer
+//! does not synchronise anything; it is plain memory.
+//!
+//! The two ends are, on every backend:
+//!
+//! * producer — one of three endpoints, depending on what feeds the VC: the
+//!   upstream router's negative edge (`Router::apply_move`, through
+//!   [`EgressChannel::Local`]), the tile's own bridge (`Bridge::inject`, for
+//!   the injection VCs), or the boundary receiver ([`BoundaryRx::deliver`],
+//!   for a VC whose upstream router lives in another shard);
+//! * consumer — the owning router (`absorb_tail` at its positive edge,
+//!   [`pop_if`] at its negative edge), plus whoever snapshots, restores or
+//!   drains the tile between cycles.
+//!
+//! Who the one thread is:
+//!
+//! * sequential runs (`Network::run`, the benchmark's stepper): the caller's
+//!   thread drives every tile, so it owns every buffer;
+//! * the thread backend (`hornet_shard::ShardRuntime`) and the multi-process
+//!   backends (`hornet-dist` workers): before a run, *every link whose two
+//!   routers land in different shards is rewired* — the upstream egress port
+//!   gets a [`BoundaryLink`] mailbox ([`crate::spsc`] rings) in place of the
+//!   `Arc<VcBuffer>` handles, and the receiving shard gets the matching
+//!   `BoundaryRx`. What is left behind an `EgressChannel::Local` is always a
+//!   buffer of a tile in the *same* shard, so the shard's driver thread is
+//!   the only one that touches it. After the run the links are swapped back.
+//!
+//! Ownership changes hands only while no cycle is in flight: when the tiles
+//! are moved to a worker (a channel send), when they come back (a channel
+//! receive, after which the caller flushes the boundary mailboxes into the
+//! buffers), or when a thread is joined. Each of those is a happens-before
+//! edge, which is all a plain-memory structure needs. [`crate::spsc::Spsc`]
+//! is therefore the *only* ring in the simulator that synchronises two
+//! threads; nothing may share a `VcBuffer` across a shard cut.
+//!
+//! `hornet-shard`'s `wiring_leaves_no_local_channel_across_a_cut` test checks
+//! the structural half of this on the wired tiles.
+//!
+//! # Storage
 //!
 //! Flits live in a fixed-capacity ring allocated once at construction —
-//! steady-state operation never touches the heap. Three cursors index the
-//! ring, each counting flits monotonically (slot = cursor % capacity):
+//! steady-state operation never touches the heap. The `occupancy` flits at
+//! ring positions `read_idx, read_idx + 1, …` (wrapping) are initialised; the
+//! last `pending` of them were deposited since the last absorb and are not
+//! yet visible to the consumer. The credit check upstream reads `occupancy`
+//! at its positive edge, when no buffer moves, so it sees the pops of the
+//! previous negative edge and none of this cycle's — a hardware credit loop
+//! with a one-cycle round trip.
 //!
-//! * `write_pos` — flits deposited by the producer. Written only by the
-//!   producer endpoint; each deposit is published with a release store
-//!   *after* writing the slot.
-//! * `visible` — the absorb boundary: flits at `read_pos..visible` are visible
-//!   to the consumer's pipeline stages. Advanced by [`absorb_tail`] /
-//!   [`absorb_and_peek`] with a single acquire load of `write_pos`.
-//! * `read_pos` — flits consumed by the owner. Written only by the consumer.
-//!
-//! The buffer is a single-producer/single-consumer ring, so no cursor needs a
-//! lock: every buffer has exactly one producer endpoint (the upstream
-//! router's negative edge, the local bridge, or the shard's boundary
-//! receiver) and one consumer endpoint (the owning router), and the sharded
-//! runtimes rewire every cut link onto boundary mailboxes so both endpoints
-//! of an in-shard buffer are driven by the owning shard. This is the same
-//! discipline [`crate::spsc`] relies on; dropping the former tail/head mutex
-//! pair removes two uncontended-but-hot lock round-trips per flit from the
-//! router hot path.
-//!
-//! Occupancy (`write`-side reservations minus completed pops) is kept in an
-//! atomic counter so upstream credit checks stay lock-free, exactly like a
-//! hardware credit loop; an optional *aggregate* counter shared by all buffers
-//! of one router makes the router's `buffered_flits()` / `is_idle()` O(1).
+//! An optional [`Aggregate`] shared by all ingress buffers of one router
+//! makes the router's `buffered_flits()` / `is_idle()` O(1).
 //!
 //! [`absorb_tail`]: VcBuffer::absorb_tail
-//! [`absorb_and_peek`]: VcBuffer::absorb_and_peek
-//!
-//! # Safety argument
-//!
-//! A slot is written only by the producer at index `write_pos`, and read only
-//! by the consumer at indices `read_pos..visible`. Since `visible ≤
-//! write_pos` (published with release/acquire on `write_pos`) the two index
-//! sets never overlap. Slot *reuse* (writing index `r + capacity` while the
-//! consumer pops index `r`) cannot collide either: a push first reserves
-//! space in `occupancy` and pops release it only *after* advancing
-//! `read_pos`, so `occupancy ≥ write_pos − read_pos` at all times and a
-//! successful reservation (`occupancy < capacity`) proves `write_pos −
-//! read_pos < capacity`. The release half of the pop's `occupancy` RMW and
-//! the acquire half of the push's reservation RMW order the consumer's final
-//! read of a slot before the producer's reuse of it.
+//! [`pop_if`]: VcBuffer::pop_if
+//! [`EgressChannel::Local`]: crate::boundary::EgressChannel::Local
+//! [`BoundaryRx::deliver`]: crate::boundary::BoundaryRx::deliver
+//! [`BoundaryLink`]: crate::boundary::BoundaryLink
 
 use crate::flit::Flit;
 use crate::ids::Cycle;
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// A bounded FIFO of flits with an independently synchronized producer (tail)
-/// and consumer (head) end, backed by a fixed ring allocated at construction.
-pub struct VcBuffer {
-    capacity: usize,
-    /// Ring storage; see the module-level safety argument.
-    slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
-    /// Producer cursor: flits deposited so far. Written only by the producer,
-    /// published with `Release`, read by the consumer with `Acquire`.
-    write_pos: AtomicU64,
-    /// Absorb boundary; written only by the consumer.
-    visible: AtomicU64,
-    /// Flits consumed so far; written only by the consumer.
-    read_pos: AtomicU64,
-    /// Reserved-minus-released flit count; the credit-check value. Lags pops
-    /// by up to one cycle, exactly like a hardware credit loop.
-    occupancy: AtomicUsize,
-    /// Optional router-wide occupancy aggregate (all ingress buffers of one
-    /// router share it), making the router's idle check O(1).
-    aggregate: Option<Arc<AtomicUsize>>,
+/// The number of flits resident in all ingress buffers of one router: every
+/// buffer built [`with_aggregate`](VcBuffer::with_aggregate) counts its
+/// pushes and pops here too. Same single owner as the buffers.
+#[derive(Debug, Default)]
+pub struct Aggregate(Cell<usize>);
+
+// SAFETY: the module-level ownership contract — one thread at a time calls
+// into a router's buffers and reads their aggregate, and hand-offs between
+// threads are happens-before edges — so the `Cell` is never accessed
+// concurrently. (`Send` is automatic: the field is a plain `usize`.)
+unsafe impl Sync for Aggregate {}
+
+impl Aggregate {
+    /// The current count.
+    #[inline]
+    pub fn get(&self) -> usize {
+        self.0.get()
+    }
+
+    #[inline]
+    fn add(&self, n: usize) {
+        self.0.set(self.0.get() + n);
+    }
+
+    #[inline]
+    fn sub(&self, n: usize) {
+        self.0.set(self.0.get() - n);
+    }
 }
 
-// SAFETY: all slot accesses are synchronized as described in the module-level
-// safety argument; `Flit` is `Copy + Send`.
-unsafe impl Send for VcBuffer {}
+/// A bounded FIFO of flits with a producer (tail) end and a consumer (head)
+/// end, backed by a fixed ring allocated at construction. Single-owner: see
+/// the module-level ownership contract.
+pub struct VcBuffer {
+    capacity: usize,
+    /// Ring storage; initialised at `read_idx .. read_idx + occupancy`
+    /// (wrapping).
+    slots: Box<[UnsafeCell<MaybeUninit<Flit>>]>,
+    /// Ring index of the head flit.
+    read_idx: Cell<usize>,
+    /// Ring index the next deposit goes to.
+    write_idx: Cell<usize>,
+    /// Flits resident in the buffer; the credit-check value.
+    occupancy: Cell<usize>,
+    /// The youngest `pending` resident flits are deposited but not absorbed.
+    pending: Cell<usize>,
+    /// Optional router-wide occupancy aggregate (all ingress buffers of one
+    /// router share it), making the router's idle check O(1).
+    aggregate: Option<Arc<Aggregate>>,
+}
+
+// SAFETY: this is the module-level ownership contract, and the only thing
+// that makes sharing `Arc<VcBuffer>` handles between tiles sound: between two
+// wiring changes one thread makes every call on a given buffer, and ownership
+// moves between threads only across happens-before edges (channel sends,
+// joins), so neither the cursor `Cell`s nor the slot `UnsafeCell`s are ever
+// accessed concurrently. `Flit` is `Copy + Send`, so `Send` is automatic.
 unsafe impl Sync for VcBuffer {}
 
 impl std::fmt::Debug for VcBuffer {
@@ -108,11 +155,11 @@ impl VcBuffer {
 
     /// Creates a buffer that additionally reports its occupancy into a shared
     /// per-router aggregate counter (see [`occupancy`](Self::occupancy)).
-    pub fn with_aggregate(capacity: usize, aggregate: Arc<AtomicUsize>) -> Self {
+    pub fn with_aggregate(capacity: usize, aggregate: Arc<Aggregate>) -> Self {
         Self::build(capacity, Some(aggregate))
     }
 
-    fn build(capacity: usize, aggregate: Option<Arc<AtomicUsize>>) -> Self {
+    fn build(capacity: usize, aggregate: Option<Arc<Aggregate>>) -> Self {
         assert!(
             capacity > 0,
             "a VC buffer needs capacity for at least one flit"
@@ -124,10 +171,10 @@ impl VcBuffer {
         Self {
             capacity,
             slots,
-            write_pos: AtomicU64::new(0),
-            visible: AtomicU64::new(0),
-            read_pos: AtomicU64::new(0),
-            occupancy: AtomicUsize::new(0),
+            read_idx: Cell::new(0),
+            write_idx: Cell::new(0),
+            occupancy: Cell::new(0),
+            pending: Cell::new(0),
             aggregate,
         }
     }
@@ -137,58 +184,67 @@ impl VcBuffer {
         self.capacity
     }
 
-    /// Current occupancy (flits resident in the buffer). This is the value
-    /// upstream credit checks use; it intentionally lags pops by up to one
-    /// cycle, exactly like a hardware credit loop.
+    /// Current occupancy (flits resident in the buffer, absorbed or not).
+    /// This is the value upstream credit checks use.
+    #[inline]
     pub fn occupancy(&self) -> usize {
-        self.occupancy.load(Ordering::Acquire)
+        self.occupancy.get()
     }
 
     /// Free space, in flits.
+    #[inline]
     pub fn free_space(&self) -> usize {
-        self.capacity.saturating_sub(self.occupancy())
+        self.capacity - self.occupancy()
     }
 
-    /// Reads slot `pos` of the ring.
+    /// The ring index `steps` (at most `capacity`) past `idx`.
+    #[inline]
+    fn advance(&self, idx: usize, steps: usize) -> usize {
+        let next = idx + steps;
+        if next >= self.capacity {
+            next - self.capacity
+        } else {
+            next
+        }
+    }
+
+    /// The flit `k` places behind the head.
     ///
     /// # Safety
     ///
-    /// The caller must be the consumer endpoint and ensure `read_pos ≤ pos <
-    /// visible` (the slot holds an initialized flit the producer published
-    /// before the acquire load that advanced `visible`).
+    /// `k < occupancy` (the slot holds an initialised flit), and the
+    /// reference must not outlive the next push into this buffer.
     #[inline]
-    unsafe fn read_slot(&self, pos: u64) -> Flit {
-        (*self.slots[(pos % self.capacity as u64) as usize].get()).assume_init()
+    unsafe fn resident(&self, k: usize) -> &Flit {
+        (*self.slots[self.advance(self.read_idx.get(), k)].get()).assume_init_ref()
     }
 
     /// Deposits a flit at the tail end. Called by the producer endpoint (the
     /// upstream router, the local bridge, or the boundary receiver) during
-    /// the tile's negative clock edge; the single-producer discipline in the
-    /// module docs is what makes the lock-free deposit sound.
+    /// the tile's negative clock edge.
     ///
     /// Returns `false` (and does not enqueue) if the buffer is full; callers
     /// are expected to have performed a credit check first, so a `false`
     /// return indicates a flow-control bug and is counted by the router.
     #[must_use]
+    #[inline]
     pub fn push(&self, flit: Flit) -> bool {
-        // Reserve space first so a push racing the consumer's credit release
-        // can never overflow the ring.
-        let prev = self.occupancy.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.capacity {
-            self.occupancy.fetch_sub(1, Ordering::AcqRel);
+        let occupancy = self.occupancy.get();
+        if occupancy >= self.capacity {
             return false;
         }
-        if let Some(agg) = &self.aggregate {
-            agg.fetch_add(1, Ordering::AcqRel);
-        }
-        let pos = self.write_pos.load(Ordering::Relaxed);
-        // SAFETY: the successful reservation above proves this slot is not in
-        // `read_pos..write_pos` (module-level safety argument), and the
-        // single-producer discipline excludes concurrent producers.
+        let idx = self.write_idx.get();
+        // SAFETY: `occupancy < capacity`, so slot `write_idx` lies outside
+        // the initialised run and no reference into it exists.
         unsafe {
-            (*self.slots[(pos % self.capacity as u64) as usize].get()).write(flit);
+            (*self.slots[idx].get()).write(flit);
         }
-        self.write_pos.store(pos + 1, Ordering::Release);
+        self.write_idx.set(self.advance(idx, 1));
+        self.occupancy.set(occupancy + 1);
+        self.pending.set(self.pending.get() + 1);
+        if let Some(agg) = &self.aggregate {
+            agg.add(1);
+        }
         true
     }
 
@@ -196,86 +252,56 @@ impl VcBuffer {
     /// by the owning router at the start of its cycle; after this,
     /// [`peek`](Self::peek) and [`pop_if`](Self::pop_if) observe them.
     /// Returns the number of flits absorbed.
+    #[inline]
     pub fn absorb_tail(&self) -> usize {
-        let published = self.write_pos.load(Ordering::Acquire);
-        let absorbed = published - self.visible.load(Ordering::Relaxed);
-        self.visible.store(published, Ordering::Relaxed);
-        absorbed as usize
-    }
-
-    /// [`absorb_tail`](Self::absorb_tail) plus a snapshot of the head flit.
-    /// This is the router hot path: one call per touched VC per cycle
-    /// replaces the absorb + repeated-`peek` sequence.
-    ///
-    /// The returned flit, if any, ignores the visibility timestamp — callers
-    /// check `visible_at` against their own clock on the (copied) snapshot.
-    pub fn absorb_and_peek(&self) -> (usize, Option<Flit>) {
-        let published = self.write_pos.load(Ordering::Acquire);
-        let absorbed = (published - self.visible.load(Ordering::Relaxed)) as usize;
-        self.visible.store(published, Ordering::Relaxed);
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        let flit = if read_pos < published {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            Some(unsafe { self.read_slot(read_pos) })
-        } else {
-            None
-        };
-        (absorbed, flit)
-    }
-
-    /// A snapshot of the head flit among the already-absorbed run, without
-    /// advancing the absorb boundary and ignoring the visibility timestamp
-    /// (callers check `visible_at` on the copy). Used by the compiled kernel
-    /// to refresh its head cache after a pop without re-absorbing.
-    pub fn head_snapshot(&self) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos < self.visible.load(Ordering::Relaxed) {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            Some(unsafe { self.read_slot(read_pos) })
-        } else {
-            None
-        }
-    }
-
-    /// Returns a copy of the flit at the head of the buffer, if any, provided
-    /// it has become visible by `now` (its `visible_at` stamp has passed).
-    pub fn peek(&self, now: Cycle) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos < self.visible.load(Ordering::Relaxed) {
-            // SAFETY: consumer endpoint, read_pos < visible.
-            let flit = unsafe { self.read_slot(read_pos) };
-            (flit.visible_at <= now).then_some(flit)
-        } else {
-            None
-        }
-    }
-
-    /// Pops the head flit if it is visible by `now` and `pred` accepts it.
-    pub fn pop_if(&self, now: Cycle, pred: impl FnOnce(&Flit) -> bool) -> Option<Flit> {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        if read_pos >= self.visible.load(Ordering::Relaxed) {
-            return None;
-        }
-        // SAFETY: consumer endpoint, read_pos < visible.
-        let flit = unsafe { self.read_slot(read_pos) };
-        if flit.visible_at <= now && pred(&flit) {
-            self.read_pos.store(read_pos + 1, Ordering::Relaxed);
-            // Release the slot only after the read completed (see the
-            // module-level safety argument for why this ordering matters).
-            self.occupancy.fetch_sub(1, Ordering::AcqRel);
-            if let Some(agg) = &self.aggregate {
-                agg.fetch_sub(1, Ordering::AcqRel);
-            }
-            Some(flit)
-        } else {
-            None
-        }
+        self.pending.replace(0)
     }
 
     /// Number of flits currently visible at the head end (ignores the
     /// visibility timestamp; used for statistics).
+    #[inline]
     pub fn head_len(&self) -> usize {
-        (self.visible.load(Ordering::Relaxed) - self.read_pos.load(Ordering::Relaxed)) as usize
+        self.occupancy.get() - self.pending.get()
+    }
+
+    /// The `visible_at` stamp of the head flit among the absorbed run, or
+    /// `Cycle::MAX` if nothing is absorbed. This is all switch arbitration
+    /// needs to know about a head, so the router caches it per VC in place of
+    /// the flit.
+    #[inline]
+    pub fn head_visible_at(&self) -> Cycle {
+        if self.head_len() == 0 {
+            return Cycle::MAX;
+        }
+        // SAFETY: an absorbed flit is resident; the reference ends here.
+        unsafe { self.resident(0).visible_at }
+    }
+
+    /// Returns a copy of the flit at the head of the buffer, if any, provided
+    /// it has become visible by `now` (its `visible_at` stamp has passed).
+    #[inline]
+    pub fn peek(&self, now: Cycle) -> Option<Flit> {
+        if self.head_len() == 0 {
+            return None;
+        }
+        // SAFETY: an absorbed flit is resident; copied out at once.
+        let flit = unsafe { *self.resident(0) };
+        (flit.visible_at <= now).then_some(flit)
+    }
+
+    /// Pops the head flit if it is visible by `now` and `pred` accepts it.
+    #[inline]
+    pub fn pop_if(&self, now: Cycle, pred: impl FnOnce(&Flit) -> bool) -> Option<Flit> {
+        let flit = self.peek(now)?;
+        if !pred(&flit) {
+            return None;
+        }
+        self.read_idx.set(self.advance(self.read_idx.get(), 1));
+        self.occupancy.set(self.occupancy.get() - 1);
+        if let Some(agg) = &self.aggregate {
+            agg.sub(1);
+        }
+        Some(flit)
     }
 
     /// True if the buffer holds no flits at all.
@@ -284,27 +310,19 @@ impl VcBuffer {
     }
 
     /// A non-destructive copy of the buffer's contents, split at the absorb
-    /// boundary: `(visible, pending)` where `visible` holds the flits at
-    /// `read_pos..visible` (already absorbed into the consumer's pipeline
-    /// view) and `pending` the flits at `visible..write_pos` (deposited but
-    /// not yet absorbed). Checkpoint restore replays the two runs around an
-    /// [`absorb_tail`](Self::absorb_tail) call so the restored buffer's
-    /// cursors land exactly where the snapshot's were. Callers must be
-    /// quiescent (no concurrent producer).
+    /// boundary: `(visible, pending)` where `visible` holds the flits already
+    /// absorbed into the consumer's pipeline view and `pending` the flits
+    /// deposited but not yet absorbed. Checkpoint restore replays the two
+    /// runs around an [`absorb_tail`](Self::absorb_tail) call so the restored
+    /// buffer splits exactly where the snapshot did.
     pub fn snapshot_split(&self) -> (Vec<Flit>, Vec<Flit>) {
-        let read_pos = self.read_pos.load(Ordering::Relaxed);
-        let visible = self.visible.load(Ordering::Relaxed);
-        let published = self.write_pos.load(Ordering::Acquire);
-        let visible_run = (read_pos..visible)
-            // SAFETY: quiescent caller, read_pos ≤ pos < visible.
-            .map(|pos| unsafe { self.read_slot(pos) })
-            .collect();
-        let pending = (visible..published)
-            // SAFETY: quiescent caller (no producer mid-deposit) and every
-            // slot below `write_pos` was initialized by a completed push.
-            .map(|pos| unsafe { self.read_slot(pos) })
-            .collect();
-        (visible_run, pending)
+        // SAFETY: every `k < occupancy` is resident; copied out at once.
+        let copy = |k| unsafe { *self.resident(k) };
+        let absorbed = self.head_len();
+        (
+            (0..absorbed).map(copy).collect(),
+            (absorbed..self.occupancy()).map(copy).collect(),
+        )
     }
 
     /// Restores the contents captured by [`snapshot_split`](Self::snapshot_split)
@@ -325,22 +343,16 @@ impl VcBuffer {
         }
     }
 
-    /// Drains every flit out of the buffer (test / teardown helper). The
-    /// caller must be quiescent (no concurrent producer).
+    /// Drains every flit out of the buffer, absorbed or not, oldest first
+    /// (test / teardown helper).
     pub fn drain_all(&self) -> Vec<Flit> {
-        let published = self.write_pos.load(Ordering::Acquire);
-        self.visible.store(published, Ordering::Relaxed);
-        let mut read_pos = self.read_pos.load(Ordering::Relaxed);
-        let mut out = Vec::with_capacity((published - read_pos) as usize);
-        while read_pos < published {
-            // SAFETY: quiescent caller, read_pos < visible.
-            out.push(unsafe { self.read_slot(read_pos) });
-            read_pos += 1;
-        }
-        self.read_pos.store(read_pos, Ordering::Relaxed);
-        self.occupancy.fetch_sub(out.len(), Ordering::AcqRel);
+        let (mut out, pending) = self.snapshot_split();
+        out.extend(pending);
+        self.read_idx.set(self.write_idx.get());
+        self.occupancy.set(0);
+        self.pending.set(0);
         if let Some(agg) = &self.aggregate {
-            agg.fetch_sub(out.len(), Ordering::AcqRel);
+            agg.sub(out.len());
         }
         out
     }
@@ -431,32 +443,20 @@ mod tests {
     }
 
     #[test]
-    fn absorb_and_peek_reports_count_and_snapshot() {
+    fn head_stamp_follows_the_absorbed_head() {
         let buf = VcBuffer::new(8);
-        assert_eq!(buf.absorb_and_peek(), (0, None));
-        for i in 0..3 {
-            assert!(buf.push(flit(i, 0)));
-        }
-        let (absorbed, head) = buf.absorb_and_peek();
-        assert_eq!(absorbed, 3);
-        assert_eq!(head.unwrap().seq, 0);
-        // Nothing new: count is zero but the snapshot persists.
-        let (absorbed, head) = buf.absorb_and_peek();
-        assert_eq!(absorbed, 0);
-        assert_eq!(head.unwrap().seq, 0);
-    }
-
-    #[test]
-    fn head_snapshot_respects_absorb_boundary() {
-        let buf = VcBuffer::new(8);
+        assert_eq!(buf.head_visible_at(), Cycle::MAX);
         assert!(buf.push(flit(0, 7)));
+        assert!(buf.push(flit(1, 9)));
         // Deposited but not absorbed: no head yet.
-        assert!(buf.head_snapshot().is_none());
+        assert_eq!(buf.head_visible_at(), Cycle::MAX);
         buf.absorb_tail();
-        // Absorbed: visible regardless of the `visible_at` stamp.
-        assert_eq!(buf.head_snapshot().unwrap().seq, 0);
+        // Absorbed: the stamp is reported whether or not it has come due.
+        assert_eq!(buf.head_visible_at(), 7);
         assert!(buf.pop_if(7, |_| true).is_some());
-        assert!(buf.head_snapshot().is_none());
+        assert_eq!(buf.head_visible_at(), 9);
+        assert!(buf.pop_if(9, |_| true).is_some());
+        assert_eq!(buf.head_visible_at(), Cycle::MAX);
     }
 
     #[test]
@@ -480,58 +480,22 @@ mod tests {
 
     #[test]
     fn aggregate_counter_tracks_all_movements() {
-        let agg = Arc::new(AtomicUsize::new(0));
+        let agg = Arc::new(Aggregate::default());
         let a = VcBuffer::with_aggregate(4, Arc::clone(&agg));
         let b = VcBuffer::with_aggregate(4, Arc::clone(&agg));
         assert!(a.push(flit(0, 0)));
         assert!(b.push(flit(1, 0)));
         assert!(b.push(flit(2, 0)));
-        assert_eq!(agg.load(Ordering::Acquire), 3);
+        assert_eq!(agg.get(), 3);
         a.absorb_tail();
         assert!(a.pop_if(1, |_| true).is_some());
-        assert_eq!(agg.load(Ordering::Acquire), 2);
+        assert_eq!(agg.get(), 2);
         b.drain_all();
-        assert_eq!(agg.load(Ordering::Acquire), 0);
+        assert_eq!(agg.get(), 0);
         // A full buffer's rejected push must not disturb the aggregate.
         let full = VcBuffer::with_aggregate(1, Arc::clone(&agg));
         assert!(full.push(flit(0, 0)));
         assert!(!full.push(flit(1, 0)));
-        assert_eq!(agg.load(Ordering::Acquire), 1);
-    }
-
-    #[test]
-    fn concurrent_producer_consumer_preserves_order_and_count() {
-        let buf = Arc::new(VcBuffer::new(4));
-        let producer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || {
-                let mut pushed = 0u32;
-                while pushed < 1000 {
-                    if buf.push(flit(pushed, 0)) {
-                        pushed += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        let consumer = {
-            let buf = Arc::clone(&buf);
-            std::thread::spawn(move || {
-                let mut expected = 0u32;
-                while expected < 1000 {
-                    buf.absorb_tail();
-                    if let Some(f) = buf.pop_if(u64::MAX, |_| true) {
-                        assert_eq!(f.seq, expected, "flits must arrive in order");
-                        expected += 1;
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-            })
-        };
-        producer.join().unwrap();
-        consumer.join().unwrap();
-        assert!(buf.is_empty());
+        assert_eq!(agg.get(), 1);
     }
 }

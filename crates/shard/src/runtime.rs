@@ -815,3 +815,81 @@ fn unwire_boundaries(nodes: &mut [NetworkNode], directed: &[(usize, usize)]) {
             .swap_egress_channels(dst_id, channels);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::Partitioner;
+    use hornet_net::config::NetworkConfig;
+    use hornet_net::geometry::Geometry;
+    use hornet_net::network::Network;
+    use hornet_net::vcbuf::VcBuffer;
+    use std::collections::HashMap;
+
+    /// The structural fact the single-owner `VcBuffer` rests on: once the
+    /// runtime has wired a partition, every buffer reachable through an
+    /// `EgressChannel::Local` belongs to a tile of the sender's own shard,
+    /// every link that crosses a cut is a boundary mailbox, and the mailbox's
+    /// receiving end is handed to the shard that owns the buffer it feeds.
+    #[test]
+    fn wiring_leaves_no_local_channel_across_a_cut() {
+        for shards in [2, 4] {
+            let cfg = NetworkConfig::new(Geometry::mesh2d(4, 4));
+            let (mut nodes, _payloads) = Network::new(&cfg, 1).unwrap().into_nodes();
+            let partition = Partitioner::new(shards).mesh(4, 4);
+            assert_eq!(partition.shard_count(), shards);
+            let wiring = wire_boundaries(&mut nodes, &partition);
+            assert!(wiring.cut_count > 0);
+
+            // Which shard owns each router-facing ingress buffer.
+            let mut owner: HashMap<*const VcBuffer, usize> = HashMap::new();
+            for node in &nodes {
+                for &from in node.neighbors() {
+                    for buf in node.router().ingress_buffers_from(from) {
+                        owner.insert(Arc::as_ptr(buf), partition.shard_of(node.node()));
+                    }
+                }
+            }
+
+            let (mut local, mut boundary) = (0, 0);
+            for node in &nodes {
+                let src = node.node();
+                for &dst in node.neighbors() {
+                    let cut = partition.shard_of(src) != partition.shard_of(dst);
+                    for channel in node.router().egress_channels(dst) {
+                        match channel {
+                            EgressChannel::Local(buf) => {
+                                assert!(!cut, "{src} -> {dst}: local channel across a cut");
+                                assert_eq!(owner[&Arc::as_ptr(buf)], partition.shard_of(src));
+                                local += 1;
+                            }
+                            EgressChannel::Boundary(_) => {
+                                assert!(cut, "{src} -> {dst}: mailbox inside a shard");
+                                boundary += 1;
+                            }
+                        }
+                    }
+                }
+            }
+            let vcs = cfg.vcs_per_port;
+            assert_eq!(boundary, 2 * wiring.cut_count * vcs, "{shards} shards");
+            assert_eq!(local + boundary, 2 * 24 * vcs, "a 4x4 mesh has 24 links");
+            for (shard, endpoints) in wiring.inbound.iter().enumerate() {
+                for rx in endpoints {
+                    assert_eq!(owner[&Arc::as_ptr(rx.target())], shard);
+                }
+            }
+
+            // Unwiring restores the direct handles everywhere.
+            unwire_boundaries(&mut nodes, &wiring.directed);
+            for node in &nodes {
+                for &dst in node.neighbors() {
+                    let channels = node.router().egress_channels(dst);
+                    assert!(channels
+                        .iter()
+                        .all(|c| matches!(c, EgressChannel::Local(_))));
+                }
+            }
+        }
+    }
+}

@@ -121,16 +121,20 @@ impl NodeAgent for SyntheticInjector {
     }
 
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        if !self.may_offer(now) {
-            return None;
-        }
-        let next = self.config.process.next_injection(now)?;
-        if let Some(stop) = self.config.stop_after {
-            if next > stop {
-                return None;
-            }
-        }
-        Some(next.max(now))
+        let next = if self.may_offer(now) {
+            self.config.process.next_injection(now)
+        } else {
+            None
+        };
+        let event = match self.config.stop_after {
+            // The stop cycle is an event of its own: `finished()` turns true
+            // only once a tick has seen it, so a fast-forward across an idle
+            // gap must land on it, not on the end of the run.
+            Some(stop) if self.last_cycle_seen < stop => Some(next.map_or(stop, |n| n.min(stop))),
+            Some(stop) => next.filter(|&n| n <= stop),
+            None => next,
+        };
+        event.map(|e| e.max(now))
     }
 
     fn finished(&self) -> bool {
