@@ -325,8 +325,10 @@ fn host(args: &[String]) -> ExitCode {
                 let Some((w, h)) = m.split_once('x') else {
                     return usage();
                 };
-                spec.width = w.parse().unwrap_or(16);
-                spec.height = h.parse().unwrap_or(16);
+                let (Ok(w), Ok(h)) = (w.parse(), h.parse()) else {
+                    return usage();
+                };
+                (spec.width, spec.height) = (w, h);
             }
             "--pattern" => {
                 spec.pattern = match next().as_str() {
@@ -386,6 +388,11 @@ fn host(args: &[String]) -> ExitCode {
     }
     if trace_out.is_some() && spec.trace_capacity.is_none() {
         spec.trace_capacity = Some(65_536);
+    }
+
+    if let Err(e) = spec.validate() {
+        eprintln!("[host] {e}");
+        return usage();
     }
 
     let start = std::time::Instant::now();

@@ -11,11 +11,10 @@
 //! simultaneously current between the waves).
 
 use crate::protocol::{CtrlMsg, TransportKind};
-use crate::shm::{ShmSegment, ShmTransport};
 use crate::spec::{DistSpec, RunKind};
 use crate::transport::{InProcTransport, Stream};
 use crate::wire::{read_frame, write_frame};
-use crate::wiring::{build_shards, cut_channels, cut_pairs, partition_for};
+use crate::wiring::{build_shards, cut_pairs, partition_for};
 use crate::worker::{ShardWorker, WorkerControl};
 use hornet_net::network::skip_target;
 use hornet_net::stats::NetworkStats;
@@ -367,6 +366,7 @@ fn scratch_dir() -> io::Result<PathBuf> {
 /// spawned process, socket and segment is cleaned up on all paths, including
 /// the final abort.
 pub fn run_distributed(spec: &DistSpec, opts: &HostOptions) -> io::Result<DistOutcome> {
+    spec.validate()?;
     if opts.verbose {
         set_max_level(Level::Info);
     }
@@ -524,7 +524,8 @@ fn run_distributed_inner(
 ) -> io::Result<DistOutcome> {
     let shards = partition.shard_count();
     let geometry = spec.network_config().geometry;
-    let cut_links = cut_pairs(&geometry, partition).len();
+    let cut = cut_pairs(&geometry, partition);
+    let cut_links = cut.len();
     let remote_hosts = opts.worker_hosts.as_deref();
     let transport = if remote_hosts.is_some() {
         // Pre-started workers on other machines can only be reached over
@@ -729,37 +730,22 @@ fn run_distributed_inner(
             };
             addrs.push(addr);
         }
-        // Shared-memory segments must exist before the map is broadcast.
-        let mut segments: Vec<Arc<ShmSegment>> = Vec::new();
         match transport {
             TransportKind::Shm => {
-                let channels = cut_channels(
-                    &geometry,
-                    partition,
-                    spec.vcs_per_port as usize,
-                    spec.vc_capacity as usize,
-                );
-                let mut pair_paths: Vec<(u32, u32, String)> = Vec::new();
-                let mut pairs: Vec<(usize, usize)> = channels
+                // One segment file per shard adjacency, in the attempt's
+                // scratch directory; it must exist before the map is
+                // broadcast.
+                let mut pairs: Vec<(usize, usize)> = cut
                     .iter()
-                    .map(|c| (c.src_shard.min(c.dst_shard), c.src_shard.max(c.dst_shard)))
+                    .map(|&(a, b)| (partition.shard_of(a), partition.shard_of(b)))
+                    .map(|(s, t)| (s.min(t), s.max(t)))
                     .collect();
                 pairs.sort_unstable();
                 pairs.dedup();
+                let mut pair_paths: Vec<(u32, u32, String)> = Vec::new();
                 for (lo, hi) in pairs {
-                    let lo_caps: Vec<usize> = channels
-                        .iter()
-                        .filter(|c| c.src_shard == lo && c.dst_shard == hi)
-                        .map(|c| c.capacity)
-                        .collect();
-                    let hi_caps: Vec<usize> = channels
-                        .iter()
-                        .filter(|c| c.src_shard == hi && c.dst_shard == lo)
-                        .map(|c| c.capacity)
-                        .collect();
-                    let layout = ShmTransport::layout(lo_caps, hi_caps, spec.sync_depth());
                     let path = dir.join(format!("seg-{lo}-{hi}.shm"));
-                    segments.push(ShmSegment::create(&path, &layout)?);
+                    crate::shm::create_segment(&path)?;
                     pair_paths.push((lo as u32, hi as u32, path.to_string_lossy().into_owned()));
                 }
                 for conn in conns.iter_mut() {
@@ -1171,6 +1157,7 @@ fn supervise(
 /// with the caller thread acting as the termination detector. Functionally
 /// equivalent to `run_distributed` minus the process isolation.
 pub fn run_threaded(spec: &DistSpec, workers: usize) -> io::Result<DistOutcome> {
+    spec.validate()?;
     let partition = partition_for(spec, workers);
     let shards = partition.shard_count();
     if shards < 2 {

@@ -9,9 +9,10 @@
 //!
 //! * [`transport`] — the [`BoundaryTransport`](transport::BoundaryTransport)
 //!   trait abstracting one shard adjacency's cut-link channel (flits forward,
-//!   credits backward, negedge progress alongside), with the in-process SPSC
-//!   ring, shared-memory segment ([`shm`]) and length-prefixed Unix/TCP
-//!   socket implementations;
+//!   credits backward, negedge progress alongside): the in-process
+//!   reference over shared SPSC rings, and the one cross-process data plane —
+//!   length-prefixed cycle frames over a byte pipe, which is a Unix/TCP
+//!   socket or two byte rings in a shared-memory segment ([`shm`]);
 //! * [`wiring`] — the canonical cut-channel enumeration every process
 //!   derives independently from `(geometry, partition, router parameters)`,
 //!   which doubles as the wire addressing scheme;
@@ -49,4 +50,6 @@ pub mod worker;
 pub use host::{run_distributed, run_threaded, DistOutcome, HostOptions};
 pub use protocol::TransportKind;
 pub use spec::{DistSpec, DistSync, DistWorkload, RunKind};
-pub use transport::{BoundaryTransport, InProcTransport, SocketTransport, TransportSet};
+pub use transport::{
+    BoundaryTransport, FrameTransport, InProcTransport, SocketTransport, TransportSet,
+};

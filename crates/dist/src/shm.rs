@@ -1,731 +1,423 @@
-//! The shared-memory segment transport for co-located worker processes.
+//! The shared-memory byte pipe for co-located worker processes.
 //!
-//! One segment per shard adjacency, created (zero-filled) by the coordinator
-//! and mapped by both workers. The layout is derived deterministically from
-//! the canonical channel list, so the two sides agree on every offset
-//! without negotiation:
+//! One segment file per shard adjacency, created zero-filled by the
+//! coordinator and mapped by both workers. It holds two single-producer
+//! single-consumer byte rings, one per direction, and nothing else: what the
+//! bytes mean is [`crate::transport::FrameTransport`]'s business, exactly as
+//! over a socket.
 //!
 //! ```text
-//! [ progress lo→hi : u64 ][ progress hi→lo : u64 ]
-//! then, for direction lo→hi, one block per channel:
-//!     [ flit ring: head u64, tail u64, capacity × FLIT_SLOT bytes ]
-//!     [ credit ring: head u64, tail u64,
-//!       (capacity + 1 + sync_depth) × CREDIT_SLOT bytes ]
-//! then the same for direction hi→lo,
-//! then one variable-length payload byte ring per direction:
-//!     [ head u64, tail u64, payload_capacity bytes ]
+//! ring lo→hi:  [ head u64 ][ tail u64 ][ closed u64 ]   one cache line each
+//! ring hi→lo:  [ head u64 ][ tail u64 ][ closed u64 ]
+//! data lo→hi:  RING_BYTES
+//! data hi→lo:  RING_BYTES
 //! ```
 //!
-//! Flit rings carry sender→receiver traffic of their direction; the credit
-//! rings beside them carry the matching receiver→sender credit returns
-//! (`sync_depth` extra slots absorb the per-cycle credit messages a loose
-//! run coalesces between batch-boundary ingests). The payload rings carry
-//! length-prefixed packet records — a packet's payload is written *before*
-//! its tail flit, so a receiver that observes the flit always finds the
-//! payload. All cursors are cross-process atomics with the same
-//! acquire/release protocol as the in-process [`hornet_net::spsc::Spsc`].
+//! `head` and `tail` are monotone byte counts (position = count mod
+//! `RING_BYTES`); a write may be partial, so a frame of any size streams
+//! through. The memory-ordering argument is the usual SPSC one, across
+//! processes:
+//!
+//! * the producer copies bytes into `[tail, tail + n)` and then stores
+//!   `tail + n` with `Release`; the consumer loads `tail` with `Acquire`
+//!   before it copies them out, so it reads what was written;
+//! * the consumer stores `head + n` with `Release` only after its copy; the
+//!   producer loads `head` with `Acquire` before it reuses that space, so it
+//!   never overwrites bytes still being read;
+//! * `close_write` stores `closed` with `Release` after the last `tail`
+//!   store; a consumer that finds the ring empty, then sees `closed` with
+//!   `Acquire`, re-loads `tail`: it is final, so "empty and closed" is the
+//!   end of the stream and nothing before it can be missed.
+//!
+//! Each side keeps the cursor it owns in private memory and only publishes
+//! it; it never reads it back. Cursors read from the segment are checked
+//! (`tail − head ≤ RING_BYTES`) and positions are taken modulo the ring, so a
+//! peer that scribbles on the header can make the stream fail or deliver
+//! garbage — which the frame decoder rejects — but cannot move a copy outside
+//! the data area.
 
-use crate::transport::BoundaryTransport;
-use crate::wire::{
-    decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet, Dec, Enc,
-    CREDIT_WIRE_BYTES, FLIT_WIRE_BYTES,
-};
-use crate::wiring::NeighborWiring;
-use hornet_net::boundary::BoundaryLink;
-use hornet_net::ids::Cycle;
-use hornet_shard::driver::PayloadChannel;
+use crate::transport::BytePipe;
 use hornet_shard::sys;
-use std::fs::{File, OpenOptions};
-use std::io;
-use std::path::{Path, PathBuf};
+use std::fs::OpenOptions;
+use std::io::{self, ErrorKind, Read, Write};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-/// Bytes per flit slot (wire encoding padded to an 8-byte multiple).
-const FLIT_SLOT: usize = FLIT_WIRE_BYTES.next_multiple_of(8);
-/// Bytes per credit slot.
-const CREDIT_SLOT: usize = CREDIT_WIRE_BYTES.next_multiple_of(8);
-/// Default payload ring size per direction: generous for the word-sized
-/// protocol payloads of the memory/CPU workloads (writers spin briefly when
-/// full — the peer drains the ring during its waits, so this bounds burst
-/// size, not correctness).
-const PAYLOAD_RING_BYTES: usize = 256 << 10;
+/// Bytes per direction. This bounds how far one side can run ahead of the
+/// other before its `write` reports `WouldBlock`, not the size of a frame (a
+/// larger frame streams through in pieces). 256 KiB is about what a Unix
+/// socket buffers by default, so the two pipes let a shard get equally far
+/// ahead; a cycle-accurate 16×16 frame is ≈1 KiB.
+const RING_BYTES: usize = 256 << 10;
+const LINE: usize = 64;
+/// Header: (head, tail, closed) × two rings, a cache line each.
+const HEADER_BYTES: usize = 6 * LINE;
+const SEGMENT_BYTES: usize = HEADER_BYTES + 2 * RING_BYTES;
 
-/// The deterministic layout of one adjacency segment.
-#[derive(Clone, Debug)]
-pub struct ShmLayout {
-    /// Flit capacities of the lo→hi channels, in canonical order.
-    pub lo_to_hi: Vec<usize>,
-    /// Flit capacities of the hi→lo channels, in canonical order.
-    pub hi_to_lo: Vec<usize>,
-    /// Extra credit-ring slots per channel (≥ the run's `slack + quantum`,
-    /// so batch-coalesced credit messages never overflow).
-    pub sync_depth: usize,
-    /// Payload byte-ring size per direction.
-    pub payload_capacity: usize,
+fn unsupported() -> io::Error {
+    io::Error::new(
+        ErrorKind::Unsupported,
+        "shared file mappings unavailable on this platform (use the socket transport)",
+    )
 }
 
-fn ring_bytes(capacity: usize, slot: usize) -> usize {
-    16 + capacity * slot
+/// Creates the zero-filled segment file of one adjacency (the coordinator's
+/// half of the set-up; the file lives in the run's scratch directory).
+pub fn create_segment(path: &Path) -> io::Result<()> {
+    if !sys::shared_mappings_available() {
+        return Err(unsupported());
+    }
+    let file = OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .write(true)
+        .open(path)?;
+    file.set_len(SEGMENT_BYTES as u64)
 }
 
-impl ShmLayout {
-    fn channel_bytes(&self, capacity: usize) -> usize {
-        ring_bytes(capacity, FLIT_SLOT) + ring_bytes(capacity + 1 + self.sync_depth, CREDIT_SLOT)
-    }
-
-    fn channels_len(&self) -> usize {
-        self.lo_to_hi
-            .iter()
-            .chain(&self.hi_to_lo)
-            .map(|&c| self.channel_bytes(c))
-            .sum::<usize>()
-    }
-
-    /// Total segment size, in bytes.
-    pub fn total_len(&self) -> usize {
-        16 + self.channels_len() + 2 * (16 + self.payload_capacity)
-    }
-
-    /// Byte offset of the progress word of a direction (0 = lo→hi).
-    fn progress_offset(dir: usize) -> usize {
-        dir * 8
-    }
-
-    /// Byte offset of channel `ch` of direction `dir`.
-    fn channel_offset(&self, dir: usize, ch: usize) -> usize {
-        let mut off = 16;
-        let caps = if dir == 0 {
-            &self.lo_to_hi
-        } else {
-            &self.hi_to_lo
-        };
-        if dir == 1 {
-            off += self
-                .lo_to_hi
-                .iter()
-                .map(|&c| self.channel_bytes(c))
-                .sum::<usize>();
-        }
-        off + caps[..ch]
-            .iter()
-            .map(|&c| self.channel_bytes(c))
-            .sum::<usize>()
-    }
-
-    /// Byte offset of the payload ring of a direction (0 = lo→hi).
-    fn payload_offset(&self, dir: usize) -> usize {
-        16 + self.channels_len() + dir * (16 + self.payload_capacity)
-    }
-}
-
-/// A mapped adjacency segment.
-pub struct ShmSegment {
+/// One end of the pipe: a mapping of the segment, the ring this side writes,
+/// the ring it reads, and its private copy of the cursor it owns in each.
+pub struct ShmPipe {
     ptr: *mut u8,
-    len: usize,
-    path: PathBuf,
-    /// Keep the backing file open for the mapping's lifetime.
-    _file: File,
-    /// Whether `drop` should unlink the backing file (creator side).
-    owns_file: bool,
+    /// Ring index (0 = lo→hi, 1 = hi→lo) this side produces into.
+    tx: usize,
+    /// Bytes this side has written (`tail` of ring `tx`).
+    written: u64,
+    /// Bytes this side has read (`head` of ring `1 - tx`).
+    consumed: u64,
 }
 
-// SAFETY: the raw pointer is a shared file mapping; all concurrent access
-// goes through atomics with the SPSC protocol.
-unsafe impl Send for ShmSegment {}
-unsafe impl Sync for ShmSegment {}
+// SAFETY: `ptr` is a shared file mapping this value owns until `Drop`; every
+// access to it goes through `&mut self`, so moving the pipe to another thread
+// moves the only user. Concurrent access from the peer's mapping follows the
+// SPSC protocol in the module docs.
+unsafe impl Send for ShmPipe {}
 
-impl ShmSegment {
-    /// Creates (and zero-fills) the segment file and maps it.
-    pub fn create(path: &Path, layout: &ShmLayout) -> io::Result<Arc<Self>> {
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(path)?;
-        file.set_len(layout.total_len() as u64)?;
-        Self::map(file, path, layout, true)
-    }
-
-    /// Maps an existing segment file created by [`create`](Self::create).
-    pub fn open(path: &Path, layout: &ShmLayout) -> io::Result<Arc<Self>> {
+impl ShmPipe {
+    /// Maps the segment at `path` (made by [`create_segment`]) as the lower-
+    /// (`is_lo`) or higher-numbered shard's end of the adjacency.
+    pub fn open(path: &Path, is_lo: bool) -> io::Result<Self> {
+        use std::os::fd::AsRawFd;
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        if file.metadata()?.len() < layout.total_len() as u64 {
+        if file.metadata()?.len() != SEGMENT_BYTES as u64 {
             return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "shared segment smaller than its layout",
+                ErrorKind::InvalidData,
+                "shared segment is not the size of a pipe",
             ));
         }
-        Self::map(file, path, layout, false)
-    }
-
-    fn map(file: File, path: &Path, layout: &ShmLayout, owns_file: bool) -> io::Result<Arc<Self>> {
-        use std::os::fd::AsRawFd;
-        let len = layout.total_len().max(1);
-        let ptr = unsafe { sys::map_shared(file.as_raw_fd(), len) }.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "shared file mappings unavailable on this platform (use the socket transport)",
-            )
-        })?;
-        Ok(Arc::new(Self {
+        // SAFETY: `file` is open and exactly `SEGMENT_BYTES` long; the
+        // mapping outlives the descriptor and is unmapped once, in `Drop`.
+        let ptr =
+            unsafe { sys::map_shared(file.as_raw_fd(), SEGMENT_BYTES) }.ok_or_else(unsupported)?;
+        Ok(Self {
             ptr,
-            len,
-            path: path.to_path_buf(),
-            _file: file,
-            owns_file,
-        }))
+            tx: usize::from(!is_lo),
+            written: 0,
+            consumed: 0,
+        })
     }
 
-    /// The path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Header word `word` (0 head, 1 tail, 2 closed) of ring `ring`.
+    fn word(&self, ring: usize, word: usize) -> &AtomicU64 {
+        debug_assert!(ring < 2 && word < 3);
+        // SAFETY: the offset is a multiple of `LINE` below `HEADER_BYTES`, so
+        // the word is in bounds and 8-aligned (mappings are page-aligned);
+        // every access to it, from either process, is atomic.
+        unsafe { &*(self.ptr.add((ring * 3 + word) * LINE) as *const AtomicU64) }
     }
 
-    fn atomic_at(&self, offset: usize) -> &AtomicU64 {
-        debug_assert!(offset + 8 <= self.len && offset.is_multiple_of(8));
-        // SAFETY: in-bounds, 8-aligned, and all cross-process access to this
-        // word is atomic.
-        unsafe { &*(self.ptr.add(offset) as *const AtomicU64) }
-    }
-}
-
-impl Drop for ShmSegment {
-    fn drop(&mut self) {
-        unsafe { sys::unmap(self.ptr, self.len) };
-        if self.owns_file {
-            let _ = std::fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// One SPSC ring inside a segment (fixed slot size).
-struct ShmRing {
-    seg: Arc<ShmSegment>,
-    base: usize,
-    capacity: u64,
-    slot: usize,
-}
-
-impl ShmRing {
-    fn head(&self) -> &AtomicU64 {
-        self.seg.atomic_at(self.base)
-    }
-    fn tail(&self) -> &AtomicU64 {
-        self.seg.atomic_at(self.base + 8)
-    }
-
-    fn push(&self, item: &[u8]) -> bool {
-        debug_assert_eq!(item.len(), self.slot);
-        let tail = self.tail().load(Ordering::Relaxed);
-        let head = self.head().load(Ordering::Acquire);
-        if tail - head >= self.capacity {
-            return false;
-        }
-        let off = self.base + 16 + (tail % self.capacity) as usize * self.slot;
-        // SAFETY: in-bounds slot owned by the producer until the tail store.
+    /// Splits `len` bytes at stream position `pos` of ring `ring` into the
+    /// (at most two) contiguous spans of the data area they occupy.
+    fn spans(&self, ring: usize, pos: u64, len: usize) -> [(*mut u8, usize); 2] {
+        debug_assert!(len <= RING_BYTES);
+        let at = (pos % RING_BYTES as u64) as usize;
+        let first = len.min(RING_BYTES - at);
+        // SAFETY: `at < RING_BYTES`, so both pointers stay inside ring
+        // `ring`'s data area whatever `pos` is.
         unsafe {
-            std::ptr::copy_nonoverlapping(item.as_ptr(), self.seg.ptr.add(off), self.slot);
+            let data = self.ptr.add(HEADER_BYTES + ring * RING_BYTES);
+            [(data.add(at), first), (data, len - first)]
         }
-        self.tail().store(tail + 1, Ordering::Release);
-        true
-    }
-
-    fn pop(&self, out: &mut [u8]) -> bool {
-        debug_assert_eq!(out.len(), self.slot);
-        let head = self.head().load(Ordering::Relaxed);
-        let tail = self.tail().load(Ordering::Acquire);
-        if head >= tail {
-            return false;
-        }
-        let off = self.base + 16 + (head % self.capacity) as usize * self.slot;
-        // SAFETY: in-bounds slot published by the producer's tail store.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.seg.ptr.add(off), out.as_mut_ptr(), self.slot);
-        }
-        self.head().store(head + 1, Ordering::Release);
-        true
     }
 }
 
-/// A variable-record SPSC byte ring inside a segment (length-prefixed
-/// records, wraparound copies, monotone byte cursors). Carries the packet
-/// payload records that follow tail flits across the adjacency.
-struct ShmByteRing {
-    seg: Arc<ShmSegment>,
-    base: usize,
-    capacity: u64,
+fn corrupt() -> io::Error {
+    io::Error::new(ErrorKind::InvalidData, "ring cursors are inconsistent")
 }
 
-impl ShmByteRing {
-    fn head(&self) -> &AtomicU64 {
-        self.seg.atomic_at(self.base)
-    }
-    fn tail(&self) -> &AtomicU64 {
-        self.seg.atomic_at(self.base + 8)
-    }
-
-    fn copy_in(&self, pos: u64, bytes: &[u8]) {
-        let off = (pos % self.capacity) as usize;
-        let first = bytes.len().min(self.capacity as usize - off);
-        // SAFETY: the producer owns [tail, tail+len) until its tail store;
-        // both chunks are in-bounds of the ring's data area.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                bytes.as_ptr(),
-                self.seg.ptr.add(self.base + 16 + off),
-                first,
-            );
-            if first < bytes.len() {
-                std::ptr::copy_nonoverlapping(
-                    bytes.as_ptr().add(first),
-                    self.seg.ptr.add(self.base + 16),
-                    bytes.len() - first,
-                );
+impl Read for ShmPipe {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let rx = 1 - self.tx;
+        let mut tail = self.word(rx, 1).load(Ordering::Acquire);
+        if tail == self.consumed {
+            if self.word(rx, 2).load(Ordering::Acquire) == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            // Closed: `tail` is final now (see the module docs).
+            tail = self.word(rx, 1).load(Ordering::Acquire);
+            if tail == self.consumed {
+                return Ok(0);
             }
         }
-    }
-
-    fn copy_out(&self, pos: u64, out: &mut [u8]) {
-        let off = (pos % self.capacity) as usize;
-        let first = out.len().min(self.capacity as usize - off);
-        // SAFETY: the consumer owns [head, head+len) until its head store.
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.seg.ptr.add(self.base + 16 + off),
-                out.as_mut_ptr(),
-                first,
-            );
-            if first < out.len() {
-                std::ptr::copy_nonoverlapping(
-                    self.seg.ptr.add(self.base + 16),
-                    out.as_mut_ptr().add(first),
-                    out.len() - first,
-                );
+        let available = tail.wrapping_sub(self.consumed);
+        if available > RING_BYTES as u64 {
+            return Err(corrupt());
+        }
+        let n = buf.len().min(available as usize);
+        let mut out = buf.as_mut_ptr();
+        for (src, len) in self.spans(rx, self.consumed, n) {
+            // SAFETY: `src..src+len` is inside the data area and was
+            // published by the producer's `tail` store; `out` has `n` bytes
+            // of room and the spans' lengths sum to `n`.
+            unsafe {
+                std::ptr::copy_nonoverlapping(src, out, len);
+                out = out.add(len);
             }
         }
-    }
-
-    /// Appends one length-prefixed record; `false` when the ring lacks room
-    /// (the caller retries — the peer drains during its waits).
-    fn push(&self, bytes: &[u8]) -> bool {
-        let need = 4 + bytes.len() as u64;
-        assert!(
-            need <= self.capacity,
-            "payload record larger than the shm payload ring"
-        );
-        let tail = self.tail().load(Ordering::Relaxed);
-        let head = self.head().load(Ordering::Acquire);
-        if self.capacity - (tail - head) < need {
-            return false;
-        }
-        self.copy_in(tail, &(bytes.len() as u32).to_le_bytes());
-        self.copy_in(tail + 4, bytes);
-        self.tail().store(tail + need, Ordering::Release);
-        true
-    }
-
-    /// Pops one record into `out` (replacing its contents).
-    fn pop(&self, out: &mut Vec<u8>) -> bool {
-        let head = self.head().load(Ordering::Relaxed);
-        let tail = self.tail().load(Ordering::Acquire);
-        if head == tail {
-            return false;
-        }
-        let mut len4 = [0u8; 4];
-        self.copy_out(head, &mut len4);
-        let len = u32::from_le_bytes(len4) as usize;
-        out.resize(len, 0);
-        self.copy_out(head + 4, out);
-        self.head().store(head + 4 + len as u64, Ordering::Release);
-        true
+        self.consumed += n as u64;
+        self.word(rx, 0).store(self.consumed, Ordering::Release);
+        Ok(n)
     }
 }
 
-/// The shared-memory implementation of [`BoundaryTransport`].
-pub struct ShmTransport {
-    seg: Arc<ShmSegment>,
-    /// Our send direction's flit rings (we produce) and credit rings (we
-    /// consume credits the peer returned for them).
-    out_flit_rings: Vec<ShmRing>,
-    out_credit_rings: Vec<ShmRing>,
-    /// The peer direction's flit rings (we consume) and credit rings (we
-    /// produce credits for the peer's flits).
-    in_flit_rings: Vec<ShmRing>,
-    in_credit_rings: Vec<ShmRing>,
-    /// Payload rings: ours (we write packet records) and the peer's (we
-    /// deposit what it wrote).
-    out_payload_ring: ShmByteRing,
-    in_payload_ring: ShmByteRing,
-    our_progress: usize,
-    peer_progress: usize,
-    out_links: Vec<Arc<BoundaryLink>>,
-    in_links: Vec<Arc<BoundaryLink>>,
-    /// Reusable payload record scratch.
-    scratch: Vec<u8>,
-}
-
-impl ShmTransport {
-    /// Builds the transport over `seg` for the side whose shard id is the
-    /// lower (`is_lo`) or higher end of the adjacency.
-    pub fn new(
-        seg: Arc<ShmSegment>,
-        layout: &ShmLayout,
-        is_lo: bool,
-        wiring: &NeighborWiring,
-    ) -> Self {
-        let (our_dir, peer_dir) = if is_lo { (0, 1) } else { (1, 0) };
-        let rings = |dir: usize, caps: &[usize]| -> (Vec<ShmRing>, Vec<ShmRing>) {
-            let mut flits = Vec::with_capacity(caps.len());
-            let mut credits = Vec::with_capacity(caps.len());
-            for (ch, &cap) in caps.iter().enumerate() {
-                let base = layout.channel_offset(dir, ch);
-                flits.push(ShmRing {
-                    seg: Arc::clone(&seg),
-                    base,
-                    capacity: cap as u64,
-                    slot: FLIT_SLOT,
-                });
-                credits.push(ShmRing {
-                    seg: Arc::clone(&seg),
-                    base: base + ring_bytes(cap, FLIT_SLOT),
-                    capacity: (cap + 1 + layout.sync_depth) as u64,
-                    slot: CREDIT_SLOT,
-                });
-            }
-            (flits, credits)
-        };
-        let our_caps: Vec<usize> = wiring.out_links.iter().map(|l| l.capacity()).collect();
-        let peer_caps: Vec<usize> = wiring.in_links.iter().map(|l| l.capacity()).collect();
-        let (out_flit_rings, out_credit_rings) = rings(our_dir, &our_caps);
-        let (in_flit_rings, in_credit_rings) = rings(peer_dir, &peer_caps);
-        let payload_ring = |dir: usize| ShmByteRing {
-            seg: Arc::clone(&seg),
-            base: layout.payload_offset(dir),
-            capacity: layout.payload_capacity as u64,
-        };
-        Self {
-            out_flit_rings,
-            out_credit_rings,
-            in_flit_rings,
-            in_credit_rings,
-            out_payload_ring: payload_ring(our_dir),
-            in_payload_ring: payload_ring(peer_dir),
-            our_progress: ShmLayout::progress_offset(our_dir),
-            peer_progress: ShmLayout::progress_offset(peer_dir),
-            out_links: wiring.out_links.clone(),
-            in_links: wiring.in_links.clone(),
-            seg,
-            scratch: Vec::new(),
+impl Write for ShmPipe {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let head = self.word(self.tx, 0).load(Ordering::Acquire);
+        let used = self.written.wrapping_sub(head);
+        if used > RING_BYTES as u64 {
+            return Err(corrupt());
         }
-    }
-
-    /// The layout of the adjacency `(lo, hi)` given each direction's channel
-    /// capacities in canonical order and the run's synchronization depth
-    /// (`slack + quantum`; sizes the per-channel credit-ring headroom).
-    pub fn layout(lo_to_hi: Vec<usize>, hi_to_lo: Vec<usize>, sync_depth: usize) -> ShmLayout {
-        ShmLayout {
-            lo_to_hi,
-            hi_to_lo,
-            sync_depth,
-            payload_capacity: PAYLOAD_RING_BYTES,
+        let n = buf.len().min(RING_BYTES - used as usize);
+        if n == 0 && !buf.is_empty() {
+            return Err(ErrorKind::WouldBlock.into());
         }
-    }
-
-    fn deposit_arrivals(&mut self, payloads: &dyn PayloadChannel) {
-        drain_payload_ring(&self.in_payload_ring, &mut self.scratch, payloads);
-    }
-}
-
-/// Drains every payload record from `ring` into the payload channel.
-/// Free-standing so the pump's full-ring spin can call it while other
-/// `self` fields are borrowed.
-fn drain_payload_ring(ring: &ShmByteRing, scratch: &mut Vec<u8>, payloads: &dyn PayloadChannel) {
-    while ring.pop(scratch) {
-        let packet = decode_packet(&mut Dec::new(scratch)).expect("shm payload corrupt");
-        payloads.deposit(packet);
-    }
-}
-
-impl BoundaryTransport for ShmTransport {
-    fn pump(
-        &mut self,
-        cycle: Cycle,
-        payloads: &dyn PayloadChannel,
-        _flush: bool,
-    ) -> io::Result<()> {
-        let forward_payloads = !payloads.shared();
-        let mut slot = [0u8; FLIT_SLOT];
-        let out_payload_ring = &self.out_payload_ring;
-        let in_payload_ring = &self.in_payload_ring;
-        let scratch = &mut self.scratch;
-        for (link, ring) in self.out_links.iter().zip(&self.out_flit_rings) {
-            link.drain_staged_flits(|f| {
-                if forward_payloads && f.kind.is_tail() {
-                    // The payload record is pushed *before* its tail flit:
-                    // a peer that observes the flit always finds the
-                    // payload. Empty payloads are claimed (the parked
-                    // packet would leak) but not written.
-                    if let Some(p) = payloads.claim(f.packet) {
-                        if !p.payload.is_empty() {
-                            let mut e = Enc::new();
-                            encode_packet(&mut e, &p);
-                            let mut spins = 0u64;
-                            while !out_payload_ring.push(e.bytes()) {
-                                // Our ring is full until the peer drains it.
-                                // The peer may itself be spinning in *its*
-                                // pump on the opposite ring, so drain our
-                                // inbound payloads here — that is the
-                                // peer's outbound ring, which unblocks it
-                                // and breaks the mutual-wait cycle.
-                                drain_payload_ring(in_payload_ring, scratch, payloads);
-                                spins += 1;
-                                if spins.is_multiple_of(128) {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::hint::spin_loop();
-                                }
-                                assert!(spins < 1 << 30, "shm payload ring wedged");
-                            }
-                        }
-                    }
-                }
-                let mut e = Enc::new();
-                encode_flit(&mut e, &f);
-                slot[..FLIT_WIRE_BYTES].copy_from_slice(e.bytes());
-                // End-to-end credits bound occupancy: cannot be full.
-                let ok = ring.push(&slot);
-                debug_assert!(ok, "shm flit ring overflow despite credit window");
-            });
-        }
-        let mut cslot = [0u8; CREDIT_SLOT];
-        for (link, ring) in self.in_links.iter().zip(&self.in_credit_rings) {
-            while let Some(c) = link.take_staged_credit() {
-                let mut e = Enc::new();
-                encode_credit(&mut e, &c);
-                cslot[..CREDIT_WIRE_BYTES].copy_from_slice(e.bytes());
-                let ok = ring.push(&cslot);
-                debug_assert!(ok, "shm credit ring overflow");
+        let mut from = buf.as_ptr();
+        for (dst, len) in self.spans(self.tx, self.written, n) {
+            // SAFETY: `dst..dst+len` is inside the data area and free: the
+            // consumer's `head` store released it and nothing is published
+            // there until the `tail` store below. `from` has `n` bytes left.
+            unsafe {
+                std::ptr::copy_nonoverlapping(from, dst, len);
+                from = from.add(len);
             }
         }
-        // Progress last: the peer's wait-then-ingest sees everything above.
-        self.seg
-            .atomic_at(self.our_progress)
-            .store(cycle, Ordering::Release);
+        self.written += n as u64;
+        self.word(self.tx, 1).store(self.written, Ordering::Release);
+        Ok(n)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
         Ok(())
     }
+}
 
-    fn ingest(&mut self, payloads: &dyn PayloadChannel) {
-        // Payloads first: a tail flit observed below must find its payload
-        // already deposited.
-        self.deposit_arrivals(payloads);
-        let mut slot = [0u8; FLIT_SLOT];
-        for (link, ring) in self.in_links.iter().zip(&self.in_flit_rings) {
-            while ring.pop(&mut slot) {
-                let flit =
-                    decode_flit(&mut Dec::new(&slot[..FLIT_WIRE_BYTES])).expect("shm flit corrupt");
-                let ok = link.inject_flit(flit);
-                debug_assert!(ok, "local staging overflow on shm ingest");
-            }
-        }
-        // Second payload pass: the peer writes a payload before its tail
-        // flit, so any flit drained above that raced the first pass has its
-        // payload visible by now.
-        self.deposit_arrivals(payloads);
-        let mut cslot = [0u8; CREDIT_SLOT];
-        for (link, ring) in self.out_links.iter().zip(&self.out_credit_rings) {
-            while ring.pop(&mut cslot) {
-                let credit = decode_credit(&mut Dec::new(&cslot[..CREDIT_WIRE_BYTES]))
-                    .expect("shm credit corrupt");
-                let ok = link.inject_credit(credit);
-                debug_assert!(ok, "local credit staging overflow on shm ingest");
+impl BytePipe for ShmPipe {
+    const LINK: &'static str = "shared-memory ring";
+
+    fn close_write(&mut self) {
+        self.word(self.tx, 2).store(1, Ordering::Release);
+    }
+
+    fn drain(&mut self, scratch: &mut [u8], grace: Duration) {
+        let mut last_heard = Instant::now();
+        loop {
+            match self.read(scratch) {
+                Ok(0) => return,
+                Ok(_) => last_heard = Instant::now(),
+                Err(e) if e.kind() == ErrorKind::WouldBlock && last_heard.elapsed() < grace => {
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                Err(_) => return,
             }
         }
     }
+}
 
-    fn peer_progress(&self) -> Cycle {
-        self.seg
-            .atomic_at(self.peer_progress)
-            .load(Ordering::Acquire)
+impl Drop for ShmPipe {
+    fn drop(&mut self) {
+        // SAFETY: the one mapping `open` made; no reference into it outlives
+        // `self`.
+        unsafe { sys::unmap(self.ptr, SEGMENT_BYTES) };
     }
 }
 
 #[cfg(test)]
+impl ShmPipe {
+    /// Both ends `(lo, hi)` of a fresh pipe whose file is already unlinked.
+    pub(crate) fn pair() -> (ShmPipe, ShmPipe) {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "hornet-shm-test-{}-{}",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        create_segment(&path).unwrap();
+        let ends = (
+            ShmPipe::open(&path, true).unwrap(),
+            ShmPipe::open(&path, false).unwrap(),
+        );
+        std::fs::remove_file(&path).unwrap();
+        ends
+    }
+}
+
+#[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
-    use hornet_net::flit::{FlitKind, FlitStats};
-    use hornet_net::ids::{FlowId, NodeId, PacketId};
+    use crate::transport::{BoundaryTransport, FrameTransport};
+    use crate::wiring::NeighborWiring;
+    use hornet_shard::driver::NoPayloads;
+    use std::sync::Arc;
 
-    fn flit(seq: u32) -> hornet_net::flit::Flit {
-        hornet_net::flit::Flit {
-            packet: PacketId::new(1),
-            flow: FlowId::new(1),
-            original_flow: FlowId::new(1),
-            kind: FlitKind::Body,
-            seq,
-            packet_len: 8,
-            dst: NodeId::new(1),
-            src: NodeId::new(0),
-            visible_at: 9,
-            stats: FlitStats::default(),
-        }
+    fn would_block<T: std::fmt::Debug>(r: io::Result<T>) -> bool {
+        matches!(&r, Err(e) if e.kind() == ErrorKind::WouldBlock)
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("hornet-shm-test-{}-{name}", std::process::id()));
-        p
+    /// The byte at stream position `i` of the test pattern.
+    fn pattern(i: u64) -> u8 {
+        (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8
     }
 
     #[test]
-    fn layout_offsets_are_disjoint_and_in_bounds() {
-        let layout = ShmLayout {
-            lo_to_hi: vec![4, 4, 2],
-            hi_to_lo: vec![3],
-            sync_depth: 5,
-            payload_capacity: 1024,
+    fn bytes_cross_in_order_across_many_wraps() {
+        let (mut lo, mut hi) = ShmPipe::pair();
+        // Neither chunk size divides the ring, so copies split at the wrap
+        // at ever-changing offsets; 12 ring lengths go through.
+        let (mut sent, mut got) = (0u64, 0u64);
+        let mut chunk = vec![0u8; 70_001];
+        let mut out = vec![0u8; 33_333];
+        while got < 12 * RING_BYTES as u64 {
+            for (i, b) in chunk.iter_mut().enumerate() {
+                *b = pattern(sent + i as u64);
+            }
+            sent += lo.write(&chunk).unwrap_or(0) as u64;
+            let n = hi.read(&mut out).unwrap();
+            for (i, b) in out[..n].iter().enumerate() {
+                assert_eq!(*b, pattern(got + i as u64), "byte {}", got + i as u64);
+            }
+            got += n as u64;
+        }
+        assert!(sent >= got && sent - got <= RING_BYTES as u64);
+    }
+
+    #[test]
+    fn a_full_ring_would_block_and_resumes() {
+        let (mut lo, mut hi) = ShmPipe::pair();
+        assert!(would_block(hi.read(&mut [0; 8])), "empty ring");
+        let big = vec![7u8; RING_BYTES + 1000];
+        assert_eq!(lo.write(&big).unwrap(), RING_BYTES, "a partial write");
+        assert!(would_block(lo.write(&big)), "full ring");
+        let mut out = vec![0u8; 1000];
+        assert_eq!(hi.read(&mut out).unwrap(), 1000);
+        assert_eq!(lo.write(&big).unwrap(), 1000, "room for what was read");
+        assert!(would_block(lo.write(&[1])));
+    }
+
+    #[test]
+    fn close_reads_as_end_of_stream_after_the_bytes_before_it() {
+        let (mut lo, mut hi) = ShmPipe::pair();
+        lo.write_all(b"last words").unwrap();
+        lo.close_write();
+        let mut out = [0u8; 4];
+        assert_eq!(hi.read(&mut out).unwrap(), 4);
+        assert_eq!(hi.read(&mut out).unwrap(), 4);
+        assert_eq!(hi.read(&mut out).unwrap(), 2);
+        assert_eq!(hi.read(&mut out).unwrap(), 0, "end of stream");
+        assert_eq!(hi.read(&mut out).unwrap(), 0, "and it stays ended");
+        // The other direction is still open.
+        hi.write_all(b"ack").unwrap();
+        assert_eq!(lo.read(&mut out).unwrap(), 3);
+        assert!(would_block(lo.read(&mut out)));
+    }
+
+    /// A peer that scribbles on the header makes the stream fail; the copy
+    /// positions are taken modulo the ring, so it cannot move them outside
+    /// the data area (debug builds assert the span length as well).
+    #[test]
+    fn scribbled_cursors_are_an_error_never_a_panic() {
+        let ring = RING_BYTES as u64;
+        let mut buf = vec![0u8; 2 * RING_BYTES];
+        // `hi` reads ring 0 and writes ring 1, and has moved 10 bytes each
+        // way, so its own cursors stand at 10.
+        let scribbled = || {
+            let (mut lo, mut hi) = ShmPipe::pair();
+            lo.write_all(&[1; 10]).unwrap();
+            hi.write_all(&[2; 10]).unwrap();
+            assert_eq!(hi.read(&mut [0; 16]).unwrap(), 10);
+            (lo, hi)
         };
-        let total = layout.total_len();
-        let mut spans: Vec<(usize, usize)> = vec![(0, 16)];
-        for (dir, caps) in [(0usize, &layout.lo_to_hi), (1, &layout.hi_to_lo)] {
-            for (ch, &cap) in caps.iter().enumerate() {
-                let off = layout.channel_offset(dir, ch);
-                spans.push((off, off + layout.channel_bytes(cap)));
+        // More in flight than the ring holds; the peer's cursor behind ours.
+        for tail in [10 + ring + 1, u64::MAX, 1 << 41, 9, 0] {
+            let (lo, mut hi) = scribbled();
+            lo.word(0, 1).store(tail, Ordering::Release);
+            let err = hi.read(&mut buf).expect_err("inconsistent tail");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "tail {tail}");
+        }
+        for head in [11, 10 + ring, 1 << 41] {
+            let (lo, mut hi) = scribbled();
+            lo.word(1, 0).store(head, Ordering::Release);
+            let err = hi.write(&buf).expect_err("inconsistent head");
+            assert_eq!(err.kind(), ErrorKind::InvalidData, "head {head}");
+        }
+        // A tail scribbled *within* the ring delivers bytes nobody wrote;
+        // the frame transport on top rejects them and names the link.
+        let (lo, hi) = ShmPipe::pair();
+        let wiring = NeighborWiring {
+            peer: 0,
+            out_links: Vec::new(),
+            in_links: Vec::new(),
+        };
+        let mut t = FrameTransport::new(hi, &wiring, 0, 1, Arc::new(NoPayloads)).unwrap();
+        lo.word(0, 1).store(ring - 1, Ordering::Release);
+        assert!(t.reached(u64::MAX), "a failed link releases every wait");
+        let err = t.pump(1, &NoPayloads, true).expect_err("garbage frame");
+        assert!(err.to_string().contains("shared-memory ring to shard 0"));
+        std::mem::forget(t); // a failed shard leaves its links to process exit
+    }
+
+    /// Unlike `VcBuffer`, this ring does synchronise: a producer and a
+    /// consumer thread move 16 MiB through it and the checksums agree.
+    #[test]
+    fn producer_and_consumer_threads_agree_on_every_byte() {
+        const TOTAL: u64 = 16 << 20;
+        let (mut lo, mut hi) = ShmPipe::pair();
+        let sum = |acc: u64, b: u8| acc.wrapping_mul(31).wrapping_add(u64::from(b));
+        let producer = std::thread::spawn(move || {
+            let (mut sent, mut acc) = (0u64, 0u64);
+            let mut chunk = vec![0u8; 9_973];
+            while sent < TOTAL {
+                let want = chunk.len().min((TOTAL - sent) as usize);
+                for (i, b) in chunk[..want].iter_mut().enumerate() {
+                    *b = pattern(sent + i as u64);
+                }
+                match lo.write(&chunk[..want]) {
+                    Ok(n) => {
+                        acc = chunk[..n].iter().fold(acc, |a, b| sum(a, *b));
+                        sent += n as u64;
+                    }
+                    Err(_) => std::thread::yield_now(),
+                }
+            }
+            lo.close_write();
+            acc
+        });
+        let (mut got, mut acc) = (0u64, 0u64);
+        let mut out = vec![0u8; 7_919];
+        loop {
+            match hi.read(&mut out) {
+                Ok(0) => break,
+                Ok(n) => {
+                    acc = out[..n].iter().fold(acc, |a, b| sum(a, *b));
+                    got += n as u64;
+                }
+                Err(e) => {
+                    assert_eq!(e.kind(), ErrorKind::WouldBlock);
+                    std::thread::yield_now();
+                }
             }
         }
-        for dir in 0..2 {
-            let off = layout.payload_offset(dir);
-            spans.push((off, off + 16 + layout.payload_capacity));
-        }
-        spans.sort_unstable();
-        for w in spans.windows(2) {
-            assert!(w[0].1 <= w[1].0, "overlapping spans {spans:?}");
-        }
-        assert_eq!(spans.last().unwrap().1, total);
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[test]
-    fn shm_transport_round_trips_flits_and_credits() {
-        use hornet_net::boundary::CreditMsg;
-        let path = tmp("roundtrip");
-        // One channel each way, capacity 4.
-        let layout = ShmTransport::layout(vec![4], vec![4], 1);
-        let seg_lo = ShmSegment::create(&path, &layout).unwrap();
-        let seg_hi = ShmSegment::open(&path, &layout).unwrap();
-
-        let lo_out: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let lo_in: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let hi_out: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let hi_in: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let mut t_lo = ShmTransport::new(
-            seg_lo,
-            &layout,
-            true,
-            &NeighborWiring {
-                peer: 1,
-                out_links: lo_out.clone(),
-                in_links: lo_in.clone(),
-            },
-        );
-        let mut t_hi = ShmTransport::new(
-            seg_hi,
-            &layout,
-            false,
-            &NeighborWiring {
-                peer: 0,
-                out_links: hi_out.clone(),
-                in_links: hi_in.clone(),
-            },
-        );
-
-        use hornet_shard::driver::NoPayloads;
-        // lo sends two flits, pumps, publishes cycle 3.
-        assert!(lo_out[0].push(flit(0)));
-        assert!(lo_out[0].push(flit(1)));
-        t_lo.pump(3, &NoPayloads, true).unwrap();
-        assert_eq!(t_hi.peer_progress(), 3);
-        t_hi.ingest(&NoPayloads);
-        assert_eq!(hi_in[0].in_flight(), 2);
-
-        // hi returns one credit; lo applies it after ingesting.
-        assert!(hi_in[0].inject_credit(CreditMsg { cycle: 4, count: 2 }));
-        // inject_credit staged it on hi's side? No: staged credits travel via
-        // take_staged_credit during pump — emulate the shard loop by staging
-        // through the same ring the worker uses.
-        t_hi.pump(4, &NoPayloads, true).unwrap();
-        assert_eq!(t_lo.peer_progress(), 4);
-        t_lo.ingest(&NoPayloads);
-        lo_out[0].apply_credits(None);
-        assert_eq!(lo_out[0].occupancy(), 0);
-    }
-
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    #[test]
-    fn shm_transport_carries_payload_records() {
-        use hornet_net::flit::{Packet, Payload};
-        use hornet_net::payload::PayloadStore;
-        use hornet_shard::driver::{PayloadChannel, PayloadEndpoint};
-
-        let path = tmp("payloads");
-        let layout = ShmTransport::layout(vec![4], vec![4], 1);
-        let seg_lo = ShmSegment::create(&path, &layout).unwrap();
-        let seg_hi = ShmSegment::open(&path, &layout).unwrap();
-        let lo_out: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let lo_in: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let hi_out: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let hi_in: Vec<Arc<BoundaryLink>> = vec![BoundaryLink::new(4)];
-        let mut t_lo = ShmTransport::new(
-            seg_lo,
-            &layout,
-            true,
-            &NeighborWiring {
-                peer: 1,
-                out_links: lo_out.clone(),
-                in_links: lo_in,
-            },
-        );
-        let mut t_hi = ShmTransport::new(
-            seg_hi,
-            &layout,
-            false,
-            &NeighborWiring {
-                peer: 0,
-                out_links: hi_out,
-                in_links: hi_in.clone(),
-            },
-        );
-
-        let store_lo = Arc::new(PayloadStore::new());
-        let store_hi = Arc::new(PayloadStore::new());
-        let ep_lo = PayloadEndpoint::remote(Arc::clone(&store_lo));
-        let ep_hi = PayloadEndpoint::remote(Arc::clone(&store_hi));
-
-        let packet = Packet::new(
-            PacketId::new(9),
-            FlowId::new(2),
-            NodeId::new(0),
-            NodeId::new(1),
-            1,
-            7,
-        )
-        .with_payload(Payload::from_words(&[1, 2, 3, 4, 5]));
-        store_lo.deposit(packet.clone());
-        let mut tail = flit(0);
-        tail.packet = PacketId::new(9);
-        tail.kind = FlitKind::HeadTail;
-        assert!(lo_out[0].push(tail));
-        t_lo.pump(8, &ep_lo, true).unwrap();
-        assert!(store_lo.is_empty(), "claimed on crossing");
-        t_hi.ingest(&ep_hi);
-        assert_eq!(hi_in[0].in_flight(), 1);
-        assert_eq!(ep_hi.claim(PacketId::new(9)), Some(packet));
+        assert_eq!(got, TOTAL);
+        assert_eq!(acc, producer.join().unwrap());
     }
 }

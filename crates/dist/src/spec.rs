@@ -18,7 +18,6 @@ use hornet_net::ids::NodeId;
 use hornet_net::kernel::KernelMode;
 use hornet_net::network::Network;
 use hornet_net::routing::{FlowSpec, RoutingKind};
-use hornet_net::stats::NetworkStats;
 use hornet_net::vca::VcAllocKind;
 use hornet_traffic::injector::{flows_for_pattern, SyntheticConfig, SyntheticInjector};
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
@@ -172,10 +171,83 @@ fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.to_string())
 }
 
+/// Largest mesh a spec may describe (256×256). Tile count sizes every
+/// per-tile allocation, and all-to-all flow tables grow with its square.
+pub const MAX_TILES: u64 = 1 << 16;
+/// Most flit buffer slots a spec may ask for over the whole mesh (the
+/// default router on the largest mesh needs 6.3 M).
+pub const MAX_BUFFER_SLOTS: u64 = 1 << 24;
+/// Largest per-tile event-trace ring.
+pub const MAX_TRACE_CAPACITY: u32 = 1 << 24;
+
 impl DistSpec {
     /// Total tile count.
     pub fn node_count(&self) -> usize {
         self.width as usize * self.height as usize
+    }
+
+    /// Rejects every value that would reach an `assert!`, an arithmetic
+    /// overflow or an allocation sized by the spec before `Network::new` gets
+    /// to report its own `ConfigError`. A spec arrives from the command line
+    /// and, in a worker, off the control socket: both are outside input, so
+    /// `decode`, `run_distributed`, `run_threaded` and the CLI all call this.
+    pub fn validate(&self) -> io::Result<()> {
+        let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+        for (name, value) in [
+            ("width", self.width),
+            ("height", self.height),
+            ("packet_len", self.packet_len),
+            ("vcs_per_port", self.vcs_per_port),
+            ("vc_capacity", self.vc_capacity),
+            ("injection_vcs", self.injection_vcs),
+            ("injection_vc_capacity", self.injection_vc_capacity),
+            ("link_bandwidth", self.link_bandwidth),
+            ("ejection_bandwidth", self.ejection_bandwidth),
+        ] {
+            if value == 0 {
+                return invalid(format!("spec: `{name}` must be non-zero"));
+            }
+        }
+        let tiles = u64::from(self.width) * u64::from(self.height);
+        if tiles > MAX_TILES {
+            return invalid(format!(
+                "spec: `width` × `height` is {tiles} tiles, more than {MAX_TILES}"
+            ));
+        }
+        // Four router-facing ports and the injection port; u32 × u32 fits.
+        let slots_per_tile = (u64::from(self.vcs_per_port) * u64::from(self.vc_capacity))
+            .saturating_mul(4)
+            .saturating_add(u64::from(self.injection_vcs) * u64::from(self.injection_vc_capacity));
+        if slots_per_tile.saturating_mul(tiles) > MAX_BUFFER_SLOTS {
+            return invalid(format!(
+                "spec: VC counts × capacities ask for more than {MAX_BUFFER_SLOTS} flit slots"
+            ));
+        }
+        if let SyntheticPattern::Hotspot(targets) = &self.pattern {
+            if let Some(t) = targets.iter().find(|t| u64::from(t.raw()) >= tiles) {
+                return invalid(format!(
+                    "spec: `pattern` hotspot target {t} is outside the {tiles}-tile mesh"
+                ));
+            }
+        }
+        if let InjectionProcess::Bernoulli { rate } = self.process {
+            if !rate.is_finite() || rate < 0.0 {
+                return invalid(format!("spec: `process` rate {rate} is not a probability"));
+            }
+        }
+        if let DistWorkload::MemVectorSum { base_stride, .. } = self.workload {
+            if base_stride.checked_mul(tiles).is_none() {
+                return invalid(format!(
+                    "spec: `workload` base stride {base_stride:#x} overflows over {tiles} tiles"
+                ));
+            }
+        }
+        if self.trace_capacity.is_some_and(|c| c > MAX_TRACE_CAPACITY) {
+            return invalid(format!(
+                "spec: `trace_capacity` is more than {MAX_TRACE_CAPACITY} events per tile"
+            ));
+        }
+        Ok(())
     }
 
     /// Whether this run needs the coordinator's termination detector.
@@ -191,15 +263,7 @@ impl DistSpec {
         }
     }
 
-    /// `(slack, quantum)` headroom of the sync mode — how many cycles of
-    /// per-cycle traffic a transport may see coalesced between batch
-    /// ingests. Sizes shared-memory credit rings.
-    pub fn sync_depth(&self) -> usize {
-        let (slack, quantum, _) = self.sync.params();
-        (slack + quantum) as usize
-    }
-
-    /// Cycles a socket transport may coalesce per flush: 1 (latency-optimal)
+    /// Cycles a frame transport may coalesce per flush: 1 (latency-optimal)
     /// for the bit-exact lock-step modes, the drift bound for loose modes.
     pub fn socket_batch(&self) -> u64 {
         let (slack, quantum, strict) = self.sync.params();
@@ -270,22 +334,6 @@ impl DistSpec {
             network.attach_agent(node, agent);
         }
         Ok(network)
-    }
-
-    /// Runs this workload sequentially in the current process — the
-    /// reference every distributed CycleAccurate run must reproduce
-    /// bit-exactly. Returns `(stats, final_cycle, completed)`.
-    pub fn run_sequential(&self) -> Result<(NetworkStats, u64, bool), ConfigError> {
-        let mut network = self.build_network()?;
-        network.set_fast_forward(self.fast_forward);
-        let completed = match self.run {
-            RunKind::Cycles(n) => {
-                network.run(n);
-                true
-            }
-            RunKind::ToCompletion { max } => network.run_to_completion(max),
-        };
-        Ok((network.stats(), network.cycle(), completed))
     }
 
     /// Encodes the spec for the wire.
@@ -522,7 +570,7 @@ impl DistSpec {
             2 => KernelMode::Force,
             _ => return Err(bad("kernel mode")),
         };
-        Ok(Self {
+        let spec = Self {
             width,
             height,
             routing,
@@ -547,7 +595,9 @@ impl DistSpec {
             telemetry_every,
             trace_capacity,
             kernel,
-        })
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -588,6 +638,64 @@ mod tests {
         assert_eq!(back, spec);
     }
 
+    /// Every out-of-range value is an error naming the field — from
+    /// `validate` and from `decode` of the bytes a hostile peer would send —
+    /// never a panic further in.
+    #[test]
+    fn out_of_range_specs_are_errors_naming_the_field() {
+        let d = DistSpec::default;
+        let bernoulli = |rate| InjectionProcess::Bernoulli { rate };
+        #[rustfmt::skip]
+        let table: Vec<(&str, DistSpec)> = vec![
+            ("width", DistSpec { width: 0, ..d() }),
+            ("height", DistSpec { height: 0, ..d() }),
+            ("packet_len", DistSpec { packet_len: 0, ..d() }),
+            ("vcs_per_port", DistSpec { vcs_per_port: 0, ..d() }),
+            ("vc_capacity", DistSpec { vc_capacity: 0, ..d() }),
+            ("injection_vcs", DistSpec { injection_vcs: 0, ..d() }),
+            ("injection_vc_capacity", DistSpec { injection_vc_capacity: 0, ..d() }),
+            ("link_bandwidth", DistSpec { link_bandwidth: 0, ..d() }),
+            ("ejection_bandwidth", DistSpec { ejection_bandwidth: 0, ..d() }),
+            ("tiles", DistSpec { width: u32::MAX, height: u32::MAX, ..d() }),
+            ("tiles", DistSpec { width: 257, height: 256, ..d() }),
+            ("flit slots", DistSpec { vcs_per_port: u32::MAX, vc_capacity: u32::MAX, ..d() }),
+            ("flit slots", DistSpec { injection_vc_capacity: 1 << 20, ..d() }),
+            ("hotspot target", DistSpec { pattern: SyntheticPattern::Hotspot(vec![NodeId::new(64)]), ..d() }),
+            ("rate", DistSpec { process: bernoulli(f64::NAN), ..d() }),
+            ("rate", DistSpec { process: bernoulli(f64::INFINITY), ..d() }),
+            ("rate", DistSpec { process: bernoulli(-0.01), ..d() }),
+            ("base stride", DistSpec { workload: DistWorkload::MemVectorSum { base_stride: u64::MAX / 2, count: 1 }, ..d() }),
+            ("trace_capacity", DistSpec { trace_capacity: Some(u32::MAX), ..d() }),
+        ];
+        for (field, spec) in table {
+            let err = spec.validate().expect_err(field);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{field}: {err}");
+            assert!(err.to_string().contains(field), "{field}: {err}");
+            let mut e = Enc::new();
+            spec.encode(&mut e);
+            let err = DistSpec::decode(&mut Dec::new(e.bytes())).expect_err(field);
+            assert!(err.to_string().contains(field), "decode {field}: {err}");
+        }
+        // The edges that are fine stay fine.
+        for spec in [
+            DistSpec {
+                width: 256,
+                height: 256,
+                ..d()
+            },
+            DistSpec {
+                process: bernoulli(0.0),
+                ..d()
+            },
+            DistSpec {
+                pattern: SyntheticPattern::Hotspot(vec![NodeId::new(63)]),
+                ..d()
+            },
+        ] {
+            spec.validate().expect("in range");
+        }
+    }
+
     #[test]
     fn sequential_reference_is_deterministic() {
         let spec = DistSpec {
@@ -596,8 +704,12 @@ mod tests {
             run: RunKind::Cycles(500),
             ..DistSpec::default()
         };
-        let (a, _, _) = spec.run_sequential().unwrap();
-        let (b, _, _) = spec.run_sequential().unwrap();
+        let run = || {
+            let mut network = spec.build_network().unwrap();
+            network.run(500);
+            network.stats()
+        };
+        let (a, b) = (run(), run());
         assert_eq!(a.delivered_packets, b.delivered_packets);
         assert_eq!(a.latency_histogram, b.latency_histogram);
     }

@@ -3,24 +3,27 @@
 //! A [`BoundaryTransport`] carries everything that crosses one shard-to-shard
 //! adjacency: cycle-stamped flits (forward), credit returns (backward), and
 //! the sender's negedge progress, which is what the conservative
-//! synchronization protocol waits on. Three implementations exist:
+//! synchronization protocol waits on. There is one in-process reference and
+//! one cross-process data plane:
 //!
-//! * [`InProcTransport`] — the thread backend's native form: the SPSC
-//!   boundary rings are shared directly between the two shard loops, so
-//!   `pump` only publishes a progress atomic and `ingest` is a no-op. Zero
-//!   additional copies, zero syscalls.
-//! * [`crate::shm::ShmTransport`] — co-located processes share a mapped
-//!   segment holding one SPSC ring per channel plus the progress words;
-//!   `pump`/`ingest` copy between the local staging rings and the segment.
-//! * [`SocketTransport`] — one length-prefixed frame per cycle per direction
-//!   over a non-blocking Unix or TCP stream, written and read by the shard's
-//!   own driver thread: one `write` per flush, and a `read` wherever the
-//!   driver asks what the peer has sent (its progress wait and `ingest`).
+//! * [`InProcTransport`] — the thread backend's native form, and what the
+//!   tests compare against: the SPSC boundary rings are shared directly
+//!   between the two shard loops, so `pump` only publishes a progress atomic
+//!   and `ingest` is a no-op. Zero additional copies, zero syscalls.
+//! * [`FrameTransport`] — one length-prefixed frame per cycle per direction
+//!   over a non-blocking [`BytePipe`], written and read by the shard's own
+//!   driver thread: one `write` per flush, and a `read` wherever the driver
+//!   asks what the peer has sent (its progress wait and `ingest`). The frame
+//!   format, its decoder and the four hazards of driving a pipe without a
+//!   helper thread (see [`FrameTransport`]) are the same whatever the pipe
+//!   is; only the medium differs: a Unix or TCP socket ([`Stream`], which
+//!   makes it a [`SocketTransport`]) or, between co-located processes, two
+//!   byte rings in a mapped segment ([`crate::shm::ShmPipe`]).
 //!
-//! The contract every implementation upholds, which is what makes
-//! CycleAccurate bit-identity hold across processes: *all flits and credits a
-//! shard emitted up to and including its negedge of cycle `c` are visible to
-//! the peer's `ingest` before the peer observes `peer_progress() ≥ c`.*
+//! The contract both uphold, which is what makes CycleAccurate bit-identity
+//! hold across processes: *all flits and credits a shard emitted up to and
+//! including its negedge of cycle `c` are visible to the peer's `ingest`
+//! before the peer observes `peer_progress() ≥ c`.*
 
 use crate::wire::{
     decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet,
@@ -197,30 +200,84 @@ impl Write for Stream {
     }
 }
 
-/// How long a finished transport waits on a silent socket for the peer's EOF
-/// before it closes anyway (hazard (b) below).
+/// A bidirectional byte pipe that never blocks: the medium under a
+/// [`FrameTransport`]. `read` and `write` move what they can right now —
+/// `WouldBlock` when that is nothing — and `read` returns `Ok(0)` once the
+/// peer has closed its direction and everything sent before that was read.
+pub trait BytePipe: Read + Write + Send {
+    /// What an error message calls this kind of link.
+    const LINK: &'static str;
+
+    /// Puts the pipe into the non-blocking mode the transport drives it in
+    /// (a pipe that has no other mode keeps the default).
+    fn make_nonblocking(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Ends this side's direction: the peer reads end of stream after the
+    /// bytes written so far. The other direction stays open.
+    fn close_write(&mut self);
+
+    /// Reads and discards (through `scratch`) until the peer's end of stream,
+    /// an error, or `grace` without a byte. May block; used only on close.
+    fn drain(&mut self, scratch: &mut [u8], grace: Duration);
+}
+
+impl BytePipe for Stream {
+    const LINK: &'static str = "socket";
+
+    fn make_nonblocking(&mut self) -> io::Result<()> {
+        if let Stream::Tcp(s) = self {
+            // Cycle frames are latency-critical: no Nagle batching.
+            let _ = s.set_nodelay(true);
+        }
+        self.set_nonblocking(true)
+    }
+
+    fn close_write(&mut self) {
+        let _ = on_socket!(self, s => s.shutdown(Shutdown::Write));
+    }
+
+    fn drain(&mut self, scratch: &mut [u8], grace: Duration) {
+        let _ = self.set_nonblocking(false);
+        let _ = on_socket!(self, s => s.set_read_timeout(Some(grace)));
+        loop {
+            match self.read(scratch) {
+                Ok(0) => break,
+                Err(e) if e.kind() != ErrorKind::Interrupted => break,
+                _ => {}
+            }
+        }
+    }
+}
+
+/// How long a finished transport waits on a silent pipe for the peer's end of
+/// stream before it closes anyway (hazard (b) below).
 const CLOSE_GRACE: Duration = Duration::from_secs(2);
 
-/// The socket transport: one frame per simulated cycle per direction,
+/// The frame transport: one frame per simulated cycle per direction,
 /// carrying `(progress, payloads, flits, credits)`, over a non-blocking
-/// socket that only the shard's driver thread touches. `pump` encodes into a
-/// reused send buffer and hands it to one `write`; the progress wait
+/// [`BytePipe`] that only the shard's driver thread touches. `pump` encodes
+/// into a reused send buffer and hands it to one `write`; the progress wait
 /// ([`reached`](BoundaryTransport::reached)) and `ingest` read what has
 /// arrived into a reused receive buffer and decode whole frames out of it in
 /// place — payloads, flits and credits before the frame's progress is taken,
 /// which is the module's visibility contract by construction.
 ///
-/// Nobody reads in the background, which leaves four hazards to this type:
+/// Nobody reads in the background, which leaves four hazards to this type,
+/// the same over a socket and over a shared-memory ring:
 ///
-/// * **(a) mutual back-pressure** — two drivers blocked in `write` on full
-///   socket buffers would never read again, so a write that would block takes
-///   in the peer's frames and retries. (A ring of three or more blocked
-///   writers would need each a socket buffer of frames ahead of the next, all
-///   the way round; the progress wait rules that out.)
+/// * **(a) mutual back-pressure** — two drivers each waiting for room in a
+///   full pipe (socket buffers, or a ring smaller than the frame) would never
+///   read again, so a write that would block takes in the peer's frames and
+///   retries. (A cycle of three or more blocked writers would need each a
+///   pipe's worth of frames ahead of the next, all the way round; the
+///   progress wait rules that out.)
 /// * **(b) orderly finish** — closing under a peer that still has cycles to
-///   pump gives it `EPIPE`. `Drop` flushes, closes the write half only (the
-///   peer reads that as `u64::MAX`) and keeps reading until the peer's own
-///   EOF or `CLOSE_GRACE` of silence. Every shard attaches its neighbors in
+///   pump fails its write (`EPIPE` on a socket) or leaves its ring without a
+///   reader. `Drop` flushes, closes the write half only (the peer reads that
+///   as `u64::MAX`) and keeps reading until the peer's own end of stream or
+///   `CLOSE_GRACE` of silence. Every shard attaches its neighbors in
 ///   ascending order, so these waits cannot form a cycle.
 /// * **(c) no spinning** — the end-to-end credit window guarantees the staging
 ///   rings have room for every decoded flit and credit, and their consumer is
@@ -228,20 +285,21 @@ const CLOSE_GRACE: Duration = Duration::from_secs(2);
 /// * **(d) partial frames** — a frame split across reads stays buffered and
 ///   publishes nothing until its last byte is in.
 ///
-/// Only an EOF on a frame boundary reads as "peer finished". A frame that
-/// does not decode, an EOF inside a frame and a socket error release every
-/// wait (progress reads `u64::MAX`) and fail the next `pump`, naming the peer.
+/// Only an end of stream on a frame boundary reads as "peer finished". A
+/// frame that does not decode, an end of stream inside a frame and a pipe
+/// error release every wait (progress reads `u64::MAX`) and fail the next
+/// `pump`, naming the peer and the kind of link.
 ///
 /// Under loose synchronization (`batch > 1`) the send buffer is only written
 /// once `batch` cycles have accumulated since the last write (or on `flush`),
-/// cutting syscall volume ~`batch`×. This is deadlock-free because a shard
+/// cutting write volume ~`batch`×. This is deadlock-free because a shard
 /// with slack `k` (or a `k`-cycle batch quantum) never needs a neighbor's
 /// progress more than `k` cycles stale, and the rolling window guarantees at
 /// most `k - 1` cycles are ever buffered — regardless of where fast-forward
 /// jumps land the clocks (an absolute `cycle % k` rule would skew against
 /// post-jump batch boundaries and wedge zero-slack Periodic runs).
-pub struct SocketTransport {
-    stream: Stream,
+pub struct FrameTransport<P: BytePipe> {
+    pipe: P,
     /// The peer's shard id, for error messages.
     peer: usize,
     /// Outbound halves (drained into frames).
@@ -259,9 +317,9 @@ pub struct SocketTransport {
     rx_len: usize,
     /// Encoded frames not yet written.
     tx: Enc,
-    /// Cycles coalesced per socket write (1 = write every cycle).
+    /// Cycles coalesced per pipe write (1 = write every cycle).
     batch: u64,
-    /// Cycle of the last actual socket write (rolling batch window).
+    /// Cycle of the last actual pipe write (rolling batch window).
     last_flush: Cycle,
     /// Reusable frame scratch.
     flits: Vec<(u32, Flit)>,
@@ -269,24 +327,23 @@ pub struct SocketTransport {
     packets: Vec<hornet_net::flit::Packet>,
 }
 
-impl SocketTransport {
-    /// Wraps `stream`, made non-blocking, as the transport for the adjacency
-    /// described by `wiring`, writing the socket every `batch` cycles
-    /// (`CycleAccurate` runs use 1: one syscall per cycle per direction is
+/// The frame transport over a Unix or TCP socket.
+pub type SocketTransport = FrameTransport<Stream>;
+
+impl<P: BytePipe> FrameTransport<P> {
+    /// Wraps `pipe`, made non-blocking, as the transport for the adjacency
+    /// described by `wiring`, writing the pipe every `batch` cycles
+    /// (`CycleAccurate` runs use 1: one write per cycle per direction is
     /// latency-optimal there). Arriving packet payloads are deposited into
     /// `payloads` before their tail flits become visible.
     pub fn new(
-        stream: Stream,
+        mut pipe: P,
         wiring: &NeighborWiring,
         start: Cycle,
         batch: u64,
         payloads: Arc<dyn PayloadChannel>,
     ) -> io::Result<Self> {
-        if let Stream::Tcp(s) = &stream {
-            // Cycle frames are latency-critical: no Nagle batching.
-            let _ = s.set_nodelay(true);
-        }
-        stream.set_nonblocking(true)?;
+        pipe.make_nonblocking()?;
         // The largest frame the peer can send without payloads (those grow
         // the buffer on demand): every ring full, credit rings hold one more.
         let slots =
@@ -295,7 +352,7 @@ impl SocketTransport {
             + slots(&wiring.in_links) * (4 + FLIT_WIRE_BYTES)
             + slots(&wiring.out_links) * (4 + CREDIT_WIRE_BYTES);
         Ok(Self {
-            stream,
+            pipe,
             peer: wiring.peer,
             out_links: wiring.out_links.clone(),
             in_links: wiring.in_links.clone(),
@@ -314,7 +371,7 @@ impl SocketTransport {
     }
 
     fn named(&self, e: io::Error) -> io::Error {
-        let what = format!("boundary socket to shard {}: {e}", self.peer);
+        let what = format!("boundary {} to shard {}: {e}", P::LINK, self.peer);
         io::Error::new(e.kind(), what)
     }
 
@@ -333,7 +390,7 @@ impl SocketTransport {
                 let grown = (2 * self.rx.len()).min(4 + MAX_FRAME_BYTES);
                 self.rx.resize(grown, 0);
             }
-            match self.stream.read(&mut self.rx[self.rx_len..]) {
+            match self.pipe.read(&mut self.rx[self.rx_len..]) {
                 Ok(0) if self.rx_len == 0 => self.peer_progress = u64::MAX,
                 Ok(0) => self.fail(ErrorKind::UnexpectedEof.into()),
                 Ok(n) => {
@@ -368,7 +425,7 @@ impl SocketTransport {
     }
 
     /// Writes the send buffer out, reading instead of waiting whenever the
-    /// socket would block (hazard (a)). The buffer is empty afterwards even
+    /// pipe would block (hazard (a)). The buffer is empty afterwards even
     /// on error: a failed channel must not resend from `Drop`.
     fn write_out(&mut self) -> io::Result<()> {
         let mut sent = 0;
@@ -376,7 +433,7 @@ impl SocketTransport {
             if sent == self.tx.bytes().len() {
                 break Ok(());
             }
-            match self.stream.write(&self.tx.bytes()[sent..]) {
+            match self.pipe.write(&self.tx.bytes()[sent..]) {
                 Ok(0) => break Err(ErrorKind::WriteZero.into()),
                 Ok(n) => sent += n,
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
@@ -430,7 +487,7 @@ fn decode_cycle_frame(
     Ok(cycle)
 }
 
-impl BoundaryTransport for SocketTransport {
+impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
     fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()> {
         if let Some(e) = self.failed.take() {
             return Err(e);
@@ -506,21 +563,13 @@ impl BoundaryTransport for SocketTransport {
     }
 }
 
-impl Drop for SocketTransport {
+impl<P: BytePipe> Drop for FrameTransport<P> {
     /// Hazard (b). Errors are moot here: the run's outcome is already decided.
     fn drop(&mut self) {
         let _ = self.write_out();
-        let _ = on_socket!(&self.stream, s => s.shutdown(Shutdown::Write));
+        self.pipe.close_write();
         if self.peer_progress != u64::MAX {
-            let _ = self.stream.set_nonblocking(false);
-            let _ = on_socket!(&self.stream, s => s.set_read_timeout(Some(CLOSE_GRACE)));
-            loop {
-                match self.stream.read(&mut self.rx) {
-                    Ok(0) => break,
-                    Err(e) if e.kind() != ErrorKind::Interrupted => break,
-                    _ => {}
-                }
-            }
+            self.pipe.drain(&mut self.rx, CLOSE_GRACE);
         }
     }
 }
@@ -528,10 +577,14 @@ impl Drop for SocketTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(unix)]
+    use crate::shm::ShmPipe;
     use hornet_net::flit::{FlitKind, FlitStats, Packet, Payload};
     use hornet_net::ids::{FlowId, NodeId, PacketId};
     use hornet_net::payload::PayloadStore;
     use hornet_shard::driver::{NoPayloads, PayloadEndpoint};
+    #[cfg(unix)]
+    use proptest::test_runner::TestCaseError;
 
     fn flit(seq: u32, visible_at: Cycle) -> Flit {
         Flit {
@@ -575,14 +628,54 @@ mod tests {
         assert_eq!(a.peer_progress(), 0);
     }
 
+    /// A pipe kind the tests can make connected pairs of. An end that is
+    /// not wrapped in a transport is a *raw peer*: it writes and reads
+    /// bytes as they are (a raw socket end blocks; frames here fit a ring).
     #[cfg(unix)]
-    fn socket(stream: UnixStream, wiring: &NeighborWiring, batch: u64) -> SocketTransport {
-        SocketTransport::new(Stream::Unix(stream), wiring, 0, batch, Arc::new(NoPayloads)).unwrap()
+    trait TestPipe: BytePipe + Sized + 'static {
+        fn available() -> bool {
+            true
+        }
+        fn pair() -> (Self, Self);
+    }
+
+    #[cfg(unix)]
+    impl TestPipe for Stream {
+        fn pair() -> (Self, Self) {
+            let (a, b) = UnixStream::pair().unwrap();
+            (Stream::Unix(a), Stream::Unix(b))
+        }
+    }
+
+    #[cfg(unix)]
+    impl TestPipe for ShmPipe {
+        fn available() -> bool {
+            hornet_shard::sys::shared_mappings_available()
+        }
+        fn pair() -> (Self, Self) {
+            ShmPipe::pair()
+        }
+    }
+
+    /// Runs a case over a socket pair and a shared-memory pipe.
+    #[cfg(unix)]
+    macro_rules! over_each_pipe {
+        ($case:ident) => {
+            $case::<Stream>();
+            if ShmPipe::available() {
+                $case::<ShmPipe>();
+            }
+        };
+    }
+
+    #[cfg(unix)]
+    fn transport<P: TestPipe>(pipe: P, wiring: &NeighborWiring, batch: u64) -> FrameTransport<P> {
+        FrameTransport::new(pipe, wiring, 0, batch, Arc::new(NoPayloads)).unwrap()
     }
 
     /// Polls the way the driver's wait loop does, with a bounded budget.
     #[cfg(unix)]
-    fn await_progress(t: &mut SocketTransport, floor: Cycle) {
+    fn await_progress<P: TestPipe>(t: &mut FrameTransport<P>, floor: Cycle) {
         for _ in 0..20_000 {
             if t.reached(floor) {
                 return;
@@ -595,7 +688,7 @@ mod tests {
     /// Two connected transports finish the way two workers do, each on its
     /// own thread; one thread dropping both would sit out `CLOSE_GRACE`.
     #[cfg(unix)]
-    fn close(a: SocketTransport, b: SocketTransport) {
+    fn close<P: TestPipe>(a: FrameTransport<P>, b: FrameTransport<P>) {
         std::thread::scope(|s| {
             s.spawn(|| drop(a));
             drop(b);
@@ -603,14 +696,13 @@ mod tests {
     }
 
     #[cfg(unix)]
-    #[test]
-    fn socket_transport_carries_flits_credits_and_progress() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn carries_flits_credits_and_progress<P: TestPipe>() {
+        let (pa, pb) = P::pair();
         // Side A's local halves and side B's local halves are *distinct*
         // objects; the wire connects them.
         let (wa, _) = adjacency(2, 4);
         let (_, wb) = adjacency(2, 4);
-        let (mut ta, mut tb) = (socket(sa, &wa, 1), socket(sb, &wb, 1));
+        let (mut ta, mut tb) = (transport(pa, &wa, 1), transport(pb, &wb, 1));
 
         // A sends two flits on channel 1 (credit-checked push) and pumps.
         assert!(wa.out_links[1].push(flit(0, 5)));
@@ -643,16 +735,20 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn socket_transport_forwards_payloads_with_tail_flits() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn frame_transport_carries_flits_credits_and_progress() {
+        over_each_pipe!(carries_flits_credits_and_progress);
+    }
+
+    #[cfg(unix)]
+    fn forwards_payloads_with_tail_flits<P: TestPipe>() {
+        let (pa, pb) = P::pair();
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
         let store_a = Arc::new(PayloadStore::new());
         let ep_a = PayloadEndpoint::remote(Arc::clone(&store_a));
         let ep_b = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
-        let mut ta = socket(sa, &wa, 1);
-        let mut tb =
-            SocketTransport::new(Stream::Unix(sb), &wb, 0, 1, Arc::new(ep_b.clone())).unwrap();
+        let mut ta = transport(pa, &wa, 1);
+        let mut tb = FrameTransport::new(pb, &wb, 0, 1, Arc::new(ep_b.clone())).unwrap();
 
         // A parks a packet's payload (what the bridge does at injection) and
         // pushes its tail flit onto the boundary.
@@ -682,12 +778,17 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn socket_batching_coalesces_flushes_but_flush_forces_visibility() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn frame_transport_forwards_payloads_with_tail_flits() {
+        over_each_pipe!(forwards_payloads_with_tail_flits);
+    }
+
+    #[cfg(unix)]
+    fn batching_coalesces_writes_but_flush_forces_visibility<P: TestPipe>() {
+        let (pa, pb) = P::pair();
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
         // Write every 4 cycles.
-        let (mut ta, mut tb) = (socket(sa, &wa, 4), socket(sb, &wb, 4));
+        let (mut ta, mut tb) = (transport(pa, &wa, 4), transport(pb, &wb, 4));
 
         for c in 1..=3u64 {
             ta.pump(c, &NoPayloads, false).unwrap();
@@ -708,23 +809,37 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn socket_peer_close_reads_as_infinite_progress() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn batching_coalesces_flushes_but_flush_forces_visibility() {
+        over_each_pipe!(batching_coalesces_writes_but_flush_forces_visibility);
+    }
+
+    #[cfg(unix)]
+    fn peer_close_reads_as_infinite_progress<P: TestPipe>() {
+        let (pa, mut raw) = P::pair();
         let (wa, _) = adjacency(1, 2);
-        let mut ta = socket(sa, &wa, 1);
+        let mut ta = transport(pa, &wa, 1);
         assert!(!ta.reached(1));
-        drop(sb);
+        raw.close_write();
         await_progress(&mut ta, u64::MAX);
-        assert!(ta.failed.is_none(), "EOF between frames is a clean finish");
+        assert!(
+            ta.failed.is_none(),
+            "an end of stream between frames is a clean finish"
+        );
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn peer_close_between_frames_reads_as_infinite_progress() {
+        over_each_pipe!(peer_close_reads_as_infinite_progress);
     }
 
     /// What a `(2 VCs, capacity 4)` side A puts on the wire for `cycle`:
     /// `n_flits` flits on channel 1 and one credit on channel 0.
     #[cfg(unix)]
-    fn wire_bytes(cycle: Cycle, n_flits: u32) -> Vec<u8> {
-        let (sa, mut raw) = UnixStream::pair().unwrap();
+    fn wire_bytes<P: TestPipe>(cycle: Cycle, n_flits: u32) -> Vec<u8> {
+        let (pa, mut raw) = P::pair();
         let (wa, _) = adjacency(2, 4);
-        let mut ta = socket(sa, &wa, 1);
+        let mut ta = transport(pa, &wa, 1);
         for seq in 0..n_flits {
             assert!(wa.out_links[1].push(flit(seq, cycle + 1)));
         }
@@ -733,27 +848,26 @@ mod tests {
         let mut bytes = vec![0; 4096];
         let n = raw.read(&mut bytes).unwrap();
         bytes.truncate(n);
-        drop(raw);
+        raw.close_write();
         bytes
     }
 
-    /// Side B of [`wire_bytes`]' adjacency, facing a raw socket.
+    /// Side B of [`wire_bytes`]' adjacency, facing a raw peer.
     #[cfg(unix)]
-    fn raw_peer() -> (UnixStream, NeighborWiring, SocketTransport) {
-        let (raw, sb) = UnixStream::pair().unwrap();
+    fn raw_peer<P: TestPipe>() -> (P, NeighborWiring, FrameTransport<P>) {
+        let (raw, pb) = P::pair();
         let (_, wb) = adjacency(2, 4);
-        let tb = socket(sb, &wb, 1);
+        let tb = transport(pb, &wb, 1);
         (raw, wb, tb)
     }
 
     /// Hazard (d): a frame split across reads publishes nothing until its
     /// last byte is in, wherever the split falls.
     #[cfg(unix)]
-    #[test]
-    fn a_frame_split_at_any_offset_lands_whole_and_once() {
-        let bytes = wire_bytes(7, 3);
+    fn split_at_any_offset_lands_whole_and_once<P: TestPipe>() {
+        let bytes = wire_bytes::<P>(7, 3);
         for split in 1..bytes.len() {
-            let (mut raw, wb, mut tb) = raw_peer();
+            let (mut raw, wb, mut tb) = raw_peer::<P>();
             raw.write_all(&bytes[..split]).unwrap();
             assert!(
                 !tb.reached(7),
@@ -770,27 +884,32 @@ mod tests {
                 [CreditMsg { cycle: 7, count: 2 }],
                 "split {split}: credits"
             );
-            drop(raw);
+            raw.close_write();
         }
     }
 
-    /// Hazard (a): both sides write more than the socket buffers hold and
-    /// nobody reads in between. A blocking write deadlocks here.
     #[cfg(unix)]
     #[test]
-    fn mutual_back_pressure_does_not_deadlock() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn a_frame_split_at_any_offset_lands_whole_and_once() {
+        over_each_pipe!(split_at_any_offset_lands_whole_and_once);
+    }
+
+    /// Hazard (a): both sides write more than the pipe holds (socket
+    /// buffers; a ring a sixteenth of the frame) and nobody reads in
+    /// between. A write that waits for room deadlocks here.
+    #[cfg(unix)]
+    fn mutual_back_pressure<P: TestPipe>() {
+        let (pa, pb) = P::pair();
         let (wa, wb) = adjacency(1, 4);
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let start = Arc::new(std::sync::Barrier::new(2));
-        for (id, stream, wiring) in [(1u64, sa, wa), (2, sb, wb)] {
+        for (id, pipe, wiring) in [(1u64, pa, wa), (2, pb, wb)] {
             let (done, start) = (done_tx.clone(), Arc::clone(&start));
             std::thread::spawn(move || {
                 let ep = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
-                let mut t =
-                    SocketTransport::new(Stream::Unix(stream), &wiring, 0, 1, Arc::new(ep.clone()))
-                        .unwrap();
-                // A 4 MiB payload rides the tail flit: far beyond SO_SNDBUF.
+                let mut t = FrameTransport::new(pipe, &wiring, 0, 1, Arc::new(ep.clone())).unwrap();
+                // A 4 MiB payload rides the tail flit: far beyond
+                // SO_SNDBUF and the ring.
                 let packet = Packet::new(
                     PacketId::new(id),
                     FlowId::new(1),
@@ -816,18 +935,23 @@ mod tests {
         for _ in 0..2 {
             done_rx
                 .recv_timeout(Duration::from_secs(30))
-                .expect("both pumps must complete: deadlocked on full socket buffers");
+                .expect("both pumps must complete: deadlocked on a full pipe");
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn mutual_back_pressure_does_not_deadlock() {
+        over_each_pipe!(mutual_back_pressure);
     }
 
     /// Hazard (b): A finishes and is dropped while B still has its last
     /// cycle to pump. Closing A's socket outright gives B `EPIPE`.
     #[cfg(unix)]
-    #[test]
-    fn finishing_first_does_not_break_the_peers_last_pump() {
-        let (sa, sb) = UnixStream::pair().unwrap();
+    fn finishing_first<P: TestPipe>() {
+        let (pa, pb) = P::pair();
         let (wa, wb) = adjacency(1, 4);
-        let (mut ta, mut tb) = (socket(sa, &wa, 1), socket(sb, &wb, 1));
+        let (mut ta, mut tb) = (transport(pa, &wa, 1), transport(pb, &wb, 1));
         ta.pump(9, &NoPayloads, true).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| drop(ta));
@@ -840,27 +964,32 @@ mod tests {
         });
     }
 
-    /// Feeds `bytes` then EOF to a transport and returns it once it has seen
-    /// the end of the stream. The raw peer keeps reading, so a `pump` fails
+    #[cfg(unix)]
+    #[test]
+    fn finishing_first_does_not_break_the_peers_last_pump() {
+        over_each_pipe!(finishing_first);
+    }
+
+    /// Feeds `bytes` then end of stream to a transport and returns it once
+    /// it has seen the end. The raw peer stays open, so a `pump` fails
     /// only if the transport itself recorded a failure.
     #[cfg(unix)]
-    fn fed(bytes: &[u8]) -> (UnixStream, SocketTransport) {
-        let (mut raw, _, mut tb) = raw_peer();
+    fn fed<P: TestPipe>(bytes: &[u8]) -> (P, FrameTransport<P>) {
+        let (mut raw, _, mut tb) = raw_peer::<P>();
         raw.write_all(bytes).unwrap();
-        raw.shutdown(Shutdown::Write).unwrap();
+        raw.close_write();
         await_progress(&mut tb, u64::MAX);
         (raw, tb)
     }
 
-    /// Only a clean EOF on a frame boundary reads as "peer finished": every
-    /// other way a stream can end or go wrong fails the next `pump`, naming
-    /// the peer. Hazard (c) is the last row: a flit the ring cannot take is
-    /// an error, not a wait.
+    /// Only a clean end of stream on a frame boundary reads as "peer
+    /// finished": every other way a stream can end or go wrong fails the
+    /// next `pump`, naming the peer and the link. Hazard (c) is the last
+    /// row: a flit the ring cannot take is an error, not a wait.
     #[cfg(unix)]
-    #[test]
-    fn corrupt_frames_and_mid_frame_eof_fail_the_run() {
-        let good = wire_bytes(7, 3);
-        let (_raw, mut tb) = fed(&good);
+    fn corrupt_frames_and_mid_frame_eof<P: TestPipe>() {
+        let good = wire_bytes::<P>(7, 3);
+        let (_raw, mut tb) = fed::<P>(&good);
         tb.pump(8, &NoPayloads, true).expect("clean finish");
 
         let mut bad_channel = good.clone();
@@ -886,13 +1015,50 @@ mod tests {
                 ErrorKind::InvalidData,
             ),
         ] {
-            let (_raw, mut tb) = fed(&bytes);
+            let (_raw, mut tb) = fed::<P>(&bytes);
             let err = tb.pump(8, &NoPayloads, true).expect_err(what);
             assert_eq!(err.kind(), kind, "{what}: {err}");
-            assert!(err.to_string().contains("shard 0"), "{what}: {err}");
+            let named = format!("boundary {} to shard 0", P::LINK);
+            assert!(err.to_string().contains(&named), "{what}: {err}");
             tb.pump(9, &NoPayloads, true)
                 .expect("the failure is reported once");
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn corrupt_frames_and_mid_frame_eof_fail_the_run() {
+        over_each_pipe!(corrupt_frames_and_mid_frame_eof);
+    }
+
+    #[cfg(unix)]
+    fn damaged_frame<P: TestPipe>(
+        n_flits: u32,
+        damage: usize,
+        at: usize,
+    ) -> Result<(), TestCaseError> {
+        let mut bytes = wire_bytes::<P>(7, n_flits);
+        let len = bytes.len();
+        let must_fail = match damage {
+            0 => {
+                bytes.truncate(at % len);
+                !bytes.is_empty()
+            }
+            1 => {
+                bytes[at / 8 % len] ^= 1 << (at % 8);
+                false
+            }
+            _ => {
+                let inflated = len as u32 - 4 + 1 + (at % (1 << 27)) as u32;
+                bytes[..4].copy_from_slice(&inflated.to_le_bytes());
+                true
+            }
+        };
+        let (_raw, tb) = fed::<P>(&bytes);
+        proptest::prop_assert!(tb.failed.is_some() || !must_fail);
+        let unused = fed::<P>(&[]).1.rx.len();
+        proptest::prop_assert!(tb.rx.len() <= unused.max(2 * bytes.len()));
+        Ok(())
     }
 
     #[cfg(unix)]
@@ -908,27 +1074,10 @@ mod tests {
             damage in 0usize..3,
             at in proptest::any::<usize>(),
         ) {
-            let mut bytes = wire_bytes(7, n_flits);
-            let len = bytes.len();
-            let must_fail = match damage {
-                0 => {
-                    bytes.truncate(at % len);
-                    !bytes.is_empty()
-                }
-                1 => {
-                    bytes[at / 8 % len] ^= 1 << (at % 8);
-                    false
-                }
-                _ => {
-                    let inflated = len as u32 - 4 + 1 + (at % (1 << 27)) as u32;
-                    bytes[..4].copy_from_slice(&inflated.to_le_bytes());
-                    true
-                }
-            };
-            let (_raw, tb) = fed(&bytes);
-            proptest::prop_assert!(tb.failed.is_some() || !must_fail);
-            let unused = raw_peer().2.rx.len();
-            proptest::prop_assert!(tb.rx.len() <= unused.max(2 * bytes.len()));
+            damaged_frame::<Stream>(n_flits, damage, at)?;
+            if ShmPipe::available() {
+                damaged_frame::<ShmPipe>(n_flits, damage, at)?;
+            }
         }
     }
 }

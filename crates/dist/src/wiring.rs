@@ -4,9 +4,9 @@
 //! Every process — the coordinator and each worker — derives the *same*
 //! ordered list of directed cut-link VC channels from `(geometry, partition,
 //! router parameters)`. That shared order is the addressing scheme of the
-//! whole data plane: frame records and shared-memory ring offsets refer to a
-//! channel by its position in the per-neighbor-direction sub-list, so no
-//! channel table ever needs to cross the wire.
+//! whole data plane: frame records refer to a channel by its position in the
+//! per-neighbor-direction sub-list, so no channel table ever needs to cross
+//! the wire.
 
 use crate::spec::DistSpec;
 use hornet_net::boundary::{BoundaryLink, BoundaryRx, EgressChannel};

@@ -11,9 +11,9 @@
 //! atomics the control reader thread maintains.
 
 use crate::protocol::{hello, CtrlMsg, TransportKind};
-use crate::shm::{ShmSegment, ShmTransport};
+use crate::shm::ShmPipe;
 use crate::spec::{DistSpec, DistSync, RunKind};
-use crate::transport::{BoundaryTransport, SocketTransport, Stream, TransportSet};
+use crate::transport::{BoundaryTransport, BytePipe, FrameTransport, Stream, TransportSet};
 use crate::wire::{read_frame, write_frame};
 use crate::wiring::{build_shards, partition_for, ShardParts};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx};
@@ -243,10 +243,12 @@ impl ShardWorker {
         let outcome = match driven {
             Ok(outcome) => outcome,
             Err(e) => {
-                // A socket transport's orderly close reads as "finished" to
+                // A frame transport's orderly close reads as "finished" to
                 // its peer and waits for the peer to finish too. A failed
-                // shard must do neither: leave the sockets to process exit,
-                // which the peers see as an error at once.
+                // shard must do neither: leave the links to process exit — a
+                // socket's peer sees that as an error at once, a shared-memory
+                // peer waits until the coordinator, which sees this process
+                // go, stops the run.
                 std::mem::forget(transports);
                 return Err(e);
             }
@@ -475,7 +477,7 @@ pub fn worker_main(
     let batch = spec.socket_batch();
     let deadline = Instant::now() + Duration::from_secs(30);
     let control = WorkerControl::new();
-    let mut worker = ShardWorker::from_parts(mine, &spec, control.clone(), Arc::clone(&payloads));
+    let mut worker = ShardWorker::from_parts(mine, &spec, control.clone(), payloads);
 
     // Crash recovery: restore the shipped checkpoint into the freshly built
     // shard *before* attaching transports — no peer traffic can race the
@@ -572,14 +574,7 @@ pub fn worker_main(
                 let stream = streams
                     .remove(peer)
                     .ok_or_else(|| proto_err("peer stream missing"))?;
-                let wiring = worker.neighbor_wiring(i);
-                worker.transports.push(Box::new(SocketTransport::new(
-                    stream,
-                    &wiring,
-                    start_cycle,
-                    batch,
-                    Arc::clone(&payloads),
-                )?));
+                worker.attach_pipe(i, stream, start_cycle, batch)?;
             }
         }
         TransportKind::Shm => {
@@ -602,25 +597,8 @@ pub fn worker_main(
                 let path = paths
                     .get(&(lo, hi))
                     .ok_or_else(|| proto_err("missing shm segment"))?;
-                let wiring = worker.neighbor_wiring(i);
-                let is_lo = shard == lo;
-                // Direction lo→hi carries the lo side's out channels.
-                let (lo_caps, hi_caps) = if is_lo {
-                    (
-                        wiring.out_links.iter().map(|l| l.capacity()).collect(),
-                        wiring.in_links.iter().map(|l| l.capacity()).collect(),
-                    )
-                } else {
-                    (
-                        wiring.in_links.iter().map(|l| l.capacity()).collect(),
-                        wiring.out_links.iter().map(|l| l.capacity()).collect(),
-                    )
-                };
-                let layout = ShmTransport::layout(lo_caps, hi_caps, spec.sync_depth());
-                let seg = ShmSegment::open(std::path::Path::new(path), &layout)?;
-                worker
-                    .transports
-                    .push(Box::new(ShmTransport::new(seg, &layout, is_lo, &wiring)));
+                let pipe = ShmPipe::open(std::path::Path::new(path), shard == lo)?;
+                worker.attach_pipe(i, pipe, start_cycle, batch)?;
             }
         }
     }
@@ -629,9 +607,9 @@ pub fn worker_main(
         return Err(proto_err("expected Start"));
     };
 
-    // Resume: every peer must observe our progress at the rendezvous cycle
-    // (shm progress words start at 0 in a fresh segment), and any restored
-    // staged traffic goes onto the wire now.
+    // Resume: the checkpoint restored flits and credits that were staged for
+    // the wire when it was taken; they go out now, in a frame that also
+    // confirms the rendezvous cycle every transport already starts from.
     if start_cycle > 0 {
         worker.publish_progress(start_cycle)?;
     }
@@ -770,6 +748,22 @@ impl ShardWorker {
         for t in &mut self.transports {
             t.pump(cycle, &*payloads, true)?;
         }
+        Ok(())
+    }
+
+    /// Attaches the frame transport over `pipe` — a socket or a shared-memory
+    /// ring, the rest is the same — for the `i`-th planned neighbor.
+    fn attach_pipe<P: BytePipe + 'static>(
+        &mut self,
+        i: usize,
+        pipe: P,
+        start: Cycle,
+        batch: u64,
+    ) -> io::Result<()> {
+        let wiring = self.neighbor_wiring(i);
+        let payloads = Arc::clone(&self.payloads);
+        let transport = FrameTransport::new(pipe, &wiring, start, batch, payloads)?;
+        self.transports.push(Box::new(transport));
         Ok(())
     }
 

@@ -17,17 +17,15 @@
 //!   credit-counting termination — no barrier anywhere — and still delivers
 //!   every offered packet.
 
+mod common;
+
+use common::{assert_bit_identical, run_sequential, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
 use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
 use hornet_net::kernel::KernelMode;
 use hornet_net::routing::RoutingKind;
 use hornet_net::stats::NetworkStats;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
-use std::path::PathBuf;
-
-fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hornet-dist"))
-}
 
 fn spec_16x16(pattern: SyntheticPattern, seed: u64, cycles: u64) -> DistSpec {
     DistSpec {
@@ -41,28 +39,6 @@ fn spec_16x16(pattern: SyntheticPattern, seed: u64, cycles: u64) -> DistSpec {
         run: RunKind::Cycles(cycles),
         ..DistSpec::default()
     }
-}
-
-fn assert_bit_identical(seq: &NetworkStats, dist: &NetworkStats, what: &str) {
-    assert_eq!(
-        dist.delivered_packets, seq.delivered_packets,
-        "{what}: packet count"
-    );
-    assert_eq!(dist.delivered_flits, seq.delivered_flits, "{what}: flits");
-    assert_eq!(
-        dist.injected_flits, seq.injected_flits,
-        "{what}: injected flits"
-    );
-    assert_eq!(
-        dist.total_packet_latency, seq.total_packet_latency,
-        "{what}: latency total"
-    );
-    assert_eq!(dist.total_hops, seq.total_hops, "{what}: hops");
-    assert_eq!(
-        dist.latency_histogram, seq.latency_histogram,
-        "{what}: latency histogram"
-    );
-    assert_eq!(dist.busy_cycles, seq.busy_cycles, "{what}: busy cycles");
 }
 
 /// The acceptance test: 4 worker processes over Unix sockets, CycleAccurate,
@@ -88,7 +64,7 @@ fn four_process_unix_socket_cycle_accurate_is_bit_identical() {
         (SyntheticPattern::Transpose, 23u64, TransportKind::Tcp, 2),
     ] {
         let spec = spec_16x16(pattern.clone(), seed, 1_500);
-        let (seq, _, _) = spec.run_sequential().expect("sequential reference");
+        let (seq, _, _) = run_sequential(&spec);
         assert!(seq.delivered_packets > 0, "workload must deliver traffic");
         let outcome = run_distributed(
             &spec,
@@ -130,7 +106,7 @@ fn two_process_shm_cycle_accurate_is_bit_identical() {
         run: RunKind::Cycles(1_200),
         ..spec_16x16(SyntheticPattern::Transpose, 5, 1_200)
     };
-    let (seq, _, _) = spec.run_sequential().unwrap();
+    let (seq, _, _) = run_sequential(&spec);
     let outcome = run_distributed(
         &spec,
         &HostOptions {
@@ -140,7 +116,7 @@ fn two_process_shm_cycle_accurate_is_bit_identical() {
             ..HostOptions::default()
         },
     )
-    .expect("shm run");
+    .expect("shared-memory run");
     assert_bit_identical(&seq, &outcome.stats, "2-process shm");
 }
 
@@ -154,7 +130,7 @@ fn two_process_tcp_cycle_accurate_is_bit_identical() {
         run: RunKind::Cycles(1_000),
         ..spec_16x16(SyntheticPattern::UniformRandom, 9, 1_000)
     };
-    let (seq, _, _) = spec.run_sequential().unwrap();
+    let (seq, _, _) = run_sequential(&spec);
     let outcome = run_distributed(
         &spec,
         &HostOptions {
@@ -174,7 +150,7 @@ fn two_process_tcp_cycle_accurate_is_bit_identical() {
 #[test]
 fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
     let spec = spec_16x16(SyntheticPattern::Transpose, 41, 2_000);
-    let (seq, _, _) = spec.run_sequential().unwrap();
+    let (seq, _, _) = run_sequential(&spec);
     let ca = run_threaded(&spec, 4).expect("threaded run");
     assert_bit_identical(&seq, &ca.stats, "threaded in-proc transport");
 
@@ -206,7 +182,7 @@ fn adaptive_routing_across_cut_links_is_bit_identical() {
         kernel: KernelMode::Force,
         ..spec_16x16(SyntheticPattern::Transpose, 37, 1_500)
     };
-    let (seq, _, _) = spec.run_sequential().expect("sequential reference");
+    let (seq, _, _) = run_sequential(&spec);
     assert!(seq.delivered_packets > 0, "workload must deliver traffic");
     let mut interp = spec.build_network().expect("valid spec");
     interp.set_kernel_mode(KernelMode::Off);
@@ -244,7 +220,7 @@ fn checkpointing_without_a_crash_is_free_of_side_effects() {
         checkpoint_every: Some(50),
         ..spec_16x16(SyntheticPattern::UniformRandom, 29, 600)
     };
-    let (seq, _, _) = spec.run_sequential().unwrap();
+    let (seq, _, _) = run_sequential(&spec);
     let outcome = run_distributed(
         &spec,
         &HostOptions {
@@ -269,7 +245,7 @@ fn four_process_completion_detection_stops_early_and_delivers_everything() {
         run: RunKind::ToCompletion { max: 400_000 },
         ..spec_16x16(SyntheticPattern::Transpose, 3, 0)
     };
-    let (seq, seq_cycle, seq_completed) = spec.run_sequential().unwrap();
+    let (seq, seq_cycle, seq_completed) = run_sequential(&spec);
     assert!(seq_completed);
     let outcome = run_distributed(
         &spec,

@@ -5,16 +5,13 @@
 //! metrics and collects one stall profile per shard. The in-process threaded
 //! transport is held to the same bar.
 
+mod common;
+
+use common::{sequential_reference, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
 use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
 use hornet_obs::metrics::TelemetrySample;
-use hornet_obs::trace::TraceDump;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
-use std::path::PathBuf;
-
-fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hornet-dist"))
-}
 
 fn observed_spec() -> DistSpec {
     DistSpec {
@@ -30,19 +27,6 @@ fn observed_spec() -> DistSpec {
         trace_capacity: Some(1 << 15),
         ..DistSpec::default()
     }
-}
-
-/// Sequential reference with tracing on: stats plus canonical flit trace.
-fn sequential_reference(
-    spec: &DistSpec,
-    cycles: u64,
-) -> (hornet_net::stats::NetworkStats, TraceDump) {
-    let mut net = spec.build_network().expect("valid spec");
-    net.enable_tracing(spec.trace_capacity.unwrap() as usize);
-    net.run(cycles);
-    let dump = net.drain_trace();
-    assert_eq!(dump.dropped, 0, "reference ring must not truncate");
-    (net.stats(), dump.flit_events())
 }
 
 /// The acceptance test: 4 worker processes over Unix sockets with tracing

@@ -14,37 +14,12 @@
 //!   latency totals and the log₂ latency histogram — and the same over a
 //!   shared-memory segment.
 
+mod common;
+
+use common::{assert_bit_identical, run_sequential, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
 use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
-use hornet_net::stats::NetworkStats;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
-use std::path::PathBuf;
-
-fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hornet-dist"))
-}
-
-fn assert_bit_identical(seq: &NetworkStats, other: &NetworkStats, what: &str) {
-    assert_eq!(
-        other.delivered_packets, seq.delivered_packets,
-        "{what}: packet count"
-    );
-    assert_eq!(other.delivered_flits, seq.delivered_flits, "{what}: flits");
-    assert_eq!(
-        other.injected_flits, seq.injected_flits,
-        "{what}: injected flits"
-    );
-    assert_eq!(
-        other.total_packet_latency, seq.total_packet_latency,
-        "{what}: latency total"
-    );
-    assert_eq!(other.total_hops, seq.total_hops, "{what}: hops");
-    assert_eq!(
-        other.latency_histogram, seq.latency_histogram,
-        "{what}: latency histogram"
-    );
-    assert_eq!(other.busy_cycles, seq.busy_cycles, "{what}: busy cycles");
-}
 
 /// A memory workload: one MIPS-like core per tile storing and re-loading a
 /// vector whose cache lines are interleaved across all tiles, so every miss
@@ -81,7 +56,7 @@ fn same_cycle_driver_under_thread_and_process_hooks_is_identical() {
         run: RunKind::Cycles(1_200),
         ..DistSpec::default()
     };
-    let (seq, _, _) = spec.run_sequential().expect("sequential reference");
+    let (seq, _, _) = run_sequential(&spec);
     assert!(seq.delivered_packets > 0);
 
     let threaded = run_threaded(&spec, 4).expect("thread-backend hooks");
@@ -110,7 +85,7 @@ fn same_cycle_driver_under_thread_and_process_hooks_is_identical() {
 #[test]
 fn memory_workload_over_four_socket_processes_is_bit_identical() {
     let spec = mem_spec(DistSync::CycleAccurate);
-    let (seq, seq_cycle, seq_completed) = spec.run_sequential().expect("sequential reference");
+    let (seq, seq_cycle, seq_completed) = run_sequential(&spec);
     assert!(seq_completed, "reference must complete");
     assert!(
         seq.delivered_packets > 0,
@@ -147,7 +122,7 @@ fn memory_workload_over_four_socket_processes_is_bit_identical() {
 #[test]
 fn memory_workload_over_shm_is_bit_identical() {
     let spec = mem_spec(DistSync::CycleAccurate);
-    let (seq, _, seq_completed) = spec.run_sequential().expect("sequential reference");
+    let (seq, _, seq_completed) = run_sequential(&spec);
     assert!(seq_completed);
 
     let outcome = run_distributed(
@@ -178,7 +153,7 @@ fn cpu_token_ring_completes_under_threaded_driver() {
         run: RunKind::ToCompletion { max: 400_000 },
         ..DistSpec::default()
     };
-    let (seq, _, seq_completed) = spec.run_sequential().unwrap();
+    let (seq, _, seq_completed) = run_sequential(&spec);
     assert!(seq_completed);
     // One user packet per hop around the ring.
     assert_eq!(seq.delivered_packets, 16);
@@ -268,7 +243,7 @@ fn host_list_mode_with_prestarted_workers_is_bit_identical() {
         run: RunKind::Cycles(600),
         ..DistSpec::default()
     };
-    let (seq, _, _) = spec.run_sequential().unwrap();
+    let (seq, _, _) = run_sequential(&spec);
 
     // Start the two "remote" workers; they retry the control connection
     // until the coordinator is listening (spawned first, so give them the

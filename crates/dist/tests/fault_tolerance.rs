@@ -13,33 +13,13 @@
 
 #![cfg(unix)]
 
+mod common;
+
+use common::{assert_bit_identical, run_sequential, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
 use hornet_dist::{run_distributed, HostOptions, TransportKind};
-use hornet_net::stats::NetworkStats;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
-use std::path::PathBuf;
 use std::time::Duration;
-
-fn worker_bin() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_hornet-dist"))
-}
-
-fn assert_bit_identical(seq: &NetworkStats, dist: &NetworkStats, what: &str) {
-    assert_eq!(
-        dist.delivered_packets, seq.delivered_packets,
-        "{what}: packet count"
-    );
-    assert_eq!(dist.injected_flits, seq.injected_flits, "{what}: injected");
-    assert_eq!(
-        dist.total_packet_latency, seq.total_packet_latency,
-        "{what}: latency total"
-    );
-    assert_eq!(dist.total_hops, seq.total_hops, "{what}: hops");
-    assert_eq!(
-        dist.latency_histogram, seq.latency_histogram,
-        "{what}: latency histogram"
-    );
-}
 
 /// Counts live processes whose command line carries `needle` — used to
 /// prove the coordinator leaks no workers (each run's workers are tagged by
@@ -83,72 +63,81 @@ fn sigkill_recovery_is_bit_identical_and_unrecoverable_loss_aborts_cleanly() {
         checkpoint_every: Some(100),
         ..DistSpec::default()
     };
-    let (seq, _, _) = spec.run_sequential().expect("sequential reference");
+    let (seq, _, _) = run_sequential(&spec);
     assert!(seq.delivered_packets > 0, "workload must deliver traffic");
 
-    // --- Half 1: lose worker 2 at its cycle-300 checkpoint; recover. ---
-    std::fs::write(&token, "2 300").expect("write crash token");
-    let nonce = 0xFA17_0000 + u64::from(std::process::id());
-    let outcome = run_distributed(
-        &spec,
-        &HostOptions {
-            workers: 4,
-            transport: TransportKind::UnixSocket,
-            worker_cmd: Some(worker_bin()),
-            nonce: Some(nonce),
-            // Plenty of headroom for slow CI machines: liveness must come
-            // from death detection here, not timeout tuning.
-            heartbeat_timeout: Duration::from_secs(60),
-            ..HostOptions::default()
-        },
-    )
-    .expect("run must survive the SIGKILL and recover");
-    assert!(
-        outcome.restarts >= 1,
-        "the injected crash must have forced at least one restart"
-    );
-    assert!(
-        !token.exists(),
-        "the dying worker must have claimed the crash token"
-    );
-    assert_eq!(outcome.final_cycle, 800);
-    assert_bit_identical(&seq, &outcome.stats, "post-recovery 4-process unix");
-    assert_eq!(
-        live_processes_mentioning(&nonce.to_string()),
-        0,
-        "recovered run must leave no worker processes behind"
-    );
+    // Both halves over both pipes of the one cross-process data plane: a
+    // killed worker closes its sockets but leaves a shared-memory ring
+    // silent, so loss detection must not lean on the data plane.
+    for (run, transport) in [(0u64, TransportKind::UnixSocket), (1, TransportKind::Shm)] {
+        // --- Half 1: lose worker 2 at its cycle-300 checkpoint; recover. ---
+        std::fs::write(&token, "2 300").expect("write crash token");
+        let nonce = 0xFA17_0000 + (run << 16) + u64::from(std::process::id());
+        let outcome = run_distributed(
+            &spec,
+            &HostOptions {
+                workers: 4,
+                transport,
+                worker_cmd: Some(worker_bin()),
+                nonce: Some(nonce),
+                // Plenty of headroom for slow CI machines: liveness must come
+                // from death detection here, not timeout tuning.
+                heartbeat_timeout: Duration::from_secs(60),
+                ..HostOptions::default()
+            },
+        )
+        .expect("run must survive the SIGKILL and recover");
+        assert!(
+            outcome.restarts >= 1,
+            "the injected crash must have forced at least one restart"
+        );
+        assert!(
+            !token.exists(),
+            "the dying worker must have claimed the crash token"
+        );
+        assert_eq!(outcome.final_cycle, 800);
+        assert_bit_identical(
+            &seq,
+            &outcome.stats,
+            &format!("post-recovery 4-process {transport:?}"),
+        );
+        assert_eq!(
+            live_processes_mentioning(&nonce.to_string()),
+            0,
+            "recovered run must leave no worker processes behind"
+        );
 
-    // --- Half 2: same crash, but recovery disallowed — clean abort. ---
-    std::fs::write(&token, "1 200").expect("write crash token");
-    let nonce2 = 0xFA17_1000 + u64::from(std::process::id());
-    let err = run_distributed(
-        &spec,
-        &HostOptions {
-            workers: 4,
-            transport: TransportKind::UnixSocket,
-            worker_cmd: Some(worker_bin()),
-            nonce: Some(nonce2),
-            heartbeat_timeout: Duration::from_secs(60),
-            max_restarts: 0,
-            ..HostOptions::default()
-        },
-    )
-    .expect_err("with max_restarts=0 the lost worker must abort the run");
-    assert_eq!(
-        err.kind(),
-        std::io::ErrorKind::ConnectionAborted,
-        "worker loss surfaces as a recoverable-loss error: {err}"
-    );
-    assert!(
-        err.to_string().contains("shard"),
-        "the error must name the lost shard: {err}"
-    );
-    assert_eq!(
-        live_processes_mentioning(&nonce2.to_string()),
-        0,
-        "aborted run must leave no worker processes behind"
-    );
+        // --- Half 2: same crash, but recovery disallowed — clean abort. ---
+        std::fs::write(&token, "1 200").expect("write crash token");
+        let nonce2 = 0xFA17_1000 + (run << 16) + u64::from(std::process::id());
+        let err = run_distributed(
+            &spec,
+            &HostOptions {
+                workers: 4,
+                transport,
+                worker_cmd: Some(worker_bin()),
+                nonce: Some(nonce2),
+                heartbeat_timeout: Duration::from_secs(60),
+                max_restarts: 0,
+                ..HostOptions::default()
+            },
+        )
+        .expect_err("with max_restarts=0 the lost worker must abort the run");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::ConnectionAborted,
+            "worker loss surfaces as a recoverable-loss error: {err}"
+        );
+        assert!(
+            err.to_string().contains("shard"),
+            "the error must name the lost shard: {err}"
+        );
+        assert_eq!(
+            live_processes_mentioning(&nonce2.to_string()),
+            0,
+            "aborted run must leave no worker processes behind"
+        );
+    }
 
     std::env::remove_var("HORNET_DIST_CRASH_TOKEN");
     let _ = std::fs::remove_dir_all(&scratch);
