@@ -52,7 +52,7 @@ use hornet_obs::metrics::TelemetrySample;
 use hornet_obs::serve::ObsHub;
 use hornet_obs::trace::TraceDump;
 pub use hornet_shard::SyncMode;
-use hornet_shard::{Partition, Partitioner, RunParams, ShardConfig, ShardRuntime};
+use hornet_shard::{Partition, Partitioner, RunParams, ShardRuntime};
 use std::sync::Arc;
 
 /// Configuration of the parallel engine.
@@ -66,10 +66,6 @@ pub struct EngineConfig {
     /// Skip idle periods (no buffered flits, no pending injections) by
     /// advancing all clocks to the next injection event.
     pub fast_forward: bool,
-    /// Pin each shard worker thread to one host core (Linux
-    /// `sched_setaffinity`; a no-op elsewhere). Takes effect when the worker
-    /// pool is created, i.e. on the first parallel run.
-    pub pin_threads: bool,
     /// Whether to run tiles through the compiled SoA cycle kernel
     /// ([`hornet_net::kernel::MeshKernel`]). The kernel is bit-identical to
     /// the per-router interpreter; configurations it cannot specialize
@@ -84,7 +80,6 @@ impl Default for EngineConfig {
             threads: 1,
             sync: SyncMode::CycleAccurate,
             fast_forward: false,
-            pin_threads: false,
             kernel: KernelMode::Auto,
         }
     }
@@ -320,10 +315,9 @@ impl ParallelEngine {
             live: self.live_hub.clone(),
             kernel: self.config.kernel,
         };
-        let pin = self.config.pin_threads;
-        let runtime = self.runtime.get_or_insert_with(|| {
-            ShardRuntime::with_config(partition.shard_count(), ShardConfig { pin_to_cores: pin })
-        });
+        let runtime = self
+            .runtime
+            .get_or_insert_with(|| ShardRuntime::new(partition.shard_count()));
         let outcome = runtime.run(self.network.take_tiles(), partition, params);
         self.network.put_tiles(outcome.nodes, outcome.final_cycle);
         self.samples.extend(outcome.samples);
@@ -384,7 +378,6 @@ mod tests {
                 threads,
                 sync,
                 fast_forward: false,
-                pin_threads: false,
                 kernel: KernelMode::Auto,
             },
         )
@@ -534,7 +527,6 @@ mod tests {
                     threads: 2,
                     sync: SyncMode::CycleAccurate,
                     fast_forward: ff,
-                    pin_threads: false,
                     kernel: KernelMode::Auto,
                 },
             );
@@ -582,7 +574,6 @@ mod tests {
                     threads,
                     sync: SyncMode::CycleAccurate,
                     fast_forward,
-                    pin_threads: false,
                     kernel: KernelMode::Auto,
                 },
             );
@@ -662,7 +653,6 @@ mod tests {
                     threads,
                     sync,
                     fast_forward: true,
-                    pin_threads: false,
                     kernel: KernelMode::Auto,
                 },
             );

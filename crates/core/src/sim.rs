@@ -148,7 +148,6 @@ pub struct SimulationBuilder {
     threads: usize,
     sync: SyncMode,
     fast_forward: bool,
-    pin_threads: bool,
     kernel: KernelMode,
     power: Option<PowerOptions>,
     trace_events: usize,
@@ -184,7 +183,6 @@ impl SimulationBuilder {
             threads: 1,
             sync: SyncMode::CycleAccurate,
             fast_forward: false,
-            pin_threads: false,
             kernel: KernelMode::Auto,
             power: None,
             trace_events: 0,
@@ -288,13 +286,6 @@ impl SimulationBuilder {
     /// Enables fast-forwarding of idle periods.
     pub fn fast_forward(mut self, enabled: bool) -> Self {
         self.fast_forward = enabled;
-        self
-    }
-
-    /// Pins shard worker threads to host cores (Linux `sched_setaffinity`;
-    /// a no-op elsewhere).
-    pub fn pin_threads(mut self, enabled: bool) -> Self {
-        self.pin_threads = enabled;
         self
     }
 
@@ -465,7 +456,6 @@ impl SimulationBuilder {
                 threads: self.threads,
                 sync: self.sync,
                 fast_forward: self.fast_forward,
-                pin_threads: self.pin_threads,
                 kernel: self.kernel,
             },
         );

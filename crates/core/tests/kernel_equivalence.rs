@@ -118,7 +118,6 @@ impl Case {
                 threads,
                 sync,
                 fast_forward: false,
-                pin_threads: false,
                 kernel,
             },
         );

@@ -8,15 +8,14 @@
 //! waves over the workers' ledgers; wave two must observe unchanged ledger
 //! versions, which makes wave one a consistent global snapshot (the rounds
 //! are serialized through the coordinator, so every wave-one value was
-//! simultaneously current between the waves).
+//! simultaneously current between the waves) — and acted on with the same
+//! [`decide`] as the thread host's detector.
 
 use crate::protocol::{CtrlMsg, TransportKind};
 use crate::spec::{DistSpec, RunKind};
-use crate::transport::{InProcTransport, Stream};
+use crate::transport::Stream;
 use crate::wire::{read_frame, write_frame};
-use crate::wiring::{build_shards, cut_pairs, partition_for};
-use crate::worker::{ShardWorker, WorkerControl};
-use hornet_net::network::skip_target;
+use crate::wiring::{cut_pairs, partition_for};
 use hornet_net::stats::NetworkStats;
 use hornet_obs::log::{set_max_level, Level};
 use hornet_obs::metrics::TelemetrySample;
@@ -24,8 +23,9 @@ use hornet_obs::profile::StallProfile;
 use hornet_obs::serve::{ObsHub, ObsServer};
 use hornet_obs::trace::{TraceDump, TraceEvent, TraceKind, TraceRing};
 use hornet_obs::{olog_debug, olog_info, olog_warn};
-use hornet_shard::driver::TelemetrySink;
-use hornet_shard::termination::{credits_balance, LedgerState, Quiescence, QuiescenceScan};
+use hornet_shard::termination::{
+    credits_balance, decide, Directive, LedgerState, Quiescence, QuiescenceScan,
+};
 use hornet_shard::Partition;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -35,7 +35,7 @@ use std::net::TcpListener;
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1056,26 +1056,29 @@ fn supervise(
                     )?;
                     if let Some(wave2) = wave2 {
                         let verdict = QuiescenceScan::run(shards, |i| wave1[i], |i| wave2[i].0);
-                        if let Quiescence::Idle {
-                            finished,
-                            next_event,
-                            cycle,
-                        } = verdict
+                        // No jump to or below the snapshot's newest clock or
+                        // the target already sent.
+                        let floor = match verdict {
+                            Quiescence::Idle { cycle, .. } => cycle.max(last_skip),
+                            Quiescence::Active => last_skip,
+                        };
+                        let completion = matches!(spec.run, RunKind::ToCompletion { .. });
+                        let budget = spec.cycle_budget();
+                        if let Some(directive) =
+                            decide(verdict, completion, spec.fast_forward, budget, floor)
                         {
-                            let completion = matches!(spec.run, RunKind::ToCompletion { .. });
-                            if completion && finished {
-                                stopped = true;
-                                for conn in conns.iter_mut() {
-                                    let _ = conn.send(&CtrlMsg::Stop);
+                            let msg = match directive {
+                                Directive::Stop => {
+                                    stopped = true;
+                                    CtrlMsg::Stop
                                 }
-                            } else if spec.fast_forward {
-                                let target = skip_target(next_event, spec.cycle_budget());
-                                if target > cycle && target > last_skip {
+                                Directive::Skip(target) => {
                                     last_skip = target;
-                                    for conn in conns.iter_mut() {
-                                        let _ = conn.send(&CtrlMsg::Skip { target });
-                                    }
+                                    CtrlMsg::Skip { target }
                                 }
+                            };
+                            for conn in conns.iter_mut() {
+                                let _ = conn.send(&msg);
                             }
                         }
                     }
@@ -1143,160 +1146,5 @@ fn supervise(
         per_shard_profiles,
         trace,
         samples: Vec::new(), // filled by `run_distributed` from the stream
-    })
-}
-
-// ---------------------------------------------------------------------------
-// In-process reference backend: the same worker loop and transport trait,
-// with shards on threads and the SPSC rings shared directly. This is both
-// the `BoundaryTransport` implementation the thread backend corresponds to
-// and the harness the dist worker loop is unit-tested against.
-// ---------------------------------------------------------------------------
-
-/// Runs `spec` on `workers` in-process threads over [`InProcTransport`]s,
-/// with the caller thread acting as the termination detector. Functionally
-/// equivalent to `run_distributed` minus the process isolation.
-pub fn run_threaded(spec: &DistSpec, workers: usize) -> io::Result<DistOutcome> {
-    spec.validate()?;
-    let partition = partition_for(spec, workers);
-    let shards = partition.shard_count();
-    if shards < 2 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "need at least two shards",
-        ));
-    }
-    let geometry = spec.network_config().geometry;
-    let cut_links = cut_pairs(&geometry, &partition).len();
-    let (parts, store) = build_shards(spec, &partition)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    // All shards share this process's payload store: the channel is the
-    // same-process fast path and transports leave payloads alone.
-    let payloads: Arc<dyn hornet_shard::driver::PayloadChannel> =
-        Arc::new(hornet_shard::driver::PayloadEndpoint::shared(store));
-
-    let controls: Vec<WorkerControl> = (0..shards).map(|_| WorkerControl::new()).collect();
-    let stop_all: Vec<Arc<AtomicBool>> = controls.iter().map(|c| Arc::clone(&c.stop)).collect();
-    let skip_all: Vec<Arc<AtomicU64>> = controls.iter().map(|c| Arc::clone(&c.skip_to)).collect();
-    let ledgers: Vec<_> = controls.iter().map(|c| Arc::clone(&c.ledger)).collect();
-
-    // One transport pair per adjacency.
-    let mut endpoints: HashMap<(usize, usize), InProcTransport> = HashMap::new();
-    let mut workers_vec = Vec::with_capacity(shards);
-    let mut parts = parts;
-    // Pre-create pairs from each shard's neighbor list.
-    let adjacency: Vec<Vec<usize>> = parts
-        .iter()
-        .map(|p| p.neighbors.iter().map(|n| n.peer).collect())
-        .collect();
-    for (s, peers) in adjacency.iter().enumerate() {
-        for &t in peers {
-            if s < t {
-                let (a, b) = InProcTransport::pair(0);
-                endpoints.insert((s, t), a);
-                endpoints.insert((t, s), b);
-            }
-        }
-    }
-    for part in parts.drain(..) {
-        let shard = part.shard;
-        let mut worker =
-            ShardWorker::from_parts(part, spec, controls[shard].clone(), Arc::clone(&payloads));
-        for peer in worker.transports_plan() {
-            let t = endpoints
-                .remove(&(shard, peer))
-                .expect("transport endpoint for adjacency");
-            worker.transports.push(Box::new(t));
-        }
-        workers_vec.push(worker);
-    }
-
-    let budget = spec.cycle_budget();
-    let handles: Vec<_> = workers_vec
-        .into_iter()
-        .map(|w| {
-            std::thread::spawn(move || {
-                let want_samples = w.telemetry_every.is_some();
-                let mut samples: Vec<TelemetrySample> = Vec::new();
-                let outcome = w.run(
-                    0,
-                    budget,
-                    0,
-                    None,
-                    want_samples.then_some(&mut samples as &mut dyn TelemetrySink),
-                )?;
-                Ok::<_, io::Error>((outcome, samples))
-            })
-        })
-        .collect();
-
-    // Caller thread = detector (when the run needs one; otherwise it just
-    // joins the workers below).
-    let detector = spec.needs_detector();
-    let completion = matches!(spec.run, RunKind::ToCompletion { .. });
-    let mut last_skip = 0u64;
-    while detector && handles.iter().any(|h| !h.is_finished()) {
-        {
-            let verdict =
-                QuiescenceScan::run(shards, |i| ledgers[i].read(), |i| ledgers[i].version());
-            if let Quiescence::Idle {
-                finished,
-                next_event,
-                cycle,
-            } = verdict
-            {
-                if completion && finished {
-                    for stop in &stop_all {
-                        stop.store(true, Ordering::Release);
-                    }
-                } else if spec.fast_forward {
-                    let target = skip_target(next_event, budget);
-                    if target > cycle && target > last_skip {
-                        last_skip = target;
-                        for skip in &skip_all {
-                            skip.fetch_max(target, Ordering::AcqRel);
-                        }
-                    }
-                }
-            }
-        }
-        // Pace the scan; detection latency is bounded by the sleep while the
-        // workers keep every core.
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    let mut merged = NetworkStats::new();
-    let mut per_shard = Vec::with_capacity(shards);
-    let mut per_shard_profiles = Vec::with_capacity(shards);
-    let mut trace = TraceDump::default();
-    let mut all_samples = Vec::new();
-    let mut final_cycle = 0;
-    let mut completed = true;
-    for handle in handles {
-        let (outcome, samples) = handle
-            .join()
-            .map_err(|_| proto_err("worker thread panicked"))??;
-        merged.merge(&outcome.stats);
-        final_cycle = final_cycle.max(outcome.final_now);
-        completed &= outcome.completed;
-        per_shard.push(outcome.stats);
-        per_shard_profiles.push(outcome.profile);
-        trace.merge(outcome.trace);
-        all_samples.extend(samples);
-    }
-    if matches!(spec.run, RunKind::Cycles(_)) {
-        completed = true;
-    }
-    Ok(DistOutcome {
-        stats: merged,
-        per_shard,
-        final_cycle,
-        completed,
-        cut_links,
-        shards,
-        restarts: 0,
-        per_shard_profiles,
-        trace,
-        samples: all_samples,
     })
 }

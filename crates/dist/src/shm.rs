@@ -266,8 +266,8 @@ impl ShmPipe {
 mod tests {
     use super::*;
     use crate::transport::{BoundaryTransport, FrameTransport};
-    use crate::wiring::NeighborWiring;
     use hornet_shard::driver::NoPayloads;
+    use hornet_shard::wiring::NeighborWiring;
     use std::sync::Arc;
 
     fn would_block<T: std::fmt::Debug>(r: io::Result<T>) -> bool {
@@ -371,7 +371,7 @@ mod tests {
         let mut t = FrameTransport::new(hi, &wiring, 0, 1, Arc::new(NoPayloads)).unwrap();
         lo.word(0, 1).store(ring - 1, Ordering::Release);
         assert!(t.reached(u64::MAX), "a failed link releases every wait");
-        let err = t.pump(1, &NoPayloads, true).expect_err("garbage frame");
+        let err = t.pump(1, true).expect_err("garbage frame");
         assert!(err.to_string().contains("shared-memory ring to shard 0"));
         std::mem::forget(t); // a failed shard leaves its links to process exit
     }

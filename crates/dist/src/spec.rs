@@ -24,9 +24,13 @@ use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use std::io;
 use std::sync::Arc;
 
-/// Synchronization mode of a distributed run: the engine's `SyncMode`. (The
-/// thread backend's per-batch rendezvous under `Periodic(n)` has no
-/// distributed equivalent — periodic batches stay neighbor-synchronized.)
+/// Synchronization mode of a distributed run: the engine's `SyncMode`, with
+/// one remaining difference under `Periodic(n > 1)`. The thread host also
+/// meets every shard's progress at each batch boundary (its pump's
+/// `barrier_batches` rendezvous), so drift re-zeroes every batch; worker
+/// processes wait on their neighbors only, so two shards may drift apart by
+/// up to one batch per shard boundary between them. `CycleAccurate` and
+/// `Slack(k)` behave the same on both hosts.
 pub use hornet_shard::SyncMode as DistSync;
 
 /// What runs on the tiles.
@@ -190,7 +194,7 @@ impl DistSpec {
     /// overflow or an allocation sized by the spec before `Network::new` gets
     /// to report its own `ConfigError`. A spec arrives from the command line
     /// and, in a worker, off the control socket: both are outside input, so
-    /// `decode`, `run_distributed`, `run_threaded` and the CLI all call this.
+    /// `decode`, `run_distributed` and the CLI all call this.
     pub fn validate(&self) -> io::Result<()> {
         let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
         for (name, value) in [

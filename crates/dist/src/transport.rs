@@ -1,44 +1,41 @@
-//! Pluggable boundary transports.
+//! The boundary transport: the cross-process data plane.
 //!
 //! A [`BoundaryTransport`] carries everything that crosses one shard-to-shard
-//! adjacency: cycle-stamped flits (forward), credit returns (backward), and
-//! the sender's negedge progress, which is what the conservative
-//! synchronization protocol waits on. There is one in-process reference and
-//! one cross-process data plane:
+//! adjacency between two processes: cycle-stamped flits (forward), credit
+//! returns (backward), packet payloads with their tail flits, and the
+//! sender's negedge progress, which is what the conservative synchronization
+//! protocol waits on. Threads in one process need none of it — their shards
+//! share the boundary rings and publish progress in atomics
+//! (`hornet_shard::ShardRuntime`'s pump).
 //!
-//! * [`InProcTransport`] — the thread backend's native form, and what the
-//!   tests compare against: the SPSC boundary rings are shared directly
-//!   between the two shard loops, so `pump` only publishes a progress atomic
-//!   and `ingest` is a no-op. Zero additional copies, zero syscalls.
-//! * [`FrameTransport`] — one length-prefixed frame per cycle per direction
-//!   over a non-blocking [`BytePipe`], written and read by the shard's own
-//!   driver thread: one `write` per flush, and a `read` wherever the driver
-//!   asks what the peer has sent (its progress wait and `ingest`). The frame
-//!   format, its decoder and the four hazards of driving a pipe without a
-//!   helper thread (see [`FrameTransport`]) are the same whatever the pipe
-//!   is; only the medium differs: a Unix or TCP socket ([`Stream`], which
-//!   makes it a [`SocketTransport`]) or, between co-located processes, two
-//!   byte rings in a mapped segment ([`crate::shm::ShmPipe`]).
+//! There is one implementation, [`FrameTransport`]: one length-prefixed frame
+//! per cycle per direction over a non-blocking [`BytePipe`], written and read
+//! by the shard's own driver thread — one `write` per flush, and a `read`
+//! wherever the driver asks what the peer has sent (its progress wait and
+//! `ingest`). The frame format, its decoder and the four hazards of driving a
+//! pipe without a helper thread (see [`FrameTransport`]) are the same
+//! whatever the pipe is; only the medium differs: a Unix or TCP socket
+//! ([`Stream`], which makes it a [`SocketTransport`]) or, between co-located
+//! processes, two byte rings in a mapped segment ([`crate::shm::ShmPipe`]).
 //!
-//! The contract both uphold, which is what makes CycleAccurate bit-identity
-//! hold across processes: *all flits and credits a shard emitted up to and
-//! including its negedge of cycle `c` are visible to the peer's `ingest`
-//! before the peer observes `peer_progress() ≥ c`.*
+//! Its contract — the thread host's pump keeps the same one — is what makes
+//! CycleAccurate bit-identity hold across processes: *all flits and credits
+//! a shard emitted up to and including its negedge of cycle `c` are visible
+//! to the peer's `ingest` before the peer observes `peer_progress() ≥ c`.*
 
 use crate::wire::{
     decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet,
     peek_frame, Dec, Enc, CREDIT_WIRE_BYTES, FLIT_WIRE_BYTES, MAX_FRAME_BYTES,
 };
-use crate::wiring::NeighborWiring;
 use hornet_net::boundary::{BoundaryLink, CreditMsg};
 use hornet_net::flit::Flit;
 use hornet_net::ids::Cycle;
 use hornet_shard::driver::{PayloadChannel, TransportPump};
+use hornet_shard::wiring::NeighborWiring;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -50,13 +47,12 @@ pub trait BoundaryTransport: Send {
     /// this side's progress. `flush` forces buffered wire traffic out;
     /// transports may otherwise coalesce several cycles per write under
     /// loose synchronization.
-    fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()>;
+    fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()>;
 
     /// Called after the progress wait, before mailbox consumption: move
     /// everything the peer has made visible into the local staging rings and
-    /// deposit any arrived payloads. No-op for transports whose rings are
-    /// shared directly.
-    fn ingest(&mut self, _payloads: &dyn PayloadChannel) {}
+    /// deposit any arrived payloads.
+    fn ingest(&mut self);
 
     /// The peer's last published negedge progress as this side knows it
     /// (`u64::MAX` once the peer has finished its run and closed the channel).
@@ -79,21 +75,21 @@ impl TransportPump for TransportSet<'_> {
         self.0.iter_mut().all(|t| t.reached(floor))
     }
 
-    fn ingest(&mut self, payloads: &dyn PayloadChannel) {
+    fn ingest(&mut self) {
         for t in self.0.iter_mut() {
-            t.ingest(payloads);
+            t.ingest();
         }
     }
 
-    fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()> {
+    fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()> {
         for t in self.0.iter_mut() {
-            t.pump(cycle, payloads, flush)?;
+            t.pump(cycle, flush)?;
         }
         Ok(())
     }
 
-    fn publish_jump(&mut self, target: Cycle, payloads: &dyn PayloadChannel) -> io::Result<()> {
-        self.pump(target, payloads, true)
+    fn publish_jump(&mut self, target: Cycle) -> io::Result<()> {
+        self.pump(target, true)
     }
 
     fn stall_report(&self) -> String {
@@ -101,45 +97,6 @@ impl TransportPump for TransportSet<'_> {
             "mirrors={:?}",
             self.0.iter().map(|t| t.peer_progress()).collect::<Vec<_>>()
         )
-    }
-}
-
-/// The in-process transport: both shard loops share the staging rings, so
-/// the data plane needs no pumping at all — only the progress word.
-pub struct InProcTransport {
-    local: Arc<AtomicU64>,
-    peer: Arc<AtomicU64>,
-}
-
-impl InProcTransport {
-    /// Creates the transport pair for one adjacency `(a→b, b→a)`, starting
-    /// both progress words at `start`.
-    pub fn pair(start: Cycle) -> (InProcTransport, InProcTransport) {
-        let a = Arc::new(AtomicU64::new(start));
-        let b = Arc::new(AtomicU64::new(start));
-        (
-            InProcTransport {
-                local: Arc::clone(&a),
-                peer: Arc::clone(&b),
-            },
-            InProcTransport { local: b, peer: a },
-        )
-    }
-}
-
-impl BoundaryTransport for InProcTransport {
-    fn pump(
-        &mut self,
-        cycle: Cycle,
-        _payloads: &dyn PayloadChannel,
-        _flush: bool,
-    ) -> io::Result<()> {
-        self.local.store(cycle, Ordering::Release);
-        Ok(())
-    }
-
-    fn peer_progress(&self) -> Cycle {
-        self.peer.load(Ordering::Acquire)
     }
 }
 
@@ -306,7 +263,8 @@ pub struct FrameTransport<P: BytePipe> {
     out_links: Vec<Arc<BoundaryLink>>,
     /// Inbound halves (their staged credits are drained into frames).
     in_links: Vec<Arc<BoundaryLink>>,
-    /// Kept because the progress wait reads too, and is not handed a channel.
+    /// Where payloads are claimed from (tail flits leaving) and deposited
+    /// into (tail flits arriving).
     payloads: Arc<dyn PayloadChannel>,
     peer_progress: Cycle,
     /// Why the channel failed, until the next `pump` reports it.
@@ -488,19 +446,19 @@ fn decode_cycle_frame(
 }
 
 impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
-    fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()> {
+    fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()> {
         if let Some(e) = self.failed.take() {
             return Err(e);
         }
         self.flits.clear();
         self.credits.clear();
         self.packets.clear();
-        let forward_payloads = !payloads.shared();
+        let payloads = &*self.payloads;
         for (ch, link) in self.out_links.iter().enumerate() {
             let flits = &mut self.flits;
             let packets = &mut self.packets;
             link.drain_staged_flits(|f| {
-                if forward_payloads && f.kind.is_tail() {
+                if f.kind.is_tail() {
                     // The payload follows its tail flit hop by hop; empty
                     // payloads are claimed too (the parked packet would leak
                     // otherwise) but reconstructed at the destination instead
@@ -547,7 +505,7 @@ impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
         Ok(())
     }
 
-    fn ingest(&mut self, _payloads: &dyn PayloadChannel) {
+    fn ingest(&mut self) {
         self.poll();
     }
 
@@ -582,7 +540,7 @@ mod tests {
     use hornet_net::flit::{FlitKind, FlitStats, Packet, Payload};
     use hornet_net::ids::{FlowId, NodeId, PacketId};
     use hornet_net::payload::PayloadStore;
-    use hornet_shard::driver::{NoPayloads, PayloadEndpoint};
+    use hornet_shard::driver::NoPayloads;
     #[cfg(unix)]
     use proptest::test_runner::TestCaseError;
 
@@ -617,15 +575,6 @@ mod tests {
                 in_links: ab,
             },
         )
-    }
-
-    #[test]
-    fn in_proc_transport_publishes_progress() {
-        let (mut a, b) = InProcTransport::pair(0);
-        assert_eq!(b.peer_progress(), 0);
-        a.pump(7, &NoPayloads, true).unwrap();
-        assert_eq!(b.peer_progress(), 7);
-        assert_eq!(a.peer_progress(), 0);
     }
 
     /// A pipe kind the tests can make connected pairs of. An end that is
@@ -707,7 +656,7 @@ mod tests {
         // A sends two flits on channel 1 (credit-checked push) and pumps.
         assert!(wa.out_links[1].push(flit(0, 5)));
         assert!(wa.out_links[1].push(flit(1, 5)));
-        ta.pump(4, &NoPayloads, true).unwrap();
+        ta.pump(4, true).unwrap();
 
         // Nothing is visible to B until B itself asks; then progress 4 and
         // the flits in its inbound half of channel 1 arrive together.
@@ -718,9 +667,9 @@ mod tests {
         // B returns a credit, which rides B's next frame; A's per-cycle
         // ingest (not a wait) is what takes it in.
         assert!(wb.in_links[1].inject_credit(CreditMsg { cycle: 5, count: 2 }));
-        tb.pump(5, &NoPayloads, true).unwrap();
+        tb.pump(5, true).unwrap();
         for _ in 0..20_000 {
-            ta.ingest(&NoPayloads);
+            ta.ingest();
             if ta.peer_progress() == 5 {
                 break;
             }
@@ -745,10 +694,9 @@ mod tests {
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
         let store_a = Arc::new(PayloadStore::new());
-        let ep_a = PayloadEndpoint::remote(Arc::clone(&store_a));
-        let ep_b = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
-        let mut ta = transport(pa, &wa, 1);
-        let mut tb = FrameTransport::new(pb, &wb, 0, 1, Arc::new(ep_b.clone())).unwrap();
+        let store_b = Arc::new(PayloadStore::new());
+        let mut ta = FrameTransport::new(pa, &wa, 0, 1, store_a.clone()).unwrap();
+        let mut tb = FrameTransport::new(pb, &wb, 0, 1, store_b.clone()).unwrap();
 
         // A parks a packet's payload (what the bridge does at injection) and
         // pushes its tail flit onto the boundary.
@@ -766,13 +714,13 @@ mod tests {
         tail.kind = FlitKind::Tail;
         assert!(wa.out_links[0].push(flit(0, 5)));
         assert!(wa.out_links[0].push(tail));
-        ta.pump(4, &ep_a, true).unwrap();
+        ta.pump(4, true).unwrap();
 
         // The claim emptied A's store; B deposits the payload before it
         // takes progress 4.
         assert!(store_a.is_empty(), "tail crossing must claim the payload");
         await_progress(&mut tb, 4);
-        assert_eq!(ep_b.claim(PacketId::new(1)), Some(packet));
+        assert_eq!(store_b.claim(PacketId::new(1)), Some(packet));
         close(ta, tb);
     }
 
@@ -791,18 +739,18 @@ mod tests {
         let (mut ta, mut tb) = (transport(pa, &wa, 4), transport(pb, &wb, 4));
 
         for c in 1..=3u64 {
-            ta.pump(c, &NoPayloads, false).unwrap();
+            ta.pump(c, false).unwrap();
         }
         // Cycles 1..3 of a 4-cycle batch: nothing has been written.
-        tb.ingest(&NoPayloads);
+        tb.ingest();
         assert_eq!(tb.peer_progress(), 0, "frames must still be buffered");
         // Cycle 4 is a batch boundary: everything lands.
         assert!(wa.out_links[0].push(flit(0, 4)));
-        ta.pump(4, &NoPayloads, false).unwrap();
+        ta.pump(4, false).unwrap();
         await_progress(&mut tb, 4);
         assert_eq!(wb.in_links[0].in_flight(), 1);
         // An explicit flush forces mid-batch visibility.
-        ta.pump(5, &NoPayloads, true).unwrap();
+        ta.pump(5, true).unwrap();
         await_progress(&mut tb, 5);
         close(ta, tb);
     }
@@ -844,7 +792,7 @@ mod tests {
             assert!(wa.out_links[1].push(flit(seq, cycle + 1)));
         }
         assert!(wa.in_links[0].inject_credit(CreditMsg { cycle, count: 2 }));
-        ta.pump(cycle, &NoPayloads, true).unwrap();
+        ta.pump(cycle, true).unwrap();
         let mut bytes = vec![0; 4096];
         let n = raw.read(&mut bytes).unwrap();
         bytes.truncate(n);
@@ -876,7 +824,7 @@ mod tests {
             assert_eq!(wb.in_links[1].in_flight(), 0, "split {split}: early flits");
             raw.write_all(&bytes[split..]).unwrap();
             await_progress(&mut tb, 7);
-            tb.ingest(&NoPayloads);
+            tb.ingest();
             assert_eq!(tb.peer_progress(), 7);
             assert_eq!(wb.in_links[1].in_flight(), 3, "split {split}: flits");
             assert_eq!(
@@ -906,8 +854,8 @@ mod tests {
         for (id, pipe, wiring) in [(1u64, pa, wa), (2, pb, wb)] {
             let (done, start) = (done_tx.clone(), Arc::clone(&start));
             std::thread::spawn(move || {
-                let ep = PayloadEndpoint::remote(Arc::new(PayloadStore::new()));
-                let mut t = FrameTransport::new(pipe, &wiring, 0, 1, Arc::new(ep.clone())).unwrap();
+                let store = Arc::new(PayloadStore::new());
+                let mut t = FrameTransport::new(pipe, &wiring, 0, 1, store.clone()).unwrap();
                 // A 4 MiB payload rides the tail flit: far beyond
                 // SO_SNDBUF and the ring.
                 let packet = Packet::new(
@@ -919,14 +867,14 @@ mod tests {
                     0,
                 )
                 .with_payload(Payload(vec![id; 512 << 10]));
-                ep.deposit(packet);
+                store.deposit(packet);
                 let mut tail = flit(0, 2);
                 (tail.packet, tail.kind) = (PacketId::new(id), FlitKind::HeadTail);
                 assert!(wiring.out_links[0].push(tail));
                 start.wait();
-                t.pump(1, &ep, true).unwrap();
+                t.pump(1, true).unwrap();
                 await_progress(&mut t, 1);
-                let got = ep.claim(PacketId::new(3 - id)).expect("peer's payload");
+                let got = store.claim(PacketId::new(3 - id)).expect("peer's payload");
                 assert_eq!(got.payload.words(), vec![3 - id; 512 << 10]);
                 drop(t);
                 done.send(()).unwrap();
@@ -952,13 +900,13 @@ mod tests {
         let (pa, pb) = P::pair();
         let (wa, wb) = adjacency(1, 4);
         let (mut ta, mut tb) = (transport(pa, &wa, 1), transport(pb, &wb, 1));
-        ta.pump(9, &NoPayloads, true).unwrap();
+        ta.pump(9, true).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| drop(ta));
             // B sees A's last cycle, then A's finish, and still pumps its own.
             await_progress(&mut tb, u64::MAX);
             assert!(tb.failed.is_none());
-            tb.pump(9, &NoPayloads, true)
+            tb.pump(9, true)
                 .expect("the finished peer must still accept our last frame");
             drop(tb);
         });
@@ -990,7 +938,7 @@ mod tests {
     fn corrupt_frames_and_mid_frame_eof<P: TestPipe>() {
         let good = wire_bytes::<P>(7, 3);
         let (_raw, mut tb) = fed::<P>(&good);
-        tb.pump(8, &NoPayloads, true).expect("clean finish");
+        tb.pump(8, true).expect("clean finish");
 
         let mut bad_channel = good.clone();
         bad_channel[20] = 9; // first flit's channel index
@@ -1016,12 +964,11 @@ mod tests {
             ),
         ] {
             let (_raw, mut tb) = fed::<P>(&bytes);
-            let err = tb.pump(8, &NoPayloads, true).expect_err(what);
+            let err = tb.pump(8, true).expect_err(what);
             assert_eq!(err.kind(), kind, "{what}: {err}");
             let named = format!("boundary {} to shard 0", P::LINK);
             assert!(err.to_string().contains(&named), "{what}: {err}");
-            tb.pump(9, &NoPayloads, true)
-                .expect("the failure is reported once");
+            tb.pump(9, true).expect("the failure is reported once");
         }
     }
 

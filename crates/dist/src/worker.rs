@@ -12,11 +12,10 @@
 
 use crate::protocol::{hello, CtrlMsg, TransportKind};
 use crate::shm::ShmPipe;
-use crate::spec::{DistSpec, DistSync, RunKind};
+use crate::spec::{DistSpec, RunKind};
 use crate::transport::{BoundaryTransport, BytePipe, FrameTransport, Stream, TransportSet};
 use crate::wire::{read_frame, write_frame};
-use crate::wiring::{build_shards, partition_for, ShardParts};
-use hornet_net::boundary::{BoundaryLink, BoundaryRx};
+use crate::wiring::{build_shards, partition_for};
 use hornet_net::ids::Cycle;
 use hornet_net::network::NetworkNode;
 use hornet_net::stats::NetworkStats;
@@ -29,6 +28,7 @@ use hornet_shard::driver::{
     WaitProfile,
 };
 use hornet_shard::termination::ShardLedger;
+use hornet_shard::wiring::ShardParts;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
 use std::net::{TcpListener, TcpStream};
@@ -75,8 +75,6 @@ pub struct WorkerOutcome {
     pub stats: NetworkStats,
     /// Every local agent finished and the shard drained.
     pub completed: bool,
-    /// The tiles (for in-process callers that want to inspect them).
-    pub tiles: Vec<NetworkNode>,
     /// Wall-time attribution of the shard loop (compute / wait / ingest /
     /// flush).
     pub profile: StallProfile,
@@ -85,70 +83,24 @@ pub struct WorkerOutcome {
     pub trace: TraceDump,
 }
 
-/// One shard's execution state, generic over the boundary transport.
+/// One shard of a worker process: its wired parts, its transports and its
+/// control state.
 pub struct ShardWorker {
-    /// The shard index (for diagnostics).
-    pub shard: usize,
-    /// The shard's tiles.
-    pub tiles: Vec<NetworkNode>,
-    /// All outbound boundary halves.
-    pub outbound: Vec<Arc<BoundaryLink>>,
-    /// All inbound receiver endpoints.
-    pub inbound: Vec<BoundaryRx>,
-    /// One transport per neighboring shard (attach in
-    /// [`transports_plan`](Self::transports_plan) order).
+    /// The shard's tiles and boundary endpoints.
+    pub parts: ShardParts,
+    /// One transport per neighboring shard, attached in
+    /// [`transports_plan`](Self::transports_plan) order.
     pub transports: Vec<Box<dyn BoundaryTransport>>,
-    /// Per-neighbor channel wiring, canonical order.
-    neighbors_meta: Vec<crate::wiring::NeighborWiring>,
     /// How payloads follow tail flits across this shard's boundaries.
     pub payloads: Arc<dyn PayloadChannel>,
-    /// Synchronization mode.
-    pub sync: DistSync,
-    /// Publish ledgers / honor skip directives.
-    pub track_ledger: bool,
-    /// Compute next-event info for fast-forward.
-    pub fast_forward: bool,
-    /// Capture a resumable checkpoint every this many cycles (strict only).
-    pub checkpoint_every: Option<u64>,
-    /// Ship a telemetry sample every this many cycles.
-    pub telemetry_every: Option<u64>,
-    /// Per-tile event-trace ring capacity (0 disables tracing).
-    pub trace_capacity: usize,
-    /// Compiled-kernel selection for the shard hot loop.
-    pub kernel: hornet_net::kernel::KernelMode,
+    /// The run: synchronization, fast-forward, checkpoint and telemetry
+    /// periods, tracing, kernel selection.
+    pub spec: DistSpec,
     /// Control-plane state.
     pub control: WorkerControl,
 }
 
 impl ShardWorker {
-    /// Builds a worker from wiring parts, the spec's synchronization
-    /// parameters and the process's payload channel (transports attached
-    /// separately).
-    pub fn from_parts(
-        parts: ShardParts,
-        spec: &DistSpec,
-        control: WorkerControl,
-        payloads: Arc<dyn PayloadChannel>,
-    ) -> Self {
-        Self {
-            shard: parts.shard,
-            tiles: parts.tiles,
-            outbound: parts.outbound,
-            inbound: parts.inbound,
-            transports: Vec::new(),
-            neighbors_meta: parts.neighbors,
-            payloads,
-            sync: spec.sync,
-            track_ledger: spec.needs_detector(),
-            fast_forward: spec.fast_forward,
-            checkpoint_every: spec.checkpoint_every,
-            telemetry_every: spec.telemetry_every,
-            trace_capacity: spec.trace_capacity.unwrap_or(0) as usize,
-            kernel: spec.kernel,
-            control,
-        }
-    }
-
     /// Restores a shard checkpoint into this (freshly built, not yet run)
     /// worker's tiles and boundary rings. Must happen before transports are
     /// attached and before any peer traffic can arrive. Returns
@@ -156,16 +108,16 @@ impl ShardWorker {
     pub fn restore(&mut self, checkpoint: &[u8]) -> io::Result<(Cycle, u64)> {
         hornet_shard::restore_shard(
             checkpoint,
-            &mut self.tiles,
-            &self.outbound,
-            &mut self.inbound,
+            &mut self.parts.tiles,
+            &self.parts.outbound,
+            &mut self.parts.inbound,
             &*self.payloads,
         )
     }
 
     /// Runs the shard for `cycles` cycles starting after `start` by handing
     /// everything to the unified [`CycleDriver`] — the per-cycle protocol
-    /// has exactly one implementation, shared with the thread backend.
+    /// has exactly one implementation, shared with the thread host.
     /// `received_start` seeds the cumulative delivery counter (nonzero when
     /// resuming from a checkpoint), `checkpoint` receives the periodic
     /// state captures when `checkpoint_every` is set, and `telemetry`
@@ -179,28 +131,26 @@ impl ShardWorker {
         telemetry: Option<&'c mut dyn TelemetrySink>,
     ) -> io::Result<WorkerOutcome> {
         let ShardWorker {
-            shard,
-            mut tiles,
-            outbound,
-            mut inbound,
+            parts:
+                ShardParts {
+                    shard,
+                    mut tiles,
+                    outbound,
+                    mut inbound,
+                    ..
+                },
             mut transports,
-            neighbors_meta: _,
             payloads,
-            sync,
-            track_ledger,
-            fast_forward,
-            checkpoint_every,
-            telemetry_every,
-            trace_capacity,
-            kernel,
+            spec,
             control,
         } = self;
+        let trace_capacity = spec.trace_capacity.unwrap_or(0) as usize;
         if trace_capacity > 0 {
             for tile in &mut tiles {
                 tile.enable_tracing(trace_capacity);
             }
         }
-        let metrics = telemetry_every.map(|_| MetricsRegistry::default());
+        let metrics = spec.telemetry_every.map(|_| MetricsRegistry::default());
         let mut runtime_ring = (trace_capacity > 0).then(|| TraceRing::new(trace_capacity));
         let mut set = TransportSet(&mut transports);
         let driver = CycleDriver {
@@ -221,10 +171,10 @@ impl ShardWorker {
         let driven = driver.run(&DriverParams {
             start,
             cycles,
-            sync,
-            track_ledger,
-            fast_forward,
-            checkpoint_every,
+            sync: spec.sync,
+            track_ledger: spec.needs_detector(),
+            fast_forward: spec.fast_forward,
+            checkpoint_every: spec.checkpoint_every,
             received_start,
             wait: WaitProfile::Sleep,
             // Wall-time attribution is always on for distributed workers: the
@@ -237,8 +187,8 @@ impl ShardWorker {
             // 5–19 % apart at ±15 % run-to-run spread. Over the 2 % budget as
             // measured: ROADMAP's observability item owns it.
             profile: true,
-            telemetry_every,
-            kernel,
+            telemetry_every: spec.telemetry_every,
+            kernel: spec.kernel,
         });
         let outcome = match driven {
             Ok(outcome) => outcome,
@@ -269,7 +219,6 @@ impl ShardWorker {
             final_now: outcome.final_now,
             stats: merge_tile_stats(&tiles),
             completed,
-            tiles,
             profile: outcome.profile,
             trace,
         })
@@ -469,15 +418,19 @@ pub fn worker_main(
     let mine = parts.swap_remove(shard);
     drop(parts);
 
-    // Data plane. The payload channel is remote: peers live in other
-    // processes, so packet payloads must follow their tail flits over the
-    // transports (the store itself is this process's bridge-side DMA park).
-    let payloads: Arc<dyn PayloadChannel> =
-        Arc::new(hornet_shard::driver::PayloadEndpoint::remote(store));
+    // Data plane. The payload channel is this process's store (its
+    // bridges' DMA park): peers live in other processes, so packet payloads
+    // must follow their tail flits over the transports.
     let batch = spec.socket_batch();
     let deadline = Instant::now() + Duration::from_secs(30);
     let control = WorkerControl::new();
-    let mut worker = ShardWorker::from_parts(mine, &spec, control.clone(), payloads);
+    let mut worker = ShardWorker {
+        parts: mine,
+        transports: Vec::new(),
+        payloads: store,
+        spec: (*spec).clone(),
+        control: control.clone(),
+    };
 
     // Crash recovery: restore the shipped checkpoint into the freshly built
     // shard *before* attaching transports — no peer traffic can race the
@@ -737,16 +690,15 @@ impl ShardWorker {
     /// The neighbor shard ids, in canonical (ascending) order — one
     /// transport must be attached per entry, in this order.
     pub fn transports_plan(&self) -> Vec<usize> {
-        self.neighbors_meta.iter().map(|n| n.peer).collect()
+        self.parts.neighbors.iter().map(|n| n.peer).collect()
     }
 
     /// Publishes `cycle` as this side's negedge progress on every attached
     /// transport and flushes any staged traffic. Used on resume, where peers
     /// must observe the rendezvous cycle rather than a transport's initial 0.
     pub fn publish_progress(&mut self, cycle: Cycle) -> io::Result<()> {
-        let payloads = Arc::clone(&self.payloads);
         for t in &mut self.transports {
-            t.pump(cycle, &*payloads, true)?;
+            t.pump(cycle, true)?;
         }
         Ok(())
     }
@@ -760,20 +712,10 @@ impl ShardWorker {
         start: Cycle,
         batch: u64,
     ) -> io::Result<()> {
-        let wiring = self.neighbor_wiring(i);
         let payloads = Arc::clone(&self.payloads);
-        let transport = FrameTransport::new(pipe, &wiring, start, batch, payloads)?;
+        let transport =
+            FrameTransport::new(pipe, &self.parts.neighbors[i], start, batch, payloads)?;
         self.transports.push(Box::new(transport));
         Ok(())
-    }
-
-    /// The wiring of the `i`-th planned neighbor.
-    pub fn neighbor_wiring(&self, i: usize) -> crate::wiring::NeighborWiring {
-        let n = &self.neighbors_meta[i];
-        crate::wiring::NeighborWiring {
-            peer: n.peer,
-            out_links: n.out_links.clone(),
-            in_links: n.in_links.clone(),
-        }
     }
 }

@@ -1,11 +1,13 @@
 //! What the distributed backend's integration tests share: the worker
 //! binary, the sequential references every CycleAccurate run must reproduce,
-//! and the bit-identity assertion. Each test file compiles its own copy and
-//! uses a subset.
+//! the same spec on the thread host, and the bit-identity assertion. Each
+//! test file compiles its own copy and uses a subset.
 #![allow(dead_code)]
 
+use hornet_core::engine::{EngineConfig, ParallelEngine};
 use hornet_dist::spec::{DistSpec, RunKind};
 use hornet_net::stats::NetworkStats;
+use hornet_obs::metrics::TelemetrySample;
 use hornet_obs::trace::TraceDump;
 use std::path::PathBuf;
 
@@ -26,6 +28,53 @@ pub fn run_sequential(spec: &DistSpec) -> (NetworkStats, u64, bool) {
         RunKind::ToCompletion { max } => network.run_to_completion(max),
     };
     (network.stats(), network.cycle(), completed)
+}
+
+/// Runs `spec` on the thread host — the product engine, `threads` shards of
+/// one process over shared boundary rings — with the spec's synchronization,
+/// fast-forward, kernel, telemetry and tracing. Returns
+/// `(stats, final_cycle, completed, samples, trace)`; the trace holds the
+/// tiles' flit-lifecycle events.
+///
+/// # Panics
+///
+/// Panics unless the run was actually split into `threads` shards.
+pub fn run_threads(
+    spec: &DistSpec,
+    threads: usize,
+) -> (NetworkStats, u64, bool, Vec<TelemetrySample>, TraceDump) {
+    let mut engine = ParallelEngine::from_network(
+        spec.build_network().expect("valid spec"),
+        EngineConfig {
+            threads,
+            sync: spec.sync,
+            fast_forward: spec.fast_forward,
+            kernel: spec.kernel,
+        },
+    );
+    engine.set_telemetry_every(spec.telemetry_every);
+    if let Some(capacity) = spec.trace_capacity {
+        engine.enable_tracing(capacity as usize);
+    }
+    let completed = match spec.run {
+        RunKind::Cycles(n) => {
+            engine.run(n);
+            true
+        }
+        RunKind::ToCompletion { max } => engine.run_to_completion(max),
+    };
+    assert_eq!(
+        engine.shard_info().map(|info| info.shards),
+        Some(threads),
+        "the run must take the sharded path"
+    );
+    (
+        engine.stats(),
+        engine.cycle(),
+        completed,
+        engine.take_samples(),
+        engine.drain_trace(),
+    )
 }
 
 /// Sequential reference with tracing on: stats plus canonical flit trace.

@@ -7,9 +7,8 @@
 //!   16×16 mesh reports the *identical* packet count, latency totals and
 //!   log₂ latency histogram as sequential simulation of the same spec —
 //!   under both uniform-random and transpose traffic;
-//! * the same holds for the shared-memory transport and the in-process
-//!   transport (the thread-backed reference of the `BoundaryTransport`
-//!   trait);
+//! * the same holds for the shared-memory transport and for the thread host
+//!   (the product engine, shards on threads of one process);
 //! * and for adaptive routing, whose congestion probe reads a cut link's
 //!   free space through its boundary channel, with every shard on the
 //!   compiled kernel;
@@ -19,9 +18,9 @@
 
 mod common;
 
-use common::{assert_bit_identical, run_sequential, worker_bin};
+use common::{assert_bit_identical, run_sequential, run_threads, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
-use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
+use hornet_dist::{run_distributed, HostOptions, TransportKind};
 use hornet_net::kernel::KernelMode;
 use hornet_net::routing::RoutingKind;
 use hornet_net::stats::NetworkStats;
@@ -144,17 +143,17 @@ fn two_process_tcp_cycle_accurate_is_bit_identical() {
     assert_bit_identical(&seq, &outcome.stats, "2-process tcp");
 }
 
-/// The in-process implementation of the transport trait (shared SPSC rings)
-/// through the same worker loop: bit-identical, and Slack preserves
+/// The same spec on the thread host (shards on threads over shared SPSC
+/// rings, through the same cycle driver): bit-identical, and Slack preserves
 /// functional totals.
 #[test]
 fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
     let spec = spec_16x16(SyntheticPattern::Transpose, 41, 2_000);
     let (seq, _, _) = run_sequential(&spec);
-    let ca = run_threaded(&spec, 4).expect("threaded run");
-    assert_bit_identical(&seq, &ca.stats, "threaded in-proc transport");
+    let (ca, ..) = run_threads(&spec, 4);
+    assert_bit_identical(&seq, &ca, "thread host");
 
-    let slack = run_threaded(
+    let (slack, _, completed, ..) = run_threads(
         &DistSpec {
             sync: DistSync::Slack(5),
             max_packets: Some(40),
@@ -162,18 +161,18 @@ fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
             ..spec.clone()
         },
         4,
-    )
-    .expect("slack run");
-    assert!(slack.completed, "slack run must complete");
+    );
+    assert!(completed, "slack run must complete");
     // Functional exactness: every offered packet delivered exactly once.
-    assert_eq!(slack.stats.delivered_packets, 256 * 40);
-    assert_eq!(slack.stats.routing_failures, 0);
+    assert_eq!(slack.delivered_packets, 256 * 40);
+    assert_eq!(slack.routing_failures, 0);
 }
 
 /// Adaptive routing across cut links: the RC probe of a tile on a shard edge
 /// reads downstream free space through the boundary channel's credit view,
-/// and every shard steps on the compiled kernel. Both the in-process shards
-/// and the worker processes must reproduce the sequential *interpreter*.
+/// and every shard steps on the compiled kernel. Both the thread host's
+/// shards and the worker processes must reproduce the sequential
+/// *interpreter*.
 #[cfg(unix)]
 #[test]
 fn adaptive_routing_across_cut_links_is_bit_identical() {
@@ -189,9 +188,9 @@ fn adaptive_routing_across_cut_links_is_bit_identical() {
     interp.run(1_500);
     assert_eq!(seq, interp.stats(), "sequential reference vs interpreter");
 
-    let threaded = run_threaded(&spec, 4).expect("threaded run");
-    assert_eq!(threaded.shards, 4);
-    assert_bit_identical(&seq, &threaded.stats, "adaptive, 4 in-proc shards");
+    // `run_threads` asserts the run was split into 4 shards.
+    let (threaded, ..) = run_threads(&spec, 4);
+    assert_bit_identical(&seq, &threaded, "adaptive, 4 thread-host shards");
 
     let outcome = run_distributed(
         &spec,

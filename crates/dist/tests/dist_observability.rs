@@ -2,14 +2,14 @@
 //! with event tracing and telemetry enabled must stay bit-identical to the
 //! sequential reference — in its `NetworkStats` *and* in its canonicalized
 //! flit-lifecycle trace — while the coordinator streams schema-valid NDJSON
-//! metrics and collects one stall profile per shard. The in-process threaded
-//! transport is held to the same bar.
+//! metrics and collects one stall profile per shard. The thread host is held
+//! to the same bar.
 
 mod common;
 
-use common::{sequential_reference, worker_bin};
+use common::{run_threads, sequential_reference, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, RunKind};
-use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
+use hornet_dist::{run_distributed, HostOptions, TransportKind};
 use hornet_obs::metrics::TelemetrySample;
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 
@@ -104,20 +104,20 @@ fn four_process_traced_run_is_bit_identical_and_streams_valid_metrics() {
     );
 }
 
-/// The threaded transport reference under the same observability load.
+/// The thread host under the same observability load.
 #[test]
 fn threaded_traced_run_is_bit_identical_and_samples() {
     let spec = observed_spec();
     let (seq_stats, seq_trace) = sequential_reference(&spec, 1_200);
-    let outcome = run_threaded(&spec, 4).expect("threaded run");
-    assert_eq!(outcome.stats, seq_stats, "threaded stats identical");
+    let (stats, _, _, samples, trace) = run_threads(&spec, 4);
+    assert_eq!(stats, seq_stats, "threaded stats identical");
     assert_eq!(
-        outcome.trace.flit_events(),
+        trace.flit_events(),
         seq_trace,
         "threaded canonical flit trace identical"
     );
-    assert!(!outcome.samples.is_empty(), "threaded workers sample too");
-    for s in &outcome.samples {
+    assert!(!samples.is_empty(), "threaded workers sample too");
+    for s in &samples {
         TelemetrySample::validate_ndjson_line(&s.to_ndjson()).expect("schema-valid sample");
     }
 }

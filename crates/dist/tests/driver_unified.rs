@@ -4,9 +4,10 @@
 //!
 //! * there is exactly **one** implementation of the per-cycle shard protocol
 //!   ([`hornet_shard::driver::CycleDriver`]): the *same* driver runs under
-//!   thread-backend hooks (`run_threaded`, in-process transport over shared
-//!   SPSC rings) and process-backend hooks (`run_distributed`, socket/shm
-//!   transports) and reports identical `NetworkStats`;
+//!   the thread host (the product engine's `ShardRuntime`, shards on
+//!   threads over shared SPSC rings) and the process host
+//!   (`run_distributed`, cycle frames over sockets or shared memory) and
+//!   reports identical `NetworkStats`;
 //! * packet **payloads** are first-class boundary traffic: a
 //!   memory-hierarchy workload (MIPS-like cores over MSI coherence, whose
 //!   protocol messages ride in packet payloads) runs under 4 socket-transport
@@ -16,9 +17,9 @@
 
 mod common;
 
-use common::{assert_bit_identical, run_sequential, worker_bin};
+use common::{assert_bit_identical, run_sequential, run_threads, worker_bin};
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
-use hornet_dist::{run_distributed, run_threaded, HostOptions, TransportKind};
+use hornet_dist::{run_distributed, HostOptions, TransportKind};
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 
 /// A memory workload: one MIPS-like core per tile storing and re-loading a
@@ -39,9 +40,9 @@ fn mem_spec(sync: DistSync) -> DistSpec {
     }
 }
 
-/// The same `CycleDriver` under thread-backend hooks (in-process transport)
-/// and process-backend hooks (Unix sockets): identical `NetworkStats`, both
-/// equal to the sequential reference.
+/// The same `CycleDriver` under the thread host and the process host (Unix
+/// sockets): identical `NetworkStats`, both equal to the sequential
+/// reference.
 #[cfg(unix)]
 #[test]
 fn same_cycle_driver_under_thread_and_process_hooks_is_identical() {
@@ -59,8 +60,8 @@ fn same_cycle_driver_under_thread_and_process_hooks_is_identical() {
     let (seq, _, _) = run_sequential(&spec);
     assert!(seq.delivered_packets > 0);
 
-    let threaded = run_threaded(&spec, 4).expect("thread-backend hooks");
-    assert_bit_identical(&seq, &threaded.stats, "driver under thread hooks");
+    let (threaded, ..) = run_threads(&spec, 4);
+    assert_bit_identical(&seq, &threaded, "driver under thread hooks");
 
     let process = run_distributed(
         &spec,
@@ -75,7 +76,7 @@ fn same_cycle_driver_under_thread_and_process_hooks_is_identical() {
     assert_bit_identical(&seq, &process.stats, "driver under process hooks");
 
     // Thread hooks and process hooks agree with each other, field by field.
-    assert_eq!(threaded.stats, process.stats, "hooks must not diverge");
+    assert_eq!(threaded, process.stats, "hooks must not diverge");
 }
 
 /// The payload round-trip acceptance test: a `crates/mem`-driven workload on
@@ -139,9 +140,9 @@ fn memory_workload_over_shm_is_bit_identical() {
     assert_bit_identical(&seq, &outcome.stats, "mem workload, 4-process shm");
 }
 
-/// A CPU workload (user-level MPI-style payloads) under the thread-backend
-/// hooks of the same driver: the token makes it around the ring, which is
-/// only possible if payloads reach the right cores.
+/// A CPU workload (user-level MPI-style payloads) on the thread host's
+/// drivers: the token makes it around the ring, which is only possible if
+/// payloads reach the right cores.
 #[test]
 fn cpu_token_ring_completes_under_threaded_driver() {
     let spec = DistSpec {
@@ -158,9 +159,9 @@ fn cpu_token_ring_completes_under_threaded_driver() {
     // One user packet per hop around the ring.
     assert_eq!(seq.delivered_packets, 16);
 
-    let outcome = run_threaded(&spec, 4).expect("threaded token ring");
-    assert!(outcome.completed, "token must circulate to completion");
-    assert_bit_identical(&seq, &outcome.stats, "token ring, thread hooks");
+    let (stats, _, completed, ..) = run_threads(&spec, 4);
+    assert!(completed, "token must circulate to completion");
+    assert_bit_identical(&seq, &stats, "token ring, thread hooks");
 }
 
 /// Regression test: Periodic(n) + fast-forward over batched sockets. Skip

@@ -29,14 +29,16 @@
 //!
 //! * sequential runs (`Network::run`, the benchmark's stepper): the caller's
 //!   thread drives every tile, so it owns every buffer;
-//! * the thread backend (`hornet_shard::ShardRuntime`) and the multi-process
-//!   backends (`hornet-dist` workers): before a run, *every link whose two
-//!   routers land in different shards is rewired* — the upstream egress port
-//!   gets a [`BoundaryLink`] mailbox ([`crate::spsc`] rings) in place of the
+//! * the thread host (`hornet_shard::ShardRuntime`) and every `hornet-dist`
+//!   worker process: before a run, one routine,
+//!   `hornet_shard::wiring::wire_shards`, rewires *every link whose two
+//!   routers land in different shards* — the upstream egress port gets a
+//!   [`BoundaryLink`] mailbox ([`crate::spsc`] rings) in place of the
 //!   `Arc<VcBuffer>` handles, and the receiving shard gets the matching
 //!   `BoundaryRx`. What is left behind an `EgressChannel::Local` is always a
 //!   buffer of a tile in the *same* shard, so the shard's driver thread is
-//!   the only one that touches it. After the run the links are swapped back.
+//!   the only one that touches it. After a thread-host run the links are
+//!   swapped back (`hornet_shard::wiring::unwire`).
 //!
 //! Ownership changes hands only while no cycle is in flight: when the tiles
 //! are moved to a worker (a channel send), when they come back (a channel
@@ -47,7 +49,8 @@
 //! threads; nothing may share a `VcBuffer` across a shard cut.
 //!
 //! `hornet-shard`'s `wiring_leaves_no_local_channel_across_a_cut` test checks
-//! the structural half of this on the wired tiles.
+//! the structural half of this on the tiles `wire_shards` hands out, which
+//! covers both hosts.
 //!
 //! # Storage
 //!

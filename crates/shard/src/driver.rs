@@ -11,20 +11,24 @@
 //!
 //! * [`TransportPump`] — how progress, flits and credits move between this
 //!   shard and its neighbors: shared atomics and SPSC rings for the thread
-//!   backend, shared-memory segments or socket frames for the distributed
-//!   backend. The pump's contract is the same one `hornet-dist` documents:
-//!   *everything a shard emitted up to and including its negedge of cycle `c`
-//!   is visible to a peer before that peer observes progress ≥ `c`.*
+//!   host ([`crate::ShardRuntime`]), cycle frames over a socket or a
+//!   shared-memory pipe for a `hornet-dist` worker. The pump's contract is
+//!   the same one `hornet-dist` documents: *everything a shard emitted up to
+//!   and including its negedge of cycle `c` is visible to a peer before that
+//!   peer observes progress ≥ `c`.*
 //! * [`PayloadChannel`] — how packet *payloads* (the DMA side of the flit
-//!   model) follow their tail flits across a shard boundary. Same-process
-//!   backends share one [`PayloadStore`] and the channel is a no-op
-//!   ([`PayloadChannel::shared`] returns `true`); multi-process transports
-//!   claim a packet's payload when its tail flit is drained to the wire and
-//!   re-deposit it on arrival, so memory-hierarchy and CPU workloads run
-//!   under `hornet-dist` bit-identically to sequential simulation.
+//!   model) follow their tail flits across a shard boundary. Threads share
+//!   one [`PayloadStore`] and the channel is a no-op ([`NoPayloads`]); a
+//!   worker process's store is its channel, which its transports claim a
+//!   packet's payload from when the tail flit is drained to the wire and
+//!   re-deposit it into on arrival, so memory-hierarchy and CPU workloads run
+//!   under `hornet-dist` bit-identically to sequential simulation. The driver
+//!   itself only reads the channel for checkpoints.
 //!
-//! Both backends are now thin hosts: they wire boundaries, build their pump,
-//! and call [`CycleDriver::run`].
+//! Both hosts are thin: they wire boundaries with
+//! [`crate::wiring::wire_shards`], build their pump, call
+//! [`CycleDriver::run`], and act on quiescence with
+//! [`crate::termination::decide`].
 //!
 //! This is the *production* cycle loop: telemetry, tracing, checkpoints and
 //! stall profiling attach here and nowhere else. Its reference is the plain
@@ -67,10 +71,6 @@ pub trait PayloadChannel: Send + Sync {
     /// (receiver side, called before the tail flit is made visible).
     fn deposit(&self, packet: Packet);
 
-    /// `true` when both endpoints share the backing store — payloads need
-    /// not (and must not) be moved by the transport.
-    fn shared(&self) -> bool;
-
     /// Checkpoint capture: every packet currently parked in this process's
     /// store, in canonical (packet-id) order. Channels whose store is shared
     /// across shards return nothing — the host snapshots such stores once,
@@ -90,59 +90,19 @@ impl PayloadChannel for NoPayloads {
         None
     }
     fn deposit(&self, _packet: Packet) {}
-    fn shared(&self) -> bool {
-        true
-    }
 }
 
-/// A [`PayloadChannel`] backed by a process's [`PayloadStore`].
-#[derive(Clone)]
-pub struct PayloadEndpoint {
-    store: Arc<PayloadStore>,
-    remote: bool,
-}
-
-impl PayloadEndpoint {
-    /// Endpoint for shards sharing this store (thread backend): the
-    /// transport leaves payloads alone.
-    pub fn shared(store: Arc<PayloadStore>) -> Self {
-        Self {
-            store,
-            remote: false,
-        }
-    }
-
-    /// Endpoint for a process-local store whose peers live elsewhere: the
-    /// transport must carry payloads over the wire.
-    pub fn remote(store: Arc<PayloadStore>) -> Self {
-        Self {
-            store,
-            remote: true,
-        }
-    }
-
-    /// The backing store.
-    pub fn store(&self) -> &Arc<PayloadStore> {
-        &self.store
-    }
-}
-
-impl PayloadChannel for PayloadEndpoint {
+/// A process's own store is the channel of a shard whose peers live in other
+/// processes: the transport claims from it and deposits into it.
+impl PayloadChannel for PayloadStore {
     fn claim(&self, id: PacketId) -> Option<Packet> {
-        self.store.claim(id)
+        PayloadStore::claim(self, id)
     }
     fn deposit(&self, packet: Packet) {
-        self.store.deposit(packet);
-    }
-    fn shared(&self) -> bool {
-        !self.remote
+        PayloadStore::deposit(self, packet);
     }
     fn parked(&self) -> Vec<Packet> {
-        if self.remote {
-            self.store.snapshot_packets()
-        } else {
-            Vec::new()
-        }
+        self.snapshot_packets()
     }
 }
 
@@ -159,14 +119,14 @@ pub trait TransportPump {
     /// Moves everything peers have made visible into the local staging rings
     /// (and deposits any arrived payloads). No-op for backends whose rings
     /// are shared directly.
-    fn ingest(&mut self, _payloads: &dyn PayloadChannel) {}
+    fn ingest(&mut self) {}
 
     /// Called after the local negedge of `cycle`: make every staged outbound
     /// flit, credit and payload visible to the peers, then publish `cycle`
     /// as this side's progress. `flush` forces buffered wire traffic out
     /// (transports may otherwise coalesce several cycles per write under
     /// loose synchronization).
-    fn pump(&mut self, cycle: Cycle, payloads: &dyn PayloadChannel, flush: bool) -> io::Result<()>;
+    fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()>;
 
     /// Posedge phase publication and, where cut links carry
     /// bandwidth-adaptive bidirectional links, the matching wait. Returns
@@ -183,7 +143,7 @@ pub trait TransportPump {
 
     /// Progress publication after a fast-forward jump to `target` (both
     /// clock edges are considered complete up to `target`).
-    fn publish_jump(&mut self, target: Cycle, payloads: &dyn PayloadChannel) -> io::Result<()>;
+    fn publish_jump(&mut self, target: Cycle) -> io::Result<()>;
 
     /// A short diagnostic of peer progress for stall reports.
     fn stall_report(&self) -> String {
@@ -445,7 +405,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 }
             }
             if spins.is_multiple_of(512) {
-                self.transport.ingest(self.payloads);
+                self.transport.ingest();
                 if !strict {
                     for link in self.outbound {
                         link.apply_credits(None);
@@ -534,7 +494,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             if let Some(m) = self.metrics {
                 m.histogram("batch_wait_ns").record(waited_ns);
             }
-            self.transport.ingest(self.payloads);
+            self.transport.ingest();
             if p.profile {
                 profile.ingest_ns += lap(&mut mark);
             }
@@ -586,7 +546,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                         let target = skip.min(end);
                         jump(self.tiles, now, target);
                         now = target;
-                        self.transport.publish_jump(now, self.payloads)?;
+                        self.transport.publish_jump(now)?;
                         continue 'run;
                     }
                 }
@@ -652,7 +612,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 if p.profile {
                     profile.compute_ns += lap(&mut mark);
                 }
-                self.transport.pump(next, self.payloads, next == end)?;
+                self.transport.pump(next, next == end)?;
                 if p.profile {
                     profile.flush_ns += lap(&mut mark);
                 }
@@ -685,7 +645,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
         // Flush buffered wire traffic (batched socket frames) so peers still
         // draining our final cycles observe them; ignore errors — a peer that
         // already exited has nothing left to wait on.
-        let _ = self.transport.pump(now, self.payloads, true);
+        let _ = self.transport.pump(now, true);
         if p.profile {
             profile.flush_ns += lap(&mut mark);
         }

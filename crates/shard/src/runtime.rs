@@ -51,16 +51,16 @@
 //! usual neighbor drift gates.
 
 use crate::driver::{
-    merge_tile_stats, CycleDriver, DriverParams, NoPayloads, PayloadChannel, SyncMode,
-    TelemetrySink, TransportPump, WaitProfile,
+    merge_tile_stats, CycleDriver, DriverParams, NoPayloads, SyncMode, TelemetrySink,
+    TransportPump, WaitProfile,
 };
 use crate::partition::Partition;
-use crate::sys;
-use crate::termination::{scan_ledgers, Quiescence, ShardLedger};
-use hornet_net::boundary::{BoundaryLink, BoundaryRx, EgressChannel};
+use crate::termination::{decide, scan_ledgers, Directive, ShardLedger};
+use crate::wiring::{cut_links, unwire, wire_shards, ShardParts};
+use hornet_net::boundary::BoundaryRx;
 use hornet_net::ids::Cycle;
 use hornet_net::kernel::KernelMode;
-use hornet_net::network::{skip_target, NetworkNode};
+use hornet_net::network::NetworkNode;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::{MetricsRegistry, TelemetrySample};
 use hornet_obs::profile::StallProfile;
@@ -157,17 +157,7 @@ impl SyncShared {
 
 /// One unit of work for a worker: simulate one shard for one run.
 struct Job {
-    shard: usize,
-    tiles: Vec<NetworkNode>,
-    /// Receiver endpoints of the boundary links feeding this shard.
-    inbound: Vec<BoundaryRx>,
-    /// Sender-side boundary links whose credits this shard applies.
-    outbound: Vec<Arc<BoundaryLink>>,
-    /// Shards sharing a cut link with this one.
-    neighbors: Vec<usize>,
-    /// Cut links of this shard carry bandwidth-adaptive bidirectional links,
-    /// whose demand arbitration needs posedge/negedge phase separation.
-    phase_wait: bool,
+    parts: ShardParts,
     sync: Arc<SyncShared>,
     params: RunParams,
     done: Sender<JobResult>,
@@ -222,12 +212,7 @@ fn wait_floor(stop: &AtomicBool, counters: &[AtomicU64], shards: &[usize], floor
 /// Spins until *every* shard's counter reaches `floor` (the counter-based
 /// rendezvous behind `barrier_batches`), or the stop flag is raised.
 fn wait_floor_all(stop: &AtomicBool, counters: &[AtomicU64], floor: u64) -> bool {
-    for n in 0..counters.len() {
-        if !wait_floor(stop, counters, &[n], floor) {
-            return false;
-        }
-    }
-    true
+    (0..counters.len()).all(|n| wait_floor(stop, counters, &[n], floor))
 }
 
 /// The thread backend's [`TransportPump`]: boundary rings are shared
@@ -252,12 +237,7 @@ impl TransportPump for ThreadPump<'_> {
             .all(|&n| self.sync.negedge_done[n].load(Ordering::Acquire) >= floor)
     }
 
-    fn pump(
-        &mut self,
-        cycle: Cycle,
-        _payloads: &dyn PayloadChannel,
-        _flush: bool,
-    ) -> std::io::Result<()> {
+    fn pump(&mut self, cycle: Cycle, _flush: bool) -> std::io::Result<()> {
         self.sync.negedge_done[self.shard].store(cycle, Ordering::Release);
         Ok(())
     }
@@ -279,11 +259,7 @@ impl TransportPump for ThreadPump<'_> {
         }
     }
 
-    fn publish_jump(
-        &mut self,
-        target: Cycle,
-        _payloads: &dyn PayloadChannel,
-    ) -> std::io::Result<()> {
+    fn publish_jump(&mut self, target: Cycle) -> std::io::Result<()> {
         self.sync.posedge_done[self.shard].store(target, Ordering::Release);
         self.sync.negedge_done[self.shard].store(target, Ordering::Release);
         Ok(())
@@ -324,16 +300,20 @@ impl TelemetrySink for TeeSink<'_> {
 /// unified [`CycleDriver`] (the protocol itself lives in [`crate::driver`]).
 fn run_shard(job: Job) -> JobResult {
     let Job {
-        shard,
-        mut tiles,
-        mut inbound,
-        outbound,
-        neighbors,
-        phase_wait,
+        parts:
+            ShardParts {
+                shard,
+                mut tiles,
+                outbound,
+                mut inbound,
+                neighbors,
+                phase_wait,
+            },
         sync,
         params: p,
         done: _done,
     } = job;
+    let neighbors: Vec<usize> = neighbors.iter().map(|n| n.peer).collect();
     let mut pump = ThreadPump {
         shard,
         sync: &sync,
@@ -403,20 +383,10 @@ fn run_shard(job: Job) -> JobResult {
     }
 }
 
-/// Configuration of the worker pool itself (as opposed to per-run
-/// [`RunParams`]).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardConfig {
-    /// Pin each worker thread to one core (`worker index mod host cores`)
-    /// via `sched_setaffinity`. Linux-only; silently a no-op elsewhere.
-    pub pin_to_cores: bool,
-}
-
 /// A persistent pool of shard workers, spawned once and fed one job per shard
 /// per `run()` call.
 pub struct ShardRuntime {
     workers: Vec<WorkerHandle>,
-    config: ShardConfig,
 }
 
 struct WorkerHandle {
@@ -434,14 +404,8 @@ impl ShardRuntime {
     /// Creates a runtime with `workers` persistent worker threads (more are
     /// spawned on demand when a run needs them).
     pub fn new(workers: usize) -> Self {
-        Self::with_config(workers, ShardConfig::default())
-    }
-
-    /// Creates a runtime with an explicit pool configuration.
-    pub fn with_config(workers: usize, config: ShardConfig) -> Self {
         let mut rt = Self {
             workers: Vec::new(),
-            config,
         };
         rt.ensure_workers(workers);
         rt
@@ -454,20 +418,14 @@ impl ShardRuntime {
 
     /// Spawns additional workers until at least `count` exist.
     pub fn ensure_workers(&mut self, count: usize) {
-        let cores = std::thread::available_parallelism().map_or(1, usize::from);
         while self.workers.len() < count {
             let (tx, rx): (Sender<Job>, Receiver<Job>) = channel();
-            let idx = self.workers.len();
-            let pin = self.config.pin_to_cores;
             let handle = std::thread::Builder::new()
-                .name(format!("hornet-shard-{idx}"))
+                .name(format!("hornet-shard-{}", self.workers.len()))
                 .spawn(move || {
-                    if pin {
-                        sys::pin_current_thread(idx % cores);
-                    }
                     while let Ok(job) = rx.recv() {
                         let done = job.done.clone();
-                        let shard = job.shard;
+                        let shard = job.parts.shard;
                         let sync = Arc::clone(&job.sync);
                         // A panicking shard must not wedge the run: report a
                         // failure marker and raise the stop flag so peers
@@ -521,51 +479,24 @@ impl ShardRuntime {
         partition: &Partition,
         params: RunParams,
     ) -> RunOutcome {
-        assert_eq!(
-            partition.node_count(),
-            nodes.len(),
-            "partition must cover every tile exactly once"
-        );
         let shards = partition.shard_count();
         self.ensure_workers(shards);
-
-        let mut nodes = nodes;
-        let wiring = wire_boundaries(&mut nodes, partition);
-
-        // Split the tiles into per-shard vectors following the partition's
-        // member lists (row bands are contiguous, column bands are not).
         let node_count = nodes.len();
-        let mut slots: Vec<Option<NetworkNode>> = nodes.into_iter().map(Some).collect();
-        let per_shard_tiles: Vec<Vec<NetworkNode>> = partition
-            .all_members()
-            .iter()
-            .map(|members| {
-                members
-                    .iter()
-                    .map(|&i| slots[i].take().expect("each tile in exactly one shard"))
-                    .collect()
-            })
-            .collect();
-
+        let cut_count = cut_links(&nodes, partition).len();
         let end = params.start + params.cycles;
         let sync = Arc::new(SyncShared::new(shards, params.start));
         let (done_tx, done_rx) = channel::<JobResult>();
-        let mut inbound = wiring.inbound;
-        let mut outbound = wiring.outbound;
-        let mut neighbors = wiring.neighbors;
-        for (shard, tiles) in per_shard_tiles.into_iter().enumerate() {
+        for parts in wire_shards(nodes, partition) {
             let job = Job {
-                shard,
-                tiles,
-                inbound: std::mem::take(&mut inbound[shard]),
-                outbound: std::mem::take(&mut outbound[shard]),
-                neighbors: std::mem::take(&mut neighbors[shard]),
-                phase_wait: wiring.phase_wait[shard],
+                parts,
                 sync: Arc::clone(&sync),
                 params: params.clone(),
                 done: done_tx.clone(),
             };
-            self.workers[shard].jobs.send(job).expect("worker alive");
+            self.workers[job.parts.shard]
+                .jobs
+                .send(job)
+                .expect("worker alive");
         }
         drop(done_tx);
 
@@ -652,13 +583,13 @@ impl ShardRuntime {
             .map(|s| s.expect("every tile returned"))
             .collect();
 
-        unwire_boundaries(&mut nodes, &wiring.directed);
+        unwire(&mut nodes, partition);
 
         RunOutcome {
             nodes,
             final_cycle,
             per_shard_stats,
-            cut_links: wiring.cut_count,
+            cut_links: cut_count,
             per_shard_profiles,
             samples,
             runtime_trace,
@@ -666,41 +597,25 @@ impl ShardRuntime {
     }
 }
 
-/// One detector iteration: scan the ledgers and, on a consistent idle
-/// snapshot with balanced credits, declare completion or publish a
-/// fast-forward target.
+/// One detector iteration: scan the ledgers and act on the verdict. The
+/// jump floor is the newest shard clock and the target already published —
+/// a target at or below either is one some shard has simulated past.
 fn detector_pass(sync: &SyncShared, p: &RunParams, end: Cycle) {
     if sync.stop.load(Ordering::Acquire) {
         return;
     }
-    match scan_ledgers(&sync.ledgers) {
-        Quiescence::Active => {}
-        Quiescence::Idle {
-            finished,
-            next_event,
-            ..
-        } => {
-            if p.detect_completion && finished {
-                sync.stop.store(true, Ordering::Release);
-                return;
-            }
-            if p.fast_forward {
-                let target = skip_target(next_event, end);
-                // Only publish a target strictly ahead of every shard's
-                // clock — otherwise some shard has already simulated past it
-                // and the jump would be a no-op (or worse, re-published
-                // forever).
-                let newest = sync
-                    .negedge_done
-                    .iter()
-                    .map(|c| c.load(Ordering::Acquire))
-                    .max()
-                    .unwrap_or(0);
-                if target > newest && target > sync.skip_to.load(Ordering::Acquire) {
-                    sync.skip_to.store(target, Ordering::Release);
-                }
-            }
-        }
+    let verdict = scan_ledgers(&sync.ledgers);
+    let newest = sync
+        .negedge_done
+        .iter()
+        .map(|c| c.load(Ordering::Acquire))
+        .max()
+        .unwrap_or(0);
+    let floor = newest.max(sync.skip_to.load(Ordering::Acquire));
+    match decide(verdict, p.detect_completion, p.fast_forward, end, floor) {
+        Some(Directive::Stop) => sync.stop.store(true, Ordering::Release),
+        Some(Directive::Skip(target)) => sync.skip_to.store(target, Ordering::Release),
+        None => {}
     }
 }
 
@@ -713,182 +628,6 @@ impl Drop for ShardRuntime {
             w.jobs = dead_tx;
             if let Some(handle) = w.handle.take() {
                 let _ = handle.join();
-            }
-        }
-    }
-}
-
-/// Everything `run` needs to hand boundary endpoints to workers and restore
-/// the direct wiring afterwards.
-struct Wiring {
-    /// Directed cut links as `(src_index, dst_index)` node-index pairs.
-    directed: Vec<(usize, usize)>,
-    inbound: Vec<Vec<BoundaryRx>>,
-    outbound: Vec<Vec<Arc<BoundaryLink>>>,
-    neighbors: Vec<Vec<usize>>,
-    phase_wait: Vec<bool>,
-    cut_count: usize,
-}
-
-/// Replaces the shared ingress buffers of every cut link with boundary
-/// mailboxes and collects the per-shard endpoint lists.
-fn wire_boundaries(nodes: &mut [NetworkNode], partition: &Partition) -> Wiring {
-    let shards = partition.shard_count();
-    // The topology's edge list, as the routers see it; the partitioner turns
-    // it into the cut set and the shard-neighbor relation (one source of
-    // truth for both the wiring and the reported layout).
-    let edges = nodes
-        .iter()
-        .flat_map(|node| {
-            let id = node.node();
-            node.neighbors()
-                .iter()
-                .filter(move |nb| nb.index() > id.index())
-                .map(move |&nb| (id, nb))
-        })
-        .collect::<Vec<_>>();
-    let cuts = partition.cut_links(edges.iter().copied());
-    let neighbors = partition.shard_adjacency(edges.iter().copied());
-
-    let mut wiring = Wiring {
-        directed: Vec::with_capacity(cuts.len() * 2),
-        inbound: (0..shards).map(|_| Vec::new()).collect(),
-        outbound: (0..shards).map(|_| Vec::new()).collect(),
-        neighbors,
-        phase_wait: vec![false; shards],
-        cut_count: cuts.len(),
-    };
-    for &(a, b) in &cuts {
-        let (a, b) = (a.index(), b.index());
-        for (src, dst) in [(a, b), (b, a)] {
-            let src_id = nodes[src].node();
-            let dst_id = nodes[dst].node();
-            let (s_src, s_dst) = (partition.shard_of(src_id), partition.shard_of(dst_id));
-            let targets = nodes[dst].router().ingress_buffers_from(src_id).to_vec();
-            // Seed the sender's credit view with the buffer's current
-            // occupancy: wiring may happen mid-simulation, with flits from a
-            // previous run still resident downstream.
-            let links: Vec<Arc<BoundaryLink>> = targets
-                .iter()
-                .map(|t| BoundaryLink::with_resident(t.capacity(), t.occupancy()))
-                .collect();
-            let channels: Vec<EgressChannel> = links
-                .iter()
-                .map(|l| EgressChannel::Boundary(Arc::clone(l)))
-                .collect();
-            nodes[src]
-                .router_mut()
-                .swap_egress_channels(dst_id, channels);
-            if nodes[src].router().has_bidir_toward(dst_id) {
-                wiring.phase_wait[s_src] = true;
-                wiring.phase_wait[s_dst] = true;
-            }
-            wiring.outbound[s_src].extend(links.iter().cloned());
-            wiring.inbound[s_dst].extend(
-                links
-                    .into_iter()
-                    .zip(targets)
-                    .map(|(link, target)| BoundaryRx::new(link, target)),
-            );
-            wiring.directed.push((src, dst));
-        }
-    }
-    wiring
-}
-
-/// Restores direct shared-buffer wiring on every previously cut link. The
-/// caller flushed all in-flight mailbox flits into the real ingress buffers,
-/// so this is a pure pointer swap.
-fn unwire_boundaries(nodes: &mut [NetworkNode], directed: &[(usize, usize)]) {
-    for &(src, dst) in directed {
-        let src_id = nodes[src].node();
-        let dst_id = nodes[dst].node();
-        let channels: Vec<EgressChannel> = nodes[dst]
-            .router()
-            .ingress_buffers_from(src_id)
-            .iter()
-            .cloned()
-            .map(EgressChannel::Local)
-            .collect();
-        nodes[src]
-            .router_mut()
-            .swap_egress_channels(dst_id, channels);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::partition::Partitioner;
-    use hornet_net::config::NetworkConfig;
-    use hornet_net::geometry::Geometry;
-    use hornet_net::network::Network;
-    use hornet_net::vcbuf::VcBuffer;
-    use std::collections::HashMap;
-
-    /// The structural fact the single-owner `VcBuffer` rests on: once the
-    /// runtime has wired a partition, every buffer reachable through an
-    /// `EgressChannel::Local` belongs to a tile of the sender's own shard,
-    /// every link that crosses a cut is a boundary mailbox, and the mailbox's
-    /// receiving end is handed to the shard that owns the buffer it feeds.
-    #[test]
-    fn wiring_leaves_no_local_channel_across_a_cut() {
-        for shards in [2, 4] {
-            let cfg = NetworkConfig::new(Geometry::mesh2d(4, 4));
-            let (mut nodes, _payloads) = Network::new(&cfg, 1).unwrap().into_nodes();
-            let partition = Partitioner::new(shards).mesh(4, 4);
-            assert_eq!(partition.shard_count(), shards);
-            let wiring = wire_boundaries(&mut nodes, &partition);
-            assert!(wiring.cut_count > 0);
-
-            // Which shard owns each router-facing ingress buffer.
-            let mut owner: HashMap<*const VcBuffer, usize> = HashMap::new();
-            for node in &nodes {
-                for &from in node.neighbors() {
-                    for buf in node.router().ingress_buffers_from(from) {
-                        owner.insert(Arc::as_ptr(buf), partition.shard_of(node.node()));
-                    }
-                }
-            }
-
-            let (mut local, mut boundary) = (0, 0);
-            for node in &nodes {
-                let src = node.node();
-                for &dst in node.neighbors() {
-                    let cut = partition.shard_of(src) != partition.shard_of(dst);
-                    for channel in node.router().egress_channels(dst) {
-                        match channel {
-                            EgressChannel::Local(buf) => {
-                                assert!(!cut, "{src} -> {dst}: local channel across a cut");
-                                assert_eq!(owner[&Arc::as_ptr(buf)], partition.shard_of(src));
-                                local += 1;
-                            }
-                            EgressChannel::Boundary(_) => {
-                                assert!(cut, "{src} -> {dst}: mailbox inside a shard");
-                                boundary += 1;
-                            }
-                        }
-                    }
-                }
-            }
-            let vcs = cfg.vcs_per_port;
-            assert_eq!(boundary, 2 * wiring.cut_count * vcs, "{shards} shards");
-            assert_eq!(local + boundary, 2 * 24 * vcs, "a 4x4 mesh has 24 links");
-            for (shard, endpoints) in wiring.inbound.iter().enumerate() {
-                for rx in endpoints {
-                    assert_eq!(owner[&Arc::as_ptr(rx.target())], shard);
-                }
-            }
-
-            // Unwiring restores the direct handles everywhere.
-            unwire_boundaries(&mut nodes, &wiring.directed);
-            for node in &nodes {
-                for &dst in node.neighbors() {
-                    let channels = node.router().egress_channels(dst);
-                    assert!(channels
-                        .iter()
-                        .all(|c| matches!(c, EgressChannel::Local(_))));
-                }
             }
         }
     }

@@ -31,6 +31,7 @@
 //! and spontaneous activity comes only from agents, which is what the
 //! `finished` / `next_event` gates cover.
 
+use hornet_net::network::skip_target;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The state one shard publishes for termination/fast-forward decisions.
@@ -220,6 +221,45 @@ pub fn scan_ledgers(ledgers: &[ShardLedger]) -> Quiescence {
     )
 }
 
+/// What a detector does about a quiescence verdict.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Directive {
+    /// Every agent finished and the system drained: stop every shard.
+    Stop,
+    /// Nothing happens before this cycle: jump every clock to it.
+    Skip(u64),
+}
+
+/// The one decision both detectors — the thread host's caller thread and
+/// the distributed coordinator — take on a verdict: stop a completion run
+/// whose agents all finished, otherwise, under fast-forward, jump to the
+/// next event (capped at `end`, the cycle budget) if that lies beyond
+/// `floor`. The caller supplies `floor` from what it knows of the shard
+/// clocks and the targets it already published, so a jump some shard has
+/// already simulated past — a no-op, or one re-published forever — is never
+/// issued.
+pub fn decide(
+    verdict: Quiescence,
+    completion: bool,
+    fast_forward: bool,
+    end: u64,
+    floor: u64,
+) -> Option<Directive> {
+    let Quiescence::Idle {
+        finished,
+        next_event,
+        ..
+    } = verdict
+    else {
+        return None;
+    };
+    if completion && finished {
+        return Some(Directive::Stop);
+    }
+    let target = skip_target(next_event, end);
+    (fast_forward && target > floor).then_some(Directive::Skip(target))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,5 +361,31 @@ mod tests {
                 cycle: 10
             }
         );
+    }
+
+    #[test]
+    fn decide_stops_finished_completion_runs_and_skips_past_the_floor() {
+        let idle = |finished, next_event| Quiescence::Idle {
+            finished,
+            next_event,
+            cycle: 10,
+        };
+        assert_eq!(decide(Quiescence::Active, true, true, 100, 0), None);
+        assert_eq!(
+            decide(idle(true, 50), true, true, 100, 0),
+            Some(Directive::Stop)
+        );
+        // Not a completion run: a finished system still only skips.
+        assert_eq!(
+            decide(idle(true, 50), false, true, 100, 0),
+            Some(Directive::Skip(49))
+        );
+        assert_eq!(decide(idle(false, 50), true, false, 100, 0), None);
+        // The target is capped at the budget end and must clear the floor.
+        assert_eq!(
+            decide(idle(false, u64::MAX), false, true, 100, 20),
+            Some(Directive::Skip(100))
+        );
+        assert_eq!(decide(idle(false, 50), false, true, 100, 50), None);
     }
 }
