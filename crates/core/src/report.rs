@@ -342,4 +342,49 @@ mod tests {
         let r = SimReport::default();
         assert_eq!(r.simulation_speed(), 0.0);
     }
+
+    #[test]
+    fn to_json_is_byte_stable() {
+        assert_eq!(
+            SimReport::default().to_json(),
+            r#"{"measured_cycles":0,"wall_time_s":0.000000,"warmup_wall_time_s":0.000000,"cycles_per_sec":0.0,"threads":0,"sync":"","delivered_packets":0,"delivered_flits":0,"avg_packet_latency":0.0000}"#
+        );
+        let mut network = NetworkStats::new();
+        network.delivered_packets = 10;
+        network.delivered_flits = 40;
+        network.total_packet_latency = 257;
+        network.latency_histogram = vec![0; 32];
+        network.latency_histogram[4] = 7;
+        network.latency_histogram[5] = 3;
+        let busy = |b: u64| NetworkStats {
+            busy_cycles: b,
+            ..NetworkStats::default()
+        };
+        let stalls = |compute_ns, wait_ns| StallProfile {
+            compute_ns,
+            wait_ns,
+            ingest_ns: 30,
+            flush_ns: 20,
+        };
+        let report = SimReport {
+            network,
+            measured_cycles: 20_000,
+            wall_time: Duration::from_millis(2_500),
+            warmup_wall_time: Duration::from_micros(500_250),
+            threads: 2,
+            sync_label: "slack:5".into(),
+            shard: Some(ShardSummary {
+                shards: 2,
+                tiles_per_shard: vec![32, 32],
+                cut_links: 16,
+                per_shard: vec![busy(300), busy(100)],
+                stalls: vec![stalls(900, 50), stalls(400, 550)],
+            }),
+            ..SimReport::default()
+        };
+        assert_eq!(
+            report.to_json(),
+            r#"{"measured_cycles":20000,"wall_time_s":2.500000,"warmup_wall_time_s":0.500250,"cycles_per_sec":8000.0,"threads":2,"sync":"slack:5","delivered_packets":10,"delivered_flits":40,"avg_packet_latency":25.7000,"latency_p50":27.4286,"latency_p95":58.6667,"latency_p99":62.9333,"shards":2,"cut_links":16,"load_imbalance":1.5000,"stalls":[{"compute_ns":900,"wait_ns":50,"ingest_ns":30,"flush_ns":20},{"compute_ns":400,"wait_ns":550,"ingest_ns":30,"flush_ns":20}]}"#
+        );
+    }
 }

@@ -1148,3 +1148,47 @@ fn supervise(
         samples: Vec::new(), // filled by `run_distributed` from the stream
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn sample(shard: u32, cycle: u64, b3: u64) -> TelemetrySample {
+        TelemetrySample {
+            shard,
+            cycle,
+            metrics: vec![
+                ("packet_latency_count".to_string(), b3 + 2),
+                ("packet_latency_b3".to_string(), b3),
+                ("packet_latency_b6".to_string(), 2),
+            ],
+            ..TelemetrySample::default()
+        }
+    }
+
+    #[test]
+    fn metrics_out_stream_is_byte_stable() {
+        let path = std::env::temp_dir().join(format!(
+            "hornet-metrics-golden-{}.ndjson",
+            std::process::id()
+        ));
+        let mut stream = MetricsStream::open(Some(&path)).expect("create");
+        stream.summarize("rollback", 0);
+        stream.absorb(sample(0, 500, 1));
+        stream.absorb(sample(1, 500, 4));
+        stream.absorb(sample(0, 1_000, 6));
+        stream.summarize("end", 1);
+        drop(stream);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            text,
+            r#"{"summary":true,"event":"rollback","restarts":0,"samples":0}
+{"shard":0,"cycle":500,"received":0,"busy":0,"delivered_packets":0,"delivered_flits":0,"injected_flits":0,"buffered_flits":0,"compute_ns":0,"wait_ns":0,"ingest_ns":0,"flush_ns":0,"metrics":{"packet_latency_count":3,"packet_latency_b3":1,"packet_latency_b6":2}}
+{"shard":1,"cycle":500,"received":0,"busy":0,"delivered_packets":0,"delivered_flits":0,"injected_flits":0,"buffered_flits":0,"compute_ns":0,"wait_ns":0,"ingest_ns":0,"flush_ns":0,"metrics":{"packet_latency_count":6,"packet_latency_b3":4,"packet_latency_b6":2}}
+{"shard":0,"cycle":1000,"received":0,"busy":0,"delivered_packets":0,"delivered_flits":0,"injected_flits":0,"buffered_flits":0,"compute_ns":0,"wait_ns":0,"ingest_ns":0,"flush_ns":0,"metrics":{"packet_latency_count":8,"packet_latency_b3":6,"packet_latency_b6":2}}
+{"summary":true,"event":"end","restarts":1,"samples":3,"latency_p50":13.6000,"latency_p95":116.8000,"latency_p99":125.7600}
+"#
+        );
+    }
+}
