@@ -7,7 +7,7 @@
 use hornet_obs::log::{set_max_level, Level};
 use hornet_obs::metrics::TelemetrySample;
 use hornet_obs::profile::StallProfile;
-use hornet_obs::serve::ObsHub;
+use hornet_obs::serve::{lint_prometheus, ObsHub};
 use hornet_obs::trace::{TraceDump, TraceEvent, TraceKind};
 
 fn sample(shard: u32, cycle: u64) -> TelemetrySample {
@@ -59,7 +59,8 @@ fn events() -> Vec<TraceEvent> {
     ]
 }
 
-/// A hub with two reporting shards, two coordinator gauges, one firing of
+/// A hub with two reporting shards (shard 0 twice: the newest sample
+/// wins), two coordinator gauges, one firing of
 /// each rule that a sample can trip in one step and the trace events above.
 fn hub() -> ObsHub {
     set_max_level(Level::Off);
@@ -72,7 +73,7 @@ fn hub() -> ObsHub {
     slow.profile.wait_ns = 30_000;
     slow.metrics[3].1 = 4;
     hub.ingest(&slow);
-    hub.ingest(&sample(0, 1_000));
+    hub.ingest(&sample(0, 1_100));
     for e in events() {
         hub.record_trace(e);
     }
@@ -117,7 +118,7 @@ fn status_document_is_byte_stable() {
     );
     assert_eq!(
         mask_json(&hub().status_json()),
-        r##"{"uptime_ms":#,"samples":3,"shards_reporting":2,"gauges":{"restarts":2,"committed cycle":500},"latency":{"count":10,"p50":14.7,"p95":60.0,"p99":63.2},"load_imbalance":1.7241,"alerts":{"active":3,"total":3},"shards":[{"shard":0,"cycle":1000,"age_ms":#,"cycles_per_sec":#,"received":10,"busy":1,"delivered_packets":5,"delivered_flits":20,"injected_flits":22,"buffered_flits":2,"stall":{"compute":0.8000,"wait":0.1500,"ingest":0.0250,"flush":0.0250}},{"shard":1,"cycle":900,"age_ms":#,"cycles_per_sec":#,"received":11,"busy":1,"delivered_packets":5,"delivered_flits":20,"injected_flits":22,"buffered_flits":2,"stall":{"compute":0.1427,"wait":0.8559,"ingest":0.0007,"flush":0.0007}}]}"##
+        r##"{"uptime_ms":#,"samples":3,"shards_reporting":2,"gauges":{"restarts":2,"committed cycle":500},"latency":{"count":10,"p50":14.7,"p95":60.0,"p99":63.2},"load_imbalance":1.7241,"alerts":{"active":3,"total":3},"shards":[{"shard":0,"cycle":1100,"age_ms":#,"cycles_per_sec":#,"received":10,"busy":1,"delivered_packets":5,"delivered_flits":20,"injected_flits":22,"buffered_flits":2,"stall":{"compute":0.8000,"wait":0.1500,"ingest":0.0250,"flush":0.0250}},{"shard":1,"cycle":900,"age_ms":#,"cycles_per_sec":#,"received":11,"busy":1,"delivered_packets":5,"delivered_flits":20,"injected_flits":22,"buffered_flits":2,"stall":{"compute":0.1427,"wait":0.8559,"ingest":0.0007,"flush":0.0007}}]}"##
     );
 }
 
@@ -146,8 +147,10 @@ fn trace_page_is_byte_stable() {
 
 #[test]
 fn metrics_exposition_is_byte_stable() {
+    let doc = hub().prometheus();
+    lint_prometheus(&doc).expect("exposition lints clean");
     assert_eq!(
-        mask_prometheus(&hub().prometheus()),
+        mask_prometheus(&doc),
         r##"# HELP hornet_up Server liveness.
 # TYPE hornet_up gauge
 hornet_up 1
@@ -171,7 +174,7 @@ hornet_restarts 2
 hornet_committed_cycle 500
 # HELP hornet_shard_cycle Latest per-shard sample field.
 # TYPE hornet_shard_cycle gauge
-hornet_shard_cycle{shard="0"} 1000
+hornet_shard_cycle{shard="0"} 1100
 hornet_shard_cycle{shard="1"} 900
 # HELP hornet_shard_received_flits Latest per-shard sample field.
 # TYPE hornet_shard_received_flits gauge
