@@ -3,6 +3,8 @@
 
 use hornet_net::ids::Cycle;
 use hornet_net::stats::NetworkStats;
+use hornet_obs::json;
+use hornet_obs::metrics::{latency_quantiles, max_over_mean};
 use hornet_obs::profile::StallProfile;
 use hornet_power::energy::PowerSample;
 use std::fmt::Write as _;
@@ -96,17 +98,8 @@ impl ShardSummary {
     /// Ratio of the busiest shard's busy cycles to the average (1.0 =
     /// perfectly balanced).
     pub fn load_imbalance(&self) -> f64 {
-        if self.per_shard.is_empty() {
-            return 1.0;
-        }
         let busy: Vec<u64> = self.per_shard.iter().map(|s| s.busy_cycles).collect();
-        let max = *busy.iter().max().unwrap() as f64;
-        let avg = busy.iter().sum::<u64>() as f64 / busy.len() as f64;
-        if avg == 0.0 {
-            1.0
-        } else {
-            max / avg
-        }
+        max_over_mean(&busy)
     }
 
     /// Causal breakdown of the imbalance reported by
@@ -190,11 +183,8 @@ impl SimReport {
         if h.is_empty() || h.iter().all(|&c| c == 0) {
             return None;
         }
-        Some((
-            hornet_obs::history::histogram_quantile(h, 0.50),
-            hornet_obs::history::histogram_quantile(h, 0.95),
-            hornet_obs::history::histogram_quantile(h, 0.99),
-        ))
+        let [p50, p95, p99] = latency_quantiles(h);
+        Some((p50, p95, p99))
     }
 
     /// Human-readable summary: headline throughput (cycles/sec), wall-clock
@@ -249,55 +239,36 @@ impl SimReport {
     /// Machine-readable summary of the same fields as [`text`](Self::text),
     /// as one JSON object.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"measured_cycles\":{},\"wall_time_s\":{:.6},\"warmup_wall_time_s\":{:.6},\
-             \"cycles_per_sec\":{:.1},\"threads\":{},\"sync\":\"{}\"",
-            self.measured_cycles,
-            self.wall_time.as_secs_f64(),
-            self.warmup_wall_time.as_secs_f64(),
-            self.simulation_speed(),
-            self.threads,
-            self.sync_label
-        );
-        let _ = write!(
-            out,
-            ",\"delivered_packets\":{},\"delivered_flits\":{},\"avg_packet_latency\":{:.4}",
-            self.network.delivered_packets,
-            self.network.delivered_flits,
-            self.network.avg_packet_latency()
-        );
-        if let Some((p50, p95, p99)) = self.latency_quantiles() {
-            let _ = write!(
-                out,
-                ",\"latency_p50\":{p50:.4},\"latency_p95\":{p95:.4},\"latency_p99\":{p99:.4}"
-            );
-        }
-        if let Some(shard) = &self.shard {
-            let _ = write!(
-                out,
-                ",\"shards\":{},\"cut_links\":{},\"load_imbalance\":{:.4}",
-                shard.shards,
-                shard.cut_links,
-                shard.load_imbalance()
-            );
-            if !shard.stalls.is_empty() {
-                out.push_str(",\"stalls\":[");
-                for (i, p) in shard.stalls.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(
-                        out,
-                        "{{\"compute_ns\":{},\"wait_ns\":{},\"ingest_ns\":{},\"flush_ns\":{}}}",
-                        p.compute_ns, p.wait_ns, p.ingest_ns, p.flush_ns
-                    );
-                }
-                out.push(']');
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.u64("measured_cycles", self.measured_cycles)
+                .f64("wall_time_s", self.wall_time.as_secs_f64(), 6)
+                .f64("warmup_wall_time_s", self.warmup_wall_time.as_secs_f64(), 6)
+                .f64("cycles_per_sec", self.simulation_speed(), 1)
+                .u64("threads", self.threads as u64)
+                .str("sync", &self.sync_label)
+                .u64("delivered_packets", self.network.delivered_packets)
+                .u64("delivered_flits", self.network.delivered_flits)
+                .f64("avg_packet_latency", self.network.avg_packet_latency(), 4);
+            if let Some((p50, p95, p99)) = self.latency_quantiles() {
+                o.f64("latency_p50", p50, 4)
+                    .f64("latency_p95", p95, 4)
+                    .f64("latency_p99", p99, 4);
             }
-        }
-        out.push('}');
+            if let Some(shard) = &self.shard {
+                o.u64("shards", shard.shards as u64)
+                    .u64("cut_links", shard.cut_links as u64)
+                    .f64("load_imbalance", shard.load_imbalance(), 4);
+                if !shard.stalls.is_empty() {
+                    o.array("stalls", &shard.stalls, |j, p| {
+                        j.u64("compute_ns", p.compute_ns)
+                            .u64("wait_ns", p.wait_ns)
+                            .u64("ingest_ns", p.ingest_ns)
+                            .u64("flush_ns", p.flush_ns);
+                    });
+                }
+            }
+        });
         out
     }
 }
@@ -335,12 +306,6 @@ mod tests {
         assert_eq!(r.peak_temp(), 70.0);
         assert_eq!(r.mean_final_temp(), 62.5);
         assert_eq!(r.tile_trace(0), vec![(10, 50.0), (20, 55.0)]);
-    }
-
-    #[test]
-    fn simulation_speed_handles_zero_time() {
-        let r = SimReport::default();
-        assert_eq!(r.simulation_speed(), 0.0);
     }
 
     #[test]

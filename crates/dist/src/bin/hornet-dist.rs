@@ -25,8 +25,9 @@
 
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
 use hornet_dist::{run_distributed, HostOptions, TransportKind};
-use hornet_obs::metrics::TelemetrySample;
-use hornet_obs::serve::{http_get, lint_prometheus, Json};
+use hornet_obs::json::{self, Json};
+use hornet_obs::metrics::{max_over_mean, TelemetrySample};
+use hornet_obs::serve::{http_get, lint_prometheus};
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use std::process::ExitCode;
 
@@ -171,16 +172,9 @@ fn print_status_table(addr: &str, doc: &Json) {
     for s in shards {
         let cps =
             num(s.get("cycles_per_sec")).map_or_else(|| "-".to_string(), |v| format!("{v:.0}"));
-        let wait = s
-            .get("stall")
-            .and_then(|st| {
-                let total: f64 = ["compute", "wait", "ingest", "flush"]
-                    .iter()
-                    .filter_map(|k| num(st.get(k)))
-                    .sum();
-                num(st.get("wait")).map(|w| if total > 0.0 { w / total * 100.0 } else { 0.0 })
-            })
-            .map_or_else(|| "-".to_string(), |v| format!("{v:.1}"));
+        // `/status` already reports each phase as a fraction of the total.
+        let wait = num(s.get("stall").and_then(|st| st.get("wait")))
+            .map_or_else(|| "-".to_string(), |w| format!("{:.1}", w * 100.0));
         println!(
             "{:>5} {:>12} {:>12} {:>12} {:>10} {:>8} {:>7}",
             num(s.get("shard")).unwrap_or(-1.0) as i64,
@@ -215,14 +209,7 @@ fn validate_metrics(args: &[String]) -> ExitCode {
         }
         // Summary records (flushed on rollback/abort and at the end of the
         // run) are JSON objects too, but not telemetry samples.
-        if line.starts_with("{\"summary\":true") {
-            if Json::parse(line).is_err() {
-                eprintln!(
-                    "validate-metrics: {path}:{}: malformed summary record",
-                    i + 1
-                );
-                return ExitCode::FAILURE;
-            }
+        if Json::parse(line).is_ok_and(|d| d.get("summary") == Some(&Json::Bool(true))) {
             summaries += 1;
             continue;
         }
@@ -280,7 +267,7 @@ fn host(args: &[String]) -> ExitCode {
         workers: 4,
         ..HostOptions::default()
     };
-    let mut json = false;
+    let mut as_json = false;
     let mut trace_out: Option<String> = None;
     let mut metrics_every: Option<u64> = None;
     let mut it = args.iter();
@@ -375,7 +362,7 @@ fn host(args: &[String]) -> ExitCode {
             "--http" => opts.http = Some(next()),
             "--trace" => spec.trace_capacity = next().parse().ok(),
             "--trace-out" => trace_out = Some(next()),
-            "--json" => json = true,
+            "--json" => as_json = true,
             "--verbose" => opts.verbose = true,
             _ => return usage(),
         }
@@ -408,19 +395,18 @@ fn host(args: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             }
-            if json {
-                println!(
-                    "{{ \"shards\": {}, \"cut_links\": {}, \"final_cycle\": {}, \
-                     \"completed\": {}, \"delivered_packets\": {}, \"avg_packet_latency\": {:.3}, \
-                     \"cycles_per_sec\": {:.0} }}",
-                    outcome.shards,
-                    outcome.cut_links,
-                    outcome.final_cycle,
-                    outcome.completed,
-                    outcome.stats.delivered_packets,
-                    outcome.stats.avg_packet_latency(),
-                    cps
-                );
+            if as_json {
+                let mut line = String::new();
+                json::object(&mut line, |o| {
+                    o.u64("shards", outcome.shards as u64)
+                        .u64("cut_links", outcome.cut_links as u64)
+                        .u64("final_cycle", outcome.final_cycle)
+                        .bool("completed", outcome.completed)
+                        .u64("delivered_packets", outcome.stats.delivered_packets)
+                        .f64("avg_packet_latency", outcome.stats.avg_packet_latency(), 3)
+                        .f64("cycles_per_sec", cps, 0);
+                });
+                println!("{line}");
             } else {
                 println!(
                     "mesh {}x{} | {} shards ({:?}) | {} cut links | sync {}",
@@ -441,15 +427,9 @@ fn host(args: &[String]) -> ExitCode {
                 // Per-shard progress/imbalance summary with the causal
                 // breakdown from the workers' stall profiles.
                 let busy: Vec<u64> = outcome.per_shard.iter().map(|s| s.busy_cycles).collect();
-                let max_busy = busy.iter().copied().max().unwrap_or(0) as f64;
-                let avg_busy = busy.iter().sum::<u64>() as f64 / busy.len().max(1) as f64;
                 println!(
                     "load imbalance {:.3} (busiest shard / average)",
-                    if avg_busy > 0.0 {
-                        max_busy / avg_busy
-                    } else {
-                        1.0
-                    }
+                    max_over_mean(&busy)
                 );
                 for (i, p) in outcome.per_shard_profiles.iter().enumerate() {
                     println!(

@@ -17,8 +17,9 @@ use crate::transport::Stream;
 use crate::wire::{read_frame, write_frame};
 use crate::wiring::{cut_pairs, partition_for};
 use hornet_net::stats::NetworkStats;
+use hornet_obs::json;
 use hornet_obs::log::{set_max_level, Level};
-use hornet_obs::metrics::TelemetrySample;
+use hornet_obs::metrics::{latency_quantiles, merged_histogram, TelemetrySample};
 use hornet_obs::profile::StallProfile;
 use hornet_obs::serve::{ObsHub, ObsServer};
 use hornet_obs::trace::{TraceDump, TraceEvent, TraceKind, TraceRing};
@@ -27,8 +28,6 @@ use hornet_shard::termination::{
     credits_balance, decide, Directive, LedgerState, Quiescence, QuiescenceScan,
 };
 use hornet_shard::Partition;
-use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::io::{self, BufReader, Write};
 use std::net::TcpListener;
 #[cfg(unix)]
@@ -270,54 +269,31 @@ impl MetricsStream {
         }
     }
 
-    /// The per-shard `packet_latency` log₂ histograms from each shard's
-    /// newest sample, merged (they are cumulative over the run, so the
-    /// newest per shard is the shard's total).
-    fn merged_latency(&self) -> Option<Vec<u64>> {
-        let mut latest: HashMap<u32, &TelemetrySample> = HashMap::new();
-        for s in &self.samples {
-            latest.insert(s.shard, s); // arrival order: later wins
-        }
-        let mut merged: Option<Vec<u64>> = None;
-        for s in latest.values() {
-            if let Some(h) = hornet_obs::history::metrics_histogram(&s.metrics, "packet_latency") {
-                let m = merged.get_or_insert_with(|| vec![0u64; h.len()]);
-                for (acc, c) in m.iter_mut().zip(h.iter()) {
-                    *acc += c;
-                }
-            }
-        }
-        merged
-    }
-
     /// Appends a summary record to the NDJSON stream and flushes it, so
     /// everything absorbed so far survives a rollback or abort; `event` is
-    /// `"rollback"`, `"abort"` or `"end"`. Carries the merged
-    /// packet-latency quantile estimates when any shard shipped them.
+    /// `"rollback"`, `"abort"` or `"end"`. Carries the packet-latency
+    /// quantile estimates of the shards' merged histograms when any shard
+    /// shipped one.
     fn summarize(&mut self, event: &str, restarts: u32) {
-        let quantiles = self.merged_latency().map(|h| {
-            (
-                hornet_obs::history::histogram_quantile(&h, 0.50),
-                hornet_obs::history::histogram_quantile(&h, 0.95),
-                hornet_obs::history::histogram_quantile(&h, 0.99),
-            )
-        });
-        if let Some(w) = &mut self.out {
-            let mut line = format!(
-                "{{\"summary\":true,\"event\":\"{event}\",\"restarts\":{restarts},\
-                 \"samples\":{}",
-                self.samples.len()
-            );
-            if let Some((p50, p95, p99)) = quantiles {
-                let _ = write!(
-                    line,
-                    ",\"latency_p50\":{p50:.4},\"latency_p95\":{p95:.4},\"latency_p99\":{p99:.4}"
-                );
+        let Some(w) = &mut self.out else {
+            return;
+        };
+        let latency = merged_histogram(&self.samples, "packet_latency");
+        let mut line = String::new();
+        json::object(&mut line, |o| {
+            o.bool("summary", true)
+                .str("event", event)
+                .u64("restarts", u64::from(restarts))
+                .u64("samples", self.samples.len() as u64);
+            if let Some(h) = latency {
+                let [p50, p95, p99] = latency_quantiles(&h);
+                o.f64("latency_p50", p50, 4)
+                    .f64("latency_p95", p95, 4)
+                    .f64("latency_p99", p99, 4);
             }
-            line.push('}');
-            let _ = writeln!(w, "{line}");
-            let _ = w.flush();
-        }
+        });
+        let _ = writeln!(w, "{line}");
+        let _ = w.flush();
     }
 }
 

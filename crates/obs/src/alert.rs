@@ -9,35 +9,26 @@
 //! same online signal optimistic-sync straggler detection and load-aware
 //! repartitioning will consume.
 
-use crate::metrics::TelemetrySample;
+use crate::metrics::{max_over_mean, TelemetrySample};
 use crate::olog_warn;
 
-/// Thresholds for the built-in rules.
-#[derive(Clone, Copy, Debug)]
-pub struct AlertConfig {
-    /// Fire when a shard's slack-wait share of attributed wall time exceeds
-    /// this fraction (straggler's victim signal).
-    pub max_wait_fraction: f64,
-    /// Fire when max/mean compute time across shards exceeds this ratio
-    /// (needs at least two shards reporting).
-    pub max_load_imbalance: f64,
-    /// Fire after this many consecutive samples from one shard without the
-    /// cycle counter advancing.
-    pub no_progress_samples: u32,
-    /// Fire when a shard reports dropped trace events.
-    pub trace_drop_alert: bool,
-}
+/// Where did the wall time go — waiting on neighbours? Fire when a
+/// shard's slack-wait share of its attributed wall time exceeds this
+/// fraction (the straggler's victim signal).
+pub const MAX_WAIT_FRACTION: f64 = 0.75;
 
-impl Default for AlertConfig {
-    fn default() -> Self {
-        Self {
-            max_wait_fraction: 0.75,
-            max_load_imbalance: 1.5,
-            no_progress_samples: 3,
-            trace_drop_alert: true,
-        }
-    }
-}
+/// Where did the wall time go — one shard carrying more of the work? Fire
+/// when max/mean compute time across shards (at least two reporting)
+/// exceeds this ratio.
+pub const MAX_LOAD_IMBALANCE: f64 = 1.5;
+
+/// Is the run alive? Fire after this many consecutive samples from one
+/// shard without its cycle counter advancing.
+pub const NO_PROGRESS_SAMPLES: u32 = 3;
+
+/// Is the trace of where the time went complete? Fire when a shard reports
+/// more dropped trace events than this.
+pub const MAX_TRACE_DROPS: u64 = 0;
 
 /// One rising-edge alert firing.
 #[derive(Clone, Debug)]
@@ -51,7 +42,7 @@ pub struct AlertFiring {
     pub cycle: u64,
     /// Observed value that crossed the threshold.
     pub value: f64,
-    /// The configured threshold.
+    /// The rule's threshold.
     pub threshold: f64,
     /// Human-readable description.
     pub message: String,
@@ -69,11 +60,10 @@ struct ShardState {
     seen: bool,
 }
 
-/// Evaluates every incoming sample against [`AlertConfig`] thresholds and
-/// keeps a bounded log of rising-edge firings.
-#[derive(Debug)]
+/// Evaluates every incoming sample against the thresholds above and keeps
+/// a bounded log of rising-edge firings.
+#[derive(Debug, Default)]
 pub struct AlertEvaluator {
-    config: AlertConfig,
     shards: Vec<(u32, ShardState)>,
     /// `(rule, shard)` pairs whose condition is currently true.
     active: Vec<(&'static str, u32)>,
@@ -82,17 +72,6 @@ pub struct AlertEvaluator {
 }
 
 impl AlertEvaluator {
-    /// Creates an evaluator with the given thresholds.
-    pub fn new(config: AlertConfig) -> Self {
-        Self {
-            config,
-            shards: Vec::new(),
-            active: Vec::new(),
-            firings: Vec::new(),
-            total: 0,
-        }
-    }
-
     /// Feeds one sample through every rule.
     pub fn observe(&mut self, sample: &TelemetrySample) {
         let shard = sample.shard;
@@ -117,18 +96,13 @@ impl AlertEvaluator {
         let st = self.shards[idx].1;
 
         // Rule: slack-wait fraction of attributed wall time.
-        let total_ns = sample.profile.total_ns();
-        let wait_frac = if total_ns > 0 {
-            sample.profile.wait_ns as f64 / total_ns as f64
-        } else {
-            0.0
-        };
+        let wait_frac = sample.profile.fractions()[1];
         self.set(
             "stall_fraction",
             shard,
-            total_ns > 0 && wait_frac > self.config.max_wait_fraction,
+            wait_frac > MAX_WAIT_FRACTION,
             wait_frac,
-            self.config.max_wait_fraction,
+            MAX_WAIT_FRACTION,
             sample.cycle,
             || {
                 format!(
@@ -142,9 +116,9 @@ impl AlertEvaluator {
         self.set(
             "no_progress",
             shard,
-            st.stagnant >= self.config.no_progress_samples,
+            st.stagnant >= NO_PROGRESS_SAMPLES,
             st.stagnant as f64,
-            self.config.no_progress_samples as f64,
+            f64::from(NO_PROGRESS_SAMPLES),
             sample.cycle,
             || format!("cycle stuck at {} for {} samples", st.cycle, st.stagnant),
         );
@@ -159,9 +133,9 @@ impl AlertEvaluator {
         self.set(
             "trace_drops",
             shard,
-            self.config.trace_drop_alert && drops > 0,
+            drops > MAX_TRACE_DROPS,
             drops as f64,
-            0.0,
+            MAX_TRACE_DROPS as f64,
             sample.cycle,
             || format!("trace ring dropped {drops} events"),
         );
@@ -173,13 +147,13 @@ impl AlertEvaluator {
             .filter(|(_, s)| s.seen && s.compute_ns > 0)
             .map(|(_, s)| s.compute_ns)
             .collect();
-        let imbalance = load_imbalance(&computes);
+        let imbalance = max_over_mean(&computes);
         self.set(
             "load_imbalance",
             u32::MAX,
-            computes.len() >= 2 && imbalance > self.config.max_load_imbalance,
+            computes.len() >= 2 && imbalance > MAX_LOAD_IMBALANCE,
             imbalance,
-            self.config.max_load_imbalance,
+            MAX_LOAD_IMBALANCE,
             sample.cycle,
             || format!("max/mean shard compute time is {imbalance:.2}"),
         );
@@ -244,20 +218,6 @@ impl AlertEvaluator {
     }
 }
 
-/// Max/mean over a set of per-shard compute times; 1.0 when degenerate.
-fn load_imbalance(computes: &[u64]) -> f64 {
-    if computes.is_empty() {
-        return 1.0;
-    }
-    let max = *computes.iter().max().unwrap() as f64;
-    let mean = computes.iter().sum::<u64>() as f64 / computes.len() as f64;
-    if mean > 0.0 {
-        max / mean
-    } else {
-        1.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,21 +234,18 @@ mod tests {
     #[test]
     fn no_progress_fires_once_and_rearms() {
         crate::log::set_max_level(crate::log::Level::Off);
-        let mut ev = AlertEvaluator::new(AlertConfig {
-            no_progress_samples: 2,
-            ..AlertConfig::default()
-        });
-        ev.observe(&sample(0, 100));
-        ev.observe(&sample(0, 100));
-        ev.observe(&sample(0, 100)); // stagnant = 2 → fires
+        let mut ev = AlertEvaluator::default();
+        for _ in 0..=NO_PROGRESS_SAMPLES {
+            ev.observe(&sample(0, 100)); // the last one fires
+        }
         ev.observe(&sample(0, 100)); // still true → no second firing
         assert_eq!(ev.total_firings(), 1);
         assert_eq!(ev.active(), 1);
         ev.observe(&sample(0, 200)); // progress → re-arms
         assert_eq!(ev.active(), 0);
-        ev.observe(&sample(0, 200));
-        ev.observe(&sample(0, 200));
-        ev.observe(&sample(0, 200));
+        for _ in 0..NO_PROGRESS_SAMPLES {
+            ev.observe(&sample(0, 200));
+        }
         assert_eq!(ev.total_firings(), 2, "fires again after re-arming");
         assert_eq!(ev.firings()[0].rule, "no_progress");
     }
@@ -296,7 +253,7 @@ mod tests {
     #[test]
     fn stall_fraction_and_trace_drops_fire() {
         crate::log::set_max_level(crate::log::Level::Off);
-        let mut ev = AlertEvaluator::new(AlertConfig::default());
+        let mut ev = AlertEvaluator::default();
         let mut s = sample(1, 500);
         s.profile = StallProfile {
             compute_ns: 10,
@@ -314,7 +271,7 @@ mod tests {
     #[test]
     fn imbalance_needs_two_shards() {
         crate::log::set_max_level(crate::log::Level::Off);
-        let mut ev = AlertEvaluator::new(AlertConfig::default());
+        let mut ev = AlertEvaluator::default();
         let mut a = sample(0, 100);
         a.profile.compute_ns = 1_000;
         ev.observe(&a);

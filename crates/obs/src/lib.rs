@@ -12,7 +12,8 @@
 //!   samples the registry periodically into [`metrics::TelemetrySample`]s,
 //!   which the distributed backend ships to the coordinator as
 //!   `CtrlMsg::Telemetry` (wire v4) and aggregates into a live NDJSON
-//!   stream.
+//!   stream. The aggregations over samples live here too: log₂-histogram
+//!   quantiles, the newest-histogram-per-shard merge, max/mean imbalance.
 //! * [`trace`] — cycle-stamped structured event tracing into fixed-capacity
 //!   ring buffers ([`trace::TraceRing`]): flit inject/route/eject lifecycle,
 //!   slack-wait begin/end, checkpoint capture/commit, worker
@@ -27,30 +28,21 @@
 //! * [`log`] — leveled structured logging (`HORNET_LOG=debug|info|warn|off`)
 //!   in logfmt style, replacing ad-hoc `eprintln!` supervision messages with
 //!   machine-parseable, shard- and cycle-tagged lines.
-//! * [`history`] — a fixed-capacity ring of recent telemetry samples with
-//!   sliding-window rate estimation and log₂-histogram quantile recovery,
-//!   the state behind live rate/delta reporting.
-//! * [`alert`] — rising-edge threshold alerting over the telemetry stream
-//!   (stall fraction, load imbalance, no-progress, trace drops).
+//! * [`alert`] — rising-edge threshold alerting over the telemetry stream:
+//!   stall fraction and load imbalance (where did the wall time go?),
+//!   no-progress (is the run alive?), trace drops.
+//! * [`json`] — the one JSON writer every emitted document goes through,
+//!   and the one depth-bounded reader.
 //! * [`serve`] — the embedded live-introspection control plane: a
 //!   dependency-free HTTP/1.1 server over `std::net::TcpListener` exposing
 //!   `/healthz`, `/status`, `/metrics` (Prometheus text exposition),
 //!   `/trace?since_cycle=N` and `/alerts` from a shared [`serve::ObsHub`],
-//!   plus the matching hand-rolled client, a minimal JSON parser, and the
-//!   exposition-format linter.
+//!   plus the matching hand-rolled client and the exposition-format linter.
 
 pub mod alert;
-pub mod history;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod profile;
 pub mod serve;
 pub mod trace;
-
-pub use alert::{AlertConfig, AlertEvaluator, AlertFiring};
-pub use history::TelemetryHistory;
-pub use log::Level;
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, TelemetrySample};
-pub use profile::StallProfile;
-pub use serve::{ObsHub, ObsServer};
-pub use trace::{TraceDump, TraceEvent, TraceKind, TraceRing};

@@ -21,8 +21,8 @@
 //! little-endian byte layout (for `CtrlMsg::Telemetry` on wire v4) and to
 //! one NDJSON object per line (for `hornet-dist --metrics-out`).
 
+use crate::json::{self, Json};
 use crate::profile::StallProfile;
-use std::fmt::Write as _;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -186,6 +186,9 @@ impl MetricsRegistry {
     }
 }
 
+/// Reads one fixed field of a sample (see [`TelemetrySample::FIELDS`]).
+pub type SampleField = fn(&TelemetrySample) -> u64;
+
 /// One periodic observation of one shard: fixed driver progress fields plus
 /// the flattened registry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -310,98 +313,160 @@ impl TelemetrySample {
         })
     }
 
-    /// Renders the sample as one NDJSON object (no trailing newline). The
-    /// fixed keys below form the schema `validate_ndjson_line` checks.
+    /// The fixed top-level keys of a sample's NDJSON object, in emission
+    /// order, with their getters. The NDJSON writer, the schema check and
+    /// `/status`'s per-shard counters all read this table.
+    pub const FIELDS: [(&'static str, SampleField); 12] = [
+        ("shard", |s| u64::from(s.shard)),
+        ("cycle", |s| s.cycle),
+        ("received", |s| s.received),
+        ("busy", |s| s.busy),
+        ("delivered_packets", |s| s.delivered_packets),
+        ("delivered_flits", |s| s.delivered_flits),
+        ("injected_flits", |s| s.injected_flits),
+        ("buffered_flits", |s| s.buffered_flits),
+        ("compute_ns", |s| s.profile.compute_ns),
+        ("wait_ns", |s| s.profile.wait_ns),
+        ("ingest_ns", |s| s.profile.ingest_ns),
+        ("flush_ns", |s| s.profile.flush_ns),
+    ];
+
+    /// Renders the sample as one NDJSON object (no trailing newline): the
+    /// [`FIELDS`](Self::FIELDS), then the registry snapshot as `metrics`.
     pub fn to_ndjson(&self) -> String {
         let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"shard\":{},\"cycle\":{},\"received\":{},\"busy\":{},\
-             \"delivered_packets\":{},\"delivered_flits\":{},\"injected_flits\":{},\
-             \"buffered_flits\":{},\"compute_ns\":{},\"wait_ns\":{},\"ingest_ns\":{},\
-             \"flush_ns\":{},\"metrics\":{{",
-            self.shard,
-            self.cycle,
-            self.received,
-            self.busy,
-            self.delivered_packets,
-            self.delivered_flits,
-            self.injected_flits,
-            self.buffered_flits,
-            self.profile.compute_ns,
-            self.profile.wait_ns,
-            self.profile.ingest_ns,
-            self.profile.flush_ns,
-        );
-        for (i, (name, v)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        json::object(&mut s, |o| {
+            for (key, get) in Self::FIELDS {
+                o.u64(key, get(self));
             }
-            let _ = write!(s, "\"{}\":{}", escape_json(name), v);
-        }
-        s.push_str("}}");
+            o.object("metrics", |m| {
+                for (name, v) in &self.metrics {
+                    m.u64(name, *v);
+                }
+            });
+        });
         s
     }
 
     /// Checks one `--metrics-out` NDJSON line against the sample schema:
-    /// object braces, every fixed key present, each fixed key followed by a
-    /// numeric value. Returns a description of the first violation.
+    /// a JSON object holding a number at every [`FIELDS`](Self::FIELDS) key
+    /// and an object at `metrics`.
     ///
     /// # Errors
     ///
-    /// A human-readable description of the schema violation.
+    /// A human-readable description of the first violation.
     pub fn validate_ndjson_line(line: &str) -> Result<(), String> {
-        let line = line.trim();
-        if !(line.starts_with('{') && line.ends_with('}')) {
-            return Err("line is not a JSON object".into());
-        }
-        const KEYS: [&str; 12] = [
-            "shard",
-            "cycle",
-            "received",
-            "busy",
-            "delivered_packets",
-            "delivered_flits",
-            "injected_flits",
-            "buffered_flits",
-            "compute_ns",
-            "wait_ns",
-            "ingest_ns",
-            "flush_ns",
-        ];
-        for key in KEYS {
-            let pat = format!("\"{key}\":");
-            let Some(at) = line.find(&pat) else {
-                return Err(format!("missing key {key:?}"));
-            };
-            let rest = &line[at + pat.len()..];
-            if !rest.starts_with(|c: char| c.is_ascii_digit()) {
-                return Err(format!("key {key:?} has a non-numeric value"));
+        let doc = Json::parse(line).map_err(|e| format!("line is not JSON: {e}"))?;
+        for (key, _) in Self::FIELDS {
+            if !matches!(doc.get(key), Some(Json::Num(_))) {
+                return Err(format!("key {key:?} is missing or not a number"));
             }
         }
-        if !line.contains("\"metrics\":{") {
-            return Err("missing key \"metrics\"".into());
+        match doc.get("metrics") {
+            Some(Json::Obj(_)) => Ok(()),
+            _ => Err("key \"metrics\" is missing or not an object".into()),
         }
-        Ok(())
     }
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The newest sample of every shard in `samples` (taken in arrival order),
+/// ordered by shard id.
+pub(crate) fn newest_per_shard<'a>(
+    samples: impl IntoIterator<Item = &'a TelemetrySample>,
+) -> Vec<&'a TelemetrySample> {
+    let mut latest: Vec<&TelemetrySample> = Vec::new();
+    for s in samples {
+        match latest.iter_mut().find(|l| l.shard == s.shard) {
+            Some(slot) => *slot = s,
+            None => latest.push(s),
         }
     }
-    out
+    latest.sort_by_key(|s| s.shard);
+    latest
+}
+
+/// The `name` histograms of the newest sample of every shard in `samples`,
+/// merged (registry histograms are cumulative over the run, so a shard's
+/// newest is its total). `None` when no such sample carries one.
+pub fn merged_histogram<'a>(
+    samples: impl IntoIterator<Item = &'a TelemetrySample>,
+    name: &str,
+) -> Option<[u64; HISTOGRAM_BUCKETS]> {
+    let mut histograms = newest_per_shard(samples)
+        .into_iter()
+        .filter_map(|s| metrics_histogram(&s.metrics, name));
+    let mut merged = histograms.next()?;
+    for h in histograms {
+        merged.iter_mut().zip(h).for_each(|(slot, v)| *slot += v);
+    }
+    Some(merged)
+}
+
+/// Recovers a dense log₂ histogram from the flattened `<name>_count` +
+/// sparse `<name>_b<i>` pairs produced by [`MetricsRegistry::sample`] (and
+/// by the shard driver's packet-latency export). `None` when
+/// `<name>_count` is absent from the sample.
+fn metrics_histogram(metrics: &[(String, u64)], name: &str) -> Option<[u64; HISTOGRAM_BUCKETS]> {
+    let count_key = format!("{name}_count");
+    metrics.iter().find(|(n, _)| *n == count_key)?;
+    let mut out = [0u64; HISTOGRAM_BUCKETS];
+    let prefix = format!("{name}_b");
+    for (n, v) in metrics {
+        if let Some(idx) = n.strip_prefix(&prefix) {
+            if let Ok(i) = idx.parse::<usize>() {
+                if i < HISTOGRAM_BUCKETS {
+                    out[i] = *v;
+                }
+            }
+        }
+    }
+    Some(out)
+}
+
+/// Estimated `q`-quantile (`0.0 ..= 1.0`) of a log₂-bucketed histogram in
+/// the packet-latency convention (bucket `i` covers `[2^i, 2^(i+1))`, bucket
+/// 0 also counts zero), with linear interpolation inside the covering
+/// bucket. Returns 0.0 for an empty histogram.
+fn histogram_quantile(buckets: &[u64], q: f64) -> f64 {
+    let total: u64 = buckets.iter().sum();
+    if total == 0 {
+        return 0.0;
+    }
+    let target = q.clamp(0.0, 1.0) * total as f64;
+    let mut cum = 0u64;
+    for (i, &b) in buckets.iter().enumerate() {
+        if b == 0 {
+            continue;
+        }
+        let next = cum + b;
+        if next as f64 >= target {
+            let lo = if i == 0 { 0.0 } else { (1u64 << i) as f64 };
+            let hi = (1u128 << (i + 1)) as f64;
+            let frac = (target - cum as f64) / b as f64;
+            return lo + frac * (hi - lo);
+        }
+        cum = next;
+    }
+    (1u128 << buckets.len()) as f64
+}
+
+/// The reported packet-latency quantiles `[p50, p95, p99]` of a histogram.
+pub fn latency_quantiles(buckets: &[u64]) -> [f64; 3] {
+    [0.50, 0.95, 0.99].map(|q| histogram_quantile(buckets, q))
+}
+
+/// Max over mean of per-shard loads (1.0 = balanced); 1.0 when there is no
+/// load to compare.
+pub fn max_over_mean(values: &[u64]) -> f64 {
+    let Some(&max) = values.iter().max() else {
+        return 1.0;
+    };
+    let mean = values.iter().sum::<u64>() as f64 / values.len() as f64;
+    if mean > 0.0 {
+        max as f64 / mean
+    } else {
+        1.0
+    }
 }
 
 #[cfg(test)]
@@ -486,9 +551,78 @@ mod tests {
         s.encode_into(&mut buf);
         let back = TelemetrySample::decode_from(&mut buf.as_slice()).unwrap();
         assert_eq!(back, s);
+        TelemetrySample::validate_ndjson_line(&s.to_ndjson()).expect("schema-valid line");
+    }
+
+    #[test]
+    fn validator_parses_instead_of_searching() {
+        let mut s = TelemetrySample {
+            cycle: 900,
+            metrics: vec![("cycle".into(), 900)],
+            ..TelemetrySample::default()
+        };
         let line = s.to_ndjson();
         TelemetrySample::validate_ndjson_line(&line).expect("schema-valid line");
         assert!(TelemetrySample::validate_ndjson_line("{\"shard\":1}").is_err());
-        assert!(TelemetrySample::validate_ndjson_line("not json").is_err());
+        // Braces, keys and leading digits all in place, but not JSON.
+        let broken = line.replace(",\"metrics\"", ",,\"metrics\"");
+        assert!(TelemetrySample::validate_ndjson_line(&broken).is_err());
+        // No top-level `cycle`: the registry gauge of that name inside
+        // `metrics` must not stand in for it.
+        let headless = line.replace("\"cycle\":900,\"received\"", "\"received\"");
+        assert_ne!(headless, line);
+        let err = TelemetrySample::validate_ndjson_line(&headless).unwrap_err();
+        assert!(err.contains("\"cycle\""), "{err}");
+        s.metrics.clear();
+        let flat = s.to_ndjson().replace("\"metrics\":{}", "\"metrics\":0");
+        assert!(TelemetrySample::validate_ndjson_line(&flat).is_err());
+    }
+
+    #[test]
+    fn quantiles_interpolate_within_log2_buckets() {
+        // 100 values in bucket 3 ([8, 16)).
+        let mut b = [0u64; HISTOGRAM_BUCKETS];
+        b[3] = 100;
+        let [p50, _, p99] = latency_quantiles(&b);
+        assert!((8.0..16.0).contains(&p50), "p50 {p50}");
+        assert!(p99 <= 16.0);
+        assert_eq!(histogram_quantile(&[0; 4], 0.5), 0.0);
+        // Mass split across buckets: p25 in the lower, p75 in the upper.
+        let mut b = [0u64; HISTOGRAM_BUCKETS];
+        b[1] = 50; // [2, 4)
+        b[4] = 50; // [16, 32)
+        assert!(histogram_quantile(&b, 0.25) < 4.0);
+        assert!(histogram_quantile(&b, 0.75) >= 16.0);
+    }
+
+    #[test]
+    fn newest_histogram_of_each_shard_is_merged() {
+        let sample = |shard, b2| TelemetrySample {
+            shard,
+            metrics: vec![
+                ("packet_latency_count".to_string(), b2 + 3),
+                ("packet_latency_b2".to_string(), b2),
+                ("packet_latency_b5".to_string(), 3),
+                ("other".to_string(), 1),
+            ],
+            ..TelemetrySample::default()
+        };
+        let h = metrics_histogram(&sample(0, 4).metrics, "packet_latency").expect("present");
+        assert_eq!((h[2], h[5], h.iter().sum::<u64>()), (4, 3, 7));
+        assert!(metrics_histogram(&sample(0, 4).metrics, "absent").is_none());
+        let stream = [sample(1, 1), sample(0, 2), sample(1, 10)];
+        let newest = newest_per_shard(&stream);
+        assert_eq!(newest.iter().map(|s| s.shard).collect::<Vec<_>>(), [0, 1]);
+        // Shard 1's older sample is ignored.
+        let merged = merged_histogram(&stream, "packet_latency").expect("present");
+        assert_eq!((merged[2], merged[5]), (12, 6));
+        assert!(merged_histogram(&stream, "absent").is_none());
+    }
+
+    #[test]
+    fn max_over_mean_is_one_when_degenerate() {
+        assert_eq!(max_over_mean(&[]), 1.0);
+        assert_eq!(max_over_mean(&[0, 0]), 1.0);
+        assert_eq!(max_over_mean(&[300, 100]), 1.5);
     }
 }

@@ -17,15 +17,17 @@
 //! events in, HTTP handlers render snapshots out, and nothing ever flows
 //! back into the simulation — which is how stats and flit traces stay
 //! bit-identical with the server enabled. Also here: [`http_get`] (the
-//! matching hand-rolled client used by `hornet-dist watch` and the tests),
-//! a minimal JSON value parser ([`Json`]), and [`lint_prometheus`], the
-//! exposition-format linter CI runs over scraped payloads.
+//! matching hand-rolled client used by `hornet-dist watch` and the tests)
+//! and [`lint_prometheus`], the exposition-format linter CI runs over
+//! scraped payloads. JSON is written and read by [`crate::json`].
 
-use crate::alert::{AlertConfig, AlertEvaluator};
-use crate::history::{histogram_quantile, metrics_histogram, TelemetryHistory};
-use crate::metrics::{escape_json, TelemetrySample, HISTOGRAM_BUCKETS};
+use crate::alert::AlertEvaluator;
+use crate::json;
+use crate::metrics::{
+    latency_quantiles, max_over_mean, merged_histogram, newest_per_shard, TelemetrySample,
+};
 use crate::olog_info;
-use crate::trace::{TraceDump, TraceEvent};
+use crate::trace::{self, TraceEvent};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Read as _, Write as _};
@@ -38,19 +40,53 @@ use std::time::{Duration, Instant};
 /// Sliding window for the `/status` cycles/sec estimate.
 const RATE_WINDOW_MS: u64 = 5_000;
 
+/// Telemetry samples the hub retains across all shards (drop-oldest: the
+/// hub answers "what is happening now"; `--metrics-out` is the archive).
+const SAMPLE_CAPACITY: usize = 2_048;
+
+/// Runtime trace events the live buffer retains (drop-oldest, counted).
+const TRACE_CAPACITY: usize = 4_096;
+
 /// Everything the endpoints render, behind one mutex.
+#[derive(Default)]
 struct HubInner {
-    history: TelemetryHistory,
+    /// Recent samples with their arrival time in milliseconds since the
+    /// hub started, oldest first.
+    samples: VecDeque<(u64, TelemetrySample)>,
     alerts: AlertEvaluator,
     trace: VecDeque<TraceEvent>,
-    trace_capacity: usize,
     trace_dropped: u64,
     gauges: Vec<(String, u64)>,
 }
 
-/// The shared observation state an [`ObsServer`] serves: a telemetry
-/// history ring, an alert evaluator, a bounded buffer of runtime trace
-/// events, and named coordinator gauges (restarts, committed cycle, …).
+impl HubInner {
+    /// The newest retained sample of every shard, by shard id.
+    fn latest(&self) -> Vec<&TelemetrySample> {
+        newest_per_shard(self.samples.iter().map(|(_, s)| s))
+    }
+
+    /// Age at `now_ms` of `shard`'s newest sample, and the shard's simulated
+    /// cycles per wall-clock second over the trailing [`RATE_WINDOW_MS`]
+    /// (`None` until the window holds two samples separated by measurable
+    /// wall time).
+    fn timing(&self, shard: u32, now_ms: u64) -> (u64, Option<f64>) {
+        let cutoff = now_ms.saturating_sub(RATE_WINDOW_MS);
+        let mine = || self.samples.iter().filter(|(_, s)| s.shard == shard);
+        let (last_at, last) = mine().next_back().expect("a reporting shard has a sample");
+        let rate = mine()
+            .find(|(at, _)| *at >= cutoff)
+            .and_then(|(first_at, first)| {
+                let dt_ms = last_at.saturating_sub(*first_at);
+                (dt_ms > 0)
+                    .then(|| last.cycle.saturating_sub(first.cycle) as f64 * 1000.0 / dt_ms as f64)
+            });
+        (now_ms.saturating_sub(*last_at), rate)
+    }
+}
+
+/// The shared observation state an [`ObsServer`] serves: recent telemetry
+/// samples, an alert evaluator, a bounded buffer of runtime trace events,
+/// and named coordinator gauges (restarts, committed cycle, …).
 ///
 /// Producers call [`ingest`](Self::ingest) / [`record_trace`](Self::record_trace)
 /// / [`set_gauge`](Self::set_gauge); endpoint renderers only read. All
@@ -66,7 +102,7 @@ impl std::fmt::Debug for ObsHub {
         let (samples, events) = self
             .inner
             .lock()
-            .map(|i| (i.history.len(), i.trace.len()))
+            .map(|i| (i.samples.len(), i.trace.len()))
             .unwrap_or((0, 0));
         f.debug_struct("ObsHub")
             .field("samples", &samples)
@@ -82,24 +118,12 @@ impl Default for ObsHub {
 }
 
 impl ObsHub {
-    /// A hub with default capacities (2048 samples, 4096 trace events) and
-    /// default alert thresholds.
+    /// An empty hub retaining the newest 2 048 samples and 4 096 runtime
+    /// trace events.
     pub fn new() -> Self {
-        Self::with_capacity(2_048, 4_096)
-    }
-
-    /// A hub retaining at most `history` samples and `trace` runtime events.
-    pub fn with_capacity(history: usize, trace: usize) -> Self {
         Self {
             started: Instant::now(),
-            inner: Mutex::new(HubInner {
-                history: TelemetryHistory::new(history),
-                alerts: AlertEvaluator::new(AlertConfig::default()),
-                trace: VecDeque::new(),
-                trace_capacity: trace.max(1),
-                trace_dropped: 0,
-                gauges: Vec::new(),
-            }),
+            inner: Mutex::default(),
         }
     }
 
@@ -112,13 +136,16 @@ impl ObsHub {
         self.inner.lock().expect("obs hub poisoned")
     }
 
-    /// Records one telemetry sample: appended to the history ring and fed
-    /// through the alert evaluator.
+    /// Records one telemetry sample: retained (evicting the oldest when
+    /// full) and fed through the alert evaluator.
     pub fn ingest(&self, sample: &TelemetrySample) {
         let at_ms = self.now_ms();
         let mut inner = self.lock();
         inner.alerts.observe(sample);
-        inner.history.push(at_ms, sample.clone());
+        if inner.samples.len() == SAMPLE_CAPACITY {
+            inner.samples.pop_front();
+        }
+        inner.samples.push_back((at_ms, sample.clone()));
     }
 
     /// Records one runtime trace event into the live buffer (drop-oldest:
@@ -126,18 +153,11 @@ impl ObsHub {
     /// [`TraceRing`](crate::trace::TraceRing), and counts what it evicts).
     pub fn record_trace(&self, ev: TraceEvent) {
         let mut inner = self.lock();
-        if inner.trace.len() == inner.trace_capacity {
+        if inner.trace.len() == TRACE_CAPACITY {
             inner.trace.pop_front();
             inner.trace_dropped += 1;
         }
         inner.trace.push_back(ev);
-    }
-
-    /// Publishes every event of a dump into the live buffer.
-    pub fn publish_trace(&self, dump: &TraceDump) {
-        for ev in &dump.events {
-            self.record_trace(*ev);
-        }
     }
 
     /// Sets (or creates) a named coordinator gauge — restart counts,
@@ -150,126 +170,61 @@ impl ObsHub {
         }
     }
 
-    /// Current value of a coordinator gauge.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.lock()
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Merged packet-latency histogram across the latest sample of every
-    /// shard, plus the total count. `None` until a shard ships one.
-    fn merged_latency(inner: &HubInner) -> Option<[u64; HISTOGRAM_BUCKETS]> {
-        let mut merged: Option<[u64; HISTOGRAM_BUCKETS]> = None;
-        for e in inner.history.latest_per_shard() {
-            if let Some(h) = metrics_histogram(&e.sample.metrics, "packet_latency") {
-                let m = merged.get_or_insert([0; HISTOGRAM_BUCKETS]);
-                for (slot, v) in m.iter_mut().zip(h.iter()) {
-                    *slot += v;
-                }
-            }
-        }
-        merged
-    }
-
     /// The `/status` document.
     pub fn status_json(&self) -> String {
         let now_ms = self.now_ms();
         let inner = self.lock();
-        let latest = inner.history.latest_per_shard();
-        let mut s = String::with_capacity(1024);
-        let _ = write!(
-            s,
-            "{{\"uptime_ms\":{},\"samples\":{},\"shards_reporting\":{},",
-            now_ms,
-            inner.history.len(),
-            latest.len()
-        );
-        // Coordinator gauges (restart/checkpoint counters live here).
-        s.push_str("\"gauges\":{");
-        for (i, (name, v)) in inner.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{}", escape_json(name), v);
-        }
-        s.push_str("},");
-        // Merged latency quantiles.
-        match Self::merged_latency(&inner) {
-            Some(h) => {
-                let _ = write!(
-                    s,
-                    "\"latency\":{{\"count\":{},\"p50\":{:.1},\"p95\":{:.1},\"p99\":{:.1}}},",
-                    h.iter().sum::<u64>(),
-                    histogram_quantile(&h, 0.50),
-                    histogram_quantile(&h, 0.95),
-                    histogram_quantile(&h, 0.99),
-                );
-            }
-            None => s.push_str("\"latency\":null,"),
-        }
+        let latest = inner.latest();
         // Run-wide load imbalance from the latest per-shard compute times.
         let computes: Vec<u64> = latest
             .iter()
-            .map(|e| e.sample.profile.compute_ns)
+            .map(|s| s.profile.compute_ns)
             .filter(|&c| c > 0)
             .collect();
-        if computes.len() >= 2 {
-            let max = *computes.iter().max().unwrap() as f64;
-            let mean = computes.iter().sum::<u64>() as f64 / computes.len() as f64;
-            let _ = write!(s, "\"load_imbalance\":{:.4},", max / mean);
-        } else {
-            s.push_str("\"load_imbalance\":null,");
-        }
-        let _ = write!(
-            s,
-            "\"alerts\":{{\"active\":{},\"total\":{}}},",
-            inner.alerts.active(),
-            inner.alerts.total_firings()
-        );
-        s.push_str("\"shards\":[");
-        for (i, e) in latest.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let sm = &e.sample;
-            let _ = write!(
-                s,
-                "{{\"shard\":{},\"cycle\":{},\"age_ms\":{},",
-                sm.shard,
-                sm.cycle,
-                now_ms.saturating_sub(e.at_ms)
-            );
-            match inner
-                .history
-                .cycles_per_sec(sm.shard, RATE_WINDOW_MS, now_ms)
-            {
-                Some(r) => {
-                    let _ = write!(s, "\"cycles_per_sec\":{r:.1},");
-                }
-                None => s.push_str("\"cycles_per_sec\":null,"),
-            }
-            let f = sm.profile.fractions();
-            let _ = write!(
-                s,
-                "\"received\":{},\"busy\":{},\"delivered_packets\":{},\
-                 \"delivered_flits\":{},\"injected_flits\":{},\"buffered_flits\":{},\
-                 \"stall\":{{\"compute\":{:.4},\"wait\":{:.4},\"ingest\":{:.4},\"flush\":{:.4}}}}}",
-                sm.received,
-                sm.busy,
-                sm.delivered_packets,
-                sm.delivered_flits,
-                sm.injected_flits,
-                sm.buffered_flits,
-                f[0],
-                f[1],
-                f[2],
-                f[3],
-            );
-        }
-        s.push_str("]}");
+        let mut s = String::with_capacity(1024);
+        json::object(&mut s, |o| {
+            o.u64("uptime_ms", now_ms)
+                .u64("samples", inner.samples.len() as u64)
+                .u64("shards_reporting", latest.len() as u64)
+                .object("gauges", |g| {
+                    for (name, v) in &inner.gauges {
+                        g.u64(name, *v);
+                    }
+                });
+            match merged_histogram(latest.iter().copied(), "packet_latency") {
+                None => o.null("latency"),
+                Some(h) => o.object("latency", |l| {
+                    let [p50, p95, p99] = latency_quantiles(&h);
+                    l.u64("count", h.iter().sum())
+                        .f64("p50", p50, 1)
+                        .f64("p95", p95, 1)
+                        .f64("p99", p99, 1);
+                }),
+            };
+            let imbalance = (computes.len() >= 2).then(|| max_over_mean(&computes));
+            o.f64("load_imbalance", imbalance, 4)
+                .object("alerts", |a| {
+                    a.u64("active", inner.alerts.active() as u64)
+                        .u64("total", inner.alerts.total_firings());
+                })
+                .array("shards", &latest, |r, sm| {
+                    let (age_ms, rate) = inner.timing(sm.shard, now_ms);
+                    r.u64("shard", u64::from(sm.shard))
+                        .u64("cycle", sm.cycle)
+                        .u64("age_ms", age_ms)
+                        .f64("cycles_per_sec", rate, 1);
+                    // The counters between `cycle` and the profile.
+                    for (key, get) in &TelemetrySample::FIELDS[2..8] {
+                        r.u64(key, get(sm));
+                    }
+                    r.object("stall", |st| {
+                        let phases = ["compute", "wait", "ingest", "flush"];
+                        for (phase, f) in phases.into_iter().zip(sm.profile.fractions()) {
+                            st.f64(phase, f, 4);
+                        }
+                    });
+                });
+        });
         s
     }
 
@@ -277,62 +232,35 @@ impl ObsHub {
     pub fn alerts_json(&self) -> String {
         let inner = self.lock();
         let mut s = String::with_capacity(256);
-        let _ = write!(
-            s,
-            "{{\"active\":{},\"total\":{},\"firings\":[",
-            inner.alerts.active(),
-            inner.alerts.total_firings()
-        );
-        for (i, f) in inner.alerts.firings().iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let shard = if f.shard == u32::MAX {
-                -1i64
-            } else {
-                f.shard as i64
-            };
-            let _ = write!(
-                s,
-                "{{\"rule\":\"{}\",\"shard\":{},\"cycle\":{},\"value\":{:.4},\
-                 \"threshold\":{:.4},\"message\":\"{}\"}}",
-                f.rule,
-                shard,
-                f.cycle,
-                f.value,
-                f.threshold,
-                escape_json(&f.message)
-            );
-        }
-        s.push_str("]}");
+        json::object(&mut s, |o| {
+            o.u64("active", inner.alerts.active() as u64)
+                .u64("total", inner.alerts.total_firings())
+                .array("firings", inner.alerts.firings(), |j, f| {
+                    let shard = if f.shard == u32::MAX {
+                        -1
+                    } else {
+                        i64::from(f.shard)
+                    };
+                    j.str("rule", f.rule)
+                        .i64("shard", shard)
+                        .u64("cycle", f.cycle)
+                        .f64("value", f.value, 4)
+                        .f64("threshold", f.threshold, 4)
+                        .str("message", &f.message);
+                });
+        });
         s
     }
 
     /// The `/trace` document: events at `cycle >= since_cycle` as JSONL,
-    /// terminated by the unconditional summary line (same shape as
-    /// [`TraceDump::to_jsonl`]).
+    /// terminated by the unconditional summary line (same format as
+    /// [`TraceDump::to_jsonl`](crate::trace::TraceDump::to_jsonl)).
     pub fn trace_jsonl(&self, since_cycle: u64) -> String {
         let inner = self.lock();
-        let mut out = String::with_capacity(256);
-        let mut n = 0u64;
-        for e in inner.trace.iter().filter(|e| e.cycle >= since_cycle) {
-            let _ = writeln!(
-                out,
-                "{{\"cycle\":{},\"node\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-                e.cycle,
-                e.node,
-                e.kind.name(),
-                e.a,
-                e.b
-            );
-            n += 1;
-        }
-        let _ = writeln!(
-            out,
-            "{{\"events\":{},\"dropped\":{}}}",
-            n, inner.trace_dropped
-        );
-        out
+        trace::jsonl(
+            inner.trace.iter().filter(|e| e.cycle >= since_cycle),
+            inner.trace_dropped,
+        )
     }
 
     /// The `/metrics` document (Prometheus text exposition, format 0.0.4).
@@ -343,77 +271,61 @@ impl ObsHub {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
         };
-        decl(&mut out, "hornet_up", "gauge", "Server liveness.");
-        let _ = writeln!(out, "hornet_up 1");
-        decl(
-            &mut out,
-            "hornet_uptime_seconds",
-            "gauge",
-            "Seconds since the hub started.",
-        );
-        let _ = writeln!(
-            out,
-            "hornet_uptime_seconds {:.3}",
-            self.started.elapsed().as_secs_f64()
-        );
-        decl(
-            &mut out,
-            "hornet_samples_retained",
-            "gauge",
-            "Telemetry samples in the history ring.",
-        );
-        let _ = writeln!(out, "hornet_samples_retained {}", inner.history.len());
-        decl(
-            &mut out,
-            "hornet_alerts_fired_total",
-            "counter",
-            "Rising-edge alert firings since start.",
-        );
-        let _ = writeln!(
-            out,
-            "hornet_alerts_fired_total {}",
-            inner.alerts.total_firings()
-        );
-        decl(
-            &mut out,
-            "hornet_alerts_active",
-            "gauge",
-            "Alert conditions currently true.",
-        );
-        let _ = writeln!(out, "hornet_alerts_active {}", inner.alerts.active());
-        // Coordinator gauges.
+        let uptime = format!("{:.3}", self.started.elapsed().as_secs_f64());
+        let run_wide = [
+            ("hornet_up", "gauge", "Server liveness.", "1".to_string()),
+            (
+                "hornet_uptime_seconds",
+                "gauge",
+                "Seconds since the hub started.",
+                uptime,
+            ),
+            (
+                "hornet_samples_retained",
+                "gauge",
+                "Telemetry samples in the history ring.",
+                inner.samples.len().to_string(),
+            ),
+            (
+                "hornet_alerts_fired_total",
+                "counter",
+                "Rising-edge alert firings since start.",
+                inner.alerts.total_firings().to_string(),
+            ),
+            (
+                "hornet_alerts_active",
+                "gauge",
+                "Alert conditions currently true.",
+                inner.alerts.active().to_string(),
+            ),
+        ];
+        for (name, kind, help, v) in run_wide {
+            decl(&mut out, name, kind, help);
+            let _ = writeln!(out, "{name} {v}");
+        }
         for (name, v) in &inner.gauges {
             let metric = format!("hornet_{}", sanitize_metric_name(name));
             decl(&mut out, &metric, "gauge", "Coordinator gauge.");
             let _ = writeln!(out, "{metric} {v}");
         }
 
-        // Per-shard fixed fields from the latest sample of each shard.
-        type SampleField = fn(&TelemetrySample) -> u64;
-        let latest = inner.history.latest_per_shard();
-        let fixed: [(&str, &str, SampleField); 7] = [
-            ("hornet_shard_cycle", "gauge", |s| s.cycle),
-            ("hornet_shard_received_flits", "gauge", |s| s.received),
-            ("hornet_shard_busy_flits", "gauge", |s| s.busy),
-            ("hornet_shard_delivered_packets", "gauge", |s| {
-                s.delivered_packets
-            }),
-            ("hornet_shard_delivered_flits", "gauge", |s| {
-                s.delivered_flits
-            }),
-            ("hornet_shard_injected_flits", "gauge", |s| s.injected_flits),
-            ("hornet_shard_buffered_flits", "gauge", |s| s.buffered_flits),
+        // Per-shard fixed fields from the latest sample of each shard:
+        // `cycle` and the counters, in `TelemetrySample::FIELDS` order.
+        let latest = inner.latest();
+        let fixed = [
+            "hornet_shard_cycle",
+            "hornet_shard_received_flits",
+            "hornet_shard_busy_flits",
+            "hornet_shard_delivered_packets",
+            "hornet_shard_delivered_flits",
+            "hornet_shard_injected_flits",
+            "hornet_shard_buffered_flits",
         ];
         if !latest.is_empty() {
-            for (name, kind, get) in fixed {
-                decl(&mut out, name, kind, "Latest per-shard sample field.");
-                for e in &latest {
-                    let _ = writeln!(
-                        out,
-                        "{name}{{shard=\"{}\"}} {}",
-                        e.sample.shard,
-                        get(&e.sample)
-                    );
+            for (name, (_, get)) in fixed.into_iter().zip(&TelemetrySample::FIELDS[1..8]) {
+                decl(&mut out, name, "gauge", "Latest per-shard sample field.");
+                for s in &latest {
+                    let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
                 }
             }
             decl(
@@ -422,8 +334,8 @@ impl ObsHub {
                 "gauge",
                 "Wall time attributed to each driver phase.",
             );
-            for e in &latest {
-                let p = &e.sample.profile;
+            for s in &latest {
+                let p = &s.profile;
                 for (phase, ns) in [
                     ("compute", p.compute_ns),
                     ("wait", p.wait_ns),
@@ -433,7 +345,7 @@ impl ObsHub {
                     let _ = writeln!(
                         out,
                         "hornet_shard_stall_seconds{{shard=\"{}\",phase=\"{phase}\"}} {:.6}",
-                        e.sample.shard,
+                        s.shard,
                         ns as f64 / 1e9
                     );
                 }
@@ -444,33 +356,22 @@ impl ObsHub {
         // with at least one `<f>_b<i>` bucket in the same sample) are merged
         // across shards and re-assembled into cumulative buckets; everything
         // else is exported per shard as a gauge.
-        let mut families: Vec<String> = Vec::new();
-        for e in &latest {
-            for (name, _) in &e.sample.metrics {
-                if let Some((prefix, idx)) = name.rsplit_once("_b") {
-                    if idx.parse::<usize>().is_ok()
-                        && e.sample
-                            .metrics
-                            .iter()
-                            .any(|(n, _)| *n == format!("{prefix}_count"))
-                        && !families.iter().any(|f| f == prefix)
-                    {
-                        families.push(prefix.to_string());
-                    }
+        let mut families: Vec<&str> = Vec::new();
+        for s in &latest {
+            for family in s.metrics.iter().filter_map(|(n, _)| bucket_family(n)) {
+                let count = format!("{family}_count");
+                if s.metrics.iter().any(|(n, _)| *n == count) && !families.contains(&family) {
+                    families.push(family);
                 }
             }
         }
         let is_hist_part = |name: &str| {
-            families.iter().any(|f| {
-                name == format!("{f}_count")
-                    || name
-                        .strip_prefix(&format!("{f}_b"))
-                        .is_some_and(|i| i.parse::<usize>().is_ok())
-            })
+            let family = name.strip_suffix("_count").or_else(|| bucket_family(name));
+            family.is_some_and(|f| families.contains(&f))
         };
         let mut scalar_declared: Vec<String> = Vec::new();
-        for e in &latest {
-            for (name, v) in &e.sample.metrics {
+        for s in &latest {
+            for (name, v) in &s.metrics {
                 if is_hist_part(name) {
                     continue;
                 }
@@ -479,18 +380,11 @@ impl ObsHub {
                     decl(&mut out, &metric, "gauge", "Shard registry metric.");
                     scalar_declared.push(metric.clone());
                 }
-                let _ = writeln!(out, "{metric}{{shard=\"{}\"}} {v}", e.sample.shard);
+                let _ = writeln!(out, "{metric}{{shard=\"{}\"}} {v}", s.shard);
             }
         }
         for family in &families {
-            let mut merged = [0u64; HISTOGRAM_BUCKETS];
-            for e in &latest {
-                if let Some(h) = metrics_histogram(&e.sample.metrics, family) {
-                    for (slot, v) in merged.iter_mut().zip(h.iter()) {
-                        *slot += v;
-                    }
-                }
-            }
+            let merged = merged_histogram(latest.iter().copied(), family).unwrap_or_default();
             let metric = format!("hornet_{}", sanitize_metric_name(family));
             decl(
                 &mut out,
@@ -510,23 +404,31 @@ impl ObsHub {
             let _ = writeln!(out, "{metric}_count {cum}");
         }
         // Merged latency quantiles as plain gauges (PromQL-free p50/p95/p99).
-        if let Some(h) = Self::merged_latency(&inner) {
-            for (q, name) in [
-                (0.50, "hornet_packet_latency_p50"),
-                (0.95, "hornet_packet_latency_p95"),
-                (0.99, "hornet_packet_latency_p99"),
-            ] {
+        if let Some(h) = merged_histogram(latest.iter().copied(), "packet_latency") {
+            let names = [
+                "hornet_packet_latency_p50",
+                "hornet_packet_latency_p95",
+                "hornet_packet_latency_p99",
+            ];
+            for (name, q) in names.into_iter().zip(latency_quantiles(&h)) {
                 decl(
                     &mut out,
                     name,
                     "gauge",
                     "Estimated packet-latency quantile (cycles).",
                 );
-                let _ = writeln!(out, "{name} {:.1}", histogram_quantile(&h, q));
+                let _ = writeln!(out, "{name} {q:.1}");
             }
         }
         out
     }
+}
+
+/// `<f>` when `name` is `<f>_b<i>`, the flattened name of histogram
+/// bucket `i` (see [`MetricsRegistry::sample`](crate::metrics::MetricsRegistry::sample)).
+fn bucket_family(name: &str) -> Option<&str> {
+    let (family, i) = name.rsplit_once("_b")?;
+    i.parse::<usize>().is_ok().then_some(family)
 }
 
 /// Replaces every character outside `[a-zA-Z0-9_:]` with `_`, prefixing a
@@ -715,246 +617,6 @@ pub fn http_get(addr: &str, path: &str) -> io::Result<(u16, String)> {
     Ok((status, body))
 }
 
-/// A parsed JSON value — just enough for `hornet-dist watch` and the tests
-/// to consume `/status` without an external JSON crate.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any number (parsed as `f64`).
-    Num(f64),
-    /// A string (escapes resolved).
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object, in source order.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Parses one JSON document (trailing garbage is an error).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first syntax error.
-    pub fn parse(s: &str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: s.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    /// Object field lookup.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is one.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// The string, if this is one.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of input".into()),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".into()),
-                    }
-                    self.pos += 1;
-                }
-                Some(&b) => {
-                    // Copy the full UTF-8 sequence starting at `b`.
-                    let len = match b {
-                        _ if b < 0x80 => 1,
-                        _ if b >= 0xf0 => 4,
-                        _ if b >= 0xe0 => 3,
-                        _ => 2,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or("truncated UTF-8")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "bad UTF-8")?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            let v = self.value()?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
 /// Lints one Prometheus text-exposition document (the subset this crate
 /// emits): every line is a `# HELP`, a `# TYPE`, or a sample; metric names
 /// match the Prometheus charset; every sample belongs to a family with a
@@ -1103,41 +765,21 @@ type SampleParts = (String, Vec<(String, String)>, String);
 
 /// Splits `name{labels} value` / `name value` into parts.
 fn parse_sample_line(line: &str) -> Result<SampleParts, String> {
-    let (head, value) = match line.find('{') {
-        Some(brace) => {
-            let close = line
-                .rfind('}')
-                .ok_or_else(|| "unclosed label braces".to_string())?;
-            if close < brace {
-                return Err("mismatched label braces".into());
-            }
-            let labels = &line[brace + 1..close];
-            let value = line[close + 1..].trim();
-            return Ok((
-                {
-                    let name = &line[..brace];
-                    if !valid_metric_name(name) {
-                        return Err(format!("bad metric name {name:?}"));
-                    }
-                    name.to_string()
-                },
-                parse_labels(labels)?,
-                value.to_string(),
-            ));
+    let (name, labels, value) = match line.split_once('{') {
+        Some((name, rest)) => {
+            let (labels, value) = rest.rsplit_once('}').ok_or("unclosed label braces")?;
+            (name, parse_labels(labels)?, value.trim())
         }
         None => {
             let mut it = line.split_whitespace();
-            let name = it.next().ok_or_else(|| "empty line".to_string())?;
-            let value = it
-                .next()
-                .ok_or_else(|| "sample without value".to_string())?;
-            (name.to_string(), value.to_string())
+            let name = it.next().ok_or("empty line")?;
+            (name, Vec::new(), it.next().ok_or("sample without value")?)
         }
     };
-    if !valid_metric_name(&head) {
-        return Err(format!("bad metric name {head:?}"));
+    if !valid_metric_name(name) {
+        return Err(format!("bad metric name {name:?}"));
     }
-    Ok((head, Vec::new(), value))
+    Ok((name.to_string(), labels, value.to_string()))
 }
 
 /// Parses `k="v",k2="v2"` with backslash escapes in values.
@@ -1194,6 +836,7 @@ fn parse_labels(s: &str) -> Result<Vec<(String, String)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
     use crate::profile::StallProfile;
     use crate::trace::TraceKind;
 
@@ -1222,44 +865,6 @@ mod tests {
     }
 
     #[test]
-    fn status_reports_shards_gauges_and_quantiles() {
-        let hub = ObsHub::new();
-        hub.ingest(&sample(0, 1_000));
-        hub.ingest(&sample(1, 900));
-        hub.set_gauge("restarts", 2);
-        let status = hub.status_json();
-        let doc = Json::parse(&status).expect("valid JSON");
-        let shards = doc.get("shards").and_then(Json::as_array).unwrap();
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0].get("shard").unwrap().as_f64(), Some(0.0));
-        assert_eq!(shards[0].get("cycle").unwrap().as_f64(), Some(1_000.0));
-        assert_eq!(
-            doc.get("gauges").unwrap().get("restarts").unwrap().as_f64(),
-            Some(2.0)
-        );
-        let p50 = doc.get("latency").unwrap().get("p50").unwrap().as_f64();
-        assert!((8.0..16.0).contains(&p50.unwrap()), "p50 {p50:?}");
-        assert!(doc.get("load_imbalance").is_some());
-    }
-
-    #[test]
-    fn prometheus_output_passes_the_linter() {
-        let hub = ObsHub::new();
-        hub.ingest(&sample(0, 1_000));
-        hub.ingest(&sample(1, 950));
-        hub.set_gauge("committed_cycle", 500);
-        let text = hub.prometheus();
-        lint_prometheus(&text).expect("exposition lints clean");
-        assert!(text.contains("hornet_up 1"));
-        assert!(text.contains("hornet_shard_cycle{shard=\"0\"} 1000"));
-        assert!(text.contains("# TYPE hornet_packet_latency histogram"));
-        assert!(text.contains("hornet_packet_latency_bucket{le=\"+Inf\"} 10"));
-        assert!(text.contains("hornet_packet_latency_count 10"));
-        assert!(text.contains("hornet_packet_latency_p95"));
-        assert!(text.contains("hornet_committed_cycle 500"));
-    }
-
-    #[test]
     fn linter_rejects_malformed_documents() {
         assert!(lint_prometheus("no_type_decl 1\n").is_err());
         assert!(lint_prometheus("# TYPE x bogus\nx 1\n").is_err());
@@ -1280,9 +885,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_buffer_pages_by_cycle_and_counts_drops() {
-        let hub = ObsHub::with_capacity(16, 2);
-        for cycle in [10u64, 20, 30] {
+    fn trace_buffer_evicts_oldest_and_counts_drops() {
+        let hub = ObsHub::new();
+        for cycle in 10..=10 + TRACE_CAPACITY as u64 {
             hub.record_trace(TraceEvent {
                 cycle,
                 node: u32::MAX,
@@ -1291,15 +896,54 @@ mod tests {
                 b: 0,
             });
         }
-        // Capacity 2: the cycle-10 event was evicted (drop-oldest).
+        // One past capacity: the cycle-10 event was evicted (drop-oldest).
         let all = hub.trace_jsonl(0);
-        assert!(!all.contains("\"cycle\":10"));
-        assert!(all.contains("\"cycle\":20") && all.contains("\"cycle\":30"));
+        assert!(!all.contains("\"cycle\":10,"));
+        assert!(all.contains("\"cycle\":11,") && all.contains("\"cycle\":4106,"));
         assert!(all.lines().last().unwrap().contains("\"dropped\":1"));
-        let paged = hub.trace_jsonl(25);
-        assert!(!paged.contains("\"cycle\":20"));
-        assert!(paged.contains("\"cycle\":30"));
-        assert!(paged.lines().last().unwrap().contains("\"events\":1"));
+    }
+
+    #[test]
+    fn samples_age_out_and_rates_use_the_window_endpoints() {
+        let hub = ObsHub::new();
+        for cycle in 0..=SAMPLE_CAPACITY as u64 {
+            hub.ingest(&sample(0, cycle));
+        }
+        assert_eq!(hub.lock().samples.len(), SAMPLE_CAPACITY, "oldest evicted");
+
+        let mut inner = HubInner::default();
+        for (at_ms, cycle) in [(0, 0), (500, 1_000), (1_000, 2_000)] {
+            inner.samples.push_back((at_ms, sample(0, cycle)));
+        }
+        inner.samples.push_back((1_000, sample(1, 7)));
+        let (age_ms, rate) = inner.timing(0, 1_200);
+        assert_eq!(age_ms, 200);
+        assert!((rate.expect("two samples") - 2_000.0).abs() < 1e-9);
+        // A window holding one sample of the shard yields no rate.
+        assert_eq!(inner.timing(0, RATE_WINDOW_MS + 600).1, None);
+        assert_eq!(inner.timing(1, 1_000), (0, None));
+    }
+
+    #[test]
+    fn json_reader_survives_every_prefix_and_byte_flip_of_status() {
+        let hub = ObsHub::new();
+        hub.ingest(&sample(0, 1_000));
+        hub.ingest(&sample(1, 900));
+        hub.set_gauge("restarts", 2);
+        let doc = hub.status_json();
+        Json::parse(&doc).expect("the document itself parses");
+        for end in 0..doc.len() {
+            let _ = Json::parse(&doc[..end]);
+        }
+        let mut bytes = doc.into_bytes();
+        for i in 0..bytes.len() {
+            let original = bytes[i];
+            for flip in b"{}[]\",:0-.e\\ntfu\xff" {
+                bytes[i] = *flip;
+                let _ = Json::parse(&String::from_utf8_lossy(&bytes));
+            }
+            bytes[i] = original;
+        }
     }
 
     #[test]
@@ -1318,47 +962,24 @@ mod tests {
         lint_prometheus(&body).expect("scraped exposition lints clean");
         let (code, _) = http_get(&addr, "/nope").expect("404 route");
         assert_eq!(code, 404);
+        for cycle in [10, 20, 30] {
+            hub.record_trace(TraceEvent {
+                cycle,
+                node: 1,
+                kind: TraceKind::FlitRoute,
+                a: cycle,
+                b: 2,
+            });
+        }
+        for (since, events) in [(0, 3), (15, 2), (31, 0)] {
+            let path = format!("/trace?since_cycle={since}");
+            let (code, body) = http_get(&addr, &path).expect("trace page");
+            assert_eq!((code, body.lines().count()), (200, events + 1), "{body}");
+            assert_eq!(body, hub.trace_jsonl(since));
+        }
         let (code, _) = http_get(&addr, "/trace?since_cycle=bogus").expect("bad query");
         assert_eq!(code, 400);
         server.shutdown();
         server.shutdown(); // idempotent
-    }
-
-    #[test]
-    fn json_parser_handles_nesting_escapes_and_errors() {
-        let doc = Json::parse(r#"{"a":[1,2.5,-3],"b":{"c":"x\"y\n"},"d":null,"e":true}"#).unwrap();
-        assert_eq!(
-            doc.get("a").unwrap().as_array().unwrap()[1].as_f64(),
-            Some(2.5)
-        );
-        assert_eq!(
-            doc.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\"y\n")
-        );
-        assert_eq!(doc.get("d"), Some(&Json::Null));
-        assert_eq!(doc.get("e"), Some(&Json::Bool(true)));
-        assert!(Json::parse("{\"a\":}").is_err());
-        assert!(Json::parse("[1,2").is_err());
-        assert!(Json::parse("{} trailing").is_err());
-    }
-
-    #[test]
-    fn alerts_endpoint_serializes_firings() {
-        crate::log::set_max_level(crate::log::Level::Off);
-        let hub = ObsHub::new();
-        let mut s = sample(0, 100);
-        s.metrics.push(("x".into(), 0));
-        s.metrics
-            .iter_mut()
-            .find(|(n, _)| n == "trace_dropped")
-            .unwrap()
-            .1 = 9;
-        hub.ingest(&s);
-        let doc = Json::parse(&hub.alerts_json()).expect("valid JSON");
-        assert!(doc.get("total").unwrap().as_f64().unwrap() >= 1.0);
-        let firings = doc.get("firings").and_then(Json::as_array).unwrap();
-        assert!(firings
-            .iter()
-            .any(|f| f.get("rule").unwrap().as_str() == Some("trace_drops")));
     }
 }

@@ -8,12 +8,10 @@
 //!
 //! # Cost model
 //!
-//! * **Compiled out**: build with `RUSTFLAGS="--cfg hornet_trace_off"` and
-//!   [`record`](TraceRing::record) constant-folds to nothing everywhere.
-//! * **Compiled in, disabled** (the default): a site with no ring attached
-//!   pays one `Option` branch; a disabled ring pays one boolean load.
+//! * **No ring attached** (the default): a record site pays one `Option`
+//!   branch.
+//! * **Ring attached**: one bounds check and a 40-byte copy per event.
 //!   Recording never allocates — the ring's buffer is reserved up front.
-//! * **Enabled**: one bounds check and a 40-byte copy per event.
 //!
 //! # Truncation contract
 //!
@@ -32,13 +30,9 @@
 //! are host-timing-dependent by nature and live in separate rings;
 //! [`TraceDump::flit_events`] selects the deterministic subset.
 
-use crate::metrics::{escape_json, get_u32, get_u64, take};
-use std::fmt::Write as _;
+use crate::json;
+use crate::metrics::{get_u32, get_u64, take};
 use std::io;
-
-/// Master compile-time switch: `false` when built with
-/// `--cfg hornet_trace_off`, which folds every record site to a no-op.
-pub const COMPILED_IN: bool = !cfg!(hornet_trace_off);
 
 /// What happened. The meaning of [`TraceEvent::a`] / [`TraceEvent::b`]
 /// depends on the kind; see each variant.
@@ -141,37 +135,22 @@ pub struct TraceRing {
     buf: Vec<TraceEvent>,
     cap: usize,
     dropped: u64,
-    enabled: bool,
 }
 
 impl TraceRing {
-    /// Creates an enabled ring holding at most `capacity` events. The
-    /// buffer is reserved up front so recording never allocates.
+    /// Creates a ring holding at most `capacity` events. The buffer is
+    /// reserved up front so recording never allocates.
     pub fn new(capacity: usize) -> Self {
         Self {
-            buf: Vec::with_capacity(if COMPILED_IN { capacity } else { 0 }),
+            buf: Vec::with_capacity(capacity),
             cap: capacity,
             dropped: 0,
-            enabled: true,
         }
-    }
-
-    /// Runtime switch; a disabled ring records (and drops) nothing.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Whether the ring currently records.
-    pub fn enabled(&self) -> bool {
-        COMPILED_IN && self.enabled
     }
 
     /// Records one event (drops it, counted, when the ring is full).
     #[inline]
     pub fn record(&mut self, ev: TraceEvent) {
-        if !COMPILED_IN || !self.enabled {
-            return;
-        }
         if self.buf.len() >= self.cap {
             self.dropped += 1;
             return;
@@ -187,11 +166,6 @@ impl TraceRing {
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 
     /// Empties the ring and resets the drop counter.
@@ -288,25 +262,7 @@ impl TraceDump {
     /// object carrying the drop counter. The summary line is emitted
     /// *unconditionally* — truncation never silently reads as "complete".
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(64 + self.events.len() * 64);
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "{{\"cycle\":{},\"node\":{},\"kind\":\"{}\",\"a\":{},\"b\":{}}}",
-                e.cycle,
-                e.node,
-                e.kind.name(),
-                e.a,
-                e.b
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{{\"events\":{},\"dropped\":{}}}",
-            self.events.len(),
-            self.dropped
-        );
-        out
+        jsonl(&self.events, self.dropped)
     }
 
     /// Exports as Chrome `trace_event` JSON (load in perfetto, speedscope
@@ -317,57 +273,61 @@ impl TraceDump {
     /// nanoseconds as the slice length).
     pub fn to_chrome_trace(&self) -> String {
         let mut out = String::with_capacity(128 + self.events.len() * 128);
-        out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        for e in &self.events {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let tid: String = if e.kind.is_flit() {
-                format!("tile-{}", e.node)
-            } else if e.node == u32::MAX {
-                "run".to_string()
-            } else {
-                format!("shard-{}", e.node)
-            };
-            match e.kind {
-                TraceKind::SlackWaitEnd | TraceKind::CheckpointCapture => {
-                    let dur_us = (e.a as f64 / 1000.0).max(0.001);
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{:.3},\"pid\":0,\
-                         \"tid\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                        escape_json(e.kind.name()),
-                        e.cycle,
-                        dur_us,
-                        escape_json(&tid),
-                        e.a,
-                        e.b
-                    );
-                }
-                _ => {
-                    let _ = write!(
-                        out,
-                        "{{\"name\":\"{}\",\"ph\":\"i\",\"ts\":{},\"s\":\"t\",\"pid\":0,\
-                         \"tid\":\"{}\",\"args\":{{\"a\":{},\"b\":{}}}}}",
-                        escape_json(e.kind.name()),
-                        e.cycle,
-                        escape_json(&tid),
-                        e.a,
-                        e.b
-                    );
-                }
-            }
-        }
-        let _ = write!(
-            out,
-            "],\"otherData\":{{\"dropped\":{},\"events\":{}}}}}",
-            self.dropped,
-            self.events.len()
-        );
+        json::object(&mut out, |o| {
+            o.str("displayTimeUnit", "ms")
+                .array("traceEvents", &self.events, |t, e| {
+                    let tid = if e.kind.is_flit() {
+                        format!("tile-{}", e.node)
+                    } else if e.node == u32::MAX {
+                        "run".to_string()
+                    } else {
+                        format!("shard-{}", e.node)
+                    };
+                    t.str("name", e.kind.name());
+                    match e.kind {
+                        TraceKind::SlackWaitEnd | TraceKind::CheckpointCapture => {
+                            let dur_us = (e.a as f64 / 1000.0).max(0.001);
+                            t.str("ph", "X").u64("ts", e.cycle).f64("dur", dur_us, 3);
+                        }
+                        _ => {
+                            t.str("ph", "i").u64("ts", e.cycle).str("s", "t");
+                        }
+                    }
+                    t.u64("pid", 0).str("tid", &tid).object("args", |g| {
+                        g.u64("a", e.a).u64("b", e.b);
+                    });
+                })
+                .object("otherData", |d| {
+                    d.u64("dropped", self.dropped)
+                        .u64("events", self.events.len() as u64);
+                });
+        });
         out
     }
+}
+
+/// The JSONL form of `events` shared by [`TraceDump::to_jsonl`] and the
+/// `/trace` endpoint: one object per event, then the unconditional
+/// `{"events":N,"dropped":D}` summary line.
+pub(crate) fn jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>, dropped: u64) -> String {
+    let mut out = String::new();
+    let mut n = 0u64;
+    for e in events {
+        json::object(&mut out, |o| {
+            o.u64("cycle", e.cycle)
+                .u64("node", u64::from(e.node))
+                .str("kind", e.kind.name())
+                .u64("a", e.a)
+                .u64("b", e.b);
+        });
+        out.push('\n');
+        n += 1;
+    }
+    json::object(&mut out, |o| {
+        o.u64("events", n).u64("dropped", dropped);
+    });
+    out.push('\n');
+    out
 }
 
 #[cfg(test)]
@@ -396,15 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_ring_records_nothing() {
-        let mut ring = TraceRing::new(8);
-        ring.set_enabled(false);
-        ring.record(ev(1, 0, TraceKind::FlitInject));
-        assert!(ring.events().is_empty());
-        assert_eq!(ring.dropped(), 0);
-    }
-
-    #[test]
     fn dump_round_trips_and_canonicalizes_stably() {
         let mut ring_a = TraceRing::new(4);
         let mut ring_b = TraceRing::new(4);
@@ -422,21 +373,6 @@ mod tests {
         let back = TraceDump::decode(&dump.encode()).unwrap();
         assert_eq!(back, dump);
         assert!(TraceDump::decode(&dump.encode()[..5]).is_err());
-    }
-
-    #[test]
-    fn exports_always_carry_the_drop_counter() {
-        let dump = TraceDump {
-            events: vec![ev(10, 3, TraceKind::FlitRoute)],
-            dropped: 42,
-        };
-        let jsonl = dump.to_jsonl();
-        assert!(jsonl.lines().last().unwrap().contains("\"dropped\":42"));
-        assert!(jsonl.contains("\"kind\":\"flit_route\""));
-        let chrome = dump.to_chrome_trace();
-        assert!(chrome.contains("\"dropped\":42"));
-        assert!(chrome.contains("\"tid\":\"tile-3\""));
-        assert!(chrome.starts_with('{') && chrome.ends_with('}'));
     }
 
     #[test]

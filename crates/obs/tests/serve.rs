@@ -1,14 +1,14 @@
-//! Integration tests of the embedded live-introspection server: a real
+//! Integration test of the embedded live-introspection server: a real
 //! `ObsServer` over a real TCP socket, fed by a producer thread while
 //! several scraper threads hammer every endpoint — the concurrent-access
-//! pattern a run with `--http` actually sees. Also pins down the payload
-//! contracts: `/metrics` passes the Prometheus exposition linter, `/status`
-//! satisfies the documented JSON schema, and `/trace?since_cycle=N` pages
-//! by cycle.
+//! pattern a run with `--http` actually sees. Every scraped `/status`
+//! parses and every `/metrics` passes the exposition linter; the byte-level
+//! contract of each document is pinned in `golden.rs`.
 
+use hornet_obs::json::Json;
 use hornet_obs::metrics::TelemetrySample;
 use hornet_obs::profile::StallProfile;
-use hornet_obs::serve::{http_get, lint_prometheus, Json, ObsHub, ObsServer};
+use hornet_obs::serve::{http_get, lint_prometheus, ObsHub, ObsServer};
 use hornet_obs::trace::{TraceEvent, TraceKind};
 use std::sync::Arc;
 
@@ -93,134 +93,6 @@ fn concurrent_scrapes_during_ingest_stay_well_formed() {
     producer.join().expect("producer");
     for s in scrapers {
         s.join().expect("scraper");
-    }
-    server.shutdown();
-}
-
-#[test]
-fn status_schema_carries_shards_rates_and_quantiles() {
-    let hub = Arc::new(ObsHub::new());
-    for cycle in [1_000u64, 2_000, 3_000] {
-        hub.ingest(&sample(0, cycle));
-        hub.ingest(&sample(1, cycle));
-    }
-    let mut server = ObsServer::spawn("127.0.0.1:0", Arc::clone(&hub)).expect("bind");
-    let (code, body) = http_get(&server.addr().to_string(), "/status").expect("status");
-    assert_eq!(code, 200);
-    let doc = Json::parse(&body).expect("valid JSON");
-
-    let shards = doc
-        .get("shards")
-        .and_then(Json::as_array)
-        .expect("shards array");
-    assert_eq!(shards.len(), 2, "one row per reporting shard");
-    for row in shards {
-        for key in [
-            "shard",
-            "cycle",
-            "age_ms",
-            "received",
-            "busy",
-            "delivered_packets",
-            "delivered_flits",
-            "injected_flits",
-            "buffered_flits",
-        ] {
-            assert!(
-                row.get(key).and_then(Json::as_f64).is_some(),
-                "shard row carries numeric {key}: {body}"
-            );
-        }
-        let stall = row.get("stall").expect("stall breakdown");
-        for phase in ["compute", "wait", "ingest", "flush"] {
-            assert!(stall.get(phase).and_then(Json::as_f64).is_some());
-        }
-    }
-    assert_eq!(
-        shards[0].get("cycle").and_then(Json::as_f64),
-        Some(3_000.0),
-        "latest sample wins"
-    );
-
-    // Merged latency quantiles recovered from the per-shard histograms: all
-    // mass sits in buckets 3 and 4, so every quantile lands in [8, 32).
-    let lat = doc.get("latency").expect("latency summary");
-    for q in ["p50", "p95", "p99"] {
-        let v = lat.get(q).and_then(Json::as_f64).expect("quantile");
-        assert!((8.0..32.0).contains(&v), "{q} = {v} outside the mass");
-    }
-    let imb = doc
-        .get("load_imbalance")
-        .and_then(Json::as_f64)
-        .expect("imbalance with two shards");
-    assert!((1.0..1.1).contains(&imb), "near-balanced: {imb}");
-    assert!(
-        doc.get("alerts")
-            .and_then(|a| a.get("total"))
-            .and_then(Json::as_f64)
-            .is_some(),
-        "alert counters"
-    );
-    server.shutdown();
-}
-
-#[test]
-fn trace_paging_by_since_cycle() {
-    let hub = Arc::new(ObsHub::new());
-    for cycle in 1..=50u64 {
-        hub.record_trace(TraceEvent {
-            cycle: cycle * 10,
-            node: 1,
-            kind: TraceKind::FlitRoute,
-            a: cycle,
-            b: 2,
-        });
-    }
-    let mut server = ObsServer::spawn("127.0.0.1:0", Arc::clone(&hub)).expect("bind");
-    let addr = server.addr().to_string();
-
-    let page = |since: u64| -> (usize, String) {
-        let (code, body) = http_get(&addr, &format!("/trace?since_cycle={since}")).expect("trace");
-        assert_eq!(code, 200);
-        // Last line is the unconditional {"events":N,"dropped":N} summary.
-        (body.lines().count() - 1, body)
-    };
-    let (all, _) = page(0);
-    assert_eq!(all, 50);
-    let (tail, body) = page(251);
-    assert_eq!(tail, 25, "cycles 260..=500: {body}");
-    assert!(body.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
-    let (none, body) = page(10_000);
-    assert_eq!(none, 0);
-    assert!(body.starts_with("{\"events\":"), "summary only: {body}");
-
-    let (code, _) = http_get(&addr, "/trace?since_cycle=nonsense").expect("connects");
-    assert_eq!(code, 400, "unparsable cursor is a client error");
-    server.shutdown();
-}
-
-#[test]
-fn metrics_exposition_covers_shards_histograms_and_gauges() {
-    let hub = Arc::new(ObsHub::new());
-    hub.set_gauge("restarts", 3);
-    hub.set_gauge("shards", 2);
-    hub.ingest(&sample(0, 4_000));
-    hub.ingest(&sample(1, 4_000));
-    let mut server = ObsServer::spawn("127.0.0.1:0", Arc::clone(&hub)).expect("bind");
-    let (code, body) = http_get(&server.addr().to_string(), "/metrics").expect("metrics");
-    assert_eq!(code, 200);
-    lint_prometheus(&body).expect("exposition lints clean");
-    for needle in [
-        "hornet_up 1",
-        "hornet_restarts 3",
-        "hornet_shard_cycle{shard=\"1\"} 4000",
-        "hornet_shard_stall_seconds{shard=\"0\",phase=\"wait\"}",
-        "hornet_packet_latency_bucket{le=\"+Inf\"}",
-        "hornet_packet_latency_count",
-        "hornet_m_router_xbar_grants{shard=\"0\"}",
-        "hornet_packet_latency_p95",
-    ] {
-        assert!(body.contains(needle), "missing {needle} in:\n{body}");
     }
     server.shutdown();
 }

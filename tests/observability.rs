@@ -182,7 +182,7 @@ fn http_server_scraped_mid_run_keeps_results_bit_identical() {
                     match hornet_obs::serve::http_get(&addr, path) {
                         Ok((200, body)) => {
                             if path == "/status" {
-                                hornet_obs::serve::Json::parse(&body).expect("status is JSON");
+                                hornet_obs::json::Json::parse(&body).expect("status is JSON");
                             } else if path == "/metrics" {
                                 hornet_obs::serve::lint_prometheus(&body)
                                     .expect("exposition lints clean");
