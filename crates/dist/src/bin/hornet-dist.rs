@@ -25,7 +25,7 @@
 
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
 use hornet_dist::{run_distributed, HostOptions, TransportKind};
-use hornet_obs::json::{self, Json};
+use hornet_obs::json::Json;
 use hornet_obs::metrics::{max_over_mean, TelemetrySample};
 use hornet_obs::serve::{http_get, lint_prometheus};
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
@@ -207,17 +207,22 @@ fn validate_metrics(args: &[String]) -> ExitCode {
         if line.trim().is_empty() {
             continue;
         }
-        // Summary records (flushed on rollback/abort and at the end of the
-        // run) are JSON objects too, but not telemetry samples.
-        if Json::parse(line).is_ok_and(|d| d.get("summary") == Some(&Json::Bool(true))) {
-            summaries += 1;
-            continue;
+        let verdict = Json::parse(line)
+            .map_err(|e| format!("line is not JSON: {e}"))
+            .and_then(|doc| match doc.get("summary") {
+                // Summary records (flushed on rollback/abort and at the end
+                // of the run) are JSON objects too, but not telemetry samples.
+                Some(Json::Bool(true)) => Ok(true),
+                _ => TelemetrySample::validate_ndjson(&doc).map(|()| false),
+            });
+        match verdict {
+            Ok(true) => summaries += 1,
+            Ok(false) => n += 1,
+            Err(e) => {
+                eprintln!("validate-metrics: {path}:{}: {e}", i + 1);
+                return ExitCode::FAILURE;
+            }
         }
-        if let Err(e) = TelemetrySample::validate_ndjson_line(line) {
-            eprintln!("validate-metrics: {path}:{}: {e}", i + 1);
-            return ExitCode::FAILURE;
-        }
-        n += 1;
     }
     println!("{path}: {n} samples, {summaries} summary records, schema ok");
     ExitCode::SUCCESS
@@ -396,17 +401,18 @@ fn host(args: &[String]) -> ExitCode {
                 }
             }
             if as_json {
-                let mut line = String::new();
-                json::object(&mut line, |o| {
-                    o.u64("shards", outcome.shards as u64)
-                        .u64("cut_links", outcome.cut_links as u64)
-                        .u64("final_cycle", outcome.final_cycle)
-                        .bool("completed", outcome.completed)
-                        .u64("delivered_packets", outcome.stats.delivered_packets)
-                        .f64("avg_packet_latency", outcome.stats.avg_packet_latency(), 3)
-                        .f64("cycles_per_sec", cps, 0);
-                });
-                println!("{line}");
+                println!(
+                    "{{ \"shards\": {}, \"cut_links\": {}, \"final_cycle\": {}, \
+                     \"completed\": {}, \"delivered_packets\": {}, \"avg_packet_latency\": {:.3}, \
+                     \"cycles_per_sec\": {:.0} }}",
+                    outcome.shards,
+                    outcome.cut_links,
+                    outcome.final_cycle,
+                    outcome.completed,
+                    outcome.stats.delivered_packets,
+                    outcome.stats.avg_packet_latency(),
+                    cps
+                );
             } else {
                 println!(
                     "mesh {}x{} | {} shards ({:?}) | {} cut links | sync {}",

@@ -348,15 +348,24 @@ impl TelemetrySample {
         s
     }
 
-    /// Checks one `--metrics-out` NDJSON line against the sample schema:
-    /// a JSON object holding a number at every [`FIELDS`](Self::FIELDS) key
-    /// and an object at `metrics`.
+    /// Checks one `--metrics-out` NDJSON line against the sample schema
+    /// (see [`validate_ndjson`](Self::validate_ndjson)).
     ///
     /// # Errors
     ///
     /// A human-readable description of the first violation.
     pub fn validate_ndjson_line(line: &str) -> Result<(), String> {
-        let doc = Json::parse(line).map_err(|e| format!("line is not JSON: {e}"))?;
+        Self::validate_ndjson(&Json::parse(line).map_err(|e| format!("line is not JSON: {e}"))?)
+    }
+
+    /// Checks one parsed NDJSON document against the sample schema: an
+    /// object holding a number at every [`FIELDS`](Self::FIELDS) key and an
+    /// object at `metrics`.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violation.
+    pub fn validate_ndjson(doc: &Json) -> Result<(), String> {
         for (key, _) in Self::FIELDS {
             if !matches!(doc.get(key), Some(Json::Num(_))) {
                 return Err(format!("key {key:?} is missing or not a number"));
@@ -586,6 +595,7 @@ mod tests {
         let [p50, _, p99] = latency_quantiles(&b);
         assert!((8.0..16.0).contains(&p50), "p50 {p50}");
         assert!(p99 <= 16.0);
+        assert!(histogram_quantile(&b, 1.0) <= 16.0);
         assert_eq!(histogram_quantile(&[0; 4], 0.5), 0.0);
         // Mass split across buckets: p25 in the lower, p75 in the upper.
         let mut b = [0u64; HISTOGRAM_BUCKETS];

@@ -24,7 +24,8 @@
 use crate::alert::AlertEvaluator;
 use crate::json;
 use crate::metrics::{
-    latency_quantiles, max_over_mean, merged_histogram, newest_per_shard, TelemetrySample,
+    latency_quantiles, max_over_mean, merged_histogram, newest_per_shard, SampleField,
+    TelemetrySample,
 };
 use crate::olog_info;
 use crate::trace::{self, TraceEvent};
@@ -213,9 +214,12 @@ impl ObsHub {
                         .u64("cycle", sm.cycle)
                         .u64("age_ms", age_ms)
                         .f64("cycles_per_sec", rate, 1);
-                    // The counters between `cycle` and the profile.
-                    for (key, get) in &TelemetrySample::FIELDS[2..8] {
-                        r.u64(key, get(sm));
+                    // The counters: every field but `shard`, `cycle` and the
+                    // profile's `*_ns` (reported below as fractions).
+                    for (key, get) in TelemetrySample::FIELDS {
+                        if !matches!(key, "shard" | "cycle") && !key.ends_with("_ns") {
+                            r.u64(key, get(sm));
+                        }
                     }
                     r.object("stall", |st| {
                         let phases = ["compute", "wait", "ingest", "flush"];
@@ -271,59 +275,69 @@ impl ObsHub {
             let _ = writeln!(out, "# HELP {name} {help}");
             let _ = writeln!(out, "# TYPE {name} {kind}");
         };
-        let uptime = format!("{:.3}", self.started.elapsed().as_secs_f64());
-        let run_wide = [
-            ("hornet_up", "gauge", "Server liveness.", "1".to_string()),
-            (
-                "hornet_uptime_seconds",
-                "gauge",
-                "Seconds since the hub started.",
-                uptime,
-            ),
-            (
-                "hornet_samples_retained",
-                "gauge",
-                "Telemetry samples in the history ring.",
-                inner.samples.len().to_string(),
-            ),
-            (
-                "hornet_alerts_fired_total",
-                "counter",
-                "Rising-edge alert firings since start.",
-                inner.alerts.total_firings().to_string(),
-            ),
-            (
-                "hornet_alerts_active",
-                "gauge",
-                "Alert conditions currently true.",
-                inner.alerts.active().to_string(),
-            ),
-        ];
-        for (name, kind, help, v) in run_wide {
-            decl(&mut out, name, kind, help);
-            let _ = writeln!(out, "{name} {v}");
-        }
+        decl(&mut out, "hornet_up", "gauge", "Server liveness.");
+        let _ = writeln!(out, "hornet_up 1");
+        decl(
+            &mut out,
+            "hornet_uptime_seconds",
+            "gauge",
+            "Seconds since the hub started.",
+        );
+        let _ = writeln!(
+            out,
+            "hornet_uptime_seconds {:.3}",
+            self.started.elapsed().as_secs_f64()
+        );
+        decl(
+            &mut out,
+            "hornet_samples_retained",
+            "gauge",
+            "Telemetry samples in the history ring.",
+        );
+        let _ = writeln!(out, "hornet_samples_retained {}", inner.samples.len());
+        decl(
+            &mut out,
+            "hornet_alerts_fired_total",
+            "counter",
+            "Rising-edge alert firings since start.",
+        );
+        let _ = writeln!(
+            out,
+            "hornet_alerts_fired_total {}",
+            inner.alerts.total_firings()
+        );
+        decl(
+            &mut out,
+            "hornet_alerts_active",
+            "gauge",
+            "Alert conditions currently true.",
+        );
+        let _ = writeln!(out, "hornet_alerts_active {}", inner.alerts.active());
+        // Coordinator gauges.
         for (name, v) in &inner.gauges {
             let metric = format!("hornet_{}", sanitize_metric_name(name));
             decl(&mut out, &metric, "gauge", "Coordinator gauge.");
             let _ = writeln!(out, "{metric} {v}");
         }
 
-        // Per-shard fixed fields from the latest sample of each shard:
-        // `cycle` and the counters, in `TelemetrySample::FIELDS` order.
+        // Per-shard fixed fields from the latest sample of each shard.
         let latest = inner.latest();
-        let fixed = [
-            "hornet_shard_cycle",
-            "hornet_shard_received_flits",
-            "hornet_shard_busy_flits",
-            "hornet_shard_delivered_packets",
-            "hornet_shard_delivered_flits",
-            "hornet_shard_injected_flits",
-            "hornet_shard_buffered_flits",
+        let fixed: [(&str, &str, SampleField); 7] = [
+            ("hornet_shard_cycle", "gauge", |s| s.cycle),
+            ("hornet_shard_received_flits", "gauge", |s| s.received),
+            ("hornet_shard_busy_flits", "gauge", |s| s.busy),
+            ("hornet_shard_delivered_packets", "gauge", |s| {
+                s.delivered_packets
+            }),
+            ("hornet_shard_delivered_flits", "gauge", |s| {
+                s.delivered_flits
+            }),
+            ("hornet_shard_injected_flits", "gauge", |s| s.injected_flits),
+            ("hornet_shard_buffered_flits", "gauge", |s| s.buffered_flits),
         ];
         if !latest.is_empty() {
-            for (name, (_, get)) in fixed.into_iter().zip(&TelemetrySample::FIELDS[1..8]) {
-                decl(&mut out, name, "gauge", "Latest per-shard sample field.");
+            for (name, kind, get) in fixed {
+                decl(&mut out, name, kind, "Latest per-shard sample field.");
                 for s in &latest {
                     let _ = writeln!(out, "{name}{{shard=\"{}\"}} {}", s.shard, get(s));
                 }
@@ -356,18 +370,28 @@ impl ObsHub {
         // with at least one `<f>_b<i>` bucket in the same sample) are merged
         // across shards and re-assembled into cumulative buckets; everything
         // else is exported per shard as a gauge.
-        let mut families: Vec<&str> = Vec::new();
+        let mut families: Vec<String> = Vec::new();
         for s in &latest {
-            for family in s.metrics.iter().filter_map(|(n, _)| bucket_family(n)) {
-                let count = format!("{family}_count");
-                if s.metrics.iter().any(|(n, _)| *n == count) && !families.contains(&family) {
-                    families.push(family);
+            for (name, _) in &s.metrics {
+                if let Some((prefix, idx)) = name.rsplit_once("_b") {
+                    if idx.parse::<usize>().is_ok()
+                        && s.metrics
+                            .iter()
+                            .any(|(n, _)| *n == format!("{prefix}_count"))
+                        && !families.iter().any(|f| f == prefix)
+                    {
+                        families.push(prefix.to_string());
+                    }
                 }
             }
         }
         let is_hist_part = |name: &str| {
-            let family = name.strip_suffix("_count").or_else(|| bucket_family(name));
-            family.is_some_and(|f| families.contains(&f))
+            families.iter().any(|f| {
+                name == format!("{f}_count")
+                    || name
+                        .strip_prefix(&format!("{f}_b"))
+                        .is_some_and(|i| i.parse::<usize>().is_ok())
+            })
         };
         let mut scalar_declared: Vec<String> = Vec::new();
         for s in &latest {
@@ -422,13 +446,6 @@ impl ObsHub {
         }
         out
     }
-}
-
-/// `<f>` when `name` is `<f>_b<i>`, the flattened name of histogram
-/// bucket `i` (see [`MetricsRegistry::sample`](crate::metrics::MetricsRegistry::sample)).
-fn bucket_family(name: &str) -> Option<&str> {
-    let (family, i) = name.rsplit_once("_b")?;
-    i.parse::<usize>().is_ok().then_some(family)
 }
 
 /// Replaces every character outside `[a-zA-Z0-9_:]` with `_`, prefixing a
@@ -765,21 +782,41 @@ type SampleParts = (String, Vec<(String, String)>, String);
 
 /// Splits `name{labels} value` / `name value` into parts.
 fn parse_sample_line(line: &str) -> Result<SampleParts, String> {
-    let (name, labels, value) = match line.split_once('{') {
-        Some((name, rest)) => {
-            let (labels, value) = rest.rsplit_once('}').ok_or("unclosed label braces")?;
-            (name, parse_labels(labels)?, value.trim())
+    let (head, value) = match line.find('{') {
+        Some(brace) => {
+            let close = line
+                .rfind('}')
+                .ok_or_else(|| "unclosed label braces".to_string())?;
+            if close < brace {
+                return Err("mismatched label braces".into());
+            }
+            let labels = &line[brace + 1..close];
+            let value = line[close + 1..].trim();
+            return Ok((
+                {
+                    let name = &line[..brace];
+                    if !valid_metric_name(name) {
+                        return Err(format!("bad metric name {name:?}"));
+                    }
+                    name.to_string()
+                },
+                parse_labels(labels)?,
+                value.to_string(),
+            ));
         }
         None => {
             let mut it = line.split_whitespace();
-            let name = it.next().ok_or("empty line")?;
-            (name, Vec::new(), it.next().ok_or("sample without value")?)
+            let name = it.next().ok_or_else(|| "empty line".to_string())?;
+            let value = it
+                .next()
+                .ok_or_else(|| "sample without value".to_string())?;
+            (name.to_string(), value.to_string())
         }
     };
-    if !valid_metric_name(name) {
-        return Err(format!("bad metric name {name:?}"));
+    if !valid_metric_name(&head) {
+        return Err(format!("bad metric name {head:?}"));
     }
-    Ok((name.to_string(), labels, value.to_string()))
+    Ok((head, Vec::new(), value))
 }
 
 /// Parses `k="v",k2="v2"` with backslash escapes in values.
