@@ -127,6 +127,9 @@ pub struct MemoryNode {
     directory: DirectorySlice,
     hosts_directory: bool,
     scheduled: VecDeque<Scheduled>,
+    /// Always empty between ticks: `tick` collects the messages that are not
+    /// ready yet here and swaps it with `scheduled`, so no cycle allocates.
+    spare: VecDeque<Scheduled>,
     stats: MemNodeStats,
 }
 
@@ -146,6 +149,7 @@ impl MemoryNode {
             directory: DirectorySlice::new(),
             hosts_directory,
             scheduled: VecDeque::new(),
+            spare: VecDeque::new(),
             stats: MemNodeStats::default(),
             config,
         }
@@ -319,7 +323,9 @@ impl MemoryNode {
     /// Per-cycle processing: releases delayed messages — local ones are
     /// handled in place, remote ones are packetised and sent through `io`.
     pub fn tick(&mut self, io: &mut dyn NodeIo, now: Cycle) {
-        let mut still_waiting = VecDeque::new();
+        // Messages scheduled while this loop runs land at the back of
+        // `scheduled` and are handled in this tick if they are ready.
+        let mut still_waiting = std::mem::take(&mut self.spare);
         while let Some(s) = self.scheduled.pop_front() {
             if s.ready_at > now {
                 still_waiting.push_back(s);
@@ -342,7 +348,7 @@ impl MemoryNode {
                 self.stats.messages_sent += 1;
             }
         }
-        self.scheduled = still_waiting;
+        self.spare = std::mem::replace(&mut self.scheduled, still_waiting);
     }
 
     /// True if no protocol message is waiting inside this tile.

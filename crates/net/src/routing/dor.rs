@@ -3,8 +3,8 @@
 //! falls back to breadth-first shortest paths.
 
 use crate::geometry::{Geometry, Topology};
-use crate::ids::NodeId;
-use crate::routing::table::RoutingTable;
+use crate::ids::{FlowId, NodeId};
+use crate::routing::table::{RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 
 /// Which dimension is resolved first.
@@ -52,11 +52,31 @@ pub fn dor_path(
     dst: NodeId,
     order: DimensionOrder,
 ) -> Vec<NodeId> {
+    let mut path = Vec::new();
+    dor_path_into(geometry, src, dst, order, &mut path);
+    path
+}
+
+/// [`dor_path`] into a caller-owned buffer (cleared first), so table builders
+/// can reuse one allocation for every flow.
+///
+/// # Panics
+///
+/// Panics if the geometry is disconnected between `src` and `dst`.
+pub fn dor_path_into(
+    geometry: &Geometry,
+    src: NodeId,
+    dst: NodeId,
+    order: DimensionOrder,
+    path: &mut Vec<NodeId>,
+) {
+    path.clear();
+    path.push(src);
     if src == dst {
-        return vec![src];
+        return;
     }
     match geometry.topology() {
-        Topology::Custom { .. } => bfs_path(geometry, src, dst),
+        Topology::Custom { .. } => *path = bfs_path(geometry, src, dst),
         topo => {
             let wraps = matches!(topo, Topology::Torus2D { .. } | Topology::Ring { .. });
             let width = geometry.width().expect("coordinate topology");
@@ -67,7 +87,6 @@ pub fn dor_path(
             };
             let (mut x, mut y, mut l) = geometry.coords(src).expect("coordinate topology");
             let (dx, dy, dl) = geometry.coords(dst).expect("coordinate topology");
-            let mut path = vec![src];
             let mut guard = 0usize;
             let max_steps = width + height + layers + 4;
             while (x, y, l) != (dx, dy, dl) {
@@ -104,11 +123,11 @@ pub fn dor_path(
                 // route within the layer to a pillar first by falling back to
                 // BFS in that rare case.
                 if !geometry.connected(*path.last().unwrap(), next) {
-                    return bfs_path(geometry, src, dst);
+                    *path = bfs_path(geometry, src, dst);
+                    return;
                 }
                 path.push(next);
             }
-            path
         }
     }
 }
@@ -156,38 +175,29 @@ pub fn bfs_path(geometry: &Geometry, src: NodeId, dst: NodeId) -> Vec<NodeId> {
 
 /// Installs a single path into per-node routing tables for a flow, with the
 /// given weight, keeping the flow identifier constant along the path.
-pub fn install_path(
-    tables: &mut [RoutingTable],
-    path: &[NodeId],
-    flow: crate::ids::FlowId,
-    weight: f64,
-) {
-    install_path_with_flows(tables, path, &vec![flow; path.len()], weight);
+pub fn install_path(tables: &mut [TableBuilder], path: &[NodeId], flow: FlowId, weight: f64) {
+    install_path_with_flows(tables, path, |_| flow, weight);
 }
 
 /// Installs a path where each position may carry a different (renamed) flow
-/// identifier. `flows[i]` is the flow identifier the packet carries when it is
-/// *at* `path[i]`; renaming to `flows[i+1]` happens on the hop out of
+/// identifier. `flow_at(i)` is the flow identifier the packet carries when it
+/// is *at* `path[i]`; renaming to `flow_at(i + 1)` happens on the hop out of
 /// `path[i]`.
 pub fn install_path_with_flows(
-    tables: &mut [RoutingTable],
+    tables: &mut [TableBuilder],
     path: &[NodeId],
-    flows: &[crate::ids::FlowId],
+    flow_at: impl Fn(usize) -> FlowId,
     weight: f64,
 ) {
-    assert_eq!(path.len(), flows.len());
-    if path.is_empty() {
-        return;
-    }
-    for i in 0..path.len() {
-        let node = path[i];
-        let prev = if i == 0 { path[0] } else { path[i - 1] };
-        let flow_here = flows[i];
-        if i + 1 < path.len() {
-            tables[node.index()].add(prev, flow_here, path[i + 1], flows[i + 1], weight);
-        } else {
+    for (i, &node) in path.iter().enumerate() {
+        let prev = if i == 0 { node } else { path[i - 1] };
+        let flow_here = flow_at(i);
+        match path.get(i + 1) {
+            Some(&next) => tables[node.index()].add(prev, flow_here, next, flow_at(i + 1), weight),
             // Terminal entry: deliver locally, restoring the base flow.
-            tables[node.index()].add(prev, flow_here, node, flows[i].with_phase(0), weight);
+            None => {
+                tables[node.index()].add(prev, flow_here, node, flow_here.with_phase(0), weight)
+            }
         }
     }
 }
@@ -198,15 +208,13 @@ pub fn build_dor_tables(
     flows: &[FlowSpec],
     order: DimensionOrder,
 ) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![TableBuilder::new(); geometry.node_count()];
+    let mut path = Vec::new();
     for spec in flows {
-        let path = dor_path(geometry, spec.src, spec.dst, order);
+        dor_path_into(geometry, spec.src, spec.dst, order, &mut path);
         install_path(&mut tables, &path, spec.flow, 1.0);
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    tables.into_iter().map(TableBuilder::freeze).collect()
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@ pub mod staticlb;
 pub mod table;
 
 pub use adaptive::DistanceMatrix;
-pub use table::{NextHop, RoutingTable};
+pub use table::{NextHop, RoutingTable, TableBuilder};
 
 use crate::geometry::Geometry;
 use crate::ids::{FlowId, NodeId};
@@ -206,42 +206,25 @@ pub fn build_routing(
     geometry: &Geometry,
     flows: &[FlowSpec],
 ) -> Vec<RoutingPolicy> {
-    match kind {
-        RoutingKind::Xy => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::XFirst)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::Yx => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::YFirst)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::O1Turn => multiphase::build_o1turn_tables(geometry, flows)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::Valiant => multiphase::build_valiant_tables(geometry, flows, false)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::Romm => multiphase::build_valiant_tables(geometry, flows, true)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::Prom => prom::build_prom_tables(geometry, flows)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
-        RoutingKind::StaticLoadBalanced => staticlb::build_static_tables(geometry, flows)
-            .into_iter()
-            .map(|t| RoutingPolicy::Table(Arc::new(t)))
-            .collect(),
+    let tables = match kind {
+        RoutingKind::Xy => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::XFirst),
+        RoutingKind::Yx => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::YFirst),
+        RoutingKind::O1Turn => multiphase::build_o1turn_tables(geometry, flows),
+        RoutingKind::Valiant => multiphase::build_valiant_tables(geometry, flows, false),
+        RoutingKind::Romm => multiphase::build_valiant_tables(geometry, flows, true),
+        RoutingKind::Prom => prom::build_prom_tables(geometry, flows),
+        RoutingKind::StaticLoadBalanced => staticlb::build_static_tables(geometry, flows),
         RoutingKind::AdaptiveMinimal => {
             let dist = Arc::new(DistanceMatrix::new(geometry));
-            (0..geometry.node_count())
+            return (0..geometry.node_count())
                 .map(|_| RoutingPolicy::AdaptiveMinimal(Arc::clone(&dist)))
-                .collect()
+                .collect();
         }
-    }
+    };
+    tables
+        .into_iter()
+        .map(|t| RoutingPolicy::Table(Arc::new(t)))
+        .collect()
 }
 
 /// Follows a table-driven route from `src` to `dst`, always taking the

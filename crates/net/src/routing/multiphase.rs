@@ -8,8 +8,8 @@
 
 use crate::geometry::{Geometry, Topology};
 use crate::ids::NodeId;
-use crate::routing::dor::{dor_path, install_path, install_path_with_flows, DimensionOrder};
-use crate::routing::table::RoutingTable;
+use crate::routing::dor::{dor_path_into, install_path, install_path_with_flows, DimensionOrder};
+use crate::routing::table::{RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 
 /// Phase tag used for the YX subroute of O1TURN and the first (to-intermediate)
@@ -21,24 +21,39 @@ pub const AUX_PHASE: u8 = 1;
 /// allocation can keep the two subroutes on disjoint virtual channels
 /// (the deadlock-freedom condition of O1TURN).
 pub fn build_o1turn_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![TableBuilder::new(); geometry.node_count()];
+    let (mut xy, mut yx) = (Vec::new(), Vec::new());
     for spec in flows {
-        let xy = dor_path(geometry, spec.src, spec.dst, DimensionOrder::XFirst);
-        let yx = dor_path(geometry, spec.src, spec.dst, DimensionOrder::YFirst);
+        dor_path_into(
+            geometry,
+            spec.src,
+            spec.dst,
+            DimensionOrder::XFirst,
+            &mut xy,
+        );
+        dor_path_into(
+            geometry,
+            spec.src,
+            spec.dst,
+            DimensionOrder::YFirst,
+            &mut yx,
+        );
         if xy == yx {
             // Source and destination share a row or column: only one DOR path.
             install_path(&mut tables, &xy, spec.flow, 1.0);
             continue;
         }
         install_path(&mut tables, &xy, spec.flow, 0.5);
-        let mut yx_flows = vec![spec.flow.with_phase(AUX_PHASE); yx.len()];
-        yx_flows[0] = spec.flow; // the packet is injected carrying the base flow
-        install_path_with_flows(&mut tables, &yx, &yx_flows, 0.5);
+        // The packet is injected carrying the base flow.
+        let aux = spec.flow.with_phase(AUX_PHASE);
+        install_path_with_flows(
+            &mut tables,
+            &yx,
+            |i| if i == 0 { spec.flow } else { aux },
+            0.5,
+        );
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    tables.into_iter().map(TableBuilder::freeze).collect()
 }
 
 /// Returns the candidate intermediate nodes for a flow: the whole network for
@@ -101,40 +116,34 @@ pub fn build_valiant_tables(
     flows: &[FlowSpec],
     minimal_rectangle: bool,
 ) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![TableBuilder::new(); geometry.node_count()];
+    let (mut path, mut tail) = (Vec::new(), Vec::new());
     for spec in flows {
-        let mids = intermediates(geometry, spec, minimal_rectangle);
-        for m in mids {
+        let aux = spec.flow.with_phase(AUX_PHASE);
+        for m in intermediates(geometry, spec, minimal_rectangle) {
             if m == spec.src || m == spec.dst {
-                let path = dor_path(geometry, spec.src, spec.dst, DimensionOrder::XFirst);
+                dor_path_into(
+                    geometry,
+                    spec.src,
+                    spec.dst,
+                    DimensionOrder::XFirst,
+                    &mut path,
+                );
                 install_path(&mut tables, &path, spec.flow, 1.0);
                 continue;
             }
-            let p1 = dor_path(geometry, spec.src, m, DimensionOrder::XFirst);
-            let p2 = dor_path(geometry, m, spec.dst, DimensionOrder::XFirst);
             // Combined node sequence: src .. m .. dst (m appears once).
-            let mut path = p1.clone();
-            path.extend_from_slice(&p2[1..]);
+            dor_path_into(geometry, spec.src, m, DimensionOrder::XFirst, &mut path);
+            let to_m = path.len();
+            dor_path_into(geometry, m, spec.dst, DimensionOrder::XFirst, &mut tail);
+            path.extend_from_slice(&tail[1..]);
             // Flow carried at each position: base at the source, the renamed
             // phase-1 flow until the intermediate node (inclusive), base after.
-            let mut path_flows = Vec::with_capacity(path.len());
-            for (i, _) in path.iter().enumerate() {
-                let flow = if i == 0 {
-                    spec.flow
-                } else if i < p1.len() {
-                    spec.flow.with_phase(AUX_PHASE)
-                } else {
-                    spec.flow
-                };
-                path_flows.push(flow);
-            }
-            install_path_with_flows(&mut tables, &path, &path_flows, 1.0);
+            let flow_at = |i| if i == 0 || i >= to_m { spec.flow } else { aux };
+            install_path_with_flows(&mut tables, &path, flow_at, 1.0);
         }
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    tables.into_iter().map(TableBuilder::freeze).collect()
 }
 
 #[cfg(test)]

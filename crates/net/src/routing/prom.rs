@@ -9,7 +9,7 @@
 use crate::geometry::{Geometry, Topology};
 use crate::ids::NodeId;
 use crate::routing::dor::{build_dor_tables, DimensionOrder};
-use crate::routing::table::RoutingTable;
+use crate::routing::table::{RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 
 /// Number of minimal lattice paths between two points that are `dx` apart in x
@@ -35,7 +35,9 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
     if !matches!(geometry.topology(), Topology::Mesh2D { .. }) {
         return build_dor_tables(geometry, flows, DimensionOrder::XFirst);
     }
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![TableBuilder::new(); geometry.node_count()];
+    let mut prevs: Vec<NodeId> = Vec::new();
+    let mut options: Vec<(NodeId, f64)> = Vec::with_capacity(2);
     for spec in flows {
         let (dx, dy, _) = geometry.coords(spec.dst).expect("mesh coords");
         let (sx, sy, _) = geometry.coords(spec.src).expect("mesh coords");
@@ -47,20 +49,16 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
                 // Possible predecessors: any rectangle neighbour that could
                 // have forwarded the packet here, plus the node itself if it
                 // is the source (local injection).
-                let mut prevs: Vec<NodeId> = geometry
-                    .neighbors(node)
-                    .iter()
-                    .copied()
-                    .filter(|&p| {
-                        let (px, py, _) = geometry.coords(p).expect("mesh coords");
-                        px >= x0 && px <= x1 && py >= y0 && py <= y1
-                    })
-                    .collect();
+                prevs.clear();
+                prevs.extend(geometry.neighbors(node).iter().copied().filter(|&p| {
+                    let (px, py, _) = geometry.coords(p).expect("mesh coords");
+                    px >= x0 && px <= x1 && py >= y0 && py <= y1
+                }));
                 if node == spec.src {
                     prevs.push(node);
                 }
                 if node == spec.dst {
-                    for prev in prevs {
+                    for &prev in &prevs {
                         tables[node.index()].add(prev, spec.flow, node, spec.flow, 1.0);
                     }
                     continue;
@@ -68,7 +66,7 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
                 // Minimal next hops: one step toward the destination in x
                 // and/or in y, weighted by the number of minimal paths that
                 // remain after taking that step.
-                let mut options: Vec<(NodeId, f64)> = Vec::with_capacity(2);
+                options.clear();
                 if x != dx {
                     let nx = if dx > x { x + 1 } else { x - 1 };
                     let next = geometry.node_at(nx, y, 0).expect("in-mesh node");
@@ -83,7 +81,7 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
                     let rem_y = dy.abs_diff(ny) as u64;
                     options.push((next, lattice_paths(rem_x, rem_y)));
                 }
-                for prev in prevs {
+                for &prev in &prevs {
                     for &(next, w) in &options {
                         tables[node.index()].add(prev, spec.flow, next, spec.flow, w);
                     }
@@ -91,10 +89,7 @@ pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routing
             }
         }
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    tables.into_iter().map(TableBuilder::freeze).collect()
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use crate::geometry::Geometry;
 use crate::ids::NodeId;
 use crate::routing::dor::install_path;
-use crate::routing::table::RoutingTable;
+use crate::routing::table::{RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 use std::collections::HashMap;
 
@@ -63,7 +63,7 @@ fn pick_path(
 /// the caller knows flow rates) improves the balance, mirroring how BSOR uses
 /// application knowledge.
 pub fn build_static_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<RoutingTable> {
-    let mut tables = vec![RoutingTable::new(); geometry.node_count()];
+    let mut tables = vec![TableBuilder::new(); geometry.node_count()];
     let mut load: HashMap<(NodeId, NodeId), usize> = HashMap::new();
     for spec in flows {
         let path = pick_path(geometry, spec.src, spec.dst, &load);
@@ -72,10 +72,7 @@ pub fn build_static_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<Routi
         }
         install_path(&mut tables, &path, spec.flow, 1.0);
     }
-    for t in &mut tables {
-        t.normalize();
-    }
-    tables
+    tables.into_iter().map(TableBuilder::freeze).collect()
 }
 
 /// Returns the per-directed-link flow counts that a set of static routes
