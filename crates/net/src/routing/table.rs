@@ -165,7 +165,7 @@ fn home_slot(prev: NodeId, flow: FlowId, slots: usize) -> usize {
 /// Lookups are addressed by `⟨previous node, flow⟩`; the previous node of a
 /// locally injected packet is the node itself, exactly as in the paper's
 /// example for XY routing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct RoutingTable {
     /// Entries sorted by `(prev, flow)`.
     keys: Vec<Key>,
