@@ -3,8 +3,8 @@
 //! Each function here corresponds to one measurement the paper reports; the
 //! `repro_*` binaries wire them to the paper's parameters and print the same
 //! rows/series the corresponding table or figure shows (plus a CSV copy under
-//! `target/repro/`). See `DESIGN.md` §4 for the experiment ↔ module map and
-//! `EXPERIMENTS.md` for paper-vs-measured numbers.
+//! `target/repro/`). The README's "Benchmarks & paper repro" section lists
+//! the binaries.
 
 use hornet_core::engine::SyncMode;
 use hornet_core::sim::{SimulationBuilder, TrafficKind};

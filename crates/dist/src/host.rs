@@ -11,10 +11,10 @@
 //! simultaneously current between the waves) — and acted on with the same
 //! [`decide`] as the thread host's detector.
 
-use crate::protocol::{CtrlMsg, TransportKind};
+use crate::protocol::{proto_err, CtrlMsg, ShardReport, TransportKind};
 use crate::spec::{DistSpec, RunKind};
-use crate::transport::Stream;
-use crate::wire::{read_frame, write_frame};
+use crate::transport::{Listener, Stream};
+use crate::wire::WIRE_VERSION;
 use crate::wiring::{cut_pairs, partition_for};
 use hornet_net::stats::NetworkStats;
 use hornet_obs::json;
@@ -29,15 +29,16 @@ use hornet_shard::termination::{
 };
 use hornet_shard::Partition;
 use std::io::{self, BufReader, Write};
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Abort (or, with checkpoints, restart) when no worker event arrives for
+/// this long — the backstop behind the per-worker heartbeat timeout.
+const RECV_TIMEOUT: Duration = Duration::from_secs(300);
 
 /// Options of a distributed run.
 #[derive(Clone, Debug)]
@@ -61,14 +62,9 @@ pub struct HostOptions {
     /// Control-plane bind address for host-list mode
     /// (e.g. `0.0.0.0:9100`).
     pub ctrl_listen: Option<String>,
-    /// Abort (or, with checkpoints, restart) when no worker event arrives
-    /// for this long.
-    pub recv_timeout: Duration,
-    /// Liveness heartbeat interval assigned to the workers (zero disables
-    /// heartbeats).
-    pub heartbeat_interval: Duration,
     /// Declare a worker lost when nothing is heard from it for this long
-    /// (only enforced when heartbeats are enabled).
+    /// (workers send a heartbeat every
+    /// [`HEARTBEAT_INTERVAL`](crate::protocol::HEARTBEAT_INTERVAL)).
     pub heartbeat_timeout: Duration,
     /// How many times a run that lost a worker is restarted — from the last
     /// committed checkpoint set when one exists, from scratch otherwise —
@@ -98,8 +94,6 @@ impl Default for HostOptions {
             verbose: false,
             worker_hosts: None,
             ctrl_listen: None,
-            recv_timeout: Duration::from_secs(300),
-            heartbeat_interval: Duration::from_secs(1),
             heartbeat_timeout: Duration::from_secs(10),
             max_restarts: 2,
             nonce: None,
@@ -135,10 +129,6 @@ pub struct DistOutcome {
     pub trace: TraceDump,
     /// Every telemetry sample the workers shipped, in arrival order.
     pub samples: Vec<TelemetrySample>,
-}
-
-fn proto_err(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {msg}"))
 }
 
 /// A recoverable worker loss: the supervisor kills the attempt and — within
@@ -213,10 +203,6 @@ impl CommitLog {
         }
         None
     }
-
-    fn take_committed(&mut self) -> Option<(u64, Vec<Vec<u8>>)> {
-        self.committed.take()
-    }
 }
 
 /// Coordinator-side telemetry aggregation: every sample is kept for the
@@ -261,14 +247,6 @@ impl MetricsStream {
         self.samples.push(sample);
     }
 
-    /// Mirrors a coordinator supervision event into the live trace buffer
-    /// (no-op without a hub).
-    fn mirror_trace(&self, event: TraceEvent) {
-        if let Some(hub) = &self.hub {
-            hub.record_trace(event);
-        }
-    }
-
     /// Appends a summary record to the NDJSON stream and flushes it, so
     /// everything absorbed so far survives a rollback or abort; `event` is
     /// `"rollback"`, `"abort"` or `"end"`. Carries the packet-latency
@@ -297,29 +275,9 @@ impl MetricsStream {
     }
 }
 
-/// One worker connection from the coordinator's side. (The control
-/// connection is identified by shard id — accept order — which need not
-/// match the spawn order of the child processes, so the `Child` handles are
-/// kept separately and only reaped after every socket is shut down.)
-struct WorkerConn {
-    writer: Stream,
-}
-
-impl WorkerConn {
-    fn send(&mut self, msg: &CtrlMsg) -> io::Result<()> {
-        write_frame(&mut self.writer, &msg.encode())?;
-        self.writer.flush()
-    }
-}
-
-/// What the per-connection reader threads forward to the main loop.
-/// (A handful of transient control messages per run: the size skew of the
-/// spec-carrying variants is irrelevant here.)
-#[allow(clippy::large_enum_variant)]
-enum Event {
-    Msg(usize, CtrlMsg),
-    Gone(usize),
-}
+/// What a per-connection reader thread forwards to the main loop: its
+/// shard and each message, or why the channel ended (its last event).
+type Event = (usize, io::Result<CtrlMsg>);
 
 /// Scratch directory for this run's sockets/segments.
 fn scratch_dir() -> io::Result<PathBuf> {
@@ -332,6 +290,332 @@ fn scratch_dir() -> io::Result<PathBuf> {
     ));
     std::fs::create_dir_all(&dir)?;
     Ok(dir)
+}
+
+/// Sends `msg` to every worker, trying them all; returns the first failure.
+fn broadcast(conns: &mut [Stream], msg: &CtrlMsg) -> io::Result<()> {
+    conns
+        .iter_mut()
+        .map(|conn| msg.send(conn))
+        .fold(Ok(()), io::Result::and)
+}
+
+/// Everything the coordinator knows about a run while supervising it. The
+/// resume point, the restart count, the supervision trace and the metrics
+/// stream span attempts; the rest belongs to one attempt.
+struct Supervisor {
+    /// The committed checkpoint set the next attempt resumes from.
+    resume: Option<(u64, Vec<Vec<u8>>)>,
+    /// How many times the run was restarted.
+    restarts: u32,
+    /// Supervision events (checkpoint commits, losses, rollbacks, respawns),
+    /// folded into the final outcome's trace.
+    ring: TraceRing,
+    /// Telemetry samples, their NDJSON stream and the live hub.
+    metrics: MetricsStream,
+    /// This attempt's checkpoint captures and commits.
+    commit: CommitLog,
+    /// Each shard's final report, once it arrived.
+    done: Vec<Option<Box<ShardReport>>>,
+    /// When each shard was last heard from (stamped from the start of
+    /// supervision: the handshake has its own deadlines).
+    last_seen: Vec<Instant>,
+    /// When any shard was last heard from.
+    last_event: Instant,
+}
+
+impl Supervisor {
+    fn new(metrics: MetricsStream) -> Self {
+        Self {
+            resume: None,
+            restarts: 0,
+            ring: TraceRing::new(1024),
+            metrics,
+            commit: CommitLog::new(0),
+            done: Vec::new(),
+            last_seen: Vec::new(),
+            last_event: Instant::now(),
+        }
+    }
+
+    fn begin_attempt(&mut self, shards: usize) {
+        self.commit = CommitLog::new(shards);
+        self.done = (0..shards).map(|_| None).collect();
+    }
+
+    /// Records a supervision event in the trace ring and mirrors it into the
+    /// live hub's trace buffer.
+    fn record(&mut self, kind: TraceKind, cycle: u64, a: u64) {
+        let event = TraceEvent {
+            cycle,
+            node: u32::MAX,
+            kind,
+            a,
+            b: 0,
+        };
+        self.ring.record(event);
+        if let Some(hub) = &self.metrics.hub {
+            hub.record_trace(event);
+        }
+    }
+
+    /// Folds a lost attempt into the next one: resume from the newest
+    /// checkpoint set every shard committed (from scratch when none has),
+    /// and flush the stream with a rollback marker, so every sample absorbed
+    /// before the loss is durable even if the respawned attempt dies too.
+    fn rollback(&mut self, cause: &io::Error, max_restarts: u32) {
+        self.restarts += 1;
+        if let Some(committed) = self.commit.committed.take() {
+            self.resume = Some(committed);
+        }
+        let cycle = self.resume.as_ref().map_or(0, |(cycle, _)| *cycle);
+        let restarts = u64::from(self.restarts);
+        self.record(TraceKind::WorkerLost, cycle, restarts);
+        self.record(TraceKind::Rollback, cycle, u64::from(self.resume.is_some()));
+        self.record(TraceKind::Respawn, cycle, restarts);
+        if let Some(hub) = &self.metrics.hub {
+            hub.set_gauge("restarts", restarts);
+        }
+        self.metrics.summarize("rollback", self.restarts);
+        olog_warn!(
+            "host",
+            { restart = self.restarts, max = max_restarts },
+            "{cause}; restarting from {}",
+            match &self.resume {
+                Some((cycle, _)) => format!("checkpoint cycle {cycle}"),
+                None => "scratch (nothing committed yet)".into(),
+            }
+        );
+    }
+
+    /// Handles every non-ledger message in one place, so checkpoints, Done
+    /// reports and telemetry are never dropped regardless of which wait they
+    /// arrive in.
+    fn absorb(&mut self, shard: usize, msg: CtrlMsg) {
+        match msg {
+            CtrlMsg::Done(report) => {
+                olog_debug!(
+                    "host",
+                    { shard = shard, cycle = report.final_now },
+                    "Done received"
+                );
+                self.done[shard] = Some(report);
+            }
+            CtrlMsg::Checkpoint { cycle, data } => {
+                if let Some((cycle, bytes)) = self.commit.record(shard, cycle, data) {
+                    self.record(TraceKind::CheckpointCommit, cycle, bytes as u64);
+                    if let Some(hub) = &self.metrics.hub {
+                        hub.set_gauge("checkpoint_cycle", cycle);
+                    }
+                    olog_info!(
+                        "host",
+                        { cycle = cycle, bytes = bytes },
+                        "checkpoint set committed"
+                    );
+                }
+            }
+            CtrlMsg::Telemetry { sample } => self.metrics.absorb(*sample),
+            _ => {} // heartbeats carry no payload beyond liveness
+        }
+    }
+
+    /// Waits up to `timeout` for the next control message and stamps its
+    /// sender as alive. `None` when the channel stays quiet or a finished
+    /// worker's channel closes; a worker gone before it reported is lost.
+    fn next(
+        &mut self,
+        rx: &Receiver<Event>,
+        timeout: Duration,
+    ) -> io::Result<Option<(usize, CtrlMsg)>> {
+        match rx.recv_timeout(timeout) {
+            Ok((shard, Ok(msg))) => {
+                self.last_seen[shard] = Instant::now();
+                self.last_event = Instant::now();
+                Ok(Some((shard, msg)))
+            }
+            Ok((shard, Err(e))) => {
+                olog_debug!("host", { shard = shard }, "control channel closed: {e}");
+                if self.done[shard].is_none() {
+                    return Err(lost(&format!("shard {shard} exited before reporting")));
+                }
+                Ok(None)
+            }
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(proto_err("all workers gone")),
+        }
+    }
+
+    /// Sends the next probe round and collects every shard's ledger reply,
+    /// absorbing interleaved traffic. `None` when the round cannot complete:
+    /// five quiet seconds, or a finished worker (which can no longer answer)
+    /// gone.
+    fn probe(
+        &mut self,
+        conns: &mut [Stream],
+        rx: &Receiver<Event>,
+        round: &mut u64,
+    ) -> io::Result<Option<Vec<(u64, LedgerState)>>> {
+        *round += 1;
+        let _ = broadcast(conns, &CtrlMsg::Probe { round: *round });
+        let mut replies = vec![None; conns.len()];
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while replies.iter().any(Option::is_none) {
+            let timeout = deadline.saturating_duration_since(Instant::now());
+            match self.next(rx, timeout)? {
+                None => return Ok(None),
+                Some((
+                    shard,
+                    CtrlMsg::Ledger {
+                        round: r,
+                        version,
+                        state,
+                    },
+                )) => {
+                    if r == *round {
+                        replies[shard] = Some((version, state));
+                    } // else: a stale round's reply
+                }
+                Some((shard, msg)) => self.absorb(shard, msg),
+            }
+        }
+        Ok(Some(replies.into_iter().flatten().collect()))
+    }
+
+    /// One detection pass: two probe waves (the second only when the first
+    /// balances its credits) and the directive [`decide`] draws from them.
+    fn detect(
+        &mut self,
+        spec: &DistSpec,
+        conns: &mut [Stream],
+        rx: &Receiver<Event>,
+        round: &mut u64,
+        last_skip: u64,
+    ) -> io::Result<Option<Directive>> {
+        let Some(wave1) = self.probe(conns, rx, round)? else {
+            return Ok(None);
+        };
+        let states: Vec<LedgerState> = wave1.iter().map(|&(_, s)| s).collect();
+        if !credits_balance(&states) {
+            return Ok(None);
+        }
+        // Wave two: versions must not have moved.
+        let Some(wave2) = self.probe(conns, rx, round)? else {
+            return Ok(None);
+        };
+        let verdict = QuiescenceScan::run(conns.len(), |i| wave1[i], |i| wave2[i].0);
+        // No jump to or below the snapshot's newest clock or the target
+        // already sent.
+        let floor = match verdict {
+            Quiescence::Idle { cycle, .. } => cycle.max(last_skip),
+            Quiescence::Active => last_skip,
+        };
+        let completion = matches!(spec.run, RunKind::ToCompletion { .. });
+        Ok(decide(
+            verdict,
+            completion,
+            spec.fast_forward,
+            spec.cycle_budget(),
+            floor,
+        ))
+    }
+
+    /// The post-start supervision loop: collects Done reports, commits shard
+    /// checkpoints, tracks per-worker liveness, and, when the run needs it,
+    /// drives probe-round termination detection. A worker going silent past
+    /// the heartbeat timeout, or its control channel closing before it
+    /// reported, is a recoverable loss ([`lost`]).
+    fn supervise(
+        &mut self,
+        spec: &DistSpec,
+        heartbeat_timeout: Duration,
+        conns: &mut [Stream],
+        rx: &Receiver<Event>,
+    ) -> io::Result<()> {
+        let detector = spec.needs_detector();
+        let (mut round, mut stopped, mut last_skip) = (0u64, false, 0u64);
+        self.last_event = Instant::now();
+        self.last_seen = vec![self.last_event; conns.len()];
+        while self.done.iter().any(Option::is_none) {
+            // Liveness: heartbeats (and all other control traffic) refresh
+            // `last_seen`; a live-but-unreported worker gone silent past the
+            // timeout is lost.
+            for (shard, seen) in self.last_seen.iter().enumerate() {
+                if self.done[shard].is_none() && seen.elapsed() > heartbeat_timeout {
+                    return Err(lost(&format!(
+                        "shard {shard} sent no heartbeat for {:.1?}",
+                        seen.elapsed()
+                    )));
+                }
+            }
+            if self.last_event.elapsed() > RECV_TIMEOUT {
+                return Err(lost(&format!(
+                    "workers made no progress for {RECV_TIMEOUT:.1?}"
+                )));
+            }
+
+            if detector && !stopped {
+                if let Some(directive) = self.detect(spec, conns, rx, &mut round, last_skip)? {
+                    let msg = match directive {
+                        Directive::Stop => {
+                            stopped = true;
+                            CtrlMsg::Stop
+                        }
+                        Directive::Skip(target) => {
+                            last_skip = target;
+                            CtrlMsg::Skip { target }
+                        }
+                    };
+                    let _ = broadcast(conns, &msg);
+                }
+                // Gentle pacing between probe rounds.
+                std::thread::sleep(Duration::from_micros(500));
+            } else if let Some((shard, msg)) = self.next(rx, Duration::from_millis(250))? {
+                // A bounded wait, so liveness is re-checked even when the
+                // channel is quiet.
+                self.absorb(shard, msg);
+            }
+        }
+        Ok(())
+    }
+
+    /// Merges every shard's report, the supervision trace and the telemetry
+    /// of all attempts into the run's outcome.
+    fn outcome(&mut self, cut_links: usize) -> io::Result<DistOutcome> {
+        let shards = self.done.len();
+        let mut stats = NetworkStats::new();
+        let mut per_shard = Vec::with_capacity(shards);
+        let mut per_shard_profiles = Vec::with_capacity(shards);
+        let mut trace = TraceDump::default();
+        let mut final_cycle = 0u64;
+        let mut completed = true;
+        for (shard, report) in std::mem::take(&mut self.done).into_iter().enumerate() {
+            let report = report.expect("all workers reported");
+            stats.merge(&report.stats);
+            if !report.trace.is_empty() {
+                trace.merge(TraceDump::decode(&report.trace).map_err(|e| {
+                    proto_err(&format!("shard {shard} shipped an unreadable trace: {e}"))
+                })?);
+            }
+            final_cycle = final_cycle.max(report.final_now);
+            completed &= report.completed;
+            per_shard.push(report.stats);
+            per_shard_profiles.push(report.profile);
+        }
+        self.ring.drain_into(&mut trace);
+        self.metrics.summarize("end", self.restarts);
+        Ok(DistOutcome {
+            stats,
+            per_shard,
+            final_cycle,
+            completed,
+            cut_links,
+            shards,
+            restarts: self.restarts,
+            per_shard_profiles,
+            trace,
+            samples: std::mem::take(&mut self.metrics.samples),
+        })
+    }
 }
 
 /// Runs `spec` across worker processes, supervising them: a worker lost
@@ -358,13 +642,25 @@ pub fn run_distributed(spec: &DistSpec, opts: &HostOptions) -> io::Result<DistOu
             "a distributed run needs at least two shards",
         ));
     }
+    if opts.worker_hosts.is_some() && workers != shards {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("host list has {workers} entries but the partition needs {shards} shards"),
+        ));
+    }
+    // The shard adjacencies, each once as `(lo, hi)`: one data-plane
+    // endpoint each.
+    let cut = cut_pairs(&spec.network_config().geometry, &partition);
+    let mut adjacencies: Vec<(usize, usize)> = cut
+        .iter()
+        .map(|&(a, b)| (partition.shard_of(a), partition.shard_of(b)))
+        .map(|(s, t)| (s.min(t), s.max(t)))
+        .collect();
+    adjacencies.sort_unstable();
+    adjacencies.dedup();
     let nonce = opts.nonce.unwrap_or_else(fresh_nonce);
     let dir = scratch_dir()?;
-    // Supervision events (checkpoint commits, losses, rollbacks, respawns)
-    // span attempts, so the ring lives here and is folded into the final
-    // outcome's trace. The metrics stream likewise persists across restarts.
-    let mut host_ring = TraceRing::new(1024);
-    let mut metrics = MetricsStream::open(opts.metrics_out.as_deref())?;
+    let mut sup = Supervisor::new(MetricsStream::open(opts.metrics_out.as_deref())?);
     // Live-monitoring server: spawned before the first attempt so scrapes
     // observe the whole run, including rollbacks. Strictly read-only.
     let mut http_server = match &opts.http {
@@ -380,105 +676,44 @@ pub fn run_distributed(spec: &DistSpec, opts: &HostOptions) -> io::Result<DistOu
                 "live monitoring at http://{}/status",
                 server.addr()
             );
-            metrics.hub = Some(hub);
+            sup.metrics.hub = Some(hub);
             Some(server)
         }
     };
-    let result = (|| {
-        let mut resume: Option<(u64, Vec<Vec<u8>>)> = None;
-        let mut restarts = 0u32;
-        loop {
-            // Fresh socket/segment paths per attempt: a killed attempt's
-            // stale files can never collide with the respawn.
-            let attempt_dir = dir.join(format!("a{restarts}"));
-            std::fs::create_dir_all(&attempt_dir)?;
-            let mut commit = CommitLog::new(shards);
-            let attempt = run_distributed_inner(
-                spec,
-                opts,
-                &partition,
-                &attempt_dir,
-                nonce,
-                resume.as_ref(),
-                &mut commit,
-                &mut host_ring,
-                &mut metrics,
-            );
-            match attempt {
-                Ok(mut outcome) => {
-                    outcome.restarts = restarts;
-                    let mut supervision = TraceDump::default();
-                    host_ring.drain_into(&mut supervision);
-                    outcome.trace.merge(supervision);
-                    metrics.summarize("end", restarts);
-                    outcome.samples = std::mem::take(&mut metrics.samples);
-                    return Ok(outcome);
-                }
-                Err(e)
-                    if e.kind() == io::ErrorKind::ConnectionAborted
-                        && opts.worker_hosts.is_none()
-                        && restarts < opts.max_restarts =>
-                {
-                    // Global rollback: the attempt's children are already
-                    // killed; fold in the newest checkpoint set every shard
-                    // committed and relaunch.
-                    restarts += 1;
-                    if let Some(c) = commit.take_committed() {
-                        resume = Some(c);
-                    }
-                    let rollback_to = resume.as_ref().map_or(0, |(cycle, _)| *cycle);
-                    for event in [
-                        TraceEvent {
-                            cycle: rollback_to,
-                            node: u32::MAX,
-                            kind: TraceKind::WorkerLost,
-                            a: u64::from(restarts),
-                            b: 0,
-                        },
-                        TraceEvent {
-                            cycle: rollback_to,
-                            node: u32::MAX,
-                            kind: TraceKind::Rollback,
-                            a: u64::from(resume.is_some()),
-                            b: 0,
-                        },
-                        TraceEvent {
-                            cycle: rollback_to,
-                            node: u32::MAX,
-                            kind: TraceKind::Respawn,
-                            a: u64::from(restarts),
-                            b: 0,
-                        },
-                    ] {
-                        host_ring.record(event);
-                        metrics.mirror_trace(event);
-                    }
-                    if let Some(hub) = &metrics.hub {
-                        hub.set_gauge("restarts", u64::from(restarts));
-                    }
-                    // Flush the stream with a rollback marker: every sample
-                    // absorbed before the loss is durable even if the
-                    // respawned attempt dies too.
-                    metrics.summarize("rollback", restarts);
-                    olog_warn!(
-                        "host",
-                        { restart = restarts, max = opts.max_restarts },
-                        "{e}; restarting from {}",
-                        match &resume {
-                            Some((cycle, _)) => format!("checkpoint cycle {cycle}"),
-                            None => "scratch (nothing committed yet)".into(),
-                        }
-                    );
-                }
-                Err(e) => {
-                    // Fatal abort: flush the stream so samples absorbed
-                    // before the failure are never lost.
-                    metrics.summarize("abort", restarts);
-                    return Err(e);
-                }
+    let result = loop {
+        // Fresh socket/segment paths per attempt: a killed attempt's
+        // stale files can never collide with the respawn.
+        let attempt_dir = dir.join(format!("a{}", sup.restarts));
+        sup.begin_attempt(shards);
+        let attempt = run_attempt(
+            spec,
+            opts,
+            &partition,
+            &adjacencies,
+            &attempt_dir,
+            nonce,
+            &mut sup,
+        )
+        .and_then(|()| sup.outcome(cut.len()));
+        match attempt {
+            Err(e)
+                if e.kind() == io::ErrorKind::ConnectionAborted
+                    && opts.worker_hosts.is_none()
+                    && sup.restarts < opts.max_restarts =>
+            {
+                // Global rollback: the attempt's children are already
+                // killed.
+                sup.rollback(&e, opts.max_restarts);
             }
+            Err(e) => {
+                // Fatal abort: flush the stream so samples absorbed before
+                // the failure are never lost.
+                sup.metrics.summarize("abort", sup.restarts);
+                break Err(e);
+            }
+            Ok(outcome) => break Ok(outcome),
         }
-    })();
+    };
     if let Some(mut server) = http_server.take() {
         server.shutdown();
     }
@@ -486,87 +721,55 @@ pub fn run_distributed(spec: &DistSpec, opts: &HostOptions) -> io::Result<DistOu
     result
 }
 
-#[allow(clippy::too_many_arguments)] // internal per-attempt entry
-fn run_distributed_inner(
+/// One attempt: starts the workers (host-list mode: awaits the pre-started
+/// ones), runs the handshake — Hello → Assign → Listening (socket media) →
+/// PeerMap → Start — supervises the run to its end and reaps every worker,
+/// killing them all on any error path.
+fn run_attempt(
     spec: &DistSpec,
     opts: &HostOptions,
     partition: &Partition,
-    dir: &std::path::Path,
+    adjacencies: &[(usize, usize)],
+    dir: &Path,
     nonce: u64,
-    resume: Option<&(u64, Vec<Vec<u8>>)>,
-    commit: &mut CommitLog,
-    host_ring: &mut TraceRing,
-    metrics: &mut MetricsStream,
-) -> io::Result<DistOutcome> {
+    sup: &mut Supervisor,
+) -> io::Result<()> {
+    std::fs::create_dir_all(dir)?;
     let shards = partition.shard_count();
-    let geometry = spec.network_config().geometry;
-    let cut = cut_pairs(&geometry, partition);
-    let cut_links = cut.len();
     let remote_hosts = opts.worker_hosts.as_deref();
-    let transport = if remote_hosts.is_some() {
-        // Pre-started workers on other machines can only be reached over
-        // TCP.
-        TransportKind::Tcp
-    } else {
-        opts.transport
+    // Pre-started workers on other machines can only be reached over TCP;
+    // so can the coordinator, at the user-given bind address.
+    let (transport, ctrl_family, ctrl_bind) = match remote_hosts {
+        Some(_) => (
+            TransportKind::Tcp,
+            "tcp",
+            opts.ctrl_listen
+                .as_deref()
+                .unwrap_or("0.0.0.0:0")
+                .to_string(),
+        ),
+        None if cfg!(unix) => (
+            opts.transport,
+            "unix",
+            dir.join("control.sock").to_string_lossy().into_owned(),
+        ),
+        None => (opts.transport, "tcp", "127.0.0.1:0".into()),
     };
-    if let Some(hosts) = remote_hosts {
-        if hosts.len() != shards {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "host list has {} entries but the partition needs {shards} shards",
-                    hosts.len()
-                ),
-            ));
-        }
-    }
-
-    // Control plane listener. Host-list mode always listens on TCP (at the
-    // user-given bind address) so remote workers can reach it.
-    #[allow(dead_code)] // the Tcp arm is the non-unix fallback
-    enum CtrlListener {
-        #[cfg(unix)]
-        Unix(UnixListener),
-        Tcp(TcpListener),
-    }
-    let (listener, ctrl_addr, ctrl_family) = if remote_hosts.is_some() {
-        let bind = opts.ctrl_listen.as_deref().unwrap_or("0.0.0.0:0");
-        let l = TcpListener::bind(bind)?;
-        let addr = l.local_addr()?.to_string();
+    let ctrl_kind = TransportKind::parse(ctrl_family).expect("a socket family name");
+    let listener = Listener::bind(ctrl_kind, &ctrl_bind)?;
+    let ctrl_addr = listener.addr()?;
+    let mut children: Vec<Child> = Vec::with_capacity(shards);
+    if remote_hosts.is_some() {
         // Warn level: the run blocks here until the operator starts the
         // remote workers, so the instructions must be visible by default.
         olog_warn!(
             "host",
-            { workers = shards, addr = addr },
+            { workers = shards, addr = ctrl_addr },
             "waiting for workers (start each as: hornet-dist worker --connect <this host>:{} \
              --family tcp --advertise <its host:port> --nonce {nonce})",
-            addr.rsplit(':').next().unwrap_or("?")
+            ctrl_addr.rsplit(':').next().unwrap_or("?")
         );
-        (CtrlListener::Tcp(l), addr, "tcp")
     } else {
-        #[cfg(unix)]
-        {
-            let path = dir.join("control.sock");
-            let l = UnixListener::bind(&path)?;
-            (
-                CtrlListener::Unix(l),
-                path.to_string_lossy().into_owned(),
-                "unix",
-            )
-        }
-        #[cfg(not(unix))]
-        {
-            let l = TcpListener::bind("127.0.0.1:0")?;
-            let addr = l.local_addr()?.to_string();
-            (CtrlListener::Tcp(l), addr, "tcp")
-        }
-    };
-
-    // Spawn the workers (host-list mode: they were started by hand on their
-    // machines and connect on their own).
-    let mut children: Vec<Child> = Vec::with_capacity(shards);
-    if remote_hosts.is_none() {
         let worker_cmd = match &opts.worker_cmd {
             Some(p) => p.clone(),
             None => std::env::current_exe()?,
@@ -588,53 +791,26 @@ fn run_distributed_inner(
         }
     }
     // From here on, kill the children on any error path.
-    let run = (|| -> io::Result<DistOutcome> {
+    let run = (|| -> io::Result<()> {
         // Accept one control connection per worker. Locally spawned workers
         // take accept order as shard id; host-list workers are matched to
         // the shard whose advertised address they announce.
         let deadline =
             Instant::now() + Duration::from_secs(if remote_hosts.is_some() { 600 } else { 60 });
-        let mut conn_slots: Vec<Option<(WorkerConn, BufReader<Stream>)>> =
+        let mut slots: Vec<Option<(Stream, BufReader<Stream>)>> =
             (0..shards).map(|_| None).collect();
-        let mut accepted = 0usize;
-        while accepted < shards {
-            let stream = loop {
-                let res = match &listener {
-                    #[cfg(unix)]
-                    CtrlListener::Unix(l) => {
-                        l.set_nonblocking(true)?;
-                        l.accept().map(|(s, _)| Stream::Unix(s))
-                    }
-                    CtrlListener::Tcp(l) => {
-                        l.set_nonblocking(true)?;
-                        l.accept().map(|(s, _)| Stream::Tcp(s))
-                    }
-                };
-                match res {
-                    Ok(s) => break s,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        if Instant::now() > deadline {
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                "workers did not connect",
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(e) => return Err(e),
-                }
-            };
-            stream.set_nonblocking(false)?;
+        while let Some(free) = slots.iter().position(Option::is_none) {
+            let stream = listener.accept_until(deadline)?;
             let mut reader = BufReader::new(stream.try_clone()?);
             let CtrlMsg::Hello {
                 version,
                 advertise,
                 nonce: hello_nonce,
-            } = CtrlMsg::decode(&read_frame(&mut reader)?)?
+            } = CtrlMsg::recv(&mut reader)?
             else {
                 return Err(proto_err("expected Hello"));
             };
-            if version != crate::wire::WIRE_VERSION {
+            if version != WIRE_VERSION {
                 return Err(proto_err("wire version mismatch"));
             }
             if hello_nonce != nonce {
@@ -650,32 +826,27 @@ fn run_distributed_inner(
                 continue;
             }
             let shard = match remote_hosts {
-                None => accepted,
+                None => free,
                 Some(hosts) => {
                     let idx = hosts.iter().position(|h| *h == advertise).ok_or_else(|| {
                         proto_err(&format!(
                             "worker advertised {advertise:?}, not in the host list"
                         ))
                     })?;
-                    if conn_slots[idx].is_some() {
+                    if slots[idx].is_some() {
                         return Err(proto_err(&format!("duplicate worker for {advertise}")));
                     }
                     idx
                 }
             };
             olog_info!("host", { shard = shard }, "worker connected ({advertise})");
-            conn_slots[shard] = Some((WorkerConn { writer: stream }, reader));
-            accepted += 1;
+            slots[shard] = Some((stream, reader));
         }
-        let mut conns: Vec<WorkerConn> = Vec::with_capacity(shards);
-        let mut readers = Vec::with_capacity(shards);
-        for slot in conn_slots {
-            let (conn, reader) = slot.expect("every shard connected");
-            conns.push(conn);
-            readers.push(reader);
-        }
+        let (mut conns, mut readers): (Vec<Stream>, Vec<BufReader<Stream>>) = slots
+            .into_iter()
+            .map(|slot| slot.expect("every shard connected"))
+            .unzip();
 
-        // Assign shards.
         for (shard, conn) in conns.iter_mut().enumerate() {
             let listen = match (remote_hosts, transport) {
                 // Host-list mode: the worker binds its advertised port and
@@ -687,66 +858,44 @@ fn run_distributed_inner(
                     .into_owned(),
                 _ => String::new(),
             };
-            conn.send(&CtrlMsg::Assign {
+            let resume = sup.resume.as_ref().map(|(_, sets)| sets[shard].clone());
+            CtrlMsg::Assign {
                 shard: shard as u32,
                 shards: shards as u32,
                 spec: Box::new(spec.clone()),
                 transport,
                 listen,
-                heartbeat_ms: opts.heartbeat_interval.as_millis() as u64,
-                resume: resume.map(|(_, sets)| sets[shard].clone()),
-            })?;
+                resume,
+            }
+            .send(conn)?;
         }
 
-        // Collect data-plane addresses, then broadcast the map.
-        let mut addrs: Vec<String> = Vec::with_capacity(shards);
-        for reader in readers.iter_mut() {
-            let CtrlMsg::Listening { addr } = CtrlMsg::decode(&read_frame(reader)?)? else {
-                return Err(proto_err("expected Listening"));
+        // The peer map: per adjacency, the lower shard's data-plane address
+        // (socket media — every worker reports its own) or a segment file in
+        // the attempt's scratch directory, which must exist before the map
+        // goes out.
+        let mut addrs = Vec::with_capacity(shards);
+        if transport != TransportKind::Shm {
+            for reader in readers.iter_mut() {
+                let CtrlMsg::Listening { addr } = CtrlMsg::recv(reader)? else {
+                    return Err(proto_err("expected Listening"));
+                };
+                addrs.push(addr);
+            }
+        }
+        let mut entries = Vec::with_capacity(adjacencies.len());
+        for &(lo, hi) in adjacencies {
+            let endpoint = if transport == TransportKind::Shm {
+                let path = dir.join(format!("seg-{lo}-{hi}.shm"));
+                crate::shm::create_segment(&path)?;
+                path.to_string_lossy().into_owned()
+            } else {
+                addrs[lo].clone()
             };
-            addrs.push(addr);
+            entries.push((lo as u32, hi as u32, endpoint));
         }
-        match transport {
-            TransportKind::Shm => {
-                // One segment file per shard adjacency, in the attempt's
-                // scratch directory; it must exist before the map is
-                // broadcast.
-                let mut pairs: Vec<(usize, usize)> = cut
-                    .iter()
-                    .map(|&(a, b)| (partition.shard_of(a), partition.shard_of(b)))
-                    .map(|(s, t)| (s.min(t), s.max(t)))
-                    .collect();
-                pairs.sort_unstable();
-                pairs.dedup();
-                let mut pair_paths: Vec<(u32, u32, String)> = Vec::new();
-                for (lo, hi) in pairs {
-                    let path = dir.join(format!("seg-{lo}-{hi}.shm"));
-                    crate::shm::create_segment(&path)?;
-                    pair_paths.push((lo as u32, hi as u32, path.to_string_lossy().into_owned()));
-                }
-                for conn in conns.iter_mut() {
-                    conn.send(&CtrlMsg::ShmMap {
-                        entries: pair_paths.clone(),
-                    })?;
-                }
-            }
-            _ => {
-                let entries: Vec<(u32, String)> = addrs
-                    .iter()
-                    .enumerate()
-                    .map(|(s, a)| (s as u32, a.clone()))
-                    .collect();
-                for conn in conns.iter_mut() {
-                    conn.send(&CtrlMsg::PeerMap {
-                        entries: entries.clone(),
-                    })?;
-                }
-            }
-        }
-
-        for conn in conns.iter_mut() {
-            conn.send(&CtrlMsg::Start)?;
-        }
+        broadcast(&mut conns, &CtrlMsg::PeerMap { entries })?;
+        broadcast(&mut conns, &CtrlMsg::Start)?;
         olog_info!(
             "host",
             { workers = shards },
@@ -759,38 +908,26 @@ fn run_distributed_inner(
         for (shard, mut reader) in readers.into_iter().enumerate() {
             let tx = tx.clone();
             reader_threads.push(std::thread::spawn(move || loop {
-                match read_frame(&mut reader) {
-                    Ok(frame) => match CtrlMsg::decode(&frame) {
-                        Ok(msg) => {
-                            if tx.send(Event::Msg(shard, msg)).is_err() {
-                                return;
-                            }
-                        }
-                        Err(_) => {
-                            let _ = tx.send(Event::Gone(shard));
-                            return;
-                        }
-                    },
-                    Err(_) => {
-                        let _ = tx.send(Event::Gone(shard));
-                        return;
-                    }
+                // A frame that does not decode ends the channel like a
+                // failed read.
+                let msg = CtrlMsg::recv(&mut reader);
+                let gone = msg.is_err();
+                if tx.send((shard, msg)).is_err() || gone {
+                    return;
                 }
             }));
         }
         drop(tx);
 
-        let outcome = supervise(
-            spec, opts, &mut conns, &rx, shards, cut_links, commit, host_ring, metrics,
-        )?;
+        sup.supervise(spec, opts.heartbeat_timeout, &mut conns, &rx)?;
         olog_debug!("host", {}, "supervise complete");
 
         // Shut every control socket down first (drop alone is not enough:
         // the reader threads hold clones, so the workers would never see
         // EOF), and only then reap the children — a control connection's
         // shard id is its accept order, which need not match spawn order.
-        for conn in conns.iter_mut() {
-            conn.writer.shutdown();
+        for conn in &conns {
+            conn.shutdown();
         }
         for child in children.iter_mut() {
             let _ = child.wait();
@@ -801,7 +938,7 @@ fn run_distributed_inner(
             let _ = t.join();
         }
         olog_debug!("host", {}, "workers reaped, readers joined");
-        Ok(outcome)
+        Ok(())
     })();
 
     // Cleanup on error: kill any child still tracked (naming the ones that
@@ -820,309 +957,6 @@ fn run_distributed_inner(
         }
     }
     run
-}
-
-/// The post-start supervision loop: collects Done reports, commits shard
-/// checkpoints, tracks per-worker liveness, and, when the run needs it,
-/// drives probe-round termination detection. A worker going silent past the
-/// heartbeat timeout, or its control channel closing before it reported, is
-/// a recoverable loss ([`lost`]).
-#[allow(clippy::too_many_arguments)] // internal supervision entry
-fn supervise(
-    spec: &DistSpec,
-    opts: &HostOptions,
-    conns: &mut [WorkerConn],
-    rx: &Receiver<Event>,
-    shards: usize,
-    cut_links: usize,
-    commit: &mut CommitLog,
-    host_ring: &mut TraceRing,
-    metrics: &mut MetricsStream,
-) -> io::Result<DistOutcome> {
-    /// One shard's final report.
-    struct DoneReport {
-        final_now: u64,
-        completed: bool,
-        stats: NetworkStats,
-        profile: StallProfile,
-        trace: Vec<u8>,
-    }
-
-    let detector = spec.needs_detector();
-    let mut done: Vec<Option<DoneReport>> = (0..shards).map(|_| None).collect();
-    let mut n_done = 0usize;
-    let mut round = 0u64;
-    let mut stopped = false;
-    let mut last_skip = 0u64;
-    let mut last_seen: Vec<Instant> = (0..shards).map(|_| Instant::now()).collect();
-    let mut last_event = Instant::now();
-
-    // Handles every non-ledger message in one place, so checkpoints, Done
-    // reports and telemetry are never dropped regardless of which wait they
-    // arrive in.
-    fn absorb(
-        shard: usize,
-        msg: CtrlMsg,
-        done: &mut [Option<DoneReport>],
-        n_done: &mut usize,
-        commit: &mut CommitLog,
-        host_ring: &mut TraceRing,
-        metrics: &mut MetricsStream,
-    ) {
-        match msg {
-            CtrlMsg::Done {
-                final_now,
-                completed,
-                stats,
-                profile,
-                trace,
-            } => {
-                olog_debug!("host", { shard = shard, cycle = final_now }, "Done received");
-                if done[shard]
-                    .replace(DoneReport {
-                        final_now,
-                        completed,
-                        stats: *stats,
-                        profile,
-                        trace,
-                    })
-                    .is_none()
-                {
-                    *n_done += 1;
-                }
-            }
-            CtrlMsg::Checkpoint { cycle, data } => {
-                if let Some((cycle, bytes)) = commit.record(shard, cycle, data) {
-                    let event = TraceEvent {
-                        cycle,
-                        node: u32::MAX,
-                        kind: TraceKind::CheckpointCommit,
-                        a: bytes as u64,
-                        b: 0,
-                    };
-                    host_ring.record(event);
-                    metrics.mirror_trace(event);
-                    if let Some(hub) = &metrics.hub {
-                        hub.set_gauge("checkpoint_cycle", cycle);
-                    }
-                    olog_info!(
-                        "host",
-                        { cycle = cycle, bytes = bytes },
-                        "checkpoint set committed"
-                    );
-                }
-            }
-            CtrlMsg::Telemetry { sample } => metrics.absorb(*sample),
-            _ => {} // heartbeats carry no payload beyond liveness
-        }
-    }
-
-    // Collects one probe round's replies, absorbing interleaved traffic.
-    #[allow(clippy::too_many_arguments)]
-    let collect_round = |round: u64,
-                         done: &mut Vec<Option<DoneReport>>,
-                         n_done: &mut usize,
-                         commit: &mut CommitLog,
-                         host_ring: &mut TraceRing,
-                         metrics: &mut MetricsStream,
-                         last_seen: &mut [Instant],
-                         last_event: &mut Instant|
-     -> io::Result<Option<Vec<(u64, LedgerState)>>> {
-        let mut replies: Vec<Option<(u64, LedgerState)>> = (0..shards).map(|_| None).collect();
-        let mut got = 0usize;
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while got < shards {
-            let timeout = deadline
-                .checked_duration_since(Instant::now())
-                .unwrap_or(Duration::ZERO);
-            match rx.recv_timeout(timeout) {
-                Ok(Event::Msg(shard, msg)) => {
-                    last_seen[shard] = Instant::now();
-                    *last_event = Instant::now();
-                    match msg {
-                        CtrlMsg::Ledger {
-                            round: r,
-                            version,
-                            state,
-                        } if r == round => {
-                            if replies[shard].replace((version, state)).is_none() {
-                                got += 1;
-                            }
-                        }
-                        CtrlMsg::Ledger { .. } => {} // stale round
-                        other => absorb(shard, other, done, n_done, commit, host_ring, metrics),
-                    }
-                }
-                Ok(Event::Gone(shard)) => {
-                    if done[shard].is_none() {
-                        return Err(lost(&format!("shard {shard} exited before reporting")));
-                    }
-                    // A finished worker's channel closing is not an error,
-                    // but it can no longer answer probes.
-                    return Ok(None);
-                }
-                Err(RecvTimeoutError::Timeout) => return Ok(None),
-                Err(RecvTimeoutError::Disconnected) => return Err(proto_err("all workers gone")),
-            }
-        }
-        let mut out = Vec::with_capacity(shards);
-        for (shard, reply) in replies.into_iter().enumerate() {
-            out.push(reply.ok_or_else(|| {
-                proto_err(&format!("shard {shard} never answered probe round {round}"))
-            })?);
-        }
-        Ok(Some(out))
-    };
-
-    while n_done < shards {
-        // Liveness: heartbeats (and all other control traffic) refresh
-        // `last_seen`; a live-but-unreported worker gone silent past the
-        // timeout is lost. The overall no-progress timeout backstops runs
-        // with heartbeats disabled.
-        if opts.heartbeat_interval > Duration::ZERO {
-            for (shard, seen) in last_seen.iter().enumerate() {
-                if done[shard].is_none() && seen.elapsed() > opts.heartbeat_timeout {
-                    return Err(lost(&format!(
-                        "shard {shard} sent no heartbeat for {:.1?}",
-                        seen.elapsed()
-                    )));
-                }
-            }
-        }
-        if last_event.elapsed() > opts.recv_timeout {
-            return Err(lost(&format!(
-                "workers made no progress for {:.1?} (recv_timeout)",
-                opts.recv_timeout
-            )));
-        }
-
-        if detector && !stopped {
-            // Wave one.
-            round += 1;
-            for conn in conns.iter_mut() {
-                let _ = conn.send(&CtrlMsg::Probe { round });
-            }
-            let wave1 = collect_round(
-                round,
-                &mut done,
-                &mut n_done,
-                commit,
-                host_ring,
-                metrics,
-                &mut last_seen,
-                &mut last_event,
-            )?;
-            if let Some(wave1) = wave1 {
-                let states: Vec<LedgerState> = wave1.iter().map(|&(_, s)| s).collect();
-                if credits_balance(&states) {
-                    // Wave two: versions must not have moved.
-                    round += 1;
-                    for conn in conns.iter_mut() {
-                        let _ = conn.send(&CtrlMsg::Probe { round });
-                    }
-                    let wave2 = collect_round(
-                        round,
-                        &mut done,
-                        &mut n_done,
-                        commit,
-                        host_ring,
-                        metrics,
-                        &mut last_seen,
-                        &mut last_event,
-                    )?;
-                    if let Some(wave2) = wave2 {
-                        let verdict = QuiescenceScan::run(shards, |i| wave1[i], |i| wave2[i].0);
-                        // No jump to or below the snapshot's newest clock or
-                        // the target already sent.
-                        let floor = match verdict {
-                            Quiescence::Idle { cycle, .. } => cycle.max(last_skip),
-                            Quiescence::Active => last_skip,
-                        };
-                        let completion = matches!(spec.run, RunKind::ToCompletion { .. });
-                        let budget = spec.cycle_budget();
-                        if let Some(directive) =
-                            decide(verdict, completion, spec.fast_forward, budget, floor)
-                        {
-                            let msg = match directive {
-                                Directive::Stop => {
-                                    stopped = true;
-                                    CtrlMsg::Stop
-                                }
-                                Directive::Skip(target) => {
-                                    last_skip = target;
-                                    CtrlMsg::Skip { target }
-                                }
-                            };
-                            for conn in conns.iter_mut() {
-                                let _ = conn.send(&msg);
-                            }
-                        }
-                    }
-                }
-            }
-            // Gentle pacing between probe rounds.
-            std::thread::sleep(Duration::from_micros(500));
-        } else {
-            // Bounded waits so liveness is re-checked even when the channel
-            // is quiet.
-            let slice = Duration::from_millis(250).min(opts.recv_timeout);
-            match rx.recv_timeout(slice) {
-                Ok(Event::Msg(shard, msg)) => {
-                    last_seen[shard] = Instant::now();
-                    last_event = Instant::now();
-                    absorb(
-                        shard,
-                        msg,
-                        &mut done,
-                        &mut n_done,
-                        commit,
-                        host_ring,
-                        metrics,
-                    );
-                }
-                Ok(Event::Gone(shard)) => {
-                    olog_debug!("host", { shard = shard }, "control channel closed");
-                    if done[shard].is_none() {
-                        return Err(lost(&format!("shard {shard} exited before reporting")));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return Err(proto_err("all workers gone")),
-            }
-        }
-    }
-
-    let mut merged = NetworkStats::new();
-    let mut per_shard = Vec::with_capacity(shards);
-    let mut per_shard_profiles = Vec::with_capacity(shards);
-    let mut trace = TraceDump::default();
-    let mut final_cycle = 0u64;
-    let mut completed = true;
-    for (shard, entry) in done.into_iter().enumerate() {
-        let report = entry.expect("all workers reported");
-        merged.merge(&report.stats);
-        per_shard.push(report.stats);
-        per_shard_profiles.push(report.profile);
-        if !report.trace.is_empty() {
-            trace.merge(TraceDump::decode(&report.trace).map_err(|e| {
-                proto_err(&format!("shard {shard} shipped an unreadable trace: {e}"))
-            })?);
-        }
-        final_cycle = final_cycle.max(report.final_now);
-        completed &= report.completed;
-    }
-    Ok(DistOutcome {
-        stats: merged,
-        per_shard,
-        final_cycle,
-        completed,
-        cut_links,
-        shards,
-        restarts: 0,
-        per_shard_profiles,
-        trace,
-        samples: Vec::new(), // filled by `run_distributed` from the stream
-    })
 }
 
 #[cfg(test)]

@@ -3,14 +3,28 @@
 //! A handful of length-prefixed frames: handshake and shard assignment, data
 //! plane address exchange, the start signal, the credit-counting termination
 //! probe/ledger/directive loop, and the final per-shard report.
+//!
+//! The handshake is one sequence whatever carries the data plane: `Hello`
+//! (worker) → `Assign` (coordinator) → `Listening` (worker; socket media
+//! only) → `PeerMap` (coordinator: one endpoint per shard adjacency) →
+//! `Start`.
 
 use crate::spec::DistSpec;
-use crate::wire::{decode_stats, encode_stats, Dec, Enc, WIRE_VERSION};
+use crate::wire::{decode_stats, encode_stats, read_frame, write_frame, Dec, Enc, WIRE_VERSION};
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::TelemetrySample;
 use hornet_obs::profile::StallProfile;
 use hornet_shard::termination::LedgerState;
-use std::io;
+use std::io::{self, Read, Write};
+use std::time::Duration;
+
+/// How often a worker tells the coordinator it is alive.
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_secs(1);
+
+/// A control message that does not fit the protocol.
+pub(crate) fn proto_err(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {msg}"))
+}
 
 /// How worker data planes reach each other.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -87,27 +101,20 @@ pub enum CtrlMsg {
         /// Unix data-plane listen path for this worker (empty for TCP, which
         /// binds an ephemeral port, and for shm).
         listen: String,
-        /// Liveness heartbeat interval the worker must honor (milliseconds;
-        /// 0 disables heartbeats).
-        heartbeat_ms: u64,
         /// Shard checkpoint to restore before simulating (crash recovery).
         resume: Option<Vec<u8>>,
     },
-    /// Worker → coordinator: data plane bound at `addr` (empty for shm).
+    /// Worker → coordinator: socket data plane bound at `addr` (shared-memory
+    /// workers bind nothing and skip this message).
     Listening {
         /// The worker's data-plane address.
         addr: String,
     },
-    /// Coordinator → worker: every worker's data-plane address
-    /// (socket transports) as `(shard, addr)`.
+    /// Coordinator → worker: one endpoint per shard adjacency as
+    /// `(lo, hi, endpoint)` — the lower shard's listen address, which the
+    /// higher shard dials, or the shared-memory segment both map.
     PeerMap {
-        /// Shard → address pairs.
-        entries: Vec<(u32, String)>,
-    },
-    /// Coordinator → worker: shared-memory segment paths per adjacency as
-    /// `(lo, hi, path)`.
-    ShmMap {
-        /// Adjacency → segment path triples.
+        /// Adjacency → endpoint triples.
         entries: Vec<(u32, u32, String)>,
     },
     /// Coordinator → worker: begin simulating.
@@ -134,20 +141,7 @@ pub enum CtrlMsg {
     /// Coordinator → worker: completion declared, stop simulating.
     Stop,
     /// Worker → coordinator: run finished.
-    Done {
-        /// The cycle the worker stopped at.
-        final_now: u64,
-        /// Every local agent finished and the shard drained.
-        completed: bool,
-        /// Per-shard statistics.
-        stats: Box<NetworkStats>,
-        /// Wall-time attribution of the worker's run (all zeros unless the
-        /// spec asked for profiling).
-        profile: StallProfile,
-        /// Encoded [`hornet_obs::trace::TraceDump`] of the shard's tile and
-        /// runtime rings (empty when tracing was off).
-        trace: Vec<u8>,
-    },
+    Done(Box<ShardReport>),
     /// Worker → worker: identifies the connecting shard on a data socket.
     PeerHello {
         /// The connecting shard.
@@ -174,7 +168,34 @@ pub enum CtrlMsg {
     },
 }
 
+/// One shard's final report.
+#[derive(Debug)]
+pub struct ShardReport {
+    /// The cycle the worker stopped at.
+    pub final_now: u64,
+    /// Every local agent finished and the shard drained.
+    pub completed: bool,
+    /// Per-shard statistics.
+    pub stats: NetworkStats,
+    /// Wall-time attribution of the worker's run.
+    pub profile: StallProfile,
+    /// Encoded [`hornet_obs::trace::TraceDump`] of the shard's tile and
+    /// runtime rings (empty when tracing was off).
+    pub trace: Vec<u8>,
+}
+
 impl CtrlMsg {
+    /// Writes the message as one frame and flushes it.
+    pub fn send(&self, w: &mut impl Write) -> io::Result<()> {
+        write_frame(w, &self.encode())?;
+        w.flush()
+    }
+
+    /// Reads and decodes one frame.
+    pub fn recv(r: &mut impl Read) -> io::Result<CtrlMsg> {
+        CtrlMsg::decode(&read_frame(r)?)
+    }
+
     /// Encodes the message as one frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
@@ -192,13 +213,11 @@ impl CtrlMsg {
                 spec,
                 transport,
                 listen,
-                heartbeat_ms,
                 resume,
             } => {
                 e.u8(1).u32(*shard).u32(*shards).u8(transport.to_u8());
                 e.str(listen);
                 spec.encode(&mut e);
-                e.u64(*heartbeat_ms);
                 match resume {
                     Some(data) => {
                         e.u8(1).blob(data);
@@ -213,14 +232,8 @@ impl CtrlMsg {
             }
             CtrlMsg::PeerMap { entries } => {
                 e.u8(3).u32(entries.len() as u32);
-                for (shard, addr) in entries {
-                    e.u32(*shard).str(addr);
-                }
-            }
-            CtrlMsg::ShmMap { entries } => {
-                e.u8(4).u32(entries.len() as u32);
-                for (lo, hi, path) in entries {
-                    e.u32(*lo).u32(*hi).str(path);
+                for (lo, hi, endpoint) in entries {
+                    e.u32(*lo).u32(*hi).str(endpoint);
                 }
             }
             CtrlMsg::Start => {
@@ -248,20 +261,14 @@ impl CtrlMsg {
             CtrlMsg::Stop => {
                 e.u8(9);
             }
-            CtrlMsg::Done {
-                final_now,
-                completed,
-                stats,
-                profile,
-                trace,
-            } => {
-                e.u8(10).u64(*final_now).u8(u8::from(*completed));
-                encode_stats(&mut e, stats);
-                e.u64(profile.compute_ns)
-                    .u64(profile.wait_ns)
-                    .u64(profile.ingest_ns)
-                    .u64(profile.flush_ns);
-                e.blob(trace);
+            CtrlMsg::Done(r) => {
+                e.u8(10).u64(r.final_now).u8(u8::from(r.completed));
+                encode_stats(&mut e, &r.stats);
+                e.u64(r.profile.compute_ns)
+                    .u64(r.profile.wait_ns)
+                    .u64(r.profile.ingest_ns)
+                    .u64(r.profile.flush_ns);
+                e.blob(&r.trace);
             }
             CtrlMsg::PeerHello { from } => {
                 e.u8(11).u32(*from);
@@ -296,7 +303,6 @@ impl CtrlMsg {
                 let transport = TransportKind::from_u8(d.u8()?)?;
                 let listen = d.str()?;
                 let spec = Box::new(DistSpec::decode(&mut d)?);
-                let heartbeat_ms = d.u64()?;
                 let resume = match d.u8()? {
                     0 => None,
                     _ => Some(d.blob()?.to_vec()),
@@ -307,7 +313,6 @@ impl CtrlMsg {
                     spec,
                     transport,
                     listen,
-                    heartbeat_ms,
                     resume,
                 }
             }
@@ -315,16 +320,9 @@ impl CtrlMsg {
             3 => {
                 let n = d.u32()?;
                 let entries = (0..n)
-                    .map(|_| Ok((d.u32()?, d.str()?)))
-                    .collect::<io::Result<Vec<_>>>()?;
-                CtrlMsg::PeerMap { entries }
-            }
-            4 => {
-                let n = d.u32()?;
-                let entries = (0..n)
                     .map(|_| Ok((d.u32()?, d.u32()?, d.str()?)))
                     .collect::<io::Result<Vec<_>>>()?;
-                CtrlMsg::ShmMap { entries }
+                CtrlMsg::PeerMap { entries }
             }
             5 => CtrlMsg::Start,
             6 => CtrlMsg::Probe { round: d.u64()? },
@@ -342,10 +340,10 @@ impl CtrlMsg {
             },
             8 => CtrlMsg::Skip { target: d.u64()? },
             9 => CtrlMsg::Stop,
-            10 => CtrlMsg::Done {
+            10 => CtrlMsg::Done(Box::new(ShardReport {
                 final_now: d.u64()?,
                 completed: d.u8()? != 0,
-                stats: Box::new(decode_stats(&mut d)?),
+                stats: decode_stats(&mut d)?,
                 profile: StallProfile {
                     compute_ns: d.u64()?,
                     wait_ns: d.u64()?,
@@ -353,7 +351,7 @@ impl CtrlMsg {
                     flush_ns: d.u64()?,
                 },
                 trace: d.blob()?.to_vec(),
-            },
+            })),
             11 => CtrlMsg::PeerHello { from: d.u32()? },
             12 => CtrlMsg::Heartbeat { cycle: d.u64()? },
             13 => CtrlMsg::Checkpoint {
@@ -391,28 +389,49 @@ pub fn hello(advertise: &str, nonce: u64) -> CtrlMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::DistWorkload;
+    use hornet_net::stats::FlowRecord;
 
-    #[test]
-    fn control_messages_round_trip() {
-        let msgs = vec![
+    /// One message of every variant, with non-default payloads.
+    fn every_variant() -> Vec<CtrlMsg> {
+        let mut stats = NetworkStats::new();
+        stats.delivered_packets = 12;
+        stats.total_packet_latency = 345;
+        stats.latency_histogram = vec![0, 3, 9];
+        for (id, packets) in [(9, 4), (2, 8), (40, 1)] {
+            let rec = FlowRecord {
+                packets,
+                flits: 4 * packets,
+                total_packet_latency: 30 * packets,
+            };
+            stats.per_flow.insert(id, rec);
+        }
+        vec![
             hello("node7.cluster:9101", 0xfeed_beef_dead_cafe),
             CtrlMsg::Assign {
                 shard: 2,
                 shards: 4,
-                spec: Box::new(DistSpec::default()),
+                spec: Box::new(DistSpec {
+                    workload: DistWorkload::MemVectorSum {
+                        base_stride: 0x1_0000,
+                        count: 8,
+                    },
+                    checkpoint_every: Some(250),
+                    trace_capacity: Some(4096),
+                    ..DistSpec::default()
+                }),
                 transport: TransportKind::UnixSocket,
                 listen: "/tmp/x.sock".into(),
-                heartbeat_ms: 1000,
                 resume: Some(vec![1, 2, 3]),
             },
             CtrlMsg::Listening {
                 addr: "127.0.0.1:4000".into(),
             },
             CtrlMsg::PeerMap {
-                entries: vec![(0, "a".into()), (1, "b".into())],
-            },
-            CtrlMsg::ShmMap {
-                entries: vec![(0, 1, "/dev/shm/x".into())],
+                entries: vec![
+                    (0, 1, "/tmp/data-0.sock".into()),
+                    (1, 2, "/dev/shm/seg-1-2.shm".into()),
+                ],
             },
             CtrlMsg::Start,
             CtrlMsg::Probe { round: 7 },
@@ -420,20 +439,20 @@ mod tests {
                 round: 7,
                 version: 42,
                 state: LedgerState {
-                    busy: 0,
+                    busy: 3,
                     finished: true,
                     next_event: u64::MAX,
                     sent: 100,
-                    recv: 100,
+                    recv: 99,
                     cycle: 500,
                 },
             },
             CtrlMsg::Skip { target: 999 },
             CtrlMsg::Stop,
-            CtrlMsg::Done {
+            CtrlMsg::Done(Box::new(ShardReport {
                 final_now: 800,
                 completed: true,
-                stats: Box::new(NetworkStats::new()),
+                stats,
                 profile: StallProfile {
                     compute_ns: 1,
                     wait_ns: 2,
@@ -441,7 +460,7 @@ mod tests {
                     flush_ns: 4,
                 },
                 trace: vec![7; 32],
-            },
+            })),
             CtrlMsg::PeerHello { from: 3 },
             CtrlMsg::Heartbeat { cycle: 1234 },
             CtrlMsg::Checkpoint {
@@ -467,41 +486,57 @@ mod tests {
                     metrics: vec![("batch_wait_ns.count".into(), 12)],
                 }),
             },
-        ];
+        ]
+    }
+
+    /// Which variant `msg` is. Exhaustive, so a new variant fails to compile
+    /// here until [`every_variant`] covers it too.
+    fn variant(msg: &CtrlMsg) -> usize {
+        match msg {
+            CtrlMsg::Hello { .. } => 0,
+            CtrlMsg::Assign { .. } => 1,
+            CtrlMsg::Listening { .. } => 2,
+            CtrlMsg::PeerMap { .. } => 3,
+            CtrlMsg::Start => 4,
+            CtrlMsg::Probe { .. } => 5,
+            CtrlMsg::Ledger { .. } => 6,
+            CtrlMsg::Skip { .. } => 7,
+            CtrlMsg::Stop => 8,
+            CtrlMsg::Done(_) => 9,
+            CtrlMsg::PeerHello { .. } => 10,
+            CtrlMsg::Heartbeat { .. } => 11,
+            CtrlMsg::Checkpoint { .. } => 12,
+            CtrlMsg::Telemetry { .. } => 13,
+        }
+    }
+
+    #[test]
+    fn control_messages_round_trip() {
+        let msgs = every_variant();
+        let mut seen: Vec<usize> = msgs.iter().map(variant).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, (0..14).collect::<Vec<_>>(), "one message per variant");
         for msg in msgs {
             let bytes = msg.encode();
             let back = CtrlMsg::decode(&bytes).unwrap();
-            // Spot-check round-trip of the discriminant and one payload.
-            assert_eq!(
-                std::mem::discriminant(&back),
-                std::mem::discriminant(&msg),
-                "{msg:?}"
-            );
-            if let (CtrlMsg::Ledger { state: a, .. }, CtrlMsg::Ledger { state: b, .. }) =
-                (&msg, &back)
-            {
-                assert_eq!(a, b);
+            assert_eq!(back.encode(), bytes, "{msg:?}");
+        }
+    }
+
+    #[test]
+    fn hostile_bytes_decode_to_a_result() {
+        for msg in every_variant() {
+            let bytes = msg.encode();
+            for len in 0..bytes.len() {
+                let _ = CtrlMsg::decode(&bytes[..len]);
             }
-            if let (
-                CtrlMsg::Done {
-                    profile: a,
-                    trace: ta,
-                    ..
-                },
-                CtrlMsg::Done {
-                    profile: b,
-                    trace: tb,
-                    ..
-                },
-            ) = (&msg, &back)
-            {
-                assert_eq!(a, b);
-                assert_eq!(ta, tb);
-            }
-            if let (CtrlMsg::Telemetry { sample: a }, CtrlMsg::Telemetry { sample: b }) =
-                (&msg, &back)
-            {
-                assert_eq!(a, b);
+            let mut flipped = bytes.clone();
+            for i in 0..flipped.len() {
+                for mask in [0x01, 0x80, 0xff] {
+                    flipped[i] ^= mask;
+                    let _ = CtrlMsg::decode(&flipped);
+                    flipped[i] ^= mask;
+                }
             }
         }
     }

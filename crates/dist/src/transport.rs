@@ -17,12 +17,17 @@
 //! whatever the pipe is; only the medium differs: a Unix or TCP socket
 //! ([`Stream`], which makes it a [`SocketTransport`]) or, between co-located
 //! processes, two byte rings in a mapped segment ([`crate::shm::ShmPipe`]).
+//! The socket endpoints both sides of every connection use — the
+//! coordinator's control listener, a worker's control dial, the workers'
+//! data-plane listeners and dials — are `Listener` and `connect`, beside
+//! [`Stream`].
 //!
 //! Its contract — the thread host's pump keeps the same one — is what makes
 //! CycleAccurate bit-identity hold across processes: *all flits and credits
 //! a shard emitted up to and including its negedge of cycle `c` are visible
 //! to the peer's `ingest` before the peer observes `peer_progress() ≥ c`.*
 
+use crate::protocol::TransportKind;
 use crate::wire::{
     decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet,
     peek_frame, Dec, Enc, CREDIT_WIRE_BYTES, FLIT_WIRE_BYTES, MAX_FRAME_BYTES,
@@ -33,11 +38,11 @@ use hornet_net::ids::Cycle;
 use hornet_shard::driver::{PayloadChannel, TransportPump};
 use hornet_shard::wiring::NeighborWiring;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One directed shard adjacency's channel: flits forward, credits backward,
 /// progress alongside. See the module docs for the visibility contract.
@@ -109,13 +114,14 @@ pub enum Stream {
     Tcp(TcpStream),
 }
 
-/// Evaluates `$call` on whichever socket `$stream` holds.
+/// Evaluates `$call` on whichever socket `$value` (a `Stream` or a
+/// `Listener`) holds.
 macro_rules! on_socket {
-    ($stream:expr, $s:ident => $call:expr) => {
-        match $stream {
+    ($kind:ident, $value:expr, $s:ident => $call:expr) => {
+        match $value {
             #[cfg(unix)]
-            Stream::Unix($s) => $call,
-            Stream::Tcp($s) => $call,
+            $kind::Unix($s) => $call,
+            $kind::Tcp($s) => $call,
         }
     };
 }
@@ -132,28 +138,132 @@ impl Stream {
 
     /// Switches the socket between blocking and non-blocking I/O.
     pub fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
-        on_socket!(self, s => s.set_nonblocking(nonblocking))
+        on_socket!(Stream, self, s => s.set_nonblocking(nonblocking))
     }
 
     /// Shuts the socket down (both halves, affecting every cloned handle) —
     /// the only reliable way to signal EOF when reader threads hold clones.
     pub fn shutdown(&self) {
-        let _ = on_socket!(self, s => s.shutdown(Shutdown::Both));
+        let _ = on_socket!(Stream, self, s => s.shutdown(Shutdown::Both));
     }
 }
 
 impl Read for Stream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.read(buf))
+        on_socket!(Stream, self, s => s.read(buf))
     }
 }
 
 impl Write for Stream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        on_socket!(self, s => s.write(buf))
+        on_socket!(Stream, self, s => s.write(buf))
     }
     fn flush(&mut self) -> io::Result<()> {
-        on_socket!(self, s => s.flush())
+        on_socket!(Stream, self, s => s.flush())
+    }
+}
+
+/// The listening end of a socket endpoint: Unix domain or TCP. Non-blocking,
+/// so an accept can give up at a deadline.
+pub(crate) enum Listener {
+    /// Unix domain listener.
+    #[cfg(unix)]
+    Unix(UnixListener),
+    /// TCP listener.
+    Tcp(TcpListener),
+}
+
+/// How often a pending accept looks for a connection.
+const ACCEPT_POLL: Duration = Duration::from_millis(2);
+
+/// How often a dial retries a listener that is not up yet.
+const CONNECT_RETRY: Duration = Duration::from_millis(200);
+
+fn not_a_socket(kind: TransportKind) -> io::Error {
+    io::Error::new(
+        ErrorKind::Unsupported,
+        format!("{kind:?} is not a socket medium on this platform"),
+    )
+}
+
+impl Listener {
+    /// Binds `addr`: a socket path for [`TransportKind::UnixSocket`], a
+    /// `host:port` for [`TransportKind::Tcp`].
+    pub(crate) fn bind(kind: TransportKind, addr: &str) -> io::Result<Listener> {
+        let listener = match kind {
+            #[cfg(unix)]
+            TransportKind::UnixSocket => Listener::Unix(UnixListener::bind(addr)?),
+            TransportKind::Tcp => Listener::Tcp(TcpListener::bind(addr)?),
+            _ => return Err(not_a_socket(kind)),
+        };
+        on_socket!(Listener, &listener, l => l.set_nonblocking(true))?;
+        Ok(listener)
+    }
+
+    /// The address a peer dials to reach this listener.
+    pub(crate) fn addr(&self) -> io::Result<String> {
+        Ok(match self {
+            #[cfg(unix)]
+            Listener::Unix(l) => l
+                .local_addr()?
+                .as_pathname()
+                .map_or_else(String::new, |p| p.to_string_lossy().into_owned()),
+            Listener::Tcp(l) => l.local_addr()?.to_string(),
+        })
+    }
+
+    /// Accepts one connection, polling until `deadline`. The stream comes
+    /// back in blocking mode.
+    pub(crate) fn accept_until(&self, deadline: Instant) -> io::Result<Stream> {
+        loop {
+            let accepted = match self {
+                #[cfg(unix)]
+                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
+                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+            };
+            match accepted {
+                Ok(s) => {
+                    s.set_nonblocking(false)?;
+                    return Ok(s);
+                }
+                Err(e) if e.kind() != ErrorKind::WouldBlock => return Err(e),
+                Err(_) if Instant::now() > deadline => {
+                    return Err(io::Error::new(
+                        ErrorKind::TimedOut,
+                        "no connection arrived before the deadline",
+                    ))
+                }
+                Err(_) => std::thread::sleep(ACCEPT_POLL),
+            }
+        }
+    }
+}
+
+/// Dials the listener at `addr` (see [`Listener::bind`]), retrying until
+/// `deadline` while it is not up yet — host-list workers may legitimately be
+/// started before the coordinator, in any order.
+pub(crate) fn connect(kind: TransportKind, addr: &str, deadline: Instant) -> io::Result<Stream> {
+    loop {
+        let dialed = match kind {
+            #[cfg(unix)]
+            TransportKind::UnixSocket => UnixStream::connect(addr).map(Stream::Unix),
+            TransportKind::Tcp => TcpStream::connect(addr).map(Stream::Tcp),
+            _ => return Err(not_a_socket(kind)),
+        };
+        match dialed {
+            Err(e)
+                if Instant::now() < deadline
+                    && matches!(
+                        e.kind(),
+                        ErrorKind::ConnectionRefused
+                            | ErrorKind::NotFound
+                            | ErrorKind::AddrNotAvailable
+                    ) =>
+            {
+                std::thread::sleep(CONNECT_RETRY);
+            }
+            dialed => return dialed,
+        }
     }
 }
 
@@ -192,12 +302,12 @@ impl BytePipe for Stream {
     }
 
     fn close_write(&mut self) {
-        let _ = on_socket!(self, s => s.shutdown(Shutdown::Write));
+        let _ = on_socket!(Stream, self, s => s.shutdown(Shutdown::Write));
     }
 
     fn drain(&mut self, scratch: &mut [u8], grace: Duration) {
         let _ = self.set_nonblocking(false);
-        let _ = on_socket!(self, s => s.set_read_timeout(Some(grace)));
+        let _ = on_socket!(Stream, self, s => s.set_read_timeout(Some(grace)));
         loop {
             match self.read(scratch) {
                 Ok(0) => break,
@@ -680,6 +790,33 @@ mod tests {
         wa.out_links[1].apply_credits(None);
         assert_eq!(wa.out_links[1].occupancy(), 0);
         close(ta, tb);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn one_endpoint_layer_serves_unix_and_tcp() {
+        let dir = std::env::temp_dir().join(format!("hornet-endpoints-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("e.sock").to_string_lossy().into_owned();
+        for (kind, bind) in [
+            (TransportKind::UnixSocket, path.as_str()),
+            (TransportKind::Tcp, "127.0.0.1:0"),
+        ] {
+            let listener = Listener::bind(kind, bind).unwrap();
+            let soon = Instant::now() + Duration::from_millis(20);
+            let idle = listener.accept_until(soon).err().expect("nobody dialed");
+            assert_eq!(idle.kind(), ErrorKind::TimedOut, "{kind:?}");
+            let mut dialed = connect(kind, &listener.addr().unwrap(), Instant::now()).unwrap();
+            let later = Instant::now() + Duration::from_secs(5);
+            let mut accepted = listener.accept_until(later).unwrap();
+            dialed.write_all(b"hi").unwrap();
+            let mut buf = [0; 2];
+            accepted.read_exact(&mut buf).unwrap();
+            assert_eq!(&buf, b"hi", "{kind:?}");
+        }
+        let shm = connect(TransportKind::Shm, &path, Instant::now()).err();
+        assert_eq!(shm.map(|e| e.kind()), Some(ErrorKind::Unsupported));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[cfg(unix)]

@@ -20,4 +20,8 @@ pub use hornet_net::codec::{
 /// shard assignments (fault-tolerant supervision).
 /// v4: periodic telemetry samples (`CtrlMsg::Telemetry`), stall profiles and
 /// event-trace blobs in the final report, telemetry/trace knobs in the spec.
-pub const WIRE_VERSION: u32 = 4;
+/// v5: one peer map for every medium (`CtrlMsg::PeerMap` carries one
+/// endpoint per shard adjacency, sockets and shared memory alike), no
+/// `Listening` from shared-memory workers, no heartbeat interval in
+/// `Assign`.
+pub const WIRE_VERSION: u32 = 5;

@@ -10,14 +10,17 @@
 //! (stop / fast-forward jumps) arrive from the coordinator through plain
 //! atomics the control reader thread maintains.
 
-use crate::protocol::{hello, CtrlMsg, TransportKind};
+use crate::protocol::{hello, proto_err, CtrlMsg, ShardReport, TransportKind, HEARTBEAT_INTERVAL};
 use crate::shm::ShmPipe;
 use crate::spec::{DistSpec, RunKind};
-use crate::transport::{BoundaryTransport, BytePipe, FrameTransport, Stream, TransportSet};
-use crate::wire::{read_frame, write_frame};
+use crate::transport::{
+    connect, BoundaryTransport, BytePipe, FrameTransport, Listener, Stream, TransportSet,
+};
+use crate::wire::read_frame;
 use crate::wiring::{build_shards, partition_for};
 use hornet_net::ids::Cycle;
 use hornet_net::network::NetworkNode;
+use hornet_net::payload::PayloadStore;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::metrics::{MetricsRegistry, TelemetrySample};
 use hornet_obs::olog_debug;
@@ -31,9 +34,6 @@ use hornet_shard::termination::ShardLedger;
 use hornet_shard::wiring::ShardParts;
 use std::collections::HashMap;
 use std::io::{self, BufReader};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -297,78 +297,35 @@ fn crash_token() -> Option<(usize, u64, std::path::PathBuf)> {
     Some((shard, cycle, path))
 }
 
-fn proto_err(msg: &str) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, format!("protocol: {msg}"))
-}
-
 /// Sends one control message over the shared writer.
 fn send_ctrl(writer: &Mutex<Stream>, msg: &CtrlMsg) -> io::Result<()> {
-    let mut w = writer.lock().expect("control writer poisoned");
-    write_frame(&mut *w, &msg.encode())?;
-    use std::io::Write;
-    w.flush()
+    msg.send(&mut *writer.lock().expect("control writer poisoned"))
 }
 
-/// Accepts one data-plane connection with a deadline.
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept_deadline(&self, deadline: Instant) -> io::Result<Stream> {
-        loop {
-            let res = match self {
-                #[cfg(unix)]
-                Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-            };
-            match res {
-                Ok(s) => return Ok(s),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if Instant::now() > deadline {
-                        return Err(io::Error::new(
-                            io::ErrorKind::TimedOut,
-                            "peer connection timed out",
-                        ));
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) => return Err(e),
-            }
-        }
+/// Builds the shard an `Assign` names: its wired parts and this process's
+/// payload store. The control socket may be TCP, so a malformed assignment
+/// is an `InvalidData` error naming the field, never a panic.
+fn assigned_shard(
+    spec: &DistSpec,
+    shard: u32,
+    shards: u32,
+) -> io::Result<(ShardParts, Arc<PayloadStore>)> {
+    if shard >= shards {
+        return Err(proto_err(&format!(
+            "Assign.shard {shard} is not below Assign.shards {shards}"
+        )));
     }
-}
-
-/// Connects to the coordinator's control plane, retrying for up to a minute
-/// while the coordinator is not up yet — host-list workers may legitimately
-/// be started before the coordinator, in any order.
-fn connect_ctrl(ctrl_addr: &str, ctrl_family: &str) -> io::Result<Stream> {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let res = match ctrl_family {
-            #[cfg(unix)]
-            "unix" => UnixStream::connect(ctrl_addr).map(Stream::Unix),
-            "tcp" => TcpStream::connect(ctrl_addr).map(Stream::Tcp),
-            other => return Err(proto_err(&format!("unknown control family {other}"))),
-        };
-        match res {
-            Ok(s) => return Ok(s),
-            Err(e)
-                if Instant::now() < deadline
-                    && matches!(
-                        e.kind(),
-                        io::ErrorKind::ConnectionRefused
-                            | io::ErrorKind::NotFound
-                            | io::ErrorKind::AddrNotAvailable
-                    ) =>
-            {
-                std::thread::sleep(Duration::from_millis(200));
-            }
-            Err(e) => return Err(e),
-        }
+    // Rebuild the full system deterministically; keep our shard.
+    let partition = partition_for(spec, shards as usize);
+    if partition.shard_count() != shards as usize {
+        return Err(proto_err(&format!(
+            "Assign.shards {shards} does not match the spec's partition into {} shards",
+            partition.shard_count()
+        )));
     }
+    let (mut parts, store) = build_shards(spec, &partition)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    Ok((parts.swap_remove(shard as usize), store))
 }
 
 /// Runs the worker process: connects to the coordinator at `ctrl_addr`
@@ -386,7 +343,9 @@ pub fn worker_main(
     advertise: Option<&str>,
     nonce: u64,
 ) -> io::Result<()> {
-    let ctrl = connect_ctrl(ctrl_addr, ctrl_family)?;
+    let family = TransportKind::parse(ctrl_family)
+        .ok_or_else(|| proto_err(&format!("unknown control family {ctrl_family}")))?;
+    let ctrl = connect(family, ctrl_addr, Instant::now() + Duration::from_secs(60))?;
     let writer = Arc::new(Mutex::new(ctrl.try_clone()?));
     let mut reader = BufReader::new(ctrl);
 
@@ -397,26 +356,13 @@ pub fn worker_main(
         spec,
         transport,
         listen,
-        heartbeat_ms,
         resume,
-    } = CtrlMsg::decode(&read_frame(&mut reader)?)?
+    } = CtrlMsg::recv(&mut reader)?
     else {
         return Err(proto_err("expected Assign"));
     };
+    let (mine, store) = assigned_shard(&spec, shard, shards)?;
     let shard = shard as usize;
-    let shards = shards as usize;
-
-    // Rebuild the full system deterministically; keep our shard.
-    let partition = partition_for(&spec, shards);
-    assert_eq!(
-        partition.shard_count(),
-        shards,
-        "coordinator/worker partition mismatch"
-    );
-    let (mut parts, store) = build_shards(&spec, &partition)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    let mine = parts.swap_remove(shard);
-    drop(parts);
 
     // Data plane. The payload channel is this process's store (its
     // bridges' DMA park): peers live in other processes, so packet payloads
@@ -440,123 +386,74 @@ pub fn worker_main(
         Some(bytes) => worker.restore(bytes)?,
         None => (0, 0),
     };
-    match transport {
-        TransportKind::UnixSocket | TransportKind::Tcp => {
-            let listener = match transport {
-                #[cfg(unix)]
-                TransportKind::UnixSocket => {
-                    let l = UnixListener::bind(&listen)?;
-                    l.set_nonblocking(true)?;
-                    send_ctrl(
-                        &writer,
-                        &CtrlMsg::Listening {
-                            addr: listen.clone(),
-                        },
-                    )?;
-                    Listener::Unix(l)
-                }
-                #[cfg(not(unix))]
-                TransportKind::UnixSocket => {
-                    return Err(proto_err("unix sockets unavailable on this platform"))
-                }
-                _ if !listen.is_empty() => {
-                    // Host-list mode: the coordinator assigned this worker an
-                    // advertised `host:port`; bind the port on all interfaces
-                    // and advertise the reachable address.
+
+    // Socket media: bind this shard's data-plane listener and report where
+    // peers reach it. Shared memory binds nothing.
+    let listener = match transport {
+        TransportKind::Shm => None,
+        _ => {
+            let bind = match transport {
+                TransportKind::Tcp if listen.is_empty() => "127.0.0.1:0".to_string(),
+                // Host-list mode: the coordinator assigned this worker an
+                // advertised `host:port`; bind the port on all interfaces
+                // and advertise the reachable address.
+                TransportKind::Tcp => {
                     let port = listen
                         .rsplit_once(':')
                         .and_then(|(_, p)| p.parse::<u16>().ok())
                         .ok_or_else(|| proto_err("bad advertised address"))?;
-                    let l = TcpListener::bind(("0.0.0.0", port))?;
-                    l.set_nonblocking(true)?;
-                    send_ctrl(
-                        &writer,
-                        &CtrlMsg::Listening {
-                            addr: listen.clone(),
-                        },
-                    )?;
-                    Listener::Tcp(l)
+                    format!("0.0.0.0:{port}")
                 }
-                _ => {
-                    let l = TcpListener::bind("127.0.0.1:0")?;
-                    let addr = l.local_addr()?.to_string();
-                    l.set_nonblocking(true)?;
-                    send_ctrl(&writer, &CtrlMsg::Listening { addr })?;
-                    Listener::Tcp(l)
-                }
+                _ => listen.clone(),
             };
-            let CtrlMsg::PeerMap { entries } = CtrlMsg::decode(&read_frame(&mut reader)?)? else {
-                return Err(proto_err("expected PeerMap"));
-            };
-            let addrs: HashMap<usize, String> =
-                entries.into_iter().map(|(s, a)| (s as usize, a)).collect();
-            // Initiate to lower-id neighbors, accept from higher-id ones.
-            let mut streams: HashMap<usize, Stream> = HashMap::new();
-            for nb in &worker.transports_plan() {
-                if *nb < shard {
-                    let addr = addrs
-                        .get(nb)
-                        .ok_or_else(|| proto_err("missing peer addr"))?;
-                    let mut s = match transport {
-                        #[cfg(unix)]
-                        TransportKind::UnixSocket => Stream::Unix(UnixStream::connect(addr)?),
-                        _ => Stream::Tcp(TcpStream::connect(addr)?),
-                    };
-                    write_frame(&mut s, &CtrlMsg::PeerHello { from: shard as u32 }.encode())?;
-                    use std::io::Write;
-                    s.flush()?;
-                    streams.insert(*nb, s);
-                }
+            let l = Listener::bind(transport, &bind)?;
+            let addr = if listen.is_empty() { l.addr()? } else { listen };
+            send_ctrl(&writer, &CtrlMsg::Listening { addr })?;
+            Some(l)
+        }
+    };
+    let CtrlMsg::PeerMap { entries } = CtrlMsg::recv(&mut reader)? else {
+        return Err(proto_err("expected PeerMap"));
+    };
+    let endpoints: HashMap<(usize, usize), String> = entries
+        .into_iter()
+        .map(|(lo, hi, endpoint)| ((lo as usize, hi as usize), endpoint))
+        .collect();
+    // One transport per neighbor, in canonical order: map the adjacency's
+    // segment, dial a lower-numbered peer's listener, or accept a
+    // higher-numbered peer (accepts arrive in any order; the PeerHello
+    // names the dialer).
+    let mut accepted: HashMap<usize, Stream> = HashMap::new();
+    for (i, peer) in worker.transports_plan().into_iter().enumerate() {
+        let (lo, hi) = (shard.min(peer), shard.max(peer));
+        let endpoint = endpoints
+            .get(&(lo, hi))
+            .ok_or_else(|| proto_err(&format!("no peer map endpoint for shards {lo}-{hi}")))?;
+        match &listener {
+            None => {
+                let pipe = ShmPipe::open(std::path::Path::new(endpoint), shard == lo)?;
+                worker.attach_pipe(i, pipe, start_cycle, batch)?;
             }
-            let expect_higher = worker
-                .transports_plan()
-                .iter()
-                .filter(|&&p| p > shard)
-                .count();
-            for _ in 0..expect_higher {
-                let mut s = listener.accept_deadline(deadline)?;
-                s.set_nonblocking(false)?;
-                let CtrlMsg::PeerHello { from } = CtrlMsg::decode(&read_frame(&mut s)?)? else {
-                    return Err(proto_err("expected PeerHello"));
-                };
-                streams.insert(from as usize, s);
-            }
-            // Attach transports in canonical neighbor order.
-            let plan = worker.transports_plan();
-            for (i, peer) in plan.iter().enumerate() {
-                let stream = streams
-                    .remove(peer)
-                    .ok_or_else(|| proto_err("peer stream missing"))?;
+            Some(_) if peer < shard => {
+                let mut stream = connect(transport, endpoint, deadline)?;
+                CtrlMsg::PeerHello { from: shard as u32 }.send(&mut stream)?;
                 worker.attach_pipe(i, stream, start_cycle, batch)?;
             }
-        }
-        TransportKind::Shm => {
-            send_ctrl(
-                &writer,
-                &CtrlMsg::Listening {
-                    addr: String::new(),
-                },
-            )?;
-            let CtrlMsg::ShmMap { entries } = CtrlMsg::decode(&read_frame(&mut reader)?)? else {
-                return Err(proto_err("expected ShmMap"));
-            };
-            let paths: HashMap<(usize, usize), String> = entries
-                .into_iter()
-                .map(|(lo, hi, p)| ((lo as usize, hi as usize), p))
-                .collect();
-            let plan = worker.transports_plan();
-            for (i, peer) in plan.iter().enumerate() {
-                let (lo, hi) = (shard.min(*peer), shard.max(*peer));
-                let path = paths
-                    .get(&(lo, hi))
-                    .ok_or_else(|| proto_err("missing shm segment"))?;
-                let pipe = ShmPipe::open(std::path::Path::new(path), shard == lo)?;
-                worker.attach_pipe(i, pipe, start_cycle, batch)?;
+            Some(l) => {
+                while !accepted.contains_key(&peer) {
+                    let mut stream = l.accept_until(deadline)?;
+                    let CtrlMsg::PeerHello { from } = CtrlMsg::recv(&mut stream)? else {
+                        return Err(proto_err("expected PeerHello"));
+                    };
+                    accepted.insert(from as usize, stream);
+                }
+                let stream = accepted.remove(&peer).expect("accepted above");
+                worker.attach_pipe(i, stream, start_cycle, batch)?;
             }
         }
     }
 
-    let CtrlMsg::Start = CtrlMsg::decode(&read_frame(&mut reader)?)? else {
+    let CtrlMsg::Start = CtrlMsg::recv(&mut reader)? else {
         return Err(proto_err("expected Start"));
     };
 
@@ -613,20 +510,19 @@ pub fn worker_main(
     // Liveness heartbeats: a thin periodic signal so the coordinator can
     // tell a hung worker from a slow one without waiting for the full
     // no-progress timeout.
-    if heartbeat_ms > 0 {
+    {
         let writer = Arc::clone(&writer);
         let control = control.clone();
         let done_flag = Arc::clone(&done_flag);
         std::thread::Builder::new()
             .name("hornet-dist-hb".into())
             .spawn(move || {
-                let interval = Duration::from_millis(heartbeat_ms);
                 while !done_flag.load(Ordering::Acquire) {
                     let (_, state) = control.ledger.read();
                     if send_ctrl(&writer, &CtrlMsg::Heartbeat { cycle: state.cycle }).is_err() {
                         return;
                     }
-                    std::thread::sleep(interval);
+                    std::thread::sleep(HEARTBEAT_INTERVAL);
                 }
             })?;
     }
@@ -665,16 +561,16 @@ pub fn worker_main(
     };
     send_ctrl(
         &writer,
-        &CtrlMsg::Done {
+        &CtrlMsg::Done(Box::new(ShardReport {
             final_now: outcome.final_now,
             completed: match spec.run {
                 RunKind::Cycles(_) => true,
                 RunKind::ToCompletion { .. } => outcome.completed,
             },
-            stats: Box::new(outcome.stats),
+            stats: outcome.stats,
             profile: outcome.profile,
             trace: trace_blob,
-        },
+        })),
     )?;
     done_flag.store(true, Ordering::Release);
     olog_debug!("worker", { shard = shard }, "done sent");
@@ -717,5 +613,35 @@ impl ShardWorker {
             FrameTransport::new(pipe, &self.parts.neighbors[i], start, batch, payloads)?;
         self.transports.push(Box::new(transport));
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_hostile_assign_is_an_error_not_a_panic() {
+        // A 4×4 mesh splits into at most four row bands.
+        let spec = DistSpec {
+            width: 4,
+            height: 4,
+            ..DistSpec::default()
+        };
+        for (shard, shards, field) in [
+            (2, 2, "Assign.shard 2"),
+            (0, 0, "Assign.shard 0"),
+            (u32::MAX, 4, "Assign.shard 4294967295"),
+            (0, 5, "Assign.shards 5"),
+            (1, u32::MAX, "Assign.shards 4294967295"),
+        ] {
+            let err = assigned_shard(&spec, shard, shards)
+                .err()
+                .unwrap_or_else(|| panic!("shard {shard} of {shards} must be refused"));
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(field), "{err}");
+        }
+        let (parts, _) = assigned_shard(&spec, 3, 4).expect("a well-formed assignment");
+        assert_eq!(parts.shard, 3);
     }
 }
