@@ -127,6 +127,10 @@ pub struct MemoryNode {
     directory: DirectorySlice,
     hosts_directory: bool,
     scheduled: VecDeque<Scheduled>,
+    /// No message in `scheduled` is ready before this cycle (`Cycle::MAX`
+    /// when it is empty); may be early, never late. `tick` returns at once
+    /// while it lies in the future.
+    earliest: Cycle,
     /// Always empty between ticks: `tick` collects the messages that are not
     /// ready yet here and swaps it with `scheduled`, so no cycle allocates.
     spare: VecDeque<Scheduled>,
@@ -149,6 +153,7 @@ impl MemoryNode {
             directory: DirectorySlice::new(),
             hosts_directory,
             scheduled: VecDeque::new(),
+            earliest: Cycle::MAX,
             spare: VecDeque::new(),
             stats: MemNodeStats::default(),
             config,
@@ -308,26 +313,28 @@ impl MemoryNode {
             self.stats.local_messages += 1;
             self.route_delayed(dst, msg, now + self.config.local_latency);
         } else {
-            self.scheduled.push_back(Scheduled {
-                ready_at: now,
-                dst,
-                msg,
-            });
+            self.route_delayed(dst, msg, now);
         }
     }
 
     fn route_delayed(&mut self, dst: NodeId, msg: MemMessage, ready_at: Cycle) {
+        self.earliest = self.earliest.min(ready_at);
         self.scheduled.push_back(Scheduled { ready_at, dst, msg });
     }
 
     /// Per-cycle processing: releases delayed messages — local ones are
     /// handled in place, remote ones are packetised and sent through `io`.
     pub fn tick(&mut self, io: &mut dyn NodeIo, now: Cycle) {
+        if self.earliest > now {
+            return;
+        }
         // Messages scheduled while this loop runs land at the back of
         // `scheduled` and are handled in this tick if they are ready.
         let mut still_waiting = std::mem::take(&mut self.spare);
+        let mut earliest = Cycle::MAX;
         while let Some(s) = self.scheduled.pop_front() {
             if s.ready_at > now {
+                earliest = earliest.min(s.ready_at);
                 still_waiting.push_back(s);
                 continue;
             }
@@ -349,6 +356,7 @@ impl MemoryNode {
             }
         }
         self.spare = std::mem::replace(&mut self.scheduled, still_waiting);
+        self.earliest = earliest;
     }
 
     /// True if no protocol message is waiting inside this tile.
@@ -419,6 +427,8 @@ impl MemoryNode {
             })?;
             self.scheduled.push_back(Scheduled { ready_at, dst, msg });
         }
+        // Conservative: the first tick scans the queue and sets it exactly.
+        self.earliest = 0;
         self.stats = MemNodeStats {
             messages_sent: d.u64()?,
             local_messages: d.u64()?,
@@ -513,6 +523,59 @@ mod tests {
             Some(10)
         );
         assert_eq!(m.l1_stats().hits, 1);
+    }
+
+    /// Records the destination of every packet sent.
+    struct Recorder(Vec<NodeId>);
+
+    impl NodeIo for Recorder {
+        fn node(&self) -> NodeId {
+            NodeId::new(0)
+        }
+        fn cycle(&self) -> Cycle {
+            0
+        }
+        fn alloc_packet_id(&mut self) -> hornet_net::ids::PacketId {
+            hornet_net::ids::PacketId::new(self.0.len() as u64)
+        }
+        fn send(&mut self, packet: hornet_net::flit::Packet) {
+            self.0.push(packet.dst);
+        }
+        fn try_recv(&mut self) -> Option<hornet_net::flit::DeliveredPacket> {
+            None
+        }
+        fn peek_recv(&self) -> Option<&hornet_net::flit::DeliveredPacket> {
+            None
+        }
+        fn injection_backlog(&self) -> usize {
+            0
+        }
+        fn recv_backlog(&self) -> usize {
+            0
+        }
+    }
+
+    #[test]
+    fn ready_messages_leave_in_insertion_order_and_not_before() {
+        let mut m = MemoryNode::new(NodeId::new(0), 4, MemoryConfig::default());
+        let msg = MemMessage::RemoteRead {
+            addr: 0x40,
+            requester: NodeId::new(0),
+        };
+        for (dst, ready_at) in [(1, 10), (2, 5), (3, 7)] {
+            m.route_delayed(NodeId::new(dst), msg, ready_at);
+        }
+        let mut io = Recorder(Vec::new());
+        for now in 0..5 {
+            m.tick(&mut io, now);
+        }
+        assert!(io.0.is_empty(), "nothing is ready before cycle 5");
+        m.tick(&mut io, 5);
+        assert_eq!(io.0, [NodeId::new(2)]);
+        // Both ready by cycle 10: the one scheduled first goes first.
+        m.tick(&mut io, 10);
+        assert_eq!(io.0, [2, 1, 3].map(NodeId::new));
+        assert_eq!(m.earliest, Cycle::MAX, "an empty queue waits for nothing");
     }
 
     #[test]

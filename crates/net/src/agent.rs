@@ -25,6 +25,9 @@ pub trait NodeIo {
 
     /// Queues a packet for injection into the network. Injection is subject to
     /// backpressure; the packet may enter the network several cycles later.
+    /// The packet's source must be [`node`](Self::node): a tile injects its
+    /// own packets only, and panics with
+    /// [`ForeignSource`](crate::bridge::ForeignSource) on another node's.
     fn send(&mut self, packet: Packet);
 
     /// Takes the next packet delivered to this node, if any.

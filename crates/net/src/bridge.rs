@@ -7,8 +7,8 @@
 //! flits, and reassembling ejected flits back into packets.
 
 use crate::codec::{self, Dec, Enc};
-use crate::flit::{DeliveredPacket, Flit, Packet};
-use crate::ids::{Cycle, NodeId, PacketId};
+use crate::flit::{DeliveredPacket, Flit, Packet, Payload};
+use crate::ids::{Cycle, FlowId, NodeId, PacketId};
 use crate::payload::PayloadStore;
 use crate::stats::NetworkStats;
 use crate::vcbuf::VcBuffer;
@@ -39,12 +39,65 @@ impl Default for ReassemblySlot {
     }
 }
 
-/// Injection state: the flits of the packet currently being pushed into one
-/// injection VC.
+/// One packet in the injection backlog, in 32 bytes: what [`Packet`] carries
+/// minus the source (always the bridge's own node), the injection cycle
+/// (stamped when the packet goes in) and the payload (side-queued, and only
+/// for packets that carry one).
+#[derive(Copy, Clone, Debug)]
+struct Queued {
+    id: PacketId,
+    flow: FlowId,
+    created_at: Cycle,
+    dst: NodeId,
+    len_flits: u32,
+}
+
+impl Queued {
+    /// The packet this record stands for, sent by `src`.
+    fn packet(&self, src: NodeId, injected_at: Cycle, payload: Payload) -> Packet {
+        Packet {
+            id: self.id,
+            flow: self.flow,
+            src,
+            dst: self.dst,
+            len_flits: self.len_flits,
+            created_at: self.created_at,
+            injected_at,
+            payload,
+        }
+    }
+}
+
+/// Injection state of one VC: the head flit of the packet being pushed
+/// (stamped with the cycle the packet went in) and the sequence number of
+/// the next flit to push. Each flit is built from the head as it is pushed.
 #[derive(Debug)]
 struct InjectionSlot {
-    flits: VecDeque<Flit>,
+    head: Flit,
+    next: u32,
 }
+
+/// A packet handed to a bridge whose source is another node. A bridge
+/// injects its own node's packets only: the backlog does not store a source.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct ForeignSource {
+    /// The node the bridge belongs to.
+    pub node: NodeId,
+    /// The source the packet named.
+    pub src: NodeId,
+}
+
+impl std::fmt::Display for ForeignSource {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "packet from node {} sent through node {}'s bridge",
+            self.src, self.node
+        )
+    }
+}
+
+impl std::error::Error for ForeignSource {}
 
 /// The packet-based bridge between one agent and its router.
 #[derive(Debug)]
@@ -55,7 +108,9 @@ pub struct Bridge {
     /// Flits per cycle the bridge may push toward the router.
     injection_bandwidth: u32,
     /// Packets waiting to enter the network.
-    pending: VecDeque<Packet>,
+    pending: VecDeque<Queued>,
+    /// Payloads of the backlog packets that carry one, in backlog order.
+    pending_payloads: VecDeque<(PacketId, Payload)>,
     /// Per-VC packet currently being injected (wormhole: one packet at a time
     /// per VC).
     slots: Vec<Option<InjectionSlot>>,
@@ -85,6 +140,7 @@ impl Bridge {
             injection_vcs,
             injection_bandwidth: injection_bandwidth.max(1),
             pending: VecDeque::new(),
+            pending_payloads: VecDeque::new(),
             slots,
             reassembly: Vec::new(),
             in_flight_payloads: HashMap::new(),
@@ -115,9 +171,30 @@ impl Bridge {
 
     /// Queues a packet for injection. The packet enters the network when
     /// injection-port buffer space allows; the agent can observe backpressure
-    /// through [`pending_packets`](Self::pending_packets).
-    pub fn send(&mut self, packet: Packet) {
-        self.pending.push_back(packet);
+    /// through [`pending_packets`](Self::pending_packets). The packet's
+    /// `injected_at` is stamped when it goes in.
+    ///
+    /// # Errors
+    ///
+    /// Refuses a packet whose source is not this bridge's node.
+    pub fn send(&mut self, packet: Packet) -> Result<(), ForeignSource> {
+        if packet.src != self.node {
+            return Err(ForeignSource {
+                node: self.node,
+                src: packet.src,
+            });
+        }
+        if !packet.payload.is_empty() {
+            self.pending_payloads.push_back((packet.id, packet.payload));
+        }
+        self.pending.push_back(Queued {
+            id: packet.id,
+            flow: packet.flow,
+            created_at: packet.created_at,
+            dst: packet.dst,
+            len_flits: packet.len_flits,
+        });
+        Ok(())
     }
 
     /// Number of packets queued at the injector (including the ones partially
@@ -164,25 +241,29 @@ impl Bridge {
         stats: &mut NetworkStats,
         mut tracer: Option<&mut TraceRing>,
     ) {
-        // Fill idle slots with pending packets.
+        // Fill idle slots with pending packets. The packet itself (payload
+        // included) moves to where its destination will claim it.
         for slot in &mut self.slots {
-            if slot.is_none() {
-                if let Some(mut packet) = self.pending.pop_front() {
-                    packet.injected_at = now;
-                    stats.injected_packets += 1;
-                    let flits = packet.to_flits(now);
-                    if packet.dst == self.node || self.payload_store.is_none() {
-                        self.in_flight_payloads.insert(packet.id, packet.clone());
-                    } else if let Some(store) = &self.payload_store {
-                        store.deposit(packet.clone());
-                    }
-                    *slot = Some(InjectionSlot {
-                        flits: flits.into(),
-                    });
-                } else {
-                    break;
+            if slot.is_some() {
+                continue;
+            }
+            let Some(q) = self.pending.pop_front() else {
+                break;
+            };
+            let payload = match self.pending_payloads.front() {
+                Some(&(id, _)) if id == q.id => self.pending_payloads.pop_front().map(|(_, p)| p),
+                _ => None,
+            };
+            stats.injected_packets += 1;
+            let head = Flit::head(q.id, q.flow, self.node, q.dst, q.len_flits, now);
+            let packet = q.packet(self.node, now, payload.unwrap_or_default());
+            match &self.payload_store {
+                Some(store) if packet.dst != self.node => store.deposit(packet),
+                _ => {
+                    self.in_flight_payloads.insert(packet.id, packet);
                 }
             }
+            *slot = Some(InjectionSlot { head, next: 0 });
         }
         // Push flits, round-robin over the slots, up to the injection bandwidth.
         let mut budget = self.injection_bandwidth;
@@ -197,10 +278,9 @@ impl Bridge {
             // every occupied slot is refused every cycle, and a refusal must
             // cost one compare, not a flit copy.
             let mut space = self.injection_vcs[vc].free_space();
-            while budget > 0 && space > 0 {
-                let Some(mut flit) = slot.flits.pop_front() else {
-                    break;
-                };
+            while budget > 0 && space > 0 && slot.next < slot.head.packet_len {
+                let mut flit = slot.head.with_seq(slot.next);
+                slot.next += 1;
                 flit.visible_at = now + 1;
                 flit.stats.injected_at = now;
                 flit.stats.arrived_at_current = now;
@@ -219,7 +299,7 @@ impl Bridge {
                     });
                 }
             }
-            if slot.flits.is_empty() {
+            if slot.next >= slot.head.packet_len {
                 self.slots[vc] = None;
             }
         }
@@ -325,8 +405,13 @@ impl Bridge {
     pub fn snapshot(&self, e: &mut Enc) {
         e.u64(self.next_packet_seq);
         e.u32(self.pending.len() as u32);
-        for p in &self.pending {
-            codec::encode_packet(e, p);
+        let mut payloads = self.pending_payloads.iter().peekable();
+        for q in &self.pending {
+            let payload = payloads
+                .next_if(|(id, _)| *id == q.id)
+                .map(|(_, p)| p.clone())
+                .unwrap_or_default();
+            codec::encode_packet(e, &q.packet(self.node, q.created_at, payload));
         }
         e.u32(self.slots.len() as u32);
         for slot in &self.slots {
@@ -335,9 +420,9 @@ impl Bridge {
                     e.u8(0);
                 }
                 Some(s) => {
-                    e.u8(1).u32(s.flits.len() as u32);
-                    for f in &s.flits {
-                        codec::encode_flit(e, f);
+                    e.u8(1).u32(s.head.packet_len - s.next);
+                    for seq in s.next..s.head.packet_len {
+                        codec::encode_flit(e, &s.head.with_seq(seq));
                     }
                 }
             }
@@ -383,20 +468,19 @@ impl Bridge {
             )
         };
         self.next_packet_seq = d.u64()?;
-        self.pending = (0..d.u32()?)
-            .map(|_| codec::decode_packet(d))
-            .collect::<std::io::Result<_>>()?;
+        self.pending.clear();
+        self.pending_payloads.clear();
+        for _ in 0..d.u32()? {
+            self.send(codec::decode_packet(d)?)
+                .map_err(|e| corrupt(&e.to_string()))?;
+        }
         if d.u32()? as usize != self.slots.len() {
             return Err(corrupt("injection VC count mismatch"));
         }
         for slot in &mut self.slots {
             *slot = match d.u8()? {
                 0 => None,
-                _ => Some(InjectionSlot {
-                    flits: (0..d.u32()?)
-                        .map(|_| codec::decode_flit(d))
-                        .collect::<std::io::Result<_>>()?,
-                }),
+                _ => restore_slot(d)?,
             };
         }
         self.reassembly.clear();
@@ -433,6 +517,40 @@ impl Bridge {
         }
         Ok(())
     }
+}
+
+/// Decodes one occupied injection slot: the remaining flits of one packet,
+/// in order, ending with its tail. No flits at all is an idle slot.
+fn restore_slot(d: &mut Dec) -> std::io::Result<Option<InjectionSlot>> {
+    let count = d.u32()?;
+    if count == 0 {
+        return Ok(None);
+    }
+    let first = codec::decode_flit(d)?;
+    let slot = InjectionSlot {
+        head: first.with_seq(0),
+        next: first.seq,
+    };
+    let corrupt = || {
+        std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "bridge checkpoint: injection slot is not one packet's remaining flits",
+        )
+    };
+    if first.seq.checked_add(count) != Some(first.packet_len) {
+        return Err(corrupt());
+    }
+    for seq in first.seq..first.packet_len {
+        let flit = if seq == first.seq {
+            first
+        } else {
+            codec::decode_flit(d)?
+        };
+        if flit != slot.head.with_seq(seq) {
+            return Err(corrupt());
+        }
+    }
+    Ok(Some(slot))
 }
 
 #[cfg(test)]
@@ -474,7 +592,7 @@ mod tests {
     fn injection_respects_bandwidth_and_capacity() {
         let mut b = bridge_with_vcs(1, 2);
         let mut stats = NetworkStats::new();
-        b.send(packet(1, 4));
+        b.send(packet(1, 4)).unwrap();
         assert_eq!(b.pending_packets(), 1);
         b.inject(0, &mut stats);
         // Bandwidth 1: only one flit entered this cycle.
@@ -493,7 +611,7 @@ mod tests {
         let vc = Arc::new(VcBuffer::with_aggregate(2, Arc::clone(&agg)));
         let mut b = Bridge::new(NodeId::new(0), vec![Arc::clone(&vc)], 4);
         let mut stats = NetworkStats::new();
-        b.send(packet(1, 5));
+        b.send(packet(1, 5)).unwrap();
         // Bandwidth 4 but capacity 2: two flits go in, then the VC is full.
         b.inject(0, &mut stats);
         let state = |stats: &NetworkStats| (vc.occupancy(), agg.get(), stats.injected_flits);
@@ -545,6 +663,97 @@ mod tests {
     }
 
     #[test]
+    fn backlog_record_fits_in_32_bytes() {
+        assert!(std::mem::size_of::<Queued>() <= 32);
+    }
+
+    #[test]
+    fn a_packet_from_another_node_is_refused() {
+        let mut b = bridge_with_vcs(1, 4);
+        let mut p = packet(1, 2);
+        p.src = NodeId::new(3);
+        let err = b.send(p).unwrap_err();
+        assert_eq!(
+            err,
+            ForeignSource {
+                node: NodeId::new(0),
+                src: NodeId::new(3)
+            }
+        );
+        assert!(b.injection_idle());
+    }
+
+    /// Sends four packets, two of them with payloads, so the payload side
+    /// queue and the backlog interleave.
+    fn mixed_backlog() -> Bridge {
+        let mut b = bridge_with_vcs(1, 2);
+        for id in 1..=4u64 {
+            let p = packet(id, 3);
+            let p = if id % 2 == 0 {
+                p.with_payload(Payload::from_words(&[id * 100]))
+            } else {
+                p
+            };
+            b.send(p).unwrap();
+        }
+        b
+    }
+
+    #[test]
+    fn payloads_follow_their_packets_out_of_the_backlog() {
+        let mut b = mixed_backlog();
+        let mut stats = NetworkStats::new();
+        // Bandwidth 1: packets 1..3 take three cycles each to go in.
+        for now in 0..7 {
+            b.inject(now, &mut stats);
+            // Drain the VC so the next packet can take the slot.
+            b.injection_vcs[0].absorb_tail();
+            while b.injection_vcs[0].pop_if(now + 9, |_| true).is_some() {}
+        }
+        let words = |id: u64| b.in_flight_payloads[&PacketId::new(id)].payload.0.clone();
+        assert_eq!(words(1), Vec::<u64>::new());
+        assert_eq!(words(2), vec![200]);
+        assert_eq!(words(3), Vec::<u64>::new());
+        assert!(b.pending_payloads.len() == 1 && b.pending.len() == 1);
+    }
+
+    #[test]
+    fn snapshot_of_a_part_injected_backlog_restores_byte_for_byte() {
+        let mut b = mixed_backlog();
+        let mut stats = NetworkStats::new();
+        // One flit of packet 1 goes in; packets 2..4 wait in the backlog.
+        b.inject(0, &mut stats);
+        let mut e = Enc::new();
+        b.snapshot(&mut e);
+        let mut restored = bridge_with_vcs(1, 2);
+        restored.restore(&mut Dec::new(e.bytes())).unwrap();
+        let mut again = Enc::new();
+        restored.snapshot(&mut again);
+        assert_eq!(again.bytes(), e.bytes());
+        let slot = restored.slots[0]
+            .as_ref()
+            .expect("packet 1 is part injected");
+        assert_eq!((slot.head.packet, slot.next), (PacketId::new(1), 1));
+        assert_eq!(restored.pending_payloads.len(), 2);
+    }
+
+    #[test]
+    fn a_slot_whose_flits_are_not_one_packets_tail_is_corrupt() {
+        let flits = packet(1, 3).to_flits(0);
+        for bad in [vec![flits[2], flits[1]], vec![flits[0], flits[1]]] {
+            let mut e = Enc::new();
+            e.u64(0).u32(0).u32(1).u8(1).u32(bad.len() as u32);
+            for f in &bad {
+                codec::encode_flit(&mut e, f);
+            }
+            let err = bridge_with_vcs(1, 2)
+                .restore(&mut Dec::new(e.bytes()))
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
     fn multi_vc_bridge_interleaves_packets() {
         let mut b = Bridge::new(
             NodeId::new(0),
@@ -552,8 +761,8 @@ mod tests {
             4,
         );
         let mut stats = NetworkStats::new();
-        b.send(packet(1, 2));
-        b.send(packet(2, 2));
+        b.send(packet(1, 2)).unwrap();
+        b.send(packet(2, 2)).unwrap();
         b.inject(0, &mut stats);
         // Both packets got a slot; with bandwidth 4 all four flits entered.
         assert_eq!(stats.injected_flits, 4);

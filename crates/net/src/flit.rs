@@ -34,6 +34,16 @@ impl FlitKind {
     pub fn is_tail(self) -> bool {
         matches!(self, FlitKind::Tail | FlitKind::HeadTail)
     }
+
+    /// The kind of flit `seq` of a packet `len` flits long.
+    pub fn at(seq: u32, len: u32) -> Self {
+        match (seq, len) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (s, n) if s + 1 == n => FlitKind::Tail,
+            _ => FlitKind::Body,
+        }
+    }
 }
 
 /// Measurement state carried inside a flit.
@@ -83,6 +93,45 @@ pub struct Flit {
 }
 
 impl Flit {
+    /// The head flit of a packet, stamped as entering the network at
+    /// `injected_at`.
+    pub fn head(
+        packet: PacketId,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        packet_len: u32,
+        injected_at: Cycle,
+    ) -> Self {
+        Flit {
+            packet,
+            flow,
+            original_flow: flow,
+            kind: FlitKind::at(0, packet_len),
+            seq: 0,
+            packet_len,
+            dst,
+            src,
+            visible_at: injected_at,
+            stats: FlitStats {
+                injected_at,
+                arrived_at_current: injected_at,
+                accumulated_latency: 0,
+                hops: 0,
+            },
+        }
+    }
+
+    /// Flit `seq` of the same packet: this flit's header and stamps with the
+    /// sequence number and kind of position `seq`.
+    pub fn with_seq(&self, seq: u32) -> Self {
+        Flit {
+            seq,
+            kind: FlitKind::at(seq, self.packet_len),
+            ..*self
+        }
+    }
+
     /// True if this flit is the head of its packet.
     pub fn is_head(&self) -> bool {
         self.kind.is_head()
@@ -200,34 +249,15 @@ impl Packet {
 
     /// Splits this packet into its flits, stamping the given injection cycle.
     pub fn to_flits(&self, injected_at: Cycle) -> Vec<Flit> {
-        let n = self.len_flits;
-        (0..n)
-            .map(|seq| {
-                let kind = match (seq, n) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (s, n) if s == n - 1 => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit {
-                    packet: self.id,
-                    flow: self.flow,
-                    original_flow: self.flow,
-                    kind,
-                    seq,
-                    packet_len: n,
-                    dst: self.dst,
-                    src: self.src,
-                    visible_at: injected_at,
-                    stats: FlitStats {
-                        injected_at,
-                        arrived_at_current: injected_at,
-                        accumulated_latency: 0,
-                        hops: 0,
-                    },
-                }
-            })
-            .collect()
+        let head = Flit::head(
+            self.id,
+            self.flow,
+            self.src,
+            self.dst,
+            self.len_flits,
+            injected_at,
+        );
+        (0..self.len_flits).map(|seq| head.with_seq(seq)).collect()
     }
 }
 

@@ -50,7 +50,9 @@ impl NodeIo for TileIo<'_> {
     }
     fn send(&mut self, packet: Packet) {
         self.stats.offered_packets += 1;
-        self.bridge.send(packet);
+        if let Err(e) = self.bridge.send(packet) {
+            panic!("{e}");
+        }
     }
     fn try_recv(&mut self) -> Option<DeliveredPacket> {
         self.bridge.try_recv()

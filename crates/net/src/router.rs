@@ -192,9 +192,14 @@ pub(crate) struct StageScratch {
 }
 
 impl StageScratch {
-    /// Grows the tables to cover `r`'s ports (two compares once they do; the
-    /// port topology only changes while the network is being wired).
+    /// Grows the tables to cover `r`'s VCs and ports (three compares once
+    /// they do; the port topology only changes while the network is being
+    /// wired).
     pub(crate) fn fit(&mut self, r: &Router) {
+        // SA gathers at most one move per VC.
+        if self.sa.capacity() < r.vcs.len() {
+            self.sa.reserve(r.vcs.len());
+        }
         let ports = r.port_nodes.len().max(self.egress_granted.len());
         if ports > self.egress_granted.len() || r.max_out_vcs > self.stride {
             self.stride = self.stride.max(r.max_out_vcs);

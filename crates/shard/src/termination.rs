@@ -58,7 +58,7 @@ pub struct LedgerState {
 /// Writers call [`publish`](Self::publish) (single writer per ledger); any
 /// number of readers may call [`read`](Self::read) concurrently. The version
 /// advances only when the published content changes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ShardLedger {
     /// Even = stable, odd = write in progress. Starts at 0.
     version: AtomicU64,
@@ -68,6 +68,13 @@ pub struct ShardLedger {
     sent: AtomicU64,
     recv: AtomicU64,
     cycle: AtomicU64,
+}
+
+/// The conservative initial state, as [`ShardLedger::new`].
+impl Default for ShardLedger {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl ShardLedger {
@@ -263,6 +270,14 @@ pub fn decide(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_default_ledger_reads_busy_with_no_next_event() {
+        let (version, state) = ShardLedger::default().read();
+        assert_eq!(version, 0);
+        assert!(state.busy > 0 && !state.finished);
+        assert_eq!(state.next_event, u64::MAX);
+    }
 
     fn idle(sent: u64, recv: u64) -> LedgerState {
         LedgerState {

@@ -222,7 +222,9 @@ pub struct TraceInjector {
 }
 
 impl TraceInjector {
-    /// Creates an injector for the events of one source node.
+    /// Creates an injector for the events of one source node (see
+    /// [`Trace::split_by_source`]); a tile panics with the bridge's
+    /// `ForeignSource` error when asked to send an event from another node.
     ///
     /// Periodic events repeat until `periodic_horizon`.
     pub fn new(trace: Trace, node_count: usize, periodic_horizon: Cycle) -> Self {
