@@ -424,12 +424,16 @@ mod tests {
     #[test]
     fn sync_period_five_keeps_high_accuracy() {
         let (_speedup, accuracy) = sync_period_tradeoff(4, 2, 5, 0.02, 2_000, 3);
-        // Loose-sync timing accuracy is a statistical property of the real
-        // scheduling interleaving; on a deliberately tiny 4×4 mesh with both
-        // shards time-slicing one CI core it sits well below the paper's
-        // 1024-tile numbers and fluctuates run to run (the old 0.85 bound
-        // was already flaky on a busy host). The fidelity-vs-period curve
-        // itself is measured by `repro_fig6b`.
+        // On a deliberately tiny 4×4 mesh a 5-cycle window costs more
+        // relative accuracy than on the paper's 1024-tile systems. The
+        // fidelity-vs-period curve itself is measured by `repro_fig6b`.
         assert!(accuracy > 0.7, "accuracy {accuracy}");
+        // A loose run is one defined model: the same figure on every repeat.
+        let (_speedup, again) = sync_period_tradeoff(4, 2, 5, 0.02, 2_000, 3);
+        assert_eq!(
+            accuracy.to_bits(),
+            again.to_bits(),
+            "accuracy moved between repeats"
+        );
     }
 }

@@ -349,15 +349,19 @@ fn host(args: &[String]) -> ExitCode {
             "--seed" => spec.seed = next().parse().unwrap_or(1),
             "--sync" => {
                 let s = next();
-                spec.sync = if s == "ca" {
-                    DistSync::CycleAccurate
+                let parsed = if s == "ca" {
+                    Some(DistSync::CycleAccurate)
                 } else if let Some(k) = s.strip_prefix("slack:") {
-                    DistSync::Slack(k.parse().unwrap_or(0))
+                    k.parse().ok().map(DistSync::Slack)
                 } else if let Some(n) = s.strip_prefix("periodic:") {
-                    DistSync::Periodic(n.parse().unwrap_or(1))
+                    n.parse().ok().map(DistSync::Periodic)
                 } else {
+                    None
+                };
+                let Some(sync) = parsed else {
                     return usage();
                 };
+                spec.sync = sync;
             }
             "--fast-forward" => spec.fast_forward = true,
             "--checkpoint-every" => spec.checkpoint_every = next().parse().ok(),

@@ -37,7 +37,8 @@
 //! to the sequential simulation of the same spec — same packet count, same
 //! latency totals, same log₂ latency histogram — because flits carry their
 //! visibility stamps and the transport upholds the same delivery contract
-//! as the in-process mailboxes. Packet *payloads* are first-class boundary
+//! as the in-process mailboxes; under a loose sync window it reproduces the
+//! thread host's run of the spec. Packet *payloads* are first-class boundary
 //! traffic: transports claim a packet's payload when its tail flit leaves
 //! for another process and re-deposit it on arrival, which is what lets the
 //! memory-hierarchy and CPU workloads ([`spec::DistWorkload`]) run

@@ -24,13 +24,9 @@ use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use std::io;
 use std::sync::Arc;
 
-/// Synchronization mode of a distributed run: the engine's `SyncMode`, with
-/// one remaining difference under `Periodic(n > 1)`. The thread host also
-/// meets every shard's progress at each batch boundary (its pump's
-/// `barrier_batches` rendezvous), so drift re-zeroes every batch; worker
-/// processes wait on their neighbors only, so two shards may drift apart by
-/// up to one batch per shard boundary between them. `CycleAccurate` and
-/// `Slack(k)` behave the same on both hosts.
+/// Synchronization mode of a distributed run: the engine's `SyncMode`. Its
+/// window means the same on every host, so a run gives the same results
+/// over worker processes as on threads, in every mode.
 pub use hornet_shard::SyncMode as DistSync;
 
 /// What runs on the tiles.
@@ -127,8 +123,8 @@ pub struct DistSpec {
     pub run: RunKind,
     /// Skip idle periods by jumping all clocks to the next event.
     pub fast_forward: bool,
-    /// Capture a resumable checkpoint every this many cycles (strict modes
-    /// only — loose synchronization has no consistent rendezvous cut).
+    /// Capture a resumable checkpoint every this many cycles (one-cycle sync
+    /// windows only; `validate` rejects the rest).
     pub checkpoint_every: Option<u64>,
     /// Ship a telemetry sample to the coordinator every this many cycles.
     pub telemetry_every: Option<u64>,
@@ -251,6 +247,12 @@ impl DistSpec {
                 "spec: `trace_capacity` is more than {MAX_TRACE_CAPACITY} events per tile"
             ));
         }
+        if self.checkpoint_every.is_some() && self.sync.window() > 1 {
+            return invalid(format!(
+                "spec: `checkpoint_every` needs a one-cycle `sync` window, not {}",
+                self.sync.label()
+            ));
+        }
         Ok(())
     }
 
@@ -267,15 +269,9 @@ impl DistSpec {
         }
     }
 
-    /// Cycles a frame transport may coalesce per flush: 1 (latency-optimal)
-    /// for the bit-exact lock-step modes, the drift bound for loose modes.
+    /// Cycles a frame transport may coalesce per flush: the sync window.
     pub fn socket_batch(&self) -> u64 {
-        let (slack, quantum, strict) = self.sync.params();
-        if strict {
-            1
-        } else {
-            slack.max(quantum).max(1)
-        }
+        self.sync.window()
     }
 
     /// Builds the network configuration this spec describes.
@@ -627,7 +623,7 @@ mod tests {
             },
             max_packets: Some(50),
             stop_after: None,
-            sync: DistSync::Slack(5),
+            sync: DistSync::Slack(0),
             run: RunKind::ToCompletion { max: 100_000 },
             fast_forward: true,
             checkpoint_every: Some(256),
@@ -697,6 +693,33 @@ mod tests {
             },
         ] {
             spec.validate().expect("in range");
+        }
+    }
+
+    /// A checkpoint is a consistent cut only at a one-cycle window; a loose
+    /// spec asking for one is refused, naming both fields.
+    #[test]
+    fn checkpoints_need_a_one_cycle_sync_window() {
+        let with = |sync| DistSpec {
+            sync,
+            checkpoint_every: Some(100),
+            ..DistSpec::default()
+        };
+        for sync in [DistSync::Slack(4), DistSync::Periodic(2)] {
+            let err = with(sync).validate().expect_err("loose checkpointing");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("`checkpoint_every`") && msg.contains("`sync`"),
+                "{msg}"
+            );
+        }
+        for sync in [
+            DistSync::CycleAccurate,
+            DistSync::Slack(0),
+            DistSync::Periodic(1),
+        ] {
+            with(sync).validate().expect("one-cycle window");
         }
     }
 

@@ -357,14 +357,13 @@ const CLOSE_GRACE: Duration = Duration::from_secs(2);
 /// error release every wait (progress reads `u64::MAX`) and fail the next
 /// `pump`, naming the peer and the kind of link.
 ///
-/// Under loose synchronization (`batch > 1`) the send buffer is only written
-/// once `batch` cycles have accumulated since the last write (or on `flush`),
-/// cutting write volume ~`batch`×. This is deadlock-free because a shard
-/// with slack `k` (or a `k`-cycle batch quantum) never needs a neighbor's
-/// progress more than `k` cycles stale, and the rolling window guarantees at
-/// most `k - 1` cycles are ever buffered — regardless of where fast-forward
-/// jumps land the clocks (an absolute `cycle % k` rule would skew against
-/// post-jump batch boundaries and wedge zero-slack Periodic runs).
+/// Under a sync window of `w > 1` cycles (`batch = w`) the send buffer is
+/// written once per window, cutting write volume ~`w`×. The driver's `pump`
+/// flushes on the last cycle of every window — the progress a neighbor's
+/// next gate waits for — so batching can never hold back what a gate needs;
+/// between flushes the rolling count of `batch` cycles since the last write
+/// caps what stays buffered, wherever fast-forward jumps (each published
+/// with its own flush) land the clocks.
 pub struct FrameTransport<P: BytePipe> {
     pipe: P,
     /// The peer's shard id, for error messages.
@@ -787,7 +786,7 @@ mod tests {
         assert_eq!(ta.peer_progress(), 5, "credit frame never arrived");
         // The two pushed flits held 2 units of the window; the credit frees
         // them once applied.
-        wa.out_links[1].apply_credits(None);
+        wa.out_links[1].apply_credits(Cycle::MAX);
         assert_eq!(wa.out_links[1].occupancy(), 0);
         close(ta, tb);
     }

@@ -2,8 +2,8 @@
 //! unified [`hornet_shard::driver::CycleDriver`], and the process entry
 //! point that speaks the control protocol.
 //!
-//! The per-cycle shard protocol itself — strict flit/credit limits, skip
-//! handling, slack waits, ledger publish-on-change — lives exactly once, in
+//! The per-cycle shard protocol itself — window gates and their flit/credit
+//! limits, skip handling, ledger publish-on-change — lives exactly once, in
 //! `hornet-shard`; this module only supplies the distributed
 //! [`TransportPump`] (per-adjacency [`BoundaryTransport`]s) and the
 //! process-local [`PayloadChannel`], then reports the outcome. Directives

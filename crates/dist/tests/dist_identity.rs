@@ -14,7 +14,10 @@
 //!   compiled kernel;
 //! * a distributed `ToCompletion` run stops early via coordinator-side
 //!   credit-counting termination — no barrier anywhere — and still delivers
-//!   every offered packet.
+//!   every offered packet;
+//! * a loose run (a sync window of more than one cycle) is one defined
+//!   model: identical on every repeat and over threads, Unix sockets and
+//!   shared memory, with `Slack(k)` equal to `Periodic(k + 1)`.
 
 mod common;
 
@@ -145,7 +148,7 @@ fn two_process_tcp_cycle_accurate_is_bit_identical() {
 
 /// The same spec on the thread host (shards on threads over shared SPSC
 /// rings, through the same cycle driver): bit-identical, and Slack preserves
-/// functional totals.
+/// functional totals, the same way on every repeat.
 #[test]
 fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
     let spec = spec_16x16(SyntheticPattern::Transpose, 41, 2_000);
@@ -153,19 +156,65 @@ fn threaded_transport_reference_is_bit_identical_and_slack_is_functional() {
     let (ca, ..) = run_threads(&spec, 4);
     assert_bit_identical(&seq, &ca, "thread host");
 
-    let (slack, _, completed, ..) = run_threads(
-        &DistSpec {
-            sync: DistSync::Slack(5),
-            max_packets: Some(40),
-            run: RunKind::ToCompletion { max: 200_000 },
-            ..spec.clone()
-        },
-        4,
-    );
+    let slack_spec = DistSpec {
+        sync: DistSync::Slack(5),
+        max_packets: Some(40),
+        run: RunKind::ToCompletion { max: 200_000 },
+        ..spec.clone()
+    };
+    let (slack, _, completed, ..) = run_threads(&slack_spec, 4);
     assert!(completed, "slack run must complete");
     // Functional exactness: every offered packet delivered exactly once.
     assert_eq!(slack.delivered_packets, 256 * 40);
     assert_eq!(slack.routing_failures, 0);
+    let (again, ..) = run_threads(&slack_spec, 4);
+    assert_bit_identical(&slack, &again, "slack 5, repeated");
+}
+
+/// Loose synchronization is reproducible: a `Periodic(5)` run gives the
+/// same stats on every repeat of the thread host and over 2 worker
+/// processes on Unix sockets and on shared memory, and `Slack(4)` — the
+/// same 5-cycle window — is the same simulation.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+#[test]
+fn loose_runs_are_identical_across_repeats_and_hosts() {
+    let spec = DistSpec {
+        sync: DistSync::Periodic(5),
+        ..spec_16x16(SyntheticPattern::Transpose, 5, 1_000)
+    };
+    let (reference, ..) = run_threads(&spec, 2);
+    assert!(reference.delivered_packets > 0);
+    for repeat in 0..3 {
+        let (again, ..) = run_threads(&spec, 2);
+        assert_bit_identical(&reference, &again, &format!("thread repeat {repeat}"));
+    }
+    let slack = DistSpec {
+        sync: DistSync::Slack(4),
+        ..spec.clone()
+    };
+    assert_bit_identical(&reference, &run_threads(&slack, 2).0, "slack 4, threads");
+    for transport in [TransportKind::UnixSocket, TransportKind::Shm] {
+        for spec in [&spec, &slack] {
+            let outcome = run_distributed(
+                spec,
+                &HostOptions {
+                    workers: 2,
+                    transport,
+                    worker_cmd: Some(worker_bin()),
+                    ..HostOptions::default()
+                },
+            )
+            .expect("loose distributed run");
+            assert_bit_identical(
+                &reference,
+                &outcome.stats,
+                &format!("{} over {transport:?}", spec.sync.label()),
+            );
+        }
+    }
 }
 
 /// Adaptive routing across cut links: the RC probe of a tile on a shard edge

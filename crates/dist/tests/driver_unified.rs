@@ -165,10 +165,9 @@ fn cpu_token_ring_completes_under_threaded_driver() {
 }
 
 /// Regression test: Periodic(n) + fast-forward over batched sockets. Skip
-/// directives land the clocks on cycles unaligned to the batch quantum; the
-/// socket flush cadence must follow the *rolling* window (cycles since last
-/// flush), or the post-jump batch boundaries outrun the flushed progress
-/// and every shard waits forever on buffered frames.
+/// directives land the clocks mid-window; the last cycle of every window
+/// must still reach the wire, or the neighbors' next gates outrun the
+/// flushed progress and every shard waits forever on buffered frames.
 #[cfg(unix)]
 #[test]
 fn periodic_fast_forward_over_batched_sockets_completes() {
@@ -205,6 +204,27 @@ fn periodic_fast_forward_over_batched_sockets_completes() {
         outcome.stats.fast_forwarded_cycles > 0,
         "idle gaps must actually be skipped"
     );
+    // Where a skip lands (a matter of detector timing) does not move the
+    // windows, so the run is the thread host's run.
+    let (threads, _, completed, ..) = run_threads(&spec, 4);
+    assert!(completed);
+    assert_bit_identical(&threads, &outcome.stats, "periodic 3 + ff, unix vs threads");
+}
+
+/// A sync mode the CLI cannot parse is a usage error (exit 2), never a
+/// silent fallback to some other mode.
+#[test]
+fn cli_rejects_unparsable_sync_modes() {
+    for sync in ["slack:abc", "periodic:abc", "slack:", "periodic:-1"] {
+        let out = std::process::Command::new(worker_bin())
+            .args(["host", "--workers", "2", "--mesh", "4x4", "--cycles", "10"])
+            .args(["--sync", sync])
+            .output()
+            .expect("run hornet-dist");
+        assert_eq!(out.status.code(), Some(2), "--sync {sync}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage:"), "--sync {sync}: {stderr}");
+    }
 }
 
 /// Host-list mode: pre-started workers connect to the coordinator's TCP
@@ -305,9 +325,10 @@ fn host_list_mode_with_prestarted_workers_is_bit_identical() {
     assert_bit_identical(&seq, &outcome.stats, "host-list tcp loopback");
 }
 
-/// Socket-transport batching: a Slack(4) run coalesces up to 4 cycles per
-/// socket flush; functional totals stay exact (every offered packet is
-/// delivered exactly once).
+/// Socket-transport batching: a Slack(4) run is a 5-cycle window and
+/// coalesces up to 5 cycles per socket flush; functional totals stay exact
+/// (every offered packet is delivered exactly once), and the run is the
+/// same simulation as `Periodic(5)` on the thread host.
 #[cfg(unix)]
 #[test]
 fn slack_run_with_batched_socket_flushes_delivers_everything() {
@@ -323,7 +344,7 @@ fn slack_run_with_batched_socket_flushes_delivers_everything() {
         run: RunKind::ToCompletion { max: 200_000 },
         ..DistSpec::default()
     };
-    assert_eq!(spec.socket_batch(), 4, "slack 4 must batch 4 cycles");
+    assert_eq!(spec.socket_batch(), 5, "slack 4 is a 5-cycle window");
     let outcome = run_distributed(
         &spec,
         &HostOptions {
@@ -337,4 +358,15 @@ fn slack_run_with_batched_socket_flushes_delivers_everything() {
     assert!(outcome.completed, "slack run must complete");
     assert_eq!(outcome.stats.delivered_packets, 64 * 30);
     assert_eq!(outcome.stats.routing_failures, 0);
+    let periodic = DistSpec {
+        sync: DistSync::Periodic(5),
+        ..spec
+    };
+    let (threads, _, completed, ..) = run_threads(&periodic, 4);
+    assert!(completed);
+    assert_bit_identical(
+        &threads,
+        &outcome.stats,
+        "slack 4 unix vs periodic 5 threads",
+    );
 }

@@ -11,15 +11,14 @@
 //! * **flits** travel through a fixed-capacity lock-free SPSC ring
 //!   ([`Spsc`]), written by the sender's negative clock edge and drained by
 //!   the receiving worker at the top of each of its cycles. Each flit already
-//!   carries its `visible_at` cycle stamp, so the receiver can consume
-//!   *conservatively* (only flits whose stamp has come due) when bit-exact
-//!   reproduction of the sequential schedule is required, or *greedily* under
-//!   slack synchronization;
+//!   carries its `visible_at` cycle stamp, and the receiver consumes only
+//!   the flits stamped up to a limit its synchronization window guarantees
+//!   have arrived — never whatever else happens to be in the ring;
 //! * **credits** return through a second SPSC ring of cycle-stamped
 //!   [`CreditMsg`] records, emitted by the receiving worker after its negative
 //!   edge (one message summarizing the flits its router drained that cycle)
-//!   and folded into the sender-side `outstanding` counter before the
-//!   sender's next positive edge.
+//!   and folded into the sender-side `outstanding` counter, again up to a
+//!   stamp limit, before the sender's next positive edge.
 //!
 //! The sender's credit check — `free_space()` on the [`BoundaryLink`] — is a
 //! single atomic load of `outstanding` (flits sent minus credits applied), so
@@ -80,12 +79,10 @@ impl BoundaryLink {
             capacity,
             outstanding: AtomicUsize::new(resident.min(capacity)),
             flits: Spsc::new(capacity),
-            // One slot more than the credit count bound: in lock-step the
-            // receiver's emission for cycle c+1 can race ahead of the
-            // sender's consumption of the cycle-c message, so up to
-            // `capacity + 1` messages may momentarily coexist. A full ring
-            // would defer (and re-stamp) a credit, silently breaking strict
-            //-mode bit-identity for capacity-1 VCs.
+            // Every unapplied message carries at least one credit and
+            // together they carry at most `outstanding ≤ capacity`, however
+            // far the receiver runs ahead; the spare slot keeps that bound
+            // from ever meeting a full ring (`emit_credits` asserts it).
             credits: Spsc::new(capacity + 1),
         })
     }
@@ -128,13 +125,11 @@ impl BoundaryLink {
         ok
     }
 
-    /// Sender side: folds returned credits into the outstanding counter.
-    /// With `limit = Some(c)` only credits stamped `≤ c` are consumed (the
-    /// bit-exact schedule: the sender observes exactly the pops the global
-    /// barrier would have made visible); with `None` every queued credit is
-    /// consumed.
-    pub fn apply_credits(&self, limit: Option<Cycle>) {
-        while let Some(msg) = self.credits.pop_if(|m| limit.is_none_or(|c| m.cycle <= c)) {
+    /// Sender side: folds the returned credits stamped `≤ limit` into the
+    /// outstanding counter (the sender observes exactly the pops its
+    /// synchronization window has made visible).
+    pub fn apply_credits(&self, limit: Cycle) {
+        while let Some(msg) = self.credits.pop_if(|m| m.cycle <= limit) {
             self.outstanding
                 .fetch_sub(msg.count as usize, Ordering::AcqRel);
         }
@@ -316,17 +311,16 @@ impl BoundaryRx {
         &self.link
     }
 
-    /// Moves mailbox flits into the ingress buffer. With `limit = Some(c)`
-    /// only flits whose `visible_at ≤ c` are moved (flit stamps are
-    /// nondecreasing, so this consumes exactly the prefix the sequential
-    /// schedule would have delivered by cycle `c`); with `None` everything in
-    /// the ring is moved. Returns the number of flits delivered.
-    pub fn deliver(&mut self, limit: Option<Cycle>) -> usize {
+    /// Moves the mailbox flits stamped `visible_at ≤ limit` into the ingress
+    /// buffer (flit stamps are nondecreasing, so this consumes exactly the
+    /// prefix the sequential schedule would have delivered by cycle
+    /// `limit`). Returns the number of flits delivered.
+    pub fn deliver(&mut self, limit: Cycle) -> usize {
         let mut moved = 0usize;
         while let Some(flit) = self
             .link
             .flits
-            .pop_if(|f| limit.is_none_or(|c| f.visible_at <= c) && self.target.free_space() > 0)
+            .pop_if(|f| f.visible_at <= limit && self.target.free_space() > 0)
         {
             let ok = self.target.push(flit);
             debug_assert!(ok, "boundary delivery overflowed the ingress buffer");
@@ -338,7 +332,9 @@ impl BoundaryRx {
 
     /// Emits one cycle-stamped credit message covering every flit the router
     /// has popped from the ingress buffer since the last emission. Called
-    /// after the shard's negative edge of cycle `now`.
+    /// after the shard's negative edge of cycle `now`. The ring cannot be
+    /// full (see [`BoundaryLink::with_resident`]); if it were, the credit
+    /// would be deferred and re-stamped, changing the simulation.
     pub fn emit_credits(&mut self, now: Cycle) {
         let resident = self.target.occupancy() as u64;
         let freed = (self.baseline + self.forwarded).saturating_sub(resident);
@@ -348,7 +344,12 @@ impl BoundaryRx {
                 cycle: now,
                 count: self.pending.min(u32::MAX as u64) as u32,
             };
-            if self.link.credits.push(msg) {
+            let pushed = self.link.credits.push(msg);
+            debug_assert!(
+                pushed,
+                "credit ring full: unapplied credits exceed the link capacity"
+            );
+            if pushed {
                 self.credited += msg.count as u64;
                 self.pending -= msg.count as u64;
             }
@@ -385,7 +386,7 @@ impl BoundaryRx {
     /// unwiring boundaries at the end of a parallel run; the credit invariant
     /// guarantees everything fits).
     pub fn flush(mut self) {
-        self.deliver(None);
+        self.deliver(Cycle::MAX);
         debug_assert!(self.link.flits.is_empty(), "boundary flush left flits");
     }
 }
@@ -528,18 +529,18 @@ mod tests {
         assert_eq!(link.in_flight(), 2);
 
         // Receiver drains the mailbox into the real buffer.
-        assert_eq!(rx.deliver(Some(1)), 2);
+        assert_eq!(rx.deliver(1), 2);
         assert_eq!(target.occupancy(), 2);
         // Nothing popped yet: no credits flow, sender still blocked.
         rx.emit_credits(1);
-        link.apply_credits(Some(1));
+        link.apply_credits(1);
         assert_eq!(link.free_space(), 0);
 
         // The router consumes one flit; the credit returns.
         target.absorb_tail();
         assert!(target.pop_if(5, |_| true).is_some());
         rx.emit_credits(2);
-        link.apply_credits(Some(2));
+        link.apply_credits(2);
         assert_eq!(link.free_space(), 1);
         assert!(link.push(flit(2, 3)));
     }
@@ -552,10 +553,10 @@ mod tests {
         assert!(link.push(flit(0, 3)));
         assert!(link.push(flit(1, 5)));
         // At cycle 3 only the first flit is due.
-        assert_eq!(rx.deliver(Some(3)), 1);
+        assert_eq!(rx.deliver(3), 1);
         assert_eq!(link.in_flight(), 1);
         // At cycle 5 the rest follows.
-        assert_eq!(rx.deliver(Some(5)), 1);
+        assert_eq!(rx.deliver(5), 1);
         assert_eq!(link.in_flight(), 0);
     }
 
@@ -565,15 +566,50 @@ mod tests {
         let target = Arc::new(VcBuffer::new(4));
         let mut rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
         assert!(link.push(flit(0, 1)));
-        rx.deliver(None);
+        rx.deliver(Cycle::MAX);
         target.absorb_tail();
         assert!(target.pop_if(9, |_| true).is_some());
         rx.emit_credits(7);
         // The credit is stamped cycle 7: invisible at 6, visible at 7.
-        link.apply_credits(Some(6));
+        link.apply_credits(6);
         assert_eq!(link.occupancy(), 1);
-        link.apply_credits(Some(7));
+        link.apply_credits(7);
         assert_eq!(link.occupancy(), 0);
+    }
+
+    #[test]
+    fn credits_fit_the_ring_when_the_receiver_runs_a_window_ahead() {
+        // A capacity-1 link under a 4-cycle window: per window the receiver
+        // simulates every cycle (draining and crediting each cycle) before
+        // the sender simulates any of it, then the sender applies only the
+        // credits stamped up to the window's first cycle. No emission may
+        // ever find the credit ring full (which would defer and re-stamp a
+        // credit).
+        let window = 4;
+        let link = BoundaryLink::new(1);
+        let target = Arc::new(VcBuffer::new(1));
+        let mut rx = BoundaryRx::new(Arc::clone(&link), Arc::clone(&target));
+        let mut sent = 0u32;
+        for c0 in (0..200).step_by(window) {
+            for c in c0 + 1..=c0 + window as Cycle {
+                rx.deliver(c0 + 1);
+                target.absorb_tail();
+                let _ = target.pop_if(c, |_| true);
+                rx.emit_credits(c);
+                assert_eq!(rx.owed_credits(), 0, "cycle {c}: credit deferred");
+                assert!(link.staged_credit_snapshot().len() <= link.capacity());
+            }
+            for c in c0 + 1..=c0 + window as Cycle {
+                link.apply_credits(c0);
+                if link.free_space() > 0 {
+                    assert!(link.push(flit(sent, c + 1)));
+                    sent += 1;
+                }
+            }
+        }
+        // One flit per two windows: the credit for a flit sent in one
+        // window is applied at the start of the next but one.
+        assert_eq!(sent, 200 / (2 * window as u32), "traffic must keep flowing");
     }
 
     #[test]

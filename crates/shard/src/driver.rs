@@ -123,21 +123,15 @@ pub trait TransportPump {
 
     /// Called after the local negedge of `cycle`: make every staged outbound
     /// flit, credit and payload visible to the peers, then publish `cycle`
-    /// as this side's progress. `flush` forces buffered wire traffic out
-    /// (transports may otherwise coalesce several cycles per write under
-    /// loose synchronization).
+    /// as this side's progress. `flush` (set on the last cycle of every
+    /// window) forces buffered wire traffic out; transports may otherwise
+    /// coalesce the cycles of a window into one write.
     fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()>;
 
     /// Posedge phase publication and, where cut links carry
     /// bandwidth-adaptive bidirectional links, the matching wait. Returns
     /// `false` if the stop flag unwound the wait.
     fn posedge_sync(&mut self, _cycle: Cycle, _stop: &AtomicBool) -> bool {
-        true
-    }
-
-    /// Rendezvous at a quantum boundary (the thread backend's
-    /// `barrier_batches` re-zeroing). Returns `false` on stop.
-    fn batch_rendezvous(&mut self, _cycle: Cycle, _stop: &AtomicBool) -> bool {
         true
     }
 
@@ -154,7 +148,7 @@ pub trait TransportPump {
 /// Where the driver persists periodic checkpoints.
 ///
 /// The driver captures the shard's complete resumable state (see
-/// [`crate::snapshot`]) at every rendezvous cycle that is a multiple of
+/// [`crate::snapshot`]) at every cycle that is a multiple of
 /// [`DriverParams::checkpoint_every`] and hands the serialized bytes here.
 /// The sink decides what durability means: keep the latest in memory, write
 /// a cycle-stamped file, or ship the bytes to a coordinator.
@@ -167,8 +161,8 @@ pub trait CheckpointSink {
 
 /// Where the driver publishes periodic [`TelemetrySample`]s.
 ///
-/// The driver samples at batch rendezvous points (never mid-cycle), so a
-/// sink observes a consistent shard state. The thread backend collects
+/// The driver samples at window ends (never mid-cycle), so a sink observes
+/// a consistent shard state. The thread backend collects
 /// samples in memory; the distributed worker ships them to the coordinator
 /// as control-plane messages.
 pub trait TelemetrySink {
@@ -187,17 +181,24 @@ impl TelemetrySink for Vec<TelemetrySample> {
 /// How simulation shards synchronize — the one definition shared by the
 /// thread engine (`hornet_core::engine::SyncMode`) and the distributed
 /// backend (`hornet_dist::DistSync`).
+///
+/// Every mode is a *window* of `w` cycles ([`SyncMode::window`]). A shard
+/// gates once per window, on its cut-link neighbors having finished the
+/// window's first cycle `c0`, and for the whole window consumes exactly what
+/// that gate guaranteed: flits stamped `≤ c0 + 1` and credits stamped
+/// `≤ c0`. A cut-link flit or credit is therefore seen 0 to `w − 1` cycles
+/// late, the same way on every repeat and every host. With `w = 1` these are
+/// the sequential schedule's limits, so results are bit-identical to
+/// sequential simulation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SyncMode {
-    /// Lock-step neighbor synchronization with strict cycle-stamped mailbox
-    /// consumption; parallel results are bit-identical to sequential
-    /// simulation.
+    /// A one-cycle window: bit-identical to sequential simulation.
     CycleAccurate,
-    /// Drift check once every `n` cycles; faster, slightly lossy timing.
-    /// `Periodic(1)` degenerates to the bit-exact lock-step mode.
+    /// An `n`-cycle window (`Periodic(0)` and `Periodic(1)` are
+    /// [`SyncMode::CycleAccurate`]).
     Periodic(u64),
-    /// Neighboring shards may drift up to `k` cycles apart; timing skew is
-    /// bounded by `k`, functional behaviour is exact. `Slack(0)` ≡
+    /// Neighbors may drift `k` cycles apart: a `k + 1`-cycle window, the
+    /// same simulation as `Periodic(k + 1)`. `Slack(0)` ≡
     /// [`SyncMode::CycleAccurate`].
     Slack(u64),
 }
@@ -212,18 +213,13 @@ impl SyncMode {
         }
     }
 
-    /// The driver parameters this mode maps onto, as `(slack, quantum,
-    /// strict)`: the maximum cycles a shard may run ahead of its neighbors,
-    /// the cycles between drift checks, and whether mailbox flits/credits are
-    /// consumed strictly by cycle stamp (the bit-exact schedule).
-    pub fn params(self) -> (u64, u64, bool) {
+    /// Cycles per synchronization window (at least 1; saturates at
+    /// `u64::MAX`).
+    pub fn window(self) -> u64 {
         match self {
-            SyncMode::CycleAccurate => (0, 1, true),
-            SyncMode::Slack(k) => (k, 1, k == 0),
-            SyncMode::Periodic(n) => {
-                let n = n.max(1);
-                (0, n, n == 1)
-            }
+            SyncMode::CycleAccurate => 1,
+            SyncMode::Slack(k) => k.saturating_add(1),
+            SyncMode::Periodic(n) => n.max(1),
         }
     }
 }
@@ -249,7 +245,7 @@ pub struct DriverParams {
     pub start: Cycle,
     /// Number of cycles to simulate.
     pub cycles: Cycle,
-    /// Synchronization mode (see [`SyncMode::params`]).
+    /// Synchronization mode (see [`SyncMode::window`]).
     pub sync: SyncMode,
     /// Publish termination ledgers and honor skip directives (a detector is
     /// watching: fast-forward or completion detection is on).
@@ -258,8 +254,8 @@ pub struct DriverParams {
     pub fast_forward: bool,
     /// Wait-loop backoff profile.
     pub wait: WaitProfile,
-    /// Capture a checkpoint at every rendezvous cycle that is a multiple of
-    /// this period (requires a strict `sync` and a [`CycleDriver::checkpoint`]
+    /// Capture a checkpoint at every cycle that is a multiple of this period
+    /// (requires a one-cycle `sync` window and a [`CycleDriver::checkpoint`]
     /// sink; ignored otherwise). `None` disables checkpointing.
     pub checkpoint_every: Option<u64>,
     /// Initial value of the cumulative mailbox-delivery counter: 0 for a
@@ -271,8 +267,8 @@ pub struct DriverParams {
     /// hot path stays untouched).
     pub profile: bool,
     /// Emit a [`TelemetrySample`] to the [`CycleDriver::telemetry`] sink
-    /// roughly every this many cycles (checked at batch boundaries, so the
-    /// actual period is rounded up to the quantum). `None` disables sampling.
+    /// roughly every this many cycles (checked at window ends, so the actual
+    /// period is rounded up to the window). `None` disables sampling.
     pub telemetry_every: Option<u64>,
     /// Cycle-execution strategy: interpreter, compiled kernel, or
     /// auto-detection. The [`Stepper`] is built per run, after boundary
@@ -327,8 +323,8 @@ pub struct CycleDriver<'a, 'c, T: TransportPump + ?Sized> {
     /// even when [`DriverParams::telemetry_every`] is set).
     pub telemetry: Option<&'c mut dyn TelemetrySink>,
     /// Host-owned metrics registry whose current values ride along in every
-    /// telemetry sample; the driver also folds its own batch wait times into
-    /// a `batch_wait_ns` histogram here.
+    /// telemetry sample; the driver also folds its own window-gate wait times
+    /// into a `batch_wait_ns` histogram here.
     pub metrics: Option<&'a MetricsRegistry>,
     /// Shard-level runtime event ring (slack waits, checkpoint captures).
     /// Flit-lifecycle events live in the per-tile rings instead, so this
@@ -374,11 +370,8 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
     /// Spins until every neighbor reaches `floor` or the stop flag is
     /// raised (returns `false` then, so the caller can unwind). Socket
     /// transports read their lagging neighbors on every `peers_reached`
-    /// check; the every-512-spins `ingest` is the shared-memory copy, and —
-    /// in loose modes — returned credits are folded alongside it, so a peer
-    /// blocked on a full ring can always make progress (no transport-level
-    /// deadlock).
-    fn wait_peers(&mut self, floor: Cycle, wait: WaitProfile, strict: bool) -> bool {
+    /// check; the every-512-spins `ingest` is the shared-memory copy.
+    fn wait_peers(&mut self, floor: Cycle, wait: WaitProfile) -> bool {
         let mut spins: u64 = 0;
         let mut reported = false;
         while !self.transport.peers_reached(floor) {
@@ -406,11 +399,6 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             }
             if spins.is_multiple_of(512) {
                 self.transport.ingest();
-                if !strict {
-                    for link in self.outbound {
-                        link.apply_credits(None);
-                    }
-                }
             }
             if spins > 40_000 && !reported && wait == WaitProfile::Sleep {
                 // Several seconds without peer progress: likely a stall;
@@ -427,17 +415,18 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
         true
     }
 
-    /// Runs the shard protocol for `p.cycles` cycles: strict flit/credit
-    /// limits, skip handling, slack waits, ledger publish-on-change and the
-    /// end-of-run flush of buffered wire traffic. The host flushes leftover
-    /// mailbox flits and merges statistics afterwards.
+    /// Runs the shard protocol for `p.cycles` cycles: one neighbor gate per
+    /// window, the window's flit/credit limits, skip handling, ledger
+    /// publish-on-change and the end-of-run flush of buffered wire traffic.
+    /// The host flushes leftover mailbox flits and merges statistics
+    /// afterwards.
     pub fn run(mut self, p: &DriverParams) -> io::Result<DriveOutcome> {
         let end = p.start + p.cycles;
         // Built per run: boundary wiring is done by now, and dropping the
         // stepper at the end keeps it strictly derived state (the next run —
         // possibly after a restore — rebuilds it from the tiles, all-dirty).
         let mut stepper = Stepper::new(self.tiles, p.kernel);
-        let (slack, quantum, strict) = p.sync.params();
+        let window = p.sync.window();
         let mut now = p.start;
         let mut recv_total = p.received_start;
         let mut last_published = LedgerState::default();
@@ -445,7 +434,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
         let mut profile = StallProfile::default();
         let mut mark = Instant::now();
         let mut last_sample = p.start;
-        // Slack waits are observed (timed / traced / histogrammed) only when
+        // Gate waits are observed (timed / traced / histogrammed) only when
         // someone is listening; otherwise the wait loop runs untouched.
         let observe_wait = p.profile || self.tracer.is_some() || self.metrics.is_some();
 
@@ -453,27 +442,31 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             if self.stop.load(Ordering::Acquire) {
                 break;
             }
-            let batch_end = (now + quantum).min(end);
-            let floor = now.saturating_sub(slack);
+            // Windows tile the run from `p.start`, so a fast-forward jump
+            // into the middle of one keeps its limits: whether a skip was
+            // taken (a matter of detector timing) changes nothing.
+            let c0 = now - (now - p.start) % window;
+            let window_end = c0.saturating_add(window).min(end);
             if p.profile {
                 profile.compute_ns += lap(&mut mark);
             }
             let wait_t0 = observe_wait.then(Instant::now);
-            let waited = observe_wait && !self.transport.peers_reached(floor);
+            let waited = observe_wait && !self.transport.peers_reached(c0);
             if waited {
                 if let Some(t) = self.tracer.as_deref_mut() {
                     t.record(TraceEvent {
                         cycle: now,
                         node: self.shard as u32,
                         kind: TraceKind::SlackWaitBegin,
-                        a: floor,
+                        a: c0,
                         b: 0,
                     });
                 }
             }
-            // Drift gate at the batch boundary: neighbors must have finished
-            // the negative edge of `now - slack` before we simulate `now+1`.
-            if !self.wait_peers(floor, p.wait, strict) {
+            // The window's one gate: neighbors must have finished the
+            // negative edge of `c0`, so everything they emitted up to then is
+            // visible (and, after `ingest`, staged locally).
+            if !self.wait_peers(c0, p.wait) {
                 break;
             }
             let waited_ns = wait_t0.map_or(0, |t0| t0.elapsed().as_nanos() as u64);
@@ -487,7 +480,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                         node: self.shard as u32,
                         kind: TraceKind::SlackWaitEnd,
                         a: waited_ns,
-                        b: floor,
+                        b: c0,
                     });
                 }
             }
@@ -498,16 +491,15 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
             if p.profile {
                 profile.ingest_ns += lap(&mut mark);
             }
-            // Rendezvous checkpoint. Capture happens after the drift gate and
-            // ingestion: with `slack = 0` every peer has finished cycle `now`
-            // and its emissions for it have been ingested, so the stamp
-            // filters in `snapshot_shard` see a consistent global cut (see
-            // `crate::snapshot` for the argument). Strict mode only: loose
-            // schedules are not bit-reproducible, so a checkpoint of one
-            // cannot promise an identical resumed run.
+            // Rendezvous checkpoint. Capture happens after the gate and
+            // ingestion: every peer has finished cycle `now` and its
+            // emissions for it have been ingested, so the stamp filters in
+            // `snapshot_shard` see a consistent global cut (see
+            // `crate::snapshot` for the argument). One-cycle windows only
+            // (`DistSpec::validate` rejects the rest).
             if let (Some(every), Some(sink)) = (p.checkpoint_every, self.checkpoint.as_deref_mut())
             {
-                if strict && now > p.start && every > 0 && now.is_multiple_of(every) {
+                if window == 1 && now > p.start && every > 0 && now.is_multiple_of(every) {
                     let bytes = crate::snapshot::snapshot_shard(
                         now,
                         recv_total,
@@ -532,7 +524,7 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     }
                 }
             }
-            while now < batch_end {
+            while now < window_end {
                 if self.stop.load(Ordering::Acquire) {
                     break 'run;
                 }
@@ -551,19 +543,15 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     }
                 }
                 let next = now + 1;
-                // Drain boundary mailboxes. Strict mode consumes exactly the
-                // prefix the sequential schedule would have made visible by
-                // this cycle; loose modes take everything available.
-                let (flit_limit, credit_limit) = if strict {
-                    (Some(next), Some(next - 1))
-                } else {
-                    (None, None)
-                };
+                // Drain boundary mailboxes: exactly what the window's gate
+                // guaranteed, whatever else has arrived since. With a
+                // one-cycle window this is the prefix the sequential schedule
+                // makes visible by `next`.
                 for link in self.outbound {
-                    link.apply_credits(credit_limit);
+                    link.apply_credits(c0);
                 }
                 for rx in self.inbound.iter_mut() {
-                    let delivered = rx.deliver(flit_limit);
+                    let delivered = rx.deliver(c0 + 1);
                     recv_total += delivered as u64;
                     if delivered > 0 {
                         stepper.note_external_push(rx.target());
@@ -612,24 +600,14 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                 if p.profile {
                     profile.compute_ns += lap(&mut mark);
                 }
-                self.transport.pump(next, next == end)?;
+                self.transport.pump(next, next == window_end)?;
                 if p.profile {
                     profile.flush_ns += lap(&mut mark);
                 }
                 now = next;
             }
-            if !self
-                .transport
-                .batch_rendezvous(batch_end.min(now), self.stop)
-            {
-                // Stop raised mid-rendezvous: unwind.
-                break;
-            }
-            if p.profile {
-                profile.wait_ns += lap(&mut mark);
-            }
-            // Telemetry at the batch boundary: the shard is at a consistent
-            // rendezvous point and the period rounds up to the quantum.
+            // Telemetry at the window end: the shard is at a consistent point
+            // and the period rounds up to the window.
             if let Some(every) = p.telemetry_every {
                 if self.telemetry.is_some() && every > 0 && now.saturating_sub(last_sample) >= every
                 {

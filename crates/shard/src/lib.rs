@@ -8,8 +8,8 @@
 //! Six pieces compose the subsystem:
 //!
 //! * [`driver`] — the **one** implementation of the per-cycle shard
-//!   protocol ([`CycleDriver`](driver::CycleDriver)): strict flit/credit
-//!   limits, fast-forward skip handling, slack waits, ledger
+//!   protocol ([`CycleDriver`](driver::CycleDriver)): window gates and their
+//!   flit/credit limits, fast-forward skip handling, ledger
 //!   publish-on-change. Parameterized by a transport pump (shared atomics
 //!   and rings for threads; cycle frames over a socket or shared-memory pipe
 //!   for processes) and a payload channel (how packet payloads follow tail
@@ -32,19 +32,19 @@
 //!   runtime. One decision ([`termination::decide`]) turns an idle verdict
 //!   into stop or fast-forward for both hosts' detectors;
 //! * [`runtime`] — a persistent worker pool (one run queue per shard, threads
-//!   spawned once and reused across runs)
-//!   executes the shards under *slack-based synchronization*: a shard only
-//!   waits until its cut-link neighbors are within `k` cycles, using the
-//!   one-cycle link latency as conservative lookahead. `k = 0` with strict
-//!   cycle-stamped mailbox consumption reproduces the sequential simulation
-//!   bit-exactly; `k > 0` trades bounded timing skew for scaling, exactly the
-//!   accuracy/speed knob of the paper's loose synchronization, but pairwise
-//!   instead of global.
+//!   spawned once and reused across runs) executes the shards under
+//!   *windowed* synchronization, pairwise instead of global.
 //!
-//! Every backend names its synchronization with the one [`SyncMode`], which
-//! the driver maps onto `(slack, quantum, strict)`: `CycleAccurate` →
-//! `(0, 1, strict)`, `Slack(k)` → `(k, 1, k == 0)`, `Periodic(n)` →
-//! `(0, n, n == 1)`.
+//! Every backend names its synchronization with the one [`SyncMode`], and
+//! every mode is a window of `w` cycles ([`SyncMode::window`]):
+//! `CycleAccurate` → 1, `Slack(k)` → `k + 1`, `Periodic(n)` → `n`. A shard
+//! gates once per window, on its cut-link neighbors having finished the
+//! window's first cycle `c0`, and for the whole window consumes exactly what
+//! that gate guaranteed: flits stamped `≤ c0 + 1`, credits stamped `≤ c0`.
+//! `w = 1` reproduces the sequential simulation bit-exactly; `w > 1` sees a
+//! cut-link flit or credit 0 to `w − 1` cycles late — the paper's
+//! accuracy/speed knob, as one defined model that every repeat and every
+//! host (threads, Unix sockets, shared memory) simulates identically.
 
 pub mod driver;
 pub mod partition;

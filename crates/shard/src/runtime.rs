@@ -1,6 +1,6 @@
 //! The sharded execution runtime: a persistent worker pool driving one
 //! partition shard per worker, with boundary mailboxes on cut links and
-//! slack-based neighbor synchronization — and *no global barrier anywhere*,
+//! windowed neighbor synchronization — and *no global barrier anywhere*,
 //! including fast-forward and completion detection.
 //!
 //! # Execution model
@@ -15,25 +15,16 @@
 //! # Synchronization
 //!
 //! Every worker publishes its progress in a per-shard atomic (`negedge_done`
-//! = last cycle whose negative edge completed). Before simulating cycle `c`,
-//! a worker spins until every *neighboring* shard (shards sharing a cut
-//! link — no global rendezvous) has published `c - 1 - slack`:
-//!
-//! * `slack = 0`, strict stamps — the sequential schedule is reproduced
-//!   bit-exactly: mailbox flits are consumed only once their `visible_at`
-//!   stamp is due and credits only once their emission cycle has passed, so
-//!   a neighbor racing one cycle ahead cannot leak state early. This is how
-//!   `SyncMode::CycleAccurate` and `Slack(0)` run.
-//! * `slack = k > 0` — neighboring shards may drift up to `k` cycles apart.
-//!   The one-cycle link latency acts as conservative lookahead: flits carry
-//!   their stamps, so functional behaviour (delivery, ordering, credit
-//!   safety) is unaffected and only timing skews by at most `k` cycles.
-//! * `quantum = n` — the worker checks the drift condition only at `n`-cycle
-//!   batch boundaries; under `SyncMode::Periodic(n > 1)` every shard
-//!   additionally waits for all shards' progress counters to reach each
-//!   boundary (the pump's `barrier_batches`), so drift re-zeroes per batch —
-//!   the classic periodic fidelity profile, as a counter rendezvous, not a
-//!   `Barrier` primitive.
+//! = last cycle whose negative edge completed). A run is cut into windows of
+//! `w` cycles (`SyncMode::window`: 1 for `CycleAccurate`, `k + 1` for
+//! `Slack(k)`, `n` for `Periodic(n)`). At the first cycle `c0` of each window
+//! a worker spins until every *neighboring* shard (shards sharing a cut link
+//! — no global rendezvous) has published `c0`; for the rest of the window it
+//! consumes mailbox flits stamped `≤ c0 + 1` and credits stamped `≤ c0` —
+//! exactly what that gate guaranteed, never what a faster neighbor happens
+//! to have sent since. With `w = 1` this reproduces the sequential schedule
+//! bit-exactly; with `w > 1` a cut-link flit or credit is seen up to `w − 1`
+//! cycles late, the same way on every run and on every host.
 //!
 //! # Termination and fast-forward without a barrier
 //!
@@ -48,7 +39,7 @@
 //! transport credits balance, publishes a stop flag (completion) or a
 //! monotone jump target (fast-forward) that workers pick up from their
 //! normal per-cycle polling. Workers never wait for each other beyond the
-//! usual neighbor drift gates.
+//! usual window gates.
 
 use crate::driver::{
     merge_tile_stats, CycleDriver, DriverParams, NoPayloads, SyncMode, TelemetrySink,
@@ -78,8 +69,7 @@ pub struct RunParams {
     pub start: Cycle,
     /// Number of cycles to simulate.
     pub cycles: Cycle,
-    /// Synchronization mode. Under `Periodic(n > 1)` all shards additionally
-    /// rendezvous at every batch boundary, so drift re-zeroes each batch.
+    /// Synchronization mode.
     pub sync: SyncMode,
     /// Skip idle periods by jumping all clocks to the next event.
     pub fast_forward: bool,
@@ -89,7 +79,7 @@ pub struct RunParams {
     /// flush phases (reported per shard in [`RunOutcome::per_shard_profiles`]).
     pub profile: bool,
     /// Collect a [`TelemetrySample`] per shard roughly every this many
-    /// cycles (rounded up to the quantum); `None` disables sampling.
+    /// cycles (rounded up to the sync window); `None` disables sampling.
     pub telemetry_every: Option<u64>,
     /// Capacity of each shard's runtime event ring (slack waits, checkpoint
     /// captures); 0 disables runtime event tracing. Flit-lifecycle tracing is
@@ -209,12 +199,6 @@ fn wait_floor(stop: &AtomicBool, counters: &[AtomicU64], shards: &[usize], floor
     true
 }
 
-/// Spins until *every* shard's counter reaches `floor` (the counter-based
-/// rendezvous behind `barrier_batches`), or the stop flag is raised.
-fn wait_floor_all(stop: &AtomicBool, counters: &[AtomicU64], floor: u64) -> bool {
-    (0..counters.len()).all(|n| wait_floor(stop, counters, &[n], floor))
-}
-
 /// The thread backend's [`TransportPump`]: boundary rings are shared
 /// directly between the shard loops, so the data plane needs no pumping at
 /// all — only the per-shard progress atomics in [`SyncShared`].
@@ -225,9 +209,6 @@ struct ThreadPump<'a> {
     /// Cut links carry bandwidth-adaptive bidirectional links, whose demand
     /// arbitration needs posedge/negedge phase separation.
     phase_wait: bool,
-    /// Rendezvous all shards at every quantum boundary (classic periodic
-    /// synchronization: drift re-zeroes per batch).
-    barrier_batches: bool,
 }
 
 impl TransportPump for ThreadPump<'_> {
@@ -246,14 +227,6 @@ impl TransportPump for ThreadPump<'_> {
         self.sync.posedge_done[self.shard].store(cycle, Ordering::Release);
         if self.phase_wait {
             wait_floor(stop, &self.sync.posedge_done, self.neighbors, cycle)
-        } else {
-            true
-        }
-    }
-
-    fn batch_rendezvous(&mut self, cycle: Cycle, stop: &AtomicBool) -> bool {
-        if self.barrier_batches {
-            wait_floor_all(stop, &self.sync.negedge_done, cycle)
         } else {
             true
         }
@@ -319,7 +292,6 @@ fn run_shard(job: Job) -> JobResult {
         sync: &sync,
         neighbors: &neighbors,
         phase_wait,
-        barrier_batches: matches!(p.sync, SyncMode::Periodic(n) if n > 1),
     };
     let mut samples: Vec<TelemetrySample> = Vec::new();
     let metrics = p.telemetry_every.map(|_| MetricsRegistry::default());
@@ -466,8 +438,8 @@ impl ShardRuntime {
     /// them (in their original order) together with the final cycle and
     /// per-shard statistics. Boundary links are wired before and unwired
     /// after the run, so the returned tiles are indistinguishable from tiles
-    /// simulated sequentially — including, in strict mode, bit-identical
-    /// statistics.
+    /// simulated sequentially — including, under `CycleAccurate`,
+    /// bit-identical statistics.
     ///
     /// # Panics
     ///

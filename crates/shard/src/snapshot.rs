@@ -4,9 +4,9 @@
 //! at a rendezvous cycle `C`: the tiles (routers, bridges, agents, RNG
 //! cursors), the cumulative delivery counter the termination ledger reports,
 //! and the in-flight contents of every boundary half-link. It is taken at
-//! the top of the [`CycleDriver`](crate::driver::CycleDriver) batch loop —
-//! after `wait_peers(C)` and transport ingestion — under strict (bit-exact)
-//! synchronization only.
+//! the top of the [`CycleDriver`](crate::driver::CycleDriver) window loop —
+//! after `wait_peers(C)` and transport ingestion — under one-cycle sync
+//! windows (bit-exact synchronization) only.
 //!
 //! # Why the stamp filters make the cut consistent
 //!
@@ -14,7 +14,8 @@
 //! cycle-`C` emissions travel the same FIFO channel ahead of the progress
 //! publication, so every flit stamped `visible_at ≤ C+1` and every credit
 //! stamped `≤ C` has already been ingested locally. A peer may however have
-//! raced *one* cycle ahead (slack 0 allows simulating `C+1` before we do),
+//! raced *one* cycle ahead (a one-cycle window allows simulating `C+1`
+//! before we do),
 //! depositing flits stamped `C+2` and credits stamped `C+1` into our rings.
 //! Those are dropped by the stamp filters below: after a global rollback to
 //! `C` the peer re-executes `C+1` and regenerates exactly the same

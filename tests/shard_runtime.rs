@@ -6,7 +6,10 @@
 //!   latency histogram — under both uniform-random and transpose traffic;
 //! * `Slack(k)` with `k > 0` preserves functional correctness exactly (run to
 //!   completion, every offered packet is delivered once on its own flow, no
-//!   routing failures) with only bounded timing skew;
+//!   routing failures) with only bounded timing skew, identically on every
+//!   repeat;
+//! * a sync window too long to ever end (`Periodic(u64::MAX)`) runs a
+//!   warmed-up simulation to its end instead of wrapping around;
 //! * the report surfaces the shard layout (row-aligned partition, cut set).
 
 use hornet::prelude::*;
@@ -82,10 +85,10 @@ fn cycle_accurate_and_slack0_are_bit_identical_on_8x8() {
 /// offered packet has been delivered.
 ///
 /// The injectors are periodic, not Bernoulli, because a tile's agent and
-/// router draw from one random stream: under slack the router's draws move
-/// with thread scheduling, so Bernoulli sources would offer different packets
-/// from run to run. Periodic transpose sources draw nothing, so every run
-/// offers the same packets.
+/// router draw from one random stream: slack moves the router's draws
+/// against the sequential run's, so Bernoulli sources would offer the two
+/// runs different packets. Periodic transpose sources draw nothing, so both
+/// offer the same packets.
 fn run_drained(threads: usize, sync: SyncMode, seed: u64) -> hornet::net::NetworkStats {
     let geometry = Geometry::mesh2d(8, 8);
     let shared = Arc::new(geometry.clone());
@@ -127,8 +130,7 @@ fn slack_bounds_timing_skew_without_losing_packets() {
     let par = run_drained(4, SyncMode::Slack(5), 7);
     assert!(seq.offered_packets > 0);
     // Both runs offer the same packets; run to completion, every one of them
-    // is delivered exactly once, on its own flow, whatever the host's thread
-    // scheduling did to the timing.
+    // is delivered exactly once, on its own flow.
     for stats in [&seq, &par] {
         assert_eq!(stats.routing_failures, 0, "no flit may ever be lost");
         assert_eq!(stats.delivered_packets, stats.offered_packets);
@@ -145,6 +147,39 @@ fn slack_bounds_timing_skew_without_losing_packets() {
         accuracy > 0.7,
         "slack-5 latency accuracy {accuracy} too low"
     );
+    // The skew is a defined model, not a host race.
+    assert_bit_identical(&par, &run_drained(4, SyncMode::Slack(5), 7), "repeat");
+}
+
+/// A window end past `u64::MAX` must saturate: a warmed-up run (starting
+/// past cycle 0) under an endless window must reach its end, not wrap its
+/// window end below its start and spin forever.
+#[test]
+fn an_endless_sync_window_runs_to_the_end() {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for sync in [SyncMode::Periodic(u64::MAX), SyncMode::Slack(u64::MAX)] {
+            let report = SimulationBuilder::new()
+                .geometry(Geometry::mesh2d(4, 4))
+                .traffic(TrafficKind::pattern(SyntheticPattern::Transpose, 0.03))
+                .warmup_cycles(100)
+                .measured_cycles(200)
+                .threads(2)
+                .sync(sync)
+                .seed(1)
+                .build()
+                .expect("valid configuration")
+                .run()
+                .expect("runs");
+            tx.send(report.network.delivered_packets).unwrap();
+        }
+    });
+    for _ in 0..2 {
+        let delivered = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("an endless window must not hang the run");
+        assert!(delivered > 0);
+    }
 }
 
 #[test]
