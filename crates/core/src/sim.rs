@@ -138,7 +138,6 @@ pub struct SimulationBuilder {
     vcs_per_port: usize,
     vc_buffer_depth: usize,
     link_bandwidth: u32,
-    bidirectional_links: bool,
     traffic: TrafficKind,
     custom_agents: Vec<(NodeId, Box<dyn NodeAgent>)>,
     extra_flows: Vec<FlowSpec>,
@@ -173,7 +172,6 @@ impl SimulationBuilder {
             vcs_per_port: 4,
             vc_buffer_depth: 4,
             link_bandwidth: 1,
-            bidirectional_links: false,
             traffic: TrafficKind::None,
             custom_agents: Vec::new(),
             extra_flows: Vec::new(),
@@ -225,12 +223,6 @@ impl SimulationBuilder {
     /// Sets the link bandwidth in flits/cycle.
     pub fn link_bandwidth(mut self, bw: u32) -> Self {
         self.link_bandwidth = bw;
-        self
-    }
-
-    /// Enables bandwidth-adaptive bidirectional links.
-    pub fn bidirectional_links(mut self, enabled: bool) -> Self {
-        self.bidirectional_links = enabled;
         self
     }
 
@@ -388,7 +380,6 @@ impl SimulationBuilder {
             .with_vca(self.vca)
             .with_vcs(self.vcs_per_port, self.vc_buffer_depth)
             .with_link_bandwidth(self.link_bandwidth)
-            .with_bidirectional_links(self.bidirectional_links)
             .with_flows(flows);
         let mut network = Network::new(&net_config, self.seed)?;
 

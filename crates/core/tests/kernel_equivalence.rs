@@ -14,10 +14,10 @@
 //!   delivered once, same hops, same latencies) with either execution path;
 //! * mid-run snapshot/restore: a kernel run cut at an arbitrary cycle and
 //!   resumed must still match an uninterrupted interpreter run;
-//! * fallback: the structural configurations the kernel cannot specialize
-//!   (bidirectional links, more than 64 VCs on one tile) silently select the
-//!   interpreter, even under [`KernelMode::Force`], and still produce
-//!   identical results — routing is never such a configuration;
+//! * fallback: the structural configuration the kernel cannot specialize
+//!   (more than 64 VCs on one tile) silently selects the interpreter, even
+//!   under [`KernelMode::Force`], and still produces identical results —
+//!   routing is never such a configuration;
 //! * one engine switched between thread counts mid-run: the network's
 //!   persistent kernel is rebuilt whenever its tiles were lent out;
 //! * unroutable packets: the `Dropping` path, which ordinary traffic never
@@ -53,7 +53,6 @@ struct Case {
     width: usize,
     height: usize,
     routing: RoutingKind,
-    bidirectional: bool,
     /// VCs per ingress port, injection port included.
     vcs_per_port: usize,
     /// Leave every third source's flow out of the routing tables, so its
@@ -70,7 +69,6 @@ impl Case {
             width,
             height,
             routing: RoutingKind::Xy,
-            bidirectional: false,
             vcs_per_port: 4,
             unroutable: false,
             seed,
@@ -90,7 +88,6 @@ impl Case {
             .with_routing(self.routing)
             .with_vca(VcAllocKind::Dynamic)
             .with_vcs(self.vcs_per_port, 4)
-            .with_bidirectional_links(self.bidirectional)
             .with_flows(flows);
         let mut network = Network::new(&cfg, self.seed).expect("valid config");
         for node in geometry.nodes() {
@@ -289,10 +286,6 @@ fn switching_thread_counts_mid_run_matches_straight_sequential() {
 #[test]
 fn exotic_configs_fall_back_to_the_interpreter() {
     let exotic = [
-        Case {
-            bidirectional: true,
-            ..Case::mesh(4, 4, 32, 0.06)
-        },
         // 16 VCs/port: a mesh interior tile has four neighbour ports plus the
         // injection port, 80 VCs — more than one mask word. Corner and edge
         // tiles (48 and 64 VCs) would fit; one oversized tile disqualifies.

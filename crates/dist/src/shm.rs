@@ -368,7 +368,7 @@ mod tests {
             out_links: Vec::new(),
             in_links: Vec::new(),
         };
-        let mut t = FrameTransport::new(hi, &wiring, 0, 1, Arc::new(NoPayloads)).unwrap();
+        let mut t = FrameTransport::new(hi, &wiring, 0, Arc::new(NoPayloads)).unwrap();
         lo.word(0, 1).store(ring - 1, Ordering::Release);
         assert!(t.reached(u64::MAX), "a failed link releases every wait");
         let err = t.pump(1, true).expect_err("garbage frame");

@@ -269,11 +269,6 @@ impl DistSpec {
         }
     }
 
-    /// Cycles a frame transport may coalesce per flush: the sync window.
-    pub fn socket_batch(&self) -> u64 {
-        self.sync.window()
-    }
-
     /// Builds the network configuration this spec describes.
     pub fn network_config(&self) -> NetworkConfig {
         let geometry = Geometry::mesh2d(self.width as usize, self.height as usize);

@@ -49,9 +49,10 @@ use std::time::{Duration, Instant};
 pub trait BoundaryTransport: Send {
     /// Called after the local negedge of `cycle`: make every staged outbound
     /// flit, credit and payload visible to the peer, then publish `cycle` as
-    /// this side's progress. `flush` forces buffered wire traffic out;
-    /// transports may otherwise coalesce several cycles per write under
-    /// loose synchronization.
+    /// this side's progress. `flush` (the last cycle of a sync window, a
+    /// jump, the end of the run) forces buffered wire traffic out;
+    /// transports may otherwise coalesce the cycles before it into one
+    /// write.
     fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()>;
 
     /// Called after the progress wait, before mailbox consumption: move
@@ -357,13 +358,11 @@ const CLOSE_GRACE: Duration = Duration::from_secs(2);
 /// error release every wait (progress reads `u64::MAX`) and fail the next
 /// `pump`, naming the peer and the kind of link.
 ///
-/// Under a sync window of `w > 1` cycles (`batch = w`) the send buffer is
-/// written once per window, cutting write volume ~`w`×. The driver's `pump`
-/// flushes on the last cycle of every window — the progress a neighbor's
-/// next gate waits for — so batching can never hold back what a gate needs;
-/// between flushes the rolling count of `batch` cycles since the last write
-/// caps what stays buffered, wherever fast-forward jumps (each published
-/// with its own flush) land the clocks.
+/// Frames are encoded every cycle but written only on `flush`: the driver
+/// flushes on the last cycle of every sync window — the progress a
+/// neighbor's next gate waits for — on every fast-forward jump and at the
+/// end of the run, so a `w`-cycle window costs one write per direction and
+/// nothing a gate needs is ever held back.
 pub struct FrameTransport<P: BytePipe> {
     pipe: P,
     /// The peer's shard id, for error messages.
@@ -384,10 +383,6 @@ pub struct FrameTransport<P: BytePipe> {
     rx_len: usize,
     /// Encoded frames not yet written.
     tx: Enc,
-    /// Cycles coalesced per pipe write (1 = write every cycle).
-    batch: u64,
-    /// Cycle of the last actual pipe write (rolling batch window).
-    last_flush: Cycle,
     /// Reusable frame scratch.
     flits: Vec<(u32, Flit)>,
     credits: Vec<(u32, CreditMsg)>,
@@ -399,15 +394,12 @@ pub type SocketTransport = FrameTransport<Stream>;
 
 impl<P: BytePipe> FrameTransport<P> {
     /// Wraps `pipe`, made non-blocking, as the transport for the adjacency
-    /// described by `wiring`, writing the pipe every `batch` cycles
-    /// (`CycleAccurate` runs use 1: one write per cycle per direction is
-    /// latency-optimal there). Arriving packet payloads are deposited into
+    /// described by `wiring`. Arriving packet payloads are deposited into
     /// `payloads` before their tail flits become visible.
     pub fn new(
         mut pipe: P,
         wiring: &NeighborWiring,
         start: Cycle,
-        batch: u64,
         payloads: Arc<dyn PayloadChannel>,
     ) -> io::Result<Self> {
         pipe.make_nonblocking()?;
@@ -429,8 +421,6 @@ impl<P: BytePipe> FrameTransport<P> {
             rx: vec![0; frame_bound],
             rx_len: 0,
             tx: Enc::new(),
-            batch: batch.max(1),
-            last_flush: start,
             flits: Vec::new(),
             credits: Vec::new(),
             packets: Vec::new(),
@@ -604,12 +594,8 @@ impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
             encode_credit(e, c);
         }
         e.end_frame(frame);
-        // Rolling window, not absolute multiples: fast-forward jumps land
-        // clocks on arbitrary cycles, and the peer's batch-boundary wait
-        // must never outrun our write cadence.
-        if flush || cycle >= self.last_flush.saturating_add(self.batch) {
+        if flush {
             self.write_out()?;
-            self.last_flush = cycle;
         }
         Ok(())
     }
@@ -727,8 +713,8 @@ mod tests {
     }
 
     #[cfg(unix)]
-    fn transport<P: TestPipe>(pipe: P, wiring: &NeighborWiring, batch: u64) -> FrameTransport<P> {
-        FrameTransport::new(pipe, wiring, 0, batch, Arc::new(NoPayloads)).unwrap()
+    fn transport<P: TestPipe>(pipe: P, wiring: &NeighborWiring) -> FrameTransport<P> {
+        FrameTransport::new(pipe, wiring, 0, Arc::new(NoPayloads)).unwrap()
     }
 
     /// Polls the way the driver's wait loop does, with a bounded budget.
@@ -760,7 +746,7 @@ mod tests {
         // objects; the wire connects them.
         let (wa, _) = adjacency(2, 4);
         let (_, wb) = adjacency(2, 4);
-        let (mut ta, mut tb) = (transport(pa, &wa, 1), transport(pb, &wb, 1));
+        let (mut ta, mut tb) = (transport(pa, &wa), transport(pb, &wb));
 
         // A sends two flits on channel 1 (credit-checked push) and pumps.
         assert!(wa.out_links[1].push(flit(0, 5)));
@@ -831,8 +817,8 @@ mod tests {
         let (_, wb) = adjacency(1, 4);
         let store_a = Arc::new(PayloadStore::new());
         let store_b = Arc::new(PayloadStore::new());
-        let mut ta = FrameTransport::new(pa, &wa, 0, 1, store_a.clone()).unwrap();
-        let mut tb = FrameTransport::new(pb, &wb, 0, 1, store_b.clone()).unwrap();
+        let mut ta = FrameTransport::new(pa, &wa, 0, store_a.clone()).unwrap();
+        let mut tb = FrameTransport::new(pb, &wb, 0, store_b.clone()).unwrap();
 
         // A parks a packet's payload (what the bridge does at injection) and
         // pushes its tail flit onto the boundary.
@@ -871,23 +857,22 @@ mod tests {
         let (pa, pb) = P::pair();
         let (wa, _) = adjacency(1, 4);
         let (_, wb) = adjacency(1, 4);
-        // Write every 4 cycles.
-        let (mut ta, mut tb) = (transport(pa, &wa, 4), transport(pb, &wb, 4));
+        let (mut ta, mut tb) = (transport(pa, &wa), transport(pb, &wb));
 
-        for c in 1..=3u64 {
+        // Cycles pumped without `flush` are encoded but never written.
+        for c in 1..=4u64 {
+            if c % 2 == 1 {
+                assert!(wa.out_links[0].push(flit(c as u32, c)));
+            }
             ta.pump(c, false).unwrap();
         }
-        // Cycles 1..3 of a 4-cycle batch: nothing has been written.
         tb.ingest();
-        assert_eq!(tb.peer_progress(), 0, "frames must still be buffered");
-        // Cycle 4 is a batch boundary: everything lands.
-        assert!(wa.out_links[0].push(flit(0, 4)));
-        ta.pump(4, false).unwrap();
-        await_progress(&mut tb, 4);
-        assert_eq!(wb.in_links[0].in_flight(), 1);
-        // An explicit flush forces mid-batch visibility.
+        assert_eq!(tb.peer_progress(), 0, "nothing is written before a flush");
+        assert_eq!(wb.in_links[0].in_flight(), 0);
+        // The flush writes every buffered cycle at once.
         ta.pump(5, true).unwrap();
         await_progress(&mut tb, 5);
+        assert_eq!(wb.in_links[0].in_flight(), 2, "every buffered flit lands");
         close(ta, tb);
     }
 
@@ -901,7 +886,7 @@ mod tests {
     fn peer_close_reads_as_infinite_progress<P: TestPipe>() {
         let (pa, mut raw) = P::pair();
         let (wa, _) = adjacency(1, 2);
-        let mut ta = transport(pa, &wa, 1);
+        let mut ta = transport(pa, &wa);
         assert!(!ta.reached(1));
         raw.close_write();
         await_progress(&mut ta, u64::MAX);
@@ -923,7 +908,7 @@ mod tests {
     fn wire_bytes<P: TestPipe>(cycle: Cycle, n_flits: u32) -> Vec<u8> {
         let (pa, mut raw) = P::pair();
         let (wa, _) = adjacency(2, 4);
-        let mut ta = transport(pa, &wa, 1);
+        let mut ta = transport(pa, &wa);
         for seq in 0..n_flits {
             assert!(wa.out_links[1].push(flit(seq, cycle + 1)));
         }
@@ -941,7 +926,7 @@ mod tests {
     fn raw_peer<P: TestPipe>() -> (P, NeighborWiring, FrameTransport<P>) {
         let (raw, pb) = P::pair();
         let (_, wb) = adjacency(2, 4);
-        let tb = transport(pb, &wb, 1);
+        let tb = transport(pb, &wb);
         (raw, wb, tb)
     }
 
@@ -991,7 +976,7 @@ mod tests {
             let (done, start) = (done_tx.clone(), Arc::clone(&start));
             std::thread::spawn(move || {
                 let store = Arc::new(PayloadStore::new());
-                let mut t = FrameTransport::new(pipe, &wiring, 0, 1, store.clone()).unwrap();
+                let mut t = FrameTransport::new(pipe, &wiring, 0, store.clone()).unwrap();
                 // A 4 MiB payload rides the tail flit: far beyond
                 // SO_SNDBUF and the ring.
                 let packet = Packet::new(
@@ -1035,7 +1020,7 @@ mod tests {
     fn finishing_first<P: TestPipe>() {
         let (pa, pb) = P::pair();
         let (wa, wb) = adjacency(1, 4);
-        let (mut ta, mut tb) = (transport(pa, &wa, 1), transport(pb, &wb, 1));
+        let (mut ta, mut tb) = (transport(pa, &wa), transport(pb, &wb));
         ta.pump(9, true).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| drop(ta));

@@ -47,10 +47,5 @@ pub fn build_shards(
     partition: &Partition,
 ) -> Result<(Vec<ShardParts>, Arc<PayloadStore>), ConfigError> {
     let (nodes, store) = spec.build_network()?.into_nodes();
-    let parts = wire_shards(nodes, partition);
-    assert!(
-        parts.iter().all(|p| !p.phase_wait),
-        "bandwidth-adaptive bidirectional links cannot cross process boundaries"
-    );
-    Ok((parts, store))
+    Ok((wire_shards(nodes, partition), store))
 }

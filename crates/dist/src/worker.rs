@@ -367,7 +367,6 @@ pub fn worker_main(
     // Data plane. The payload channel is this process's store (its
     // bridges' DMA park): peers live in other processes, so packet payloads
     // must follow their tail flits over the transports.
-    let batch = spec.socket_batch();
     let deadline = Instant::now() + Duration::from_secs(30);
     let control = WorkerControl::new();
     let mut worker = ShardWorker {
@@ -432,12 +431,12 @@ pub fn worker_main(
         match &listener {
             None => {
                 let pipe = ShmPipe::open(std::path::Path::new(endpoint), shard == lo)?;
-                worker.attach_pipe(i, pipe, start_cycle, batch)?;
+                worker.attach_pipe(i, pipe, start_cycle)?;
             }
             Some(_) if peer < shard => {
                 let mut stream = connect(transport, endpoint, deadline)?;
                 CtrlMsg::PeerHello { from: shard as u32 }.send(&mut stream)?;
-                worker.attach_pipe(i, stream, start_cycle, batch)?;
+                worker.attach_pipe(i, stream, start_cycle)?;
             }
             Some(l) => {
                 while !accepted.contains_key(&peer) {
@@ -448,7 +447,7 @@ pub fn worker_main(
                     accepted.insert(from as usize, stream);
                 }
                 let stream = accepted.remove(&peer).expect("accepted above");
-                worker.attach_pipe(i, stream, start_cycle, batch)?;
+                worker.attach_pipe(i, stream, start_cycle)?;
             }
         }
     }
@@ -606,11 +605,9 @@ impl ShardWorker {
         i: usize,
         pipe: P,
         start: Cycle,
-        batch: u64,
     ) -> io::Result<()> {
         let payloads = Arc::clone(&self.payloads);
-        let transport =
-            FrameTransport::new(pipe, &self.parts.neighbors[i], start, batch, payloads)?;
+        let transport = FrameTransport::new(pipe, &self.parts.neighbors[i], start, payloads)?;
         self.transports.push(Box::new(transport));
         Ok(())
     }

@@ -164,6 +164,49 @@ fn cpu_token_ring_completes_under_threaded_driver() {
     assert_bit_identical(&seq, &stats, "token ring, thread hooks");
 }
 
+/// How a worker's frame transport treats one sync window of `spec`, which
+/// must be `window` cycles long: the driver pumps every cycle but flushes
+/// only the last, and the peer sees nothing until that flush, then all of
+/// the window at once.
+#[cfg(unix)]
+fn assert_window_is_written_at_its_end(spec: &DistSpec, window: u64) {
+    use hornet_dist::transport::Stream;
+    use hornet_dist::{BoundaryTransport, FrameTransport};
+    use hornet_net::boundary::BoundaryLink;
+    use hornet_shard::driver::NoPayloads;
+    use hornet_shard::wiring::NeighborWiring;
+    use std::sync::Arc;
+
+    assert_eq!(spec.sync.window(), window);
+    let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+    let (ab, ba) = (vec![BoundaryLink::new(4)], vec![BoundaryLink::new(4)]);
+    let side = |peer, out_links, in_links, s| {
+        let wiring = NeighborWiring {
+            peer,
+            out_links,
+            in_links,
+        };
+        FrameTransport::new(Stream::Unix(s), &wiring, 0, Arc::new(NoPayloads)).unwrap()
+    };
+    let mut ta = side(1, ab.clone(), ba.clone(), a);
+    let mut tb = side(0, ba, ab, b);
+    for cycle in 1..=window {
+        tb.ingest();
+        assert_eq!(tb.peer_progress(), 0, "cycle {cycle}: nothing written yet");
+        ta.pump(cycle, cycle == window).unwrap();
+    }
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !tb.reached(window) {
+        assert!(std::time::Instant::now() < deadline, "flush never landed");
+        std::thread::yield_now();
+    }
+    // Both ends close at once, so neither waits out the other's silence.
+    std::thread::scope(|s| {
+        s.spawn(|| drop(ta));
+        drop(tb);
+    });
+}
+
 /// Regression test: Periodic(n) + fast-forward over batched sockets. Skip
 /// directives land the clocks mid-window; the last cycle of every window
 /// must still reach the wire, or the neighbors' next gates outrun the
@@ -187,7 +230,7 @@ fn periodic_fast_forward_over_batched_sockets_completes() {
         fast_forward: true,
         ..DistSpec::default()
     };
-    assert_eq!(spec.socket_batch(), 3, "periodic 3 must batch 3 cycles");
+    assert_window_is_written_at_its_end(&spec, 3);
     let outcome = run_distributed(
         &spec,
         &HostOptions {
@@ -326,7 +369,7 @@ fn host_list_mode_with_prestarted_workers_is_bit_identical() {
 }
 
 /// Socket-transport batching: a Slack(4) run is a 5-cycle window and
-/// coalesces up to 5 cycles per socket flush; functional totals stay exact
+/// writes its 5 cycles in one socket flush; functional totals stay exact
 /// (every offered packet is delivered exactly once), and the run is the
 /// same simulation as `Periodic(5)` on the thread host.
 #[cfg(unix)]
@@ -344,7 +387,7 @@ fn slack_run_with_batched_socket_flushes_delivers_everything() {
         run: RunKind::ToCompletion { max: 200_000 },
         ..DistSpec::default()
     };
-    assert_eq!(spec.socket_batch(), 5, "slack 4 is a 5-cycle window");
+    assert_window_is_written_at_its_end(&spec, 5);
     let outcome = run_distributed(
         &spec,
         &HostOptions {

@@ -267,10 +267,8 @@ pub struct BoundaryRx {
     baseline: u64,
     /// Flits moved from the mailbox into `target` so far.
     forwarded: u64,
-    /// Credits successfully enqueued so far.
+    /// Credits enqueued so far.
     credited: u64,
-    /// Credits computed but not yet enqueued (ring momentarily full).
-    pending: u64,
 }
 
 impl BoundaryRx {
@@ -285,7 +283,6 @@ impl BoundaryRx {
             baseline,
             forwarded: 0,
             credited: 0,
-            pending: 0,
         }
     }
 
@@ -333,35 +330,29 @@ impl BoundaryRx {
     /// Emits one cycle-stamped credit message covering every flit the router
     /// has popped from the ingress buffer since the last emission. Called
     /// after the shard's negative edge of cycle `now`. The ring cannot be
-    /// full (see [`BoundaryLink::with_resident`]); if it were, the credit
-    /// would be deferred and re-stamped, changing the simulation.
+    /// full (see [`BoundaryLink::with_resident`]): each unapplied message
+    /// carries at least one credit and together at most the link capacity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the credit ring is full, which would otherwise lose the
+    /// credits.
     pub fn emit_credits(&mut self, now: Cycle) {
         let resident = self.target.occupancy() as u64;
         let freed = (self.baseline + self.forwarded).saturating_sub(resident);
-        self.pending += freed.saturating_sub(self.credited + self.pending);
-        if self.pending > 0 {
+        let owed = freed.saturating_sub(self.credited);
+        if owed > 0 {
             let msg = CreditMsg {
                 cycle: now,
-                count: self.pending.min(u32::MAX as u64) as u32,
+                count: owed.min(u32::MAX as u64) as u32,
             };
             let pushed = self.link.credits.push(msg);
-            debug_assert!(
+            assert!(
                 pushed,
                 "credit ring full: unapplied credits exceed the link capacity"
             );
-            if pushed {
-                self.credited += msg.count as u64;
-                self.pending -= msg.count as u64;
-            }
+            self.credited += msg.count as u64;
         }
-    }
-
-    /// Checkpoint capture: credits computed but not yet on the wire. The
-    /// rolled-back sender's `outstanding` still counts the flits they cover,
-    /// so a restore must fold them back in via [`restore_owed`]
-    /// (Self::restore_owed) or the link would leak credit window forever.
-    pub fn owed_credits(&self) -> u64 {
-        self.pending
     }
 
     /// Checkpoint restore: folds `owed` uncredited pops into the baseline of
@@ -596,7 +587,6 @@ mod tests {
                 target.absorb_tail();
                 let _ = target.pop_if(c, |_| true);
                 rx.emit_credits(c);
-                assert_eq!(rx.owed_credits(), 0, "cycle {c}: credit deferred");
                 assert!(link.staged_credit_snapshot().len() <= link.capacity());
             }
             for c in c0 + 1..=c0 + window as Cycle {

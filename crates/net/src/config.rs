@@ -3,7 +3,7 @@
 //! Most hardware parameters of the modeled NoC are configurable: interconnect
 //! geometry, routing and VC-allocation algorithms, the number and depth of
 //! virtual channels (independently for router-facing and CPU-facing ports),
-//! link bandwidth, and bandwidth-adaptive bidirectional links.
+//! and link bandwidth.
 
 use crate::geometry::Geometry;
 use crate::routing::{FlowSpec, RoutingKind};
@@ -53,10 +53,6 @@ pub struct NetworkConfig {
     pub link_bandwidth: u32,
     /// Ejection (network→CPU) bandwidth in flits per cycle.
     pub ejection_bandwidth: u32,
-    /// Enable bandwidth-adaptive bidirectional links: the two directions of a
-    /// physical link share `2 × link_bandwidth` flits/cycle, re-arbitrated
-    /// every cycle from local demand.
-    pub bidirectional_links: bool,
     /// The flows the routing/VCA tables must cover.
     pub flows: Vec<FlowSpec>,
 }
@@ -75,7 +71,6 @@ impl NetworkConfig {
             injection_vc_capacity: 8,
             link_bandwidth: 1,
             ejection_bandwidth: 1,
-            bidirectional_links: false,
             flows: Vec::new(),
         }
     }
@@ -109,12 +104,6 @@ impl NetworkConfig {
     /// Builder-style setter for all-to-all flows over the geometry.
     pub fn with_all_to_all_flows(mut self) -> Self {
         self.flows = FlowSpec::all_to_all(&self.geometry);
-        self
-    }
-
-    /// Builder-style setter for bandwidth-adaptive bidirectional links.
-    pub fn with_bidirectional_links(mut self, enabled: bool) -> Self {
-        self.bidirectional_links = enabled;
         self
     }
 

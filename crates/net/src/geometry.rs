@@ -10,8 +10,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 /// A bidirectional connection between two nodes (one physical link, modeled as
-/// a pair of unidirectional channels unless bandwidth-adaptive links are
-/// enabled).
+/// a pair of unidirectional channels).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Connection {
     /// First endpoint.

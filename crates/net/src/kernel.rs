@@ -45,12 +45,11 @@
 //! candidate from the tile's own RNG) is reached through the same
 //! `idle & head_mask` sweep as table routing, and its probe is one of the
 //! phase-stable reads above. [`MeshKernel::compile`] returns `None` for
-//! bandwidth-adaptive bidirectional links (negative-edge demand
-//! publication), more than 64 VCs on one tile (one mask word), and egress
-//! channels pointing outside the compiled tile set (their pushes would
-//! escape the dirty tracking). [`Stepper`] — the only product caller of
-//! `compile` and the only place that chooses between the two enumerations —
-//! interprets instead.
+//! more than 64 VCs on one tile (one mask word) and egress channels pointing
+//! outside the compiled tile set (their pushes would escape the dirty
+//! tracking). [`Stepper`] — the only product caller of `compile` and the
+//! only place that chooses between the two enumerations — interprets
+//! instead.
 
 use crate::boundary::EgressChannel;
 use crate::ids::Cycle;
@@ -68,11 +67,10 @@ use std::time::{Duration, Instant};
 /// eligible and honours the `HORNET_KERNEL` environment variable (`off`
 /// disables, `on`/`force` insists). Explicit `Off`/`Force` always win over
 /// the environment, so programmatic selections are immune to it.
-/// Eligibility is structural (no bidirectional links, at most 64 VCs per
-/// tile) and independent of the routing and VC-allocation algorithms;
-/// `Force` still falls back to the interpreter when the configuration is
-/// ineligible — both paths are bit-identical, so the choice is purely about
-/// speed.
+/// Eligibility is structural (at most 64 VCs per tile) and independent of
+/// the routing and VC-allocation algorithms; `Force` still falls back to the
+/// interpreter when the configuration is ineligible — both paths are
+/// bit-identical, so the choice is purely about speed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelMode {
     /// Use the kernel when eligible; consult `HORNET_KERNEL`.
@@ -267,10 +265,10 @@ impl std::fmt::Debug for MeshKernel {
 
 impl MeshKernel {
     /// Lowers `nodes` into the kernel's masks, or returns `None` if the
-    /// configuration is structurally ineligible (bandwidth-adaptive links,
-    /// more than 64 VCs on one tile, or a local egress channel pointing
-    /// outside `nodes` — e.g. a direct router-level wiring the network
-    /// builder did not produce). The routing policy is not consulted.
+    /// configuration is structurally ineligible (more than 64 VCs on one
+    /// tile, or a local egress channel pointing outside `nodes` — e.g. a
+    /// direct router-level wiring the network builder did not produce). The
+    /// routing policy is not consulted.
     ///
     /// Compiling is cheap — O(total VCs) — and may be repeated freely, e.g.
     /// after a snapshot restore; all masks are derived from the routers'
@@ -303,9 +301,6 @@ impl MeshKernel {
             }
             max_egress = max_egress.max(r.egress.len());
             for e in &r.egress {
-                if e.bidir.is_some() {
-                    return None; // negative-edge demand publication
-                }
                 k.stride = k.stride.max(e.buffers.len());
             }
             k.scratch.fit(r);

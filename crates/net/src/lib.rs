@@ -18,7 +18,6 @@
 //!   drives both of its ends; see its ownership contract);
 //! * [`boundary`] — lock-free SPSC flit/credit mailboxes for links cut
 //!   between two shards of a partitioned parallel simulation;
-//! * [`link`] — bandwidth-adaptive bidirectional links;
 //! * [`bridge`] / [`agent`] — the packet-level interface between routers and
 //!   attached cores, injectors and memory controllers;
 //! * [`network`] — assembly plus a single-threaded reference simulator;
@@ -52,7 +51,6 @@ pub mod geometry;
 pub mod ideal;
 pub mod ids;
 pub mod kernel;
-pub mod link;
 pub mod network;
 pub mod payload;
 pub mod router;

@@ -1,8 +1,7 @@
 //! Network assembly and the single-threaded reference simulator.
 //!
 //! [`Network::new`] builds one router + bridge per node from a
-//! [`NetworkConfig`] and wires all inter-router buffers (and
-//! bandwidth-adaptive links when enabled). [`Network::run`] and
+//! [`NetworkConfig`] and wires all inter-router buffers. [`Network::run`] and
 //! [`Network::run_to_completion`] are the *reference* cycle loop: posedge,
 //! negedge, idle skipping, completion detection and deliberately nothing
 //! else (no telemetry, profiling or checkpoints), because every other backend
@@ -20,7 +19,6 @@ use crate::flit::{DeliveredPacket, Packet};
 use crate::geometry::Geometry;
 use crate::ids::{Cycle, NodeId, PacketId};
 use crate::kernel::{KernelMode, Stepper};
-use crate::link::BidirLink;
 use crate::payload::PayloadStore;
 use crate::router::{Router, RouterConfig};
 use crate::routing::build_routing;
@@ -405,11 +403,6 @@ impl Network {
             let b_to_a = routers[a.index()].ingress_buffers_from(b).to_vec();
             routers[a.index()].connect_egress(b, a_to_b);
             routers[b.index()].connect_egress(a, b_to_a);
-            if config.bidirectional_links {
-                let link = Arc::new(BidirLink::new(config.link_bandwidth));
-                routers[a.index()].attach_bidir_link(b, Arc::clone(&link), 0);
-                routers[b.index()].attach_bidir_link(a, link, 1);
-            }
         }
 
         let nodes = routers

@@ -67,7 +67,6 @@ use crate::boundary::EgressChannel;
 use crate::codec::{self, Dec, Enc};
 use crate::flit::Flit;
 use crate::ids::{Cycle, FlowId, NodeId, PacketId, VcId};
-use crate::link::BidirLink;
 use crate::routing::{NextHop, RoutingPolicy};
 use crate::stats::NetworkStats;
 use crate::vca::{DownstreamVc, VcaPolicy, VcaRequest};
@@ -141,8 +140,6 @@ pub(crate) struct EgressPort {
     pub(crate) downstream: NodeId,
     pub(crate) buffers: Vec<EgressChannel>,
     pub(crate) out_state: Vec<OutVcState>,
-    /// Bandwidth-adaptive link shared with the neighbour, if enabled.
-    pub(crate) bidir: Option<(Arc<BidirLink>, usize)>,
 }
 
 /// One flit movement: a candidate while switch arbitration considers it, a
@@ -305,7 +302,6 @@ impl Router {
                 downstream: nb,
                 buffers: Vec::new(),
                 out_state: Vec::new(),
-                bidir: None,
             })
             .collect();
         // Ejection port: flits leaving the network toward the local agent.
@@ -313,7 +309,6 @@ impl Router {
             downstream: node,
             buffers: Vec::new(),
             out_state: vec![OutVcState::default()],
-            bidir: None,
         });
 
         Self {
@@ -448,27 +443,6 @@ impl Router {
         &self.port_nodes[..self.ejection_port]
     }
 
-    /// True if a bandwidth-adaptive bidirectional link is attached toward
-    /// `to`. The sharded runtime uses this to detect cut links whose demand
-    /// arbitration needs stricter phase ordering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not a neighbour of this router.
-    pub fn has_bidir_toward(&self, to: NodeId) -> bool {
-        self.egress[self.egress_of(to)].bidir.is_some()
-    }
-
-    /// Attaches a bandwidth-adaptive bidirectional link toward `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `to` is not a neighbour of this router.
-    pub fn attach_bidir_link(&mut self, to: NodeId, link: Arc<BidirLink>, direction: usize) {
-        let idx = self.egress_of(to);
-        self.egress[idx].bidir = Some((link, direction));
-    }
-
     /// Immutable access to the per-router statistics.
     pub fn stats(&self) -> &NetworkStats {
         &self.stats
@@ -522,10 +496,7 @@ impl Router {
         if egress == self.ejection_port {
             return self.cfg.ejection_bandwidth;
         }
-        match &self.egress[egress].bidir {
-            Some((link, dir)) => link.bandwidth_for(*dir),
-            None => self.cfg.link_bandwidth,
-        }
+        self.cfg.link_bandwidth
     }
 
     /// Positive clock edge: absorb newly arrived flits, read every VC's head
@@ -838,7 +809,7 @@ impl Router {
     /// Negative clock edge: apply the staged flit movements — pop the granted
     /// flits from the ingress buffers, push them into the downstream buffers
     /// (or the local delivery queue), release VC allocations behind tail
-    /// flits, and publish link demand for bandwidth-adaptive links.
+    /// flits.
     pub fn negedge(&mut self, now: Cycle) {
         for i in 0..self.staged.len() {
             self.apply_move(self.staged[i], now);
@@ -848,19 +819,6 @@ impl Router {
             self.apply_drop(self.staged_drops[i], now);
         }
         self.staged_drops.clear();
-
-        // Publish demand on bandwidth-adaptive links for the next cycle.
-        for (e, port) in self.egress.iter().enumerate() {
-            if let Some((link, dir)) = &port.bidir {
-                let demand = (self.vc_state.iter().zip(&self.vcs))
-                    .filter(|(state, vc)| {
-                        matches!(state, VcState::Active { egress, .. } if *egress == e)
-                            && vc.occupancy() > 0
-                    })
-                    .count();
-                link.publish_demand(*dir, demand as u32);
-            }
-        }
     }
 
     /// Bookkeeping after a flit was popped from VC `b`: re-reads the cached

@@ -128,13 +128,6 @@ pub trait TransportPump {
     /// coalesce the cycles of a window into one write.
     fn pump(&mut self, cycle: Cycle, flush: bool) -> io::Result<()>;
 
-    /// Posedge phase publication and, where cut links carry
-    /// bandwidth-adaptive bidirectional links, the matching wait. Returns
-    /// `false` if the stop flag unwound the wait.
-    fn posedge_sync(&mut self, _cycle: Cycle, _stop: &AtomicBool) -> bool {
-        true
-    }
-
     /// Progress publication after a fast-forward jump to `target` (both
     /// clock edges are considered complete up to `target`).
     fn publish_jump(&mut self, target: Cycle) -> io::Result<()>;
@@ -273,8 +266,8 @@ pub struct DriverParams {
     /// Cycle-execution strategy: interpreter, compiled kernel, or
     /// auto-detection. The [`Stepper`] is built per run, after boundary
     /// wiring (so cut links are seen as boundary channels); both paths are
-    /// bit-identical and structurally ineligible configurations
-    /// (bidirectional links, >64 VCs per tile) silently interpret.
+    /// bit-identical and structurally ineligible configurations (>64 VCs per
+    /// tile) silently interpret.
     pub kernel: KernelMode,
 }
 
@@ -558,19 +551,6 @@ impl<T: TransportPump + ?Sized> CycleDriver<'_, '_, T> {
                     }
                 }
                 stepper.posedge(self.tiles, next);
-                // Bandwidth-adaptive links publish demand at the negative
-                // edge into a single shared slot; backends whose cut links
-                // carry them hold the negedge until the neighbors' posedges
-                // have read the previous value.
-                if p.profile {
-                    profile.compute_ns += lap(&mut mark);
-                }
-                if !self.transport.posedge_sync(next, self.stop) {
-                    break 'run;
-                }
-                if p.profile {
-                    profile.wait_ns += lap(&mut mark);
-                }
                 stepper.negedge(self.tiles, next);
                 for rx in self.inbound.iter_mut() {
                     rx.emit_credits(next);

@@ -121,9 +121,6 @@ pub struct RunOutcome {
 struct SyncShared {
     /// Per shard: last cycle whose negative edge completed.
     negedge_done: Vec<AtomicU64>,
-    /// Per shard: last cycle whose positive edge completed (consulted only
-    /// for cut links that carry bandwidth-adaptive bidirectional links).
-    posedge_done: Vec<AtomicU64>,
     /// Per shard: the credit-counting termination ledger.
     ledgers: Vec<ShardLedger>,
     /// Fast-forward jump target published by the detector (monotone; a worker
@@ -137,7 +134,6 @@ impl SyncShared {
     fn new(shards: usize, start: Cycle) -> Self {
         Self {
             negedge_done: (0..shards).map(|_| AtomicU64::new(start)).collect(),
-            posedge_done: (0..shards).map(|_| AtomicU64::new(start)).collect(),
             ledgers: (0..shards).map(|_| ShardLedger::new()).collect(),
             skip_to: AtomicU64::new(0),
             stop: AtomicBool::new(false),
@@ -174,31 +170,6 @@ struct JobResult {
     runtime_trace: TraceDump,
 }
 
-/// Spins until every listed shard's counter reaches `floor`, or the stop
-/// flag is raised (returns `false` in that case so callers can unwind).
-/// Spin-then-yield only: shard workers share one process and one scheduler,
-/// and the wait is typically a cycle's worth of work, so parking would cost
-/// more than it saves (the multi-process worker loop, whose peers are whole
-/// processes, escalates to sleeps instead).
-fn wait_floor(stop: &AtomicBool, counters: &[AtomicU64], shards: &[usize], floor: u64) -> bool {
-    for &n in shards {
-        let counter = &counters[n];
-        let mut spins = 0u32;
-        while counter.load(Ordering::Acquire) < floor {
-            if stop.load(Ordering::Acquire) {
-                return false;
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(128) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-    true
-}
-
 /// The thread backend's [`TransportPump`]: boundary rings are shared
 /// directly between the shard loops, so the data plane needs no pumping at
 /// all — only the per-shard progress atomics in [`SyncShared`].
@@ -206,9 +177,6 @@ struct ThreadPump<'a> {
     shard: usize,
     sync: &'a SyncShared,
     neighbors: &'a [usize],
-    /// Cut links carry bandwidth-adaptive bidirectional links, whose demand
-    /// arbitration needs posedge/negedge phase separation.
-    phase_wait: bool,
 }
 
 impl TransportPump for ThreadPump<'_> {
@@ -223,17 +191,7 @@ impl TransportPump for ThreadPump<'_> {
         Ok(())
     }
 
-    fn posedge_sync(&mut self, cycle: Cycle, stop: &AtomicBool) -> bool {
-        self.sync.posedge_done[self.shard].store(cycle, Ordering::Release);
-        if self.phase_wait {
-            wait_floor(stop, &self.sync.posedge_done, self.neighbors, cycle)
-        } else {
-            true
-        }
-    }
-
     fn publish_jump(&mut self, target: Cycle) -> std::io::Result<()> {
-        self.sync.posedge_done[self.shard].store(target, Ordering::Release);
         self.sync.negedge_done[self.shard].store(target, Ordering::Release);
         Ok(())
     }
@@ -280,7 +238,6 @@ fn run_shard(job: Job) -> JobResult {
                 outbound,
                 mut inbound,
                 neighbors,
-                phase_wait,
             },
         sync,
         params: p,
@@ -291,7 +248,6 @@ fn run_shard(job: Job) -> JobResult {
         shard,
         sync: &sync,
         neighbors: &neighbors,
-        phase_wait,
     };
     let mut samples: Vec<TelemetrySample> = Vec::new();
     let metrics = p.telemetry_every.map(|_| MetricsRegistry::default());

@@ -22,7 +22,7 @@
 //! emissions, so nothing is lost and nothing is duplicated.
 //!
 //! Our *own* staged emissions never need filtering — a shard cannot race
-//! ahead of itself — so the outbound flit ring and the receiver-side owed
+//! ahead of itself — so the outbound flit ring and the receiver-side staged
 //! credits are captured whole.
 
 use crate::driver::{CheckpointSink, PayloadChannel};
@@ -94,9 +94,9 @@ pub fn snapshot_shard(
 
     // Receiver halves: in-flight flits filtered to visible_at ≤ cycle+1
     // (later stamps are raced-ahead peer emissions), plus the credits owed
-    // back to the sender — computed-but-unemitted ones and any still staged
-    // for the wire. The restore folds `owed` into the receiver's pop
-    // baseline so the next emission cycle re-issues them.
+    // back to the sender: those still staged for the wire (every computed
+    // credit is emitted at once). The restore folds `owed` into the
+    // receiver's pop baseline so the next emission cycle re-issues them.
     e.u32(inbound.len() as u32);
     for rx in inbound {
         let flits: Vec<Flit> = rx
@@ -115,7 +115,7 @@ pub fn snapshot_shard(
         for f in &flits {
             codec::encode_flit(&mut e, f);
         }
-        e.u64(rx.owed_credits() + staged);
+        e.u64(staged);
     }
 
     // Parked packet payloads: in a distributed shard the payload store is

@@ -42,9 +42,6 @@ pub struct ShardParts {
     pub inbound: Vec<BoundaryRx>,
     /// One entry per neighboring shard, in ascending shard order.
     pub neighbors: Vec<NeighborWiring>,
-    /// A cut link of this shard carries a bandwidth-adaptive bidirectional
-    /// link, whose demand arbitration needs posedge/negedge phase separation.
-    pub phase_wait: bool,
 }
 
 /// The links `partition` cuts, in canonical order (node-index order, each
@@ -86,7 +83,6 @@ pub fn wire_shards(mut nodes: Vec<NetworkNode>, partition: &Partition) -> Vec<Sh
             outbound: Vec::new(),
             inbound: Vec::new(),
             neighbors: Vec::new(),
-            phase_wait: false,
         })
         .collect();
     for (a, b) in cut_links(&nodes, partition) {
@@ -111,10 +107,6 @@ pub fn wire_shards(mut nodes: Vec<NetworkNode>, partition: &Partition) -> Vec<Sh
                     .map(|l| EgressChannel::Boundary(Arc::clone(l)))
                     .collect(),
             );
-            if sender.has_bidir_toward(dst) {
-                parts[s_src].phase_wait = true;
-                parts[s_dst].phase_wait = true;
-            }
             parts[s_src].outbound.extend(links.iter().cloned());
             neighbor(&mut parts[s_src], s_dst)
                 .out_links

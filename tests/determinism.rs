@@ -13,9 +13,21 @@ fn run(
     routing: RoutingKind,
     seed: u64,
 ) -> hornet::net::NetworkStats {
+    run_wide(threads, sync, routing, seed, 1)
+}
+
+/// [`run`] with `link_bandwidth` flits per cycle on every link.
+fn run_wide(
+    threads: usize,
+    sync: SyncMode,
+    routing: RoutingKind,
+    seed: u64,
+    link_bandwidth: u32,
+) -> hornet::net::NetworkStats {
     SimulationBuilder::new()
         .geometry(Geometry::mesh2d(4, 4))
         .routing(routing)
+        .link_bandwidth(link_bandwidth)
         .traffic(TrafficKind::pattern(SyntheticPattern::UniformRandom, 0.03))
         .warmup_cycles(200)
         .measured_cycles(2_000)
@@ -29,26 +41,32 @@ fn run(
         .network
 }
 
+/// Bit identity at one flit per link per cycle and at two: a wide link
+/// moves more than one flit per cycle across a cut.
 #[test]
 fn parallel_cycle_accurate_is_bit_identical_across_thread_counts() {
-    for routing in [
+    for (routing, bw) in [
         RoutingKind::Xy,
         RoutingKind::O1Turn,
         RoutingKind::AdaptiveMinimal,
-    ] {
-        let baseline = run(1, SyncMode::CycleAccurate, routing, 77);
+    ]
+    .into_iter()
+    .flat_map(|routing| [(routing, 1), (routing, 2)])
+    {
+        let baseline = run_wide(1, SyncMode::CycleAccurate, routing, 77, bw);
         for threads in [2usize, 3, 4, 8] {
-            let parallel = run(threads, SyncMode::CycleAccurate, routing, 77);
+            let parallel = run_wide(threads, SyncMode::CycleAccurate, routing, 77, bw);
+            let what = format!("{routing:?}, {bw} flits/cycle, {threads} threads");
             assert_eq!(
                 baseline.delivered_packets, parallel.delivered_packets,
-                "{routing:?} {threads} threads"
+                "{what}"
             );
             assert_eq!(
                 baseline.total_packet_latency, parallel.total_packet_latency,
-                "{routing:?} {threads} threads"
+                "{what}"
             );
-            assert_eq!(baseline.total_hops, parallel.total_hops);
-            assert_eq!(baseline.injected_flits, parallel.injected_flits);
+            assert_eq!(baseline.total_hops, parallel.total_hops, "{what}");
+            assert_eq!(baseline.injected_flits, parallel.injected_flits, "{what}");
         }
     }
 }
