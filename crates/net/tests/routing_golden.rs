@@ -1,11 +1,14 @@
-//! Pins the exact routing tables every table-driven scheme builds.
+//! Pins the exact routes every oblivious and static scheme returns.
 //!
-//! For each node, every `(prev, flow)` entry is read back in key order (prev,
-//! then flow) through `RoutingTable::lookup`, and its options are hashed in the
-//! order the table returns them as `(next_node, next_flow, weight bits)`. The
-//! router draws among those options by cumulative weight, so a change of
-//! option order or of a single weight bit changes which hop a packet takes;
-//! the digests below make any such change visible.
+//! For each node, every `(prev, flow)` key with `prev` a neighbour or the node
+//! itself and `flow` a declared flow or its auxiliary-phase rename is read
+//! back in key order (prev, then flow) through
+//! `RoutingPolicy::candidates_into`, and the options of every non-empty answer
+//! are hashed in the order the policy returns them as `(next_node, next_flow,
+//! weight bits)`. The router draws among those options by cumulative weight,
+//! so a change of option order or of a single weight bit changes which hop a
+//! packet takes; the digests below make any such change visible. Where the
+//! policy is a frozen table, the keys found must also be every key it holds.
 
 use hornet_net::geometry::Geometry;
 use hornet_net::ids::{FlowId, NodeId};
@@ -33,8 +36,8 @@ impl Fnv {
     }
 }
 
-/// Digest of every table of `kind` on a `side`×`side` mesh with all-to-all
-/// flows, plus the number of entries hashed.
+/// Digest of every route of `kind` on a `side`×`side` mesh with all-to-all
+/// flows, plus the number of non-empty `(node, prev, flow)` keys hashed.
 fn digest(kind: RoutingKind, side: usize) -> (u64, usize) {
     let g = Geometry::mesh2d(side, side);
     let specs = FlowSpec::all_to_all(&g);
@@ -46,19 +49,20 @@ fn digest(kind: RoutingKind, side: usize) -> (u64, usize) {
         .flat_map(|s| [s.flow, s.flow.with_phase(AUX_PHASE)])
         .collect();
     flows.sort();
+    let n = g.node_count();
     let mut h = Fnv::new();
     let mut entries = 0;
+    let mut options = Vec::new();
     for node in g.nodes() {
-        let RoutingPolicy::Table(table) = &policies[node.index()] else {
-            panic!("{kind:?} is not table-driven");
-        };
+        let policy = &policies[node.index()];
+        assert!(!policy.is_adaptive(), "{kind:?} is adaptive");
         let mut prevs: Vec<NodeId> = g.neighbors(node).to_vec();
         prevs.push(node);
         prevs.sort();
         let mut found = 0;
         for &prev in &prevs {
             for &flow in &flows {
-                let options = table.lookup(prev, flow);
+                policy.candidates_into(node, prev, flow, flow.destination(n), &mut options);
                 if options.is_empty() {
                     continue;
                 }
@@ -67,18 +71,20 @@ fn digest(kind: RoutingKind, side: usize) -> (u64, usize) {
                 h.u32(prev.raw());
                 h.u64(flow.raw());
                 h.u32(options.len() as u32);
-                for o in options {
+                for o in &options {
                     h.u32(o.next_node.raw());
                     h.u64(o.next_flow.raw());
                     h.u64(o.weight.to_bits());
                 }
             }
         }
-        assert_eq!(
-            found,
-            table.len(),
-            "{kind:?} node {node}: an entry is keyed outside (neighbour or self, flow)"
-        );
+        if let RoutingPolicy::Table(table) = policy {
+            assert_eq!(
+                found,
+                table.len(),
+                "{kind:?} node {node}: an entry is keyed outside (neighbour or self, flow)"
+            );
+        }
         entries += found;
     }
     (h.0, entries)
