@@ -1,10 +1,16 @@
 //! Dimension-ordered routing (DOR): XY and YX, on meshes, tori, rings and
 //! multi-layer meshes. For custom geometries without coordinates the builder
 //! falls back to breadth-first shortest paths.
+//!
+//! Where coordinates define the route, [`DorRoutes`] computes each hop (for
+//! XY, YX and O1TURN) with the same one step [`dor_path_into`] takes;
+//! [`build_dor_tables`] serves the other geometries and is the oracle the
+//! computed routes are tested against.
 
-use crate::geometry::{Geometry, Topology};
+use crate::geometry::{Geometry, Topology, VerticalLinks};
 use crate::ids::{FlowId, NodeId};
-use crate::routing::table::{RoutingTable, TableBuilder};
+use crate::routing::multiphase::AUX_PHASE;
+use crate::routing::table::{NextHop, RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 
 /// Which dimension is resolved first.
@@ -14,6 +20,17 @@ pub enum DimensionOrder {
     XFirst,
     /// Route Y first, then X, then layer.
     YFirst,
+}
+
+impl DimensionOrder {
+    /// The dimensions (0 = x, 1 = y, 2 = layer) in the order a route resolves
+    /// them.
+    fn dims(self) -> [usize; 3] {
+        match self {
+            DimensionOrder::XFirst => [0, 1, 2],
+            DimensionOrder::YFirst => [1, 0, 2],
+        }
+    }
 }
 
 /// Steps one coordinate toward a target, honouring torus wraparound when the
@@ -34,6 +51,107 @@ fn step_toward(cur: usize, dst: usize, extent: usize, wraps: bool) -> usize {
         cur + 1
     } else {
         cur - 1
+    }
+}
+
+/// The coordinate system of a geometry that has one: per-dimension extents
+/// (x, y, layer) and whether x and y wrap around (tori and rings; layers
+/// never wrap). Node `(x, y, l)` is number `(l·height + y)·width + x`, which
+/// is how every coordinate topology numbers its nodes.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+struct Grid {
+    extent: [usize; 3],
+    wraps: bool,
+}
+
+impl Grid {
+    /// The grid of `geometry`, or `None` for a custom geometry.
+    fn of(geometry: &Geometry) -> Option<Self> {
+        let layers = match geometry.topology() {
+            Topology::Custom { .. } => return None,
+            Topology::Mesh3D { layers, .. } => *layers,
+            _ => 1,
+        };
+        Some(Self {
+            extent: [geometry.width()?, geometry.height()?, layers],
+            wraps: matches!(
+                geometry.topology(),
+                Topology::Torus2D { .. } | Topology::Ring { .. }
+            ),
+        })
+    }
+
+    fn wraps(&self, dim: usize) -> bool {
+        self.wraps && dim < 2
+    }
+
+    fn coords(&self, node: NodeId) -> [usize; 3] {
+        let [w, h, _] = self.extent;
+        let i = node.index();
+        [i % w, i / w % h, i / (w * h)]
+    }
+
+    fn node_at(&self, c: [usize; 3]) -> NodeId {
+        let [w, h, _] = self.extent;
+        NodeId::from((c[2] * h + c[1]) * w + c[0])
+    }
+
+    /// The one dimension-ordered step from `cur` toward `dst`: the first
+    /// dimension in `order` where they differ moves one hop (the short way
+    /// round where it wraps, forward on a tie). `cur` itself if they are equal.
+    fn step(&self, cur: [usize; 3], dst: [usize; 3], order: DimensionOrder) -> [usize; 3] {
+        let mut next = cur;
+        if let Some(d) = order.dims().into_iter().find(|&d| cur[d] != dst[d]) {
+            next[d] = step_toward(cur[d], dst[d], self.extent[d], self.wraps(d));
+        }
+        next
+    }
+
+    /// If coordinate `at` of dimension `dim` lies on the walk that
+    /// [`step`](Self::step) takes from `from` toward `to`, other than at
+    /// `from` itself, the coordinate the walk visited just before it.
+    fn back_along(&self, dim: usize, from: usize, at: usize, to: usize) -> Option<usize> {
+        let e = self.extent[dim];
+        if self.wraps(dim) {
+            // Hops from `a` up to `b`, wrapping.
+            let up = |a: usize, b: usize| (b + e - a) % e;
+            let ahead = up(from, to);
+            if ahead <= e - ahead {
+                (0 < up(from, at) && up(from, at) <= ahead).then(|| (at + e - 1) % e)
+            } else {
+                (0 < up(at, from) && up(at, from) <= e - ahead).then(|| (at + 1) % e)
+            }
+        } else if to > from {
+            (from < at && at <= to).then(|| at - 1)
+        } else {
+            (to <= at && at < from).then(|| at + 1)
+        }
+    }
+
+    /// The node a packet on the `order` route from `src` to `dst` visits
+    /// just before `at`: `at` itself if `at` is the source, `None` if the
+    /// route does not pass `at`.
+    fn predecessor(
+        &self,
+        order: DimensionOrder,
+        at: [usize; 3],
+        src: [usize; 3],
+        dst: [usize; 3],
+    ) -> Option<[usize; 3]> {
+        let dims = order.dims();
+        // The route resolves dimensions one after another, so `at` is on the
+        // stretch along the last dimension in which it has left the source,
+        // every earlier dimension already at the destination's value.
+        let Some(k) = (0..3).rev().find(|&k| at[dims[k]] != src[dims[k]]) else {
+            return Some(at);
+        };
+        if dims[..k].iter().any(|&d| at[d] != dst[d]) {
+            return None;
+        }
+        let d = dims[k];
+        let mut prev = at;
+        prev[d] = self.back_along(d, src[d], at[d], dst[d])?;
+        Some(prev)
     }
 }
 
@@ -75,60 +193,22 @@ pub fn dor_path_into(
     if src == dst {
         return;
     }
-    match geometry.topology() {
-        Topology::Custom { .. } => *path = bfs_path(geometry, src, dst),
-        topo => {
-            let wraps = matches!(topo, Topology::Torus2D { .. } | Topology::Ring { .. });
-            let width = geometry.width().expect("coordinate topology");
-            let height = geometry.height().expect("coordinate topology");
-            let layers = match topo {
-                Topology::Mesh3D { layers, .. } => *layers,
-                _ => 1,
-            };
-            let (mut x, mut y, mut l) = geometry.coords(src).expect("coordinate topology");
-            let (dx, dy, dl) = geometry.coords(dst).expect("coordinate topology");
-            let mut guard = 0usize;
-            let max_steps = width + height + layers + 4;
-            while (x, y, l) != (dx, dy, dl) {
-                guard += 1;
-                assert!(
-                    guard <= max_steps * 2,
-                    "dimension-ordered routing failed to converge"
-                );
-                match order {
-                    DimensionOrder::XFirst => {
-                        if x != dx {
-                            x = step_toward(x, dx, width, wraps);
-                        } else if y != dy {
-                            y = step_toward(y, dy, height, wraps);
-                        } else {
-                            l = step_toward(l, dl, layers, false);
-                        }
-                    }
-                    DimensionOrder::YFirst => {
-                        if y != dy {
-                            y = step_toward(y, dy, height, wraps);
-                        } else if x != dx {
-                            x = step_toward(x, dx, width, wraps);
-                        } else {
-                            l = step_toward(l, dl, layers, false);
-                        }
-                    }
-                }
-                let next = geometry
-                    .node_at(x, y, l)
-                    .expect("dimension-ordered step stayed inside the geometry");
-                // Multi-layer meshes with sparse vertical links may not have a
-                // direct link for the layer step from an arbitrary (x, y);
-                // route within the layer to a pillar first by falling back to
-                // BFS in that rare case.
-                if !geometry.connected(*path.last().unwrap(), next) {
-                    *path = bfs_path(geometry, src, dst);
-                    return;
-                }
-                path.push(next);
-            }
+    let Some(grid) = Grid::of(geometry) else {
+        *path = bfs_path(geometry, src, dst);
+        return;
+    };
+    let (mut cur, to) = (grid.coords(src), grid.coords(dst));
+    while cur != to {
+        cur = grid.step(cur, to, order);
+        let next = grid.node_at(cur);
+        // Multi-layer meshes with sparse vertical links may not have a direct
+        // link for the layer step from an arbitrary (x, y); route within the
+        // layer to a pillar first by falling back to BFS in that case.
+        if !geometry.connected(*path.last().unwrap(), next) {
+            *path = bfs_path(geometry, src, dst);
+            return;
         }
+        path.push(next);
     }
 }
 
@@ -203,6 +283,9 @@ pub fn install_path_with_flows(
 }
 
 /// Builds dimension-ordered routing tables for the given flows.
+///
+/// [`build_routing`](crate::routing::build_routing) uses [`DorRoutes`]
+/// instead wherever coordinates define the route.
 pub fn build_dor_tables(
     geometry: &Geometry,
     flows: &[FlowSpec],
@@ -215,6 +298,162 @@ pub fn build_dor_tables(
         install_path(&mut tables, &path, spec.flow, 1.0);
     }
     tables.into_iter().map(TableBuilder::freeze).collect()
+}
+
+/// Which dimension-ordered scheme a [`DorRoutes`] computes.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum DorScheme {
+    /// Every flow takes the route of one dimension order (XY or YX).
+    Single(DimensionOrder),
+    /// O1TURN: at its source a flow takes the XY or the YX route with equal
+    /// weight; the YX subroute carries the flow renamed to [`AUX_PHASE`].
+    O1Turn,
+}
+
+/// Dimension-ordered routes computed from node coordinates: the function
+/// that a [`build_dor_tables`] or
+/// [`build_o1turn_tables`](crate::routing::multiphase::build_o1turn_tables)
+/// table caches.
+///
+/// Every `(node, prev, flow)` key gets exactly the options the frozen table
+/// holds, in the same order and with the same weight bits, and nothing where
+/// the table has no entry: an undeclared flow, or a `prev` that is not the
+/// flow's predecessor on its route. One instance serves every node; its state
+/// is the nodes' coordinates and one bit per pair flow (`src · N + dst`)
+/// marking the declared ones, N² bits in place of an entry per flow per hop.
+#[derive(Clone, Debug)]
+pub struct DorRoutes {
+    scheme: DorScheme,
+    grid: Grid,
+    coords: Vec<[u32; 3]>,
+    declared: Vec<u64>,
+}
+
+impl DorRoutes {
+    /// Computed `scheme` routes for `flows`, or `None` where a route is not a
+    /// function of coordinates alone: custom geometries (breadth-first paths)
+    /// and multi-layer meshes whose sparse vertical links send some routes
+    /// through a breadth-first detour.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a flow's identifier is not its pair's canonical one
+    /// ([`FlowSpec::pair`]): routes read source and destination from it.
+    pub fn new(geometry: &Geometry, flows: &[FlowSpec], scheme: DorScheme) -> Option<Self> {
+        if let Topology::Mesh3D { vertical, .. } = geometry.topology() {
+            if *vertical != VerticalLinks::XCube {
+                return None;
+            }
+        }
+        let grid = Grid::of(geometry)?;
+        let n = geometry.node_count();
+        let mut declared = vec![0u64; (n * n).div_ceil(64)];
+        for spec in flows {
+            assert_eq!(
+                spec.flow,
+                FlowId::for_pair(spec.src, spec.dst, n),
+                "flow {} → {} does not carry its pair's identifier",
+                spec.src,
+                spec.dst
+            );
+            let bit = spec.flow.base() as usize;
+            declared[bit / 64] |= 1 << (bit % 64);
+        }
+        let coords = geometry
+            .nodes()
+            .map(|v| grid.coords(v).map(|c| c as u32))
+            .collect();
+        Some(Self {
+            scheme,
+            grid,
+            coords,
+            declared,
+        })
+    }
+
+    /// Appends to `out` the options for a packet of flow `flow` that arrived
+    /// at `node` from `prev` (`prev == node` for local injection).
+    pub fn candidates_into(
+        &self,
+        node: NodeId,
+        prev: NodeId,
+        flow: FlowId,
+        out: &mut Vec<NextHop>,
+    ) {
+        let n = self.coords.len() as u64;
+        let base = flow.base();
+        if base >= n * n || self.declared[(base / 64) as usize] & 1 << (base % 64) == 0 {
+            return;
+        }
+        let (src, dst) = ((base / n) as usize, (base % n) as usize);
+        let ends = (self.at(src), self.at(dst));
+        // The XY and YX routes differ exactly when both x and y change.
+        let turns = ends.0[0] != ends.1[0] && ends.0[1] != ends.1[1];
+        match (self.scheme, flow.phase()) {
+            (DorScheme::Single(order), 0) => out.extend(self.follow(order, node, prev, flow, ends)),
+            (DorScheme::O1Turn, 0) if turns && node.index() == src && prev == node => {
+                let here = ends.0;
+                for (order, next_flow) in [
+                    (DimensionOrder::XFirst, flow),
+                    (DimensionOrder::YFirst, flow.with_phase(AUX_PHASE)),
+                ] {
+                    out.push(NextHop {
+                        next_node: self.grid.node_at(self.grid.step(here, ends.1, order)),
+                        next_flow,
+                        weight: 0.5,
+                    });
+                }
+            }
+            (DorScheme::O1Turn, 0) => {
+                out.extend(self.follow(DimensionOrder::XFirst, node, prev, flow, ends))
+            }
+            (DorScheme::O1Turn, AUX_PHASE) if turns && node.index() != src => {
+                out.extend(self.follow(DimensionOrder::YFirst, node, prev, flow, ends))
+            }
+            _ => {}
+        }
+    }
+
+    /// The one option at `node` of the `order` route between `ends`, if
+    /// `prev` is the node that route visits just before `node`.
+    fn follow(
+        &self,
+        order: DimensionOrder,
+        node: NodeId,
+        prev: NodeId,
+        flow: FlowId,
+        (src, dst): ([usize; 3], [usize; 3]),
+    ) -> Option<NextHop> {
+        let here = self.at(node.index());
+        let before = self.grid.predecessor(order, here, src, dst)?;
+        if self.grid.node_at(before) != prev {
+            return None;
+        }
+        Some(if here == dst {
+            // Deliver locally, restoring the base flow.
+            NextHop {
+                next_node: node,
+                next_flow: flow.with_phase(0),
+                weight: 1.0,
+            }
+        } else {
+            NextHop {
+                next_node: self.grid.node_at(self.grid.step(here, dst, order)),
+                next_flow: flow,
+                weight: 1.0,
+            }
+        })
+    }
+
+    fn at(&self, node: usize) -> [usize; 3] {
+        self.coords[node].map(|c| c as usize)
+    }
+
+    /// Bytes of heap memory the routes own (shared by every node).
+    pub fn heap_bytes(&self) -> usize {
+        self.coords.capacity() * std::mem::size_of::<[u32; 3]>()
+            + self.declared.capacity() * std::mem::size_of::<u64>()
+    }
 }
 
 #[cfg(test)]
@@ -298,6 +537,123 @@ mod tests {
         let dst_entry = tables[2].lookup(n(5), flow.flow);
         assert_eq!(dst_entry.len(), 1);
         assert_eq!(dst_entry[0].next_node, n(2));
+    }
+
+    /// Pair flows `i → t(i)` where `t` maps `(x, y, l)` to `(y, x, l)` where
+    /// that is a node and `i` to `N − 1 − i` otherwise; self pairs are left
+    /// out.
+    fn transpose(g: &Geometry) -> Vec<FlowSpec> {
+        let n = g.node_count();
+        g.nodes()
+            .filter_map(|s| {
+                let (x, y, l) = g.coords(s).unwrap();
+                let d = g
+                    .node_at(y, x, l)
+                    .unwrap_or(NodeId::from(n - 1 - s.index()));
+                (s != d).then(|| FlowSpec::pair(s, d, n))
+            })
+            .collect()
+    }
+
+    /// Every `(node, prev, flow)` key, with `prev` a neighbour or the node
+    /// itself and `flow` any pair flow or its auxiliary-phase rename, gets
+    /// from the computed routes exactly the options the frozen table holds:
+    /// same order, same weight bits, and none where it has no entry.
+    fn assert_computed_equals_tables(g: &Geometry, flows: &[FlowSpec]) {
+        use crate::routing::multiphase::build_o1turn_tables;
+        use DimensionOrder::{XFirst, YFirst};
+        let bits = |hops: &[NextHop]| -> Vec<(NodeId, FlowId, u64)> {
+            hops.iter()
+                .map(|h| (h.next_node, h.next_flow, h.weight.to_bits()))
+                .collect()
+        };
+        let n = g.node_count();
+        for (scheme, tables) in [
+            (
+                DorScheme::Single(XFirst),
+                build_dor_tables(g, flows, XFirst),
+            ),
+            (
+                DorScheme::Single(YFirst),
+                build_dor_tables(g, flows, YFirst),
+            ),
+            (DorScheme::O1Turn, build_o1turn_tables(g, flows)),
+        ] {
+            let routes = DorRoutes::new(g, flows, scheme).expect("a coordinate geometry");
+            let (mut out, mut answered) = (Vec::new(), 0);
+            for node in g.nodes() {
+                let mut prevs = g.neighbors(node).to_vec();
+                prevs.push(node);
+                for prev in prevs {
+                    for base in 0..(n * n) as u64 {
+                        let flow = FlowId::new(base);
+                        for flow in [flow, flow.with_phase(AUX_PHASE)] {
+                            out.clear();
+                            routes.candidates_into(node, prev, flow, &mut out);
+                            let want = tables[node.index()].lookup(prev, flow);
+                            assert_eq!(
+                                bits(&out),
+                                bits(want),
+                                "{:?} {scheme:?} at {node} from {prev}, {flow:?}",
+                                g.topology()
+                            );
+                            answered += usize::from(!out.is_empty());
+                        }
+                    }
+                }
+            }
+            let entries: usize = tables.iter().map(RoutingTable::len).sum();
+            assert_eq!(answered, entries, "{:?} {scheme:?}", g.topology());
+        }
+    }
+
+    fn assert_computed_equals_tables_for_both_flow_sets(geometries: &[Geometry]) {
+        for g in geometries {
+            assert_computed_equals_tables(g, &FlowSpec::all_to_all(g));
+            assert_computed_equals_tables(g, &transpose(g));
+        }
+    }
+
+    #[test]
+    fn computed_routes_equal_the_frozen_tables_on_meshes() {
+        assert_computed_equals_tables_for_both_flow_sets(&[
+            Geometry::mesh2d(4, 4),
+            Geometry::mesh2d(8, 8),
+            Geometry::mesh2d(5, 3),
+        ]);
+    }
+
+    #[test]
+    fn computed_routes_equal_the_frozen_tables_on_tori_rings_and_3d_meshes() {
+        use crate::geometry::VerticalLinks;
+        // Tori with even and odd extents: half-way wrap ties go forward.
+        assert_computed_equals_tables_for_both_flow_sets(&[
+            Geometry::torus2d(4, 4),
+            Geometry::torus2d(5, 5),
+            Geometry::ring(7),
+            Geometry::ring(6),
+            Geometry::line(5),
+            Geometry::mesh3d(3, 2, 3, VerticalLinks::XCube),
+        ]);
+    }
+
+    #[test]
+    fn routes_without_a_coordinate_function_are_not_computed() {
+        use crate::geometry::{Connection, VerticalLinks};
+        let scheme = DorScheme::Single(DimensionOrder::XFirst);
+        let ring = Geometry::custom(
+            3,
+            vec![
+                Connection::new(n(0), n(1)),
+                Connection::new(n(1), n(2)),
+                Connection::new(n(2), n(0)),
+            ],
+        );
+        assert!(DorRoutes::new(&ring, &FlowSpec::all_to_all(&ring), scheme).is_none());
+        for vertical in [VerticalLinks::X1, VerticalLinks::X1Y1] {
+            let g = Geometry::mesh3d(3, 3, 2, vertical);
+            assert!(DorRoutes::new(&g, &FlowSpec::all_to_all(&g), scheme).is_none());
+        }
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Routing: table-driven oblivious/static schemes and adaptive routing.
+//! Routing: oblivious and static schemes as weighted next-hop sets, and
+//! adaptive routing.
 //!
 //! HORNET routes packets with per-node routing tables addressed by
 //! `⟨previous node, flow⟩`; each entry is a set of weighted next-hop results
@@ -6,8 +7,19 @@
 //! options one is chosen at random with probability proportional to its
 //! weight, and the packet's flow identifier is renamed to `next flow` — this
 //! single mechanism expresses DOR (XY/YX), O1TURN, Valiant, ROMM, PROM and
-//! application-aware static routing. Adaptive routing bypasses the tables and
-//! selects among minimal next hops based on downstream congestion.
+//! application-aware static routing.
+//!
+//! A table is a cache of a function. Where that function is a few compares
+//! on coordinates — XY, YX and O1TURN on lines, rings, meshes, tori and fully
+//! connected multi-layer meshes — [`RoutingPolicy::Dor`] computes each
+//! answer instead ([`DorRoutes`]), bit for bit what the table would hold,
+//! from state that grows as one bit per pair flow rather than one entry per
+//! flow per hop. Valiant, ROMM, PROM and static load-balanced routing keep
+//! frozen [`RoutingTable`]s: their weights come from merging routes over
+//! intermediate nodes or from global analysis. So do XY, YX and O1TURN on
+//! custom geometries and on multi-layer meshes with sparse vertical links,
+//! whose routes detour by breadth-first search. Adaptive routing bypasses
+//! both and selects among minimal next hops based on downstream congestion.
 
 pub mod adaptive;
 pub mod dor;
@@ -17,9 +29,10 @@ pub mod staticlb;
 pub mod table;
 
 pub use adaptive::DistanceMatrix;
+pub use dor::{DorRoutes, DorScheme};
 pub use table::{NextHop, RoutingTable, TableBuilder};
 
-use crate::geometry::Geometry;
+use crate::geometry::{Geometry, Topology};
 use crate::ids::{FlowId, NodeId};
 use std::sync::Arc;
 
@@ -123,6 +136,8 @@ impl std::fmt::Display for RoutingKind {
 pub enum RoutingPolicy {
     /// Table-driven (oblivious or static) routing.
     Table(Arc<RoutingTable>),
+    /// Dimension-ordered routing (XY, YX, O1TURN) computed from coordinates.
+    Dor(Arc<DorRoutes>),
     /// Minimal adaptive routing over a shared distance matrix.
     AdaptiveMinimal(Arc<DistanceMatrix>),
 }
@@ -161,6 +176,7 @@ impl RoutingPolicy {
         out.clear();
         match self {
             RoutingPolicy::Table(table) => out.extend_from_slice(table.lookup(prev, flow)),
+            RoutingPolicy::Dor(routes) => routes.candidates_into(node, prev, flow, out),
             RoutingPolicy::AdaptiveMinimal(dist) => {
                 if node == dst {
                     out.push(NextHop {
@@ -192,21 +208,48 @@ impl RoutingPolicy {
 
 /// Builds one routing policy per node for the requested scheme.
 ///
-/// `flows` must list every flow the traffic will use; table-driven schemes
-/// only install entries for those flows (exactly like HORNET's configuration
-/// files do).
+/// `flows` must list every flow the traffic will use; oblivious and static
+/// schemes only route those flows (exactly like HORNET's configuration files
+/// do), whether from tables or computed. `(kind, geometry)` alone picks the
+/// representation: XY, YX and O1TURN are computed ([`RoutingPolicy::Dor`])
+/// on every geometry whose dimension-ordered routes follow coordinates —
+/// lines, rings, 2-D meshes and tori, `XCube` multi-layer meshes — and
+/// tabled elsewhere; PROM is XY off 2-D meshes; every other oblivious or
+/// static scheme builds frozen tables.
 ///
 /// # Panics
 ///
-/// Panics if a table-driven scheme is requested for a geometry without
-/// coordinates (custom geometries support `Xy` = BFS shortest path,
-/// `StaticLoadBalanced` and `AdaptiveMinimal` only).
+/// Panics if a tabled scheme gets a flow whose destination is unreachable
+/// from its source (on a custom geometry, where routes are breadth-first
+/// paths), or a computed one a flow whose identifier is not its pair's
+/// canonical one ([`FlowSpec::pair`]).
 pub fn build_routing(
     kind: RoutingKind,
     geometry: &Geometry,
     flows: &[FlowSpec],
 ) -> Vec<RoutingPolicy> {
+    let n = geometry.node_count();
+    let kind = match kind {
+        // PROM is defined on 2-D meshes; elsewhere its one minimal path is XY.
+        RoutingKind::Prom if !matches!(geometry.topology(), Topology::Mesh2D { .. }) => {
+            RoutingKind::Xy
+        }
+        kind => kind,
+    };
+    let scheme = match kind {
+        RoutingKind::Xy => Some(DorScheme::Single(dor::DimensionOrder::XFirst)),
+        RoutingKind::Yx => Some(DorScheme::Single(dor::DimensionOrder::YFirst)),
+        RoutingKind::O1Turn => Some(DorScheme::O1Turn),
+        _ => None,
+    };
+    if let Some(routes) = scheme.and_then(|s| DorRoutes::new(geometry, flows, s)) {
+        let routes = Arc::new(routes);
+        return (0..n)
+            .map(|_| RoutingPolicy::Dor(Arc::clone(&routes)))
+            .collect();
+    }
     let tables = match kind {
+        // No coordinate route: custom geometries and sparse multi-layer meshes.
         RoutingKind::Xy => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::XFirst),
         RoutingKind::Yx => dor::build_dor_tables(geometry, flows, dor::DimensionOrder::YFirst),
         RoutingKind::O1Turn => multiphase::build_o1turn_tables(geometry, flows),
@@ -216,7 +259,7 @@ pub fn build_routing(
         RoutingKind::StaticLoadBalanced => staticlb::build_static_tables(geometry, flows),
         RoutingKind::AdaptiveMinimal => {
             let dist = Arc::new(DistanceMatrix::new(geometry));
-            return (0..geometry.node_count())
+            return (0..n)
                 .map(|_| RoutingPolicy::AdaptiveMinimal(Arc::clone(&dist)))
                 .collect();
         }
@@ -227,7 +270,7 @@ pub fn build_routing(
         .collect()
 }
 
-/// Follows a table-driven route from `src` to `dst`, always taking the
+/// Follows an oblivious or static route from `src` to `dst`, always taking the
 /// highest-weight option, and returns the node sequence. Used by tests and by
 /// the congestion-oblivious (ideal) network model to compute hop counts.
 pub fn trace_route(
@@ -293,6 +336,37 @@ mod tests {
         let flows = FlowSpec::all_to_all(&g);
         assert_eq!(flows.len(), 9 * 8);
         assert!(flows.iter().all(|f| f.src != f.dst));
+    }
+
+    #[test]
+    fn dimension_ordered_kinds_are_computed_on_meshes_and_tabled_without_coordinates() {
+        use crate::geometry::{Connection, VerticalLinks};
+        let mesh = Geometry::mesh2d(4, 4);
+        let custom = Geometry::custom(
+            3,
+            vec![
+                Connection::new(NodeId::new(0), NodeId::new(1)),
+                Connection::new(NodeId::new(1), NodeId::new(2)),
+            ],
+        );
+        let sparse = Geometry::mesh3d(2, 2, 2, VerticalLinks::X1);
+        for kind in [RoutingKind::Xy, RoutingKind::Yx, RoutingKind::O1Turn] {
+            let policies = build_routing(kind, &mesh, &FlowSpec::all_to_all(&mesh));
+            let RoutingPolicy::Dor(routes) = &policies[0] else {
+                panic!("{kind:?} on a mesh is not computed");
+            };
+            assert!(policies
+                .iter()
+                .all(|p| matches!(p, RoutingPolicy::Dor(r) if Arc::ptr_eq(r, routes))));
+            for g in [&custom, &sparse] {
+                let policies = build_routing(kind, g, &FlowSpec::all_to_all(g));
+                assert!(
+                    matches!(policies[0], RoutingPolicy::Table(_)),
+                    "{kind:?} on {:?}",
+                    g.topology()
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@ pub const AUX_PHASE: u8 = 1;
 /// with equal probability; the YX subroute is renamed to phase 1 so that VC
 /// allocation can keep the two subroutes on disjoint virtual channels
 /// (the deadlock-freedom condition of O1TURN).
+///
+/// [`build_routing`](crate::routing::build_routing) computes these routes
+/// instead wherever coordinates define them
+/// ([`DorRoutes`](crate::routing::DorRoutes)); the tables serve the other
+/// geometries and are the oracle the computed routes are tested against.
 pub fn build_o1turn_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<RoutingTable> {
     let mut tables = vec![TableBuilder::new(); geometry.node_count()];
     let (mut xy, mut yx) = (Vec::new(), Vec::new());
@@ -109,8 +114,10 @@ fn intermediates(geometry: &Geometry, spec: &FlowSpec, minimal_rectangle: bool) 
 ///
 /// The table size (and construction time) is `O(flows × intermediates ×
 /// path length)`; the paper's ROMM experiments use 8×8 meshes, where this is
-/// trivially cheap. Prefer XY/O1TURN for all-to-all flow sets on ≥ 32×32
-/// meshes.
+/// trivially cheap. For all-to-all flow sets on ≥ 32×32 meshes prefer XY,
+/// YX or O1TURN, which [`build_routing`](crate::routing::build_routing)
+/// computes from coordinates with no tables at all (128 KiB of state at
+/// 1 024 tiles).
 pub fn build_valiant_tables(
     geometry: &Geometry,
     flows: &[FlowSpec],

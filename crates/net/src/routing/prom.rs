@@ -8,7 +8,6 @@
 
 use crate::geometry::{Geometry, Topology};
 use crate::ids::NodeId;
-use crate::routing::dor::{build_dor_tables, DimensionOrder};
 use crate::routing::table::{RoutingTable, TableBuilder};
 use crate::routing::FlowSpec;
 
@@ -28,13 +27,18 @@ fn lattice_paths(dx: u64, dy: u64) -> f64 {
 
 /// Builds PROM routing tables.
 ///
-/// PROM is defined on 2-D meshes; for other topologies this falls back to
-/// dimension-ordered (XY) routing, which is the degenerate single-minimal-path
-/// case of PROM.
+/// PROM is defined on 2-D meshes; on other topologies
+/// [`build_routing`](crate::routing::build_routing) routes it as XY, the
+/// degenerate single-minimal-path case of PROM.
+///
+/// # Panics
+///
+/// Panics if `geometry` is not a 2-D mesh.
 pub fn build_prom_tables(geometry: &Geometry, flows: &[FlowSpec]) -> Vec<RoutingTable> {
-    if !matches!(geometry.topology(), Topology::Mesh2D { .. }) {
-        return build_dor_tables(geometry, flows, DimensionOrder::XFirst);
-    }
+    assert!(
+        matches!(geometry.topology(), Topology::Mesh2D { .. }),
+        "PROM tables are built for 2-D meshes"
+    );
     let mut tables = vec![TableBuilder::new(); geometry.node_count()];
     let mut prevs: Vec<NodeId> = Vec::new();
     let mut options: Vec<(NodeId, f64)> = Vec::with_capacity(2);
@@ -144,9 +148,17 @@ mod tests {
 
     #[test]
     fn prom_falls_back_to_xy_on_rings() {
+        use crate::routing::{build_routing, RoutingKind};
         let g = Geometry::ring(6);
         let flows = vec![FlowSpec::pair(n(0), n(3), 6)];
-        let tables = build_prom_tables(&g, &flows);
-        assert!(!tables[0].is_empty());
+        let prom = build_routing(RoutingKind::Prom, &g, &flows);
+        assert!(matches!(prom[0], RoutingPolicy::Dor(_)));
+        let xy = build_routing(RoutingKind::Xy, &g, &flows);
+        let f = flows[0];
+        assert_eq!(
+            trace_route(&prom, f.src, f.dst, f.flow, 8),
+            trace_route(&xy, f.src, f.dst, f.flow, 8)
+        );
+        assert!(!prom[0].candidates(n(0), n(0), f.flow, f.dst).is_empty());
     }
 }

@@ -10,8 +10,11 @@
 //!   repeat;
 //! * a sync window too long to ever end (`Periodic(u64::MAX)`) runs a
 //!   warmed-up simulation to its end instead of wrapping around;
-//! * the report surfaces the shard layout (row-aligned partition, cut set).
+//! * the report surfaces the shard layout (row-aligned partition, cut set);
+//! * at paper scale, a 32×32 mesh with all-to-all XY flows keeps its routing
+//!   state to one shared computed function and is bit-identical on 4 shards.
 
+use hornet::net::routing::{build_routing, RoutingPolicy};
 use hornet::prelude::*;
 use hornet::traffic::injector::{flows_for_pattern, SyntheticConfig, SyntheticInjector};
 use hornet::traffic::pattern::{InjectionProcess, SyntheticPattern};
@@ -210,4 +213,44 @@ fn report_surfaces_row_aligned_shard_layout() {
         .run()
         .unwrap();
     assert!(seq.shard.is_none());
+}
+
+#[test]
+fn a_1024_tile_all_to_all_xy_mesh_is_bit_identical_on_4_shards() {
+    let geometry = Geometry::mesh2d(32, 32);
+    let flows = flows_for_pattern(&SyntheticPattern::UniformRandom, &geometry);
+    assert_eq!(flows.len(), 1024 * 1023);
+    // Every router shares one computed route function: a bit per pair flow
+    // and the tiles' coordinates, where frozen tables held ≈1 GB.
+    let policies = build_routing(RoutingKind::Xy, &geometry, &flows);
+    let RoutingPolicy::Dor(routes) = &policies[0] else {
+        panic!("XY on a mesh is computed, not tabled");
+    };
+    assert!(policies
+        .iter()
+        .all(|p| matches!(p, RoutingPolicy::Dor(r) if Arc::ptr_eq(r, routes))));
+    assert!(
+        routes.heap_bytes() <= 256 << 10,
+        "{} bytes of routing state",
+        routes.heap_bytes()
+    );
+    let run = |threads| {
+        SimulationBuilder::new()
+            .geometry(geometry.clone())
+            .routing(RoutingKind::Xy)
+            .traffic(TrafficKind::pattern(SyntheticPattern::UniformRandom, 0.01))
+            .warmup_cycles(50)
+            .measured_cycles(250)
+            .threads(threads)
+            .sync(SyncMode::CycleAccurate)
+            .seed(3)
+            .build()
+            .expect("valid configuration")
+            .run()
+            .expect("runs")
+            .network
+    };
+    let seq = run(1);
+    assert!(seq.delivered_packets > 0);
+    assert_bit_identical(&seq, &run(4), "32x32 uniform XY, 4 threads");
 }
