@@ -302,7 +302,7 @@ pub fn build_dor_tables(
 
 /// Which dimension-ordered scheme a [`DorRoutes`] computes.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum DorScheme {
+pub(crate) enum DorScheme {
     /// Every flow takes the route of one dimension order (XY or YX).
     Single(DimensionOrder),
     /// O1TURN: at its source a flow takes the XY or the YX route with equal
@@ -339,7 +339,7 @@ impl DorRoutes {
     ///
     /// Panics if a flow's identifier is not its pair's canonical one
     /// ([`FlowSpec::pair`]): routes read source and destination from it.
-    pub fn new(geometry: &Geometry, flows: &[FlowSpec], scheme: DorScheme) -> Option<Self> {
+    pub(crate) fn new(geometry: &Geometry, flows: &[FlowSpec], scheme: DorScheme) -> Option<Self> {
         if let Topology::Mesh3D { vertical, .. } = geometry.topology() {
             if *vertical != VerticalLinks::XCube {
                 return None;

@@ -29,7 +29,8 @@ pub mod staticlb;
 pub mod table;
 
 pub use adaptive::DistanceMatrix;
-pub use dor::{DorRoutes, DorScheme};
+pub use dor::DorRoutes;
+use dor::DorScheme;
 pub use table::{NextHop, RoutingTable, TableBuilder};
 
 use crate::geometry::{Geometry, Topology};
