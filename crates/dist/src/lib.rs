@@ -16,8 +16,8 @@
 //!   ([`shm`]). Shards on threads of one process need no transport: that is
 //!   the thread host, `hornet_shard::ShardRuntime`, the one in-process host
 //!   (this crate's tests use it as their thread reference);
-//! * [`wiring`] — the spec's partition and cut set, and `build_shards`:
-//!   every worker builds the full network and wires it with
+//! * [`wiring`] — the spec's partition and cut set, and `build_shard`:
+//!   every worker builds only its own shard's tiles and wires them with
 //!   `hornet_shard::wiring::wire_shards`, the thread host's routine, whose
 //!   canonical channel order doubles as the wire addressing scheme;
 //! * [`worker`] — a thin host around the **unified**

@@ -5,18 +5,20 @@
 //! routing/VCA algorithms, the synthetic traffic workload, the master seed,
 //! the synchronization mode and the run shape. The coordinator serializes
 //! the spec once and ships it to every worker; each worker deterministically
-//! reconstructs the *full* network (per-tile PRNG seeds are derived from the
-//! master seed, so construction is cheap and identical everywhere) and keeps
-//! only the tiles its shard owns.
+//! builds the tiles its shard owns and no others ([`DistSpec::build_tiles`]:
+//! a tile — its PRNG seed, packet ids and agent — is a function of the
+//! master seed and its node id, so it comes out identical in every process).
 
 use crate::wire::{Dec, Enc};
 use hornet_cpu::agent::{CoreAgent, CoreConfig};
 use hornet_cpu::programs::{token_ring_program, vector_sum_program};
+use hornet_net::agent::NodeAgent;
 use hornet_net::config::{ConfigError, NetworkConfig};
 use hornet_net::geometry::Geometry;
 use hornet_net::ids::NodeId;
 use hornet_net::kernel::KernelMode;
-use hornet_net::network::Network;
+use hornet_net::network::{build_tiles, Network, NetworkNode};
+use hornet_net::payload::PayloadStore;
 use hornet_net::routing::{FlowSpec, RoutingKind};
 use hornet_net::vca::VcAllocKind;
 use hornet_traffic::injector::{flows_for_pattern, SyntheticConfig, SyntheticInjector};
@@ -295,40 +297,62 @@ impl DistSpec {
 
     /// Builds the full network with one workload agent per tile —
     /// deterministic in `seed`, so every process reconstructs identical
-    /// state.
+    /// state. The sequential reference; a worker process builds only its
+    /// shard with [`build_tiles`](Self::build_tiles).
     pub fn build_network(&self) -> Result<Network, ConfigError> {
         let cfg = self.network_config();
-        let geometry = Arc::new(cfg.geometry.clone());
         let mut network = Network::new(&cfg, self.seed)?;
-        let nodes = self.node_count();
+        let geometry = Arc::new(cfg.geometry);
         for node in geometry.nodes() {
-            let agent: Box<dyn hornet_net::agent::NodeAgent> = match &self.workload {
-                DistWorkload::Synthetic => Box::new(SyntheticInjector::new(
-                    Arc::clone(&geometry),
-                    SyntheticConfig {
-                        pattern: self.pattern.clone(),
-                        process: self.process,
-                        packet_len: self.packet_len,
-                        stop_after: self.stop_after,
-                        max_packets: self.max_packets,
-                    },
-                )),
-                DistWorkload::MemVectorSum { base_stride, count } => Box::new(CoreAgent::new(
-                    node,
-                    nodes,
-                    vector_sum_program(base_stride * (node.raw() as u64 + 1), *count),
-                    CoreConfig::default(),
-                )),
-                DistWorkload::CpuTokenRing => Box::new(CoreAgent::new(
-                    node,
-                    nodes,
-                    token_ring_program(node.index(), nodes),
-                    CoreConfig::default(),
-                )),
-            };
-            network.attach_agent(node, agent);
+            network.attach_agent(node, self.agent(node, &geometry));
         }
         Ok(network)
+    }
+
+    /// Builds the tiles `members` (node indices) with their workload agents,
+    /// in the order given, plus the payload store their bridges share: the
+    /// tiles [`build_network`](Self::build_network) builds for those nodes,
+    /// identical state included.
+    pub fn build_tiles(
+        &self,
+        members: &[usize],
+    ) -> Result<(Vec<NetworkNode>, Arc<PayloadStore>), ConfigError> {
+        let cfg = self.network_config();
+        let (mut tiles, store) = build_tiles(&cfg, self.seed, members)?;
+        let geometry = Arc::new(cfg.geometry);
+        for tile in &mut tiles {
+            tile.attach_agent(self.agent(tile.node(), &geometry));
+        }
+        Ok((tiles, store))
+    }
+
+    /// The workload agent of tile `node`.
+    fn agent(&self, node: NodeId, geometry: &Arc<Geometry>) -> Box<dyn NodeAgent> {
+        let nodes = self.node_count();
+        match &self.workload {
+            DistWorkload::Synthetic => Box::new(SyntheticInjector::new(
+                Arc::clone(geometry),
+                SyntheticConfig {
+                    pattern: self.pattern.clone(),
+                    process: self.process,
+                    packet_len: self.packet_len,
+                    stop_after: self.stop_after,
+                    max_packets: self.max_packets,
+                },
+            )),
+            DistWorkload::MemVectorSum { base_stride, count } => Box::new(CoreAgent::new(
+                node,
+                nodes,
+                vector_sum_program(base_stride * (node.raw() as u64 + 1), *count),
+                CoreConfig::default(),
+            )),
+            DistWorkload::CpuTokenRing => Box::new(CoreAgent::new(
+                node,
+                nodes,
+                token_ring_program(node.index(), nodes),
+                CoreConfig::default(),
+            )),
+        }
     }
 
     /// Encodes the spec for the wire.

@@ -174,11 +174,23 @@ pub(crate) enum Listener {
     Tcp(TcpListener),
 }
 
-/// How often a pending accept looks for a connection.
+/// The longest pause between two looks of a pending accept.
 const ACCEPT_POLL: Duration = Duration::from_millis(2);
 
-/// How often a dial retries a listener that is not up yet.
+/// The longest pause before a dial retries a listener that is not up yet.
 const CONNECT_RETRY: Duration = Duration::from_millis(200);
+
+/// The first pause of a pending accept or dial. A peer in the handshake
+/// usually arrives within a few hundred microseconds, so a fixed nap of the
+/// cap would be most of the wait.
+const BACKOFF_START: Duration = Duration::from_micros(20);
+
+/// The pause after the `attempt`-th (from 0) unsuccessful accept or dial:
+/// [`BACKOFF_START`], doubling with every attempt, never above `cap`.
+fn backoff(attempt: u32, cap: Duration) -> Duration {
+    let factor = 1u32.checked_shl(attempt).unwrap_or(u32::MAX);
+    BACKOFF_START.saturating_mul(factor).min(cap)
+}
 
 fn not_a_socket(kind: TransportKind) -> io::Error {
     io::Error::new(
@@ -216,6 +228,7 @@ impl Listener {
     /// Accepts one connection, polling until `deadline`. The stream comes
     /// back in blocking mode.
     pub(crate) fn accept_until(&self, deadline: Instant) -> io::Result<Stream> {
+        let mut attempt = 0;
         loop {
             let accepted = match self {
                 #[cfg(unix)]
@@ -234,7 +247,10 @@ impl Listener {
                         "no connection arrived before the deadline",
                     ))
                 }
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
+                Err(_) => {
+                    std::thread::sleep(backoff(attempt, ACCEPT_POLL));
+                    attempt = attempt.saturating_add(1);
+                }
             }
         }
     }
@@ -244,6 +260,7 @@ impl Listener {
 /// `deadline` while it is not up yet — host-list workers may legitimately be
 /// started before the coordinator, in any order.
 pub(crate) fn connect(kind: TransportKind, addr: &str, deadline: Instant) -> io::Result<Stream> {
+    let mut attempt = 0;
     loop {
         let dialed = match kind {
             #[cfg(unix)]
@@ -261,7 +278,8 @@ pub(crate) fn connect(kind: TransportKind, addr: &str, deadline: Instant) -> io:
                             | ErrorKind::AddrNotAvailable
                     ) =>
             {
-                std::thread::sleep(CONNECT_RETRY);
+                std::thread::sleep(backoff(attempt, CONNECT_RETRY));
+                attempt = attempt.saturating_add(1);
             }
             dialed => return dialed,
         }
@@ -651,6 +669,30 @@ mod tests {
             src: NodeId::new(0),
             visible_at,
             stats: FlitStats::default(),
+        }
+    }
+
+    #[test]
+    fn backoff_starts_small_doubles_and_stops_at_its_cap() {
+        for cap in [ACCEPT_POLL, CONNECT_RETRY] {
+            let first = backoff(0, cap);
+            assert!(first <= Duration::from_micros(50), "{first:?}");
+            let mut prev = first;
+            let mut attempt = 1;
+            while prev < cap {
+                let next = backoff(attempt, cap);
+                assert_eq!(
+                    next,
+                    (prev * 2).min(cap),
+                    "attempt {attempt} under cap {cap:?}"
+                );
+                prev = next;
+                attempt += 1;
+            }
+            assert!(attempt < 20, "reaches the cap {cap:?} in a few doublings");
+            for attempt in [attempt, attempt + 1, 31, 32, 1_000, u32::MAX] {
+                assert_eq!(backoff(attempt, cap), cap, "attempt {attempt}");
+            }
         }
     }
 

@@ -17,7 +17,7 @@ use crate::transport::{
     connect, BoundaryTransport, BytePipe, FrameTransport, Listener, Stream, TransportSet,
 };
 use crate::wire::read_frame;
-use crate::wiring::{build_shards, partition_for};
+use crate::wiring::{build_shard, partition_for};
 use hornet_net::ids::Cycle;
 use hornet_net::network::NetworkNode;
 use hornet_net::payload::PayloadStore;
@@ -315,7 +315,7 @@ fn assigned_shard(
             "Assign.shard {shard} is not below Assign.shards {shards}"
         )));
     }
-    // Rebuild the full system deterministically; keep our shard.
+    // Build this shard's tiles and nothing else.
     let partition = partition_for(spec, shards as usize);
     if partition.shard_count() != shards as usize {
         return Err(proto_err(&format!(
@@ -323,9 +323,8 @@ fn assigned_shard(
             partition.shard_count()
         )));
     }
-    let (mut parts, store) = build_shards(spec, &partition)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-    Ok((parts.swap_remove(shard as usize), store))
+    build_shard(spec, &partition, shard as usize)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))
 }
 
 /// Runs the worker process: connects to the coordinator at `ctrl_addr`
@@ -600,7 +599,7 @@ impl ShardWorker {
 
     /// Attaches the frame transport over `pipe` — a socket or a shared-memory
     /// ring, the rest is the same — for the `i`-th planned neighbor.
-    fn attach_pipe<P: BytePipe + 'static>(
+    pub(crate) fn attach_pipe<P: BytePipe + 'static>(
         &mut self,
         i: usize,
         pipe: P,

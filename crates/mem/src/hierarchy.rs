@@ -112,6 +112,8 @@ pub struct MemNodeStats {
 /// A message waiting to be delivered (local latency or DRAM latency).
 #[derive(Clone, Debug)]
 struct Scheduled {
+    /// Scheduling order: messages ready in the same tick leave by it.
+    seq: u64,
     ready_at: Cycle,
     dst: NodeId,
     msg: MemMessage,
@@ -126,14 +128,18 @@ pub struct MemoryNode {
     l1: L1Controller,
     directory: DirectorySlice,
     hosts_directory: bool,
-    scheduled: VecDeque<Scheduled>,
-    /// No message in `scheduled` is ready before this cycle (`Cycle::MAX`
-    /// when it is empty); may be early, never late. `tick` returns at once
-    /// while it lies in the future.
+    /// The delayed messages, in FIFO lanes whose `ready_at` never decreases
+    /// front to back. A message joins the first lane whose last message is
+    /// ready no later than it, so with one latency per call site and a
+    /// clock that only moves forward there is one lane per distinct latency,
+    /// and the ready messages of a lane are always a prefix of it. Lanes
+    /// are kept when they empty, so no cycle allocates.
+    lanes: Vec<VecDeque<Scheduled>>,
+    /// The `seq` of the next message scheduled.
+    next_seq: u64,
+    /// No message in `lanes` is ready before this cycle (`Cycle::MAX` when
+    /// they are empty). `tick` returns at once while it lies in the future.
     earliest: Cycle,
-    /// Always empty between ticks: `tick` collects the messages that are not
-    /// ready yet here and swaps it with `scheduled`, so no cycle allocates.
-    spare: VecDeque<Scheduled>,
     stats: MemNodeStats,
 }
 
@@ -152,9 +158,9 @@ impl MemoryNode {
             l1: L1Controller::new(node, config.l1),
             directory: DirectorySlice::new(),
             hosts_directory,
-            scheduled: VecDeque::new(),
+            lanes: Vec::new(),
+            next_seq: 0,
             earliest: Cycle::MAX,
-            spare: VecDeque::new(),
             stats: MemNodeStats::default(),
             config,
         }
@@ -319,7 +325,36 @@ impl MemoryNode {
 
     fn route_delayed(&mut self, dst: NodeId, msg: MemMessage, ready_at: Cycle) {
         self.earliest = self.earliest.min(ready_at);
-        self.scheduled.push_back(Scheduled { ready_at, dst, msg });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let fits = |lane: &VecDeque<Scheduled>| lane.back().is_none_or(|b| b.ready_at <= ready_at);
+        let lane = match self.lanes.iter().position(fits) {
+            Some(lane) => lane,
+            None => {
+                self.lanes.push(VecDeque::new());
+                self.lanes.len() - 1
+            }
+        };
+        self.lanes[lane].push_back(Scheduled {
+            seq,
+            ready_at,
+            dst,
+            msg,
+        });
+    }
+
+    /// The lane whose head is the earliest-scheduled message ready at `now`.
+    fn next_ready(&self, now: Cycle) -> Option<usize> {
+        self.lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(i, lane)| {
+                lane.front()
+                    .filter(|s| s.ready_at <= now)
+                    .map(|s| (s.seq, i))
+            })
+            .min()
+            .map(|(_, i)| i)
     }
 
     /// Per-cycle processing: releases delayed messages — local ones are
@@ -328,16 +363,11 @@ impl MemoryNode {
         if self.earliest > now {
             return;
         }
-        // Messages scheduled while this loop runs land at the back of
-        // `scheduled` and are handled in this tick if they are ready.
-        let mut still_waiting = std::mem::take(&mut self.spare);
-        let mut earliest = Cycle::MAX;
-        while let Some(s) = self.scheduled.pop_front() {
-            if s.ready_at > now {
-                earliest = earliest.min(s.ready_at);
-                still_waiting.push_back(s);
-                continue;
-            }
+        // Ready messages leave in scheduling order: a merge of the lanes'
+        // ready prefixes on `seq`. Messages scheduled while this loop runs
+        // come last and are handled in this tick if they are ready.
+        while let Some(lane) = self.next_ready(now) {
+            let s = self.lanes[lane].pop_front().expect("a ready head");
             if s.dst == self.node {
                 self.handle_message(s.msg, now);
             } else {
@@ -355,13 +385,17 @@ impl MemoryNode {
                 self.stats.messages_sent += 1;
             }
         }
-        self.spare = std::mem::replace(&mut self.scheduled, still_waiting);
-        self.earliest = earliest;
+        self.earliest = self
+            .lanes
+            .iter()
+            .filter_map(|lane| lane.front().map(|s| s.ready_at))
+            .min()
+            .unwrap_or(Cycle::MAX);
     }
 
     /// True if no protocol message is waiting inside this tile.
     pub fn is_quiescent(&self) -> bool {
-        self.scheduled.is_empty() && !self.l1.has_outstanding()
+        self.lanes.iter().all(VecDeque::is_empty) && !self.l1.has_outstanding()
     }
 
     /// Writes a value directly into the functional backing store of this
@@ -388,8 +422,10 @@ impl MemoryNode {
     pub fn snapshot(&self, e: &mut hornet_net::codec::Enc) {
         self.l1.snapshot(e);
         self.directory.snapshot(e);
-        e.u32(self.scheduled.len() as u32);
-        for s in &self.scheduled {
+        let mut scheduled: Vec<&Scheduled> = self.lanes.iter().flatten().collect();
+        scheduled.sort_unstable_by_key(|s| s.seq);
+        e.u32(scheduled.len() as u32);
+        for s in scheduled {
             e.u64(s.ready_at).u32(s.dst.raw());
             let words = s.msg.encode();
             e.u32(words.len() as u32);
@@ -411,7 +447,10 @@ impl MemoryNode {
     pub fn restore(&mut self, d: &mut hornet_net::codec::Dec) -> std::io::Result<()> {
         self.l1.restore(d)?;
         self.directory.restore(d)?;
-        self.scheduled.clear();
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
+        self.earliest = Cycle::MAX;
         for _ in 0..d.u32()? {
             let ready_at = d.u64()?;
             let dst = NodeId::new(d.u32()?);
@@ -425,10 +464,8 @@ impl MemoryNode {
                     "memory checkpoint: bad scheduled message",
                 )
             })?;
-            self.scheduled.push_back(Scheduled { ready_at, dst, msg });
+            self.route_delayed(dst, msg, ready_at);
         }
-        // Conservative: the first tick scans the queue and sets it exactly.
-        self.earliest = 0;
         self.stats = MemNodeStats {
             messages_sent: d.u64()?,
             local_messages: d.u64()?,
@@ -576,6 +613,55 @@ mod tests {
         m.tick(&mut io, 10);
         assert_eq!(io.0, [2, 1, 3].map(NodeId::new));
         assert_eq!(m.earliest, Cycle::MAX, "an empty queue waits for nothing");
+    }
+
+    /// Messages of four latencies, scheduled interleaved over many cycles,
+    /// leave exactly as a single queue scanned in scheduling order releases
+    /// them, and the lanes stay one per latency.
+    #[test]
+    fn interleaved_latencies_leave_in_scheduling_order() {
+        const NODES: usize = 4096;
+        let mut m = MemoryNode::new(NodeId::new(0), NODES, MemoryConfig::default());
+        let msg = MemMessage::RemoteRead {
+            addr: 0x40,
+            requester: NodeId::new(0),
+        };
+        // The reference: one queue in scheduling order, scanned every tick.
+        let mut model: Vec<(Cycle, NodeId)> = Vec::new();
+        let mut expected = Vec::new();
+        let mut io = Recorder(Vec::new());
+        let mut next_dst = 1;
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        for now in 0..400 {
+            for _ in 0..3 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x.is_multiple_of(3) {
+                    continue;
+                }
+                let latency = [0, 1, 2, 52][(x >> 8) as usize % 4];
+                let dst = NodeId::from(next_dst);
+                next_dst = next_dst % (NODES - 1) + 1;
+                m.route_delayed(dst, msg, now + latency);
+                model.push((now + latency, dst));
+            }
+            m.tick(&mut io, now);
+            model.retain(|&(ready_at, dst)| {
+                let ready = ready_at <= now;
+                if ready {
+                    expected.push(dst);
+                }
+                !ready
+            });
+            assert_eq!(io.0, expected, "cycle {now}");
+        }
+        assert!(expected.len() > 500);
+        assert!(
+            m.lanes.len() <= 4,
+            "{} lanes for four latencies",
+            m.lanes.len()
+        );
     }
 
     #[test]

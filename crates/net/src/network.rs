@@ -1,7 +1,8 @@
 //! Network assembly and the single-threaded reference simulator.
 //!
-//! [`Network::new`] builds one router + bridge per node from a
-//! [`NetworkConfig`] and wires all inter-router buffers. [`Network::run`] and
+//! [`build_tiles`] builds one router + bridge per node of a tile set from a
+//! [`NetworkConfig`] and wires the buffers between them; [`Network::new`] is
+//! its all-tiles case. [`Network::run`] and
 //! [`Network::run_to_completion`] are the *reference* cycle loop: posedge,
 //! negedge, idle skipping, completion detection and deliberately nothing
 //! else (no telemetry, profiling or checkpoints), because every other backend
@@ -325,6 +326,114 @@ pub fn skip_target(next_event: Cycle, end: Cycle) -> Cycle {
     }
 }
 
+/// Builds the tiles `members` (node indices, each at most once) of the
+/// network `config` describes, in the order given, plus the payload store
+/// their bridges share. [`Network::new`] is the all-tiles case; a process
+/// that hosts one shard builds that shard's members and nothing else.
+///
+/// A tile is a function of its node id alone: its PRNG seed, its packet ids
+/// and its routing state do not depend on which other tiles are built, so a
+/// tile comes out identical whichever set it is built in. Links between two
+/// members are wired to each other's ingress buffers; an egress port toward
+/// a node outside `members` is left unconnected for the shard wiring to
+/// attach boundary links to.
+///
+/// # Errors
+///
+/// Returns the underlying [`ConfigError`] if the configuration fails
+/// validation.
+///
+/// # Panics
+///
+/// Panics if a member is not a node of the geometry or appears twice.
+pub fn build_tiles(
+    config: &NetworkConfig,
+    seed: u64,
+    members: &[usize],
+) -> Result<(Vec<NetworkNode>, Arc<PayloadStore>), ConfigError> {
+    config.validate()?;
+    let geometry = &config.geometry;
+    let routing = build_routing(config.routing, geometry, &config.flows);
+
+    // O1TURN / Valiant / ROMM need phase-separated VC sets to stay
+    // deadlock-free; upgrade plain dynamic VCA accordingly.
+    let vca_kind =
+        if config.routing.needs_phase_separated_vcs() && config.vca == VcAllocKind::Dynamic {
+            VcAllocKind::Phased
+        } else {
+            config.vca
+        };
+
+    let router_cfg = RouterConfig {
+        vcs_per_port: config.vcs_per_port,
+        vc_capacity: config.vc_capacity,
+        injection_vcs: config.injection_vcs,
+        injection_vc_capacity: config.injection_vc_capacity,
+        link_bandwidth: config.link_bandwidth,
+        ejection_bandwidth: config.ejection_bandwidth,
+    };
+
+    // Position of each member in `routers`, by node index.
+    let mut slot: Vec<Option<usize>> = vec![None; geometry.node_count()];
+    for (i, &m) in members.iter().enumerate() {
+        assert!(
+            slot[m].replace(i).is_none(),
+            "node {m} appears twice among the tiles to build"
+        );
+    }
+    let mut routers: Vec<Router> = members
+        .iter()
+        .map(|&m| {
+            let n = NodeId::from(m);
+            Router::new(
+                n,
+                geometry.neighbors(n),
+                router_cfg.clone(),
+                routing[m].clone(),
+                VcaPolicy::from_kind(vca_kind),
+            )
+        })
+        .collect();
+
+    // Wire every egress port toward another member to that member's ingress
+    // buffers.
+    for a in 0..routers.len() {
+        let from = routers[a].node();
+        for &to in geometry.neighbors(from) {
+            if let Some(b) = slot[to.index()] {
+                let buffers = routers[b].ingress_buffers_from(from).to_vec();
+                routers[a].connect_egress(to, buffers);
+            }
+        }
+    }
+
+    let payload_store = Arc::new(PayloadStore::new());
+    let nodes = routers
+        .into_iter()
+        .map(|router| {
+            let node = router.node();
+            let mut bridge = Bridge::new(
+                node,
+                router.injection_buffers().to_vec(),
+                config.link_bandwidth,
+            );
+            bridge.attach_payload_store(Arc::clone(&payload_store));
+            let rng = ChaCha12Rng::seed_from_u64(
+                seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.raw() as u64 + 1)),
+            );
+            NetworkNode {
+                router,
+                bridge,
+                agents: Vec::new(),
+                rng,
+                node,
+                tracer: None,
+            }
+        })
+        .collect();
+    Ok((nodes, payload_store))
+}
+
 /// The assembled network plus the sequential reference simulator.
 pub struct Network {
     nodes: Vec<NetworkNode>,
@@ -348,7 +457,8 @@ impl std::fmt::Debug for Network {
 }
 
 impl Network {
-    /// Builds routers, bridges and inter-router wiring from a configuration.
+    /// Builds routers, bridges and inter-router wiring from a configuration:
+    /// [`build_tiles`] of every node.
     ///
     /// `seed` drives every tile's private PRNG (tile seeds are derived
     /// deterministically from it), so two runs with the same seed and
@@ -360,75 +470,8 @@ impl Network {
     /// Returns the underlying [`ConfigError`] if the configuration fails
     /// validation.
     pub fn new(config: &NetworkConfig, seed: u64) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let geometry = &config.geometry;
-        let routing = build_routing(config.routing, geometry, &config.flows);
-
-        // O1TURN / Valiant / ROMM need phase-separated VC sets to stay
-        // deadlock-free; upgrade plain dynamic VCA accordingly.
-        let vca_kind =
-            if config.routing.needs_phase_separated_vcs() && config.vca == VcAllocKind::Dynamic {
-                VcAllocKind::Phased
-            } else {
-                config.vca
-            };
-
-        let router_cfg = RouterConfig {
-            vcs_per_port: config.vcs_per_port,
-            vc_capacity: config.vc_capacity,
-            injection_vcs: config.injection_vcs,
-            injection_vc_capacity: config.injection_vc_capacity,
-            link_bandwidth: config.link_bandwidth,
-            ejection_bandwidth: config.ejection_bandwidth,
-        };
-
-        let payload_store = Arc::new(PayloadStore::new());
-        let mut routers: Vec<Router> = geometry
-            .nodes()
-            .map(|n| {
-                Router::new(
-                    n,
-                    geometry.neighbors(n),
-                    router_cfg.clone(),
-                    routing[n.index()].clone(),
-                    VcaPolicy::from_kind(vca_kind),
-                )
-            })
-            .collect();
-
-        // Wire every egress port to the downstream ingress buffers.
-        for conn in geometry.connections() {
-            let (a, b) = (conn.a, conn.b);
-            let a_to_b = routers[b.index()].ingress_buffers_from(a).to_vec();
-            let b_to_a = routers[a.index()].ingress_buffers_from(b).to_vec();
-            routers[a.index()].connect_egress(b, a_to_b);
-            routers[b.index()].connect_egress(a, b_to_a);
-        }
-
-        let nodes = routers
-            .into_iter()
-            .map(|router| {
-                let node = router.node();
-                let mut bridge = Bridge::new(
-                    node,
-                    router.injection_buffers().to_vec(),
-                    config.link_bandwidth,
-                );
-                bridge.attach_payload_store(Arc::clone(&payload_store));
-                let rng = ChaCha12Rng::seed_from_u64(
-                    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.raw() as u64 + 1)),
-                );
-                NetworkNode {
-                    router,
-                    bridge,
-                    agents: Vec::new(),
-                    rng,
-                    node,
-                    tracer: None,
-                }
-            })
-            .collect();
-
+        let all: Vec<usize> = (0..config.geometry.node_count()).collect();
+        let (nodes, payload_store) = build_tiles(config, seed, &all)?;
         Ok(Self {
             nodes,
             payload_store,

@@ -341,6 +341,11 @@ impl Router {
         self.node
     }
 
+    /// The structural parameters this router was built with.
+    pub fn config(&self) -> &RouterConfig {
+        &self.cfg
+    }
+
     /// The egress port index toward neighbour `to`: a linear scan of the
     /// compact per-port node array (routers have at most a handful of ports,
     /// so this is faster than hashing and needs O(degree) memory).

@@ -410,6 +410,11 @@ impl ShardRuntime {
         let shards = partition.shard_count();
         self.ensure_workers(shards);
         let node_count = nodes.len();
+        assert_eq!(
+            partition.node_count(),
+            node_count,
+            "partition must cover every tile exactly once"
+        );
         let cut_count = cut_links(&nodes, partition).len();
         let end = params.start + params.cycles;
         let sync = Arc::new(SyncShared::new(shards, params.start));

@@ -44,94 +44,144 @@ pub struct ShardParts {
     pub neighbors: Vec<NeighborWiring>,
 }
 
-/// The links `partition` cuts, in canonical order (node-index order, each
-/// link once as `(low, high)`).
-pub fn cut_links(nodes: &[NetworkNode], partition: &Partition) -> Vec<(NodeId, NodeId)> {
-    let edges = nodes.iter().flat_map(|node| {
-        let id = node.node();
-        node.neighbors()
+/// The links `partition` cuts that touch at least one of `tiles`, in
+/// canonical order (node-index order, each link once as `(low, high)`).
+/// With every tile given, that is the whole cut set.
+pub fn cut_links(tiles: &[NetworkNode], partition: &Partition) -> Vec<(NodeId, NodeId)> {
+    let mut built = vec![false; partition.node_count()];
+    for tile in tiles {
+        built[tile.node().index()] = true;
+    }
+    // A link is listed from its low end, or from its high end when the low
+    // end was not built. Neighbor lists are sorted, so sorting the pairs
+    // restores node-index order for any tile set.
+    let edges = tiles.iter().flat_map(|tile| {
+        let id = tile.node();
+        let built = &built;
+        tile.neighbors()
             .iter()
-            .filter(move |nb| nb.index() > id.index())
+            .filter(move |nb| nb.index() > id.index() || !built[nb.index()])
             .map(move |&nb| (id, nb))
     });
-    partition.cut_links(edges)
+    let mut cuts = partition.cut_links(edges);
+    cuts.sort_unstable();
+    cuts
 }
 
 /// Rewires every link `partition` cuts onto boundary mailboxes and splits
-/// the tiles into per-shard parts.
+/// `tiles` into per-shard parts, one for each shard whose tiles were given,
+/// in shard order.
 ///
-/// The sender's egress port gets one [`BoundaryLink`] per VC in place of its
-/// direct buffer handles; the link's receiving end goes to the shard owning
-/// the buffer it feeds. The halves are shared: the outbound half of a
-/// channel in the sender's parts is the same `Arc` as the inbound half in the
-/// receiver's, which the thread host uses directly; a worker process keeps
-/// only its own shard's parts and lets its transports play the peer side.
+/// `tiles` is any set of whole shards: the thread host builds and passes
+/// every tile, a worker process only its own shard's. The sender's egress
+/// port gets one [`BoundaryLink`] per VC in place of its direct buffer
+/// handles; the link's receiving end goes to the shard owning the buffer it
+/// feeds. Where both ends were built the halves are shared: the outbound
+/// half of a channel in the sender's parts is the same `Arc` as the inbound
+/// half in the receiver's, which the thread host uses directly. Where the
+/// far end was not built, the link is made from the sender's router config
+/// (`vcs_per_port` links of `vc_capacity`, none resident) and the process's
+/// transports play the peer side. Either way the channel order is the
+/// canonical one, so every process derives the same wire addressing.
 ///
 /// # Panics
 ///
-/// Panics if `partition` does not cover exactly `nodes.len()` tiles.
-pub fn wire_shards(mut nodes: Vec<NetworkNode>, partition: &Partition) -> Vec<ShardParts> {
-    assert_eq!(
-        partition.node_count(),
-        nodes.len(),
-        "partition must cover every tile exactly once"
-    );
-    let mut parts: Vec<ShardParts> = (0..partition.shard_count())
-        .map(|shard| ShardParts {
-            shard,
-            tiles: Vec::new(),
-            outbound: Vec::new(),
-            inbound: Vec::new(),
-            neighbors: Vec::new(),
+/// Panics if a tile lies outside `partition`, appears twice, or if a shard
+/// is given only in part.
+pub fn wire_shards(mut tiles: Vec<NetworkNode>, partition: &Partition) -> Vec<ShardParts> {
+    let mut slot: Vec<Option<usize>> = vec![None; partition.node_count()];
+    for (i, tile) in tiles.iter().enumerate() {
+        assert!(
+            slot[tile.node().index()].replace(i).is_none(),
+            "each tile at most once"
+        );
+    }
+    let mut parts: Vec<Option<ShardParts>> = (0..partition.shard_count())
+        .map(|shard| {
+            let members = partition.members(shard);
+            let present = members.iter().filter(|&&m| slot[m].is_some()).count();
+            assert!(
+                present == 0 || present == members.len(),
+                "shard {shard} must be built whole or not at all"
+            );
+            (present > 0).then(|| ShardParts {
+                shard,
+                tiles: Vec::new(),
+                outbound: Vec::new(),
+                inbound: Vec::new(),
+                neighbors: Vec::new(),
+            })
         })
         .collect();
-    for (a, b) in cut_links(&nodes, partition) {
+    for (a, b) in cut_links(&tiles, partition) {
         for (src, dst) in [(a, b), (b, a)] {
             let (s_src, s_dst) = (partition.shard_of(src), partition.shard_of(dst));
-            let targets = nodes[dst.index()]
-                .router()
-                .ingress_buffers_from(src)
-                .to_vec();
+            let (i_src, i_dst) = (slot[src.index()], slot[dst.index()]);
+            let targets = i_dst.map(|i| tiles[i].router().ingress_buffers_from(src).to_vec());
             // Seed the sender's credit view with the buffer's current
             // occupancy: wiring may happen mid-simulation, with flits from a
             // previous run still resident downstream.
-            let links: Vec<Arc<BoundaryLink>> = targets
-                .iter()
-                .map(|t| BoundaryLink::with_resident(t.capacity(), t.occupancy()))
-                .collect();
-            let sender = nodes[src.index()].router_mut();
-            sender.swap_egress_channels(
-                dst,
-                links
+            let links: Vec<Arc<BoundaryLink>> = match &targets {
+                Some(targets) => targets
                     .iter()
-                    .map(|l| EgressChannel::Boundary(Arc::clone(l)))
+                    .map(|t| BoundaryLink::with_resident(t.capacity(), t.occupancy()))
                     .collect(),
-            );
-            parts[s_src].outbound.extend(links.iter().cloned());
-            neighbor(&mut parts[s_src], s_dst)
-                .out_links
-                .extend(links.iter().cloned());
-            neighbor(&mut parts[s_dst], s_src)
-                .in_links
-                .extend(links.iter().cloned());
-            parts[s_dst].inbound.extend(
-                links
-                    .into_iter()
-                    .zip(targets)
-                    .map(|(link, target)| BoundaryRx::new(link, target)),
-            );
+                None => {
+                    let i = i_src.expect("one end of a listed link is built");
+                    let cfg = tiles[i].router().config();
+                    (0..cfg.vcs_per_port)
+                        .map(|_| BoundaryLink::with_resident(cfg.vc_capacity, 0))
+                        .collect()
+                }
+            };
+            if let Some(i) = i_src {
+                tiles[i].router_mut().swap_egress_channels(
+                    dst,
+                    links
+                        .iter()
+                        .map(|l| EgressChannel::Boundary(Arc::clone(l)))
+                        .collect(),
+                );
+                let part = parts[s_src]
+                    .as_mut()
+                    .expect("a built tile's shard is built");
+                part.outbound.extend(links.iter().cloned());
+                neighbor(part, s_dst)
+                    .out_links
+                    .extend(links.iter().cloned());
+            }
+            if let Some(targets) = targets {
+                let part = parts[s_dst]
+                    .as_mut()
+                    .expect("a built tile's shard is built");
+                neighbor(part, s_src).in_links.extend(links.iter().cloned());
+                part.inbound.extend(
+                    links
+                        .into_iter()
+                        .zip(targets)
+                        .map(|(link, target)| BoundaryRx::new(link, target)),
+                );
+            }
         }
     }
-    let mut slots: Vec<Option<NetworkNode>> = nodes.into_iter().map(Some).collect();
-    for part in &mut parts {
-        part.tiles = partition
-            .members(part.shard)
-            .iter()
-            .map(|&i| slots[i].take().expect("each tile in exactly one shard"))
-            .collect();
-        part.neighbors.sort_by_key(|n| n.peer);
-    }
+    let mut tiles: Vec<Option<NetworkNode>> = tiles.into_iter().map(Some).collect();
     parts
+        .into_iter()
+        .flatten()
+        .map(|mut part| {
+            part.tiles = partition
+                .members(part.shard)
+                .iter()
+                .map(|&i| {
+                    tiles[slot[i].expect("whole shard")]
+                        .take()
+                        .expect("each tile in exactly one shard")
+                })
+                .collect();
+            part.neighbors.sort_by_key(|n| n.peer);
+            part
+        })
+        .collect()
 }
 
 /// The entry of `part` toward `peer`, created on first use.
