@@ -9,7 +9,7 @@ use hornet_mem::msg::MemMessage;
 use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::flit::{Packet, Payload};
 use hornet_net::ids::{Cycle, FlowId, NodeId};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 use std::collections::VecDeque;
 
 /// First payload word of user-level (MPI-style) packets, distinguishing them
@@ -180,7 +180,7 @@ impl CoreContext for TileContext<'_> {
 }
 
 impl NodeAgent for CoreAgent {
-    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
         let now = io.cycle();
         self.demux(io, now);
         self.memory.tick(io, now);

@@ -21,8 +21,7 @@ use hornet_mem::msg::MemMessage;
 use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::flit::{Packet, Payload};
 use hornet_net::ids::{Cycle, FlowId, NodeId};
-use rand::Rng;
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 use std::collections::VecDeque;
 
 use crate::agent::USER_TAG;
@@ -57,7 +56,7 @@ pub enum NativeOp {
 /// An instrumented native thread: the producer side of the Pin interface.
 pub trait NativeThread: Send {
     /// Produces the next event. Called once per previous event completion.
-    fn next_op(&mut self, rng: &mut ChaCha12Rng) -> NativeOp;
+    fn next_op(&mut self, rng: &mut TileRng) -> NativeOp;
 
     /// Notifies the thread that a `Recv` completed.
     fn on_recv(&mut self, _src: NodeId, _word: u64) {}
@@ -171,7 +170,7 @@ impl NativeFrontendAgent {
         }
     }
 
-    fn step_cpu(&mut self, io: &mut dyn NodeIo, now: Cycle, rng: &mut ChaCha12Rng) {
+    fn step_cpu(&mut self, io: &mut dyn NodeIo, now: Cycle, rng: &mut TileRng) {
         match self.state {
             FrontendState::Done => {}
             FrontendState::Computing(remaining) => {
@@ -259,7 +258,7 @@ impl NativeFrontendAgent {
 }
 
 impl NodeAgent for NativeFrontendAgent {
-    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng) {
         let now = io.cycle();
         self.demux(io, now);
         self.memory.tick(io, now);
@@ -360,26 +359,26 @@ impl SyntheticThread {
 }
 
 impl NativeThread for SyntheticThread {
-    fn next_op(&mut self, rng: &mut ChaCha12Rng) -> NativeOp {
+    fn next_op(&mut self, rng: &mut TileRng) -> NativeOp {
         if self.executed >= self.config.instructions {
             return NativeOp::Finish;
         }
         self.executed += 1;
-        if rng.gen::<f64>() >= self.config.memory_fraction {
+        if rng.f64() >= self.config.memory_fraction {
             return NativeOp::Compute(self.config.compute_cost);
         }
         // Memory reference: pick private or shared region.
-        let addr = if rng.gen::<f64>() < self.config.shared_fraction {
+        let addr = if rng.f64() < self.config.shared_fraction {
             // Shared region: global addresses (line-aligned).
-            (rng.gen_range(0..self.config.shared_bytes.max(64)) / 8) * 8
+            (rng.range(0..self.config.shared_bytes.max(64)) / 8) * 8
         } else {
             // Private region: offset by the node index so tiles do not falsely
             // share their private data.
             let base = 0x1000_0000u64 + (self.node.raw() as u64) * 0x100_0000;
-            base + (rng.gen_range(0..self.config.working_set_bytes.max(64)) / 8) * 8
+            base + (rng.range(0..self.config.working_set_bytes.max(64)) / 8) * 8
         };
-        if rng.gen::<f64>() < self.config.write_fraction {
-            NativeOp::Store(addr, rng.gen())
+        if rng.f64() < self.config.write_fraction {
+            NativeOp::Store(addr, rng.next_u64())
         } else {
             NativeOp::Load(addr)
         }
@@ -397,7 +396,6 @@ mod tests {
     use hornet_net::geometry::Geometry;
     use hornet_net::network::Network;
     use hornet_net::routing::FlowSpec;
-    use rand::SeedableRng;
 
     #[test]
     fn synthetic_thread_produces_a_bounded_stream() {
@@ -408,7 +406,7 @@ mod tests {
                 ..SyntheticThreadConfig::default()
             },
         );
-        let mut rng = ChaCha12Rng::seed_from_u64(1);
+        let mut rng = TileRng::seed_from_u64(1);
         let mut count = 0;
         loop {
             match t.next_op(&mut rng) {
@@ -465,7 +463,7 @@ mod tests {
             sent: bool,
         }
         impl NativeThread for Sender {
-            fn next_op(&mut self, _rng: &mut ChaCha12Rng) -> NativeOp {
+            fn next_op(&mut self, _rng: &mut TileRng) -> NativeOp {
                 if self.sent {
                     NativeOp::Finish
                 } else {
@@ -482,7 +480,7 @@ mod tests {
             got: Option<u64>,
         }
         impl NativeThread for Receiver {
-            fn next_op(&mut self, _rng: &mut ChaCha12Rng) -> NativeOp {
+            fn next_op(&mut self, _rng: &mut TileRng) -> NativeOp {
                 if self.got.is_some() {
                     NativeOp::Finish
                 } else {

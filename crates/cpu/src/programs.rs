@@ -13,7 +13,7 @@
 use crate::isa::{regs::*, Inst, Program, ProgramBuilder, Syscall};
 use crate::pinlike::{NativeOp, NativeThread};
 use hornet_net::ids::{Cycle, NodeId};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 
 /// Configuration of the Cannon matrix-multiplication workload.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,12 +79,10 @@ impl CannonConfig {
     /// Builds a random logical→physical mapping over `node_count` nodes
     /// (deterministic in `seed`), as the paper does to stress the network.
     pub fn with_random_mapping(mut self, node_count: usize, seed: u64) -> Self {
-        use rand::seq::SliceRandom;
-        use rand::SeedableRng;
         assert!(node_count >= self.grid_p * self.grid_p);
         let mut nodes: Vec<NodeId> = (0..self.grid_p * self.grid_p).map(NodeId::from).collect();
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        nodes.shuffle(&mut rng);
+        let mut rng = TileRng::seed_from_u64(seed);
+        rng.shuffle(&mut nodes);
         self.mapping = nodes;
         self
     }
@@ -156,7 +154,7 @@ impl CannonThread {
 }
 
 impl NativeThread for CannonThread {
-    fn next_op(&mut self, _rng: &mut ChaCha12Rng) -> NativeOp {
+    fn next_op(&mut self, _rng: &mut TileRng) -> NativeOp {
         if self.round >= self.config.grid_p {
             return NativeOp::Finish;
         }
@@ -313,7 +311,6 @@ pub fn vector_sum_program(base_addr: u64, count: u64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn cannon_config_arithmetic() {
@@ -344,7 +341,7 @@ mod tests {
         }
         .validated();
         let mut t = CannonThread::new(config.clone(), 0, 1);
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        let mut rng = TileRng::seed_from_u64(0);
         let mut sends = 0;
         let mut recvs = 0;
         loop {

@@ -9,7 +9,7 @@
 use crate::msg::{MemMessage, MsgClass};
 use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::ids::{Cycle, NodeId};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 use std::collections::VecDeque;
 
 /// Memory-controller timing parameters.
@@ -101,7 +101,7 @@ impl MemoryControllerAgent {
 }
 
 impl NodeAgent for MemoryControllerAgent {
-    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
         let now = io.cycle();
         // Accept new requests.
         while let Some(delivered) = io.peek_recv() {
@@ -296,7 +296,7 @@ mod tests {
         node_count: usize,
     }
     impl NodeAgent for Requester {
-        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
             while let Some(d) = io.try_recv() {
                 if matches!(
                     MemMessage::decode(&d.packet.payload),
@@ -426,7 +426,7 @@ mod tests {
                 hops: 0,
             });
         }
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut rng = TileRng::seed_from_u64(0);
         for cycle in 0..200 {
             io.cycle = cycle;
             mc.tick(&mut io, &mut rng);

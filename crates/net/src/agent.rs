@@ -10,7 +10,7 @@
 use crate::codec::{Dec, Enc};
 use crate::flit::{DeliveredPacket, Packet};
 use crate::ids::{Cycle, NodeId, PacketId};
-use rand_chacha::ChaCha12Rng;
+use crate::rng::TileRng;
 
 /// The per-cycle interface an agent uses to talk to the network.
 pub trait NodeIo {
@@ -52,7 +52,7 @@ pub trait NodeIo {
 pub trait NodeAgent: Send {
     /// Advances the agent by one cycle. The agent may inspect delivered
     /// packets and queue new ones through `io`.
-    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut ChaCha12Rng);
+    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng);
 
     /// The next cycle at which this agent will want to inject traffic or do
     /// work, if it is currently idle. Used for fast-forwarding: when every
@@ -110,7 +110,7 @@ impl SinkAgent {
 }
 
 impl NodeAgent for SinkAgent {
-    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
         while io.try_recv().is_some() {
             self.received += 1;
         }
@@ -143,7 +143,6 @@ mod tests {
     use super::*;
     use crate::flit::Payload;
     use crate::ids::FlowId;
-    use rand::SeedableRng;
     use std::collections::VecDeque;
 
     /// Minimal in-memory NodeIo for unit-testing agents without a network.
@@ -209,7 +208,7 @@ mod tests {
         let mut io = MockIo::default();
         io.inbox.push_back(delivered(1));
         io.inbox.push_back(delivered(2));
-        let mut rng = ChaCha12Rng::seed_from_u64(0);
+        let mut rng = TileRng::seed_from_u64(0);
         sink.tick(&mut io, &mut rng);
         assert_eq!(sink.received(), 2);
         assert_eq!(io.recv_backlog(), 0);

@@ -12,10 +12,9 @@ use crate::agent::{NodeAgent, NodeIo};
 use crate::flit::{DeliveredPacket, Packet};
 use crate::geometry::Geometry;
 use crate::ids::{Cycle, NodeId, PacketId};
+use crate::rng::TileRng;
 use crate::routing::DistanceMatrix;
 use crate::stats::NetworkStats;
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -52,7 +51,7 @@ struct InFlight {
 struct IdealNode {
     node: NodeId,
     agents: Vec<Box<dyn NodeAgent>>,
-    rng: ChaCha12Rng,
+    rng: TileRng,
     pending: VecDeque<Packet>,
     /// Flits of the head pending packet already pushed into the network.
     injected_flits_of_head: u32,
@@ -127,7 +126,7 @@ impl IdealNetwork {
             .map(|node| IdealNode {
                 node,
                 agents: Vec::new(),
-                rng: ChaCha12Rng::seed_from_u64(
+                rng: TileRng::seed_from_u64(
                     seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.raw() as u64 + 1)),
                 ),
                 pending: VecDeque::new(),
@@ -304,7 +303,7 @@ mod tests {
         dst: NodeId,
     }
     impl NodeAgent for Burst {
-        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
             while self.sent < self.total {
                 let id = io.alloc_packet_id();
                 let src = io.node();

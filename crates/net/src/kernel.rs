@@ -538,8 +538,8 @@ mod tests {
     use crate::geometry::Geometry;
     use crate::ids::{FlowId, NodeId};
     use crate::network::Network;
+    use crate::rng::TileRng;
     use crate::routing::{FlowSpec, RoutingKind};
-    use rand_chacha::ChaCha12Rng;
 
     const NODES: usize = 16;
 
@@ -548,7 +548,7 @@ mod tests {
     struct Flood;
 
     impl NodeAgent for Flood {
-        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
             while io.try_recv().is_some() {}
             if io.cycle().is_multiple_of(2) && io.injection_backlog() < 8 {
                 let (src, id) = (io.node(), io.alloc_packet_id());

@@ -53,6 +53,7 @@ pub mod ids;
 pub mod kernel;
 pub mod network;
 pub mod payload;
+pub mod rng;
 pub mod router;
 pub mod routing;
 pub mod spsc;

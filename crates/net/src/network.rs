@@ -21,13 +21,12 @@ use crate::geometry::Geometry;
 use crate::ids::{Cycle, NodeId, PacketId};
 use crate::kernel::{KernelMode, Stepper};
 use crate::payload::PayloadStore;
+use crate::rng::TileRng;
 use crate::router::{Router, RouterConfig};
 use crate::routing::build_routing;
 use crate::stats::NetworkStats;
 use crate::vca::{VcAllocKind, VcaPolicy};
 use hornet_obs::trace::{TraceDump, TraceEvent, TraceKind, TraceRing};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
 
 /// Adapter giving agents packet-level access to the tile's bridge.
@@ -73,7 +72,7 @@ pub struct NetworkNode {
     pub(crate) router: Router,
     pub(crate) bridge: Bridge,
     pub(crate) agents: Vec<Box<dyn NodeAgent>>,
-    pub(crate) rng: ChaCha12Rng,
+    pub(crate) rng: TileRng,
     pub(crate) node: NodeId,
     /// Flit-lifecycle event ring; boxed so untraced tiles pay one pointer.
     /// Deliberately excluded from snapshots: the trace observes a run, it is
@@ -286,7 +285,7 @@ impl NetworkNode {
         for w in &mut state {
             *w = d.u64()?;
         }
-        self.rng = ChaCha12Rng::from_state(state);
+        self.rng = TileRng::from_state(state);
         self.router.restore(d)?;
         if d.u32()? as usize != self.agents.len() {
             return Err(corrupt(format!(
@@ -418,7 +417,7 @@ pub fn build_tiles(
                 config.link_bandwidth,
             );
             bridge.attach_payload_store(Arc::clone(&payload_store));
-            let rng = ChaCha12Rng::seed_from_u64(
+            let rng = TileRng::seed_from_u64(
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.raw() as u64 + 1)),
             );
             NetworkNode {
@@ -735,8 +734,8 @@ mod tests {
     use crate::flit::Packet;
     use crate::geometry::Geometry;
     use crate::ids::FlowId;
+    use crate::rng::TileRng;
     use crate::routing::{FlowSpec, RoutingKind};
-    use rand_chacha::ChaCha12Rng;
 
     /// Sends `count` packets from `src` to `dst`, one every `period` cycles.
     struct PeriodicSender {
@@ -750,7 +749,7 @@ mod tests {
     }
 
     impl NodeAgent for PeriodicSender {
-        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+        fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
             if self.remaining > 0 && io.cycle() >= self.next_send {
                 let id = io.alloc_packet_id();
                 let packet = Packet::new(
@@ -885,7 +884,7 @@ mod tests {
             sent: bool,
         }
         impl NodeAgent for OneShotSender {
-            fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+            fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
                 if !self.sent {
                     let id = io.alloc_packet_id();
                     let packet = Packet::new(
@@ -912,7 +911,7 @@ mod tests {
             got: Option<Vec<u64>>,
         }
         impl NodeAgent for PayloadChecker {
-            fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+            fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
                 if let Some(d) = io.try_recv() {
                     self.got = Some(d.packet.payload.words().to_vec());
                 }

@@ -2,9 +2,7 @@
 //! routing and traffic draws, and the RNG words inside checkpoints, come from
 //! this stream, so a change here moves every simulated figure.
 
-use rand::seq::SliceRandom;
-use rand::{Rng, RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 
 #[test]
 fn first_words_per_seed_are_pinned() {
@@ -74,7 +72,7 @@ fn first_words_per_seed_are_pinned() {
         ),
     ];
     for (seed, words) in expected {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let mut rng = TileRng::seed_from_u64(seed);
         let got: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
         assert_eq!(got, words, "seed {seed}");
     }
@@ -82,15 +80,15 @@ fn first_words_per_seed_are_pinned() {
 
 #[test]
 fn unit_draws_are_pinned() {
-    let mut rng = ChaCha12Rng::seed_from_u64(42);
-    let sum: f64 = (0..1_000).map(|_| rng.gen::<f64>()).sum();
+    let mut rng = TileRng::seed_from_u64(42);
+    let sum: f64 = (0..1_000).map(|_| rng.f64()).sum();
     assert_eq!(sum.to_bits(), 0x407F78E294A21F61);
 }
 
 #[test]
 fn inclusive_range_draws_are_pinned() {
-    let mut rng = ChaCha12Rng::seed_from_u64(7);
-    let got: Vec<usize> = (0..64usize).map(|i| rng.gen_range(0..=i)).collect();
+    let mut rng = TileRng::seed_from_u64(7);
+    let got: Vec<u64> = (0..64u64).map(|i| rng.range_inclusive(0..=i)).collect();
     assert_eq!(
         got,
         [
@@ -103,9 +101,9 @@ fn inclusive_range_draws_are_pinned() {
 
 #[test]
 fn shuffle_is_pinned() {
-    let mut rng = ChaCha12Rng::seed_from_u64(9);
+    let mut rng = TileRng::seed_from_u64(9);
     let mut v: Vec<u32> = (0..32).collect();
-    v.shuffle(&mut rng);
+    rng.shuffle(&mut v);
     assert_eq!(
         v,
         [
@@ -117,7 +115,7 @@ fn shuffle_is_pinned() {
 
 #[test]
 fn state_round_trips() {
-    let mut rng = ChaCha12Rng::seed_from_u64(3);
+    let mut rng = TileRng::seed_from_u64(3);
     rng.next_u64();
     let state = rng.state();
     assert_eq!(
@@ -129,10 +127,10 @@ fn state_round_trips() {
             0x2ABC544921DEC077
         ]
     );
-    let mut restored = ChaCha12Rng::from_state(state);
+    let mut restored = TileRng::from_state(state);
     for _ in 0..8 {
         assert_eq!(restored.next_u64(), rng.next_u64());
     }
     // The all-zero state is xoshiro's fixed point; restoring maps it away.
-    assert_ne!(ChaCha12Rng::from_state([0; 4]).state(), [0; 4]);
+    assert_ne!(TileRng::from_state([0; 4]).state(), [0; 4]);
 }

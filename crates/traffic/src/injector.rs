@@ -12,7 +12,7 @@ use hornet_net::geometry::Geometry;
 #[cfg(test)]
 use hornet_net::ids::NodeId;
 use hornet_net::ids::{Cycle, FlowId};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 use std::sync::Arc;
 
 /// Configuration of a synthetic injector.
@@ -92,7 +92,7 @@ impl SyntheticInjector {
 }
 
 impl NodeAgent for SyntheticInjector {
-    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng) {
         let now = io.cycle();
         self.last_cycle_seen = now;
         // Drain anything delivered to this node.
@@ -359,7 +359,7 @@ mod tests {
             sent: 0,
             next: 0,
         };
-        let mut rng = rand::SeedableRng::seed_from_u64(0);
+        let mut rng = TileRng::seed_from_u64(0);
         for c in 0..10 {
             io.cycle = c;
             injector.tick(&mut io, &mut rng);

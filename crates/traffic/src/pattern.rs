@@ -7,7 +7,7 @@
 
 use hornet_net::geometry::Geometry;
 use hornet_net::ids::{Cycle, NodeId};
-use rand::Rng;
+use hornet_net::rng::TileRng;
 
 /// A synthetic destination pattern.
 #[derive(Clone, Debug, PartialEq)]
@@ -46,10 +46,30 @@ impl SyntheticPattern {
 
     /// Computes the destination for a packet injected at `src`.
     ///
-    /// Deterministic patterns ignore the RNG; random patterns use it. The
-    /// result is never equal to `src` except for degenerate single-node
-    /// geometries (in which case `src` is returned).
-    pub fn destination<R: Rng>(&self, src: NodeId, geometry: &Geometry, rng: &mut R) -> NodeId {
+    /// Only the random patterns draw from `rng`. The result is never equal to
+    /// `src` except for degenerate single-node geometries (in which case
+    /// `src` is returned).
+    pub fn destination(&self, src: NodeId, geometry: &Geometry, rng: &mut TileRng) -> NodeId {
+        let n = geometry.node_count();
+        let dst = match self {
+            SyntheticPattern::UniformRandom if n > 1 => {
+                let mut d = rng.range(0..n as u64 - 1) as usize;
+                if d >= src.index() {
+                    d += 1;
+                }
+                NodeId::from(d)
+            }
+            SyntheticPattern::Hotspot(targets) if n > 1 && !targets.is_empty() => {
+                targets[rng.range(0..targets.len() as u64) as usize]
+            }
+            _ => return self.fixed_destination(src, geometry),
+        };
+        not_self(dst, src, n)
+    }
+
+    /// The destination a deterministic pattern maps `src` to. Random
+    /// patterns, an empty hotspot list and single-node geometries give `src`.
+    fn fixed_destination(&self, src: NodeId, geometry: &Geometry) -> NodeId {
         let n = geometry.node_count();
         if n <= 1 {
             return src;
@@ -76,19 +96,6 @@ impl SyntheticPattern {
                 let rotated = ((v << 1) | (v >> (bits - 1).max(1))) & ((1usize << bits) - 1);
                 NodeId::from(rotated % n)
             }
-            SyntheticPattern::UniformRandom => {
-                let mut d = rng.gen_range(0..n - 1);
-                if d >= src.index() {
-                    d += 1;
-                }
-                NodeId::from(d)
-            }
-            SyntheticPattern::Hotspot(targets) => {
-                if targets.is_empty() {
-                    return src;
-                }
-                targets[rng.gen_range(0..targets.len())]
-            }
             SyntheticPattern::Tornado => {
                 let (x, y, l) = geometry.coords(src).unwrap_or((src.index(), 0, 0));
                 let w = geometry.width().unwrap_or(n);
@@ -104,12 +111,9 @@ impl SyntheticPattern {
                     .node_at((x + 1) % w, y, l)
                     .unwrap_or_else(|| NodeId::from((src.index() + 1) % n))
             }
+            SyntheticPattern::UniformRandom | SyntheticPattern::Hotspot(_) => return src,
         };
-        if dst == src {
-            NodeId::from((src.index() + 1) % n)
-        } else {
-            dst
-        }
+        not_self(dst, src, n)
     }
 
     /// Enumerates every (source, destination) pair this pattern can produce,
@@ -141,16 +145,21 @@ impl SyntheticPattern {
                 }
                 pairs
             }
-            _ => {
-                // Deterministic single-destination patterns.
-                let mut rng = rand::rngs::mock::StepRng::new(0, 1);
-                geometry
-                    .nodes()
-                    .map(|s| (s, self.destination(s, geometry, &mut rng)))
-                    .filter(|(s, d)| s != d)
-                    .collect()
-            }
+            _ => geometry
+                .nodes()
+                .map(|s| (s, self.fixed_destination(s, geometry)))
+                .filter(|(s, d)| s != d)
+                .collect(),
         }
+    }
+}
+
+/// `dst`, or the node after `src` when a pattern maps `src` onto itself.
+fn not_self(dst: NodeId, src: NodeId, n: usize) -> NodeId {
+    if dst == src {
+        NodeId::from((src.index() + 1) % n)
+    } else {
+        dst
     }
 }
 
@@ -200,10 +209,10 @@ impl InjectionProcess {
 
     /// Decides how many packets to inject at `now`, given the previous
     /// injection state, and returns the new state.
-    pub fn injections_at<R: Rng>(&self, now: Cycle, state: &mut ProcessState, rng: &mut R) -> u32 {
+    pub fn injections_at(&self, now: Cycle, state: &mut ProcessState, rng: &mut TileRng) -> u32 {
         match self {
             InjectionProcess::Bernoulli { rate } => {
-                if rng.gen::<f64>() < *rate {
+                if rng.f64() < *rate {
                     1
                 } else {
                     0
@@ -287,8 +296,12 @@ pub struct ProcessState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+
+    /// The streams these tests were written against: `seed` without the
+    /// tile domain mix.
+    fn seeded(seed: u64) -> TileRng {
+        TileRng::seed_from_u64(seed ^ 0xC4AC_4A12_C4AC_4A12)
+    }
 
     fn mesh(n: usize) -> Geometry {
         Geometry::mesh2d(n, n)
@@ -297,7 +310,7 @@ mod tests {
     #[test]
     fn transpose_swaps_coordinates() {
         let g = mesh(4);
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = seeded(0);
         // Node 1 = (1,0); transpose = (0,1) = node 4.
         assert_eq!(
             SyntheticPattern::Transpose.destination(NodeId::new(1), &g, &mut rng),
@@ -311,7 +324,7 @@ mod tests {
     #[test]
     fn bit_complement_is_involutive_for_power_of_two() {
         let g = mesh(4); // 16 nodes
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = seeded(0);
         for i in 0..16u32 {
             let d = SyntheticPattern::BitComplement.destination(NodeId::new(i), &g, &mut rng);
             let back = SyntheticPattern::BitComplement.destination(d, &g, &mut rng);
@@ -324,7 +337,7 @@ mod tests {
     #[test]
     fn uniform_random_never_targets_self_and_covers_nodes() {
         let g = mesh(3);
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = seeded(7);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..500 {
             let d = SyntheticPattern::UniformRandom.destination(NodeId::new(4), &g, &mut rng);
@@ -337,7 +350,7 @@ mod tests {
     #[test]
     fn hotspot_targets_only_hotspots() {
         let g = mesh(4);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = seeded(3);
         let targets = vec![NodeId::new(0), NodeId::new(15)];
         let p = SyntheticPattern::Hotspot(targets.clone());
         for _ in 0..100 {
@@ -361,7 +374,7 @@ mod tests {
     #[test]
     fn bernoulli_rate_is_respected_statistically() {
         let p = InjectionProcess::Bernoulli { rate: 0.25 };
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = seeded(11);
         let mut state = ProcessState::default();
         let total: u32 = (0..10_000)
             .map(|c| p.injections_at(c, &mut state, &mut rng))
@@ -376,7 +389,7 @@ mod tests {
             period: 10,
             offset: 5,
         };
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = seeded(0);
         let mut state = ProcessState::default();
         let fired: Vec<Cycle> = (0..40)
             .filter(|&c| p.injections_at(c, &mut state, &mut rng) > 0)
@@ -393,7 +406,7 @@ mod tests {
             burst_len: 3,
             gap: 7,
         };
-        let mut rng = StdRng::seed_from_u64(0);
+        let mut rng = seeded(0);
         let mut state = ProcessState::default();
         let fired: Vec<Cycle> = (0..20)
             .filter(|&c| p.injections_at(c, &mut state, &mut rng) > 0)

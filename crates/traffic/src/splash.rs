@@ -26,9 +26,8 @@ use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::flit::Packet;
 use hornet_net::geometry::Geometry;
 use hornet_net::ids::{Cycle, FlowId, NodeId};
+use hornet_net::rng::TileRng;
 use hornet_net::routing::FlowSpec;
-use rand::Rng;
-use rand_chacha::ChaCha12Rng;
 use std::sync::Arc;
 
 /// The synthesized benchmarks.
@@ -319,10 +318,9 @@ impl SplashWorkload {
     /// Materialises the workload as a [`crate::trace::Trace`] of the given
     /// duration (useful for the trace-replay experiments and for inspection).
     pub fn to_trace(&self, duration: Cycle, seed: u64) -> crate::trace::Trace {
-        use rand::SeedableRng;
         let mut events = Vec::new();
         for node in self.geometry.nodes() {
-            let mut rng = ChaCha12Rng::seed_from_u64(
+            let mut rng = TileRng::seed_from_u64(
                 seed.wrapping_add(0x9E37_79B9u64.wrapping_mul(node.raw() as u64 + 1)),
             );
             let is_mc = self.memory_controllers.contains(&node);
@@ -353,14 +351,14 @@ impl SplashWorkload {
 /// Decides whether node `src` injects a packet at `cycle`, and if so to where
 /// and how large. Shared between the live agent and the trace materialiser so
 /// both produce statistically identical traffic.
-fn synth_injection<R: Rng>(
+fn synth_injection(
     profile: &WorkloadProfile,
     geometry: &Geometry,
     mcs: &[NodeId],
     src: NodeId,
     is_mc: bool,
     cycle: Cycle,
-    rng: &mut R,
+    rng: &mut TileRng,
 ) -> Option<(NodeId, u32)> {
     // Memory controllers answer the aggregate request stream: they inject at a
     // rate proportional to the number of requesting nodes divided among MCs.
@@ -370,14 +368,14 @@ fn synth_injection<R: Rng>(
     } else {
         profile.rate_at(cycle)
     };
-    if rng.gen::<f64>() >= rate.min(1.0) {
+    if rng.f64() >= rate.min(1.0) {
         return None;
     }
     let dst = if is_mc {
         // Reply to a random non-MC node.
         let mut d = src;
         for _ in 0..8 {
-            let cand = NodeId::from(rng.gen_range(0..geometry.node_count()));
+            let cand = NodeId::from(rng.range(0..geometry.node_count() as u64) as usize);
             if cand != src && !mcs.contains(&cand) {
                 d = cand;
                 break;
@@ -387,7 +385,7 @@ fn synth_injection<R: Rng>(
             return None;
         }
         d
-    } else if rng.gen::<f64>() < profile.mc_fraction {
+    } else if rng.f64() < profile.mc_fraction {
         // Request to the nearest memory controller (ties by index).
         *mcs.iter()
             .min_by_key(|&&m| (geometry.hop_distance(src, m), m))
@@ -398,7 +396,7 @@ fn synth_injection<R: Rng>(
     if dst == src {
         return None;
     }
-    let size = if rng.gen::<f64>() < profile.data_fraction {
+    let size = if rng.f64() < profile.data_fraction {
         profile.data_packet_len
     } else {
         profile.control_packet_len
@@ -429,7 +427,7 @@ impl SplashInjector {
 }
 
 impl NodeAgent for SplashInjector {
-    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng) {
         while io.try_recv().is_some() {
             self.received += 1;
         }

@@ -10,7 +10,7 @@
 use hornet_net::agent::{NodeAgent, NodeIo};
 use hornet_net::flit::Packet;
 use hornet_net::ids::{Cycle, FlowId, NodeId};
-use rand_chacha::ChaCha12Rng;
+use hornet_net::rng::TileRng;
 use std::str::FromStr;
 
 /// One injection event of a trace.
@@ -268,7 +268,7 @@ impl TraceInjector {
 }
 
 impl NodeAgent for TraceInjector {
-    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut ChaCha12Rng) {
+    fn tick(&mut self, io: &mut dyn NodeIo, _rng: &mut TileRng) {
         let now = io.cycle();
         while io.try_recv().is_some() {
             self.received += 1;
