@@ -405,18 +405,7 @@ fn host(args: &[String]) -> ExitCode {
                 }
             }
             if as_json {
-                println!(
-                    "{{ \"shards\": {}, \"cut_links\": {}, \"final_cycle\": {}, \
-                     \"completed\": {}, \"delivered_packets\": {}, \"avg_packet_latency\": {:.3}, \
-                     \"cycles_per_sec\": {:.0} }}",
-                    outcome.shards,
-                    outcome.cut_links,
-                    outcome.final_cycle,
-                    outcome.completed,
-                    outcome.stats.delivered_packets,
-                    outcome.stats.avg_packet_latency(),
-                    cps
-                );
+                println!("{}", outcome.summary_json(cps));
             } else {
                 println!(
                     "mesh {}x{} | {} shards ({:?}) | {} cut links | sync {}",

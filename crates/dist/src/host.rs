@@ -16,6 +16,7 @@ use crate::spec::{DistSpec, RunKind};
 use crate::transport::{Listener, Stream};
 use crate::wire::WIRE_VERSION;
 use crate::wiring::{cut_pairs, partition_for};
+use hornet_net::geometry::Geometry;
 use hornet_net::stats::NetworkStats;
 use hornet_obs::json;
 use hornet_obs::log::{set_max_level, Level};
@@ -104,7 +105,7 @@ impl Default for HostOptions {
 }
 
 /// The merged result of a distributed run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct DistOutcome {
     /// Statistics merged over all shards.
     pub stats: NetworkStats,
@@ -129,6 +130,23 @@ pub struct DistOutcome {
     pub trace: TraceDump,
     /// Every telemetry sample the workers shipped, in arrival order.
     pub samples: Vec<TelemetrySample>,
+}
+
+impl DistOutcome {
+    /// The one-line result `hornet-dist host --json` prints.
+    pub fn summary_json(&self, cycles_per_sec: f64) -> String {
+        let mut out = String::new();
+        json::object(&mut out, |o| {
+            o.u64("shards", self.shards as u64)
+                .u64("cut_links", self.cut_links as u64)
+                .u64("final_cycle", self.final_cycle)
+                .bool("completed", self.completed)
+                .u64("delivered_packets", self.stats.delivered_packets)
+                .f64("avg_packet_latency", self.stats.avg_packet_latency(), 3)
+                .f64("cycles_per_sec", cycles_per_sec, 0);
+        });
+        out
+    }
 }
 
 /// A recoverable worker loss: the supervisor kills the attempt and — within
@@ -650,7 +668,9 @@ pub fn run_distributed(spec: &DistSpec, opts: &HostOptions) -> io::Result<DistOu
     }
     // The shard adjacencies, each once as `(lo, hi)`: one data-plane
     // endpoint each.
-    let cut = cut_pairs(&spec.network_config().geometry, &partition);
+    // The geometry alone: the spec's flow list can be all-to-all.
+    let geometry = Geometry::mesh2d(spec.width as usize, spec.height as usize);
+    let cut = cut_pairs(&geometry, &partition);
     let mut adjacencies: Vec<(usize, usize)> = cut
         .iter()
         .map(|&(a, b)| (partition.shard_of(a), partition.shard_of(b)))
@@ -974,6 +994,22 @@ mod tests {
             ],
             ..TelemetrySample::default()
         }
+    }
+
+    #[test]
+    fn summary_json_is_byte_stable() {
+        let mut outcome = DistOutcome {
+            shards: 4,
+            cut_links: 48,
+            final_cycle: 2_000,
+            ..DistOutcome::default()
+        };
+        outcome.stats.delivered_packets = 3;
+        outcome.stats.total_packet_latency = 466;
+        assert_eq!(
+            outcome.summary_json(81_234.56),
+            r#"{"shards":4,"cut_links":48,"final_cycle":2000,"completed":false,"delivered_packets":3,"avg_packet_latency":155.333,"cycles_per_sec":81235}"#
+        );
     }
 
     #[test]

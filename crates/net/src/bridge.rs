@@ -390,14 +390,6 @@ impl Bridge {
         }
     }
 
-    /// Forgets a payload for a packet injected on another node but destined
-    /// here (payloads travel out-of-band between bridges on different tiles
-    /// only via [`accept`]'s fallback reconstruction). Exposed for the memory
-    /// hierarchy, which re-attaches payloads from its own protocol state.
-    pub fn register_inbound_payload(&mut self, packet: Packet) {
-        self.in_flight_payloads.insert(packet.id, packet);
-    }
-
     /// Serializes the bridge's architectural state: the id allocator, the
     /// pending queue, the per-VC injection slots, the active reassembly
     /// slots, the in-flight loopback payloads (sorted by packet id so the
@@ -651,18 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn payloads_survive_when_registered() {
-        let mut b = bridge_with_vcs(1, 4);
-        let mut stats = NetworkStats::new();
-        let p = packet(9, 2).with_payload(Payload::from_words(&[0xdead, 0xbeef]));
-        b.register_inbound_payload(p.clone());
-        let mut flits = p.to_flits(0);
-        b.accept(&mut flits, 3, &mut stats);
-        let d = b.try_recv().unwrap();
-        assert_eq!(d.packet.payload.words(), &[0xdead, 0xbeef]);
-    }
-
-    #[test]
     fn backlog_record_fits_in_32_bytes() {
         assert!(std::mem::size_of::<Queued>() <= 32);
     }
@@ -681,6 +661,25 @@ mod tests {
             }
         );
         assert!(b.injection_idle());
+
+        // Its own node is a valid destination: the packet's payload stays
+        // with the bridge (not the shared store) and is delivered with it.
+        b.attach_payload_store(Arc::new(PayloadStore::new()));
+        let mut own = packet(9, 2).with_payload(Payload::from_words(&[0xdead, 0xbeef]));
+        own.dst = NodeId::new(0);
+        b.send(own).unwrap();
+        let mut stats = NetworkStats::new();
+        let mut flits = Vec::new();
+        for now in 0..2 {
+            b.inject(now, &mut stats);
+            b.injection_vcs[0].absorb_tail();
+            while let Some(f) = b.injection_vcs[0].pop_if(now + 9, |_| true) {
+                flits.push(f);
+            }
+        }
+        b.accept(&mut flits, 3, &mut stats);
+        let d = b.try_recv().expect("packet delivered");
+        assert_eq!(d.packet.payload.words(), &[0xdead, 0xbeef]);
     }
 
     /// Sends four packets, two of them with payloads, so the payload side

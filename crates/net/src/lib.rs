@@ -14,6 +14,7 @@
 //! * [`vca`] — virtual-channel allocation (dynamic, static-set,
 //!   phase-separated, EDVCA, FAA, explicit tables);
 //! * [`router`] — the RC/VA/SA/ST router pipeline with randomized arbitration;
+//! * [`rng`] — the per-tile xoshiro256++ stream every random draw comes from;
 //! * [`vcbuf`] — the ingress VC buffer: a single-owner flit ring (one thread
 //!   drives both of its ends; see its ownership contract);
 //! * [`boundary`] — lock-free SPSC flit/credit mailboxes for links cut
