@@ -38,11 +38,7 @@ impl TileRng {
     /// Rebuilds a generator from words returned by [`state`](Self::state).
     /// The all-zero state is replaced, so no generator is ever stuck at zero.
     pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0; 4] {
-            return Self {
-                s: [GOLDEN, 0, 0, 0],
-            };
-        }
+        let s = if s == [0; 4] { [GOLDEN, 0, 0, 0] } else { s };
         Self { s }
     }
 
@@ -70,23 +66,15 @@ impl TileRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// `r.start + x % span`: uniform up to the modulo bias, which spans far
-    /// below 2⁶⁴ make negligible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is empty.
+    /// `r.start + x % span`: uniform up to a modulo bias that spans far below
+    /// 2⁶⁴ make negligible. Panics if `r` is empty.
     pub fn range(&mut self, r: Range<u64>) -> u64 {
         assert!(r.start < r.end, "cannot sample from empty range");
         r.start + self.next_u64() % (r.end - r.start)
     }
 
     /// The inclusive form of [`range`](Self::range); `0..=u64::MAX` returns
-    /// the raw word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is empty.
+    /// the raw word. Panics if `r` is empty.
     pub fn range_inclusive(&mut self, r: RangeInclusive<u64>) -> u64 {
         let (lo, hi) = r.into_inner();
         assert!(lo <= hi, "cannot sample from empty range");
