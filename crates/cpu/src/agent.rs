@@ -150,7 +150,7 @@ impl CoreContext for TileContext<'_> {
             len_flits.max(1),
             self.now,
         )
-        .with_payload(Payload(vec![USER_TAG, word]));
+        .with_payload(Payload::from_words(&[USER_TAG, word]));
         self.io.send(packet);
     }
 

@@ -245,7 +245,7 @@ impl NativeFrontendAgent {
                                 len_flits.max(1),
                                 now,
                             )
-                            .with_payload(Payload(vec![USER_TAG, word]));
+                            .with_payload(Payload::from_words(&[USER_TAG, word]));
                             io.send(packet);
                         }
                     }

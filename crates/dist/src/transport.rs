@@ -1029,7 +1029,7 @@ mod tests {
                     1,
                     0,
                 )
-                .with_payload(Payload(vec![id; 512 << 10]));
+                .with_payload(Payload::from(vec![id; 512 << 10]));
                 store.deposit(packet);
                 let mut tail = flit(0, 2);
                 (tail.packet, tail.kind) = (PacketId::new(id), FlitKind::HeadTail);

@@ -9,7 +9,7 @@
 //! (paper §II-D2).
 
 use crate::cache::CacheConfig;
-use crate::directory::DirectorySlice;
+use crate::directory::{decode_message, DirOutput, DirectorySlice};
 use crate::l1::{AccessOutcome, CoreMemOp, L1Controller, L1Out, L1Stats};
 use crate::msg::{LineAddr, MemMessage, MsgClass};
 use hornet_net::agent::NodeIo;
@@ -135,6 +135,10 @@ pub struct MemoryNode {
     /// and the ready messages of a lane are always a prefix of it. Lanes
     /// are kept when they empty, so no cycle allocates.
     lanes: Vec<VecDeque<Scheduled>>,
+    /// Scratch for the L1's and the directory's outputs: empty between
+    /// calls, kept so that handling a message allocates nothing.
+    l1_out: Vec<L1Out>,
+    dir_out: Vec<DirOutput>,
     /// The `seq` of the next message scheduled.
     next_seq: u64,
     /// No message in `lanes` is ready before this cycle (`Cycle::MAX` when
@@ -159,6 +163,8 @@ impl MemoryNode {
             directory: DirectorySlice::new(),
             hosts_directory,
             lanes: Vec::new(),
+            l1_out: Vec::new(),
+            dir_out: Vec::new(),
             next_seq: 0,
             earliest: Cycle::MAX,
             stats: MemNodeStats::default(),
@@ -179,6 +185,11 @@ impl MemoryNode {
     /// Directory statistics (meaningful only on tiles that host a slice).
     pub fn directory_stats(&self) -> &crate::directory::DirectoryStats {
         self.directory.stats()
+    }
+
+    /// The directory slice homed at this tile.
+    pub fn directory(&self) -> &DirectorySlice {
+        &self.directory
     }
 
     /// Tile-level statistics.
@@ -218,7 +229,7 @@ impl MemoryNode {
                 AccessOutcome::Miss(msg) => {
                     let line = self.l1.cache().config().line_of(op.addr());
                     let home = self.home_of(line);
-                    self.route(home, msg, now, false);
+                    self.route(home, msg, now);
                     None
                 }
             },
@@ -229,22 +240,9 @@ impl MemoryNode {
                     self.stats.local_accesses += 1;
                     // Local access: read/write the home memory directly.
                     return Some(match op {
-                        CoreMemOp::Load { .. } => {
-                            let out = self.directory.handle(MemMessage::RemoteRead {
-                                addr: op.addr(),
-                                requester: self.node,
-                            });
-                            match out.first().map(|o| o.msg) {
-                                Some(MemMessage::RemoteReadResp { value, .. }) => value,
-                                _ => 0,
-                            }
-                        }
+                        CoreMemOp::Load { addr } => self.directory.read(addr),
                         CoreMemOp::Store { addr, value } => {
-                            self.directory.handle(MemMessage::RemoteWrite {
-                                addr,
-                                value,
-                                requester: self.node,
-                            });
+                            self.directory.write(addr, value);
                             value
                         }
                     });
@@ -267,7 +265,7 @@ impl MemoryNode {
                     AccessOutcome::Hit(v) => return Some(v),
                     AccessOutcome::Busy => return None,
                 };
-                self.route(home, msg, now, false);
+                self.route(home, msg, now);
                 None
             }
         }
@@ -278,8 +276,18 @@ impl MemoryNode {
     pub fn handle_message(&mut self, msg: MemMessage, now: Cycle) {
         match msg.class() {
             MsgClass::L1 => {
-                let outs = self.l1.handle(msg, now);
-                self.dispatch_l1_outputs(outs, now);
+                let mut outs = std::mem::take(&mut self.l1_out);
+                self.l1.handle_into(msg, now, &mut outs);
+                for out in outs.drain(..) {
+                    match out {
+                        L1Out::ToHome { line, msg } => {
+                            let home = self.home_of(line);
+                            self.route(home, msg, now);
+                        }
+                        L1Out::ToNode { dst, msg } => self.route(dst, msg, now),
+                    }
+                }
+                self.l1_out = outs;
             }
             MsgClass::Directory | MsgClass::MemoryController => {
                 if !self.hosts_directory {
@@ -287,8 +295,9 @@ impl MemoryNode {
                     // the protocol cannot wedge (counts as a local message).
                     self.stats.local_messages += 1;
                 }
-                let outs = self.directory.handle(msg);
-                for o in outs {
+                let mut outs = std::mem::take(&mut self.dir_out);
+                self.directory.handle_into(msg, &mut outs);
+                for o in outs.drain(..) {
                     let delay = self.config.directory_latency
                         + if o.from_memory {
                             self.config.dram_latency
@@ -297,24 +306,13 @@ impl MemoryNode {
                         };
                     self.route_delayed(o.dst, o.msg, now + delay);
                 }
+                self.dir_out = outs;
             }
             MsgClass::User => {}
         }
     }
 
-    fn dispatch_l1_outputs(&mut self, outs: Vec<L1Out>, now: Cycle) {
-        for out in outs {
-            match out {
-                L1Out::ToHome { line, msg } => {
-                    let home = self.home_of(line);
-                    self.route(home, msg, now, false);
-                }
-                L1Out::ToNode { dst, msg } => self.route(dst, msg, now, false),
-            }
-        }
-    }
-
-    fn route(&mut self, dst: NodeId, msg: MemMessage, now: Cycle, _from_memory: bool) {
+    fn route(&mut self, dst: NodeId, msg: MemMessage, now: Cycle) {
         if dst == self.node {
             self.stats.local_messages += 1;
             self.route_delayed(dst, msg, now + self.config.local_latency);
@@ -402,11 +400,7 @@ impl MemoryNode {
     /// tile's directory slice (used to preload program data before a
     /// simulation starts; bypasses the coherence protocol entirely).
     pub fn poke(&mut self, line: LineAddr, value: u64) {
-        self.directory.handle(MemMessage::RemoteWrite {
-            addr: line,
-            value,
-            requester: self.node,
-        });
+        self.directory.write(line, value);
     }
 
     /// Reads a value directly from the functional backing store (testing /
@@ -443,8 +437,12 @@ impl MemoryNode {
     ///
     /// # Errors
     ///
-    /// Fails with `InvalidData` on a corrupt record.
+    /// Fails with `InvalidData` on a corrupt record: one the L1 or the
+    /// directory refuses, a scheduled message that does not decode, or one
+    /// addressed outside the system.
     pub fn restore(&mut self, d: &mut hornet_net::codec::Dec) -> std::io::Result<()> {
+        let corrupt =
+            |what: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, what.to_string());
         self.l1.restore(d)?;
         self.directory.restore(d)?;
         for lane in &mut self.lanes {
@@ -454,16 +452,13 @@ impl MemoryNode {
         for _ in 0..d.u32()? {
             let ready_at = d.u64()?;
             let dst = NodeId::new(d.u32()?);
-            let words = (0..d.u32()?)
-                .map(|_| d.u64())
-                .collect::<std::io::Result<Vec<u64>>>()?;
-            let payload = hornet_net::flit::Payload::from_words(&words);
-            let msg = MemMessage::decode(&payload).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "memory checkpoint: bad scheduled message",
-                )
-            })?;
+            if dst.index() >= self.node_count {
+                return Err(corrupt(
+                    "memory checkpoint: message to a node outside the system",
+                ));
+            }
+            let msg = decode_message(d)?
+                .ok_or_else(|| corrupt("memory checkpoint: bad scheduled message"))?;
             self.route_delayed(dst, msg, ready_at);
         }
         self.stats = MemNodeStats {
@@ -684,5 +679,42 @@ mod tests {
         assert_eq!(m.core_access(CoreMemOp::Load { addr: 0x10 }, 1), Some(3));
         assert_eq!(m.stats().local_accesses, 2);
         assert_eq!(m.stats().remote_accesses, 0);
+    }
+
+    #[test]
+    fn scheduled_messages_restore_only_if_a_snapshot_could_write_them() {
+        use hornet_net::codec::{Dec, Enc};
+        let node = MemoryNode::new(NodeId::new(0), 4, MemoryConfig::default());
+        let mut e = Enc::new();
+        node.snapshot(&mut e);
+        let empty = e.into_bytes();
+        // L1 and directory, then a scheduled-message count and 4 counters.
+        let head = &empty[..empty.len() - 4 - 32];
+        let with = |dst: u32, words: &[u64]| {
+            let mut e = Enc::new();
+            e.u32(1).u64(9).u32(dst).u32(words.len() as u32);
+            for &w in words {
+                e.u64(w);
+            }
+            for _ in 0..4 {
+                e.u64(0);
+            }
+            [head, e.bytes()].concat()
+        };
+        let inv = MemMessage::Invalidate { line: 5 }.encode();
+        let ok = with(3, inv.words());
+        let mut restored = node.clone();
+        restored.restore(&mut Dec::new(&ok)).expect("restores");
+        let mut e = Enc::new();
+        restored.snapshot(&mut e);
+        assert_eq!(e.into_bytes(), ok);
+        for (what, bytes) in [
+            ("a node outside the system", with(4, inv.words())),
+            ("an undecodable message", with(3, &[1, 5])),
+            ("a six-word message", with(3, &[1, 5, 5, 0, 0, 0])),
+        ] {
+            let err = node.clone().restore(&mut Dec::new(&bytes)).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! The controller is blocking — one outstanding miss at a time — which matches
 //! the single-cycle in-order core that drives it. Like the directory slice, it
 //! is a pure state machine: core accesses and inbound protocol messages go in,
-//! outbound protocol messages come out; the surrounding
-//! [`MemoryNode`](crate::hierarchy::MemoryNode) handles packetisation.
+//! and outbound protocol messages are appended to a buffer the caller owns;
+//! the surrounding [`MemoryNode`](crate::hierarchy::MemoryNode) handles
+//! packetisation.
 
 use crate::cache::{Cache, CacheConfig, LineState};
 use crate::msg::{LineAddr, MemMessage};
@@ -200,12 +201,12 @@ impl L1Controller {
         }
     }
 
-    /// Handles an inbound L1-class protocol message and returns any outbound
-    /// messages it produces.
-    pub fn handle(&mut self, msg: MemMessage, now: Cycle) -> Vec<L1Out> {
+    /// Handles an inbound L1-class protocol message and appends the outbound
+    /// messages it produces to `out`.
+    pub fn handle_into(&mut self, msg: MemMessage, now: Cycle, out: &mut Vec<L1Out>) {
         match msg {
             MemMessage::Data { line, value } | MemMessage::FwdData { line, value } => {
-                self.complete_fill(line, value, now)
+                self.complete_fill(line, value, now, out)
             }
             MemMessage::Fetch {
                 line,
@@ -221,35 +222,32 @@ impl L1Controller {
                 };
                 self.cache.set_state(line, new_state);
                 self.stats.writebacks += 1;
-                vec![
-                    L1Out::ToNode {
-                        dst: requester,
-                        msg: MemMessage::FwdData { line, value },
-                    },
-                    L1Out::ToHome {
+                out.push(L1Out::ToNode {
+                    dst: requester,
+                    msg: MemMessage::FwdData { line, value },
+                });
+                out.push(L1Out::ToHome {
+                    line,
+                    msg: MemMessage::PutM {
                         line,
-                        msg: MemMessage::PutM {
-                            line,
-                            value,
-                            from: self.node,
-                        },
+                        value,
+                        from: self.node,
                     },
-                ]
+                });
             }
             MemMessage::Invalidate { line } => {
                 self.stats.invalidations += 1;
                 self.cache.set_state(line, LineState::Invalid);
-                vec![L1Out::ToHome {
+                out.push(L1Out::ToHome {
                     line,
                     msg: MemMessage::InvAck {
                         line,
                         from: self.node,
                     },
-                }]
+                });
             }
             MemMessage::RemoteReadResp { value, .. } | MemMessage::DramReadResp { value, .. } => {
                 self.finish_outstanding(value, now);
-                Vec::new()
             }
             MemMessage::RemoteWriteAck { .. } => {
                 let value = match self.outstanding.map(|o| o.op) {
@@ -257,14 +255,12 @@ impl L1Controller {
                     _ => 0,
                 };
                 self.finish_outstanding(value, now);
-                Vec::new()
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    fn complete_fill(&mut self, line: LineAddr, value: u64, now: Cycle) -> Vec<L1Out> {
-        let mut out = Vec::new();
+    fn complete_fill(&mut self, line: LineAddr, value: u64, now: Cycle, out: &mut Vec<L1Out>) {
         let (state, fill_value, completion) = match self.outstanding {
             Some(o) if o.line == line => match o.op {
                 CoreMemOp::Load { .. } => (LineState::Shared, value, value),
@@ -290,7 +286,6 @@ impl L1Controller {
         if matches!(self.outstanding, Some(o) if o.line == line) {
             self.finish_outstanding(completion, now);
         }
-        out
     }
 
     fn finish_outstanding(&mut self, value: u64, now: Cycle) {
@@ -344,7 +339,7 @@ impl L1Controller {
         self.cache.restore(d)?;
         self.outstanding = match d.u8()? {
             0 => None,
-            _ => {
+            1 => {
                 let op = match d.u8()? {
                     0 => CoreMemOp::Load { addr: d.u64()? },
                     1 => CoreMemOp::Store {
@@ -359,10 +354,12 @@ impl L1Controller {
                     issued_at: d.u64()?,
                 })
             }
+            _ => return Err(corrupt("L1 checkpoint: bad outstanding-miss tag")),
         };
         self.completion = match d.u8()? {
             0 => None,
-            _ => Some(d.u64()?),
+            1 => Some(d.u64()?),
+            _ => return Err(corrupt("L1 checkpoint: bad completion tag")),
         };
         self.stats = L1Stats {
             loads: d.u64()?,
@@ -382,6 +379,12 @@ impl L1Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn handle(c: &mut L1Controller, msg: MemMessage, now: Cycle) -> Vec<L1Out> {
+        let mut out = Vec::new();
+        c.handle_into(msg, now, &mut out);
+        out
+    }
 
     fn l1() -> L1Controller {
         L1Controller::new(
@@ -410,9 +413,7 @@ mod tests {
             AccessOutcome::Busy
         );
         // Data arrives.
-        assert!(c
-            .handle(MemMessage::Data { line: 4, value: 42 }, 10)
-            .is_empty());
+        assert!(handle(&mut c, MemMessage::Data { line: 4, value: 42 }, 10).is_empty());
         assert_eq!(c.take_completion(), Some(42));
         assert!(!c.has_outstanding());
         // Now it hits.
@@ -428,7 +429,7 @@ mod tests {
     fn store_to_shared_line_upgrades() {
         let mut c = l1();
         c.access(CoreMemOp::Load { addr: 0x40 }, 0);
-        c.handle(MemMessage::Data { line: 1, value: 7 }, 1);
+        handle(&mut c, MemMessage::Data { line: 1, value: 7 }, 1);
         c.take_completion();
         let out = c.access(
             CoreMemOp::Store {
@@ -441,7 +442,7 @@ mod tests {
             out,
             AccessOutcome::Miss(MemMessage::GetM { line: 1, .. })
         ));
-        c.handle(MemMessage::Data { line: 1, value: 7 }, 5);
+        handle(&mut c, MemMessage::Data { line: 1, value: 7 }, 5);
         assert_eq!(c.take_completion(), Some(9));
         assert_eq!(c.cache().peek(1), Some((LineState::Modified, 9)));
         // A store to a Modified line hits.
@@ -467,9 +468,10 @@ mod tests {
             },
             0,
         );
-        c.handle(MemMessage::Data { line: 2, value: 0 }, 1);
+        handle(&mut c, MemMessage::Data { line: 2, value: 0 }, 1);
         c.take_completion();
-        let out = c.handle(
+        let out = handle(
+            &mut c,
             MemMessage::Fetch {
                 line: 2,
                 requester: NodeId::new(9),
@@ -492,7 +494,8 @@ mod tests {
         // Downgraded to Shared, not invalidated.
         assert_eq!(c.cache().peek(2), Some((LineState::Shared, 5)));
         // An invalidating fetch removes the line.
-        c.handle(
+        handle(
+            &mut c,
             MemMessage::Fetch {
                 line: 2,
                 requester: NodeId::new(9),
@@ -507,9 +510,9 @@ mod tests {
     fn invalidate_acks_to_home() {
         let mut c = l1();
         c.access(CoreMemOp::Load { addr: 0xc0 }, 0);
-        c.handle(MemMessage::Data { line: 3, value: 1 }, 1);
+        handle(&mut c, MemMessage::Data { line: 3, value: 1 }, 1);
         c.take_completion();
-        let out = c.handle(MemMessage::Invalidate { line: 3 }, 2);
+        let out = handle(&mut c, MemMessage::Invalidate { line: 3 }, 2);
         assert_eq!(out.len(), 1);
         assert!(matches!(
             &out[0],
@@ -543,11 +546,11 @@ mod tests {
             },
             0,
         );
-        c.handle(MemMessage::Data { line: 0, value: 0 }, 1);
+        handle(&mut c, MemMessage::Data { line: 0, value: 0 }, 1);
         c.take_completion();
         // A miss to a different line evicts the dirty line 0.
         c.access(CoreMemOp::Load { addr: 0x40 }, 2);
-        let out = c.handle(MemMessage::Data { line: 1, value: 3 }, 3);
+        let out = handle(&mut c, MemMessage::Data { line: 1, value: 3 }, 3);
         assert_eq!(out.len(), 1);
         assert!(matches!(
             &out[0],
@@ -570,7 +573,8 @@ mod tests {
         // a NUCA access is issued as a miss by the MemoryNode, so here we just
         // check that the response completes an outstanding op.
         c.access(CoreMemOp::Load { addr: 0x200 }, 0);
-        c.handle(
+        handle(
+            &mut c,
             MemMessage::RemoteReadResp {
                 addr: 0x200,
                 value: 55,

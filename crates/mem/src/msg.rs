@@ -25,18 +25,6 @@ pub enum MsgClass {
     User = 4,
 }
 
-impl MsgClass {
-    fn from_word(w: u64) -> Option<Self> {
-        match w {
-            1 => Some(MsgClass::L1),
-            2 => Some(MsgClass::Directory),
-            3 => Some(MsgClass::MemoryController),
-            4 => Some(MsgClass::User),
-            _ => None,
-        }
-    }
-}
-
 /// A memory-system protocol message.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum MemMessage {
@@ -124,117 +112,123 @@ impl MemMessage {
         )
     }
 
-    /// Encodes the message into payload words.
+    /// Encodes the message into payload words: the class, an opcode, then
+    /// the fields. At most
+    /// [`INLINE_PAYLOAD_WORDS`](hornet_net::flit::INLINE_PAYLOAD_WORDS) words, so the payload
+    /// never allocates.
     pub fn encode(&self) -> Payload {
-        let mut w = vec![self.class() as u64];
+        let class = self.class() as u64;
+        let node = |n: NodeId| n.raw() as u64;
+        let words = Payload::from_words;
         match *self {
-            MemMessage::GetS { line, requester } => {
-                w.extend([1, line, requester.raw() as u64]);
-            }
-            MemMessage::GetM { line, requester } => {
-                w.extend([2, line, requester.raw() as u64]);
-            }
-            MemMessage::Data { line, value } => w.extend([3, line, value]),
+            MemMessage::GetS { line, requester } => words(&[class, 1, line, node(requester)]),
+            MemMessage::GetM { line, requester } => words(&[class, 2, line, node(requester)]),
+            MemMessage::Data { line, value } => words(&[class, 3, line, value]),
             MemMessage::Fetch {
                 line,
                 requester,
                 invalidate,
-            } => w.extend([4, line, requester.raw() as u64, invalidate as u64]),
-            MemMessage::Invalidate { line } => w.extend([5, line]),
-            MemMessage::InvAck { line, from } => w.extend([6, line, from.raw() as u64]),
-            MemMessage::PutM { line, value, from } => {
-                w.extend([7, line, value, from.raw() as u64]);
-            }
-            MemMessage::FwdData { line, value } => w.extend([8, line, value]),
-            MemMessage::RemoteRead { addr, requester } => {
-                w.extend([9, addr, requester.raw() as u64]);
-            }
-            MemMessage::RemoteReadResp { addr, value } => w.extend([10, addr, value]),
+            } => words(&[class, 4, line, node(requester), invalidate as u64]),
+            MemMessage::Invalidate { line } => words(&[class, 5, line]),
+            MemMessage::InvAck { line, from } => words(&[class, 6, line, node(from)]),
+            MemMessage::PutM { line, value, from } => words(&[class, 7, line, value, node(from)]),
+            MemMessage::FwdData { line, value } => words(&[class, 8, line, value]),
+            MemMessage::RemoteRead { addr, requester } => words(&[class, 9, addr, node(requester)]),
+            MemMessage::RemoteReadResp { addr, value } => words(&[class, 10, addr, value]),
             MemMessage::RemoteWrite {
                 addr,
                 value,
                 requester,
-            } => w.extend([11, addr, value, requester.raw() as u64]),
-            MemMessage::RemoteWriteAck { addr } => w.extend([12, addr]),
-            MemMessage::DramRead { line, requester } => {
-                w.extend([13, line, requester.raw() as u64]);
-            }
-            MemMessage::DramReadResp { line, value } => w.extend([14, line, value]),
-            MemMessage::DramWrite { line, value } => w.extend([15, line, value]),
+            } => words(&[class, 11, addr, value, node(requester)]),
+            MemMessage::RemoteWriteAck { addr } => words(&[class, 12, addr]),
+            MemMessage::DramRead { line, requester } => words(&[class, 13, line, node(requester)]),
+            MemMessage::DramReadResp { line, value } => words(&[class, 14, line, value]),
+            MemMessage::DramWrite { line, value } => words(&[class, 15, line, value]),
         }
-        Payload(w)
     }
 
     /// Decodes a message from payload words.
     ///
     /// Returns `None` for malformed or non-memory payloads.
     pub fn decode(payload: &Payload) -> Option<Self> {
-        let w = payload.words();
-        if w.len() < 2 {
-            return None;
-        }
-        MsgClass::from_word(w[0])?;
-        let node = |i: usize| NodeId::new(w[i] as u32);
-        Some(match w[1] {
-            1 => MemMessage::GetS {
-                line: w[2],
-                requester: node(3),
+        Self::decode_words(payload.words())
+    }
+
+    /// Decodes a message from the words [`encode`](Self::encode) writes.
+    ///
+    /// Only the exact encoding is accepted — the right number of words, the
+    /// class word of the message, node ids that fit 32 bits and a 0/1 flag —
+    /// so a decoded message encodes back to the same words. Anything else is
+    /// `None`, never a panic.
+    pub fn decode_words(w: &[u64]) -> Option<Self> {
+        let (&class, rest) = w.split_first()?;
+        let (&op, f) = rest.split_first()?;
+        let node = |i: usize| u32::try_from(f[i]).ok().map(NodeId::new);
+        let msg = match (op, f.len()) {
+            (1, 2) => MemMessage::GetS {
+                line: f[0],
+                requester: node(1)?,
             },
-            2 => MemMessage::GetM {
-                line: w[2],
-                requester: node(3),
+            (2, 2) => MemMessage::GetM {
+                line: f[0],
+                requester: node(1)?,
             },
-            3 => MemMessage::Data {
-                line: w[2],
-                value: w[3],
+            (3, 2) => MemMessage::Data {
+                line: f[0],
+                value: f[1],
             },
-            4 => MemMessage::Fetch {
-                line: w[2],
-                requester: node(3),
-                invalidate: w[4] != 0,
+            (4, 3) => MemMessage::Fetch {
+                line: f[0],
+                requester: node(1)?,
+                invalidate: match f[2] {
+                    0 => false,
+                    1 => true,
+                    _ => return None,
+                },
             },
-            5 => MemMessage::Invalidate { line: w[2] },
-            6 => MemMessage::InvAck {
-                line: w[2],
-                from: node(3),
+            (5, 1) => MemMessage::Invalidate { line: f[0] },
+            (6, 2) => MemMessage::InvAck {
+                line: f[0],
+                from: node(1)?,
             },
-            7 => MemMessage::PutM {
-                line: w[2],
-                value: w[3],
-                from: node(4),
+            (7, 3) => MemMessage::PutM {
+                line: f[0],
+                value: f[1],
+                from: node(2)?,
             },
-            8 => MemMessage::FwdData {
-                line: w[2],
-                value: w[3],
+            (8, 2) => MemMessage::FwdData {
+                line: f[0],
+                value: f[1],
             },
-            9 => MemMessage::RemoteRead {
-                addr: w[2],
-                requester: node(3),
+            (9, 2) => MemMessage::RemoteRead {
+                addr: f[0],
+                requester: node(1)?,
             },
-            10 => MemMessage::RemoteReadResp {
-                addr: w[2],
-                value: w[3],
+            (10, 2) => MemMessage::RemoteReadResp {
+                addr: f[0],
+                value: f[1],
             },
-            11 => MemMessage::RemoteWrite {
-                addr: w[2],
-                value: w[3],
-                requester: node(4),
+            (11, 3) => MemMessage::RemoteWrite {
+                addr: f[0],
+                value: f[1],
+                requester: node(2)?,
             },
-            12 => MemMessage::RemoteWriteAck { addr: w[2] },
-            13 => MemMessage::DramRead {
-                line: w[2],
-                requester: node(3),
+            (12, 1) => MemMessage::RemoteWriteAck { addr: f[0] },
+            (13, 2) => MemMessage::DramRead {
+                line: f[0],
+                requester: node(1)?,
             },
-            14 => MemMessage::DramReadResp {
-                line: w[2],
-                value: w[3],
+            (14, 2) => MemMessage::DramReadResp {
+                line: f[0],
+                value: f[1],
             },
-            15 => MemMessage::DramWrite {
-                line: w[2],
-                value: w[3],
+            (15, 2) => MemMessage::DramWrite {
+                line: f[0],
+                value: f[1],
             },
             _ => return None,
-        })
+        };
+        (msg.class() as u64 == class).then_some(msg)
     }
 
     /// Builds a network packet carrying this message.
@@ -273,6 +267,7 @@ impl MemMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hornet_net::flit::INLINE_PAYLOAD_WORDS;
 
     #[test]
     fn encode_decode_roundtrip_for_all_variants() {
@@ -325,17 +320,33 @@ mod tests {
             MemMessage::DramWrite { line: 9, value: 4 },
         ];
         for m in msgs {
-            let decoded = MemMessage::decode(&m.encode()).expect("decodes");
+            let payload = m.encode();
+            assert!(payload.len() <= INLINE_PAYLOAD_WORDS);
+            let decoded = MemMessage::decode(&payload).expect("decodes");
             assert_eq!(decoded, m);
+            assert_eq!(MemMessage::decode_words(payload.words()), Some(m));
         }
     }
 
     #[test]
     fn malformed_payloads_are_rejected() {
-        assert!(MemMessage::decode(&Payload(vec![])).is_none());
-        assert!(MemMessage::decode(&Payload(vec![1])).is_none());
-        assert!(MemMessage::decode(&Payload(vec![99, 1, 2, 3])).is_none());
-        assert!(MemMessage::decode(&Payload(vec![1, 99, 2, 3])).is_none());
+        for words in [
+            &[][..],
+            &[1],
+            &[99, 1, 2, 3],
+            &[1, 99, 2, 3],
+            // GetS is a directory-class message: class word 2, four words.
+            &[1, 1, 2, 3],
+            &[2, 1],
+            &[2, 1, 2],
+            &[2, 1, 2, 3, 4],
+            // A node id wider than 32 bits, a Fetch flag that is not 0/1.
+            &[2, 1, 2, 1 << 32],
+            &[1, 4, 2, 3, 2],
+        ] {
+            assert!(MemMessage::decode_words(words).is_none(), "{words:?}");
+            assert!(MemMessage::decode(&Payload::from_words(words)).is_none());
+        }
     }
 
     #[test]

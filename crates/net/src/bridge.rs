@@ -709,7 +709,12 @@ mod tests {
             b.injection_vcs[0].absorb_tail();
             while b.injection_vcs[0].pop_if(now + 9, |_| true).is_some() {}
         }
-        let words = |id: u64| b.in_flight_payloads[&PacketId::new(id)].payload.0.clone();
+        let words = |id: u64| {
+            b.in_flight_payloads[&PacketId::new(id)]
+                .payload
+                .words()
+                .to_vec()
+        };
         assert_eq!(words(1), Vec::<u64>::new());
         assert_eq!(words(2), vec![200]);
         assert_eq!(words(3), Vec::<u64>::new());

@@ -296,7 +296,7 @@ pub fn decode_packet(d: &mut Dec) -> io::Result<Packet> {
     if d.remaining() < words as usize * 8 {
         return Err(short());
     }
-    let payload = Payload((0..words).map(|_| d.u64()).collect::<io::Result<_>>()?);
+    let payload = Payload::try_from_fn(words as usize, || d.u64())?;
     let mut p = Packet::new(id, flow, src, dst, len_flits, created_at);
     p.injected_at = injected_at;
     p.payload = payload;

@@ -143,43 +143,120 @@ impl Flit {
     }
 }
 
+/// Words a [`Payload`] holds inside itself, with no heap allocation: the
+/// longest memory-protocol message.
+pub const INLINE_PAYLOAD_WORDS: usize = 5;
+
 /// Payload attached to a packet.
 ///
 /// Synthetic traffic carries no payload; the memory hierarchy and the core
-/// model encode their protocol messages as a short sequence of words.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Payload(pub Vec<u64>);
+/// model encode their protocol messages as a short sequence of words. Up to
+/// [`INLINE_PAYLOAD_WORDS`] words live inline, so a protocol message costs no
+/// allocation; a longer payload spills to the heap. The two forms are one
+/// value: equality, `Debug` and the wire codec see only the words.
+#[derive(Clone, Default)]
+pub struct Payload(Words);
+
+#[derive(Clone)]
+enum Words {
+    /// `len ≤ INLINE_PAYLOAD_WORDS` words at the front of `words`.
+    Inline {
+        len: u8,
+        words: [u64; INLINE_PAYLOAD_WORDS],
+    },
+    /// More than `INLINE_PAYLOAD_WORDS` words.
+    Heap(Vec<u64>),
+}
+
+impl Default for Words {
+    fn default() -> Self {
+        Words::Inline {
+            len: 0,
+            words: [0; INLINE_PAYLOAD_WORDS],
+        }
+    }
+}
 
 impl Payload {
     /// An empty payload.
     pub fn empty() -> Self {
-        Self(Vec::new())
+        Self::default()
     }
 
     /// Payload from a slice of words.
     pub fn from_words(words: &[u64]) -> Self {
-        Self(words.to_vec())
+        if words.len() > INLINE_PAYLOAD_WORDS {
+            return Self(Words::Heap(words.to_vec()));
+        }
+        let mut inline = [0; INLINE_PAYLOAD_WORDS];
+        inline[..words.len()].copy_from_slice(words);
+        Self(Words::Inline {
+            len: words.len() as u8,
+            words: inline,
+        })
+    }
+
+    /// Payload of `len` words, each taken from `next` in order; the first
+    /// error ends it. Allocates only for a payload too long to hold inline.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `next` returns.
+    pub fn try_from_fn<E>(len: usize, mut next: impl FnMut() -> Result<u64, E>) -> Result<Self, E> {
+        if len > INLINE_PAYLOAD_WORDS {
+            let words = (0..len).map(|_| next()).collect::<Result<Vec<u64>, E>>()?;
+            return Ok(Self(Words::Heap(words)));
+        }
+        let mut inline = [0; INLINE_PAYLOAD_WORDS];
+        for w in &mut inline[..len] {
+            *w = next()?;
+        }
+        Ok(Self(Words::Inline {
+            len: len as u8,
+            words: inline,
+        }))
     }
 
     /// The payload words.
     pub fn words(&self) -> &[u64] {
-        &self.0
+        match &self.0 {
+            Words::Inline { len, words } => &words[..*len as usize],
+            Words::Heap(words) => words,
+        }
     }
 
     /// Number of words.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.words().len()
     }
 
     /// True if the payload carries no words.
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.words().is_empty()
     }
 }
 
 impl From<Vec<u64>> for Payload {
     fn from(v: Vec<u64>) -> Self {
-        Self(v)
+        if v.len() > INLINE_PAYLOAD_WORDS {
+            Self(Words::Heap(v))
+        } else {
+            Self::from_words(&v)
+        }
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for Payload {}
+
+impl std::fmt::Debug for Payload {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Payload").field(&self.words()).finish()
     }
 }
 
@@ -347,5 +424,30 @@ mod tests {
         assert_eq!(p.len(), 2);
         assert!(!p.is_empty());
         assert!(Payload::empty().is_empty());
+    }
+
+    #[test]
+    fn short_payloads_are_inline_and_long_ones_spill() {
+        assert!(std::mem::size_of::<Payload>() <= 48);
+        for len in [0, 1, INLINE_PAYLOAD_WORDS, INLINE_PAYLOAD_WORDS + 1, 64] {
+            let words: Vec<u64> = (1..=len as u64).collect();
+            let p = Payload::from_words(&words);
+            assert_eq!(p.words(), &words[..]);
+            assert_eq!(
+                matches!(p.0, Words::Heap(_)),
+                len > INLINE_PAYLOAD_WORDS,
+                "{len} words"
+            );
+            assert_eq!(Payload::from(words.clone()), p);
+            let mut it = words.iter().copied();
+            let q = Payload::try_from_fn(len, || it.next().ok_or(())).unwrap();
+            assert_eq!(q, p);
+            assert_eq!(format!("{p:?}"), format!("Payload({words:?})"));
+        }
+        let mut two = [7, 8].into_iter();
+        assert_eq!(
+            Payload::try_from_fn(3, || two.next().ok_or("short")),
+            Err("short")
+        );
     }
 }

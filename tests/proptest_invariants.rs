@@ -185,20 +185,21 @@ proptest! {
         requests in proptest::collection::vec((0u64..4, 0u32..4, any::<bool>()), 1..60),
     ) {
         let mut dir = DirectorySlice::new();
+        let (mut out, mut answers) = (Vec::new(), Vec::new());
         for (line, node, exclusive) in requests {
             let requester = NodeId::new(node);
-            let out = if exclusive {
-                dir.handle(MemMessage::GetM { line, requester })
+            if exclusive {
+                dir.handle_into(MemMessage::GetM { line, requester }, &mut out);
             } else {
-                dir.handle(MemMessage::GetS { line, requester })
-            };
-            for o in out {
+                dir.handle_into(MemMessage::GetS { line, requester }, &mut out);
+            }
+            for o in out.drain(..) {
                 match o.msg {
                     MemMessage::Fetch { line, .. } => {
-                        dir.handle(MemMessage::PutM { line, value: 0, from: o.dst });
+                        dir.handle_into(MemMessage::PutM { line, value: 0, from: o.dst }, &mut answers);
                     }
                     MemMessage::Invalidate { line } => {
-                        dir.handle(MemMessage::InvAck { line, from: o.dst });
+                        dir.handle_into(MemMessage::InvAck { line, from: o.dst }, &mut answers);
                     }
                     _ => {}
                 }
