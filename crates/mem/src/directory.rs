@@ -19,7 +19,6 @@
 //! holds.
 
 use crate::msg::{LineAddr, MemMessage};
-use hornet_net::flit::INLINE_PAYLOAD_WORDS;
 use hornet_net::ids::NodeId;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
@@ -68,20 +67,6 @@ impl Holders {
             std::cmp::Ordering::Equal => Holders::Shared(a),
             std::cmp::Ordering::Less => Holders::SharedMany(Box::new(Vec::from([a, b]))),
             std::cmp::Ordering::Greater => Holders::SharedMany(Box::new(Vec::from([b, a]))),
-        }
-    }
-
-    /// Adds a read-only copy at `node` to an uncached or shared line.
-    fn add_sharer(&mut self, node: NodeId) {
-        match self {
-            Holders::Uncached => *self = Holders::Shared(node),
-            Holders::Shared(one) => *self = Holders::shared_by(*one, node),
-            Holders::SharedMany(nodes) => {
-                if let Err(at) = nodes.binary_search(&node) {
-                    nodes.insert(at, node);
-                }
-            }
-            Holders::Modified(_) => unreachable!("a modified line gains no sharer"),
         }
     }
 }
@@ -349,8 +334,14 @@ impl DirectorySlice {
                     from_memory: false,
                 });
             }
-            Holders::Shared(_) | Holders::SharedMany(_) if !exclusive => {
-                entry.holders.add_sharer(requester);
+            Holders::Shared(one) if !exclusive => {
+                entry.holders = Holders::shared_by(one, requester);
+                out.push(data(entry.value, false));
+            }
+            Holders::SharedMany(ref mut nodes) if !exclusive => {
+                if let Err(at) = nodes.binary_search(&requester) {
+                    nodes.insert(at, requester);
+                }
                 out.push(data(entry.value, false));
             }
             Holders::Shared(_) | Holders::SharedMany(_) => {
@@ -512,11 +503,7 @@ impl DirectorySlice {
             let queued = entry.busy.as_ref().map(|b| &b.queued);
             e.u32(queued.map_or(0, VecDeque::len) as u32);
             for msg in queued.into_iter().flatten() {
-                let words = msg.encode();
-                e.u32(words.len() as u32);
-                for w in words.words() {
-                    e.u64(*w);
-                }
+                msg.snapshot(e);
             }
             e.u64(entry.value);
         }
@@ -603,7 +590,7 @@ impl DirectorySlice {
             let mut queued = VecDeque::new();
             for _ in 0..d.u32()? {
                 queued.push_back(
-                    decode_message(d)?
+                    MemMessage::restore(d)?
                         .ok_or_else(|| corrupt("directory checkpoint: bad queued message"))?,
                 );
             }
@@ -638,23 +625,6 @@ impl DirectorySlice {
         };
         Ok(())
     }
-}
-
-/// Reads one checkpointed message — a word count, then the words — into a
-/// stack buffer and decodes it: `Ok(None)` if it is no message
-/// [`MemMessage::encode`] writes.
-pub(crate) fn decode_message(
-    d: &mut hornet_net::codec::Dec,
-) -> std::io::Result<Option<MemMessage>> {
-    let len = d.u32()? as usize;
-    if len > INLINE_PAYLOAD_WORDS {
-        return Ok(None);
-    }
-    let mut words = [0; INLINE_PAYLOAD_WORDS];
-    for w in &mut words[..len] {
-        *w = d.u64()?;
-    }
-    Ok(MemMessage::decode_words(&words[..len]))
 }
 
 #[cfg(test)]

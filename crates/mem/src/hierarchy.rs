@@ -9,7 +9,7 @@
 //! (paper §II-D2).
 
 use crate::cache::CacheConfig;
-use crate::directory::{decode_message, DirOutput, DirectorySlice};
+use crate::directory::{DirOutput, DirectorySlice};
 use crate::l1::{AccessOutcome, CoreMemOp, L1Controller, L1Out, L1Stats};
 use crate::msg::{LineAddr, MemMessage, MsgClass};
 use hornet_net::agent::NodeIo;
@@ -421,11 +421,7 @@ impl MemoryNode {
         e.u32(scheduled.len() as u32);
         for s in scheduled {
             e.u64(s.ready_at).u32(s.dst.raw());
-            let words = s.msg.encode();
-            e.u32(words.len() as u32);
-            for w in words.words() {
-                e.u64(*w);
-            }
+            s.msg.snapshot(e);
         }
         e.u64(self.stats.messages_sent)
             .u64(self.stats.local_messages)
@@ -457,7 +453,7 @@ impl MemoryNode {
                     "memory checkpoint: message to a node outside the system",
                 ));
             }
-            let msg = decode_message(d)?
+            let msg = MemMessage::restore(d)?
                 .ok_or_else(|| corrupt("memory checkpoint: bad scheduled message"))?;
             self.route_delayed(dst, msg, ready_at);
         }

@@ -6,8 +6,10 @@
 //! class so the receiving tile can demultiplex packets to its L1 controller,
 //! directory slice, memory controller, or user (MPI-style) receive queues.
 
-use hornet_net::flit::{Packet, Payload};
+use hornet_net::codec::{Dec, Enc};
+use hornet_net::flit::{Packet, Payload, INLINE_PAYLOAD_WORDS};
 use hornet_net::ids::{Cycle, FlowId, NodeId, PacketId};
+use std::io;
 
 /// Address of one cache line.
 pub type LineAddr = u64;
@@ -113,8 +115,7 @@ impl MemMessage {
     }
 
     /// Encodes the message into payload words: the class, an opcode, then
-    /// the fields. At most
-    /// [`INLINE_PAYLOAD_WORDS`](hornet_net::flit::INLINE_PAYLOAD_WORDS) words, so the payload
+    /// the fields. At most [`INLINE_PAYLOAD_WORDS`] words, so the payload
     /// never allocates.
     pub fn encode(&self) -> Payload {
         let class = self.class() as u64;
@@ -231,6 +232,34 @@ impl MemMessage {
         (msg.class() as u64 == class).then_some(msg)
     }
 
+    /// Writes the message into a checkpoint: its word count, then the
+    /// words [`encode`](Self::encode) gives.
+    pub fn snapshot(&self, e: &mut Enc) {
+        let payload = self.encode();
+        e.u32(payload.len() as u32);
+        for &w in payload.words() {
+            e.u64(w);
+        }
+    }
+
+    /// Reads a message [`snapshot`](Self::snapshot) wrote, into a stack
+    /// buffer: `Ok(None)` if the words are no message `encode` writes.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the record ends early.
+    pub fn restore(d: &mut Dec) -> io::Result<Option<Self>> {
+        let len = d.u32()? as usize;
+        if len > INLINE_PAYLOAD_WORDS {
+            return Ok(None);
+        }
+        let mut words = [0; INLINE_PAYLOAD_WORDS];
+        for w in &mut words[..len] {
+            *w = d.u64()?;
+        }
+        Ok(Self::decode_words(&words[..len]))
+    }
+
     /// Builds a network packet carrying this message.
     ///
     /// Control messages occupy `control_len` flits and data-bearing messages
@@ -267,7 +296,6 @@ impl MemMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hornet_net::flit::INLINE_PAYLOAD_WORDS;
 
     #[test]
     fn encode_decode_roundtrip_for_all_variants() {
