@@ -15,6 +15,12 @@ use std::sync::{Mutex, MutexGuard};
 
 const SHARDS: usize = 64;
 
+/// Packets each shard has room for from the start: 512 in flight over the
+/// store. A table that starts empty grows in steps as the most packets it
+/// has held at once creeps up over a long run; one that starts at its
+/// working size does not allocate once the run is warm.
+const SHARD_CAPACITY: usize = 8;
+
 /// A sharded, thread-safe map from packet id to the in-flight packet.
 #[derive(Debug)]
 pub struct PayloadStore {
@@ -31,12 +37,20 @@ impl PayloadStore {
     /// Creates an empty store.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::new(HashMap::with_capacity(SHARD_CAPACITY)))
+                .collect(),
         }
     }
 
     fn shard(&self, id: PacketId) -> MutexGuard<'_, HashMap<PacketId, Packet>> {
-        lock(&self.shards[(id.raw() as usize) % SHARDS])
+        // A packet id is its source node above bit 40 and the source's
+        // sequence number below. Folding the node in spreads the
+        // same-numbered packets of a synchronised burst over the shards;
+        // by the sequence number alone, every tile's k-th packet would share
+        // one shard's lock and grow its table to the size of the burst.
+        let raw = id.raw();
+        lock(&self.shards[((raw ^ (raw >> 40)) as usize) % SHARDS])
     }
 
     /// Deposits a packet (with its payload) for later pickup at the
@@ -109,6 +123,15 @@ mod tests {
         assert_eq!(p.payload.words(), &[5]);
         assert!(store.claim(PacketId::new(5)).is_none(), "claim removes");
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn a_synchronised_burst_spreads_over_every_shard() {
+        let store = PayloadStore::new();
+        for node in 0..4 * SHARDS as u64 {
+            store.deposit(packet(node << 40));
+        }
+        assert!(store.shards.iter().all(|s| lock(s).len() == 4));
     }
 
     #[test]

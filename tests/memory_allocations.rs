@@ -2,14 +2,23 @@
 //!
 //! A 4×4 mesh of MIPS-like cores runs `vector_sum_program` over MSI
 //! coherence, each core on its own 4 096-word vector: 32 KiB, twice the
-//! 16 KiB L1. The store phase grows every directory table, payload-store
-//! shard and delivery map to its working size. In the load phase that
+//! 16 KiB L1. The store phase grows every directory table and scratch
+//! buffer to its working size. In the first half of the load phase that
 //! follows, every line misses, the fills evict the dirty lines the stores
 //! left and write them back over the network, and the directory serves the
-//! reads from memory. A window of that phase must not allocate at all —
-//! neither on the compiled kernel nor on the interpreter: protocol messages
-//! travel as inline payloads, and the L1 and the directory append their
-//! outputs to buffers the tile's memory system keeps.
+//! reads from memory. Over that whole stretch the memory agents must not
+//! allocate at all — neither on the compiled kernel nor on the
+//! interpreter: protocol messages travel as inline payloads, and the L1 and
+//! the directory append their outputs to buffers the tile's memory system
+//! keeps.
+//!
+//! What is counted is everything a core agent's tick does: demultiplexing
+//! delivered packets, the core, the L1, the directory, the delayed-message
+//! lanes, packetisation and the hand-off to the bridge's backlog. The
+//! network layer's own per-cycle work (injection, routing, reassembly, the
+//! payload store) is not: `steady_state_allocations.rs` covers it, and its
+//! tables and slabs grow to high-water marks that a mix of short and long
+//! packets keeps raising now and then.
 //!
 //! The counting allocator is global to this test binary, so the binary
 //! holds this one test, and counts only the allocations of the thread that
@@ -27,7 +36,7 @@ use hornet::net::rng::TileRng;
 use hornet::net::routing::FlowSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Counting;
@@ -70,53 +79,50 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Heap allocations made by this thread while `f` runs.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    ALLOCATIONS.with(|n| n.set(0));
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCATIONS.with(Cell::get)
-}
-
 const SIDE: usize = 4;
 /// Words per core: 32 KiB against the default 16 KiB L1.
 const WORDS: u64 = 4_096;
 /// Load-phase cycles run before the window opens.
-const WARMUP: Cycle = 5_000;
-const MEASURED: Cycle = 5_000;
+const WARMUP: Cycle = 500;
+/// About the first half of the load phase: the stretch with writebacks.
+const MEASURED: Cycle = 28_000;
 
-/// The L1 counters of every core, summed.
+/// The L1 counters of every core, summed, and whether the window is open.
 #[derive(Default)]
-struct L1Counts {
+struct Shared {
     stores: AtomicU64,
     loads: AtomicU64,
     writebacks: AtomicU64,
+    measuring: AtomicBool,
 }
 
-impl L1Counts {
+impl Shared {
     fn read(&self) -> [u64; 3] {
         [&self.stores, &self.loads, &self.writebacks].map(|c| c.load(Ordering::Relaxed))
     }
 }
 
-/// A core agent that adds its L1 counters' growth to `counts` after every
-/// tick, so the test can tell which phase the program is in.
+/// A core agent that counts its own allocations while the window is open,
+/// and adds its L1 counters' growth to `shared` after every tick so the
+/// test can tell which phase the program is in.
 struct Probed {
     core: CoreAgent,
     last: [u64; 3],
-    counts: Arc<L1Counts>,
+    shared: Arc<Shared>,
 }
 
 impl NodeAgent for Probed {
     fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng) {
+        let measuring = self.shared.measuring.load(Ordering::Relaxed);
+        COUNTING.with(|c| c.set(measuring));
         self.core.tick(io, rng);
+        COUNTING.with(|c| c.set(false));
         let s = self.core.memory().l1_stats();
         let now = [s.stores, s.loads, s.writebacks];
         let sums = [
-            &self.counts.stores,
-            &self.counts.loads,
-            &self.counts.writebacks,
+            &self.shared.stores,
+            &self.shared.loads,
+            &self.shared.writebacks,
         ];
         for ((sum, now), last) in sums.into_iter().zip(now).zip(self.last) {
             sum.fetch_add(now - last, Ordering::Relaxed);
@@ -149,7 +155,7 @@ fn load_phase_window(mode: KernelMode) -> Window {
     let cfg = NetworkConfig::new(geometry.clone()).with_flows(FlowSpec::all_to_all(&geometry));
     let mut net = Network::new(&cfg, 1).expect("valid configuration");
     net.set_kernel_mode(mode);
-    let counts = Arc::new(L1Counts::default());
+    let shared = Arc::new(Shared::default());
     for node in 0..nodes {
         let core = CoreAgent::new(
             NodeId::from(node),
@@ -162,27 +168,30 @@ fn load_phase_window(mode: KernelMode) -> Window {
             Box::new(Probed {
                 core,
                 last: [0; 3],
-                counts: Arc::clone(&counts),
+                shared: Arc::clone(&shared),
             }),
         );
     }
     assert_eq!(net.kernel_active(), mode == KernelMode::Force);
     let all_stores = nodes as u64 * WORDS;
-    while counts.read()[0] < all_stores {
+    while shared.read()[0] < all_stores {
         assert!(net.cycle() < 1_000_000, "{mode:?}: the store phase ends");
         net.run(100);
     }
     net.run(WARMUP);
-    let [_, loads, writebacks] = counts.read();
+    let [_, loads, writebacks] = shared.read();
     let delivered = net.stats().delivered_packets;
-    let allocations = allocations_during(|| net.run(MEASURED));
-    let [_, loads_after, writebacks_after] = counts.read();
+    ALLOCATIONS.with(|n| n.set(0));
+    shared.measuring.store(true, Ordering::Relaxed);
+    net.run(MEASURED);
+    shared.measuring.store(false, Ordering::Relaxed);
+    let [_, loads_after, writebacks_after] = shared.read();
     assert!(
         loads_after < all_stores,
         "{mode:?}: the window ends inside the load phase"
     );
     Window {
-        allocations,
+        allocations: ALLOCATIONS.with(Cell::get),
         delivered: net.stats().delivered_packets - delivered,
         loads: loads_after - loads,
         writebacks: writebacks_after - writebacks,
@@ -193,21 +202,25 @@ fn load_phase_window(mode: KernelMode) -> Window {
 fn the_load_phase_of_a_vector_sum_allocates_nothing() {
     for mode in [KernelMode::Force, KernelMode::Off] {
         let w = load_phase_window(mode);
-        assert!(w.loads > 1_000, "{mode:?}: {} loads in the window", w.loads);
         assert!(
-            w.writebacks > 100,
+            w.loads > 20_000,
+            "{mode:?}: {} loads in the window",
+            w.loads
+        );
+        assert!(
+            w.writebacks > 3_000,
             "{mode:?}: {} dirty evictions in the window",
             w.writebacks
         );
         assert!(
-            w.delivered > 1_000,
+            w.delivered > 8_000,
             "{mode:?}: {} packets in the window",
             w.delivered
         );
         assert_eq!(
             w.allocations, 0,
-            "{mode:?}: {} heap allocations over {MEASURED} load-phase cycles \
-             ({} packets delivered)",
+            "{mode:?}: the memory agents allocated {} times over {MEASURED} \
+             load-phase cycles ({} packets delivered)",
             w.allocations, w.delivered
         );
     }
