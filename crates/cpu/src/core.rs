@@ -165,14 +165,14 @@ impl Core {
             Inst::Addi(d, s, imm) => self.set_reg(d, (self.reg(s) as i64).wrapping_add(imm) as u64),
             Inst::Li(d, imm) => self.set_reg(d, imm),
             Inst::Lw(d, base, offset) => {
-                let addr = (self.reg(base) as i64 + offset) as u64;
+                let addr = (self.reg(base) as i64).wrapping_add(offset) as u64;
                 match ctx.mem_access(CoreMemOp::Load { addr }) {
                     Some(v) => self.set_reg(d, v),
                     None => self.state = CoreState::WaitingMem { dest: Some(d) },
                 }
             }
             Inst::Sw(t, base, offset) => {
-                let addr = (self.reg(base) as i64 + offset) as u64;
+                let addr = (self.reg(base) as i64).wrapping_add(offset) as u64;
                 let value = self.reg(t);
                 if ctx.mem_access(CoreMemOp::Store { addr, value }).is_none() {
                     self.state = CoreState::WaitingMem { dest: None };
@@ -288,14 +288,27 @@ impl Core {
         // Note: a pc past the program end is legal (Jr can produce one; the
         // next step simply halts), so the pc is restored unvalidated.
         self.pc = d.u64()? as usize;
+        let present = |d: &mut hornet_net::codec::Dec| match d.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(corrupt("presence flag is neither 0 nor 1")),
+        };
         self.state = match d.u8()? {
             0 => CoreState::Running,
             1 => {
-                let dest = if d.u8()? != 0 { Some(d.u8()?) } else { None };
+                let dest = if present(d)? {
+                    let r = d.u8()?;
+                    if usize::from(r) >= self.regs.len() {
+                        return Err(corrupt("load destination is not a register"));
+                    }
+                    Some(r)
+                } else {
+                    None
+                };
                 CoreState::WaitingMem { dest }
             }
             2 => {
-                let from = if d.u8()? != 0 {
+                let from = if present(d)? {
                     Some(NodeId::new(d.u32()?))
                 } else {
                     None
@@ -390,6 +403,7 @@ mod tests {
     use super::testing::MockContext;
     use super::*;
     use crate::isa::{regs::*, ProgramBuilder};
+    use hornet_net::codec::{Dec, Enc};
 
     fn run(core: &mut Core, ctx: &mut MockContext, max_cycles: u64) {
         for _ in 0..max_cycles {
@@ -443,6 +457,59 @@ mod tests {
             core.stats().mem_stall_cycles >= 8,
             "two accesses x 4+ stalls"
         );
+    }
+
+    /// Every prefix of a core record stalled on a load, and every byte XORed
+    /// with 0x01, 0x80 and 0xff: a record is refused or restores to a core
+    /// that writes back the bytes it read and completes its load.
+    #[test]
+    fn a_corrupt_core_record_is_refused_without_a_panic() {
+        let mut b = ProgramBuilder::new();
+        b.inst(Inst::Li(T0, 0x100));
+        b.inst(Inst::Lw(S0, T0, 8));
+        b.inst(Inst::Halt);
+        let program = b.assemble().unwrap();
+        let mut core = Core::new(program.clone());
+        let mut ctx = MockContext {
+            mem_delay: 5,
+            node_count: 1,
+            ..MockContext::default()
+        };
+        run(&mut core, &mut ctx, 3);
+        assert_eq!(core.state, CoreState::WaitingMem { dest: Some(S0) });
+        let mut e = Enc::new();
+        core.snapshot(&mut e);
+        let record = e.bytes().to_vec();
+        let restore = |bytes: &[u8]| {
+            let mut core = Core::new(program.clone());
+            let mut d = Dec::new(bytes);
+            core.restore(&mut d)
+                .map(|()| (core, bytes.len() - d.remaining()))
+        };
+        for end in 0..record.len() {
+            assert!(restore(&record[..end]).is_err(), "prefix of {end} bytes");
+        }
+        let mut accepted = 0;
+        for at in 0..record.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                let mut bytes = record.clone();
+                bytes[at] ^= mask;
+                let Ok((mut core, read)) = restore(&bytes) else {
+                    continue;
+                };
+                accepted += 1;
+                let mut again = Enc::new();
+                core.snapshot(&mut again);
+                assert_eq!(again.bytes(), &bytes[..read], "byte {at} ^ {mask:#x}");
+                let mut ctx = MockContext {
+                    node_count: 1,
+                    pending: Some((CoreMemOp::Load { addr: 0x108 }, 1)),
+                    ..MockContext::default()
+                };
+                run(&mut core, &mut ctx, 4);
+            }
+        }
+        assert!(accepted > 0);
     }
 
     #[test]

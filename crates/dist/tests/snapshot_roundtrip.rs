@@ -13,9 +13,12 @@
 //!   commit checkpoints by content);
 //! * the mixed path: snapshot a *sequential* run mid-flight, restore, and
 //!   finish the run on the sharded thread runtime (strict CycleAccurate) —
-//!   still bit-identical.
+//!   still bit-identical;
+//! * a saturated injection backlog: more than ten thousand packets waiting
+//!   in packed records round-trip through a checkpoint.
 
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
+use hornet_net::ids::NodeId;
 use hornet_net::stats::NetworkStats;
 use hornet_shard::driver::merge_tile_stats;
 use hornet_shard::{Partitioner, RunParams, ShardRuntime};
@@ -82,6 +85,47 @@ proptest! {
         let stats = roundtrip(&synthetic_spec(seed, total), total, cut);
         prop_assert!(stats.injected_flits > 0, "workload must offer traffic");
     }
+}
+
+/// An 8×8 XY transpose at 0.05 packets per tile per cycle with 8-flit
+/// packets is past saturation: its tiles' backlogs grow by about 1.2
+/// packets a cycle, to more than ten thousand after 10 000 cycles. Each
+/// waits as a packed record of at most 8 bytes, and the saturated network
+/// checkpoints, restores and runs on exactly as the snapshotted one does.
+#[test]
+fn a_saturated_backlog_is_packed_and_round_trips() {
+    let spec = DistSpec {
+        width: 8,
+        height: 8,
+        packet_len: 8,
+        pattern: SyntheticPattern::Transpose,
+        process: InjectionProcess::Bernoulli { rate: 0.05 },
+        run: RunKind::Cycles(11_000),
+        ..DistSpec::default()
+    };
+    let mut network = spec.build_network().expect("valid spec");
+    network.run(10_000);
+    let mut queued = 0;
+    for i in 0..network.node_count() {
+        let bridge = network.node(NodeId::new(i as u32)).bridge();
+        assert!(
+            bridge.backlog_bytes() <= 8 * bridge.queued_packets(),
+            "tile {i}: {} bytes for {} packets",
+            bridge.backlog_bytes(),
+            bridge.queued_packets()
+        );
+        queued += bridge.queued_packets();
+    }
+    assert!(queued > 10_000, "only {queued} packets queued");
+
+    let snap = network.snapshot();
+    let mut resumed = spec.build_network().expect("valid spec");
+    resumed.restore(&snap).expect("snapshot restores");
+    assert_eq!(resumed.snapshot(), snap, "restored backlog re-serializes");
+    network.run(1_000);
+    resumed.run(1_000);
+    assert_eq!(network.stats(), resumed.stats());
+    assert_eq!(network.snapshot(), resumed.snapshot());
 }
 
 /// Memory hierarchy (caches, directories, in-flight coherence transactions):

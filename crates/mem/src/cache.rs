@@ -298,16 +298,23 @@ impl Cache {
         if d.u32()? as usize != self.sets.len() {
             return Err(corrupt("cache checkpoint: set count mismatch"));
         }
-        let max_ways = self.config.ways;
-        for set in &mut self.sets {
+        let config = self.config;
+        for (index, set) in self.sets.iter_mut().enumerate() {
             let ways = d.u32()? as usize;
-            if ways > max_ways {
+            if ways > config.ways {
                 return Err(corrupt("cache checkpoint: way count exceeds associativity"));
             }
             set.clear();
             for _ in 0..ways {
+                let line = d.u64()?;
+                if config.set_of(line) != index {
+                    return Err(corrupt("cache checkpoint: line filed in the wrong set"));
+                }
+                if set.iter().any(|w| w.line == line) {
+                    return Err(corrupt("cache checkpoint: line filed twice in one set"));
+                }
                 set.push(Way {
-                    line: d.u64()?,
+                    line,
                     state: match d.u8()? {
                         0 => LineState::Invalid,
                         1 => LineState::Shared,
@@ -390,6 +397,38 @@ mod tests {
         c.insert(3, LineState::Modified, 0);
         assert!(c.write_value(3, 9));
         assert_eq!(c.peek(3), Some((LineState::Modified, 9)));
+    }
+
+    #[test]
+    fn a_line_filed_in_the_wrong_set_or_twice_is_refused() {
+        let mut c = small();
+        c.insert(0, LineState::Shared, 10);
+        c.insert(1, LineState::Modified, 11);
+        c.insert(3, LineState::Shared, 13);
+        let mut e = Enc::new();
+        c.snapshot(&mut e);
+        let good = e.bytes().to_vec();
+        // Tick, four counters and the set count; set 0's way count and its
+        // one way (line, state, value, lru); then set 1's way count.
+        const WAY: usize = 8 + 1 + 8 + 8;
+        let set1 = 8 + 4 * 8 + 4 + 4 + WAY + 4;
+        let line_at = |way: usize| set1 + way * WAY;
+        let with_line = |way: usize, line: u64| {
+            let mut b = good.clone();
+            b[line_at(way)..line_at(way) + 8].copy_from_slice(&line.to_le_bytes());
+            b
+        };
+        let restore = |bytes: &[u8]| small().restore(&mut Dec::new(bytes));
+        assert_eq!(good[line_at(0)..line_at(0) + 8], 1u64.to_le_bytes());
+        assert!(restore(&good).is_ok());
+        assert!(restore(&with_line(1, 5)).is_ok(), "line 5 belongs in set 1");
+        // Line 1's address changed to 2, still filed in set 1: a lookup of
+        // line 2 searches set 0 and would never find its modified value.
+        let misfiled = restore(&with_line(0, 2)).unwrap_err();
+        assert_eq!(misfiled.kind(), std::io::ErrorKind::InvalidData);
+        // Line 3 renamed to 1: set 1 holds line 1 twice.
+        let twice = restore(&with_line(1, 1)).unwrap_err();
+        assert_eq!(twice.kind(), std::io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -5,6 +5,13 @@
 //! the details of splitting packets into flits, DMA-style injection into the
 //! router's CPU-facing ingress port, retrying when the network cannot accept
 //! flits, and reassembling ejected flits back into packets.
+//!
+//! Under an open-loop source past saturation the injection backlog grows
+//! without bound, so a waiting packet is kept small: a packed record of
+//! about five bytes in one byte FIFO (see `Backlog`), with its payload, if
+//! it has one, side-queued. An injection slot builds each flit from the
+//! packet's head as it is pushed. Checkpoints still write every waiting
+//! packet out in full.
 
 use crate::codec::{self, Dec, Enc};
 use crate::flit::{DeliveredPacket, Flit, Packet, Payload};
@@ -39,11 +46,11 @@ impl Default for ReassemblySlot {
     }
 }
 
-/// One packet in the injection backlog, in 32 bytes: what [`Packet`] carries
-/// minus the source (always the bridge's own node), the injection cycle
-/// (stamped when the packet goes in) and the payload (side-queued, and only
-/// for packets that carry one).
-#[derive(Copy, Clone, Debug)]
+/// One packet in the injection backlog: what [`Packet`] carries minus the
+/// source (always the bridge's own node), the injection cycle (stamped when
+/// the packet goes in) and the payload (side-queued, and only for packets
+/// that carry one). [`Backlog`] stores it packed; this is the decoded value.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Queued {
     id: PacketId,
     flow: FlowId,
@@ -53,6 +60,15 @@ struct Queued {
 }
 
 impl Queued {
+    /// The base the first record of an empty backlog is coded against.
+    const ZERO: Queued = Queued {
+        id: PacketId::new(0),
+        flow: FlowId::new(0),
+        created_at: 0,
+        dst: NodeId::new(0),
+        len_flits: 0,
+    };
+
     /// The packet this record stands for, sent by `src`.
     fn packet(&self, src: NodeId, injected_at: Cycle, payload: Payload) -> Packet {
         Packet {
@@ -65,6 +81,150 @@ impl Queued {
             injected_at,
             payload,
         }
+    }
+}
+
+/// The longest record: three 10-byte varints of 64-bit deltas, then two
+/// 5-byte varints of 32-bit fields.
+const MAX_RECORD: usize = 3 * 10 + 2 * 5;
+
+/// The injection backlog: a FIFO of [`Queued`] records packed into bytes.
+///
+/// A record is the zigzag-LEB128 varints of the wrapping deltas of its
+/// packet id, creation cycle and flow against the record before it, then
+/// the LEB128 `dst` and `len_flits`. A source's steady stream (ids one
+/// apart, close creation cycles, one flow) packs into 5–6 bytes where a
+/// [`Queued`] is 32, and no record exceeds [`MAX_RECORD`]. The writer's base
+/// is the last record pushed and the reader's the last record popped, so any
+/// sequence of values round-trips: nothing assumes ids, cycles or flows move
+/// forward.
+#[derive(Debug)]
+struct Backlog {
+    bytes: VecDeque<u8>,
+    len: usize,
+    /// The last record pushed: the base of the next one written.
+    pushed: Queued,
+    /// The last record popped: the base of the record at the front.
+    popped: Queued,
+}
+
+impl Default for Backlog {
+    fn default() -> Self {
+        Self {
+            bytes: VecDeque::new(),
+            len: 0,
+            pushed: Queued::ZERO,
+            popped: Queued::ZERO,
+        }
+    }
+}
+
+impl Backlog {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    fn push(&mut self, q: Queued) {
+        let base = self.pushed;
+        let mut record = [0u8; MAX_RECORD];
+        let mut n = 0;
+        for v in [
+            zigzag(q.id.raw().wrapping_sub(base.id.raw())),
+            zigzag(q.created_at.wrapping_sub(base.created_at)),
+            zigzag(q.flow.raw().wrapping_sub(base.flow.raw())),
+            u64::from(q.dst.raw()),
+            u64::from(q.len_flits),
+        ] {
+            n += put_varint(&mut record[n..], v);
+        }
+        self.bytes.extend(&record[..n]);
+        self.pushed = q;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<Queued> {
+        if self.len == 0 {
+            return None;
+        }
+        let bytes = &mut self.bytes;
+        let q = read_record(self.popped, || bytes.pop_front().expect("a whole record"));
+        self.popped = q;
+        self.len -= 1;
+        Some(q)
+    }
+
+    /// The queued records, front first, without consuming them.
+    fn iter(&self) -> impl Iterator<Item = Queued> + '_ {
+        let mut bytes = self.bytes.iter().copied();
+        let mut base = self.popped;
+        (0..self.len).map(move |_| {
+            base = read_record(base, || bytes.next().expect("a whole record"));
+            base
+        })
+    }
+
+    /// Bytes the queued records take, packed.
+    fn encoded_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.len = 0;
+        self.pushed = Queued::ZERO;
+        self.popped = Queued::ZERO;
+    }
+}
+
+fn zigzag(delta: u64) -> u64 {
+    let d = delta as i64;
+    ((d << 1) ^ (d >> 63)) as u64
+}
+
+fn unzigzag(z: u64) -> u64 {
+    (z >> 1) ^ (z & 1).wrapping_neg()
+}
+
+/// Writes `v` as LEB128 at the start of `out`, returning the bytes written.
+fn put_varint(out: &mut [u8], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        out[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    out[n] = v as u8;
+    n + 1
+}
+
+/// Reads one record written by [`Backlog::push`] whose predecessor was
+/// `base`, taking its bytes from `next`.
+fn read_record(base: Queued, mut next: impl FnMut() -> u8) -> Queued {
+    let mut varint = || {
+        let mut v = 0u64;
+        let mut shift = 0;
+        loop {
+            let b = next();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    };
+    let id = base.id.raw().wrapping_add(unzigzag(varint()));
+    let created_at = base.created_at.wrapping_add(unzigzag(varint()));
+    let flow = base.flow.raw().wrapping_add(unzigzag(varint()));
+    Queued {
+        id: PacketId::new(id),
+        created_at,
+        flow: FlowId::from_raw(flow),
+        dst: NodeId::new(varint() as u32),
+        len_flits: varint() as u32,
     }
 }
 
@@ -107,8 +267,8 @@ pub struct Bridge {
     injection_vcs: Vec<Arc<VcBuffer>>,
     /// Flits per cycle the bridge may push toward the router.
     injection_bandwidth: u32,
-    /// Packets waiting to enter the network.
-    pending: VecDeque<Queued>,
+    /// Packets waiting to enter the network, packed.
+    pending: Backlog,
     /// Payloads of the backlog packets that carry one, in backlog order.
     pending_payloads: VecDeque<(PacketId, Payload)>,
     /// Per-VC packet currently being injected (wormhole: one packet at a time
@@ -139,7 +299,7 @@ impl Bridge {
             node,
             injection_vcs,
             injection_bandwidth: injection_bandwidth.max(1),
-            pending: VecDeque::new(),
+            pending: Backlog::default(),
             pending_payloads: VecDeque::new(),
             slots,
             reassembly: Vec::new(),
@@ -187,7 +347,7 @@ impl Bridge {
         if !packet.payload.is_empty() {
             self.pending_payloads.push_back((packet.id, packet.payload));
         }
-        self.pending.push_back(Queued {
+        self.pending.push(Queued {
             id: packet.id,
             flow: packet.flow,
             created_at: packet.created_at,
@@ -201,6 +361,16 @@ impl Bridge {
     /// injected).
     pub fn pending_packets(&self) -> usize {
         self.pending.len() + self.slots.iter().filter(|s| s.is_some()).count()
+    }
+
+    /// Packets waiting in the backlog, not yet taken by an injection slot.
+    pub fn queued_packets(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Bytes the backlog's packed records take (capacity aside).
+    pub fn backlog_bytes(&self) -> usize {
+        self.pending.encoded_len()
     }
 
     /// True if the bridge has nothing left to inject.
@@ -247,7 +417,7 @@ impl Bridge {
             if slot.is_some() {
                 continue;
             }
-            let Some(q) = self.pending.pop_front() else {
+            let Some(q) = self.pending.pop() else {
                 break;
             };
             let payload = match self.pending_payloads.front() {
@@ -398,7 +568,7 @@ impl Bridge {
         e.u64(self.next_packet_seq);
         e.u32(self.pending.len() as u32);
         let mut payloads = self.pending_payloads.iter().peekable();
-        for q in &self.pending {
+        for q in self.pending.iter() {
             let payload = payloads
                 .next_if(|(id, _)| *id == q.id)
                 .map(|(_, p)| p.clone())
@@ -550,6 +720,7 @@ mod tests {
     use super::*;
     use crate::flit::Payload;
     use crate::ids::FlowId;
+    use crate::rng::TileRng;
     use crate::vcbuf::Aggregate;
 
     fn bridge_with_vcs(n: usize, capacity: usize) -> Bridge {
@@ -642,9 +813,96 @@ mod tests {
         assert!(b.try_recv().is_none());
     }
 
+    /// The record after `prev`: mostly a source's steady stream, often a
+    /// hostile value — ids of another node or running backwards, cycles
+    /// going back, the extremes of every field, flows with phase bits.
+    fn draw_record(rng: &mut TileRng, prev: Queued) -> Queued {
+        let wide = |rng: &mut TileRng, steady: u64| match rng.range(0..8) {
+            0 => steady.wrapping_sub(rng.range(1..1_000)),
+            1 => u64::MAX,
+            2 => 1 << 63,
+            3 => rng.next_u64(),
+            _ => steady,
+        };
+        let narrow = |rng: &mut TileRng, steady: u32| match rng.range(0..6) {
+            0 => u32::MAX,
+            1 => rng.next_u64() as u32,
+            _ => steady,
+        };
+        let id = match rng.range(0..8) {
+            0 => (rng.range(0..1 << 24) << 40) | rng.range(0..1 << 40),
+            _ => wide(rng, prev.id.raw().wrapping_add(1)),
+        };
+        let flow = match rng.range(0..4) {
+            0 => FlowId::new(rng.range(0..4_096)).with_phase(rng.range(0..256) as u8),
+            _ => FlowId::from_raw(wide(rng, prev.flow.raw())),
+        };
+        let later = prev.created_at.wrapping_add(rng.range(0..30));
+        Queued {
+            id: PacketId::new(id),
+            flow,
+            created_at: wide(rng, later),
+            dst: NodeId::new(narrow(rng, prev.dst.raw())),
+            len_flits: narrow(rng, prev.len_flits),
+        }
+    }
+
     #[test]
-    fn backlog_record_fits_in_32_bytes() {
-        assert!(std::mem::size_of::<Queued>() <= 32);
+    fn the_backlog_replays_any_records_in_order() {
+        for seed in 0..64 {
+            let mut rng = TileRng::seed_from_u64(seed);
+            let mut backlog = Backlog::default();
+            let mut model = VecDeque::new();
+            let mut prev = Queued::ZERO;
+            for step in 0..600 {
+                if rng.range(0..3) == 0 {
+                    assert_eq!(backlog.pop(), model.pop_front(), "seed {seed} step {step}");
+                } else {
+                    prev = draw_record(&mut rng, prev);
+                    backlog.push(prev);
+                    model.push_back(prev);
+                }
+                assert_eq!(backlog.len(), model.len());
+                assert!(backlog.encoded_len() <= model.len() * MAX_RECORD);
+                if step % 16 == 0 {
+                    assert!(
+                        backlog.iter().eq(model.iter().copied()),
+                        "seed {seed} step {step}"
+                    );
+                }
+            }
+            let listed: Vec<Queued> = backlog.iter().collect();
+            let drained: Vec<Queued> = std::iter::from_fn(|| backlog.pop()).collect();
+            assert_eq!(listed, drained);
+            assert_eq!(drained, Vec::from(model));
+            assert!(backlog.is_empty() && backlog.encoded_len() == 0);
+        }
+    }
+
+    #[test]
+    fn a_record_takes_at_most_max_record_bytes() {
+        let mut backlog = Backlog::default();
+        let far = Queued {
+            id: PacketId::new(1 << 63),
+            flow: FlowId::from_raw(1 << 63),
+            created_at: 1 << 63,
+            dst: NodeId::new(u32::MAX),
+            len_flits: u32::MAX,
+        };
+        backlog.push(far);
+        assert_eq!(backlog.encoded_len(), MAX_RECORD);
+        // A source's next packet: id + 1, a few cycles later, same flow;
+        // one byte each, then two for a destination past 127 and one for
+        // the length.
+        backlog.push(Queued {
+            id: PacketId::new(far.id.raw() + 1),
+            created_at: far.created_at + 3,
+            dst: NodeId::new(200),
+            len_flits: 8,
+            ..far
+        });
+        assert_eq!(backlog.encoded_len() - MAX_RECORD, 6);
+        assert_eq!(backlog.pop(), Some(far));
     }
 
     #[test]

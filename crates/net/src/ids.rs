@@ -131,6 +131,11 @@ impl FlowId {
     pub const fn raw(self) -> u64 {
         self.0
     }
+
+    /// The flow whose [`raw`](Self::raw) value is `raw`, phase included.
+    pub(crate) const fn from_raw(raw: u64) -> Self {
+        Self(raw)
+    }
 }
 
 impl fmt::Debug for FlowId {

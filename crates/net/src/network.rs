@@ -111,6 +111,11 @@ impl NetworkNode {
         &mut self.router
     }
 
+    /// Immutable access to this tile's bridge.
+    pub fn bridge(&self) -> &Bridge {
+        &self.bridge
+    }
+
     /// The router-facing neighbours of this tile (used by the sharded
     /// runtime to derive the cut set of a partition).
     pub fn neighbors(&self) -> &[NodeId] {

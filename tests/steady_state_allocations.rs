@@ -5,7 +5,7 @@
 //! that grows every queue, map and scratch buffer to its working size, a
 //! further window of cycles must not allocate at all — neither on the
 //! compiled kernel nor on the interpreter. Injection is the part this pins
-//! down: a packet waits in the bridge's backlog as a fixed-size record and
+//! down: a packet waits in the bridge's backlog as a packed record and
 //! its flits are built one by one as they enter the router.
 //!
 //! The counting allocator is global to this test binary, so the binary
