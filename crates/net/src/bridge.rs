@@ -7,14 +7,14 @@
 //! flits, and reassembling ejected flits back into packets.
 //!
 //! Under an open-loop source past saturation the injection backlog grows
-//! without bound, so a waiting packet is kept small: a packed record of
-//! about five bytes in one byte FIFO (see `Backlog`), with its payload, if
-//! it has one, side-queued. An injection slot builds each flit from the
-//! packet's head as it is pushed. Checkpoints still write every waiting
-//! packet out in full.
+//! without bound, so a waiting packet is kept small: a packed record in one
+//! byte FIFO (see `Backlog`) — one byte for a source's steady stream — with
+//! its payload, if it has one, side-queued. An injection slot builds each
+//! flit from the packet's head as it is pushed. Checkpoints still write
+//! every waiting packet out in full.
 
 use crate::codec::{self, Dec, Enc};
-use crate::flit::{DeliveredPacket, Flit, Packet, Payload};
+use crate::flit::{DeliveredPacket, Flit, FlitStats, Packet, Payload};
 use crate::ids::{Cycle, FlowId, NodeId, PacketId};
 use crate::payload::PayloadStore;
 use crate::stats::NetworkStats;
@@ -69,6 +69,15 @@ impl Queued {
         len_flits: 0,
     };
 
+    /// True if `self` continues `prev`'s stream: the next id, the same
+    /// flow, destination and length.
+    fn follows(&self, prev: &Queued) -> bool {
+        self.id.raw() == prev.id.raw().wrapping_add(1)
+            && self.flow == prev.flow
+            && self.dst == prev.dst
+            && self.len_flits == prev.len_flits
+    }
+
     /// The packet this record stands for, sent by `src`.
     fn packet(&self, src: NodeId, injected_at: Cycle, payload: Payload) -> Packet {
         Packet {
@@ -84,20 +93,27 @@ impl Queued {
     }
 }
 
-/// The longest record: three 10-byte varints of 64-bit deltas, then two
-/// 5-byte varints of 32-bit fields.
-const MAX_RECORD: usize = 3 * 10 + 2 * 5;
+/// The longest record: the full-record tag byte, three 10-byte varints of
+/// 64-bit deltas, then two 5-byte varints of 32-bit fields.
+const MAX_RECORD: usize = 1 + 3 * 10 + 2 * 5;
+
+/// Low bit of a record's first byte: set for a steady record, clear for the
+/// tag byte (0) that opens a full one.
+const STEADY: u64 = 1;
 
 /// The injection backlog: a FIFO of [`Queued`] records packed into bytes.
 ///
-/// A record is the zigzag-LEB128 varints of the wrapping deltas of its
-/// packet id, creation cycle and flow against the record before it, then
-/// the LEB128 `dst` and `len_flits`. A source's steady stream (ids one
-/// apart, close creation cycles, one flow) packs into 5–6 bytes where a
-/// [`Queued`] is 32, and no record exceeds [`MAX_RECORD`]. The writer's base
-/// is the last record pushed and the reader's the last record popped, so any
-/// sequence of values round-trips: nothing assumes ids, cycles or flows move
-/// forward.
+/// A record that [`follows`](Queued::follows) the record before it and was
+/// not created earlier is *steady*: one LEB128 varint of its creation-cycle
+/// delta shifted left by one, with [`STEADY`] set. A source's steady stream
+/// (ids one apart, one flow, destination and length, each created at most 63
+/// cycles after the one before) packs into one byte a packet where a
+/// [`Queued`] is 32. Any other record is *full*: a 0 tag byte, the
+/// zigzag-LEB128 varints of the wrapping deltas of its packet id, creation
+/// cycle and flow, then the LEB128 `dst` and `len_flits`. No record exceeds
+/// [`MAX_RECORD`]. The writer's base is the last record pushed and the
+/// reader's the last record popped, so any sequence of values round-trips:
+/// nothing assumes ids, cycles or flows move forward.
 #[derive(Debug)]
 struct Backlog {
     bytes: VecDeque<u8>,
@@ -131,16 +147,23 @@ impl Backlog {
     fn push(&mut self, q: Queued) {
         let base = self.pushed;
         let mut record = [0u8; MAX_RECORD];
-        let mut n = 0;
-        for v in [
-            zigzag(q.id.raw().wrapping_sub(base.id.raw())),
-            zigzag(q.created_at.wrapping_sub(base.created_at)),
-            zigzag(q.flow.raw().wrapping_sub(base.flow.raw())),
-            u64::from(q.dst.raw()),
-            u64::from(q.len_flits),
-        ] {
-            n += put_varint(&mut record[n..], v);
-        }
+        let created = q.created_at.wrapping_sub(base.created_at);
+        let n = if q.follows(&base) && created >> 63 == 0 {
+            put_varint(&mut record, created << 1 | STEADY)
+        } else {
+            // record[0] stays the full-record tag, 0.
+            let mut n = 1;
+            for v in [
+                zigzag(q.id.raw().wrapping_sub(base.id.raw())),
+                zigzag(created),
+                zigzag(q.flow.raw().wrapping_sub(base.flow.raw())),
+                u64::from(q.dst.raw()),
+                u64::from(q.len_flits),
+            ] {
+                n += put_varint(&mut record[n..], v);
+            }
+            n
+        };
         self.bytes.extend(&record[..n]);
         self.pushed = q;
         self.len += 1;
@@ -201,20 +224,35 @@ fn put_varint(out: &mut [u8], mut v: u64) -> usize {
     n + 1
 }
 
+/// Reads the rest of a LEB128 varint whose first byte is `b`.
+fn read_varint(mut b: u8, next: &mut impl FnMut() -> u8) -> u64 {
+    let mut v = 0u64;
+    let mut shift = 0;
+    loop {
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return v;
+        }
+        shift += 7;
+        b = next();
+    }
+}
+
 /// Reads one record written by [`Backlog::push`] whose predecessor was
 /// `base`, taking its bytes from `next`.
 fn read_record(base: Queued, mut next: impl FnMut() -> u8) -> Queued {
+    let first = next();
+    if u64::from(first) & STEADY != 0 {
+        let created = read_varint(first, &mut next) >> 1;
+        return Queued {
+            id: PacketId::new(base.id.raw().wrapping_add(1)),
+            created_at: base.created_at.wrapping_add(created),
+            ..base
+        };
+    }
     let mut varint = || {
-        let mut v = 0u64;
-        let mut shift = 0;
-        loop {
-            let b = next();
-            v |= u64::from(b & 0x7f) << shift;
-            if b < 0x80 {
-                return v;
-            }
-            shift += 7;
-        }
+        let b = next();
+        read_varint(b, &mut next)
     };
     let id = base.id.raw().wrapping_add(unzigzag(varint()));
     let created_at = base.created_at.wrapping_add(unzigzag(varint()));
@@ -452,8 +490,7 @@ impl Bridge {
                 let mut flit = slot.head.with_seq(slot.next);
                 slot.next += 1;
                 flit.visible_at = now + 1;
-                flit.stats.injected_at = now;
-                flit.stats.arrived_at_current = now;
+                flit.stats = FlitStats::injected(now);
                 let pushed = self.injection_vcs[vc].push(flit);
                 assert!(pushed, "injection VC refused a flit it had space for");
                 stats.injected_flits += 1;
@@ -538,23 +575,28 @@ impl Bridge {
                         src: head.src,
                         dst: head.dst,
                         len_flits: head.packet_len,
-                        created_at: head.stats.injected_at,
-                        injected_at: head.stats.injected_at,
+                        created_at: head.stats.injected_at(),
+                        injected_at: head.stats.injected_at(),
                         payload: crate::flit::Payload::empty(),
                     });
+                let (head_latency, tail_latency, hops) = (
+                    head.stats.accumulated_latency(),
+                    tail.stats.accumulated_latency(),
+                    tail.stats.hops(),
+                );
                 stats.record_delivery(
                     packet.flow,
                     expected as u64,
-                    head.stats.accumulated_latency,
-                    tail.stats.accumulated_latency,
-                    tail.stats.hops,
+                    head_latency,
+                    tail_latency,
+                    hops,
                 );
                 self.delivered.push_back(DeliveredPacket {
                     packet,
                     delivered_at: now,
-                    head_latency: head.stats.accumulated_latency,
-                    tail_latency: tail.stats.accumulated_latency,
-                    hops: tail.stats.hops,
+                    head_latency,
+                    tail_latency,
+                    hops,
                 });
             }
         }
@@ -794,7 +836,7 @@ mod tests {
         assert_eq!(vc.pop_if(9, |_| true).map(|f| f.seq), Some(1));
         let resumed = vc.pop_if(9, |_| true).expect("the resumed flit");
         assert_eq!((resumed.seq, resumed.visible_at), (2, 5));
-        assert_eq!(resumed.stats.injected_at, 4);
+        assert_eq!(resumed.stats.injected_at(), 4);
     }
 
     #[test]
@@ -838,6 +880,15 @@ mod tests {
             _ => FlowId::from_raw(wide(rng, prev.flow.raw())),
         };
         let later = prev.created_at.wrapping_add(rng.range(0..30));
+        if rng.range(0..2) == 0 {
+            // The source's next packet: a steady record, unless `created_at`
+            // jumps too far for one.
+            return Queued {
+                id: PacketId::new(prev.id.raw().wrapping_add(1)),
+                created_at: wide(rng, later),
+                ..prev
+            };
+        }
         Queued {
             id: PacketId::new(id),
             flow,
@@ -891,18 +942,75 @@ mod tests {
         };
         backlog.push(far);
         assert_eq!(backlog.encoded_len(), MAX_RECORD);
-        // A source's next packet: id + 1, a few cycles later, same flow;
-        // one byte each, then two for a destination past 127 and one for
-        // the length.
-        backlog.push(Queued {
+        let mut sizes = Vec::new();
+        let mut push = |backlog: &mut Backlog, q: Queued| {
+            let before = backlog.encoded_len();
+            backlog.push(q);
+            sizes.push(backlog.encoded_len() - before);
+        };
+        // The source's next packet: id + 1, a few cycles later, nothing else
+        // changed — one byte.
+        let steady = Queued {
             id: PacketId::new(far.id.raw() + 1),
             created_at: far.created_at + 3,
+            ..far
+        };
+        push(&mut backlog, steady);
+        // 63 cycles later is still one byte; 64 takes a second.
+        let late = Queued {
+            id: PacketId::new(steady.id.raw() + 1),
+            created_at: steady.created_at + 63,
+            ..steady
+        };
+        push(&mut backlog, late);
+        let later = Queued {
+            id: PacketId::new(late.id.raw() + 1),
+            created_at: late.created_at + 64,
+            ..late
+        };
+        push(&mut backlog, later);
+        // Created a cycle earlier than the one before: a full record of a
+        // tag, one byte for each delta and five each for the 32-bit fields.
+        let earlier = Queued {
+            id: PacketId::new(later.id.raw() + 1),
+            created_at: later.created_at - 1,
+            ..later
+        };
+        push(&mut backlog, earlier);
+        // A new destination past 127 and a new length: a full record of a
+        // tag, one byte each for the deltas, two for the destination, one
+        // for the length.
+        let turned = Queued {
+            id: PacketId::new(earlier.id.raw() + 1),
+            created_at: earlier.created_at + 3,
             dst: NodeId::new(200),
             len_flits: 8,
             ..far
-        });
-        assert_eq!(backlog.encoded_len() - MAX_RECORD, 6);
-        assert_eq!(backlog.pop(), Some(far));
+        };
+        push(&mut backlog, turned);
+        // The worst steady record: a creation delta of 63 bits, ten bytes;
+        // one more bit and the record is full.
+        let jump = Queued {
+            id: PacketId::new(turned.id.raw() + 1),
+            created_at: turned.created_at.wrapping_add((1 << 63) - 1),
+            ..turned
+        };
+        push(&mut backlog, jump);
+        let leap = Queued {
+            id: PacketId::new(jump.id.raw() + 1),
+            created_at: jump.created_at.wrapping_add(1 << 63),
+            ..jump
+        };
+        push(&mut backlog, leap);
+        assert_eq!(
+            sizes,
+            [1, 1, 2, 1 + 3 + 2 * 5, 7, 10, 1 + 1 + 10 + 1 + 2 + 1]
+        );
+        let drained: Vec<Queued> = std::iter::from_fn(|| backlog.pop()).collect();
+        assert_eq!(
+            drained,
+            [far, steady, late, later, earlier, turned, jump, leap]
+        );
     }
 
     #[test]

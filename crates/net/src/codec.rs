@@ -201,14 +201,14 @@ pub fn peek_frame(buf: &[u8]) -> io::Result<Option<&[u8]>> {
     Ok(buf.get(4..4 + frame_len(*prefix)?))
 }
 
-/// Encodes a flit into exactly [`FLIT_WIRE_BYTES`] bytes.
+/// Encodes a flit into exactly [`FLIT_WIRE_BYTES`] bytes. The arrival
+/// stamp [`FlitStats`] derives is written out in full, as are its 32-bit
+/// latency and 16-bit hop count as 64 and 32 bits.
 pub fn encode_flit(e: &mut Enc, f: &Flit) {
     let before = e.buf.len();
     e.u64(f.packet.raw());
-    e.u64(f.flow.base());
-    e.u8(f.flow.phase());
-    e.u64(f.original_flow.base());
-    e.u8(f.original_flow.phase());
+    encode_flow(e, f.flow);
+    encode_flow(e, f.original_flow);
     e.u8(match f.kind {
         FlitKind::Head => 0,
         FlitKind::Body => 1,
@@ -220,42 +220,63 @@ pub fn encode_flit(e: &mut Enc, f: &Flit) {
     e.u32(f.dst.raw());
     e.u32(f.src.raw());
     e.u64(f.visible_at);
-    e.u64(f.stats.injected_at);
-    e.u64(f.stats.arrived_at_current);
-    e.u64(f.stats.accumulated_latency);
-    e.u32(f.stats.hops);
+    e.u64(f.stats.injected_at());
+    e.u64(f.stats.arrived_at_current());
+    e.u64(f.stats.accumulated_latency());
+    e.u32(f.stats.hops());
     debug_assert_eq!(e.buf.len() - before, FLIT_WIRE_BYTES);
 }
 
+fn invalid(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
+}
+
 /// Decodes a flit written by [`encode_flit`].
+///
+/// # Errors
+///
+/// Refuses, with `InvalidData`, a record no flit encodes to: an unknown
+/// kind, a flow base wider than 56 bits, an accumulated latency past
+/// `u32::MAX`, a hop count past `u16::MAX`, or an arrival stamp other than
+/// injection + accumulated latency.
 pub fn decode_flit(d: &mut Dec) -> io::Result<Flit> {
+    let packet = PacketId::new(d.u64()?);
+    let flow = decode_flow(d)?;
+    let original_flow = decode_flow(d)?;
+    let kind = match d.u8()? {
+        0 => FlitKind::Head,
+        1 => FlitKind::Body,
+        2 => FlitKind::Tail,
+        3 => FlitKind::HeadTail,
+        k => return Err(invalid(format!("bad flit kind {k}"))),
+    };
+    let seq = d.u32()?;
+    let packet_len = d.u32()?;
+    let dst = NodeId::new(d.u32()?);
+    let src = NodeId::new(d.u32()?);
+    let visible_at = d.u64()?;
+    let (injected_at, arrived_at, accumulated, hops) = (d.u64()?, d.u64()?, d.u64()?, d.u32()?);
+    let stats = FlitStats::from_parts(injected_at, accumulated, hops).ok_or_else(|| {
+        invalid(format!(
+            "flit latency {accumulated} or hop count {hops} out of range"
+        ))
+    })?;
+    if stats.arrived_at_current() != arrived_at {
+        return Err(invalid(format!(
+            "flit arrival {arrived_at} is not injection {injected_at} + latency {accumulated}"
+        )));
+    }
     Ok(Flit {
-        packet: PacketId::new(d.u64()?),
-        flow: FlowId::new(d.u64()?).with_phase(d.u8()?),
-        original_flow: FlowId::new(d.u64()?).with_phase(d.u8()?),
-        kind: match d.u8()? {
-            0 => FlitKind::Head,
-            1 => FlitKind::Body,
-            2 => FlitKind::Tail,
-            3 => FlitKind::HeadTail,
-            k => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("bad flit kind {k}"),
-                ))
-            }
-        },
-        seq: d.u32()?,
-        packet_len: d.u32()?,
-        dst: NodeId::new(d.u32()?),
-        src: NodeId::new(d.u32()?),
-        visible_at: d.u64()?,
-        stats: FlitStats {
-            injected_at: d.u64()?,
-            arrived_at_current: d.u64()?,
-            accumulated_latency: d.u64()?,
-            hops: d.u32()?,
-        },
+        packet,
+        flow,
+        original_flow,
+        kind,
+        seq,
+        packet_len,
+        dst,
+        src,
+        visible_at,
+        stats,
     })
 }
 
@@ -264,8 +285,7 @@ pub fn decode_flit(d: &mut Dec) -> io::Result<Flit> {
 /// destination bridge can claim the payload (the DMA side of the flit model).
 pub fn encode_packet(e: &mut Enc, p: &Packet) {
     e.u64(p.id.raw());
-    e.u64(p.flow.base());
-    e.u8(p.flow.phase());
+    encode_flow(e, p.flow);
     e.u32(p.src.raw());
     e.u32(p.dst.raw());
     e.u32(p.len_flits);
@@ -280,7 +300,7 @@ pub fn encode_packet(e: &mut Enc, p: &Packet) {
 /// Decodes a packet written by [`encode_packet`].
 pub fn decode_packet(d: &mut Dec) -> io::Result<Packet> {
     let id = PacketId::new(d.u64()?);
-    let flow = FlowId::new(d.u64()?).with_phase(d.u8()?);
+    let flow = decode_flow(d)?;
     let src = NodeId::new(d.u32()?);
     let dst = NodeId::new(d.u32()?);
     let len_flits = d.u32()?;
@@ -311,8 +331,20 @@ pub fn encode_flow(e: &mut Enc, f: FlowId) {
 }
 
 /// Decodes a flow id written by [`encode_flow`].
+///
+/// # Errors
+///
+/// Refuses, with `InvalidData`, a base with bits set in the phase field:
+/// no flow id encodes to it.
 pub fn decode_flow(d: &mut Dec) -> io::Result<FlowId> {
-    Ok(FlowId::new(d.u64()?).with_phase(d.u8()?))
+    let base = d.u64()?;
+    let flow = FlowId::new(base);
+    if flow.base() != base {
+        return Err(invalid(format!(
+            "flow base {base:#x} is wider than 56 bits"
+        )));
+    }
+    Ok(flow.with_phase(d.u8()?))
 }
 
 /// Encodes a credit message into exactly [`CREDIT_WIRE_BYTES`] bytes.
@@ -394,8 +426,14 @@ pub fn decode_stats(d: &mut Dec) -> io::Result<NetworkStats> {
         ..NetworkStats::new()
     };
     let flows = d.u32()?;
+    let mut last = None;
     for _ in 0..flows {
         let id = d.u64()?;
+        // Written sorted and once each: anything else re-encodes differently.
+        if last.is_some_and(|last| id <= last) {
+            return Err(invalid(format!("per-flow record {id} out of order")));
+        }
+        last = Some(id);
         let rec = FlowRecord {
             packets: d.u64()?,
             flits: d.u64()?,
@@ -423,12 +461,7 @@ mod tests {
             dst: NodeId::new(11),
             src: NodeId::new(2),
             visible_at: 1_000_003,
-            stats: FlitStats {
-                injected_at: 999_000,
-                arrived_at_current: 1_000_000,
-                accumulated_latency: 17,
-                hops: 5,
-            },
+            stats: FlitStats::from_parts(999_000, 1_000, 5).unwrap(),
         }
     }
 
@@ -522,6 +555,129 @@ mod tests {
         assert_eq!(peek_frame(&buf[..3]).unwrap(), None);
         assert_eq!(peek_frame(&buf[9..]).unwrap(), Some(&b""[..]));
         assert!(peek_frame(&u32::MAX.to_le_bytes()).is_err());
+    }
+
+    /// Feeds `decode` every prefix of `record` and every byte of it XORed
+    /// with 0x01, 0x80 and 0xff: every prefix must be refused and every
+    /// accepted flip must re-encode to exactly the bytes read. Returns how
+    /// many flips were accepted.
+    fn hostile<T>(
+        record: &[u8],
+        decode: impl Fn(&mut Dec) -> io::Result<T>,
+        encode: impl Fn(&mut Enc, &T),
+    ) -> usize {
+        let accepts = |bytes: &[u8]| {
+            let mut d = Dec::new(bytes);
+            let Ok(value) = decode(&mut d) else {
+                return false;
+            };
+            let mut e = Enc::new();
+            encode(&mut e, &value);
+            assert_eq!(e.bytes(), &bytes[..bytes.len() - d.remaining()]);
+            true
+        };
+        assert!(accepts(record));
+        for cut in 0..record.len() {
+            assert!(!accepts(&record[..cut]), "prefix of {cut} bytes accepted");
+        }
+        let mut flipped = record.to_vec();
+        let mut accepted = 0;
+        for i in 0..record.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[i] ^= mask;
+                accepted += usize::from(accepts(&flipped));
+                flipped[i] ^= mask;
+            }
+        }
+        accepted
+    }
+
+    #[test]
+    fn hostile_flit_and_packet_records_are_refused_or_decode_canonically() {
+        let mut e = Enc::new();
+        encode_flit(&mut e, &flit());
+        let accepted = hostile(e.bytes(), decode_flit, encode_flit);
+        assert!(accepted > 0 && accepted < 3 * FLIT_WIRE_BYTES);
+
+        let mut p = Packet::new(
+            PacketId::new(5 << 40 | 77),
+            FlowId::new(3).with_phase(2),
+            NodeId::new(5),
+            NodeId::new(9),
+            8,
+            1_000,
+        );
+        p.injected_at = 1_004;
+        for payload in [&[][..], &[1, u64::MAX, 0xdead_beef]] {
+            p.payload = Payload::from_words(payload);
+            let mut e = Enc::new();
+            encode_packet(&mut e, &p);
+            let accepted = hostile(e.bytes(), decode_packet, encode_packet);
+            assert!(accepted > 0);
+        }
+
+        // A statistics record (the head of every router record) with
+        // several per-flow entries, which must stay sorted and distinct.
+        let mut s = NetworkStats::new();
+        for (flow, latency) in [(3, 20), (9, 300), (12, 7)] {
+            s.record_delivery(FlowId::new(flow), 8, latency / 2, latency, 4);
+        }
+        let mut e = Enc::new();
+        encode_stats(&mut e, &s);
+        assert!(hostile(e.bytes(), decode_stats, encode_stats) > 0);
+    }
+
+    #[test]
+    fn a_flit_record_the_layout_cannot_hold_is_refused() {
+        let f = flit();
+        let mut good = Enc::new();
+        encode_flit(&mut good, &f);
+        // The stamps sit at the end: injection, arrival, latency, hops.
+        let stamps = FLIT_WIRE_BYTES - 28;
+        let refusal = |patches: &[(usize, &[u8])]| {
+            let mut record = good.bytes().to_vec();
+            for (at, bytes) in patches {
+                record[*at..at + bytes.len()].copy_from_slice(bytes);
+            }
+            let err = decode_flit(&mut Dec::new(&record)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        let wide = u64::from(u32::MAX) + 1;
+        let cases = [
+            (
+                "arrival ≠ injection + accumulated",
+                refusal(&[(stamps + 8, &1_000_001u64.to_le_bytes())]),
+                "is not injection",
+            ),
+            (
+                "accumulated > u32::MAX",
+                refusal(&[
+                    (stamps + 8, &(999_000 + wide).to_le_bytes()),
+                    (stamps + 16, &wide.to_le_bytes()),
+                ]),
+                "out of range",
+            ),
+            (
+                "hops > u16::MAX",
+                refusal(&[(stamps + 24, &65_536u32.to_le_bytes())]),
+                "out of range",
+            ),
+            (
+                "flow base past 56 bits",
+                refusal(&[(15, &[0x01])]),
+                "wider than 56 bits",
+            ),
+        ];
+        for (what, err, says) in cases {
+            assert!(err.contains(says), "{what}: {err}");
+        }
+        // At the limits, the record still decodes.
+        let mut edge = f;
+        edge.stats = FlitStats::from_parts(7, u64::from(u32::MAX), u32::from(u16::MAX)).unwrap();
+        let mut e = Enc::new();
+        encode_flit(&mut e, &edge);
+        assert_eq!(decode_flit(&mut Dec::new(e.bytes())).unwrap(), edge);
     }
 
     #[test]

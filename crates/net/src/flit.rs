@@ -8,6 +8,14 @@
 //! Per the paper, measurement state (injection time, per-hop accumulated
 //! latency) rides *inside* each flit so that loosely-synchronized parallel
 //! simulation never compares clock values from two different tiles.
+//!
+//! A [`Flit`] is 64 bytes, one cache line: every VC ring slot holds one and
+//! every hop copies one twice. Latency still accumulates per hop; only the
+//! stamp of the cycle the flit reached its current router is derived rather
+//! than stored. Both writers — the bridge at injection and the router as a
+//! flit departs — keep that stamp equal to `injected_at +
+//! accumulated_latency`, so [`FlitStats`] holds the injection cycle, the
+//! accumulated latency (32 bits) and the hop count (16 bits) in 14 bytes.
 
 use crate::ids::{Cycle, FlowId, NodeId, PacketId};
 
@@ -51,18 +59,85 @@ impl FlitKind {
 /// Latency is accumulated *incrementally at each node* so that the reported
 /// number never depends on the relative clock skew between two tiles — this is
 /// what lets loose synchronization keep near-100 % timing fidelity.
+///
+/// Packed to 14 bytes so a [`Flit`] fits 64; the fields are read through
+/// accessors. The accumulated latency saturates at `u32::MAX` cycles and the
+/// hop count at `u16::MAX`.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+#[repr(C, packed(2))]
 pub struct FlitStats {
     /// Cycle (source-tile clock) at which the flit entered the source router's
     /// ingress port.
-    pub injected_at: Cycle,
-    /// Local-clock cycle at which the flit arrived at the router currently
-    /// holding it (used to compute the per-hop residence time).
-    pub arrived_at_current: Cycle,
+    injected_at: Cycle,
     /// Total in-network latency accumulated so far, in cycles.
-    pub accumulated_latency: u64,
+    accumulated_latency: u32,
     /// Number of router-to-router hops traversed so far.
-    pub hops: u32,
+    hops: u16,
+}
+
+impl FlitStats {
+    /// The stamps of a flit entering the network at `injected_at`.
+    pub(crate) const fn injected(injected_at: Cycle) -> Self {
+        Self {
+            injected_at,
+            accumulated_latency: 0,
+            hops: 0,
+        }
+    }
+
+    /// Stamps with the given fields, or `None` if the latency or the hop
+    /// count does not fit the packed record or the arrival stamp would pass
+    /// `Cycle::MAX`.
+    pub(crate) fn from_parts(
+        injected_at: Cycle,
+        accumulated_latency: u64,
+        hops: u32,
+    ) -> Option<Self> {
+        injected_at.checked_add(accumulated_latency)?;
+        Some(Self {
+            injected_at,
+            accumulated_latency: accumulated_latency.try_into().ok()?,
+            hops: hops.try_into().ok()?,
+        })
+    }
+
+    /// Cycle (source-tile clock) at which the flit entered the source
+    /// router's ingress port.
+    pub fn injected_at(&self) -> Cycle {
+        self.injected_at
+    }
+
+    /// Cycle at which the flit arrived at the router currently holding it
+    /// (the start of its residence there): the injection cycle plus the
+    /// latency accumulated so far.
+    pub fn arrived_at_current(&self) -> Cycle {
+        self.injected_at + u64::from(self.accumulated_latency)
+    }
+
+    /// Total in-network latency accumulated so far, in cycles.
+    pub fn accumulated_latency(&self) -> u64 {
+        u64::from(self.accumulated_latency)
+    }
+
+    /// Number of router-to-router hops traversed so far.
+    pub fn hops(&self) -> u32 {
+        u32::from(self.hops)
+    }
+
+    /// The flit leaves its current router at `departure`: its residence
+    /// there joins the accumulated latency.
+    #[inline]
+    pub(crate) fn depart(&mut self, departure: Cycle) {
+        let stay = departure.saturating_sub(self.arrived_at_current());
+        let stay = u32::try_from(stay).unwrap_or(u32::MAX);
+        self.accumulated_latency = self.accumulated_latency.saturating_add(stay);
+    }
+
+    /// The flit crosses one more router-to-router link.
+    #[inline]
+    pub(crate) fn hop(&mut self) {
+        self.hops = self.hops.saturating_add(1);
+    }
 }
 
 /// A flow-control digit: the unit of buffering and link transmission.
@@ -113,12 +188,7 @@ impl Flit {
             dst,
             src,
             visible_at: injected_at,
-            stats: FlitStats {
-                injected_at,
-                arrived_at_current: injected_at,
-                accumulated_latency: 0,
-                hops: 0,
-            },
+            stats: FlitStats::injected(injected_at),
         }
     }
 
@@ -387,8 +457,40 @@ mod tests {
         assert_eq!(flits[2].kind, FlitKind::Body);
         assert_eq!(flits[3].kind, FlitKind::Tail);
         assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
-        assert!(flits.iter().all(|f| f.stats.injected_at == 12));
+        assert!(flits.iter().all(|f| f.stats.injected_at() == 12));
         assert!(flits.iter().all(|f| f.packet_len == 4));
+    }
+
+    #[test]
+    fn a_flit_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<FlitStats>(), 14);
+        assert_eq!(std::mem::size_of::<Flit>(), 64);
+    }
+
+    #[test]
+    fn the_arrival_stamp_follows_each_departure() {
+        let mut s = FlitStats::injected(100);
+        assert_eq!((s.arrived_at_current(), s.accumulated_latency()), (100, 0));
+        s.depart(104);
+        s.hop();
+        s.depart(109);
+        s.hop();
+        assert_eq!(s.arrived_at_current(), 109);
+        assert_eq!((s.accumulated_latency(), s.hops()), (9, 2));
+        assert_eq!(FlitStats::from_parts(100, 9, 2), Some(s));
+        // A departure stamped before the arrival adds nothing.
+        s.depart(50);
+        assert_eq!(s.arrived_at_current(), 109);
+        for (at, latency, hops) in [(0, 1 << 32, 0), (0, 0, 1 << 16), (u64::MAX, 1, 0)] {
+            assert_eq!(FlitStats::from_parts(at, latency, hops), None);
+        }
+        let mut full = FlitStats::from_parts(0, u64::from(u32::MAX), u32::from(u16::MAX)).unwrap();
+        full.depart(u64::MAX);
+        full.hop();
+        assert_eq!(
+            (full.accumulated_latency(), full.hops()),
+            (u64::from(u32::MAX), 65_535)
+        );
     }
 
     #[test]

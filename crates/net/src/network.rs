@@ -740,6 +740,7 @@ mod tests {
     use crate::geometry::Geometry;
     use crate::ids::FlowId;
     use crate::rng::TileRng;
+    use crate::router::VcState;
     use crate::routing::{FlowSpec, RoutingKind};
 
     /// Sends `count` packets from `src` to `dst`, one every `period` cycles.
@@ -880,6 +881,117 @@ mod tests {
             "idle gaps should be skipped"
         );
         assert!(fast.simulated_cycles < slow.simulated_cycles);
+    }
+
+    /// An empty router built and wired like `r`, as `Router::restore`
+    /// expects to find it.
+    fn blank_like(r: &Router) -> Router {
+        let mut blank = Router::new(
+            r.node(),
+            r.neighbors(),
+            r.config().clone(),
+            r.routing.clone(),
+            r.vca.clone(),
+        );
+        for (i, &to) in r.neighbors().iter().enumerate() {
+            let capacity = r.config().vc_capacity;
+            let buffers = (0..r.egress[i].buffers.len())
+                .map(|_| Arc::new(crate::vcbuf::VcBuffer::new(capacity)))
+                .collect();
+            blank.connect_egress(to, buffers);
+        }
+        blank
+    }
+
+    #[test]
+    fn a_hostile_router_record_is_refused_or_restores_canonically() {
+        // A 4×4 mesh where every tile sends to its mirror tile every cycle:
+        // far past saturation, so the centre router holds routed and active
+        // VCs, owned out-VCs and full buffers.
+        let n = 16;
+        let mirror = |i: u32| NodeId::new(n as u32 - 1 - i);
+        let flows = (0..n as u32)
+            .map(|i| FlowSpec::pair(NodeId::new(i), mirror(i), n))
+            .collect();
+        let mut net = mesh_network(4, 4, flows);
+        for i in 0..n as u32 {
+            let (src, dst) = (NodeId::new(i), mirror(i));
+            let sender = PeriodicSender {
+                src,
+                dst,
+                node_count: n,
+                period: 1,
+                remaining: u32::MAX,
+                next_send: 0,
+                packet_len: 3,
+            };
+            net.attach_agent(src, Box::new(sender));
+        }
+        net.run(300);
+        let router = net.node(NodeId::new(5)).router();
+        let mut e = Enc::new();
+        router.snapshot(&mut e);
+        let record = e.into_bytes();
+        let states = &router.vc_state;
+        assert!(states.iter().any(|s| matches!(s, VcState::Routed { .. })));
+        assert!(states.iter().any(|s| matches!(s, VcState::Active { .. })));
+
+        // Restores `bytes` into a blank router; if accepted, the router must
+        // snapshot back to exactly the bytes it read.
+        let accepts = |bytes: &[u8]| {
+            let mut blank = blank_like(router);
+            let mut d = Dec::new(bytes);
+            if blank.restore(&mut d).is_err() {
+                return false;
+            }
+            let mut again = Enc::new();
+            blank.snapshot(&mut again);
+            let read = bytes.len() - d.remaining();
+            assert_eq!(again.bytes(), &bytes[..read], "accepted record re-encodes");
+            true
+        };
+        assert!(accepts(&record));
+        for cut in 0..record.len() {
+            assert!(!accepts(&record[..cut]), "prefix of {cut} bytes accepted");
+        }
+        let mut flipped = record.clone();
+        let mut accepted = 0;
+        for i in 0..record.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[i] ^= mask;
+                accepted += usize::from(accepts(&flipped));
+                flipped[i] ^= mask;
+            }
+        }
+        // Most flips land in counters, cycles and ids, which take any value.
+        assert!(accepted > 0 && accepted < 3 * record.len());
+
+        // A VC state naming an egress port or out-VC the router lacks would
+        // send the next SA or VA out of bounds.
+        let last_port = router.egress.len() - 1;
+        for state in [
+            VcState::Routed {
+                egress: last_port + 1,
+                next_flow: FlowId::new(0),
+            },
+            VcState::Active {
+                egress: 0,
+                out_vc: router.egress[0].out_state.len(),
+                next_flow: FlowId::new(0),
+            },
+            VcState::Active {
+                egress: last_port,
+                out_vc: 1,
+                next_flow: FlowId::new(0),
+            },
+        ] {
+            let mut bad = blank_like(router);
+            bad.vc_state[0] = state;
+            let mut e = Enc::new();
+            bad.snapshot(&mut e);
+            let err = blank_like(router).restore(&mut Dec::new(e.bytes()));
+            assert!(err.is_err(), "{state:?} accepted");
+        }
     }
 
     #[test]

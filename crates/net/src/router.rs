@@ -844,19 +844,18 @@ impl Router {
 
         // Accumulate the residence time at this node into the flit itself.
         let departure = now + 1;
-        flit.stats.accumulated_latency += departure.saturating_sub(flit.stats.arrived_at_current);
-        flit.stats.arrived_at_current = departure;
+        flit.stats.depart(departure);
         flit.flow = m.next_flow;
         flit.visible_at = departure;
 
         let idle = flit.is_tail();
         let mut pushed = None;
         if m.egress == self.ejection_port {
-            self.stats.total_flit_latency += flit.stats.accumulated_latency;
+            self.stats.total_flit_latency += flit.stats.accumulated_latency();
             self.stats.delivered_flits += 1;
             self.delivered.push(flit);
         } else {
-            flit.stats.hops += 1;
+            flit.stats.hop();
             self.stats.activity.link_flits += 1;
             let port = &mut self.egress[m.egress];
             if port.buffers[m.out_vc].push(flit) {
@@ -956,6 +955,26 @@ fn vc_state_restore(d: &mut Dec) -> std::io::Result<VcState> {
     })
 }
 
+/// Decodes a presence tag written as 0 or 1; any other byte is corrupt.
+fn decode_present(d: &mut Dec, what: &str) -> std::io::Result<bool> {
+    match d.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        t => Err(corrupt(&format!("bad {what} tag {t}"))),
+    }
+}
+
+/// Decodes a count-prefixed run of at most `max` flits.
+fn decode_flits(d: &mut Dec, max: usize) -> std::io::Result<Vec<Flit>> {
+    let count = d.u32()? as usize;
+    if count > max {
+        return Err(corrupt(&format!(
+            "{count} flits exceed VC buffer room {max}"
+        )));
+    }
+    (0..count).map(|_| codec::decode_flit(d)).collect()
+}
+
 fn corrupt(what: &str) -> std::io::Error {
     std::io::Error::new(
         std::io::ErrorKind::InvalidData,
@@ -1038,16 +1057,23 @@ impl Router {
                 return Err(corrupt("ingress VC count mismatch"));
             }
             for b in port[0]..port[1] {
-                self.vc_state[b] = vc_state_restore(d)?;
-                let visible = (0..d.u32()?)
-                    .map(|_| codec::decode_flit(d))
-                    .collect::<std::io::Result<Vec<_>>>()?;
-                let pending = (0..d.u32()?)
-                    .map(|_| codec::decode_flit(d))
-                    .collect::<std::io::Result<Vec<_>>>()?;
-                if visible.len() + pending.len() > self.vcs[b].capacity() {
-                    return Err(corrupt("VC snapshot exceeds buffer capacity"));
+                let state = vc_state_restore(d)?;
+                // The next SA or VA indexes the egress tables with these.
+                let fits = match state {
+                    VcState::Routed { egress, .. } => egress < self.egress.len(),
+                    VcState::Active { egress, out_vc, .. } => self
+                        .egress
+                        .get(egress)
+                        .is_some_and(|port| out_vc < port.out_state.len()),
+                    VcState::Idle | VcState::Dropping => true,
+                };
+                if !fits {
+                    return Err(corrupt(&format!("VC state {state:?} names no egress VC")));
                 }
+                self.vc_state[b] = state;
+                let capacity = self.vcs[b].capacity();
+                let visible = decode_flits(d, capacity)?;
+                let pending = decode_flits(d, capacity - visible.len())?;
                 self.vcs[b].restore_split(&visible, &pending);
             }
         }
@@ -1059,13 +1085,15 @@ impl Router {
                 return Err(corrupt("egress VC count mismatch"));
             }
             for out in &mut port.out_state {
-                out.owner = match d.u8()? {
-                    0 => None,
-                    _ => Some(PacketId::new(d.u64()?)),
+                out.owner = if decode_present(d, "owner")? {
+                    Some(PacketId::new(d.u64()?))
+                } else {
+                    None
                 };
-                out.resident_flow = match d.u8()? {
-                    0 => None,
-                    _ => Some(codec::decode_flow(d)?),
+                out.resident_flow = if decode_present(d, "resident flow")? {
+                    Some(codec::decode_flow(d)?)
+                } else {
+                    None
                 };
             }
         }
@@ -1179,8 +1207,8 @@ mod tests {
         }
         assert_eq!(r1.stats().delivered_flits, 4);
         assert!(r0.is_idle() && r1.is_idle());
-        assert!(delivered.iter().all(|f| f.stats.hops == 1));
-        assert!(delivered.iter().all(|f| f.stats.accumulated_latency > 0));
+        assert!(delivered.iter().all(|f| f.stats.hops() == 1));
+        assert!(delivered.iter().all(|f| f.stats.accumulated_latency() > 0));
     }
 
     #[test]
@@ -1280,7 +1308,7 @@ mod tests {
                 r0.negedge(cycle);
                 r1.negedge(cycle);
                 for f in r1.take_delivered() {
-                    latencies.push(f.stats.accumulated_latency);
+                    latencies.push(f.stats.accumulated_latency());
                 }
             }
             latencies
