@@ -55,7 +55,7 @@ fn saturated_transpose_snapshot_bytes_are_pinned() {
         run: RunKind::Cycles(3_000),
         ..DistSpec::default()
     };
-    let net = pin(&spec, 2_000, 1_000, 243_051, 0x57b5_b54a_bae6_212e);
+    let net = pin(&spec, 2_000, 1_000, 214_288, 0xbb27_2c59_17f5_efff);
     // The state the digest covers: packets offered but not yet injected, and
     // injected packets whose flits have not all entered the router.
     let s = net.stats();
@@ -81,7 +81,7 @@ fn vector_sum_snapshot_with_payload_backlog_is_pinned() {
         run: RunKind::Cycles(400),
         ..DistSpec::default()
     };
-    let net = pin(&spec, 100, 300, 27_627, 0x67aa_27b0_b67e_9779);
+    let net = pin(&spec, 100, 300, 26_972, 0x0280_beb2_6652_948d);
     let s = net.stats();
     assert!(
         s.offered_packets > s.injected_packets,
