@@ -148,7 +148,6 @@ impl CoreContext for TileContext<'_> {
             self.node,
             dst,
             len_flits.max(1),
-            self.now,
         )
         .with_payload(Payload::from_words(&[USER_TAG, word]));
         self.io.send(packet);

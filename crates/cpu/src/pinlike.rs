@@ -243,7 +243,6 @@ impl NativeFrontendAgent {
                                 self.node,
                                 dst,
                                 len_flits.max(1),
-                                now,
                             )
                             .with_payload(Payload::from_words(&[USER_TAG, word]));
                             io.send(packet);

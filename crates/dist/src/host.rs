@@ -996,6 +996,55 @@ mod tests {
         }
     }
 
+    /// A worker built from another protocol version is refused at its
+    /// Hello: checkpoints and cycle frames change layout with the version.
+    #[test]
+    fn a_worker_of_another_wire_version_is_refused() {
+        let port = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap()
+            .port();
+        let ctrl = format!("127.0.0.1:{port}");
+        let hosts = vec!["127.0.0.1:1".to_string(), "127.0.0.1:2".to_string()];
+        let host = {
+            let (ctrl, hosts) = (ctrl.clone(), hosts.clone());
+            std::thread::spawn(move || {
+                let spec = DistSpec {
+                    width: 4,
+                    height: 4,
+                    run: RunKind::Cycles(10),
+                    ..DistSpec::default()
+                };
+                run_distributed(
+                    &spec,
+                    &HostOptions {
+                        transport: TransportKind::Tcp,
+                        worker_hosts: Some(hosts),
+                        ctrl_listen: Some(ctrl),
+                        nonce: Some(5),
+                        ..HostOptions::default()
+                    },
+                )
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let mut worker = loop {
+            match std::net::TcpStream::connect(&ctrl) {
+                Ok(stream) => break stream,
+                Err(e) if Instant::now() > deadline => panic!("coordinator never listened: {e}"),
+                Err(_) => std::thread::sleep(Duration::from_millis(10)),
+            }
+        };
+        let hello = CtrlMsg::Hello {
+            version: WIRE_VERSION - 1,
+            advertise: hosts[0].clone(),
+            nonce: 5,
+        };
+        hello.send(&mut worker).unwrap();
+        let err = host.join().unwrap().unwrap_err();
+        assert!(err.to_string().contains("wire version mismatch"), "{err}");
+    }
+
     #[test]
     fn summary_json_is_byte_stable() {
         let mut outcome = DistOutcome {

@@ -29,12 +29,12 @@
 
 use crate::protocol::TransportKind;
 use crate::wire::{
-    decode_credit, decode_flit, decode_packet, encode_credit, encode_flit, encode_packet,
+    decode_credit, decode_flit, decode_payload, encode_credit, encode_flit, encode_payload,
     peek_frame, Dec, Enc, CREDIT_WIRE_BYTES, FLIT_WIRE_BYTES, MAX_FRAME_BYTES,
 };
 use hornet_net::boundary::{BoundaryLink, CreditMsg};
-use hornet_net::flit::Flit;
-use hornet_net::ids::Cycle;
+use hornet_net::flit::{Flit, Payload};
+use hornet_net::ids::{Cycle, PacketId};
 use hornet_shard::driver::{PayloadChannel, TransportPump};
 use hornet_shard::wiring::NeighborWiring;
 use std::io::{self, ErrorKind, Read, Write};
@@ -404,7 +404,7 @@ pub struct FrameTransport<P: BytePipe> {
     /// Reusable frame scratch.
     flits: Vec<(u32, Flit)>,
     credits: Vec<(u32, CreditMsg)>,
-    packets: Vec<hornet_net::flit::Packet>,
+    payloads_out: Vec<(PacketId, Payload)>,
 }
 
 /// The frame transport over a Unix or TCP socket.
@@ -441,7 +441,7 @@ impl<P: BytePipe> FrameTransport<P> {
             tx: Enc::new(),
             flits: Vec::new(),
             credits: Vec::new(),
-            packets: Vec::new(),
+            payloads_out: Vec::new(),
         })
     }
 
@@ -544,7 +544,8 @@ fn decode_cycle_frame(
     let mut d = Dec::new(frame);
     let cycle = d.u64()?;
     for _ in 0..d.u32()? {
-        payloads.deposit(decode_packet(&mut d)?);
+        let (id, payload) = decode_payload(&mut d)?;
+        payloads.deposit(id, payload);
     }
     for _ in 0..d.u32()? {
         if !link(in_links, d.u32()?)?.inject_flit(decode_flit(&mut d)?) {
@@ -569,21 +570,17 @@ impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
         }
         self.flits.clear();
         self.credits.clear();
-        self.packets.clear();
+        self.payloads_out.clear();
         let payloads = &*self.payloads;
         for (ch, link) in self.out_links.iter().enumerate() {
             let flits = &mut self.flits;
-            let packets = &mut self.packets;
+            let out = &mut self.payloads_out;
             link.drain_staged_flits(|f| {
+                // A payload follows its tail flit hop by hop; a packet
+                // without one has nothing parked.
                 if f.kind.is_tail() {
-                    // The payload follows its tail flit hop by hop; empty
-                    // payloads are claimed too (the parked packet would leak
-                    // otherwise) but reconstructed at the destination instead
-                    // of crossing the wire.
-                    if let Some(p) = payloads.claim(f.packet) {
-                        if !p.payload.is_empty() {
-                            packets.push(p);
-                        }
+                    if let Some(payload) = payloads.claim(f.packet) {
+                        out.push((f.packet, payload));
                     }
                 }
                 flits.push((ch as u32, f));
@@ -597,9 +594,9 @@ impl<P: BytePipe> BoundaryTransport for FrameTransport<P> {
         let e = &mut self.tx;
         let frame = e.begin_frame();
         e.u64(cycle);
-        e.u32(self.packets.len() as u32);
-        for p in &self.packets {
-            encode_packet(e, p);
+        e.u32(self.payloads_out.len() as u32);
+        for (id, payload) in &self.payloads_out {
+            encode_payload(e, *id, payload);
         }
         e.u32(self.flits.len() as u32);
         for (ch, f) in &self.flits {
@@ -650,9 +647,12 @@ mod tests {
     use super::*;
     #[cfg(unix)]
     use crate::shm::ShmPipe;
-    use hornet_net::flit::{FlitKind, FlitStats, Packet, Payload};
-    use hornet_net::ids::{FlowId, NodeId, PacketId};
+    use hornet_net::bridge::Bridge;
+    use hornet_net::flit::{FlitKind, FlitStats, Packet};
+    use hornet_net::ids::{FlowId, NodeId};
     use hornet_net::payload::PayloadStore;
+    use hornet_net::stats::NetworkStats;
+    use hornet_net::vcbuf::VcBuffer;
     use hornet_shard::driver::NoPayloads;
     #[cfg(unix)]
     use proptest::test_runner::TestCaseError;
@@ -852,39 +852,81 @@ mod tests {
         over_each_pipe!(carries_flits_credits_and_progress);
     }
 
+    /// Sends `packets` from node 0's bridge, each only after it has waited
+    /// in the backlog, and returns every flit the bridge pushes, in order.
+    #[cfg(unix)]
+    fn injected_flits(packets: &[Packet], store: Arc<PayloadStore>) -> Vec<Flit> {
+        let vc = Arc::new(VcBuffer::new(2));
+        let mut bridge = Bridge::new(NodeId::new(0), vec![Arc::clone(&vc)], 1, store);
+        for p in packets {
+            bridge.send(p.clone()).unwrap();
+        }
+        let mut stats = NetworkStats::new();
+        let mut flits = Vec::new();
+        for now in 10..40 {
+            bridge.inject(now, &mut stats);
+            vc.absorb_tail();
+            flits.extend(std::iter::from_fn(|| vc.pop_if(Cycle::MAX, |_| true)));
+        }
+        assert!(bridge.injection_idle());
+        flits
+    }
+
+    /// Node 1's bridge reassembles `flits` and hands back what it delivers.
+    #[cfg(unix)]
+    fn delivered(mut flits: Vec<Flit>, store: Arc<PayloadStore>) -> Vec<Packet> {
+        let vc = vec![Arc::new(VcBuffer::new(2))];
+        let mut bridge = Bridge::new(NodeId::new(1), vc, 1, store);
+        bridge.accept(&mut flits, 50, &mut NetworkStats::new());
+        std::iter::from_fn(|| bridge.try_recv().map(|d| d.packet)).collect()
+    }
+
     #[cfg(unix)]
     fn forwards_payloads_with_tail_flits<P: TestPipe>() {
         let (pa, pb) = P::pair();
-        let (wa, _) = adjacency(1, 4);
-        let (_, wb) = adjacency(1, 4);
+        let (wa, _) = adjacency(1, 8);
+        let (_, wb) = adjacency(1, 8);
         let store_a = Arc::new(PayloadStore::new());
         let store_b = Arc::new(PayloadStore::new());
         let mut ta = FrameTransport::new(pa, &wa, 0, store_a.clone()).unwrap();
         let mut tb = FrameTransport::new(pb, &wb, 0, store_b.clone()).unwrap();
 
-        // A parks a packet's payload (what the bridge does at injection) and
-        // pushes its tail flit onto the boundary.
-        let packet = Packet::new(
-            PacketId::new(1),
-            FlowId::new(1),
-            NodeId::new(0),
-            NodeId::new(1),
-            2,
-            0,
-        )
-        .with_payload(Payload::from_words(&[0xfeed, 0xbead]));
-        store_a.deposit(packet.clone());
-        let mut tail = flit(1, 5);
-        tail.kind = FlitKind::Tail;
-        assert!(wa.out_links[0].push(flit(0, 5)));
-        assert!(wa.out_links[0].push(tail));
-        ta.pump(4, true).unwrap();
+        // Node 0 sends one packet without a payload and one with; both wait
+        // in its backlog before they go in. The bridge parks the payload.
+        let sent = |id: u64| {
+            Packet::new(
+                PacketId::new(id),
+                FlowId::new(1),
+                NodeId::new(0),
+                NodeId::new(1),
+                2,
+            )
+        };
+        let packets = [
+            sent(1),
+            sent(2).with_payload(Payload::from_words(&[0xfeed, 0xbead])),
+        ];
+        let flits = injected_flits(&packets, store_a.clone());
+        assert_eq!(store_a.len(), 1, "only the payload is parked");
+        for f in &flits {
+            assert!(wa.out_links[0].push(*f));
+        }
+        ta.pump(40, true).unwrap();
 
-        // The claim emptied A's store; B deposits the payload before it
-        // takes progress 4.
+        // The tail's crossing claimed the payload; B deposits it before it
+        // takes progress 40, and node 1 delivers exactly what node 0 sent.
         assert!(store_a.is_empty(), "tail crossing must claim the payload");
-        await_progress(&mut tb, 4);
-        assert_eq!(store_b.claim(PacketId::new(1)), Some(packet));
+        await_progress(&mut tb, 40);
+        assert_eq!(store_b.len(), 1);
+        let arrived = wb.in_links[0].staged_flit_snapshot();
+        assert_eq!(arrived, flits);
+        assert_eq!(delivered(arrived, store_b.clone()), packets);
+        assert!(store_b.is_empty());
+
+        // The same packets delivered in-process, through one shared store.
+        let shared = Arc::new(PayloadStore::new());
+        let local = injected_flits(&packets, shared.clone());
+        assert_eq!(delivered(local, shared), packets);
         close(ta, tb);
     }
 
@@ -1027,10 +1069,9 @@ mod tests {
                     NodeId::new(0),
                     NodeId::new(1),
                     1,
-                    0,
                 )
                 .with_payload(Payload::from(vec![id; 512 << 10]));
-                store.deposit(packet);
+                store.deposit(packet.id, packet.payload);
                 let mut tail = flit(0, 2);
                 (tail.packet, tail.kind) = (PacketId::new(id), FlitKind::HeadTail);
                 assert!(wiring.out_links[0].push(tail));
@@ -1038,7 +1079,7 @@ mod tests {
                 t.pump(1, true).unwrap();
                 await_progress(&mut t, 1);
                 let got = store.claim(PacketId::new(3 - id)).expect("peer's payload");
-                assert_eq!(got.payload.words(), vec![3 - id; 512 << 10]);
+                assert_eq!(got.words(), vec![3 - id; 512 << 10]);
                 drop(t);
                 done.send(()).unwrap();
             });

@@ -15,13 +15,17 @@
 //!   finish the run on the sharded thread runtime (strict CycleAccurate) —
 //!   still bit-identical;
 //! * a saturated injection backlog: more than ten thousand packets waiting
-//!   in packed records round-trip through a checkpoint.
+//!   in packed records round-trip through a checkpoint;
+//! * layout versions: a network snapshot or a shard checkpoint whose version
+//!   word is not this build's is refused.
 
 use hornet_dist::spec::{DistSpec, DistSync, DistWorkload, RunKind};
 use hornet_net::ids::NodeId;
+use hornet_net::network::NETWORK_SNAPSHOT_VERSION;
 use hornet_net::stats::NetworkStats;
-use hornet_shard::driver::merge_tile_stats;
-use hornet_shard::{Partitioner, RunParams, ShardRuntime};
+use hornet_shard::driver::{merge_tile_stats, NoPayloads};
+use hornet_shard::snapshot::{checkpoint_cycle, SHARD_CHECKPOINT_VERSION};
+use hornet_shard::{restore_shard, snapshot_shard, Partitioner, RunParams, ShardRuntime};
 use hornet_traffic::pattern::{InjectionProcess, SyntheticPattern};
 use proptest::prelude::*;
 
@@ -240,5 +244,58 @@ fn sharded_resume_from_sequential_snapshot_is_bit_identical() {
             whole.stats(),
             "seed {seed} cut {cut}: sharded resume must match sequential"
         );
+    }
+}
+
+/// Both checkpoint layouts open with a version word. A snapshot written in
+/// another layout is refused before a byte of state is read; the same bytes
+/// with this build's version restore.
+#[test]
+fn a_checkpoint_of_another_layout_version_is_refused() {
+    let spec = DistSpec {
+        width: 4,
+        height: 4,
+        workload: DistWorkload::MemVectorSum {
+            base_stride: 0x1_0000,
+            count: 8,
+        },
+        run: RunKind::Cycles(400),
+        ..DistSpec::default()
+    };
+    let with_version = |bytes: &[u8], version: u32| {
+        let mut bytes = bytes.to_vec();
+        bytes[..4].copy_from_slice(&version.to_le_bytes());
+        bytes
+    };
+    let mut net = spec.build_network().unwrap();
+    net.run(100);
+    let snap = net.snapshot();
+    assert_eq!(snap[..4], NETWORK_SNAPSHOT_VERSION.to_le_bytes());
+    for version in [0, NETWORK_SNAPSHOT_VERSION + 1, u32::MAX] {
+        let err = spec
+            .build_network()
+            .unwrap()
+            .restore(&with_version(&snap, version))
+            .unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("layout version"), "{err}");
+    }
+
+    let (tiles, _) = net.into_nodes();
+    let shard = snapshot_shard(100, 7, &tiles, &[], &[], &NoPayloads);
+    assert_eq!(shard[..4], SHARD_CHECKPOINT_VERSION.to_le_bytes());
+    assert_eq!(checkpoint_cycle(&shard).unwrap(), 100);
+    let fresh = || spec.build_network().unwrap().into_nodes().0;
+    let restored = restore_shard(&shard, &mut fresh(), &[], &mut [], &NoPayloads).unwrap();
+    assert_eq!(restored, (100, 7));
+    for version in [SHARD_CHECKPOINT_VERSION - 1, SHARD_CHECKPOINT_VERSION + 1] {
+        let bytes = with_version(&shard, version);
+        for err in [
+            checkpoint_cycle(&bytes).unwrap_err(),
+            restore_shard(&bytes, &mut fresh(), &[], &mut [], &NoPayloads).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("version mismatch"), "{err}");
+        }
     }
 }

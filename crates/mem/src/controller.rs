@@ -164,7 +164,6 @@ impl NodeAgent for MemoryControllerAgent {
                 self.node,
                 s.requester,
                 self.node_count,
-                now,
                 self.config.control_packet_len,
                 self.config.data_packet_len,
             );
@@ -312,7 +311,7 @@ mod tests {
                     line: self.to_send as u64,
                     requester: src,
                 };
-                io.send(msg.to_packet(id, src, self.mc, self.node_count, io.cycle(), 2, 8));
+                io.send(msg.to_packet(id, src, self.mc, self.node_count, 2, 8));
                 self.to_send -= 1;
             }
         }
@@ -416,8 +415,7 @@ mod tests {
                 line: i,
                 requester: NodeId::new(3),
             };
-            let packet =
-                msg.to_packet(PacketId::new(i), NodeId::new(3), NodeId::new(0), 4, 0, 2, 8);
+            let packet = msg.to_packet(PacketId::new(i), NodeId::new(3), NodeId::new(0), 4, 2, 8);
             io.inbox.push_back(hornet_net::flit::DeliveredPacket {
                 packet,
                 delivered_at: 0,

@@ -375,7 +375,6 @@ impl MemoryNode {
                     self.node,
                     s.dst,
                     self.node_count,
-                    now,
                     self.config.control_packet_len,
                     self.config.data_packet_len,
                 );

@@ -8,7 +8,7 @@
 
 use hornet_net::codec::{Dec, Enc};
 use hornet_net::flit::{Packet, Payload, INLINE_PAYLOAD_WORDS};
-use hornet_net::ids::{Cycle, FlowId, NodeId, PacketId};
+use hornet_net::ids::{FlowId, NodeId, PacketId};
 use std::io;
 
 /// Address of one cache line.
@@ -265,14 +265,12 @@ impl MemMessage {
     /// Control messages occupy `control_len` flits and data-bearing messages
     /// `data_len` flits, mirroring the short-request / long-response packets
     /// of a cache-coherent NoC.
-    #[allow(clippy::too_many_arguments)]
     pub fn to_packet(
         &self,
         id: PacketId,
         src: NodeId,
         dst: NodeId,
         node_count: usize,
-        now: Cycle,
         control_len: u32,
         data_len: u32,
     ) -> Packet {
@@ -281,15 +279,8 @@ impl MemMessage {
         } else {
             control_len
         };
-        Packet::new(
-            id,
-            FlowId::for_pair(src, dst, node_count),
-            src,
-            dst,
-            len,
-            now,
-        )
-        .with_payload(self.encode())
+        Packet::new(id, FlowId::for_pair(src, dst, node_count), src, dst, len)
+            .with_payload(self.encode())
     }
 }
 
@@ -380,13 +371,13 @@ mod tests {
     #[test]
     fn data_messages_use_long_packets() {
         let m = MemMessage::Data { line: 1, value: 2 };
-        let p = m.to_packet(PacketId::new(1), NodeId::new(0), NodeId::new(1), 4, 0, 2, 8);
+        let p = m.to_packet(PacketId::new(1), NodeId::new(0), NodeId::new(1), 4, 2, 8);
         assert_eq!(p.len_flits, 8);
         let c = MemMessage::GetS {
             line: 1,
             requester: NodeId::new(0),
         };
-        let p = c.to_packet(PacketId::new(2), NodeId::new(0), NodeId::new(1), 4, 0, 2, 8);
+        let p = c.to_packet(PacketId::new(2), NodeId::new(0), NodeId::new(1), 4, 2, 8);
         assert_eq!(p.len_flits, 2, "control messages use short packets");
     }
 

@@ -190,7 +190,6 @@ mod tests {
             NodeId::new(1),
             NodeId::new(0),
             1,
-            0,
         )
         .with_payload(Payload::empty());
         DeliveredPacket {

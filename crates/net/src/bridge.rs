@@ -6,12 +6,17 @@
 //! router's CPU-facing ingress port, retrying when the network cannot accept
 //! flits, and reassembling ejected flits back into packets.
 //!
-//! Under an open-loop source past saturation the injection backlog grows
-//! without bound, so a waiting packet is kept small: a packed record in one
-//! byte FIFO (see `Backlog`) — one byte for a source's steady stream — with
-//! its payload, if it has one, side-queued. An injection slot builds each
-//! flit from the packet's head as it is pushed. Checkpoints still write
-//! every waiting packet out in full.
+//! A packet is its flits plus its payload. Under an open-loop source past
+//! saturation the injection backlog grows without bound, so a waiting packet
+//! is kept small: a packed record in one byte FIFO (see `Backlog`) — one byte
+//! for a source's steady stream — with its payload, if it has one,
+//! side-queued. When the packet goes in, an injection slot builds each flit
+//! from the packet's head as it is pushed and its payload moves to the
+//! shared [`PayloadStore`]. At the destination a reassembly slot keeps the
+//! head flit and a count of the flits received; when the tail arrives,
+//! [`Bridge::accept`] builds the delivered packet from the head flit and the
+//! payload claimed by id — the one place a delivered packet comes from.
+//! Checkpoints still write every waiting packet out in full.
 
 use crate::codec::{self, Dec, Enc};
 use crate::flit::{DeliveredPacket, Flit, FlitStats, Packet, Payload};
@@ -20,41 +25,29 @@ use crate::payload::PayloadStore;
 use crate::stats::NetworkStats;
 use crate::vcbuf::VcBuffer;
 use hornet_obs::trace::{TraceEvent, TraceKind, TraceRing};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
-/// One slot of the reassembly slab: the flits of one in-flight inbound
-/// packet. `expected == 0` marks a free slot whose `flits` allocation is
-/// retained for reuse, so steady-state reassembly never allocates — the slab
-/// only grows to the high-water mark of *concurrently* reassembling packets
-/// (bounded by the router's ingress VC count, since flits of one packet
-/// arrive on one VC in order).
+/// One slot of the reassembly slab: the head flit of one inbound packet and
+/// how many of its flits have arrived. Flits of one packet arrive in order
+/// on one VC, so the next one is flit `received` and the one that completes
+/// the count is the tail. `received == 0` marks a free slot. The slab only
+/// grows to the high-water mark of *concurrently* reassembling packets
+/// (bounded by the router's ingress VC count).
 #[derive(Debug)]
 struct ReassemblySlot {
-    packet: PacketId,
-    expected: u32,
-    flits: Vec<Flit>,
-}
-
-impl Default for ReassemblySlot {
-    fn default() -> Self {
-        Self {
-            packet: PacketId::new(0),
-            expected: 0,
-            flits: Vec::new(),
-        }
-    }
+    head: Flit,
+    received: u32,
 }
 
 /// One packet in the injection backlog: what [`Packet`] carries minus the
-/// source (always the bridge's own node), the injection cycle (stamped when
-/// the packet goes in) and the payload (side-queued, and only for packets
-/// that carry one). [`Backlog`] stores it packed; this is the decoded value.
+/// source (always the bridge's own node) and the payload (side-queued, and
+/// only for packets that carry one). [`Backlog`] stores it packed; this is
+/// the decoded value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 struct Queued {
     id: PacketId,
     flow: FlowId,
-    created_at: Cycle,
     dst: NodeId,
     len_flits: u32,
 }
@@ -64,7 +57,6 @@ impl Queued {
     const ZERO: Queued = Queued {
         id: PacketId::new(0),
         flow: FlowId::new(0),
-        created_at: 0,
         dst: NodeId::new(0),
         len_flits: 0,
     };
@@ -79,41 +71,38 @@ impl Queued {
     }
 
     /// The packet this record stands for, sent by `src`.
-    fn packet(&self, src: NodeId, injected_at: Cycle, payload: Payload) -> Packet {
+    fn packet(&self, src: NodeId, payload: Payload) -> Packet {
         Packet {
             id: self.id,
             flow: self.flow,
             src,
             dst: self.dst,
             len_flits: self.len_flits,
-            created_at: self.created_at,
-            injected_at,
             payload,
         }
     }
 }
 
-/// The longest record: the full-record tag byte, three 10-byte varints of
+/// The longest record: the full-record tag byte, two 10-byte varints of
 /// 64-bit deltas, then two 5-byte varints of 32-bit fields.
-const MAX_RECORD: usize = 1 + 3 * 10 + 2 * 5;
+const MAX_RECORD: usize = 1 + 2 * 10 + 2 * 5;
 
-/// Low bit of a record's first byte: set for a steady record, clear for the
-/// tag byte (0) that opens a full one.
-const STEADY: u64 = 1;
+/// The first byte of a record: a steady record is this byte alone; a full
+/// record opens with [`FULL`].
+const STEADY: u8 = 1;
+const FULL: u8 = 0;
 
 /// The injection backlog: a FIFO of [`Queued`] records packed into bytes.
 ///
-/// A record that [`follows`](Queued::follows) the record before it and was
-/// not created earlier is *steady*: one LEB128 varint of its creation-cycle
-/// delta shifted left by one, with [`STEADY`] set. A source's steady stream
-/// (ids one apart, one flow, destination and length, each created at most 63
-/// cycles after the one before) packs into one byte a packet where a
-/// [`Queued`] is 32. Any other record is *full*: a 0 tag byte, the
-/// zigzag-LEB128 varints of the wrapping deltas of its packet id, creation
-/// cycle and flow, then the LEB128 `dst` and `len_flits`. No record exceeds
+/// A record that [`follows`](Queued::follows) the record before it is
+/// *steady*: the one byte [`STEADY`]. A source's steady stream (ids one
+/// apart, one flow, destination and length) packs into one byte a packet
+/// where a [`Queued`] is 24. Any other record is *full*: the tag byte
+/// [`FULL`], the zigzag-LEB128 varints of the wrapping deltas of its packet
+/// id and flow, then the LEB128 `dst` and `len_flits`. No record exceeds
 /// [`MAX_RECORD`]. The writer's base is the last record pushed and the
 /// reader's the last record popped, so any sequence of values round-trips:
-/// nothing assumes ids, cycles or flows move forward.
+/// nothing assumes ids or flows move forward.
 #[derive(Debug)]
 struct Backlog {
     bytes: VecDeque<u8>,
@@ -146,25 +135,21 @@ impl Backlog {
 
     fn push(&mut self, q: Queued) {
         let base = self.pushed;
-        let mut record = [0u8; MAX_RECORD];
-        let created = q.created_at.wrapping_sub(base.created_at);
-        let n = if q.follows(&base) && created >> 63 == 0 {
-            put_varint(&mut record, created << 1 | STEADY)
+        if q.follows(&base) {
+            self.bytes.push_back(STEADY);
         } else {
-            // record[0] stays the full-record tag, 0.
+            let mut record = [FULL; MAX_RECORD];
             let mut n = 1;
             for v in [
                 zigzag(q.id.raw().wrapping_sub(base.id.raw())),
-                zigzag(created),
                 zigzag(q.flow.raw().wrapping_sub(base.flow.raw())),
                 u64::from(q.dst.raw()),
                 u64::from(q.len_flits),
             ] {
                 n += put_varint(&mut record[n..], v);
             }
-            n
-        };
-        self.bytes.extend(&record[..n]);
+            self.bytes.extend(&record[..n]);
+        }
         self.pushed = q;
         self.len += 1;
     }
@@ -224,45 +209,39 @@ fn put_varint(out: &mut [u8], mut v: u64) -> usize {
     n + 1
 }
 
-/// Reads the rest of a LEB128 varint whose first byte is `b`.
-fn read_varint(mut b: u8, next: &mut impl FnMut() -> u8) -> u64 {
+/// Reads one LEB128 varint, taking its bytes from `next`.
+fn read_varint(next: &mut impl FnMut() -> u8) -> u64 {
     let mut v = 0u64;
     let mut shift = 0;
     loop {
+        let b = next();
         v |= u64::from(b & 0x7f) << shift;
         if b < 0x80 {
             return v;
         }
         shift += 7;
-        b = next();
     }
 }
 
 /// Reads one record written by [`Backlog::push`] whose predecessor was
 /// `base`, taking its bytes from `next`.
 fn read_record(base: Queued, mut next: impl FnMut() -> u8) -> Queued {
-    let first = next();
-    if u64::from(first) & STEADY != 0 {
-        let created = read_varint(first, &mut next) >> 1;
+    if next() == STEADY {
         return Queued {
             id: PacketId::new(base.id.raw().wrapping_add(1)),
-            created_at: base.created_at.wrapping_add(created),
             ..base
         };
     }
-    let mut varint = || {
-        let b = next();
-        read_varint(b, &mut next)
-    };
-    let id = base.id.raw().wrapping_add(unzigzag(varint()));
-    let created_at = base.created_at.wrapping_add(unzigzag(varint()));
-    let flow = base.flow.raw().wrapping_add(unzigzag(varint()));
+    let id = base.id.raw().wrapping_add(unzigzag(read_varint(&mut next)));
+    let flow = base
+        .flow
+        .raw()
+        .wrapping_add(unzigzag(read_varint(&mut next)));
     Queued {
         id: PacketId::new(id),
-        created_at,
         flow: FlowId::from_raw(flow),
-        dst: NodeId::new(varint() as u32),
-        len_flits: varint() as u32,
+        dst: NodeId::new(read_varint(&mut next) as u32),
+        len_flits: read_varint(&mut next) as u32,
     }
 }
 
@@ -317,21 +296,25 @@ pub struct Bridge {
     /// concurrency the ejection port can sustain, and allocation-free in
     /// steady state).
     reassembly: Vec<ReassemblySlot>,
-    /// Original packets by id, so payloads survive the trip (the network only
-    /// carries flits; a real chip would DMA the payload).
-    in_flight_payloads: HashMap<PacketId, Packet>,
     /// Fully reassembled inbound packets not yet consumed by the agent.
     delivered: VecDeque<DeliveredPacket>,
     /// Packet id allocator (node-unique ids composed with the node index).
     next_packet_seq: u64,
-    /// Shared out-of-band payload transport (DMA model); when absent, payloads
-    /// only survive node-local loopback.
-    payload_store: Option<Arc<PayloadStore>>,
+    /// The out-of-band payload transport (DMA model) every bridge of the
+    /// process shares: payloads go in at injection and come out at delivery,
+    /// loopback included.
+    payloads: Arc<PayloadStore>,
 }
 
 impl Bridge {
-    /// Creates a bridge for `node` wired to the given injection VC buffers.
-    pub fn new(node: NodeId, injection_vcs: Vec<Arc<VcBuffer>>, injection_bandwidth: u32) -> Self {
+    /// Creates a bridge for `node` wired to the given injection VC buffers,
+    /// parking payloads in `payloads` (see [`PayloadStore`]).
+    pub fn new(
+        node: NodeId,
+        injection_vcs: Vec<Arc<VcBuffer>>,
+        injection_bandwidth: u32,
+        payloads: Arc<PayloadStore>,
+    ) -> Self {
         let slots = (0..injection_vcs.len()).map(|_| None).collect();
         Self {
             node,
@@ -341,17 +324,10 @@ impl Bridge {
             pending_payloads: VecDeque::new(),
             slots,
             reassembly: Vec::new(),
-            in_flight_payloads: HashMap::new(),
             delivered: VecDeque::new(),
             next_packet_seq: 0,
-            payload_store: None,
+            payloads,
         }
-    }
-
-    /// Attaches the shared payload store so payloads reach remote
-    /// destinations (see [`PayloadStore`]).
-    pub fn attach_payload_store(&mut self, store: Arc<PayloadStore>) {
-        self.payload_store = Some(store);
     }
 
     /// The node this bridge belongs to.
@@ -369,8 +345,7 @@ impl Bridge {
 
     /// Queues a packet for injection. The packet enters the network when
     /// injection-port buffer space allows; the agent can observe backpressure
-    /// through [`pending_packets`](Self::pending_packets). The packet's
-    /// `injected_at` is stamped when it goes in.
+    /// through [`pending_packets`](Self::pending_packets).
     ///
     /// # Errors
     ///
@@ -388,13 +363,11 @@ impl Bridge {
         self.pending.push(Queued {
             id: packet.id,
             flow: packet.flow,
-            created_at: packet.created_at,
             dst: packet.dst,
             len_flits: packet.len_flits,
         });
         Ok(())
     }
-
     /// Number of packets queued at the injector (including the ones partially
     /// injected).
     pub fn pending_packets(&self) -> usize {
@@ -449,8 +422,8 @@ impl Bridge {
         stats: &mut NetworkStats,
         mut tracer: Option<&mut TraceRing>,
     ) {
-        // Fill idle slots with pending packets. The packet itself (payload
-        // included) moves to where its destination will claim it.
+        // Fill idle slots with pending packets. A payload moves to the store,
+        // where its destination will claim it.
         for slot in &mut self.slots {
             if slot.is_some() {
                 continue;
@@ -458,19 +431,11 @@ impl Bridge {
             let Some(q) = self.pending.pop() else {
                 break;
             };
-            let payload = match self.pending_payloads.front() {
-                Some(&(id, _)) if id == q.id => self.pending_payloads.pop_front().map(|(_, p)| p),
-                _ => None,
-            };
+            if let Some((id, payload)) = self.pending_payloads.pop_front_if(|(id, _)| *id == q.id) {
+                self.payloads.deposit(id, payload);
+            }
             stats.injected_packets += 1;
             let head = Flit::head(q.id, q.flow, self.node, q.dst, q.len_flits, now);
-            let packet = q.packet(self.node, now, payload.unwrap_or_default());
-            match &self.payload_store {
-                Some(store) if packet.dst != self.node => store.deposit(packet),
-                _ => {
-                    self.in_flight_payloads.insert(packet.id, packet);
-                }
-            }
             *slot = Some(InjectionSlot { head, next: 0 });
         }
         // Push flits, round-robin over the slots, up to the injection bandwidth.
@@ -515,97 +480,76 @@ impl Bridge {
     /// Accepts flits ejected by the router (run after the router's negative
     /// edge) and reassembles them into delivered packets. The input vector is
     /// drained in place so its allocation survives into the next cycle.
+    ///
+    /// This is where every delivered packet is built: the head flit's
+    /// identity and framing, plus the payload parked for its id, if any.
     pub fn accept(&mut self, flits: &mut Vec<Flit>, now: Cycle, stats: &mut NetworkStats) {
         for flit in flits.drain(..) {
-            // Find the packet's slab slot (or claim a free one). Linear
-            // search: the slab holds at most one entry per ingress VC.
-            let mut slot_idx = None;
-            let mut free_idx = None;
-            for (i, slot) in self.reassembly.iter().enumerate() {
-                if slot.expected != 0 {
-                    if slot.packet == flit.packet {
-                        slot_idx = Some(i);
-                        break;
-                    }
-                } else if free_idx.is_none() {
-                    free_idx = Some(i);
+            let head = if flit.is_head() {
+                if !flit.is_tail() {
+                    self.open_slot(flit);
+                    continue;
                 }
-            }
-            let idx = slot_idx.unwrap_or_else(|| {
-                let idx = free_idx.unwrap_or_else(|| {
-                    self.reassembly.push(ReassemblySlot::default());
-                    self.reassembly.len() - 1
-                });
-                let slot = &mut self.reassembly[idx];
-                slot.packet = flit.packet;
-                slot.expected = flit.packet_len;
-                debug_assert!(slot.flits.is_empty());
-                idx
+                flit
+            } else {
+                // Linear search: the slab holds at most one entry per
+                // ingress VC.
+                let slot = self
+                    .reassembly
+                    .iter_mut()
+                    .find(|s| s.received != 0 && s.head.packet == flit.packet)
+                    .expect("a packet's flits follow its head");
+                debug_assert_eq!(flit.seq, slot.received, "flits arrive in order");
+                slot.received += 1;
+                if slot.received < slot.head.packet_len {
+                    continue;
+                }
+                slot.received = 0;
+                slot.head
+            };
+            let packet = Packet {
+                id: head.packet,
+                flow: head.original_flow,
+                src: head.src,
+                dst: head.dst,
+                len_flits: head.packet_len,
+                payload: self.payloads.claim(head.packet).unwrap_or_default(),
+            };
+            let (head_latency, tail_latency, hops) = (
+                head.stats.accumulated_latency(),
+                flit.stats.accumulated_latency(),
+                flit.stats.hops(),
+            );
+            stats.record_delivery(
+                packet.flow,
+                u64::from(packet.len_flits),
+                head_latency,
+                tail_latency,
+                hops,
+            );
+            self.delivered.push_back(DeliveredPacket {
+                packet,
+                delivered_at: now,
+                head_latency,
+                tail_latency,
+                hops,
             });
-            let entry = &mut self.reassembly[idx];
-            entry.flits.push(flit);
-            if entry.flits.len() as u32 == entry.expected {
-                let head = entry
-                    .flits
-                    .iter()
-                    .find(|f| f.seq == 0)
-                    .copied()
-                    .expect("head flit present");
-                let tail = entry
-                    .flits
-                    .iter()
-                    .max_by_key(|f| f.seq)
-                    .copied()
-                    .expect("tail flit present");
-                let expected = entry.expected;
-                // Release the slot but keep its flit vector's allocation.
-                entry.expected = 0;
-                entry.flits.clear();
-                let packet = self
-                    .in_flight_payloads
-                    .remove(&flit.packet)
-                    .or_else(|| {
-                        self.payload_store
-                            .as_ref()
-                            .and_then(|store| store.claim(flit.packet))
-                    })
-                    .unwrap_or_else(|| Packet {
-                        id: head.packet,
-                        flow: head.original_flow,
-                        src: head.src,
-                        dst: head.dst,
-                        len_flits: head.packet_len,
-                        created_at: head.stats.injected_at(),
-                        injected_at: head.stats.injected_at(),
-                        payload: crate::flit::Payload::empty(),
-                    });
-                let (head_latency, tail_latency, hops) = (
-                    head.stats.accumulated_latency(),
-                    tail.stats.accumulated_latency(),
-                    tail.stats.hops(),
-                );
-                stats.record_delivery(
-                    packet.flow,
-                    expected as u64,
-                    head_latency,
-                    tail_latency,
-                    hops,
-                );
-                self.delivered.push_back(DeliveredPacket {
-                    packet,
-                    delivered_at: now,
-                    head_latency,
-                    tail_latency,
-                    hops,
-                });
-            }
+        }
+    }
+
+    /// Starts reassembling the packet `head` opens, in the first free slot.
+    fn open_slot(&mut self, head: Flit) {
+        let slot = ReassemblySlot { head, received: 1 };
+        match self.reassembly.iter_mut().find(|s| s.received == 0) {
+            Some(free) => *free = slot,
+            None => self.reassembly.push(slot),
         }
     }
 
     /// Serializes the bridge's architectural state: the id allocator, the
     /// pending queue, the per-VC injection slots, the active reassembly
-    /// slots, the in-flight loopback payloads (sorted by packet id so the
-    /// encoding is canonical) and the delivered-but-unconsumed packets.
+    /// slots (head flit and received count) and the delivered-but-unconsumed
+    /// packets. Payloads in flight are the store's, not the bridge's.
     pub fn snapshot(&self, e: &mut Enc) {
         e.u64(self.next_packet_seq);
         e.u32(self.pending.len() as u32);
@@ -615,7 +559,7 @@ impl Bridge {
                 .next_if(|(id, _)| *id == q.id)
                 .map(|(_, p)| p.clone())
                 .unwrap_or_default();
-            codec::encode_packet(e, &q.packet(self.node, q.created_at, payload));
+            codec::encode_packet(e, &q.packet(self.node, payload));
         }
         e.u32(self.slots.len() as u32);
         for slot in &self.slots {
@@ -631,21 +575,11 @@ impl Bridge {
                 }
             }
         }
-        let active: Vec<&ReassemblySlot> =
-            self.reassembly.iter().filter(|s| s.expected != 0).collect();
-        e.u32(active.len() as u32);
-        for slot in active {
-            e.u64(slot.packet.raw()).u32(slot.expected);
-            e.u32(slot.flits.len() as u32);
-            for f in &slot.flits {
-                codec::encode_flit(e, f);
-            }
-        }
-        let mut payloads: Vec<&Packet> = self.in_flight_payloads.values().collect();
-        payloads.sort_by_key(|p| p.id.raw());
-        e.u32(payloads.len() as u32);
-        for p in payloads {
-            codec::encode_packet(e, p);
+        let active = || self.reassembly.iter().filter(|s| s.received != 0);
+        e.u32(active().count() as u32);
+        for slot in active() {
+            codec::encode_flit(e, &slot.head);
+            e.u32(slot.received);
         }
         e.u32(self.delivered.len() as u32);
         for d in &self.delivered {
@@ -663,7 +597,11 @@ impl Bridge {
     /// # Errors
     ///
     /// Fails with `InvalidData` if the injection VC count does not match or
-    /// the checkpoint is corrupt.
+    /// the checkpoint is corrupt: a waiting packet from another node or
+    /// twice in the backlog, an injection slot that is not one packet's
+    /// remaining flits, or a reassembly slot whose head is not flit 0 of a
+    /// packet of one or more flits, whose received count is not between 1
+    /// and the packet's length, or whose packet has another slot.
     pub fn restore(&mut self, d: &mut Dec) -> std::io::Result<()> {
         let corrupt = |what: &str| {
             std::io::Error::new(
@@ -674,9 +612,15 @@ impl Bridge {
         self.next_packet_seq = d.u64()?;
         self.pending.clear();
         self.pending_payloads.clear();
+        let mut waiting = HashSet::new();
         for _ in 0..d.u32()? {
-            self.send(codec::decode_packet(d)?)
-                .map_err(|e| corrupt(&e.to_string()))?;
+            let packet = codec::decode_packet(d)?;
+            // The side queue pairs a payload with the first waiting packet
+            // of its id.
+            if !waiting.insert(packet.id) {
+                return Err(corrupt("a packet id twice in the backlog"));
+            }
+            self.send(packet).map_err(|e| corrupt(&e.to_string()))?;
         }
         if d.u32()? as usize != self.slots.len() {
             return Err(corrupt("injection VC count mismatch"));
@@ -684,29 +628,31 @@ impl Bridge {
         for slot in &mut self.slots {
             *slot = match d.u8()? {
                 0 => None,
-                _ => restore_slot(d)?,
+                1 => Some(restore_slot(d)?),
+                _ => return Err(corrupt("injection slot tag other than 0 or 1")),
             };
         }
         self.reassembly.clear();
+        let mut reassembling = HashSet::new();
         for _ in 0..d.u32()? {
-            let packet = PacketId::new(d.u64()?);
-            let expected = d.u32()?;
-            if expected == 0 {
+            let head = codec::decode_flit(d)?;
+            let received = d.u32()?;
+            if head.packet_len == 0 {
+                return Err(corrupt("reassembly slot of a zero-length packet"));
+            }
+            if head != head.with_seq(0) {
+                return Err(corrupt("reassembly slot whose head is not flit 0"));
+            }
+            if received == 0 {
                 return Err(corrupt("free reassembly slot in checkpoint"));
             }
-            let flits = (0..d.u32()?)
-                .map(|_| codec::decode_flit(d))
-                .collect::<std::io::Result<_>>()?;
-            self.reassembly.push(ReassemblySlot {
-                packet,
-                expected,
-                flits,
-            });
-        }
-        self.in_flight_payloads.clear();
-        for _ in 0..d.u32()? {
-            let p = codec::decode_packet(d)?;
-            self.in_flight_payloads.insert(p.id, p);
+            if received >= head.packet_len {
+                return Err(corrupt("reassembly slot holding its whole packet"));
+            }
+            if !reassembling.insert(head.packet) {
+                return Err(corrupt("two reassembly slots for one packet"));
+            }
+            self.reassembly.push(ReassemblySlot { head, received });
         }
         self.delivered.clear();
         for _ in 0..d.u32()? {
@@ -724,22 +670,22 @@ impl Bridge {
 }
 
 /// Decodes one occupied injection slot: the remaining flits of one packet,
-/// in order, ending with its tail. No flits at all is an idle slot.
-fn restore_slot(d: &mut Dec) -> std::io::Result<Option<InjectionSlot>> {
-    let count = d.u32()?;
-    if count == 0 {
-        return Ok(None);
-    }
-    let first = codec::decode_flit(d)?;
-    let slot = InjectionSlot {
-        head: first.with_seq(0),
-        next: first.seq,
-    };
+/// in order, ending with its tail.
+fn restore_slot(d: &mut Dec) -> std::io::Result<InjectionSlot> {
     let corrupt = || {
         std::io::Error::new(
             std::io::ErrorKind::InvalidData,
             "bridge checkpoint: injection slot is not one packet's remaining flits",
         )
+    };
+    let count = d.u32()?;
+    if count == 0 {
+        return Err(corrupt());
+    }
+    let first = codec::decode_flit(d)?;
+    let slot = InjectionSlot {
+        head: first.with_seq(0),
+        next: first.seq,
     };
     if first.seq.checked_add(count) != Some(first.packet_len) {
         return Err(corrupt());
@@ -754,20 +700,23 @@ fn restore_slot(d: &mut Dec) -> std::io::Result<Option<InjectionSlot>> {
             return Err(corrupt());
         }
     }
-    Ok(Some(slot))
+    Ok(slot)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::Payload;
-    use crate::ids::FlowId;
+    use crate::flit::FlitKind;
     use crate::rng::TileRng;
     use crate::vcbuf::Aggregate;
 
+    fn store() -> Arc<PayloadStore> {
+        Arc::new(PayloadStore::new())
+    }
+
     fn bridge_with_vcs(n: usize, capacity: usize) -> Bridge {
         let vcs = (0..n).map(|_| Arc::new(VcBuffer::new(capacity))).collect();
-        Bridge::new(NodeId::new(0), vcs, 1)
+        Bridge::new(NodeId::new(0), vcs, 1, store())
     }
 
     fn packet(id: u64, len: u32) -> Packet {
@@ -777,14 +726,13 @@ mod tests {
             NodeId::new(0),
             NodeId::new(1),
             len,
-            0,
         )
     }
 
     #[test]
     fn packet_ids_are_unique_and_node_scoped() {
         let mut b0 = bridge_with_vcs(1, 4);
-        let mut b1 = Bridge::new(NodeId::new(1), vec![Arc::new(VcBuffer::new(4))], 1);
+        let mut b1 = Bridge::new(NodeId::new(1), vec![Arc::new(VcBuffer::new(4))], 1, store());
         let ids: Vec<_> = (0..10)
             .map(|_| b0.alloc_packet_id())
             .chain((0..10).map(|_| b1.alloc_packet_id()))
@@ -814,7 +762,7 @@ mod tests {
     fn blocked_injection_touches_nothing_and_resumes_with_one_flit() {
         let agg = Arc::new(Aggregate::default());
         let vc = Arc::new(VcBuffer::with_aggregate(2, Arc::clone(&agg)));
-        let mut b = Bridge::new(NodeId::new(0), vec![Arc::clone(&vc)], 4);
+        let mut b = Bridge::new(NodeId::new(0), vec![Arc::clone(&vc)], 4, store());
         let mut stats = NetworkStats::new();
         b.send(packet(1, 5)).unwrap();
         // Bandwidth 4 but capacity 2: two flits go in, then the VC is full.
@@ -856,9 +804,16 @@ mod tests {
     }
 
     /// The record after `prev`: mostly a source's steady stream, often a
-    /// hostile value — ids of another node or running backwards, cycles
-    /// going back, the extremes of every field, flows with phase bits.
+    /// hostile value — ids of another node or running backwards, the
+    /// extremes of every field, flows with phase bits.
     fn draw_record(rng: &mut TileRng, prev: Queued) -> Queued {
+        if rng.range(0..2) == 0 {
+            // The source's next packet: a steady record.
+            return Queued {
+                id: PacketId::new(prev.id.raw().wrapping_add(1)),
+                ..prev
+            };
+        }
         let wide = |rng: &mut TileRng, steady: u64| match rng.range(0..8) {
             0 => steady.wrapping_sub(rng.range(1..1_000)),
             1 => u64::MAX,
@@ -879,20 +834,9 @@ mod tests {
             0 => FlowId::new(rng.range(0..4_096)).with_phase(rng.range(0..256) as u8),
             _ => FlowId::from_raw(wide(rng, prev.flow.raw())),
         };
-        let later = prev.created_at.wrapping_add(rng.range(0..30));
-        if rng.range(0..2) == 0 {
-            // The source's next packet: a steady record, unless `created_at`
-            // jumps too far for one.
-            return Queued {
-                id: PacketId::new(prev.id.raw().wrapping_add(1)),
-                created_at: wide(rng, later),
-                ..prev
-            };
-        }
         Queued {
             id: PacketId::new(id),
             flow,
-            created_at: wide(rng, later),
             dst: NodeId::new(narrow(rng, prev.dst.raw())),
             len_flits: narrow(rng, prev.len_flits),
         }
@@ -936,7 +880,6 @@ mod tests {
         let far = Queued {
             id: PacketId::new(1 << 63),
             flow: FlowId::from_raw(1 << 63),
-            created_at: 1 << 63,
             dst: NodeId::new(u32::MAX),
             len_flits: u32::MAX,
         };
@@ -948,69 +891,35 @@ mod tests {
             backlog.push(q);
             sizes.push(backlog.encoded_len() - before);
         };
-        // The source's next packet: id + 1, a few cycles later, nothing else
-        // changed — one byte.
+        // The source's next packet: id + 1, nothing else changed — the tag
+        // byte alone.
         let steady = Queued {
             id: PacketId::new(far.id.raw() + 1),
-            created_at: far.created_at + 3,
             ..far
         };
         push(&mut backlog, steady);
-        // 63 cycles later is still one byte; 64 takes a second.
-        let late = Queued {
-            id: PacketId::new(steady.id.raw() + 1),
-            created_at: steady.created_at + 63,
-            ..steady
-        };
-        push(&mut backlog, late);
-        let later = Queued {
-            id: PacketId::new(late.id.raw() + 1),
-            created_at: late.created_at + 64,
-            ..late
-        };
-        push(&mut backlog, later);
-        // Created a cycle earlier than the one before: a full record of a
-        // tag, one byte for each delta and five each for the 32-bit fields.
-        let earlier = Queued {
-            id: PacketId::new(later.id.raw() + 1),
-            created_at: later.created_at - 1,
-            ..later
-        };
-        push(&mut backlog, earlier);
+        // The same id again: a full record of a tag, one byte for each delta
+        // and five each for the 32-bit fields.
+        push(&mut backlog, steady);
         // A new destination past 127 and a new length: a full record of a
         // tag, one byte each for the deltas, two for the destination, one
         // for the length.
         let turned = Queued {
-            id: PacketId::new(earlier.id.raw() + 1),
-            created_at: earlier.created_at + 3,
+            id: PacketId::new(steady.id.raw() + 1),
             dst: NodeId::new(200),
             len_flits: 8,
             ..far
         };
         push(&mut backlog, turned);
-        // The worst steady record: a creation delta of 63 bits, ten bytes;
-        // one more bit and the record is full.
-        let jump = Queued {
-            id: PacketId::new(turned.id.raw() + 1),
-            created_at: turned.created_at.wrapping_add((1 << 63) - 1),
+        // The id half the space away: its delta takes ten bytes.
+        let leap = Queued {
+            id: PacketId::new(turned.id.raw().wrapping_add(1 << 63)),
             ..turned
         };
-        push(&mut backlog, jump);
-        let leap = Queued {
-            id: PacketId::new(jump.id.raw() + 1),
-            created_at: jump.created_at.wrapping_add(1 << 63),
-            ..jump
-        };
         push(&mut backlog, leap);
-        assert_eq!(
-            sizes,
-            [1, 1, 2, 1 + 3 + 2 * 5, 7, 10, 1 + 1 + 10 + 1 + 2 + 1]
-        );
+        assert_eq!(sizes, [1, 1 + 2 + 2 * 5, 1 + 2 + 2 + 1, 1 + 10 + 1 + 2 + 1]);
         let drained: Vec<Queued> = std::iter::from_fn(|| backlog.pop()).collect();
-        assert_eq!(
-            drained,
-            [far, steady, late, later, earlier, turned, jump, leap]
-        );
+        assert_eq!(drained, [far, steady, steady, turned, leap]);
     }
 
     #[test]
@@ -1028,11 +937,11 @@ mod tests {
         );
         assert!(b.injection_idle());
 
-        // Its own node is a valid destination: the packet's payload stays
-        // with the bridge (not the shared store) and is delivered with it.
-        b.attach_payload_store(Arc::new(PayloadStore::new()));
+        // Its own node is a valid destination: the packet's payload goes
+        // through the store like any other and is delivered with it.
         let mut own = packet(9, 2).with_payload(Payload::from_words(&[0xdead, 0xbeef]));
         own.dst = NodeId::new(0);
+        let own_copy = own.clone();
         b.send(own).unwrap();
         let mut stats = NetworkStats::new();
         let mut flits = Vec::new();
@@ -1043,9 +952,11 @@ mod tests {
                 flits.push(f);
             }
         }
+        assert_eq!(b.payloads.len(), 1);
         b.accept(&mut flits, 3, &mut stats);
         let d = b.try_recv().expect("packet delivered");
-        assert_eq!(d.packet.payload.words(), &[0xdead, 0xbeef]);
+        assert_eq!(d.packet, own_copy);
+        assert!(b.payloads.is_empty());
     }
 
     /// Sends four packets, two of them with payloads, so the payload side
@@ -1075,15 +986,9 @@ mod tests {
             b.injection_vcs[0].absorb_tail();
             while b.injection_vcs[0].pop_if(now + 9, |_| true).is_some() {}
         }
-        let words = |id: u64| {
-            b.in_flight_payloads[&PacketId::new(id)]
-                .payload
-                .words()
-                .to_vec()
-        };
-        assert_eq!(words(1), Vec::<u64>::new());
-        assert_eq!(words(2), vec![200]);
-        assert_eq!(words(3), Vec::<u64>::new());
+        // Packets 1..3 went in; only packet 2's payload was parked.
+        let parked = b.payloads.snapshot_payloads();
+        assert_eq!(parked, [(PacketId::new(2), Payload::from_words(&[200]))]);
         assert!(b.pending_payloads.len() == 1 && b.pending.len() == 1);
     }
 
@@ -1123,12 +1028,234 @@ mod tests {
         }
     }
 
+    /// Flits of a `len`-flit packet from node 3 to node 0, injected at
+    /// `at`, with `latency` cycles and `hops` hops accumulated on each.
+    fn inbound(seq: u64, len: u32, at: Cycle, latency: u64, hops: u32) -> Vec<Flit> {
+        let id = PacketId::new(3 << 40 | seq);
+        let mut flits =
+            Packet::new(id, FlowId::new(9), NodeId::new(3), NodeId::new(0), len).to_flits(at);
+        for (i, f) in flits.iter_mut().enumerate() {
+            f.stats = FlitStats::from_parts(at, latency + i as u64, hops).unwrap();
+        }
+        flits
+    }
+
+    #[test]
+    fn the_delivered_packet_is_the_head_flit_and_the_claimed_payload() {
+        let mut b = bridge_with_vcs(1, 4);
+        let mut stats = NetworkStats::new();
+        let with = Payload::from_words(&[5, 6, 7]);
+        let flits = inbound(1, 3, 10, 20, 4);
+        b.payloads.deposit(flits[0].packet, with.clone());
+        // The head opens a slot; nothing is delivered until the tail.
+        b.accept(&mut vec![flits[0]], 30, &mut stats);
+        b.accept(&mut vec![flits[1]], 31, &mut stats);
+        assert!(b.try_recv().is_none());
+        let slot = &b.reassembly[0];
+        assert_eq!((slot.head, slot.received), (flits[0], 2));
+        b.accept(&mut vec![flits[2]], 32, &mut stats);
+        // A single-flit packet never takes a slot.
+        b.accept(&mut inbound(2, 1, 11, 5, 1), 33, &mut stats);
+        assert_eq!(b.reassembly.len(), 1);
+        assert_eq!(b.reassembly[0].received, 0, "the slot is free again");
+        let sent = |seq: u64, len: u32| {
+            let id = PacketId::new(3 << 40 | seq);
+            Packet::new(id, FlowId::new(9), NodeId::new(3), NodeId::new(0), len)
+        };
+        let expected = [
+            DeliveredPacket {
+                packet: sent(1, 3).with_payload(with),
+                delivered_at: 32,
+                head_latency: 20,
+                tail_latency: 22,
+                hops: 4,
+            },
+            DeliveredPacket {
+                packet: sent(2, 1),
+                delivered_at: 33,
+                head_latency: 5,
+                tail_latency: 5,
+                hops: 1,
+            },
+        ];
+        assert_eq!(b.try_recv(), Some(expected[0].clone()));
+        assert_eq!(b.try_recv(), Some(expected[1].clone()));
+        assert!(b.payloads.is_empty());
+        assert_eq!(stats.delivered_packets, 2);
+        assert_eq!(stats.total_packet_latency, 22 + 5);
+    }
+
+    /// A bridge whose record holds every section: a backlog of steady
+    /// records with and without payloads (packet 3's payload follows the
+    /// payload-less packet 2), a part-pushed injection slot, two packets in
+    /// reassembly and two delivered packets the agent has not taken, one
+    /// with a payload.
+    fn busy_bridge() -> Bridge {
+        let mut b = bridge_with_vcs(1, 2);
+        for id in 1..=5u64 {
+            let p = packet(id, 3);
+            let p = if id % 2 == 1 && id > 1 {
+                p.with_payload(Payload::from_words(&[id, !id]))
+            } else {
+                p
+            };
+            b.send(p).unwrap();
+        }
+        let mut stats = NetworkStats::new();
+        b.inject(0, &mut stats);
+        let mut flits = inbound(1, 4, 3, 7, 2);
+        flits.truncate(2);
+        flits.extend(&inbound(2, 3, 4, 9, 1)[..1]);
+        flits.extend(inbound(3, 2, 5, 11, 3));
+        flits.extend(inbound(4, 1, 6, 3, 1));
+        b.payloads
+            .deposit(flits[3].packet, Payload::from_words(&[42]));
+        b.accept(&mut flits, 20, &mut stats);
+        b
+    }
+
+    fn record_of(b: &Bridge) -> Vec<u8> {
+        let mut e = Enc::new();
+        b.snapshot(&mut e);
+        e.into_bytes()
+    }
+
+    #[test]
+    fn a_busy_bridge_record_holds_every_section() {
+        let b = busy_bridge();
+        assert_eq!(b.pending.len(), 4);
+        assert_eq!(b.pending_payloads.len(), 2);
+        assert_eq!(b.slots[0].as_ref().map(|s| s.next), Some(1));
+        let slots: Vec<(u32, u32)> = b
+            .reassembly
+            .iter()
+            .map(|s| (s.head.packet_len, s.received))
+            .collect();
+        // Packet 3's slot is free again: only live slots are written.
+        assert_eq!(slots, [(4, 2), (3, 1), (2, 0)]);
+        assert_eq!(b.delivered_len(), 2);
+        assert_eq!(b.delivered[0].packet.payload.words(), &[42]);
+        let record = record_of(&b);
+        let mut restored = bridge_with_vcs(1, 2);
+        restored.restore(&mut Dec::new(&record)).unwrap();
+        assert_eq!(record_of(&restored), record);
+    }
+
+    #[test]
+    fn a_hostile_bridge_record_is_refused_or_restores_canonically() {
+        let record = record_of(&busy_bridge());
+        // Restores `bytes` into a fresh bridge; if accepted, the bridge must
+        // snapshot back to exactly the bytes it read. Accepted or not, what
+        // it holds stays within a small multiple of the bytes read: no count
+        // in the record reserves memory before its entries are decoded.
+        let accepts = |bytes: &[u8]| {
+            let mut fresh = bridge_with_vcs(1, 2);
+            let mut d = Dec::new(bytes);
+            let restored = fresh.restore(&mut d);
+            let held = [
+                fresh.pending.bytes.capacity(),
+                fresh.pending_payloads.capacity(),
+                fresh.reassembly.capacity(),
+                fresh.delivered.capacity(),
+            ];
+            assert!(held.iter().all(|&n| n <= 2 * bytes.len() + 8), "{held:?}");
+            if let Err(e) = restored {
+                assert!(matches!(
+                    e.kind(),
+                    std::io::ErrorKind::InvalidData | std::io::ErrorKind::UnexpectedEof
+                ));
+                return false;
+            }
+            let read = bytes.len() - d.remaining();
+            assert_eq!(
+                record_of(&fresh),
+                &bytes[..read],
+                "accepted record re-encodes"
+            );
+            true
+        };
+        assert!(accepts(&record));
+        for cut in 0..record.len() {
+            assert!(!accepts(&record[..cut]), "prefix of {cut} bytes accepted");
+        }
+        let mut flipped = record.clone();
+        let mut accepted = 0;
+        for i in 0..record.len() {
+            for mask in [0x01, 0x80, 0xff] {
+                flipped[i] ^= mask;
+                accepted += usize::from(accepts(&flipped));
+                flipped[i] ^= mask;
+            }
+        }
+        // Most flips land in ids, cycles and latencies, which take any value.
+        assert!(accepted > 0 && accepted < 3 * record.len());
+    }
+
+    #[test]
+    fn a_malformed_reassembly_slot_is_refused_by_name() {
+        type Edit = fn(&mut ReassemblySlot);
+        let refusal = |edit: Edit| {
+            let mut b = busy_bridge();
+            edit(&mut b.reassembly[0]);
+            let record = record_of(&b);
+            let err = bridge_with_vcs(1, 2)
+                .restore(&mut Dec::new(&record))
+                .unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            err.to_string()
+        };
+        let cases: [(Edit, &str); 6] = [
+            (|s| s.head = s.head.with_seq(1), "head is not flit 0"),
+            (|s| s.head.kind = FlitKind::Tail, "head is not flit 0"),
+            (
+                |s| s.received = s.head.packet_len,
+                "holding its whole packet",
+            ),
+            (|s| s.received = u32::MAX, "holding its whole packet"),
+            (|s| s.head.packet_len = 0, "zero-length packet"),
+            (
+                |s| s.head.packet = PacketId::new(3 << 40 | 2),
+                "two reassembly slots",
+            ),
+        ];
+        for (edit, says) in cases {
+            let err = refusal(edit);
+            assert!(err.contains(says), "{says}: {err}");
+        }
+        // A free slot is never written; one that claims no flits is corrupt.
+        let mut e = Enc::new();
+        e.u64(0).u32(0).u32(1).u8(0).u32(1);
+        codec::encode_flit(&mut e, &inbound(1, 4, 3, 7, 2)[0]);
+        e.u32(0).u32(0);
+        let err = bridge_with_vcs(1, 2)
+            .restore(&mut Dec::new(e.bytes()))
+            .unwrap_err();
+        assert!(err.to_string().contains("free reassembly slot"), "{err}");
+    }
+
+    #[test]
+    fn a_packet_id_twice_in_the_backlog_is_refused() {
+        let mut e = Enc::new();
+        e.u64(0).u32(2);
+        codec::encode_packet(&mut e, &packet(7, 2));
+        codec::encode_packet(
+            &mut e,
+            &packet(7, 2).with_payload(Payload::from_words(&[1])),
+        );
+        e.u32(1).u8(0).u32(0).u32(0);
+        let err = bridge_with_vcs(1, 2)
+            .restore(&mut Dec::new(e.bytes()))
+            .unwrap_err();
+        assert!(err.to_string().contains("twice in the backlog"), "{err}");
+    }
+
     #[test]
     fn multi_vc_bridge_interleaves_packets() {
         let mut b = Bridge::new(
             NodeId::new(0),
             vec![Arc::new(VcBuffer::new(8)), Arc::new(VcBuffer::new(8))],
             4,
+            store(),
         );
         let mut stats = NetworkStats::new();
         b.send(packet(1, 2)).unwrap();

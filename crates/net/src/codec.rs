@@ -280,24 +280,21 @@ pub fn decode_flit(d: &mut Dec) -> io::Result<Flit> {
     })
 }
 
-/// Encodes a full packet (identity, flow, framing and payload words) — the
-/// record that follows a packet's tail flit across a process boundary so the
-/// destination bridge can claim the payload (the DMA side of the flit model).
+/// Encodes a full packet: identity, flow, framing and payload words.
 pub fn encode_packet(e: &mut Enc, p: &Packet) {
     e.u64(p.id.raw());
     encode_flow(e, p.flow);
     e.u32(p.src.raw());
     e.u32(p.dst.raw());
     e.u32(p.len_flits);
-    e.u64(p.created_at);
-    e.u64(p.injected_at);
-    e.u32(p.payload.len() as u32);
-    for w in p.payload.words() {
-        e.u64(*w);
-    }
+    encode_words(e, &p.payload);
 }
 
 /// Decodes a packet written by [`encode_packet`].
+///
+/// # Errors
+///
+/// Refuses, with `InvalidData`, a packet of no flits.
 pub fn decode_packet(d: &mut Dec) -> io::Result<Packet> {
     let id = PacketId::new(d.u64()?);
     let flow = decode_flow(d)?;
@@ -305,22 +302,50 @@ pub fn decode_packet(d: &mut Dec) -> io::Result<Packet> {
     let dst = NodeId::new(d.u32()?);
     let len_flits = d.u32()?;
     if len_flits == 0 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "zero-length packet on the wire",
-        ));
+        return Err(invalid("zero-length packet on the wire".into()));
     }
-    let created_at = d.u64()?;
-    let injected_at = d.u64()?;
-    let words = d.u32()?;
-    if d.remaining() < words as usize * 8 {
+    let mut p = Packet::new(id, flow, src, dst, len_flits);
+    p.payload = decode_words(d)?;
+    Ok(p)
+}
+
+/// Encodes a parked payload with the id of its packet — the record that
+/// follows a packet's tail flit across a process boundary so the destination
+/// bridge can claim it (the DMA side of the flit model), and that a
+/// checkpoint keeps for every payload parked in a store.
+pub fn encode_payload(e: &mut Enc, id: PacketId, payload: &Payload) {
+    e.u64(id.raw());
+    encode_words(e, payload);
+}
+
+/// Decodes a record written by [`encode_payload`].
+///
+/// # Errors
+///
+/// Refuses, with `InvalidData`, an empty payload: a packet without one is
+/// never parked.
+pub fn decode_payload(d: &mut Dec) -> io::Result<(PacketId, Payload)> {
+    let id = PacketId::new(d.u64()?);
+    let payload = decode_words(d)?;
+    if payload.is_empty() {
+        return Err(invalid(format!("empty payload parked for packet {id}")));
+    }
+    Ok((id, payload))
+}
+
+fn encode_words(e: &mut Enc, payload: &Payload) {
+    e.u32(payload.len() as u32);
+    for w in payload.words() {
+        e.u64(*w);
+    }
+}
+
+fn decode_words(d: &mut Dec) -> io::Result<Payload> {
+    let words = d.u32()? as usize;
+    if d.remaining() / 8 < words {
         return Err(short());
     }
-    let payload = Payload::try_from_fn(words as usize, || d.u64())?;
-    let mut p = Packet::new(id, flow, src, dst, len_flits, created_at);
-    p.injected_at = injected_at;
-    p.payload = payload;
-    Ok(p)
+    Payload::try_from_fn(words, || d.u64())
 }
 
 /// Encodes a flow id as base + phase. `FlowId::new` masks the phase bits out
@@ -483,9 +508,7 @@ mod tests {
             NodeId::new(4),
             NodeId::new(9),
             8,
-            1_000,
         );
-        p.injected_at = 1_004;
         p.payload = Payload::from_words(&[1, u64::MAX, 0xdead_beef]);
         let mut e = Enc::new();
         encode_packet(&mut e, &p);
@@ -498,7 +521,6 @@ mod tests {
             NodeId::new(0),
             NodeId::new(1),
             2,
-            0,
         );
         let mut e = Enc::new();
         encode_packet(&mut e, &empty);
@@ -605,9 +627,7 @@ mod tests {
             NodeId::new(5),
             NodeId::new(9),
             8,
-            1_000,
         );
-        p.injected_at = 1_004;
         for payload in [&[][..], &[1, u64::MAX, 0xdead_beef]] {
             p.payload = Payload::from_words(payload);
             let mut e = Enc::new();
@@ -615,6 +635,15 @@ mod tests {
             let accepted = hostile(e.bytes(), decode_packet, encode_packet);
             assert!(accepted > 0);
         }
+        let mut e = Enc::new();
+        encode_payload(&mut e, p.id, &p.payload);
+        let payload = |d: &mut Dec| decode_payload(d);
+        let encode = |e: &mut Enc, (id, p): &(PacketId, Payload)| encode_payload(e, *id, p);
+        assert!(hostile(e.bytes(), payload, encode) > 0);
+        let mut e = Enc::new();
+        encode_payload(&mut e, p.id, &Payload::empty());
+        let err = decode_payload(&mut Dec::new(e.bytes())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 
         // A statistics record (the head of every router record) with
         // several per-flow entries, which must stay sorted and distinct.

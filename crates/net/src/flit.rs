@@ -7,7 +7,10 @@
 //!
 //! Per the paper, measurement state (injection time, per-hop accumulated
 //! latency) rides *inside* each flit so that loosely-synchronized parallel
-//! simulation never compares clock values from two different tiles.
+//! simulation never compares clock values from two different tiles. A
+//! [`Packet`] therefore carries no cycle stamps of its own: it is its flits'
+//! header plus its payload, which travels beside them (see
+//! [`crate::payload`]).
 //!
 //! A [`Flit`] is 64 bytes, one cache line: every VC ring slot holds one and
 //! every hop copies one twice. Latency still accumulates per hop; only the
@@ -332,6 +335,14 @@ impl std::fmt::Debug for Payload {
 
 /// A packet: the unit of end-to-end communication offered to the network by a
 /// traffic generator, core, or memory controller.
+///
+/// A packet is its flits plus its payload and holds nothing else: every field
+/// but the payload rides in each of its flits (the head's `original_flow` is
+/// `flow`, its `packet_len` is `len_flits`), and the destination bridge
+/// rebuilds the packet from the head flit and the payload claimed from the
+/// [`PayloadStore`](crate::payload::PayloadStore). Timing is not a packet
+/// field: it rides in the flits' [`FlitStats`] and reaches the agent as the
+/// [`DeliveredPacket`]'s latencies.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Packet {
     /// Unique identifier.
@@ -344,11 +355,6 @@ pub struct Packet {
     pub dst: NodeId,
     /// Packet length in flits (>= 1).
     pub len_flits: u32,
-    /// Cycle at which the generator offered the packet to the network.
-    pub created_at: Cycle,
-    /// Cycle at which the first flit entered a router ingress buffer
-    /// (filled in by the bridge at injection time).
-    pub injected_at: Cycle,
     /// Optional protocol payload.
     pub payload: Payload,
 }
@@ -359,14 +365,7 @@ impl Packet {
     /// # Panics
     ///
     /// Panics if `len_flits == 0`.
-    pub fn new(
-        id: PacketId,
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        len_flits: u32,
-        created_at: Cycle,
-    ) -> Self {
+    pub fn new(id: PacketId, flow: FlowId, src: NodeId, dst: NodeId, len_flits: u32) -> Self {
         assert!(len_flits >= 1, "a packet must contain at least one flit");
         Self {
             id,
@@ -374,8 +373,6 @@ impl Packet {
             src,
             dst,
             len_flits,
-            created_at,
-            injected_at: created_at,
             payload: Payload::empty(),
         }
     }
@@ -436,7 +433,6 @@ mod tests {
             NodeId::new(0),
             NodeId::new(5),
             len,
-            10,
         )
     }
 

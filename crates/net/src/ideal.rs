@@ -226,9 +226,8 @@ impl IdealNetwork {
                 node.stats.injected_flits += push as u64;
                 budget -= push;
                 if node.injected_flits_of_head == head.len_flits {
-                    let mut packet = node.pending.pop_front().expect("head present");
+                    let packet = node.pending.pop_front().expect("head present");
                     node.injected_flits_of_head = 0;
-                    packet.injected_at = now;
                     let hops = self.dist.distance(packet.src, packet.dst);
                     let deliver_at = now + hops as u64 * self.config.per_hop_latency;
                     let injected_at = now.saturating_sub(packet.len_flits as u64 - 1);
@@ -313,7 +312,6 @@ mod tests {
                     src,
                     self.dst,
                     8,
-                    io.cycle(),
                 ));
                 self.sent += 1;
             }

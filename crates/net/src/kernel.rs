@@ -554,7 +554,7 @@ mod tests {
                 let (src, id) = (io.node(), io.alloc_packet_id());
                 let dst = NodeId::new((NODES - 1 - src.index()) as u32);
                 let flow = FlowId::for_pair(src, dst, NODES);
-                io.send(Packet::new(id, flow, src, dst, 4, io.cycle()));
+                io.send(Packet::new(id, flow, src, dst, 4));
             }
         }
         fn next_event(&self, now: Cycle) -> Option<Cycle> {

@@ -416,12 +416,12 @@ pub fn build_tiles(
         .into_iter()
         .map(|router| {
             let node = router.node();
-            let mut bridge = Bridge::new(
+            let bridge = Bridge::new(
                 node,
                 router.injection_buffers().to_vec(),
                 config.link_bandwidth,
+                Arc::clone(&payload_store),
             );
-            bridge.attach_payload_store(Arc::clone(&payload_store));
             let rng = TileRng::seed_from_u64(
                 seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(node.raw() as u64 + 1)),
             );
@@ -437,6 +437,10 @@ pub fn build_tiles(
         .collect();
     Ok((nodes, payload_store))
 }
+
+/// Layout version of [`Network::snapshot`]; restoring a snapshot written in
+/// another layout is refused.
+pub const NETWORK_SNAPSHOT_VERSION: u32 = 1;
 
 /// The assembled network plus the sequential reference simulator.
 pub struct Network {
@@ -683,23 +687,24 @@ impl Network {
     }
 
     /// Serializes the full simulation state — the clock, every tile (PRNG,
-    /// router, agents, bridge) and the out-of-band payload store — into a
-    /// deterministic byte string. Restoring it into a freshly built network
-    /// (same configuration, seed and agent roster) and running on produces
-    /// results bit-identical to never having snapshotted at all.
+    /// router, agents, bridge) and the payloads parked in the out-of-band
+    /// store — into a deterministic byte string that opens with
+    /// [`NETWORK_SNAPSHOT_VERSION`]. Restoring it into a freshly built
+    /// network (same configuration, seed and agent roster) and running on
+    /// produces results bit-identical to never having snapshotted at all.
     pub fn snapshot(&self) -> Vec<u8> {
         let mut e = Enc::new();
-        e.u64(self.cycle);
+        e.u32(NETWORK_SNAPSHOT_VERSION).u64(self.cycle);
         e.u32(self.nodes.len() as u32);
         for node in &self.nodes {
             let mut sub = Enc::new();
             node.snapshot(&mut sub);
             e.blob(sub.bytes());
         }
-        let packets = self.payload_store.snapshot_packets();
-        e.u32(packets.len() as u32);
-        for p in &packets {
-            codec::encode_packet(&mut e, p);
+        let parked = self.payload_store.snapshot_payloads();
+        e.u32(parked.len() as u32);
+        for (id, payload) in &parked {
+            codec::encode_payload(&mut e, *id, payload);
         }
         e.into_bytes()
     }
@@ -709,24 +714,38 @@ impl Network {
     ///
     /// # Errors
     ///
-    /// Fails with `InvalidData` if the checkpoint does not match this
-    /// network's shape or is corrupt.
+    /// Fails with `InvalidData` if the checkpoint was written in another
+    /// layout version, does not match this network's shape or is corrupt.
     pub fn restore(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
         self.stepper = None;
         let mut d = Dec::new(bytes);
+        let version = d.u32()?;
+        if version != NETWORK_SNAPSHOT_VERSION {
+            return Err(invalid(format!(
+                "checkpoint layout version {version}, expected {NETWORK_SNAPSHOT_VERSION}"
+            )));
+        }
         self.cycle = d.u64()?;
         if d.u32()? as usize != self.nodes.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "checkpoint node count does not match this network",
+            return Err(invalid(
+                "checkpoint node count does not match this network".into(),
             ));
         }
         for node in &mut self.nodes {
             let blob = d.blob()?;
             node.restore(&mut Dec::new(blob))?;
         }
+        let mut last = None;
         for _ in 0..d.u32()? {
-            self.payload_store.deposit(codec::decode_packet(&mut d)?);
+            let (id, payload) = codec::decode_payload(&mut d)?;
+            // Written sorted and once each: anything else re-encodes
+            // differently.
+            if last.is_some_and(|last| id <= last) {
+                return Err(invalid(format!("parked payload {id} out of order")));
+            }
+            last = Some(id);
+            self.payload_store.deposit(id, payload);
         }
         Ok(())
     }
@@ -764,7 +783,6 @@ mod tests {
                     self.src,
                     self.dst,
                     self.packet_len,
-                    io.cycle(),
                 );
                 io.send(packet);
                 self.remaining -= 1;
@@ -1010,7 +1028,6 @@ mod tests {
                         NodeId::new(0),
                         NodeId::new(3),
                         1,
-                        io.cycle(),
                     )
                     .with_payload(Payload::from_words(&[1, 2, 3]));
                     io.send(packet);

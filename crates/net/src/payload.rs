@@ -4,85 +4,33 @@
 //! identity but not bulk data — exactly like HORNET, where packet contents are
 //! DMA-ed functionally while the NoC model provides the timing. The
 //! [`PayloadStore`] is the functional side of that DMA: the sending bridge
-//! deposits the full packet (with payload) keyed by packet id, and the
-//! receiving bridge claims it when the tail flit arrives. It is sharded to
-//! keep lock contention negligible.
+//! deposits a packet's payload keyed by packet id, and the receiving bridge
+//! claims it when the tail flit arrives. It is sharded to keep lock
+//! contention negligible.
 //!
-//! Most packets in flight carry no payload (all synthetic traffic), so a
-//! shard parks those as a 40-byte [`Header`] in a table of their own and
-//! only packets with a payload as a whole [`Packet`]; a claim rebuilds the
-//! identical packet either way.
+//! The store holds payloads and nothing else. Everything else a delivered
+//! packet carries comes from its head flit, so a packet without a payload —
+//! all synthetic traffic — is never deposited and costs the store nothing
+//! until its destination asks for a payload and finds none.
 
-use crate::flit::{Packet, Payload};
-use crate::ids::{Cycle, FlowId, NodeId, PacketId};
+use crate::flit::Payload;
+use crate::ids::PacketId;
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
 const SHARDS: usize = 64;
 
-/// Packets each of a shard's tables has room for once used: 512 in flight
-/// over the store. A table that starts small grows in steps as the most
-/// packets it has held at once creeps up over a long run; one that starts at
-/// its working size does not allocate once the run is warm.
+/// Payloads each shard has room for once used: 512 in flight over the store.
+/// A table that starts small grows in steps as the most payloads it has held
+/// at once creeps up over a long run; one that starts at its working size
+/// does not allocate once the run is warm.
 const SHARD_CAPACITY: usize = 8;
 
-/// A parked packet that carries no payload: everything but its id (the
-/// table's key).
-#[derive(Copy, Clone, Debug)]
-struct Header {
-    flow: FlowId,
-    created_at: Cycle,
-    injected_at: Cycle,
-    src: NodeId,
-    dst: NodeId,
-    len_flits: u32,
-}
-
-impl Header {
-    fn of(p: &Packet) -> Self {
-        Self {
-            flow: p.flow,
-            created_at: p.created_at,
-            injected_at: p.injected_at,
-            src: p.src,
-            dst: p.dst,
-            len_flits: p.len_flits,
-        }
-    }
-
-    fn packet(&self, id: PacketId) -> Packet {
-        Packet {
-            id,
-            flow: self.flow,
-            src: self.src,
-            dst: self.dst,
-            len_flits: self.len_flits,
-            created_at: self.created_at,
-            injected_at: self.injected_at,
-            payload: Payload::empty(),
-        }
-    }
-}
-
-/// One lock's worth of parked packets, by whether they carry a payload.
-#[derive(Debug, Default)]
-struct Shard {
-    headers: HashMap<PacketId, Header>,
-    packets: HashMap<PacketId, Packet>,
-}
-
-/// Inserts into `table`, giving it its working size on first use.
-fn park<V>(table: &mut HashMap<PacketId, V>, id: PacketId, value: V) {
-    if table.capacity() == 0 {
-        table.reserve(SHARD_CAPACITY);
-    }
-    table.insert(id, value);
-}
-
-/// A sharded, thread-safe map from packet id to the in-flight packet.
+/// A sharded, thread-safe map from packet id to the payload of a packet in
+/// flight. Only non-empty payloads are parked.
 #[derive(Debug)]
 pub struct PayloadStore {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<HashMap<PacketId, Payload>>>,
 }
 
 impl Default for PayloadStore {
@@ -99,7 +47,7 @@ impl PayloadStore {
         }
     }
 
-    fn shard(&self, id: PacketId) -> MutexGuard<'_, Shard> {
+    fn shard(&self, id: PacketId) -> MutexGuard<'_, HashMap<PacketId, Payload>> {
         // A packet id is its source node above bit 40 and the source's
         // sequence number below. Folding the node in spreads the
         // same-numbered packets of a synchronised burst over the shards;
@@ -109,53 +57,50 @@ impl PayloadStore {
         lock(&self.shards[((raw ^ (raw >> 40)) as usize) % SHARDS])
     }
 
-    /// Deposits a packet (with its payload) for later pickup at the
-    /// destination.
-    pub fn deposit(&self, packet: Packet) {
-        let mut shard = self.shard(packet.id);
-        if packet.payload.is_empty() {
-            park(&mut shard.headers, packet.id, Header::of(&packet));
-        } else {
-            park(&mut shard.packets, packet.id, packet);
-        }
-    }
-
-    /// Claims (removes and returns) the packet with the given id, if present.
-    pub fn claim(&self, id: PacketId) -> Option<Packet> {
+    /// Parks the payload of packet `id` for its destination to claim.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) on an empty payload: a packet without one is
+    /// never deposited.
+    pub fn deposit(&self, id: PacketId, payload: Payload) {
+        debug_assert!(!payload.is_empty(), "an empty payload is never parked");
         let mut shard = self.shard(id);
-        match shard.headers.remove(&id) {
-            Some(header) => Some(header.packet(id)),
-            None => shard.packets.remove(&id),
+        if shard.capacity() == 0 {
+            shard.reserve(SHARD_CAPACITY);
         }
+        shard.insert(id, payload);
     }
 
-    /// Number of packets currently parked in the store.
+    /// Claims (removes and returns) the payload of packet `id`, if one is
+    /// parked.
+    pub fn claim(&self, id: PacketId) -> Option<Payload> {
+        let mut shard = self.shard(id);
+        if shard.is_empty() {
+            return None;
+        }
+        shard.remove(&id)
+    }
+
+    /// Number of payloads currently parked in the store.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = lock(s);
-                s.headers.len() + s.packets.len()
-            })
-            .sum()
+        self.shards.iter().map(|s| lock(s).len()).sum()
     }
 
-    /// True if no packet is parked in the store.
+    /// True if no payload is parked in the store.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Checkpoint capture: every parked packet, sorted by packet id so the
-    /// serialized form is deterministic regardless of hash-map iteration
-    /// order.
-    pub fn snapshot_packets(&self) -> Vec<Packet> {
+    /// Checkpoint capture: every parked payload with its packet id, sorted
+    /// by id so the serialized form is deterministic regardless of hash-map
+    /// iteration order.
+    pub fn snapshot_payloads(&self) -> Vec<(PacketId, Payload)> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            let shard = lock(shard);
-            all.extend(shard.headers.iter().map(|(&id, h)| h.packet(id)));
-            all.extend(shard.packets.values().cloned());
+            all.extend(lock(shard).iter().map(|(&id, p)| (id, p.clone())));
         }
-        all.sort_by_key(|p| p.id.raw());
+        all.sort_by_key(|(id, _)| id.raw());
         all
     }
 }
@@ -169,31 +114,22 @@ fn lock<T>(shard: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::Payload;
-    use crate::ids::{FlowId, NodeId};
 
-    fn packet(id: u64) -> Packet {
-        Packet::new(
-            PacketId::new(id),
-            FlowId::new(0),
-            NodeId::new(0),
-            NodeId::new(1),
-            2,
-            0,
-        )
-        .with_payload(Payload::from_words(&[id]))
+    fn words(id: u64) -> Payload {
+        Payload::from_words(&[id])
     }
 
     #[test]
     fn deposit_and_claim_roundtrip() {
         let store = PayloadStore::new();
         assert!(store.is_empty());
-        store.deposit(packet(5));
-        store.deposit(packet(69)); // same shard as 5 with 64 shards
+        store.deposit(PacketId::new(5), words(5));
+        store.deposit(PacketId::new(69), words(69)); // same shard as 5 with 64 shards
         assert_eq!(store.len(), 2);
         let p = store.claim(PacketId::new(5)).expect("present");
-        assert_eq!(p.payload.words(), &[5]);
+        assert_eq!(p.words(), &[5]);
         assert!(store.claim(PacketId::new(5)).is_none(), "claim removes");
+        assert!(store.claim(PacketId::new(6)).is_none(), "never deposited");
         assert_eq!(store.len(), 1);
     }
 
@@ -201,45 +137,27 @@ mod tests {
     fn a_synchronised_burst_spreads_over_every_shard() {
         let store = PayloadStore::new();
         for node in 0..4 * SHARDS as u64 {
-            store.deposit(packet(node << 40));
+            store.deposit(PacketId::new(node << 40), words(node));
         }
-        assert!(store.shards.iter().all(|s| lock(s).packets.len() == 4));
+        assert!(store.shards.iter().all(|s| lock(s).len() == 4));
     }
 
     #[test]
-    fn payload_less_packets_park_as_headers_and_come_back_whole() {
-        assert!(std::mem::size_of::<(PacketId, Header)>() <= 48);
+    fn a_parked_payload_costs_its_id_and_its_words_only() {
+        assert!(std::mem::size_of::<(PacketId, Payload)>() <= 56);
         let store = PayloadStore::new();
-        // The single-table store this one replaced, as a model.
-        let mut model: HashMap<PacketId, Packet> = HashMap::new();
+        let mut expected = Vec::new();
         for id in 0..300u64 {
-            let mut p = Packet::new(
-                PacketId::new((id % 7) << 40 | id),
-                FlowId::new(id * 3).with_phase((id % 3) as u8),
-                NodeId::new(id as u32 % 7),
-                NodeId::new(id as u32 % 11),
-                1 + id as u32 % 8,
-                1_000 + id,
-            );
-            p.injected_at = 1_000 + 2 * id;
-            if id % 3 == 0 {
-                p = p.with_payload(Payload::from_words(&[id, !id]));
-            }
-            model.insert(p.id, p.clone());
-            store.deposit(p);
+            let id = PacketId::new((id % 7) << 40 | id);
+            let payload = Payload::from_words(&[id.raw(), !id.raw()]);
+            expected.push((id, payload.clone()));
+            store.deposit(id, payload);
         }
-        let (headers, packets) = store.shards.iter().fold((0, 0), |(h, p), s| {
-            let s = lock(s);
-            assert!(s.packets.values().all(|p| !p.payload.is_empty()));
-            (h + s.headers.len(), p + s.packets.len())
-        });
-        assert_eq!((headers, packets), (200, 100));
-        let mut expected: Vec<Packet> = model.values().cloned().collect();
-        expected.sort_by_key(|p| p.id.raw());
-        assert_eq!(store.snapshot_packets(), expected);
-        for p in &expected {
-            assert_eq!(store.claim(p.id).as_ref(), Some(p));
-            assert_eq!(store.claim(p.id), None);
+        expected.sort_by_key(|(id, _)| id.raw());
+        assert_eq!(store.snapshot_payloads(), expected);
+        for (id, payload) in &expected {
+            assert_eq!(store.claim(*id).as_ref(), Some(payload));
+            assert_eq!(store.claim(*id), None);
         }
         assert!(store.is_empty());
     }
@@ -252,7 +170,7 @@ mod tests {
             let store = Arc::clone(&store);
             std::thread::spawn(move || {
                 for i in 0..1000u64 {
-                    store.deposit(packet(i));
+                    store.deposit(PacketId::new(i), words(i));
                 }
             })
         };

@@ -1175,7 +1175,6 @@ mod tests {
             NodeId::new(0),
             NodeId::new(1),
             len,
-            now,
         );
         let bufs = router.injection_buffers();
         for flit in packet.to_flits(now) {
@@ -1335,7 +1334,6 @@ mod tests {
                         NodeId::new(0),
                         NodeId::new(1),
                         4,
-                        now,
                     );
                     next_packet += 1;
                     for flit in packet.to_flits(now) {

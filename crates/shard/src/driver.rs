@@ -21,7 +21,8 @@
 //!   one [`PayloadStore`] and the channel is a no-op ([`NoPayloads`]); a
 //!   worker process's store is its channel, which its transports claim a
 //!   packet's payload from when the tail flit is drained to the wire and
-//!   re-deposit it into on arrival, so memory-hierarchy and CPU workloads run
+//!   re-deposit it into on arrival (a packet without a payload has nothing
+//!   to claim), so memory-hierarchy and CPU workloads run
 //!   under `hornet-dist` bit-identically to sequential simulation. The driver
 //!   itself only reads the channel for checkpoints.
 //!
@@ -38,7 +39,7 @@
 
 use crate::termination::{LedgerState, ShardLedger};
 use hornet_net::boundary::{BoundaryLink, BoundaryRx};
-use hornet_net::flit::Packet;
+use hornet_net::flit::Payload;
 use hornet_net::ids::{Cycle, PacketId};
 use hornet_net::kernel::{KernelMode, Stepper};
 use hornet_net::network::{jump, NetworkNode};
@@ -55,27 +56,29 @@ use std::time::{Duration, Instant};
 
 /// How packet payloads cross (or don't cross) a shard boundary.
 ///
-/// The cycle-level network model moves flits, which carry timing but not bulk
-/// data; the payload rides out of band (HORNET's DMA model). Within one
-/// process every bridge shares one [`PayloadStore`], so nothing needs to
-/// move. Between processes the transport pump claims the payload when the
-/// packet's tail flit is drained to the wire and deposits it into the
-/// receiving process's store before the tail flit becomes visible there —
-/// hop by hop, so multi-shard routes forward payloads transparently.
+/// The cycle-level network model moves flits, which carry timing and every
+/// field of a packet but its payload; the payload rides out of band
+/// (HORNET's DMA model), as `(packet id, payload)`. Within one process every
+/// bridge shares one [`PayloadStore`], so nothing needs to move. Between
+/// processes the transport pump claims the payload when the packet's tail
+/// flit is drained to the wire and deposits it into the receiving process's
+/// store before the tail flit becomes visible there — hop by hop, so
+/// multi-shard routes forward payloads transparently. A packet without a
+/// payload has nothing parked and sends nothing.
 pub trait PayloadChannel: Send + Sync {
-    /// Takes the locally parked packet for `id`, if present (sender side,
-    /// called when a tail flit leaves for another process).
-    fn claim(&self, id: PacketId) -> Option<Packet>;
+    /// Takes the locally parked payload of packet `id`, if there is one
+    /// (sender side, called when a tail flit leaves for another process).
+    fn claim(&self, id: PacketId) -> Option<Payload>;
 
-    /// Parks an arrived packet so the destination bridge can claim it
+    /// Parks an arrived payload so the destination bridge can claim it
     /// (receiver side, called before the tail flit is made visible).
-    fn deposit(&self, packet: Packet);
+    fn deposit(&self, id: PacketId, payload: Payload);
 
-    /// Checkpoint capture: every packet currently parked in this process's
+    /// Checkpoint capture: every payload currently parked in this process's
     /// store, in canonical (packet-id) order. Channels whose store is shared
     /// across shards return nothing — the host snapshots such stores once,
     /// not per shard.
-    fn parked(&self) -> Vec<Packet> {
+    fn parked(&self) -> Vec<(PacketId, Payload)> {
         Vec::new()
     }
 }
@@ -86,23 +89,23 @@ pub trait PayloadChannel: Send + Sync {
 pub struct NoPayloads;
 
 impl PayloadChannel for NoPayloads {
-    fn claim(&self, _id: PacketId) -> Option<Packet> {
+    fn claim(&self, _id: PacketId) -> Option<Payload> {
         None
     }
-    fn deposit(&self, _packet: Packet) {}
+    fn deposit(&self, _id: PacketId, _payload: Payload) {}
 }
 
 /// A process's own store is the channel of a shard whose peers live in other
 /// processes: the transport claims from it and deposits into it.
 impl PayloadChannel for PayloadStore {
-    fn claim(&self, id: PacketId) -> Option<Packet> {
+    fn claim(&self, id: PacketId) -> Option<Payload> {
         PayloadStore::claim(self, id)
     }
-    fn deposit(&self, packet: Packet) {
-        PayloadStore::deposit(self, packet);
+    fn deposit(&self, id: PacketId, payload: Payload) {
+        PayloadStore::deposit(self, id, payload);
     }
-    fn parked(&self) -> Vec<Packet> {
-        self.snapshot_packets()
+    fn parked(&self) -> Vec<(PacketId, Payload)> {
+        self.snapshot_payloads()
     }
 }
 

@@ -35,7 +35,7 @@ use std::io;
 use std::sync::Arc;
 
 /// Layout version of the shard checkpoint encoding.
-pub const SHARD_CHECKPOINT_VERSION: u32 = 1;
+pub const SHARD_CHECKPOINT_VERSION: u32 = 2;
 
 fn corrupt(what: &str) -> io::Error {
     io::Error::new(
@@ -118,13 +118,13 @@ pub fn snapshot_shard(
         e.u64(staged);
     }
 
-    // Parked packet payloads: in a distributed shard the payload store is
+    // Parked payloads: in a distributed shard the payload store is
     // process-local, so any payload waiting for its tail flit to claim it
-    // must travel with the checkpoint or restored flits would dangle.
+    // must travel with the checkpoint or restored flits would lose it.
     let parked = payloads.parked();
     e.u32(parked.len() as u32);
-    for p in &parked {
-        codec::encode_packet(&mut e, p);
+    for (id, payload) in &parked {
+        codec::encode_payload(&mut e, *id, payload);
     }
 
     e.into_bytes()
@@ -213,10 +213,9 @@ pub fn restore_shard(
         rx.restore_owed(owed);
     }
 
-    let n = d.u32()? as usize;
-    for _ in 0..n {
-        let pkt = codec::decode_packet(&mut d)?;
-        payloads.deposit(pkt);
+    for _ in 0..d.u32()? {
+        let (id, payload) = codec::decode_payload(&mut d)?;
+        payloads.deposit(id, payload);
     }
 
     if d.remaining() != 0 {

@@ -114,7 +114,7 @@ impl NodeAgent for SyntheticInjector {
             }
             let id = io.alloc_packet_id();
             let flow = FlowId::for_pair(src, dst, self.geometry.node_count());
-            io.send(Packet::new(id, flow, src, dst, self.config.packet_len, now));
+            io.send(Packet::new(id, flow, src, dst, self.config.packet_len));
             self.offered += 1;
             self.state.injected += 1;
         }

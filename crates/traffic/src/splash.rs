@@ -443,7 +443,7 @@ impl NodeAgent for SplashInjector {
         ) {
             let id = io.alloc_packet_id();
             let flow = FlowId::for_pair(self.node, dst, self.workload.geometry.node_count());
-            io.send(Packet::new(id, flow, self.node, dst, size, now));
+            io.send(Packet::new(id, flow, self.node, dst, size));
             self.offered += 1;
         }
     }

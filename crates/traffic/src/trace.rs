@@ -262,7 +262,7 @@ impl TraceInjector {
         }
         let id = io.alloc_packet_id();
         let flow = FlowId::for_pair(e.src, e.dst, self.node_count);
-        io.send(Packet::new(id, flow, e.src, e.dst, e.size, io.cycle()));
+        io.send(Packet::new(id, flow, e.src, e.dst, e.size));
         self.offered += 1;
     }
 }

@@ -1,4 +1,4 @@
-//! The memory protocol path performs zero heap allocations once warm.
+//! A vector sum's load phase performs zero heap allocations once warm.
 //!
 //! A 4×4 mesh of MIPS-like cores runs `vector_sum_program` over MSI
 //! coherence, each core on its own 4 096-word vector: 32 KiB, twice the
@@ -6,23 +6,23 @@
 //! buffer to its working size. In the first half of the load phase that
 //! follows, every line misses, the fills evict the dirty lines the stores
 //! left and write them back over the network, and the directory serves the
-//! reads from memory. Over that whole stretch the memory agents must not
+//! reads from memory. Over that whole stretch the simulation must not
 //! allocate at all — neither on the compiled kernel nor on the
-//! interpreter: protocol messages travel as inline payloads, and the L1 and
-//! the directory append their outputs to buffers the tile's memory system
-//! keeps.
+//! interpreter: protocol messages travel as inline payloads, the L1 and the
+//! directory append their outputs to buffers the tile's memory system
+//! keeps, and a reassembly slot holds a packet's head flit and a count, not
+//! its flits, so a mix of 2-flit control and 8-flit data packets grows
+//! nothing once warm.
 //!
-//! What is counted is everything a core agent's tick does: demultiplexing
-//! delivered packets, the core, the L1, the directory, the delayed-message
-//! lanes, packetisation and the hand-off to the bridge's backlog. The
-//! network layer's own per-cycle work (injection, routing, reassembly, the
-//! payload store) is not: `steady_state_allocations.rs` covers it, and its
-//! tables and slabs grow to high-water marks that a mix of short and long
-//! packets keeps raising now and then.
+//! What is counted is whole cycles: everything a core agent's tick does
+//! (demultiplexing delivered packets, the core, the L1, the directory, the
+//! delayed-message lanes, packetisation, the hand-off to the bridge's
+//! backlog) and the network layer's own work (injection, routing,
+//! reassembly, the payload store).
 //!
 //! The counting allocator is global to this test binary, so the binary
 //! holds this one test, and counts only the allocations of the thread that
-//! turns counting on.
+//! turns counting on: the one that runs the network.
 
 use hornet::cpu::agent::{CoreAgent, CoreConfig};
 use hornet::cpu::programs::vector_sum_program;
@@ -36,7 +36,7 @@ use hornet::net::rng::TileRng;
 use hornet::net::routing::FlowSpec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 struct Counting;
@@ -87,13 +87,12 @@ const WARMUP: Cycle = 500;
 /// About the first half of the load phase: the stretch with writebacks.
 const MEASURED: Cycle = 28_000;
 
-/// The L1 counters of every core, summed, and whether the window is open.
+/// The L1 counters of every core, summed.
 #[derive(Default)]
 struct Shared {
     stores: AtomicU64,
     loads: AtomicU64,
     writebacks: AtomicU64,
-    measuring: AtomicBool,
 }
 
 impl Shared {
@@ -102,9 +101,8 @@ impl Shared {
     }
 }
 
-/// A core agent that counts its own allocations while the window is open,
-/// and adds its L1 counters' growth to `shared` after every tick so the
-/// test can tell which phase the program is in.
+/// A core agent that adds its L1 counters' growth to `shared` after every
+/// tick so the test can tell which phase the program is in.
 struct Probed {
     core: CoreAgent,
     last: [u64; 3],
@@ -113,10 +111,7 @@ struct Probed {
 
 impl NodeAgent for Probed {
     fn tick(&mut self, io: &mut dyn NodeIo, rng: &mut TileRng) {
-        let measuring = self.shared.measuring.load(Ordering::Relaxed);
-        COUNTING.with(|c| c.set(measuring));
         self.core.tick(io, rng);
-        COUNTING.with(|c| c.set(false));
         let s = self.core.memory().l1_stats();
         let now = [s.stores, s.loads, s.writebacks];
         let sums = [
@@ -182,9 +177,9 @@ fn load_phase_window(mode: KernelMode) -> Window {
     let [_, loads, writebacks] = shared.read();
     let delivered = net.stats().delivered_packets;
     ALLOCATIONS.with(|n| n.set(0));
-    shared.measuring.store(true, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     net.run(MEASURED);
-    shared.measuring.store(false, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(false));
     let [_, loads_after, writebacks_after] = shared.read();
     assert!(
         loads_after < all_stores,
@@ -219,7 +214,7 @@ fn the_load_phase_of_a_vector_sum_allocates_nothing() {
         );
         assert_eq!(
             w.allocations, 0,
-            "{mode:?}: the memory agents allocated {} times over {MEASURED} \
+            "{mode:?}: the simulation allocated {} times over {MEASURED} \
              load-phase cycles ({} packets delivered)",
             w.allocations, w.delivered
         );

@@ -65,8 +65,7 @@ proptest! {
             NodeId::new(0),
             NodeId::new(1),
             1,
-            0,
-        );
+);
         let template = packet.to_flits(0)[0];
         let buf = VcBuffer::new(capacity);
         let mut pushed = 0u32;
@@ -107,8 +106,7 @@ proptest! {
             NodeId::new(0),
             NodeId::new(1),
             1,
-            0,
-        );
+);
         let template = packet.to_flits(0)[0];
         let buf = VcBuffer::new(capacity);
         // Reference model: `pending` holds deposited-but-unabsorbed flits,
