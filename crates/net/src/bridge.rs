@@ -1015,12 +1015,20 @@ mod tests {
     #[test]
     fn a_slot_whose_flits_are_not_one_packets_tail_is_corrupt() {
         let flits = packet(1, 3).to_flits(0);
-        for bad in [vec![flits[2], flits[1]], vec![flits[0], flits[1]]] {
+        // An occupied slot has a flit left to push: a count of 0 is refused
+        // even when a flit one past the packet's tail follows it.
+        let past_tail = flits[2].with_seq(3);
+        for (count, bad) in [
+            (2, vec![flits[2], flits[1]]),
+            (2, vec![flits[0], flits[1]]),
+            (0, vec![past_tail]),
+        ] {
             let mut e = Enc::new();
-            e.u64(0).u32(0).u32(1).u8(1).u32(bad.len() as u32);
+            e.u64(0).u32(0).u32(1).u8(1).u32(count);
             for f in &bad {
                 codec::encode_flit(&mut e, f);
             }
+            e.u32(0).u32(0);
             let err = bridge_with_vcs(1, 2)
                 .restore(&mut Dec::new(e.bytes()))
                 .unwrap_err();

@@ -333,6 +333,36 @@ pub fn decode_payload(d: &mut Dec) -> io::Result<(PacketId, Payload)> {
     Ok((id, payload))
 }
 
+/// Encodes a checkpoint's parked payloads, which must be sorted by packet id
+/// (see [`PayloadStore::snapshot_payloads`](crate::payload::PayloadStore::snapshot_payloads)):
+/// a count, then one [`encode_payload`] record each.
+pub fn encode_parked(e: &mut Enc, parked: &[(PacketId, Payload)]) {
+    e.u32(parked.len() as u32);
+    for (id, payload) in parked {
+        encode_payload(e, *id, payload);
+    }
+}
+
+/// Decodes a section written by [`encode_parked`], handing each payload to
+/// `deposit`.
+///
+/// # Errors
+///
+/// Refuses, with `InvalidData`, a record [`decode_payload`] refuses or ids
+/// that do not strictly increase: anything else re-encodes differently.
+pub fn decode_parked(d: &mut Dec, mut deposit: impl FnMut(PacketId, Payload)) -> io::Result<()> {
+    let mut last = None;
+    for _ in 0..d.u32()? {
+        let (id, payload) = decode_payload(d)?;
+        if last.is_some_and(|last| id <= last) {
+            return Err(invalid(format!("parked payload {id} out of order")));
+        }
+        last = Some(id);
+        deposit(id, payload);
+    }
+    Ok(())
+}
+
 fn encode_words(e: &mut Enc, payload: &Payload) {
     e.u32(payload.len() as u32);
     for w in payload.words() {
@@ -644,6 +674,30 @@ mod tests {
         encode_payload(&mut e, p.id, &Payload::empty());
         let err = decode_payload(&mut Dec::new(e.bytes())).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+
+        // A checkpoint's parked payloads, which must be sorted and distinct.
+        let parked: Vec<_> = [3, 9]
+            .map(|id| (PacketId::new(id), Payload::from_words(&[id])))
+            .into();
+        let parked_section = |e: &mut Enc, parked: &Vec<_>| encode_parked(e, parked);
+        let read_parked = |d: &mut Dec| -> io::Result<Vec<_>> {
+            let mut got = Vec::new();
+            decode_parked(d, |id, payload| got.push((id, payload)))?;
+            Ok(got)
+        };
+        let mut e = Enc::new();
+        encode_parked(&mut e, &parked);
+        assert_eq!(read_parked(&mut Dec::new(e.bytes())).unwrap(), parked);
+        assert!(hostile(e.bytes(), read_parked, parked_section) > 0);
+        for ids in [[9, 3], [3, 3]] {
+            let mut e = Enc::new();
+            encode_parked(
+                &mut e,
+                &ids.map(|id| (PacketId::new(id), Payload::from_words(&[id]))),
+            );
+            let err = read_parked(&mut Dec::new(e.bytes())).unwrap_err();
+            assert!(err.to_string().contains("out of order"), "{ids:?}: {err}");
+        }
 
         // A statistics record (the head of every router record) with
         // several per-flow entries, which must stay sorted and distinct.

@@ -701,11 +701,7 @@ impl Network {
             node.snapshot(&mut sub);
             e.blob(sub.bytes());
         }
-        let parked = self.payload_store.snapshot_payloads();
-        e.u32(parked.len() as u32);
-        for (id, payload) in &parked {
-            codec::encode_payload(&mut e, *id, payload);
-        }
+        codec::encode_parked(&mut e, &self.payload_store.snapshot_payloads());
         e.into_bytes()
     }
 
@@ -736,18 +732,9 @@ impl Network {
             let blob = d.blob()?;
             node.restore(&mut Dec::new(blob))?;
         }
-        let mut last = None;
-        for _ in 0..d.u32()? {
-            let (id, payload) = codec::decode_payload(&mut d)?;
-            // Written sorted and once each: anything else re-encodes
-            // differently.
-            if last.is_some_and(|last| id <= last) {
-                return Err(invalid(format!("parked payload {id} out of order")));
-            }
-            last = Some(id);
-            self.payload_store.deposit(id, payload);
-        }
-        Ok(())
+        codec::decode_parked(&mut d, |id, payload| {
+            self.payload_store.deposit(id, payload)
+        })
     }
 }
 

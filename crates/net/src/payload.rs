@@ -76,6 +76,7 @@ impl PayloadStore {
     /// parked.
     pub fn claim(&self, id: PacketId) -> Option<Payload> {
         let mut shard = self.shard(id);
+        // Synthetic traffic parks nothing: an empty table skips hashing.
         if shard.is_empty() {
             return None;
         }

@@ -121,11 +121,7 @@ pub fn snapshot_shard(
     // Parked payloads: in a distributed shard the payload store is
     // process-local, so any payload waiting for its tail flit to claim it
     // must travel with the checkpoint or restored flits would lose it.
-    let parked = payloads.parked();
-    e.u32(parked.len() as u32);
-    for (id, payload) in &parked {
-        codec::encode_payload(&mut e, *id, payload);
-    }
+    codec::encode_parked(&mut e, &payloads.parked());
 
     e.into_bytes()
 }
@@ -213,10 +209,7 @@ pub fn restore_shard(
         rx.restore_owed(owed);
     }
 
-    for _ in 0..d.u32()? {
-        let (id, payload) = codec::decode_payload(&mut d)?;
-        payloads.deposit(id, payload);
-    }
+    codec::decode_parked(&mut d, |id, payload| payloads.deposit(id, payload))?;
 
     if d.remaining() != 0 {
         return Err(corrupt("trailing bytes"));

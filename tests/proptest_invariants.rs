@@ -65,7 +65,7 @@ proptest! {
             NodeId::new(0),
             NodeId::new(1),
             1,
-);
+        );
         let template = packet.to_flits(0)[0];
         let buf = VcBuffer::new(capacity);
         let mut pushed = 0u32;
@@ -106,7 +106,7 @@ proptest! {
             NodeId::new(0),
             NodeId::new(1),
             1,
-);
+        );
         let template = packet.to_flits(0)[0];
         let buf = VcBuffer::new(capacity);
         // Reference model: `pending` holds deposited-but-unabsorbed flits,
